@@ -20,13 +20,17 @@
 //! The GC=4 "OOM" wall at the smallest sizes is reproduced structurally
 //! (halo wider than the subdomain is rejected).
 //!
+//! The last column is the halo payload per rank and step at each depth, from
+//! `RankReport.bytes`: a message carries only the populations that cross the
+//! cut, so deeper halos ship *more* bytes per step, in fewer messages.
+//!
 //! ```sh
 //! cargo run --release -p lbm-bench --bin fig10_ghost_depth -- [q19|q39]
 //! ```
 
 use std::time::Duration;
 
-use lbm_bench::{f, paper, Table};
+use lbm_bench::{f, halo_kib_per_step, paper, Table};
 use lbm_comm::CostModel;
 use lbm_core::index::Dim3;
 use lbm_core::kernels::OptLevel;
@@ -41,11 +45,13 @@ fn sweep(kind: LatticeKind, ranks: usize, steps: usize, rs: &[usize], cost: &Cos
         "GC=2",
         "GC=3",
         "GC=4",
+        "halo KiB/step GC=1..4",
     ]);
     for &r in rs {
         let global = Dim3::new(ranks * r, 16, 16);
         let mut cells: Vec<String> = vec![format!("{}", global.nx), format!("{r}")];
         let mut base = None;
+        let mut kib = Vec::new();
         for depth in 1..=4usize {
             let result = Simulation::builder(kind, global)
                 .ranks(ranks)
@@ -62,10 +68,12 @@ fn sweep(kind: LatticeKind, ranks: usize, steps: usize, rs: &[usize], cost: &Cos
                 Ok(rep) => {
                     let b = *base.get_or_insert(rep.wall_secs);
                     cells.push(f(rep.wall_secs / b, 3));
+                    kib.push(f(halo_kib_per_step(&rep), 1));
                 }
                 Err(_) => cells.push("OOM*".to_string()),
             }
         }
+        cells.push(kib.join(" / "));
         t.row(cells);
     }
     t

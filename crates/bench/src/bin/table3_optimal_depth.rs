@@ -7,7 +7,10 @@
 //! reports the argmin, alongside the paper's printed bands. The paper's
 //! headline — the optimal depth is not 1 and not monotone in R — appears in
 //! the latency regime; the compute regime shows why depth 1 wins when the
-//! network is cheap relative to the halo surface work.
+//! network is cheap relative to the halo surface work. The KiB/step column
+//! is the halo payload per rank and step at each depth (`RankReport.bytes`):
+//! crossing-only messages make deeper halos ship more bytes, in fewer
+//! messages.
 //!
 //! ```sh
 //! cargo run --release -p lbm-bench --bin table3_optimal_depth -- [q19|q39]
@@ -15,7 +18,7 @@
 
 use std::time::Duration;
 
-use lbm_bench::{f, paper, Table};
+use lbm_bench::{f, halo_kib_per_step, paper, Table};
 use lbm_comm::CostModel;
 use lbm_core::index::Dim3;
 use lbm_core::kernels::OptLevel;
@@ -28,7 +31,7 @@ fn best_depth(
     r: usize,
     steps: usize,
     cost: &CostModel,
-) -> (Vec<Option<f64>>, usize) {
+) -> (Vec<Option<(f64, f64)>>, usize) {
     let global = Dim3::new(ranks * r, 16, 16);
     let mut times = Vec::new();
     for depth in 1..=4usize {
@@ -43,12 +46,12 @@ fn best_depth(
             .build()
             .ok()
             .and_then(|mut sim| sim.run(steps).ok());
-        times.push(result.map(|rep| rep.wall_secs));
+        times.push(result.map(|rep| (rep.wall_secs, halo_kib_per_step(&rep))));
     }
     let best = times
         .iter()
         .enumerate()
-        .filter_map(|(i, t)| t.map(|t| (i + 1, t)))
+        .filter_map(|(i, t)| t.map(|(t, _)| (i + 1, t)))
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|(d, _)| d)
         .unwrap_or(1);
@@ -87,20 +90,23 @@ fn main() {
         "GC2/GC1",
         "GC3/GC1",
         "GC4/GC1",
+        "halo KiB/step GC1..4",
         "opt (compute)",
         "opt (latency)",
     ]);
     for &r in rs {
         let (ct, cbest) = best_depth(kind, ranks, r, steps, &compute_cost);
         let (_, lbest) = best_depth(kind, ranks, r, steps, &latency_cost);
-        let t1 = ct[0].expect("GC=1 must run");
+        let (t1, _) = ct[0].expect("GC=1 must run");
         let mut cells = vec![format!("{r}"), f(t1 * 1e3, 1)];
         for d in 1..4 {
             cells.push(match ct[d] {
-                Some(td) => format!("{:.3}x", td / t1),
+                Some((td, _)) => format!("{:.3}x", td / t1),
                 None => "OOM*".into(),
             });
         }
+        let kib: Vec<String> = ct.iter().flatten().map(|&(_, kib)| f(kib, 1)).collect();
+        cells.push(kib.join(" / "));
         cells.push(format!("{cbest}"));
         cells.push(format!("{lbest}"));
         t.row(cells);

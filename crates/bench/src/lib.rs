@@ -87,6 +87,13 @@ pub fn f(v: f64, prec: usize) -> String {
     format!("{v:.prec$}")
 }
 
+/// Halo payload a rank sent per step, in KiB (mean over ranks), from the
+/// report's exact byte count: the volume side of the ghost-depth trade-off.
+pub fn halo_kib_per_step(rep: &lbm_sim::RunReport) -> f64 {
+    let bytes: u64 = rep.per_rank.iter().map(|r| r.bytes).sum();
+    bytes as f64 / 1024.0 / rep.ranks as f64 / rep.steps as f64
+}
+
 /// Threads available on this host.
 pub fn host_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())

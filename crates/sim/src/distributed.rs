@@ -11,6 +11,17 @@
 //! trades against message count). After `d` sub-steps exactly the owned
 //! planes are valid and the next exchange refills the halos.
 //!
+//! "Refills" means the slots sub-step 0 reads, not every slot: the exchange
+//! ships the [`HaloPlan::crossing`] segments — population `i` of halo plane
+//! `p` (0 = outermost) only if `p + c_ix ≥ k` carries it into the computed
+//! region — still as one aggregated message per neighbour. That is
+//! `Σ_{c_ix>0} c_ix` plane-slabs per message at depth 1 (18 instead of 117
+//! for D3Q39) and fills up towards full width on the inner planes of deeper
+//! halos, so the paper's "same volume, fewer messages" no longer holds: a
+//! deep halo now costs extra computation *and* extra bytes per step for its
+//! fewer messages. Slots outside the plan hold stale values that nothing
+//! reads.
+//!
 //! ## Schedules (paper §V-E/F, Fig. 7/9)
 //!
 //! * [`CommStrategy::Blocking`] — exchange at cycle start, receives completed
@@ -102,7 +113,7 @@ use lbm_core::prelude::Bgk;
 use lbm_core::{Error, Result};
 
 use crate::config::{CommStrategy, SimConfig};
-use crate::halo::{self, Side};
+use crate::halo::{HaloPlan, Side};
 use crate::scenario::ScenarioHandle;
 
 /// One rank's solver state.
@@ -132,7 +143,15 @@ pub struct RankSolver {
     jitter: f64,
     skew: f64,
     cycle: u64,
-    send_buf: Vec<f64>,
+    /// What a cycle (or AA pair) exchange ships: the crossing populations
+    /// in two-grid mode, every velocity in AA mode.
+    plan: HaloPlan,
+    /// The full-width plan of the eager mid-step emulation.
+    full: HaloPlan,
+    /// Message buffers, one per side: a packed vector is moved into its
+    /// send and the vectors received in its place (equally long) are the
+    /// next ones packed into.
+    bufs: [Vec<f64>; 2],
     pending: Vec<RecvRequest>,
     /// The pluggable scenario (None = legacy periodic Taylor–Green).
     scenario: Option<ScenarioHandle>,
@@ -173,6 +192,11 @@ impl RankSolver {
         } else {
             None
         };
+        let full = HaloPlan::full(ctx.lat.q(), h);
+        let plan = match cfg.storage {
+            StorageMode::TwoGrid => HaloPlan::crossing(&ctx.lat, h),
+            StorageMode::InPlaceAa => full.clone(),
+        };
         let scenario = cfg.scenario.clone();
         let bounds = scenario
             .as_ref()
@@ -198,7 +222,9 @@ impl RankSolver {
                 0.0
             },
             cycle: 0,
-            send_buf: Vec::new(),
+            plan,
+            full,
+            bufs: [Vec::new(), Vec::new()],
             pending: Vec::new(),
             scenario,
             bounds,
@@ -428,59 +454,11 @@ impl RankSolver {
             self.aa_odd_periodic(own_lo, own_hi, g);
             return 0;
         }
-        {
-            let (to_left, to_right) = Self::tags(self.step_no / 2);
-            let left = self.sub.left();
-            let right = self.sub.right();
-            match self.strategy {
-                CommStrategy::Blocking => {
-                    halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                    comm.send(left, to_left, self.send_buf.clone())
-                        .expect("send");
-                    halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                    comm.send(right, to_right, self.send_buf.clone())
-                        .expect("send");
-                    let from_left = comm.recv(left, to_right).expect("recv");
-                    halo::unpack_halo(&mut self.f, Side::Left, self.h, &from_left);
-                    let from_right = comm.recv(right, to_left).expect("recv");
-                    halo::unpack_halo(&mut self.f, Side::Right, self.h, &from_right);
-                }
-                CommStrategy::NonBlockingEager => {
-                    halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(left, to_left, self.send_buf.clone())
-                        .expect("isend");
-                    halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(right, to_right, self.send_buf.clone())
-                        .expect("isend");
-                    let rl = comm.irecv(left, to_right).expect("irecv");
-                    let rr = comm.irecv(right, to_left).expect("irecv");
-                    let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-                    halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                    halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-                }
-                CommStrategy::NonBlockingGhost | CommStrategy::OverlapGhostCollide => {
-                    // Sends and receives are normally posted during the
-                    // even step; when the previous `run` call ended on that
-                    // even step nothing was posted (no stranded requests),
-                    // so fall back to a just-in-time exchange here.
-                    let reqs = std::mem::take(&mut self.pending);
-                    if reqs.is_empty() {
-                        self.aa_post_border_sends(comm);
-                    }
-                    let reqs = if reqs.is_empty() {
-                        std::mem::take(&mut self.pending)
-                    } else {
-                        reqs
-                    };
-                    debug_assert_eq!(reqs.len(), 2, "AA ghost schedule must have posted receives");
-                    let msgs = comm.waitall(reqs).expect("waitall");
-                    halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                    halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-                }
-            }
-        }
+        // Under the ghost schedules the exchange was normally posted during
+        // the even step; when the previous `run` call ended on that even
+        // step nothing was posted (no stranded requests) and it happens
+        // just in time here.
+        self.exchange(comm, Self::tags(self.step_no / 2));
         self.aa_odd(own_lo - self.k, own_hi + self.k, g);
         2 * self.k
     }
@@ -488,20 +466,8 @@ impl RankSolver {
     /// Pack the post-even borders of the single AA field, post the
     /// nonblocking sends for this pair's odd step, and post the receives.
     fn aa_post_border_sends(&mut self, comm: &mut Comm) {
-        let (to_left, to_right) = Self::tags(self.step_no / 2);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(left, to_left, self.send_buf.clone())
-            .expect("isend");
-        halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(right, to_right, self.send_buf.clone())
-            .expect("isend");
-        let rl = comm.irecv(left, to_right).expect("irecv");
-        let rr = comm.irecv(right, to_left).expect("irecv");
-        self.pending = vec![rl, rr];
+        let tags = Self::tags(self.step_no / 2);
+        self.pending = post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
     }
 
     /// The scenario body force for the step about to run (zero without a
@@ -618,73 +584,40 @@ impl RankSolver {
             return; // halos valid from initialisation
         }
         if self.sub.ranks == 1 {
-            halo::fill_periodic_self(&mut self.f, self.h);
+            self.plan.fill_self(&mut self.f);
             return;
         }
-        let (to_left, to_right) = Self::tags(self.cycle);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        match self.strategy {
-            CommStrategy::Blocking => {
-                // Send both borders, then complete receives one at a time
-                // (the naive sum-of-delays pattern).
-                halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                comm.send(left, to_left, self.send_buf.clone())
-                    .expect("send");
-                halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                comm.send(right, to_right, self.send_buf.clone())
-                    .expect("send");
-                // My left halo comes from my left neighbour's to_right send.
-                let from_left = comm.recv(left, to_right).expect("recv");
-                halo::unpack_halo(&mut self.f, Side::Left, self.h, &from_left);
-                let from_right = comm.recv(right, to_left).expect("recv");
-                halo::unpack_halo(&mut self.f, Side::Right, self.h, &from_right);
-            }
-            CommStrategy::NonBlockingEager => {
-                // Nonblocking posts but an immediate waitall: zero overlap.
-                halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(left, to_left, self.send_buf.clone())
-                    .expect("isend");
-                halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(right, to_right, self.send_buf.clone())
-                    .expect("isend");
-                let rl = comm.irecv(left, to_right).expect("irecv");
-                let rr = comm.irecv(right, to_left).expect("irecv");
-                let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-                halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-            }
-            CommStrategy::NonBlockingGhost | CommStrategy::OverlapGhostCollide => {
-                // Sends were posted at the end of the previous cycle —
-                // except on the first cycle after a checkpoint restore,
-                // where nothing is in flight (restores never strand posted
-                // requests). Fall back to a just-in-time exchange of the
-                // current borders: `f` has not changed since the previous
-                // cycle's sends would have packed it, so the payload is
-                // bitwise the one the pre-posted schedule carries.
-                let mut reqs = std::mem::take(&mut self.pending);
-                if reqs.is_empty() {
-                    halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(left, to_left, self.send_buf.clone())
-                        .expect("isend");
-                    halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                    let _ = comm
-                        .isend(right, to_right, self.send_buf.clone())
-                        .expect("isend");
-                    reqs = vec![
-                        comm.irecv(left, to_right).expect("irecv"),
-                        comm.irecv(right, to_left).expect("irecv"),
-                    ];
-                }
-                debug_assert_eq!(reqs.len(), 2, "ghost schedule must have posted receives");
-                let msgs = comm.waitall(reqs).expect("waitall");
-                halo::unpack_halo(&mut self.f, Side::Left, self.h, &msgs[0]);
-                halo::unpack_halo(&mut self.f, Side::Right, self.h, &msgs[1]);
-            }
+        // Under the ghost schedules the sends were posted at the end of the
+        // previous cycle — except on the first cycle after a checkpoint
+        // restore, where nothing is in flight (restores never strand posted
+        // requests) and the exchange happens just in time: `f` has not
+        // changed since the previous cycle's sends would have packed it, so
+        // the payload is bitwise the one the pre-posted schedule carries.
+        self.exchange(comm, Self::tags(self.cycle));
+    }
+
+    /// Complete the halo exchange tagged `tags` into `f`: post it now from
+    /// the current borders of `f` unless a ghost schedule already did, wait,
+    /// unpack. [`CommStrategy::Blocking`] completes the receives one link at
+    /// a time (the naive sum-of-delays pattern), every other schedule with
+    /// one waitall — for [`CommStrategy::NonBlockingEager`] immediately
+    /// after posting: zero overlap. The received vectors become the next
+    /// send buffers.
+    fn exchange(&mut self, comm: &mut Comm, tags: (u64, u64)) {
+        if self.pending.is_empty() {
+            self.pending =
+                post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
         }
+        let reqs = std::mem::take(&mut self.pending);
+        debug_assert_eq!(reqs.len(), 2, "an exchange posts one receive per side");
+        let msgs = if self.strategy == CommStrategy::Blocking {
+            reqs.into_iter()
+                .map(|req| comm.wait(req).expect("recv"))
+                .collect()
+        } else {
+            comm.waitall(reqs).expect("waitall")
+        };
+        unpack_exchange(&self.plan, &mut self.bufs, &mut self.f, msgs);
     }
 
     fn end_cycle(&mut self, comm: &mut Comm) {
@@ -696,18 +629,9 @@ impl RankSolver {
             CommStrategy::NonBlockingGhost => {
                 // Post sends and receives for the next cycle now; the gap to
                 // the next cycle's waitall is the (limited) overlap window.
-                let (to_left, to_right) = Self::tags(self.cycle + 1);
-                let left = self.sub.left();
-                let right = self.sub.right();
-                halo::pack_border(&self.f, Side::Left, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(left, to_left, self.send_buf.clone())
-                    .expect("isend");
-                halo::pack_border(&self.f, Side::Right, self.h, &mut self.send_buf);
-                let _ = comm
-                    .isend(right, to_right, self.send_buf.clone())
-                    .expect("isend");
-                self.post_receives(comm);
+                let tags = Self::tags(self.cycle + 1);
+                self.pending =
+                    post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
             }
             CommStrategy::OverlapGhostCollide => {
                 // Sends already posted inside the last sub-step; receives too.
@@ -716,56 +640,26 @@ impl RankSolver {
         }
     }
 
-    fn post_receives(&mut self, comm: &mut Comm) {
-        let (to_left, to_right) = Self::tags(self.cycle + 1);
-        let left = self.sub.left();
-        let right = self.sub.right();
-        let rl = comm.irecv(left, to_right).expect("irecv");
-        let rr = comm.irecv(right, to_left).expect("irecv");
-        self.pending = vec![rl, rr];
-    }
-
     /// GC-C send posting: pack the freshly-updated borders of `tmp`, post
     /// the nonblocking sends for the next cycle, and post the receives.
     fn post_border_sends(&mut self, comm: &mut Comm) {
-        let (to_left, to_right) = Self::tags(self.cycle + 1);
-        let left = self.sub.left();
-        let right = self.sub.right();
+        let tags = Self::tags(self.cycle + 1);
         let tmp = self.tmp.as_ref().expect("two-grid destination buffer");
-        halo::pack_border(tmp, Side::Left, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(left, to_left, self.send_buf.clone())
-            .expect("isend");
-        halo::pack_border(tmp, Side::Right, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(right, to_right, self.send_buf.clone())
-            .expect("isend");
-        self.post_receives(comm);
+        self.pending = post_exchange(&self.plan, &mut self.bufs, tmp, &self.sub, comm, tags);
     }
 
     /// The no-ghost-cells mid-step exchange (paper's bare NB-C): in push
     /// form the collide depends on the neighbours' *stream* output of this
     /// very step, so the exchange sits mid-step with zero overlap window.
-    /// We exchange the current `tmp` borders and wait immediately — the
-    /// unhideable stall that the GC rungs remove.
+    /// We exchange the current full-width `tmp` borders and wait
+    /// immediately — the unhideable stall that the GC rungs remove.
     fn midstep_exchange(&mut self, comm: &mut Comm, j: usize) {
         let step_tag = MIDSTEP_TAG_BASE + self.cycle * 64 + j as u64;
-        let left = self.sub.left();
-        let right = self.sub.right();
+        let tags = (step_tag, step_tag + 32);
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        halo::pack_border(tmp, Side::Left, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(left, step_tag, self.send_buf.clone())
-            .expect("isend");
-        halo::pack_border(tmp, Side::Right, self.h, &mut self.send_buf);
-        let _ = comm
-            .isend(right, step_tag + 32, self.send_buf.clone())
-            .expect("isend");
-        let rl = comm.irecv(left, step_tag + 32).expect("irecv");
-        let rr = comm.irecv(right, step_tag).expect("irecv");
-        let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-        halo::unpack_halo(tmp, Side::Left, self.h, &msgs[0]);
-        halo::unpack_halo(tmp, Side::Right, self.h, &msgs[1]);
+        let reqs = post_exchange(&self.full, &mut self.bufs, tmp, &self.sub, comm, tags);
+        let msgs = comm.waitall(reqs).expect("waitall");
+        unpack_exchange(&self.full, &mut self.bufs, tmp, msgs);
     }
 
     /// The owned-region border split used by the Fig. 7 overlap:
@@ -1130,6 +1024,47 @@ impl RankSolver {
     }
 }
 
+/// Post one halo exchange: pack both borders of `src` by `plan`, hand each
+/// packed vector to its nonblocking send by move, and post the two receives
+/// `[from left, from right]`. `tags` are `(to_left, to_right)`: my left halo
+/// comes from my left neighbour's `to_right` send.
+fn post_exchange(
+    plan: &HaloPlan,
+    bufs: &mut [Vec<f64>; 2],
+    src: &DistField,
+    sub: &Subdomain,
+    comm: &mut Comm,
+    (to_left, to_right): (u64, u64),
+) -> Vec<RecvRequest> {
+    let (left, right) = (sub.left(), sub.right());
+    for ((side, dst, tag), buf) in [(Side::Left, left, to_left), (Side::Right, right, to_right)]
+        .into_iter()
+        .zip(bufs)
+    {
+        plan.pack(src, side, buf);
+        let _ = comm.isend(dst, tag, std::mem::take(buf)).expect("isend");
+    }
+    vec![
+        comm.irecv(left, to_right).expect("irecv"),
+        comm.irecv(right, to_left).expect("irecv"),
+    ]
+}
+
+/// Unpack the messages `[from left, from right]` of a completed exchange
+/// into the halos of `dst`; the vectors become the next send buffers (the
+/// two directions of a plan are equally long).
+fn unpack_exchange(
+    plan: &HaloPlan,
+    bufs: &mut [Vec<f64>; 2],
+    dst: &mut DistField,
+    msgs: Vec<Vec<f64>>,
+) {
+    for ((side, msg), buf) in [Side::Left, Side::Right].into_iter().zip(msgs).zip(bufs) {
+        plan.unpack(dst, side, &msg);
+        *buf = msg;
+    }
+}
+
 /// Deterministic `[0,1)` hash noise for compute jitter.
 pub(crate) fn jitter_u01(rank: u64, step: u64) -> f64 {
     let mut x = rank
@@ -1377,6 +1312,86 @@ mod tests {
                 }
             }
             x0 += dp.nx;
+        }
+    }
+
+    /// NaN every `(velocity, plane)` halo slot of the current field that
+    /// the solver's exchange plan does not ship.
+    fn poison_outside_plan(s: &mut RankSolver) {
+        let (h, plan) = (s.h, s.plan.clone());
+        let f = s.field_mut();
+        let d = f.alloc_dims();
+        for (side, x0) in [(Side::Left, 0), (Side::Right, d.nx - h)] {
+            for i in 0..f.q() {
+                for p in (0..h).filter(|&p| !plan.ships(side, i, p)) {
+                    let b = d.idx(x0 + p, 0, 0);
+                    f.slab_mut(i)[b..b + d.plane()].fill(f64::NAN);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nothing_outside_the_halo_plan_is_read() {
+        // Re-poisoning every non-plan halo slot before each cycle must not
+        // change a bit: 1 rank (plan-driven self fill) and 2 ranks (every
+        // schedule) against the undisturbed 1-rank run. One exception: the
+        // eager mid-step exchange at depth > 1 replaces cycle 0's
+        // trig-initialised wrap-around ghost planes by the neighbour's owned
+        // values, an ulp apart, so there the reference is the undisturbed
+        // run of the same configuration.
+        for kind in [
+            LatticeKind::D3Q15,
+            LatticeKind::D3Q19,
+            LatticeKind::D3Q27,
+            LatticeKind::D3Q39,
+        ] {
+            let global = Dim3::new(24, 8, 8);
+            let cycles = 3;
+            for depth in [1usize, 2] {
+                let base = Simulation::builder(kind, global)
+                    .level(OptLevel::LoBr)
+                    .ghost_depth(depth);
+                let steps = cycles * depth;
+                let clean = distributed_owned(&base.clone().build_config().unwrap(), steps);
+                for (ranks, strategy) in [
+                    (1, CommStrategy::Blocking),
+                    (2, CommStrategy::Blocking),
+                    (2, CommStrategy::NonBlockingEager),
+                    (2, CommStrategy::NonBlockingGhost),
+                    (2, CommStrategy::OverlapGhostCollide),
+                ] {
+                    let cfg = base
+                        .clone()
+                        .ranks(ranks)
+                        .strategy(strategy)
+                        .build_config()
+                        .unwrap();
+                    let poisoned = Universe::run(cfg.ranks, cfg.cost.clone(), |comm| {
+                        let mut s = RankSolver::new(&cfg, comm.rank()).unwrap();
+                        for _ in 0..cycles {
+                            poison_outside_plan(&mut s);
+                            s.run(comm, depth);
+                        }
+                        s.owned_snapshot()
+                    });
+                    let poisoned = assemble_global(&poisoned, global);
+                    let reference = if strategy == CommStrategy::NonBlockingEager && depth > 1 {
+                        assemble_global(&distributed_owned(&cfg, steps), global)
+                    } else {
+                        clean[0].clone()
+                    };
+                    // Bit patterns, not `max_abs_diff_owned`: `f64::max`
+                    // drops a NaN.
+                    let bits = |f: &DistField| -> Vec<u64> {
+                        f.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert!(
+                        bits(&poisoned) == bits(&reference),
+                        "{kind:?} depth {depth} ranks {ranks} {strategy:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -1,12 +1,23 @@
 //! Border pack/unpack with message aggregation.
 //!
 //! The paper stores each velocity's distribution contiguously precisely so
-//! that border exchange can aggregate *all* velocities into one message per
-//! neighbour (§IV: "to maximize messaging performance"). A packed border of
-//! width `h` planes is laid out `[velocity][plane][y][z]`, and since planes
-//! are contiguous `ny·nz` runs, packing is `Q·h` slice copies.
+//! that border exchange can aggregate the velocities into **one message per
+//! neighbour** (§IV: "to maximize messaging performance"). That is still the
+//! protocol here, but the message no longer carries *all* velocities: a
+//! pull-stream reads population `i` from a halo plane only when `c_ix`
+//! carries it across the cut into the computed region, so a [`HaloPlan`]
+//! lists, per side, the `(velocity, first plane, plane count)` segments that
+//! are actually read and [`HaloPlan::pack`]/[`HaloPlan::unpack`] ship exactly
+//! those. A packed message is laid out `[segment][plane][y][z]`; the planes of
+//! a segment are one contiguous `count·ny·nz` run, so packing is one slice
+//! copy per segment.
+//!
+//! The free functions [`pack_border`], [`unpack_halo`], [`packed_len`] and
+//! [`fill_periodic_self`] are the full-width entry points (every velocity,
+//! all `h` planes) over the same copy routines.
 
 use lbm_core::field::DistField;
+use lbm_core::lattice::Lattice;
 
 /// Which side of the subdomain a border/halo is on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,71 +38,249 @@ impl Side {
     }
 }
 
-/// Number of doubles in a packed border of width `h` for field `f`.
+/// `planes` consecutive x-planes of one velocity, starting `first` planes
+/// into an `h`-wide halo (or the border it is filled from), both counted in
+/// ascending x.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment {
+    /// Velocity (slab) index.
+    pub velocity: usize,
+    /// First plane, `0..h` in ascending x.
+    pub first: usize,
+    /// Number of planes.
+    pub planes: usize,
+}
+
+/// The full-width segments of a `q`-velocity, `h`-plane border.
+fn full_segments(q: usize, h: usize) -> impl Iterator<Item = Segment> + Clone {
+    (0..q).map(move |velocity| Segment {
+        velocity,
+        first: 0,
+        planes: h,
+    })
+}
+
+/// What one halo exchange ships: per halo side, the segments of the `h`
+/// halo planes that the next sub-step reads. Built once per solver.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HaloPlan {
+    h: usize,
+    /// Segments of the left halo (filled from the left neighbour's right
+    /// border).
+    left: Vec<Segment>,
+    /// Segments of the right halo.
+    right: Vec<Segment>,
+}
+
+impl HaloPlan {
+    /// Every velocity, all `h` planes.
+    pub fn full(q: usize, h: usize) -> Self {
+        Self {
+            h,
+            left: full_segments(q, h).collect(),
+            right: full_segments(q, h).collect(),
+        }
+    }
+
+    /// Only the populations that stream across the cut. In allocation
+    /// coordinates, with `p = 0` the outermost of the `h` left-halo planes,
+    /// sub-step 0 computes the planes from `k = lat.reach()` on and cell `x`
+    /// pulls population `i` from plane `x − c_ix`: slot `i` of halo plane `p`
+    /// is read iff `p + c_ix ≥ k`. The right halo is the mirror image,
+    /// `(h−1−p) − c_ix ≥ k`. Either way a velocity's planes are the innermost
+    /// ones — one segment per velocity and side — and at ghost depth 1
+    /// (`h = k`) a side has `Σ_{c_ix>0} c_ix` planes in all.
+    pub fn crossing(lat: &Lattice, h: usize) -> Self {
+        let k = lat.reach() as i32;
+        // Outermost halo planes from which an x-component `c` pointing into
+        // the subdomain cannot reach the computed region.
+        let skipped = |c: i32| ((k - c).max(0) as usize).min(h);
+        let side = |into: i32| -> Vec<Segment> {
+            lat.velocities()
+                .iter()
+                .enumerate()
+                .map(|(velocity, c)| {
+                    let skip = skipped(into * c[0]);
+                    Segment {
+                        velocity,
+                        first: if into > 0 { skip } else { 0 },
+                        planes: h - skip,
+                    }
+                })
+                .filter(|s| s.planes > 0)
+                .collect()
+        };
+        Self {
+            h,
+            left: side(1),
+            right: side(-1),
+        }
+    }
+
+    /// The segments shipped into the halo on `side`.
+    pub fn segments(&self, side: Side) -> &[Segment] {
+        match side {
+            Side::Left => &self.left,
+            Side::Right => &self.right,
+        }
+    }
+
+    /// Whether slot `velocity` of plane `plane` (`0..h`, ascending x) of the
+    /// halo on `side` is shipped.
+    #[cfg(test)]
+    pub(crate) fn ships(&self, side: Side, velocity: usize, plane: usize) -> bool {
+        self.segments(side)
+            .iter()
+            .any(|s| s.velocity == velocity && (s.first..s.first + s.planes).contains(&plane))
+    }
+
+    /// Plane-slabs (one velocity × one plane) per message: a message is
+    /// `len() · ny · nz` doubles. Both directions are equally long because
+    /// the velocity set is symmetric under `c_x → −c_x`.
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> usize {
+        self.left.iter().map(|s| s.planes).sum()
+    }
+
+    /// Pack the border on `side` of `f` — the planes the neighbour's
+    /// opposite halo receives — into one aggregated message (reusing `buf`).
+    pub fn pack(&self, f: &DistField, side: Side, buf: &mut Vec<f64>) {
+        let segments = self.segments(side.opposite()).iter().copied();
+        pack_segments(f, side, self.h, segments, buf);
+    }
+
+    /// Unpack a message packed by the neighbour's [`Self::pack`] into the
+    /// halo on `side`.
+    pub fn unpack(&self, f: &mut DistField, side: Side, data: &[f64]) {
+        let segments = self.segments(side).iter().copied();
+        unpack_segments(f, side, self.h, segments, data);
+    }
+
+    /// Fill both halos of a *single-rank* periodic field from its own
+    /// borders (left halo ← right border, right halo ← left border).
+    pub fn fill_self(&self, f: &mut DistField) {
+        for side in [Side::Left, Side::Right] {
+            fill_self_segments(f, side, self.h, self.segments(side).iter().copied());
+        }
+    }
+}
+
+/// First plane of the `h`-wide owned border on `side`.
+fn border_x0(f: &DistField, side: Side, h: usize) -> usize {
+    let owned = f.owned_x();
+    assert!(h <= owned.len(), "border width exceeds owned planes");
+    match side {
+        Side::Left => owned.start,
+        Side::Right => owned.end - h,
+    }
+}
+
+/// First of the `h` halo planes adjacent to the owned region on `side`.
+fn halo_x0(f: &DistField, side: Side, h: usize) -> usize {
+    assert!(h <= f.halo(), "halo narrower than received border");
+    match side {
+        Side::Left => f.halo() - h,
+        Side::Right => f.owned_x().end,
+    }
+}
+
+/// Doubles in a message made of `segments`.
+fn segments_len(f: &DistField, segments: impl Iterator<Item = Segment>) -> usize {
+    segments.map(|s| s.planes).sum::<usize>() * f.alloc_dims().plane()
+}
+
+/// The one pack routine: `segments` of the `h`-wide border on `side`, each a
+/// single contiguous run of its slab.
+fn pack_segments(
+    f: &DistField,
+    side: Side,
+    h: usize,
+    segments: impl Iterator<Item = Segment> + Clone,
+    buf: &mut Vec<f64>,
+) {
+    let d = f.alloc_dims();
+    let x0 = border_x0(f, side, h);
+    buf.clear();
+    buf.reserve(segments_len(f, segments.clone()));
+    for s in segments {
+        let base = d.idx(x0 + s.first, 0, 0);
+        buf.extend_from_slice(&f.slab(s.velocity)[base..base + s.planes * d.plane()]);
+    }
+}
+
+/// The one unpack routine. The neighbour packed its planes in ascending
+/// global x, so they land in our halo in the same ascending order.
+fn unpack_segments(
+    f: &mut DistField,
+    side: Side,
+    h: usize,
+    segments: impl Iterator<Item = Segment> + Clone,
+    data: &[f64],
+) {
+    let d = f.alloc_dims();
+    let x0 = halo_x0(f, side, h);
+    assert_eq!(
+        data.len(),
+        segments_len(f, segments.clone()),
+        "bad packed border length"
+    );
+    let mut off = 0;
+    for s in segments {
+        let base = d.idx(x0 + s.first, 0, 0);
+        let n = s.planes * d.plane();
+        f.slab_mut(s.velocity)[base..base + n].copy_from_slice(&data[off..off + n]);
+        off += n;
+    }
+}
+
+/// Halo on `side` ← the opposite border of the same field, in place per
+/// slab.
+fn fill_self_segments(
+    f: &mut DistField,
+    side: Side,
+    h: usize,
+    segments: impl Iterator<Item = Segment>,
+) {
+    let d = f.alloc_dims();
+    let src0 = border_x0(f, side.opposite(), h);
+    let dst0 = halo_x0(f, side, h);
+    for s in segments {
+        let src = d.idx(src0 + s.first, 0, 0);
+        f.slab_mut(s.velocity)
+            .copy_within(src..src + s.planes * d.plane(), d.idx(dst0 + s.first, 0, 0));
+    }
+}
+
+/// Number of doubles in a full-width packed border of width `h` for field
+/// `f`.
 pub fn packed_len(f: &DistField, h: usize) -> usize {
     f.q() * h * f.alloc_dims().plane()
 }
 
-/// Pack the outermost `h` **owned** planes on `side` into one aggregated
-/// message buffer (reusing `buf`).
+/// Pack all velocities of the outermost `h` **owned** planes on `side` into
+/// one aggregated message buffer (reusing `buf`).
 pub fn pack_border(f: &DistField, side: Side, h: usize, buf: &mut Vec<f64>) {
-    let d = f.alloc_dims();
-    let plane = d.plane();
-    let owned = f.owned_x();
-    assert!(h <= owned.len(), "border width exceeds owned planes");
-    let x0 = match side {
-        Side::Left => owned.start,
-        Side::Right => owned.end - h,
-    };
-    buf.clear();
-    buf.reserve(packed_len(f, h));
-    for i in 0..f.q() {
-        let slab = f.slab(i);
-        for p in 0..h {
-            let base = d.idx(x0 + p, 0, 0);
-            buf.extend_from_slice(&slab[base..base + plane]);
-        }
-    }
+    pack_segments(f, side, h, full_segments(f.q(), h), buf);
 }
 
-/// Unpack a received border into the `h` halo planes on `side`.
-///
-/// The neighbour packed its planes in ascending global x, so they land in
-/// our halo in the same ascending order.
+/// Unpack a full-width received border into the `h` halo planes on `side`.
 pub fn unpack_halo(f: &mut DistField, side: Side, h: usize, data: &[f64]) {
-    let d = f.alloc_dims();
-    let plane = d.plane();
-    assert_eq!(data.len(), packed_len(f, h), "bad packed border length");
-    assert!(h <= f.halo(), "halo narrower than received border");
-    let x0 = match side {
-        Side::Left => f.halo() - h,
-        Side::Right => f.owned_x().end,
-    };
-    let mut off = 0;
-    for i in 0..f.q() {
-        let slab = f.slab_mut(i);
-        for p in 0..h {
-            let base = d.idx(x0 + p, 0, 0);
-            slab[base..base + plane].copy_from_slice(&data[off..off + plane]);
-            off += plane;
-        }
-    }
+    unpack_segments(f, side, h, full_segments(f.q(), h), data);
 }
 
 /// Fill both halos of a *single-rank* periodic field from its own borders
-/// (left halo ← right border, right halo ← left border).
+/// (left halo ← right border, right halo ← left border), all velocities.
 pub fn fill_periodic_self(f: &mut DistField, h: usize) {
-    let mut buf = Vec::new();
-    pack_border(f, Side::Right, h, &mut buf);
-    unpack_halo(f, Side::Left, h, &buf);
-    pack_border(f, Side::Left, h, &mut buf);
-    unpack_halo(f, Side::Right, h, &buf);
+    for side in [Side::Left, Side::Right] {
+        fill_self_segments(f, side, h, full_segments(f.q(), h));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lbm_core::index::Dim3;
+    use lbm_core::lattice::LatticeKind;
 
     fn field_with_x_tags(q: usize, nx: usize, halo: usize) -> DistField {
         // Encode (slab, global x) in every cell so copies are traceable.
@@ -195,5 +384,120 @@ mod tests {
         let d = f.alloc_dims();
         let adj = d.idx(2, 0, 0); // halo=3, so plane x=2 is adjacent to owned x=3
         assert!(f.slab(0)[adj..adj + d.plane()].iter().all(|&v| v == 9.0));
+    }
+    #[test]
+    fn crossing_plan_counts_per_lattice_and_depth() {
+        // Plane-slabs per message at ghost depth 1, 2, 3, against Q·h.
+        for (kind, want) in [
+            (LatticeKind::D3Q15, [5, 15, 30]),
+            (LatticeKind::D3Q19, [5, 19, 38]),
+            (LatticeKind::D3Q27, [9, 27, 54]),
+            (LatticeKind::D3Q39, [18, 117, 234]),
+        ] {
+            let lat = Lattice::new(kind);
+            let k = lat.reach();
+            for (depth, want) in (1..=3).zip(want) {
+                let plan = HaloPlan::crossing(&lat, depth * k);
+                assert_eq!(plan.len(), want, "{kind:?} depth {depth}");
+                let right: usize = plan.segments(Side::Right).iter().map(|s| s.planes).sum();
+                assert_eq!(right, want, "{kind:?} depth {depth}: directions differ");
+                assert!(plan.len() < HaloPlan::full(lat.q(), depth * k).len());
+            }
+            // Depth 1: Σ_{cx>0} cx.
+            let crossing: i32 = lat.velocities().iter().map(|c| c[0].max(0)).sum();
+            assert_eq!(HaloPlan::crossing(&lat, k).len(), crossing as usize);
+        }
+    }
+
+    #[test]
+    fn crossing_plan_is_exactly_the_rule() {
+        // Slot i of left-halo plane p is shipped iff p + cx ≥ k; the right
+        // halo is the mirror (h−1−p) − cx ≥ k.
+        let lat = Lattice::new(LatticeKind::D3Q39);
+        let k = lat.reach() as i32;
+        for h in [3usize, 6, 9] {
+            let plan = HaloPlan::crossing(&lat, h);
+            for side in [Side::Left, Side::Right] {
+                for (i, c) in lat.velocities().iter().enumerate() {
+                    for p in 0..h {
+                        let (p_in, h_in) = (p as i32, h as i32);
+                        let shipped = match side {
+                            Side::Left => p_in + c[0] >= k,
+                            Side::Right => (h_in - 1 - p_in) - c[0] >= k,
+                        };
+                        assert_eq!(
+                            plan.ships(side, i, p),
+                            shipped,
+                            "{side:?} h={h} velocity {i} plane {p}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn full_plan_is_the_full_width_entry_points() {
+        let a = field_with_x_tags(3, 5, 2);
+        let plan = HaloPlan::full(3, 2);
+        assert_eq!(plan.len() * a.alloc_dims().plane(), packed_len(&a, 2));
+        let (mut by_plan, mut by_fn) = (Vec::new(), Vec::new());
+        for side in [Side::Left, Side::Right] {
+            plan.pack(&a, side, &mut by_plan);
+            pack_border(&a, side, 2, &mut by_fn);
+            assert_eq!(by_plan, by_fn);
+            let (mut b, mut c) = (a.clone(), a.clone());
+            plan.unpack(&mut b, side.opposite(), &by_plan);
+            unpack_halo(&mut c, side.opposite(), 2, &by_fn);
+            assert_eq!(b.as_slice(), c.as_slice());
+        }
+        let (mut b, mut c) = (a.clone(), a);
+        plan.fill_self(&mut b);
+        fill_periodic_self(&mut c, 2);
+        assert_eq!(b.as_slice(), c.as_slice());
+    }
+
+    #[test]
+    fn crossing_plan_moves_only_its_segments() {
+        // Pack → unpack and the self-fill copy border plane p to halo plane
+        // p for every slot in the plan and leave every other slot alone.
+        let lat = Lattice::new(LatticeKind::D3Q19);
+        let (h, nx) = (2, 5);
+        let plan = HaloPlan::crossing(&lat, h);
+        let src = field_with_x_tags(lat.q(), nx, h);
+        let mut sent = src.clone();
+        sent.as_mut_slice().iter_mut().for_each(|v| *v = -*v - 1.0);
+        let mut filled = src.clone();
+        plan.fill_self(&mut filled);
+        let mut buf = Vec::new();
+        let d = src.alloc_dims();
+        for side in [Side::Left, Side::Right] {
+            let mut got = src.clone();
+            plan.pack(&sent, side.opposite(), &mut buf);
+            assert_eq!(buf.len(), plan.len() * d.plane());
+            plan.unpack(&mut got, side, &buf);
+            let (halo0, border0) = match side {
+                Side::Left => (0, nx),
+                Side::Right => (h + nx, h),
+            };
+            for i in 0..lat.q() {
+                for p in 0..h {
+                    let at = d.idx(halo0 + p, 0, 0);
+                    let from = d.idx(border0 + p, 0, 0);
+                    let (want_got, want_filled) = if plan.ships(side, i, p) {
+                        (sent.slab(i)[from], src.slab(i)[from])
+                    } else {
+                        (src.slab(i)[at], src.slab(i)[at])
+                    };
+                    assert!(got.slab(i)[at..at + d.plane()]
+                        .iter()
+                        .all(|&v| v == want_got));
+                    assert!(filled.slab(i)[at..at + d.plane()]
+                        .iter()
+                        .all(|&v| v == want_filled));
+                }
+            }
+            assert_eq!(got.max_abs_diff_owned(&src), 0.0);
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! * [`config`] — experiment configuration (lattice, domain, ladder level,
 //!   ghost depth, ranks × threads, link-cost model).
 //! * [`halo`] — border pack/unpack with the paper's *message aggregation*
-//!   (all velocities to one neighbour in a single message, §IV).
+//!   (one message per neighbour, §IV), carrying only the populations that
+//!   stream across the cut ([`halo::HaloPlan`]).
 //! * [`distributed`] — the per-rank solver implementing the paper's
 //!   communication schedules: blocking (Orig), eager nonblocking (the
 //!   no-ghost NB-C of Fig. 9), nonblocking with ghost cells (NB-C & GC),

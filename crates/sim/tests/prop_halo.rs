@@ -4,9 +4,13 @@
 
 use proptest::prelude::*;
 
+use lbm_core::equilibrium::EqOrder;
 use lbm_core::field::DistField;
 use lbm_core::index::Dim3;
-use lbm_sim::halo::{fill_periodic_self, pack_border, packed_len, unpack_halo, Side};
+use lbm_core::kernels::{self, KernelCtx, OptLevel, StreamTables};
+use lbm_core::lattice::LatticeKind;
+use lbm_core::prelude::Bgk;
+use lbm_sim::halo::{fill_periodic_self, pack_border, packed_len, unpack_halo, HaloPlan, Side};
 
 fn seeded_field(q: usize, dims: Dim3, halo: usize, seed: u64) -> DistField {
     let mut f = DistField::new(q, dims, halo).unwrap();
@@ -138,5 +142,66 @@ proptest! {
         }
         pack_border(&f, Side::Left, h, &mut a);
         prop_assert_eq!(packed_a, a);
+    }
+    /// Nothing outside the crossing plan is read: exchanging only the plan's
+    /// segments into NaN-poisoned halos and running sub-step 0 over
+    /// `region(0) = [k, nx_alloc − k)` gives, at every rung, bitwise the
+    /// (finite) result of the full-width exchange.
+    #[test]
+    fn substep_reads_only_the_crossing_plan(
+        kind in 0usize..4,
+        depth in 1usize..4,
+        extra_nx in 0usize..4,
+        // Wider than the widest reach (3), as every y/z wrap requires.
+        ny in 4usize..7,
+        nz in 4usize..10,
+        seed in any::<u64>(),
+    ) {
+        let kind = [LatticeKind::D3Q15, LatticeKind::D3Q19, LatticeKind::D3Q27, LatticeKind::D3Q39][kind];
+        let ctx = KernelCtx::new(kind, EqOrder::Second, Bgk::new(0.8).unwrap());
+        let (q, k) = (ctx.lat.q(), ctx.lat.reach());
+        let h = depth * k;
+        let dims = Dim3::new(h + extra_nx, ny, nz);
+        let tables = StreamTables::new(ny, nz);
+        let plan = HaloPlan::crossing(&ctx.lat, h);
+
+        // Populations in [0.5, 1.5): a positive density in every cell.
+        let populations = |seed| {
+            let mut f = seeded_field(q, dims, h, seed);
+            f.as_mut_slice().iter_mut().for_each(|v| *v = 0.5 + *v / 100_000.0);
+            f
+        };
+        let neighbour = populations(seed);
+        let mut full = populations(seed ^ 0xFFFF);
+        let mut planned = full.clone();
+        let d = full.alloc_dims();
+        for i in 0..q {
+            for x in (0..h).chain(h + dims.nx..d.nx) {
+                let b = d.idx(x, 0, 0);
+                planned.slab_mut(i)[b..b + d.plane()].fill(f64::NAN);
+            }
+        }
+        let mut buf = Vec::new();
+        for side in [Side::Left, Side::Right] {
+            pack_border(&neighbour, side.opposite(), h, &mut buf);
+            unpack_halo(&mut full, side, h, &buf);
+            plan.pack(&neighbour, side.opposite(), &mut buf);
+            prop_assert_eq!(buf.len(), plan.len() * d.plane());
+            plan.unpack(&mut planned, side, &buf);
+        }
+
+        for level in OptLevel::ALL {
+            let step = |src: &DistField| {
+                let mut dst = DistField::new(q, dims, h).unwrap();
+                kernels::stream_collide(level, &ctx, &tables, src, &mut dst, k, d.nx - k);
+                dst
+            };
+            let (want, got) = (step(&full), step(&planned));
+            prop_assert!(got.as_slice().iter().all(|v| v.is_finite()), "{:?} {}", kind, level.name());
+            prop_assert!(
+                want.as_slice().iter().zip(got.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{:?} {} depth {}", kind, level.name(), depth
+            );
+        }
     }
 }

@@ -4,8 +4,10 @@
 use std::time::Duration;
 
 use lbm::comm::{CostModel, Universe};
+use lbm::core::lattice::Lattice;
 use lbm::prelude::*;
 use lbm::sim::distributed::RankSolver;
+use lbm::sim::halo::HaloPlan;
 
 fn owned_fields(b: &SimulationBuilder, steps: usize) -> Vec<lbm::core::DistField> {
     let cfg = b.clone().build_config().unwrap();
@@ -102,9 +104,20 @@ fn comm_timers_reflect_injected_latency() {
     }
 }
 
+/// Bytes a rank's report must show if every message it sent was one
+/// crossing-plan border of `kind` at ghost depth `depth` on `ny × nz` planes.
+fn plan_bytes(r: &lbm::sim::RankReport, kind: LatticeKind, depth: usize, plane: usize) -> u64 {
+    let lat = Lattice::new(kind);
+    let plan = HaloPlan::crossing(&lat, depth * lat.reach());
+    r.messages * (plan.len() * plane * 8) as u64
+}
+
 #[test]
-fn deep_halo_cuts_message_count_not_bytes() {
-    // The paper's §V-A claim: same data volume, fewer messages.
+fn deep_halo_cuts_message_count_and_ships_exactly_the_plan() {
+    // The paper's §V-A "same volume, fewer messages" holds for full-Q
+    // messages. A message now carries only the populations that cross the
+    // cut — 5 of 19 plane-slabs at depth 1, 38 of 57 at depth 3 — so a deep
+    // halo buys its fewer messages with *more* bytes.
     let mk = |depth: usize| {
         Simulation::builder(LatticeKind::D3Q19, Dim3::new(24, 8, 8))
             .ranks(2)
@@ -126,15 +139,51 @@ fn deep_halo_cuts_message_count_not_bytes() {
         msgs(&d1),
         msgs(&d3)
     );
-    // Bytes: equal per exchanged step-window (width d·k every d steps).
-    // Allow the end-of-run partial cycle to perturb the total slightly.
-    let (b1, b3) = (bytes(&d1) as f64, bytes(&d3) as f64);
-    assert!(
-        (b1 - b3).abs() / b1 < 0.35,
-        "bytes should be comparable: d1={b1} d3={b3}"
-    );
-    // And the deep run pays for it in ghost updates.
+    for (rep, depth) in [(&d1, 1), (&d3, 3)] {
+        for r in &rep.per_rank {
+            assert!(r.messages > 0);
+            assert_eq!(r.bytes, plan_bytes(r, LatticeKind::D3Q19, depth, 8 * 8));
+        }
+    }
+    assert!(bytes(&d3) > bytes(&d1));
+    // And the deep run pays for it in ghost updates too.
     assert!(d3.ghost_fraction() > d1.ghost_fraction());
+}
+
+#[test]
+fn reported_bytes_are_messages_times_the_crossing_plan() {
+    // Plane-slabs per message at depth 1: Σ_{cx>0} cx, not Q·k.
+    for (kind, slabs) in [
+        (LatticeKind::D3Q15, 5),
+        (LatticeKind::D3Q19, 5),
+        (LatticeKind::D3Q27, 9),
+        (LatticeKind::D3Q39, 18),
+    ] {
+        let lat = Lattice::new(kind);
+        assert_eq!(HaloPlan::crossing(&lat, lat.reach()).len(), slabs);
+        for strategy in [
+            CommStrategy::Blocking,
+            CommStrategy::NonBlockingGhost,
+            CommStrategy::OverlapGhostCollide,
+        ] {
+            let rep = Simulation::builder(kind, Dim3::new(16, 8, 8))
+                .ranks(2)
+                .level(OptLevel::Fused)
+                .strategy(strategy)
+                .build()
+                .unwrap()
+                .run(6)
+                .unwrap();
+            for r in &rep.per_rank {
+                assert!(r.messages >= 2 * 5, "{kind:?} {strategy:?}");
+                assert_eq!(
+                    r.bytes,
+                    plan_bytes(r, kind, 1, 8 * 8),
+                    "{kind:?} {strategy:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
