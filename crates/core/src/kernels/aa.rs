@@ -29,9 +29,13 @@
 //! slots reversed (`A[x][j] = F[x][opp(j)]`, no spatial shift). Because the
 //! per-cell arithmetic below is shared with the two-grid kernels
 //! ([`crate::kernels::op`]'s rules and constants), the scalar AA trajectory
-//! is the *bitwise* streamed image of the scalar two-grid trajectory; the
-//! AVX2+FMA drivers agree within FMA re-rounding, exactly like the
-//! `Simd`/`Fused` rungs.
+//! is the *bitwise* streamed image of the scalar two-grid trajectory. The
+//! AVX2+FMA drivers are pair-evaluated: both parities run one lane-group
+//! body (`pair_block_avx2`) that sums moments and evaluates equilibrium and
+//! Guo source once per ±c velocity pair. That reassociates the arithmetic,
+//! so they agree with the scalar drivers within re-rounding, like the
+//! `Simd`/`Fused` rungs — and bitwise with each other (serial, rayon,
+//! ranks, margin/wrap, NT on/off), since all of them call that one body.
 //!
 //! ## Boundaries come for free
 //!
@@ -53,8 +57,10 @@ use crate::boundary::{BoundarySpec, WallKind};
 use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
-use crate::kernels::op::{self, CollideOp, OpConsts};
+use crate::kernels::op::{self, CollideOp, OpConsts, PairConsts};
 use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
+#[cfg(target_arch = "x86_64")]
+use {crate::kernels::op::VelPair, std::arch::x86_64::__m256d};
 
 /// z-block for the AA sweeps (and the odd-step gather tile: Q×ZBA doubles on
 /// the stack, ≈20 KiB at D3Q39 — the same working-set budget as the fused
@@ -161,6 +167,13 @@ fn nt_active(tune: AaTune) -> bool {
     }
 }
 
+/// The ±c pair table of the AVX2+FMA body, or `None` where the sweep runs
+/// the scalar bodies (knob off, or no AVX2+FMA on this CPU).
+#[inline]
+fn pair_consts(tune: AaTune, oc: &OpConsts, q: usize) -> Option<PairConsts> {
+    (tune.simd && simd::simd_available()).then(|| PairConsts::new(oc, q))
+}
+
 /// Drain the write-combining buffers after a non-temporal store sequence.
 /// Called once per driver invocation (i.e. per rayon chunk), *before* the
 /// task completes: NT stores are weakly ordered, and the disjoint-chunk
@@ -250,7 +263,9 @@ fn prefetch_rows_ahead(base_ptr: *const f64, total: usize, rows: &[usize], nz: u
 /// loaded twice (moments + relax) and stored exactly once, with no
 /// gather-tile round trip. `tune` selects the AVX2+FMA arithmetic and the
 /// NT-store path (both runtime-detected, scalar fallback); the data
-/// movement and results are identical either way (see [`AaTune`]).
+/// movement is identical either way (see [`AaTune`]). The AVX2+FMA path is
+/// pair-evaluated and is the odd step's lane-group body on natural rows
+/// with zero shift.
 pub fn even_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -286,7 +301,9 @@ pub fn even_cells<O: CollideOp>(
 /// The double-shifted gather software-prefetches each velocity's next
 /// y-row (the AA adaptation of `fused_simd`'s next-src-row + RFO pattern;
 /// the scatter rows *are* the gather rows of the opposite velocities, so
-/// the gather prefetch covers the destinations too). With `tune.nt` the
+/// the gather prefetch covers the destinations too). The AVX2+FMA path is
+/// pair-evaluated, in the lane-group body it shares with the even step, and
+/// issues that prefetch from its moment loop. With `tune.nt` the
 /// scatter streams past the cache — each scatter row was fully consumed by
 /// this writer's own gather before the store (see [`AaTune`]).
 pub fn odd_cells<O: CollideOp>(
@@ -406,6 +423,7 @@ pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
     let nz = d.nz;
     let mask = bounds.mask();
     let nt = nt_active(tune);
+    let pc = pair_consts(tune, oc, q);
     let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
 
     for x in x_lo..x_hi {
@@ -443,11 +461,20 @@ pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
             }
             // Fluid row, tile-free: one software touch of the next y-row
             // per slab (2Q unit-stride streams overwhelm the hardware
-            // stride prefetcher), then the velocity-pair blocks in place.
+            // stride prefetcher; the AVX2 body issues its own from the
+            // moment loop), then the velocity-pair blocks in place.
             // Masked solid cells are exact AA no-ops, so the sweep simply
             // visits the fluid z-runs (identical run logic to every other
-            // boundary-aware driver).
-            prefetch_next_rows(base_ptr, total, slab_len, q, dbase + nz, nz);
+            // boundary-aware driver). The AVX2 body takes the even step as
+            // the odd step's row view with natural rows and zero shift.
+            let mut rows = [0usize; MAX_Q];
+            if pc.is_some() {
+                for (i, row) in rows.iter_mut().enumerate().take(q) {
+                    *row = i * slab_len + dbase;
+                }
+            } else {
+                prefetch_next_rows(base_ptr, total, slab_len, q, dbase + nz, nz);
+            }
             let mut zs = 0usize;
             while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
                 let mut z0 = run_lo;
@@ -457,8 +484,29 @@ pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
                     // is ≤ total per the layout contract; writes stay inside
                     // this caller's exclusive x-planes.
                     unsafe {
-                        even_block::<O>(ctx, oc, base_ptr, total, slab_len, dbase, z0, blk, tune)
-                    };
+                        if pc.is_some() {
+                            let starts = [z0; MAX_Q];
+                            odd_block::<O>(
+                                ctx,
+                                oc,
+                                pc.as_ref(),
+                                base_ptr,
+                                &rows,
+                                &starts,
+                                nz,
+                                blk,
+                                tune.nt,
+                            );
+                        } else if ctx.third_order() {
+                            even_block_scalar::<true, O>(
+                                ctx, oc, base_ptr, total, slab_len, dbase, z0, blk,
+                            );
+                        } else {
+                            even_block_scalar::<false, O>(
+                                ctx, oc, base_ptr, total, slab_len, dbase, z0, blk,
+                            );
+                        }
+                    }
                     z0 += blk;
                 }
             }
@@ -466,54 +514,6 @@ pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
     }
     if nt {
         sfence();
-    }
-}
-
-/// One tile-free even z-block: moment pass over all q rows in place, then
-/// the velocity-pair relax (each row loaded twice, stored once — no
-/// gather-tile round trip). Dispatches the AVX2+FMA or scalar body.
-///
-/// # Safety
-/// Layout contract as for [`even_cells_raw`]; `dbase + z0 + blk` within
-/// every slab and inside the caller's exclusive x-planes.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn even_block<O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-    tune: AaTune,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tune.simd && simd::simd_available() {
-            // SAFETY: feature presence checked; contract forwarded.
-            unsafe {
-                if ctx.third_order() {
-                    even_block_avx2::<true, O>(
-                        ctx, oc, base_ptr, total, slab_len, dbase, z0, blk, tune.nt,
-                    );
-                } else {
-                    even_block_avx2::<false, O>(
-                        ctx, oc, base_ptr, total, slab_len, dbase, z0, blk, tune.nt,
-                    );
-                }
-            }
-            return;
-        }
-    }
-    // SAFETY: contract forwarded.
-    unsafe {
-        if ctx.third_order() {
-            even_block_scalar::<true, O>(ctx, oc, base_ptr, total, slab_len, dbase, z0, blk);
-        } else {
-            even_block_scalar::<false, O>(ctx, oc, base_ptr, total, slab_len, dbase, z0, blk);
-        }
     }
 }
 
@@ -556,7 +556,8 @@ fn relax_one<const THIRD: bool, O: CollideOp>(
 /// `t_i` and `t_opp(i)`, and stores each into the other's slot.
 ///
 /// # Safety
-/// See [`even_block`].
+/// Layout contract as for [`even_cells_raw`]; `dbase + z0 + blk` within
+/// every slab and inside the caller's exclusive x-planes.
 #[allow(clippy::too_many_arguments)]
 unsafe fn even_block_scalar<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
@@ -663,271 +664,6 @@ unsafe fn even_block_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// AVX2+FMA tile-free even z-block: the canonical vector recipe (moment
-/// fmadds, one vector reciprocal via division, equilibrium polynomial, two
-/// extra fmas for the Guo source)
-/// applied directly to the field rows, with the relax pass over velocity
-/// pairs cross-storing into the opposite slots. With `nt` the pair stores
-/// stream past the cache when the block start is 32-byte aligned (the
-/// destination rows are write-only for the rest of the step).
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available; layout contract as for
-/// [`even_block`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn even_block_avx2<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-    nt: bool,
-) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
-    let q = ctx.lat.q();
-    debug_assert!((q - 1) * slab_len + dbase + z0 + blk <= total);
-    let _ = total;
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    let mut rho = [0.0f64; ZBA];
-    let mut vux = [0.0f64; ZBA];
-    let mut vuy = [0.0f64; ZBA];
-    let mut vuz = [0.0f64; ZBA];
-    let mut vu2 = [0.0f64; ZBA];
-    let mut vug = [0.0f64; ZBA];
-
-    // SAFETY: every row offset i·slab_len + dbase + z0 + blk is ≤ total per
-    // the layout contract; moment-array accesses stay below blk ≤ ZBA.
-    unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-
-        let vec_end = blk - blk % LANES;
-        let mut z = 0usize;
-        while z < vec_end {
-            let mut vrho = _mm256_setzero_pd();
-            let mut vmx = _mm256_setzero_pd();
-            let mut vmy = _mm256_setzero_pd();
-            let mut vmz = _mm256_setzero_pd();
-            for i in 0..q {
-                let c = oc.cw[i];
-                let fv = _mm256_loadu_pd(base_ptr.add(i * slab_len + dbase + z0 + z) as *const f64);
-                vrho = _mm256_add_pd(vrho, fv);
-                if c[0] != 0.0 {
-                    vmx = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[0]), vmx);
-                }
-                if c[1] != 0.0 {
-                    vmy = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[1]), vmy);
-                }
-                if c[2] != 0.0 {
-                    vmz = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[2]), vmz);
-                }
-            }
-            let vinv = _mm256_div_pd(v_one, vrho);
-            if O::FORCED {
-                vmx = _mm256_add_pd(vmx, _mm256_set1_pd(hg[0]));
-                vmy = _mm256_add_pd(vmy, _mm256_set1_pd(hg[1]));
-                vmz = _mm256_add_pd(vmz, _mm256_set1_pd(hg[2]));
-            }
-            let ux = _mm256_mul_pd(vmx, vinv);
-            let uy = _mm256_mul_pd(vmy, vinv);
-            let uz = _mm256_mul_pd(vmz, vinv);
-            let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
-            let ugv = if O::FORCED {
-                _mm256_fmadd_pd(
-                    ux,
-                    _mm256_set1_pd(g[0]),
-                    _mm256_fmadd_pd(
-                        uy,
-                        _mm256_set1_pd(g[1]),
-                        _mm256_mul_pd(uz, _mm256_set1_pd(g[2])),
-                    ),
-                )
-            } else {
-                _mm256_setzero_pd()
-            };
-            _mm256_storeu_pd(rho.as_mut_ptr().add(z), vrho);
-            _mm256_storeu_pd(vux.as_mut_ptr().add(z), ux);
-            _mm256_storeu_pd(vuy.as_mut_ptr().add(z), uy);
-            _mm256_storeu_pd(vuz.as_mut_ptr().add(z), uz);
-            _mm256_storeu_pd(vu2.as_mut_ptr().add(z), u2);
-            _mm256_storeu_pd(vug.as_mut_ptr().add(z), ugv);
-            z += LANES;
-        }
-        // Scalar tail for the moment pass (reciprocal form, as in `simd`).
-        while z < blk {
-            let mut r = 0.0;
-            let mut m = [0.0f64; 3];
-            for i in 0..q {
-                let c = oc.cw[i];
-                let fv = *base_ptr.add(i * slab_len + dbase + z0 + z);
-                r += fv;
-                m[0] += fv * c[0];
-                m[1] += fv * c[1];
-                m[2] += fv * c[2];
-            }
-            let inv = 1.0 / r;
-            let u = if O::FORCED {
-                [
-                    (m[0] + hg[0]) * inv,
-                    (m[1] + hg[1]) * inv,
-                    (m[2] + hg[2]) * inv,
-                ]
-            } else {
-                [m[0] * inv, m[1] * inv, m[2] * inv]
-            };
-            rho[z] = r;
-            vux[z] = u[0];
-            vuy[z] = u[1];
-            vuz[z] = u[2];
-            vu2[z] = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-            vug[z] = u[0] * g[0] + u[1] * g[1] + u[2] * g[2];
-            z += 1;
-        }
-
-        // Vector main: lane-group-outer, pair-inner — the six moment
-        // vectors are loaded once per group and reused by every velocity
-        // pair (pairs touch distinct slots, so any processing order gives
-        // the same per-lane operation sequence).
-        let mut z = 0usize;
-        while z < vec_end {
-            let m_ux = _mm256_loadu_pd(vux.as_ptr().add(z));
-            let m_uy = _mm256_loadu_pd(vuy.as_ptr().add(z));
-            let m_uz = _mm256_loadu_pd(vuz.as_ptr().add(z));
-            let m_u2 = _mm256_loadu_pd(vu2.as_ptr().add(z));
-            let m_rho = _mm256_loadu_pd(rho.as_ptr().add(z));
-            let m_ug = if O::FORCED {
-                _mm256_loadu_pd(vug.as_ptr().add(z))
-            } else {
-                _mm256_setzero_pd()
-            };
-            // `relax_vec` with the moments pinned in registers.
-            macro_rules! relax_reg {
-                ($c:expr, $i:expr, $fv:expr) => {{
-                    let c = $c;
-                    let mut vxi = _mm256_setzero_pd();
-                    if c[0] != 0.0 {
-                        vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[0]), m_ux, vxi);
-                    }
-                    if c[1] != 0.0 {
-                        vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[1]), m_uy, vxi);
-                    }
-                    if c[2] != 0.0 {
-                        vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[2]), m_uz, vxi);
-                    }
-                    let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                    vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                    vpoly = _mm256_fnmadd_pd(m_u2, v_inv_2cs2, vpoly);
-                    if THIRD {
-                        let t = _mm256_fnmadd_pd(v_3cs2, m_u2, _mm256_mul_pd(vxi, vxi));
-                        vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                    }
-                    let vfeq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), m_rho), vpoly);
-                    let fv = $fv;
-                    let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                    if O::FORCED {
-                        let vs = _mm256_fmadd_pd(
-                            _mm256_set1_pd(oc.sc[$i]),
-                            vxi,
-                            _mm256_fnmadd_pd(
-                                _mm256_set1_pd(oc.sb[$i]),
-                                m_ug,
-                                _mm256_set1_pd(oc.sa[$i]),
-                            ),
-                        );
-                        out = _mm256_add_pd(out, vs);
-                    }
-                    out
-                }};
-            }
-            for i in 0..q {
-                let o = oc.opp[i];
-                if o < i {
-                    continue; // pair already done
-                }
-                let pi = base_ptr.add(i * slab_len + dbase + z0 + z);
-                // 32B-aligned stores may stream; the lane stride (32B)
-                // keeps a row's alignment invariant across groups, so this
-                // matches the per-pair block-start check exactly.
-                let nt_pi = nt && (pi as usize) & 31 == 0;
-                let out_i = relax_reg!(oc.cw[i], i, _mm256_loadu_pd(pi));
-                if o == i {
-                    // Self-opposite (rest velocity): in place.
-                    if nt_pi {
-                        _mm256_stream_pd(pi, out_i);
-                    } else {
-                        _mm256_storeu_pd(pi, out_i);
-                    }
-                } else {
-                    let po = base_ptr.add(o * slab_len + dbase + z0 + z);
-                    let nt_po = nt && (po as usize) & 31 == 0;
-                    let out_o = relax_reg!(oc.cw[o], o, _mm256_loadu_pd(po));
-                    if nt_po {
-                        _mm256_stream_pd(po, out_i);
-                    } else {
-                        _mm256_storeu_pd(po, out_i);
-                    }
-                    if nt_pi {
-                        _mm256_stream_pd(pi, out_o);
-                    } else {
-                        _mm256_storeu_pd(pi, out_o);
-                    }
-                }
-            }
-            z += LANES;
-        }
-        // Scalar tail, same pair order.
-        for i in 0..q {
-            let o = oc.opp[i];
-            if o < i {
-                continue; // pair already done
-            }
-            let pi = base_ptr.add(i * slab_len + dbase + z0);
-            if o == i {
-                let mut z = vec_end;
-                while z < blk {
-                    let fv = *pi.add(z);
-                    *pi.add(z) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fv,
-                    );
-                    z += 1;
-                }
-            } else {
-                let po = base_ptr.add(o * slab_len + dbase + z0);
-                let mut z = vec_end;
-                while z < blk {
-                    let fi = *pi.add(z);
-                    let fo = *po.add(z);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fo,
-                    );
-                    *po.add(z) = ti;
-                    *pi.add(z) = to;
-                    z += 1;
-                }
-            }
-        }
-    }
-}
-
 /// Raw-pointer odd step, shared with the rayon driver.
 ///
 /// # Safety
@@ -960,7 +696,14 @@ pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
     let nz = d.nz;
     let mask = bounds.mask();
     let nt = nt_active(tune);
-    let vel = ctx.lat.velocities().to_vec();
+    let pc = pair_consts(tune, oc, q);
+    let vel = ctx.lat.velocities();
+    // Each gather row's z-rotation at `z0 = 0`; a block at `z0` adds `z0`
+    // and wraps at most once.
+    let mut zrot = [0usize; MAX_Q];
+    for (r, c) in zrot.iter_mut().zip(vel) {
+        *r = (-c[2] as isize).rem_euclid(nz as isize) as usize;
+    }
     let mut fq = [[0.0f64; ZBA]; MAX_Q];
 
     for x in x_lo..x_hi {
@@ -980,7 +723,7 @@ pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
                     // per the odd-bounds contract.
                     unsafe {
                         gather_swapped(
-                            base_ptr, total, slab_len, &vel, oc, tables, d, q, x, y, z0, blk,
+                            base_ptr, total, slab_len, vel, oc, tables, d, q, x, y, z0, blk,
                             &mut fq, prefetch, xw,
                         )
                     };
@@ -988,8 +731,8 @@ pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
                     // SAFETY: scatter planes x+c inside the allocation.
                     unsafe {
                         store_wall_odd(
-                            ctx, kind, &fq, oc, &vel, tables, d, q, base_ptr, total, slab_len, x,
-                            y, z0, blk, xw,
+                            ctx, kind, &fq, oc, vel, tables, d, q, base_ptr, total, slab_len, x, y,
+                            z0, blk, xw,
                         )
                     };
                     z0 += blk;
@@ -1011,20 +754,35 @@ pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
                 rows[i] = oc.opp[i] * slab_len + d.idx(xs, ys, 0);
                 debug_assert!(rows[i] + nz <= total);
             }
-            prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
+            if pc.is_none() {
+                prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
+            }
             let mut zs = 0usize;
             while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
                 let mut z0 = run_lo;
                 while z0 < run_hi {
                     let blk = (run_hi - z0).min(ZBA);
                     let mut starts = [0usize; MAX_Q];
-                    for (i, c) in vel.iter().enumerate().take(q) {
-                        starts[i] = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
+                    for i in 0..q {
+                        let s = z0 + zrot[i];
+                        starts[i] = if s >= nz { s - nz } else { s };
                     }
                     // SAFETY: every gather row is inside the allocation per
                     // the odd-bounds contract; the pair swap touches exactly
                     // the slots this writer owns.
-                    unsafe { odd_block::<O>(ctx, oc, base_ptr, &rows, &starts, nz, blk, tune) };
+                    unsafe {
+                        odd_block::<O>(
+                            ctx,
+                            oc,
+                            pc.as_ref(),
+                            base_ptr,
+                            &rows,
+                            &starts,
+                            nz,
+                            blk,
+                            tune.nt,
+                        )
+                    };
                     z0 += blk;
                 }
             }
@@ -1308,45 +1066,45 @@ unsafe fn store_wall_odd(
     }
 }
 
-/// One tile-free odd z-block: the velocity-pair in-place swap on
-/// double-shifted rows. `rows[i]` is the gather row of velocity `i` (slab
+/// One tile-free z-block over a row view: the velocity-pair in-place swap
+/// on double-shifted rows. `rows[i]` is the gather row of velocity `i` (slab
 /// `opp(i)`, plane `x−cx_i`, row `wrap(y−cy_i)`) and `starts[i]` its
 /// z-rotation `wrap(z0−cz_i)`; the same (row, rotation) is the scatter
 /// destination of `t_opp(i)`, so the moment pass reads every row in place
 /// and the relax pass cross-stores each pair — no gather/scatter tile.
-/// Dispatches the AVX2+FMA or scalar body.
+/// With a pair table this is the AVX2+FMA pair body (which also serves the
+/// even step, see [`even_cells_raw`]); without one, the scalar body.
 ///
 /// # Safety
-/// Every `rows[i] + nz` must be ≤ the allocation length; `blk ≤ nz`; the
-/// caller owns all slots `(x + c_j, j)` of this writer row exclusively.
+/// Every `rows[i] + nz` must be ≤ the allocation length; `blk ≤ nz` and
+/// the writer run does not wrap in z; the caller owns all slots of this
+/// writer row exclusively; `pc` only where AVX2+FMA are available.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 unsafe fn odd_block<O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
+    pc: Option<&PairConsts>,
     base_ptr: *mut f64,
     rows: &[usize; MAX_Q],
     starts: &[usize; MAX_Q],
     nz: usize,
     blk: usize,
-    tune: AaTune,
+    nt: bool,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tune.simd && simd::simd_available() {
-            // SAFETY: feature presence checked; contract forwarded.
-            unsafe {
-                if ctx.third_order() {
-                    odd_block_avx2::<true, O>(ctx, oc, base_ptr, rows, starts, nz, blk, tune.nt);
-                } else {
-                    odd_block_avx2::<false, O>(ctx, oc, base_ptr, rows, starts, nz, blk, tune.nt);
-                }
+    // SAFETY: contract forwarded; a pair table exists only where the
+    // features were detected (`pair_consts`).
+    unsafe {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(pc) = pc {
+            if ctx.third_order() {
+                pair_block_avx2::<true, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk, nt);
+            } else {
+                pair_block_avx2::<false, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk, nt);
             }
             return;
         }
-    }
-    // SAFETY: contract forwarded.
-    unsafe {
+        let _ = (pc, nt);
         if ctx.third_order() {
             odd_block_scalar::<true, O>(ctx, oc, base_ptr, rows, starts, nz, blk);
         } else {
@@ -1485,22 +1243,153 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// AVX2+FMA tile-free odd z-block: the same vector recipe as
-/// [`even_block_avx2`] with every load/store routed through the per-row
-/// z-rotation (contiguous 4-lane accesses away from the wrap seam, lane
-/// assembly across it — at most one seam group per row per block, and the
-/// lane grid matches the unrotated kernels so the arithmetic is identical).
-/// With `nt`, aligned contiguous pair stores stream past the cache.
+/// What every pair of one 4-lane group shares: the velocity, `u·G` (zero
+/// unforced), `ωρ`, and the ξ-free parts of the equilibrium's even and odd
+/// polynomials, `e0 = 1 − u²/2c_s²` and `d0 = 1/c_s² − u²/2c_s⁴` (`1/c_s²`
+/// at second order).
+#[cfg(target_arch = "x86_64")]
+struct GroupMoments {
+    ux: __m256d,
+    uy: __m256d,
+    uz: __m256d,
+    ug: __m256d,
+    orho: __m256d,
+    e0: __m256d,
+    d0: __m256d,
+}
+
+/// Close one lane group's paired moment sums `ρ`, `m = Σ c f` into the
+/// shared [`GroupMoments`] (one vector division, as in `simd`).
 ///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available; layout contract as for
-/// [`odd_block`].
+/// AVX2+FMA must be available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn odd_block_avx2<const THIRD: bool, O: CollideOp>(
+#[inline]
+#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
+unsafe fn group_moments<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
+    rho: __m256d,
+    mut m: [__m256d; 3],
+) -> GroupMoments {
+    use std::arch::x86_64::*;
+    let k = &ctx.consts;
+    let inv = _mm256_div_pd(_mm256_set1_pd(1.0), rho);
+    let mut ug = _mm256_setzero_pd();
+    for a in 0..3 {
+        if O::FORCED {
+            m[a] = _mm256_add_pd(m[a], _mm256_set1_pd(oc.half_g[a]));
+        }
+        m[a] = _mm256_mul_pd(m[a], inv);
+        if O::FORCED {
+            ug = _mm256_fmadd_pd(m[a], _mm256_set1_pd(oc.g[a]), ug);
+        }
+    }
+    let [ux, uy, uz] = m;
+    let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
+    let inv_cs2 = _mm256_set1_pd(k.inv_cs2);
+    GroupMoments {
+        ux,
+        uy,
+        uz,
+        ug,
+        orho: _mm256_mul_pd(_mm256_set1_pd(ctx.omega), rho),
+        e0: _mm256_fnmadd_pd(u2, _mm256_set1_pd(k.inv_2cs2), _mm256_set1_pd(1.0)),
+        d0: if THIRD {
+            _mm256_fnmadd_pd(u2, _mm256_set1_pd(k.inv_2cs4), inv_cs2)
+        } else {
+            inv_cs2
+        },
+    }
+}
+
+/// The ±c pair expression on one lane group: from arrivals `(f_i, f_o)` of
+/// pair `p` to post-collision `(t_i, t_o)`, equilibrium and Guo source
+/// evaluated once. With `ξ = c_i·u`, the even polynomial
+/// `E = e0 + ξ²/2c_s⁴` and the source part `sc ξ − sb (u·G)` keep their
+/// sign across the pair while `D = ξ (d0 + ξ²/6c_s⁶)` and `sa` flip it, so
+/// `t_{i,o} = (1 − ω) f_{i,o} + [w ωρ E + sc ξ − sb (u·G)] ± [w ωρ D + sa]`
+/// — 16 vector operations for a forced third-order pair. Zero components
+/// of `c` are multiplied, not tested.
+///
+/// # Safety
+/// AVX2+FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
+unsafe fn relax_pair<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    p: &VelPair,
+    m: &GroupMoments,
+    fi: __m256d,
+    fo: __m256d,
+) -> (__m256d, __m256d) {
+    use std::arch::x86_64::*;
+    let k = &ctx.consts;
+    let xi = _mm256_fmadd_pd(
+        _mm256_set1_pd(p.c[2]),
+        m.uz,
+        _mm256_fmadd_pd(
+            _mm256_set1_pd(p.c[1]),
+            m.uy,
+            _mm256_mul_pd(_mm256_set1_pd(p.c[0]), m.ux),
+        ),
+    );
+    let xi2 = _mm256_mul_pd(xi, xi);
+    let e = _mm256_fmadd_pd(xi2, _mm256_set1_pd(k.inv_2cs4), m.e0);
+    let d = _mm256_mul_pd(
+        xi,
+        if THIRD {
+            _mm256_fmadd_pd(xi2, _mm256_set1_pd(k.inv_6cs6), m.d0)
+        } else {
+            m.d0
+        },
+    );
+    let wr = _mm256_mul_pd(_mm256_set1_pd(p.w), m.orho);
+    let (even, odd) = if O::FORCED {
+        let src = _mm256_fmsub_pd(
+            _mm256_set1_pd(p.sc),
+            xi,
+            _mm256_mul_pd(_mm256_set1_pd(p.sb), m.ug),
+        );
+        (
+            _mm256_fmadd_pd(wr, e, src),
+            _mm256_fmadd_pd(wr, d, _mm256_set1_pd(p.sa)),
+        )
+    } else {
+        (_mm256_mul_pd(wr, e), _mm256_mul_pd(wr, d))
+    };
+    let omc = _mm256_set1_pd(1.0 - ctx.omega);
+    (
+        _mm256_fmadd_pd(omc, fi, _mm256_add_pd(even, odd)),
+        _mm256_fmadd_pd(omc, fo, _mm256_sub_pd(even, odd)),
+    )
+}
+
+/// The AVX2+FMA z-block of **both** parities: a velocity-pair in-place swap
+/// over a row view. `rows[i]` is the row holding the arrivals of velocity
+/// `i` and `starts[i]` its z-rotation; the same (row, rotation) receives
+/// `t_opp(i)`. The odd step passes its double-shifted gather rows, the even
+/// step natural rows with `starts[i] = z0`. Each 4-lane group runs one
+/// body: paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)` over
+/// all rows (prefetching each row's next y-row, one touch per cache line),
+/// then [`relax_pair`] on every pair with the moments still in registers,
+/// cross-stored. A sub-4-lane tail runs the same body on padded lanes.
+///
+/// # Safety
+/// AVX2+FMA must be available; every `rows[i] + nz` must be ≤ the
+/// allocation length; `starts[i] = wrap(z0 − s_i)` for one writer run
+/// `[z0, z0 + blk)` that does not wrap in z (`z0 + blk ≤ nz`) and row
+/// shifts `|s_i| < 4` (the lattice's `cz_i`; 0 on the even view); the
+/// caller owns the touched slots exclusively.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn pair_block_avx2<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
     base_ptr: *mut f64,
     rows: &[usize; MAX_Q],
     starts: &[usize; MAX_Q],
@@ -1511,391 +1400,145 @@ unsafe fn odd_block_avx2<const THIRD: bool, O: CollideOp>(
     use std::arch::x86_64::*;
 
     const LANES: usize = 4;
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
+    let vec_end = blk - blk % LANES;
 
-    let mut rho = [0.0f64; ZBA];
-    let mut vux = [0.0f64; ZBA];
-    let mut vuy = [0.0f64; ZBA];
-    let mut vuz = [0.0f64; ZBA];
-    let mut vu2 = [0.0f64; ZBA];
-    let mut vug = [0.0f64; ZBA];
+    // Seam analysis: writer runs never wrap in z (`run_hi ≤ nz`), so a
+    // velocity's rotated source can cross the row seam only within the
+    // first |cz| lanes (when `starts[i]` sits at the top of the row) or the
+    // last |cz| lanes (when the run reaches it) — never mid-block. Groups in
+    // `[mid_lo, mid_hi)` are therefore seam-free for *every* velocity and
+    // run branchless on pre-offset pointers `fp[i]`; the rest take the
+    // rotated lane path.
+    let mut fp = [base_ptr; MAX_Q];
+    let (mut mid_lo, mut mid_hi) = (0usize, vec_end);
+    for i in 0..ctx.lat.q() {
+        let s = starts[i];
+        let off = if s + LANES > nz {
+            // Wraps inside the head group and for good after it.
+            mid_lo = LANES.min(vec_end);
+            s as isize - nz as isize
+        } else {
+            if s + vec_end > nz {
+                // Wraps at lane nz−s near the block end: stop the fast
+                // range at the last whole group before the seam.
+                mid_hi = mid_hi.min((nz - s) & !(LANES - 1));
+            }
+            s as isize
+        };
+        // A negative `off` on the allocation's first row points before the
+        // allocation, which `add`/`offset` forbid even unused: wrap instead.
+        fp[i] = base_ptr.wrapping_add(rows[i]).wrapping_offset(off);
+    }
 
-    // SAFETY: every access below stays inside `rows[·] + nz ≤ total` (the
-    // rotation keeps indices < nz; 4-lane groups only run where blk ≥ 4,
-    // which forces nz ≥ 4 so the wrapped lane index needs one subtraction).
+    // SAFETY: rotated accesses stay inside `rows[·] + nz ≤ total`. The
+    // `fp[i]` views are dereferenced only at `z ≥ mid_lo` — so at indices
+    // `≥ −off` — and below `mid_hi`, i.e. inside row `i`. Prefetches are
+    // hints on wrapped pointers and cannot fault. Both loads of a slot
+    // precede its store, and each slot belongs to one pair.
     unsafe {
-        // 4 lanes of `row[wrap(s + z .. s + z + 4)]`.
-        macro_rules! load4_rot {
-            ($p:expr, $s:expr, $z:expr) => {{
-                let t = $s + $z;
-                if t + LANES <= nz {
-                    _mm256_loadu_pd($p.add(t))
-                } else if t >= nz {
-                    _mm256_loadu_pd($p.add(t - nz))
+        // Lane access: pre-offset and branchless where `$fast`, else `n ≤ 4`
+        // lanes from rotated index `starts[i] + z < 2·nz` on, wrapping at
+        // the row seam. Lanes past `n` read 1.0 (a harmless density for the
+        // arithmetic) and are never stored. `nt` streams aligned
+        // contiguous groups past the cache.
+        macro_rules! ld {
+            ($fast:expr, $i:expr, $z:expr, $n:expr) => {{
+                let (p, t) = (base_ptr.add(rows[$i]), starts[$i] + $z);
+                if $fast {
+                    _mm256_loadu_pd(fp[$i].wrapping_add($z))
+                } else if $n == LANES && (t + LANES <= nz || t >= nz) {
+                    _mm256_loadu_pd(p.add(if t >= nz { t - nz } else { t }))
                 } else {
-                    let i1 = if t + 1 >= nz { t + 1 - nz } else { t + 1 };
-                    let i2 = if t + 2 >= nz { t + 2 - nz } else { t + 2 };
-                    let i3 = if t + 3 >= nz { t + 3 - nz } else { t + 3 };
-                    _mm256_setr_pd(*$p.add(t), *$p.add(i1), *$p.add(i2), *$p.add(i3))
+                    let lane = |l: usize| {
+                        let u = t + l;
+                        if l < $n {
+                            *p.add(if u >= nz { u - nz } else { u })
+                        } else {
+                            1.0
+                        }
+                    };
+                    _mm256_setr_pd(lane(0), lane(1), lane(2), lane(3))
                 }
             }};
         }
-        // The rotated store mirror; `$nt` streams aligned contiguous groups.
-        macro_rules! store4_rot {
-            ($p:expr, $s:expr, $z:expr, $v:expr, $nt:expr) => {{
-                let t = $s + $z;
-                if t + LANES <= nz || t >= nz {
-                    let dst = $p.add(if t >= nz { t - nz } else { t });
-                    if $nt && (dst as usize) & 31 == 0 {
+        macro_rules! st {
+            ($fast:expr, $i:expr, $z:expr, $n:expr, $v:expr) => {{
+                let (p, t) = (base_ptr.add(rows[$i]), starts[$i] + $z);
+                if $fast || ($n == LANES && (t + LANES <= nz || t >= nz)) {
+                    let dst = if $fast {
+                        fp[$i].wrapping_add($z)
+                    } else {
+                        p.add(if t >= nz { t - nz } else { t })
+                    };
+                    if nt && (dst as usize) & 31 == 0 {
                         _mm256_stream_pd(dst, $v);
                     } else {
                         _mm256_storeu_pd(dst, $v);
                     }
                 } else {
-                    let mut tmp = [0.0f64; LANES];
-                    _mm256_storeu_pd(tmp.as_mut_ptr(), $v);
-                    for (l, val) in tmp.iter().enumerate() {
-                        let mut u = t + l;
-                        if u >= nz {
-                            u -= nz;
-                        }
-                        *$p.add(u) = *val;
+                    let mut lanes = [0.0f64; LANES];
+                    _mm256_storeu_pd(lanes.as_mut_ptr(), $v);
+                    for (l, v) in lanes.iter().enumerate().take($n) {
+                        let u = t + l;
+                        *p.add(if u >= nz { u - nz } else { u }) = *v;
                     }
                 }
             }};
         }
-
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-
-        let vec_end = blk - blk % LANES;
-
-        // Seam analysis: writer runs never wrap in z (`run_hi ≤ nz`), so a
-        // velocity's rotated source can cross the row seam only within the
-        // first |cz| lanes (when `starts[i]` sits at the top of the row) or
-        // the last |cz| lanes (when the run reaches it) — never mid-block.
-        // Groups in `[mid_lo, mid_hi)` are therefore seam-free for *every*
-        // velocity and run branchless on pre-offset pointers `fp[i]`; only
-        // the first and last lane groups take the 3-way rotated path.
-        let mut fp = [base_ptr as *const f64; MAX_Q];
-        let mut mid_hi = vec_end;
-        for i in 0..q {
-            let s = starts[i];
-            // After the head group, sources with `s + LANES > nz` have
-            // wrapped for good: constant offset `s − nz`. Others sit at `s`.
-            let off = if s + LANES > nz {
-                s as isize - nz as isize
-            } else {
-                s as isize
-            };
-            fp[i] = base_ptr.add(rows[i]).offset(off) as *const f64;
-            if s + LANES <= nz && s + vec_end > nz {
-                // Wraps at lane nz−s near the block end: stop the fast
-                // range at the last whole group before the seam.
-                mid_hi = mid_hi.min((nz - s) & !(LANES - 1));
-            }
-        }
-        let mid_lo = LANES.min(vec_end);
-        let mid_hi = mid_hi.max(mid_lo);
-
-        // One moment lane group at `z`; `$fast` selects the seam-free
-        // pre-offset loads (the two variants read identical lane values).
-        macro_rules! moment_group {
-            ($z:expr, $fast:expr) => {{
-                let z = $z;
-                let mut vrho = _mm256_setzero_pd();
-                let mut vmx = _mm256_setzero_pd();
-                let mut vmy = _mm256_setzero_pd();
-                let mut vmz = _mm256_setzero_pd();
-                for i in 0..q {
-                    let c = oc.cw[i];
-                    let fv = if $fast {
-                        _mm256_loadu_pd(fp[i].add(z))
-                    } else {
-                        load4_rot!(base_ptr.add(rows[i]) as *const f64, starts[i], z)
-                    };
-                    vrho = _mm256_add_pd(vrho, fv);
-                    if c[0] != 0.0 {
-                        vmx = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[0]), vmx);
+        macro_rules! lane_group {
+            ($z:expr, $n:expr, $fast:expr) => {{
+                let (z, n) = ($z, $n);
+                let rest = &pc.rest;
+                // 2Q unit-stride streams overwhelm the hardware prefetcher:
+                // touch each row's next y-row once per 64-byte line.
+                let ahead = (z % 8 == 0).then_some(z + nz);
+                let mut rho = ld!($fast, rest.i, z, n);
+                let mut m = [_mm256_setzero_pd(); 3];
+                for p in pc.pairs() {
+                    let (fi, fo) = (ld!($fast, p.i, z, n), ld!($fast, p.o, z, n));
+                    if let Some(a) = ahead {
+                        _mm_prefetch::<_MM_HINT_T0>(fp[p.i].wrapping_add(a) as *const i8);
+                        _mm_prefetch::<_MM_HINT_T0>(fp[p.o].wrapping_add(a) as *const i8);
                     }
-                    if c[1] != 0.0 {
-                        vmy = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[1]), vmy);
-                    }
-                    if c[2] != 0.0 {
-                        vmz = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[2]), vmz);
+                    let d = _mm256_sub_pd(fi, fo);
+                    rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
+                    for a in 0..3 {
+                        m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
                     }
                 }
-                let vinv = _mm256_div_pd(v_one, vrho);
+                if let Some(a) = ahead {
+                    _mm_prefetch::<_MM_HINT_T0>(fp[rest.i].wrapping_add(a) as *const i8);
+                }
+                let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
+                for p in pc.pairs() {
+                    let (fi, fo) = (ld!($fast, p.i, z, n), ld!($fast, p.o, z, n));
+                    let (ti, to) = relax_pair::<THIRD, O>(ctx, p, &gm, fi, fo);
+                    st!($fast, p.o, z, n, ti);
+                    st!($fast, p.i, z, n, to);
+                }
+                // The rest velocity: ξ = 0, so E = e0 and every odd part
+                // vanishes.
+                let f0 = ld!($fast, rest.i, z, n);
+                let mut t0 = _mm256_fmadd_pd(
+                    _mm256_mul_pd(_mm256_set1_pd(rest.w), gm.orho),
+                    gm.e0,
+                    _mm256_mul_pd(_mm256_set1_pd(1.0 - ctx.omega), f0),
+                );
                 if O::FORCED {
-                    vmx = _mm256_add_pd(vmx, _mm256_set1_pd(hg[0]));
-                    vmy = _mm256_add_pd(vmy, _mm256_set1_pd(hg[1]));
-                    vmz = _mm256_add_pd(vmz, _mm256_set1_pd(hg[2]));
+                    t0 = _mm256_fnmadd_pd(_mm256_set1_pd(rest.sb), gm.ug, t0);
                 }
-                let ux = _mm256_mul_pd(vmx, vinv);
-                let uy = _mm256_mul_pd(vmy, vinv);
-                let uz = _mm256_mul_pd(vmz, vinv);
-                let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
-                let ugv = if O::FORCED {
-                    _mm256_fmadd_pd(
-                        ux,
-                        _mm256_set1_pd(g[0]),
-                        _mm256_fmadd_pd(
-                            uy,
-                            _mm256_set1_pd(g[1]),
-                            _mm256_mul_pd(uz, _mm256_set1_pd(g[2])),
-                        ),
-                    )
-                } else {
-                    _mm256_setzero_pd()
-                };
-                _mm256_storeu_pd(rho.as_mut_ptr().add(z), vrho);
-                _mm256_storeu_pd(vux.as_mut_ptr().add(z), ux);
-                _mm256_storeu_pd(vuy.as_mut_ptr().add(z), uy);
-                _mm256_storeu_pd(vuz.as_mut_ptr().add(z), uz);
-                _mm256_storeu_pd(vu2.as_mut_ptr().add(z), u2);
-                _mm256_storeu_pd(vug.as_mut_ptr().add(z), ugv);
+                st!($fast, rest.i, z, n, t0);
             }};
         }
 
         let mut z = 0usize;
-        while z < mid_lo {
-            moment_group!(z, false);
-            z += LANES;
-        }
-        while z < mid_hi {
-            moment_group!(z, true);
-            z += LANES;
-        }
-        while z < vec_end {
-            moment_group!(z, false);
-            z += LANES;
-        }
-        // Scalar tail for the moment pass (reciprocal form, as in `simd`).
         while z < blk {
-            let mut r = 0.0;
-            let mut m = [0.0f64; 3];
-            for i in 0..q {
-                let c = oc.cw[i];
-                let mut t = starts[i] + z;
-                if t >= nz {
-                    t -= nz;
-                }
-                let fv = *base_ptr.add(rows[i] + t);
-                r += fv;
-                m[0] += fv * c[0];
-                m[1] += fv * c[1];
-                m[2] += fv * c[2];
-            }
-            let inv = 1.0 / r;
-            let u = if O::FORCED {
-                [
-                    (m[0] + hg[0]) * inv,
-                    (m[1] + hg[1]) * inv,
-                    (m[2] + hg[2]) * inv,
-                ]
+            if z >= mid_lo && z + LANES <= mid_hi {
+                lane_group!(z, LANES, true);
             } else {
-                [m[0] * inv, m[1] * inv, m[2] * inv]
-            };
-            rho[z] = r;
-            vux[z] = u[0];
-            vuy[z] = u[1];
-            vuz[z] = u[2];
-            vu2[z] = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-            vug[z] = u[0] * g[0] + u[1] * g[1] + u[2] * g[2];
-            z += 1;
-        }
-
-        // Relax pass in velocity pairs, cross-storing through the rotation
-        // (identical per-lane operation sequence to [`even_block_avx2`]).
-        // `relax_vec_m!` takes the lane group's moment vectors as operands
-        // so the z-outer interior loop can load them once per group.
-        macro_rules! relax_vec_m {
-            ($c:expr, $i:expr, $fv:expr, $ux:expr, $uy:expr, $uz:expr, $u2:expr, $vrho:expr,
-             $ug:expr) => {{
-                let c = $c;
-                let ux = $ux;
-                let uy = $uy;
-                let uz = $uz;
-                let u2 = $u2;
-                let vrho = $vrho;
-                let mut vxi = _mm256_setzero_pd();
-                if c[0] != 0.0 {
-                    vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[0]), ux, vxi);
-                }
-                if c[1] != 0.0 {
-                    vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[1]), uy, vxi);
-                }
-                if c[2] != 0.0 {
-                    vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[2]), uz, vxi);
-                }
-                let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                vpoly = _mm256_fnmadd_pd(u2, v_inv_2cs2, vpoly);
-                if THIRD {
-                    let t = _mm256_fnmadd_pd(v_3cs2, u2, _mm256_mul_pd(vxi, vxi));
-                    vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                }
-                let vfeq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), vrho), vpoly);
-                let fv = $fv;
-                let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                if O::FORCED {
-                    let ugv = $ug;
-                    let vs = _mm256_fmadd_pd(
-                        _mm256_set1_pd(oc.sc[$i]),
-                        vxi,
-                        _mm256_fnmadd_pd(_mm256_set1_pd(oc.sb[$i]), ugv, _mm256_set1_pd(oc.sa[$i])),
-                    );
-                    out = _mm256_add_pd(out, vs);
-                }
-                out
-            }};
-        }
-        macro_rules! relax_vec {
-            ($c:expr, $i:expr, $fv:expr, $z:expr) => {{
-                let mux = _mm256_loadu_pd(vux.as_ptr().add($z));
-                let muy = _mm256_loadu_pd(vuy.as_ptr().add($z));
-                let muz = _mm256_loadu_pd(vuz.as_ptr().add($z));
-                let mu2 = _mm256_loadu_pd(vu2.as_ptr().add($z));
-                let mrho = _mm256_loadu_pd(rho.as_ptr().add($z));
-                let mug = if O::FORCED {
-                    _mm256_loadu_pd(vug.as_ptr().add($z))
-                } else {
-                    _mm256_setzero_pd()
-                };
-                relax_vec_m!($c, $i, $fv, mux, muy, muz, mu2, mrho, mug)
-            }};
-        }
-
-        // Interior fast range: z-outer / pair-inner. One load of the six
-        // moment vectors feeds every velocity pair of the lane group while
-        // they are hot in registers, and the group's Q row touches cluster
-        // in time instead of being strided across Q separate row sweeps.
-        // Bitwise-neutral: each (velocity, z) slot is read and written by
-        // exactly one pair, so the loop interchange permutes independent
-        // lane-group updates without reassociating any arithmetic.
-        let mut z = mid_lo;
-        while z < mid_hi {
-            let mux = _mm256_loadu_pd(vux.as_ptr().add(z));
-            let muy = _mm256_loadu_pd(vuy.as_ptr().add(z));
-            let muz = _mm256_loadu_pd(vuz.as_ptr().add(z));
-            let mu2 = _mm256_loadu_pd(vu2.as_ptr().add(z));
-            let mrho = _mm256_loadu_pd(rho.as_ptr().add(z));
-            let mug = if O::FORCED {
-                _mm256_loadu_pd(vug.as_ptr().add(z))
-            } else {
-                _mm256_setzero_pd()
-            };
-            // Regular (write-back) stores on purpose: this order touches one
-            // 32-byte group in each of ~Q distinct rows per iteration, so
-            // `_mm256_stream_pd` would spread partial lines across more
-            // write-combining buffers than the core has and flush them
-            // half-full — measured as a double-digit MFlup/s loss at Q=19.
-            for i in 0..q {
-                let o = oc.opp[i];
-                if o < i {
-                    continue; // pair already done
-                }
-                let fv_i = _mm256_loadu_pd(fp[i].add(z));
-                if o == i {
-                    let out = relax_vec_m!(oc.cw[i], i, fv_i, mux, muy, muz, mu2, mrho, mug);
-                    _mm256_storeu_pd((fp[i] as *mut f64).add(z), out);
-                } else {
-                    let fv_o = _mm256_loadu_pd(fp[o].add(z));
-                    let out_i = relax_vec_m!(oc.cw[i], i, fv_i, mux, muy, muz, mu2, mrho, mug);
-                    let out_o = relax_vec_m!(oc.cw[o], o, fv_o, mux, muy, muz, mu2, mrho, mug);
-                    _mm256_storeu_pd((fp[o] as *mut f64).add(z), out_i);
-                    _mm256_storeu_pd((fp[i] as *mut f64).add(z), out_o);
-                }
+                lane_group!(z, (blk - z).min(LANES), false);
             }
             z += LANES;
-        }
-
-        for i in 0..q {
-            let o = oc.opp[i];
-            if o < i {
-                continue; // pair already done
-            }
-            let pi = base_ptr.add(rows[i]);
-            let si = starts[i];
-            let ci = oc.cw[i];
-            if o == i {
-                // Self-opposite (rest velocity): unshifted, in place. The
-                // interior groups were done by the z-outer pass above.
-                let mut z = 0usize;
-                while z < mid_lo {
-                    let out = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    store4_rot!(pi, si, z, out, nt);
-                    z += LANES;
-                }
-                z = mid_hi;
-                while z < vec_end {
-                    let out = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    store4_rot!(pi, si, z, out, nt);
-                    z += LANES;
-                }
-                while z < blk {
-                    let mut t = si + z;
-                    if t >= nz {
-                        t -= nz;
-                    }
-                    let fv = *pi.add(t);
-                    *pi.add(t) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fv,
-                    );
-                    z += 1;
-                }
-            } else {
-                let po = base_ptr.add(rows[o]);
-                let so = starts[o];
-                let co = oc.cw[o];
-                let mut z = 0usize;
-                while z < mid_lo {
-                    let out_i = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    let out_o = relax_vec!(co, o, load4_rot!(po as *const f64, so, z), z);
-                    store4_rot!(po, so, z, out_i, nt);
-                    store4_rot!(pi, si, z, out_o, nt);
-                    z += LANES;
-                }
-                // Interior groups were done by the z-outer pass above.
-                z = mid_hi;
-                while z < vec_end {
-                    let out_i = relax_vec!(ci, i, load4_rot!(pi as *const f64, si, z), z);
-                    let out_o = relax_vec!(co, o, load4_rot!(po as *const f64, so, z), z);
-                    store4_rot!(po, so, z, out_i, nt);
-                    store4_rot!(pi, si, z, out_o, nt);
-                    z += LANES;
-                }
-                while z < blk {
-                    let mut ti_idx = si + z;
-                    if ti_idx >= nz {
-                        ti_idx -= nz;
-                    }
-                    let mut to_idx = so + z;
-                    if to_idx >= nz {
-                        to_idx -= nz;
-                    }
-                    let fi = *pi.add(ti_idx);
-                    let fo = *po.add(to_idx);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[z], vux[z], vuy[z], vuz[z], vu2[z], vug[z], fo,
-                    );
-                    *po.add(to_idx) = ti;
-                    *pi.add(ti_idx) = to;
-                    z += 1;
-                }
-            }
         }
     }
 }
@@ -2535,5 +2178,263 @@ mod tests {
             &bounds,
         );
         assert!(lo.max_abs_diff_owned(&hi) < 1e-12);
+    }
+
+    /// Compensated (Kahan) sum: the invariants below must see the kernel's
+    /// rounding, not the test's.
+    fn kahan(terms: impl Iterator<Item = f64>) -> f64 {
+        let (mut sum, mut comp) = (0.0f64, 0.0f64);
+        for t in terms {
+            let y = t - comp;
+            let next = sum + y;
+            comp = (next - sum) - y;
+            sum = next;
+        }
+        sum
+    }
+
+    /// A near-equilibrium field: `f_i = w_i (1 + 0.1 r)`, `r ∈ [−1, 1]`, so
+    /// `ρ ≈ 1` and absolute tolerances mean what they say.
+    fn near_equilibrium_field(c: &KernelCtx, dims: Dim3, seed: u64) -> DistField {
+        let mut f = DistField::new(c.lat.q(), dims, 0).unwrap();
+        let mut s = seed | 1;
+        for (i, w) in c.lat.weights().iter().enumerate() {
+            for v in f.slab_mut(i) {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                *v = w * (1.0 + 0.1 * ((s % 2001) as f64 / 1000.0 - 1.0));
+            }
+        }
+        f
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pair_expression_matches_two_relax_one_calls() {
+        // The pair expression on random (ρ, u, f_i, f_o) against the scalar
+        // per-velocity expression, to 1e-14 relative. (A sign flip of `D`
+        // or of the odd source part `sa` fails this by many orders.)
+        fn check<const THIRD: bool, O: CollideOp>(c: &KernelCtx, op: O, seed: u64) {
+            use std::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
+            let oc = OpConsts::new(c, &op);
+            let pc = PairConsts::new(&oc, c.lat.q());
+            let mut s = seed | 1;
+            let mut rnd = |lo: f64, hi: f64| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                lo + (hi - lo) * (s % 10_007) as f64 / 10_007.0
+            };
+            for p in pc.pairs() {
+                let rho: [f64; 4] = std::array::from_fn(|_| rnd(0.6, 1.6));
+                let m: [[f64; 4]; 3] =
+                    std::array::from_fn(|_| std::array::from_fn(|l| rho[l] * rnd(-0.12, 0.12)));
+                let fi: [f64; 4] = std::array::from_fn(|l| p.w * rho[l] * rnd(0.6, 1.4));
+                let fo: [f64; 4] = std::array::from_fn(|l| p.w * rho[l] * rnd(0.6, 1.4));
+                let (mut ti, mut to) = ([0.0f64; 4], [0.0f64; 4]);
+                // SAFETY: the caller checked AVX2+FMA; the pointers are
+                // 4-element stack arrays.
+                unsafe {
+                    let ld = |a: &[f64; 4]| _mm256_loadu_pd(a.as_ptr());
+                    let gm = group_moments::<THIRD, O>(
+                        c,
+                        &oc,
+                        ld(&rho),
+                        [ld(&m[0]), ld(&m[1]), ld(&m[2])],
+                    );
+                    let (vi, vo) = relax_pair::<THIRD, O>(c, p, &gm, ld(&fi), ld(&fo));
+                    _mm256_storeu_pd(ti.as_mut_ptr(), vi);
+                    _mm256_storeu_pd(to.as_mut_ptr(), vo);
+                }
+                for l in 0..4 {
+                    let inv = 1.0 / rho[l];
+                    let u: [f64; 3] = std::array::from_fn(|a| (m[a][l] + oc.half_g[a]) * inv);
+                    let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
+                    let ug = u[0] * oc.g[0] + u[1] * oc.g[1] + u[2] * oc.g[2];
+                    for (idx, f, got) in [(p.i, fi[l], ti[l]), (p.o, fo[l], to[l])] {
+                        let want = relax_one::<THIRD, O>(
+                            &c.consts, &oc, idx, c.omega, rho[l], u[0], u[1], u[2], u2, ug, f,
+                        );
+                        assert!(
+                            (got - want).abs() <= 1e-14 * want.abs().max(f),
+                            "{:?} third={THIRD} forced={} velocity {idx}: {got} vs {want}",
+                            c.lat.kind(),
+                            O::FORCED
+                        );
+                    }
+                }
+            }
+        }
+        if !simd::simd_available() {
+            return;
+        }
+        let g = [3e-4, -2e-4, 1e-4];
+        for (n, kind) in LatticeKind::ALL.into_iter().enumerate() {
+            for tau in [0.56, 0.8, 1.9] {
+                let bgk = Bgk::new(tau).unwrap();
+                let seed = 77 + n as u64;
+                let second = KernelCtx::new(kind, EqOrder::Second, bgk);
+                check::<false, _>(&second, PlainBgk, seed);
+                check::<false, _>(&second, GuoForced { g }, seed);
+                let third = KernelCtx::new(kind, EqOrder::Third, bgk);
+                check::<true, _>(&third, PlainBgk, seed);
+                check::<true, _>(&third, GuoForced { g }, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_sweeps_keep_the_per_cell_invariants() {
+        // One AVX2 even sweep and one AVX2 odd sweep (torus) on a forced
+        // near-equilibrium field: every cell keeps its mass and gains
+        // exactly G of momentum, |Σ out − Σ f| ≤ 1e-14 ρ and
+        // |Σ c·out − Σ c·f − G| ≤ 1e-14, in compensated sums.
+        let g = [2e-5, -1e-5, 3e-5];
+        let tune = AaTune::for_class(true);
+        let bounds = BoundarySpec::periodic();
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            let q = c.lat.q();
+            let vel = c.lat.velocities();
+            let dims = Dim3::new(4, 5, 9);
+            let tables = StreamTables::new(dims.ny, dims.nz);
+            let wrap = |a: usize, da: i32, n: usize| {
+                (a as isize + da as isize).rem_euclid(n as isize) as usize
+            };
+            let before = near_equilibrium_field(&c, dims, 91);
+            let d = before.alloc_dims();
+            // `odd = false`: cell x reads and writes its own slots, t_i in
+            // slot opp(i). `odd = true`: it reads A[x−c_i][opp(i)] and
+            // writes t_i to A[x+c_i][i].
+            let check = |odd: bool, before: &DistField, after: &DistField| {
+                for x in 0..dims.nx {
+                    for y in 0..dims.ny {
+                        for z in 0..dims.nz {
+                            let at = |i: usize, sign: i32| {
+                                let c = vel[i];
+                                if odd {
+                                    d.idx(
+                                        wrap(x, sign * c[0], dims.nx),
+                                        wrap(y, sign * c[1], dims.ny),
+                                        wrap(z, sign * c[2], dims.nz),
+                                    )
+                                } else {
+                                    d.idx(x, y, z)
+                                }
+                            };
+                            let arrive = |i: usize| {
+                                let slot = if odd { c.lat.opposite(i) } else { i };
+                                before.slab(slot)[at(i, -1)]
+                            };
+                            let t = |i: usize| {
+                                let slot = if odd { i } else { c.lat.opposite(i) };
+                                after.slab(slot)[at(i, 1)]
+                            };
+                            let rho = kahan((0..q).map(arrive));
+                            let dm = kahan((0..q).map(t).chain((0..q).map(|i| -arrive(i))));
+                            assert!(dm.abs() <= 1e-14 * rho, "{kind:?} odd={odd} mass {dm:e}");
+                            for ax in 0..3 {
+                                let dp = kahan(
+                                    (0..q)
+                                        .map(|i| vel[i][ax] as f64 * t(i))
+                                        .chain((0..q).map(|i| -(vel[i][ax] as f64) * arrive(i)))
+                                        .chain([-g[ax]]),
+                                );
+                                assert!(dp.abs() <= 1e-14, "{kind:?} odd={odd} axis {ax}: {dp:e}");
+                            }
+                        }
+                    }
+                }
+            };
+            let mut even = before.clone();
+            even_cells(&c, &mut even, 0, dims.nx, GuoForced { g }, &bounds, tune);
+            check(false, &before, &even);
+            let mut odd = even.clone();
+            odd_cells_periodic(
+                &c,
+                &tables,
+                &mut odd,
+                0,
+                dims.nx,
+                GuoForced { g },
+                &bounds,
+                tune,
+            );
+            check(true, &even, &odd);
+        }
+    }
+
+    #[test]
+    fn avx2_matches_scalar_on_every_row_shape() {
+        // Tail-only rows (nz < 4), sub-8-cell rows, a masked run that starts
+        // mid-group and ends exactly at the z seam, and two runs per row:
+        // nz from 1 on the even step and from 4 on the odd step, under the
+        // standing AVX2-vs-scalar tolerances.
+        use crate::boundary::SectionMask;
+        let g = [3e-5, 0.0, -1e-5];
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            for nz in (1..=13).chain([64, 67]) {
+                let dims = Dim3::new(3, 4, nz);
+                // No mask; one run [2, nz); two runs [0, 5) and [6, nz).
+                let solid: [fn(usize) -> bool; 3] = [|_| false, |z| z < 2, |z| z == 5];
+                for (n, solid) in solid.into_iter().enumerate() {
+                    let mut bounds = BoundarySpec::periodic();
+                    if n > 0 {
+                        let mask = SectionMask::from_fn(dims.ny, nz, |_y, z| solid(z));
+                        bounds = bounds.with_mask(mask);
+                    }
+                    let a0 = random_field(c.lat.q(), dims, 0, 59 + nz as u64);
+                    let (mut s, mut v) = (a0.clone(), a0.clone());
+                    even_cells(
+                        &c,
+                        &mut s,
+                        0,
+                        dims.nx,
+                        GuoForced { g },
+                        &bounds,
+                        AaTune::SCALAR,
+                    );
+                    even_cells(
+                        &c,
+                        &mut v,
+                        0,
+                        dims.nx,
+                        GuoForced { g },
+                        &bounds,
+                        AaTune::for_class(true),
+                    );
+                    let diff = s.max_abs_diff_owned(&v);
+                    assert!(diff < 1e-13, "{kind:?} nz={nz} mask {n} even: {diff}");
+                    if nz < 4 {
+                        continue; // below the lattice reach: no z-stream
+                    }
+                    let tables = StreamTables::new(dims.ny, nz);
+                    odd_cells_periodic(
+                        &c,
+                        &tables,
+                        &mut s,
+                        0,
+                        dims.nx,
+                        GuoForced { g },
+                        &bounds,
+                        AaTune::SCALAR,
+                    );
+                    odd_cells_periodic(
+                        &c,
+                        &tables,
+                        &mut v,
+                        0,
+                        dims.nx,
+                        GuoForced { g },
+                        &bounds,
+                        AaTune::for_class(true),
+                    );
+                    let diff = s.max_abs_diff_owned(&v);
+                    assert!(diff < 1e-12, "{kind:?} nz={nz} mask {n} odd: {diff}");
+                }
+            }
+        }
     }
 }

@@ -31,6 +31,13 @@
 //! vary per cell — and `ξ_i` is already computed for the equilibrium — so
 //! the forced path costs two extra fmas per (cell, velocity) in both the
 //! scalar and AVX2 drivers.
+//!
+//! Across a ±c pair `(i, o = opp(i))` the constants mirror — `sa`, `sc` and
+//! `ξ` negate, `sb` is shared — so `sc ξ`, a product of two odd factors,
+//! keeps its sign and the source splits into a part even in `c` and a part
+//! odd in it, `S_{i,o} = [sc ξ − sb (u·G)] ± sa`, exactly as the
+//! equilibrium splits into `w ρ (E ± D)`. [`PairConsts`] lists the pairs
+//! for the drivers that evaluate both once per pair.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
@@ -143,6 +150,69 @@ impl OpConsts {
             sb,
             sc,
         }
+    }
+}
+
+/// One ±c velocity pair of a [`PairConsts`] table: `i` is the member met
+/// first in velocity order and `o = opp(i)`. `c`, `sa` and `sc` are `i`'s
+/// and negate for `o`; `w` and `sb` are common to both.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct VelPair {
+    pub i: usize,
+    pub o: usize,
+    pub c: [f64; 3],
+    pub w: f64,
+    pub sa: f64,
+    pub sb: f64,
+    pub sc: f64,
+}
+
+/// The ±c pair view of an [`OpConsts`], for drivers that evaluate the
+/// equilibrium and the Guo source once per pair (the AVX2 AA body): every
+/// moving velocity appears in exactly one pair, and the rest velocity is a
+/// degenerate pair with `i == o` and `c = sa = sc = 0`.
+#[derive(Debug, Clone)]
+pub(crate) struct PairConsts {
+    pairs: [VelPair; MAX_Q / 2],
+    n: usize,
+    pub rest: VelPair,
+}
+
+impl PairConsts {
+    /// Pair up the first `q` velocities of `oc`.
+    pub fn new(oc: &OpConsts, q: usize) -> Self {
+        let at = |i: usize| VelPair {
+            i,
+            o: oc.opp[i],
+            c: [oc.cw[i][0], oc.cw[i][1], oc.cw[i][2]],
+            w: oc.cw[i][3],
+            sa: oc.sa[i],
+            sb: oc.sb[i],
+            sc: oc.sc[i],
+        };
+        let mut pairs = [VelPair::default(); MAX_Q / 2];
+        let mut n = 0;
+        let mut rest = None;
+        for i in 0..q {
+            // `opp[i] < i` is the second member of a pair already listed.
+            if oc.opp[i] > i {
+                pairs[n] = at(i);
+                n += 1;
+            } else if oc.opp[i] == i {
+                rest = Some(at(i));
+            }
+        }
+        assert_eq!(2 * n + 1, q, "a lattice is ±c pairs plus one rest velocity");
+        Self {
+            pairs,
+            n,
+            rest: rest.expect("q is odd, so one velocity is its own opposite"),
+        }
+    }
+
+    /// The moving-velocity pairs, in order of their first member.
+    pub fn pairs(&self) -> &[VelPair] {
+        &self.pairs[..self.n]
     }
 }
 
@@ -470,6 +540,50 @@ mod tests {
             }
         }
         assert!(f.max_abs_diff_owned(&before) > 0.0, "fluid must collide");
+    }
+
+    #[test]
+    fn pair_table_mirrors_every_constant_and_covers_q_once() {
+        // What the pair-evaluated body relies on: c, sa, sc negate across a
+        // pair, w and sb are shared, and pairs + rest list 0..q once.
+        // Compared with `==` on purpose: 0.0 == −0.0, their bits differ.
+        fn check<O: CollideOp>(c: &KernelCtx, op: O) {
+            let q = c.lat.q();
+            let oc = OpConsts::new(c, &op);
+            let pc = PairConsts::new(&oc, q);
+            let mut seen = vec![0usize; q];
+            for p in pc.pairs().iter().chain([&pc.rest]) {
+                let (i, o) = (p.i, p.o);
+                assert_eq!(o, oc.opp[i]);
+                seen[i] += 1;
+                if o != i {
+                    seen[o] += 1;
+                }
+                for a in 0..3 {
+                    assert!(p.c[a] == oc.cw[i][a] && p.c[a] == -oc.cw[o][a]);
+                }
+                assert!(p.w == oc.cw[i][3] && p.w == oc.cw[o][3]);
+                assert!(p.sa == oc.sa[i] && p.sa == -oc.sa[o]);
+                assert!(p.sb == oc.sb[i] && p.sb == oc.sb[o]);
+                assert!(p.sc == oc.sc[i] && p.sc == -oc.sc[o]);
+                assert_eq!(O::FORCED, p.sb != 0.0);
+            }
+            assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+            let r = pc.rest;
+            assert!(r.i == r.o && r.c == [0.0; 3] && r.sa == 0.0 && r.sc == 0.0);
+        }
+        for kind in LatticeKind::ALL {
+            for order in [EqOrder::Second, EqOrder::Third] {
+                let c = KernelCtx::new(kind, order, Bgk::new(0.9).unwrap());
+                check(&c, PlainBgk);
+                check(
+                    &c,
+                    GuoForced {
+                        g: [3e-4, -2e-4, 1e-4],
+                    },
+                );
+            }
+        }
     }
 
     #[test]
