@@ -151,10 +151,23 @@ fn bench_fused_ablation(c: &mut Criterion) {
                 std::hint::black_box(dst.slab(0)[0])
             })
         });
-        // Threaded fused driver (disjoint x-chunks over dst).
+        // The same kernel threaded: disjoint x-chunks of dst across a pool.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
         g.bench_function("fused_par", |b| {
             b.iter(|| {
-                kernels::par::stream_collide_par(&ctx, &tables, &src, &mut dst, k, k + dims.nx);
+                pool.install(|| {
+                    kernels::fused_simd::stream_collide(
+                        &ctx,
+                        &tables,
+                        &src,
+                        &mut dst,
+                        k,
+                        k + dims.nx,
+                    )
+                });
                 std::hint::black_box(dst.slab(0)[0])
             })
         });

@@ -58,6 +58,7 @@ use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
 use crate::kernels::op::{self, CollideOp, OpConsts, PairConsts};
+use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
 #[cfg(target_arch = "x86_64")]
 use {crate::kernels::op::VelPair, std::arch::x86_64::__m256d};
@@ -77,9 +78,9 @@ pub(crate) const ZBA: usize = 64;
 ///   bijection — every slot is read (by its unique writer) before it is
 ///   written, and no slot is re-read after its write until the next step —
 ///   so bypassing the cache on the store changes no value, only traffic.
-///   Runtime-gated on AVX2 (scalar stores otherwise); the drivers issue an
-///   `sfence` before returning so the rayon chunks' bitwise
-///   serial≡threaded guarantee survives the weakly-ordered stores.
+///   Runtime-gated on AVX2 (scalar stores otherwise); each chunk issues an
+///   `sfence` before returning so the bitwise serial≡threaded guarantee
+///   survives the weakly-ordered stores.
 ///
 /// Both knobs change *scheduling only*: every combination is
 /// bitwise-identical to the same `simd` setting with `nt` off, and `simd`
@@ -102,8 +103,8 @@ impl AaTune {
     };
 
     /// Knobs for a ladder rung's kernel class: the vector classes
-    /// (`Simd`/`Fused`) get the AVX2 tile *and* the NT-store path, the
-    /// scalar classes neither.
+    /// (`Simd`/`Fused`) get the AVX2 tile, the scalar classes the scalar
+    /// bodies. No class enables the NT-store path.
     pub const fn for_class(simd: bool) -> Self {
         Self { simd, nt: false }
     }
@@ -175,8 +176,8 @@ fn pair_consts(tune: AaTune, oc: &OpConsts, q: usize) -> Option<PairConsts> {
 }
 
 /// Drain the write-combining buffers after a non-temporal store sequence.
-/// Called once per driver invocation (i.e. per rayon chunk), *before* the
-/// task completes: NT stores are weakly ordered, and the disjoint-chunk
+/// Called once per raw-body call (i.e. per chunk of the sweep), *before*
+/// the chunk completes: NT stores are weakly ordered, and the disjoint-chunk
 /// bitwise guarantee needs every chunk's stores globally visible when its
 /// task joins.
 #[inline]
@@ -286,11 +287,27 @@ pub fn even_cells<O: CollideOp>(
     );
     let total = f.as_slice().len();
     let slab_len = f.slab_stride();
-    let ptr = f.as_mut_ptr();
+    let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
-    // SAFETY: exclusive &mut access to the whole field; the x-range is
-    // checked above and every offset below stays inside `total`.
-    unsafe { even_cells_raw::<O>(ptr, total, slab_len, ctx, &oc, bounds, d, x_lo, x_hi, tune) }
+    x_chunks(x_lo, x_hi, |lo, hi| {
+        // SAFETY: `&mut f` is held for the whole sweep; the x-range is
+        // checked above and the chunks partition it, and the even step reads
+        // and writes only planes of its own chunk.
+        unsafe {
+            even_cells_raw::<O>(
+                base.get(),
+                total,
+                slab_len,
+                ctx,
+                &oc,
+                bounds,
+                d,
+                lo,
+                hi,
+                tune,
+            )
+        }
+    });
 }
 
 /// One AA **odd** step over *writer* planes `x ∈ [x_lo, x_hi)`:
@@ -320,29 +337,7 @@ pub fn odd_cells<O: CollideOp>(
         return;
     }
     check_odd_bounds(ctx, f, x_lo, x_hi);
-    let d = f.alloc_dims();
-    let total = f.as_slice().len();
-    let slab_len = f.slab_stride();
-    let ptr = f.as_mut_ptr();
-    let oc = OpConsts::new(ctx, &op);
-    // SAFETY: exclusive &mut access; the bounds check above keeps every
-    // gather/scatter plane inside the allocation.
-    unsafe {
-        odd_cells_raw::<O>(
-            ptr,
-            total,
-            slab_len,
-            ctx,
-            &oc,
-            tables,
-            bounds,
-            d,
-            x_lo,
-            x_hi,
-            XShift::Margin,
-            tune,
-        )
-    }
+    odd_sweep(ctx, tables, f, x_lo, x_hi, XShift::Margin, op, bounds, tune);
 }
 
 /// One AA **odd** step over writer planes `x ∈ [x_lo, x_hi)` with the
@@ -373,24 +368,59 @@ pub fn odd_cells_periodic<O: CollideOp>(
         "odd writer range [{x_lo}, {x_hi}) exceeds nx {}",
         d.nx
     );
+    let xw = XShift::Wrap { lo: x_lo, hi: x_hi };
+    odd_sweep(ctx, tables, f, x_lo, x_hi, xw, op, bounds, tune);
+}
+
+/// The odd sweep behind [`odd_cells`] and [`odd_cells_periodic`], chunked by
+/// writer plane across the installed pool. Writer ranges partition
+/// `[x_lo, x_hi)`, and the writer↦slot bijection (which holds on the torus
+/// exactly as on the open interval) makes the slots of different chunks
+/// disjoint even though their written *planes* overlap.
+#[allow(clippy::too_many_arguments)]
+fn odd_sweep<O: CollideOp>(
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    f: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    xw: XShift,
+    op: O,
+    bounds: &BoundarySpec,
+    tune: AaTune,
+) {
+    let d = f.alloc_dims();
     let total = f.as_slice().len();
     let slab_len = f.slab_stride();
-    let ptr = f.as_mut_ptr();
+    let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
-    let xw = XShift::Wrap { lo: x_lo, hi: x_hi };
-    // SAFETY: exclusive &mut access; wrapped shifts stay inside
-    // `[x_lo, x_hi)` which the assert keeps inside the allocation.
-    unsafe {
-        odd_cells_raw::<O>(
-            ptr, total, slab_len, ctx, &oc, tables, bounds, d, x_lo, x_hi, xw, tune,
-        )
-    }
+    x_chunks(x_lo, x_hi, |lo, hi| {
+        // SAFETY: `&mut f` is held for the whole sweep; the caller's bounds
+        // check (margin or wrap range) keeps every gather/scatter plane
+        // inside the allocation, and distinct chunks touch distinct slots.
+        unsafe {
+            odd_cells_raw::<O>(
+                base.get(),
+                total,
+                slab_len,
+                ctx,
+                &oc,
+                tables,
+                bounds,
+                d,
+                lo,
+                hi,
+                xw,
+                tune,
+            )
+        }
+    });
 }
 
 /// Hard bounds check shared by the safe odd-step entry points: the raw
 /// kernels write through pointers up to `k` planes outside the writer
 /// range, so an out-of-range sweep must fail loudly in release builds too.
-pub(crate) fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
+fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
     let k = ctx.lat.reach();
     let nx = f.alloc_dims().nx;
     assert!(
@@ -399,7 +429,7 @@ pub(crate) fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi
     );
 }
 
-/// Raw-pointer even step, shared with the rayon driver.
+/// Raw-pointer even step: the body one chunk of [`even_cells`] runs.
 ///
 /// # Safety
 /// `base_ptr` must point to `total = q·slab_len` initialised doubles laid
@@ -407,7 +437,7 @@ pub(crate) fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi
 /// the caller must guarantee exclusive access to the x-planes
 /// `[x_lo, x_hi)` (the even step touches no other planes).
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn even_cells_raw<O: CollideOp>(
+unsafe fn even_cells_raw<O: CollideOp>(
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,
@@ -664,7 +694,7 @@ unsafe fn even_block_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// Raw-pointer odd step, shared with the rayon driver.
+/// Raw-pointer odd step: the body one chunk of [`odd_sweep`] runs.
 ///
 /// # Safety
 /// Layout contract as for [`even_cells_raw`]; additionally every shifted
@@ -678,7 +708,7 @@ unsafe fn even_block_scalar<const THIRD: bool, O: CollideOp>(
 /// disjoint x-ranges satisfies this even though the written *planes*
 /// overlap chunk boundaries.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn odd_cells_raw<O: CollideOp>(
+unsafe fn odd_cells_raw<O: CollideOp>(
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,

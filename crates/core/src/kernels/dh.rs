@@ -21,8 +21,8 @@ pub(crate) const ZB: usize = 64;
 
 /// Stream one velocity's slab over `x ∈ [x_lo, x_hi)` using rotate-copies.
 ///
-/// Factored out so the rayon driver ([`crate::kernels::par`]) can run one
-/// velocity per task — each task owns its destination slab exclusively.
+/// Factored out so [`crate::kernels::par::stream_par`] can run one velocity
+/// per task — each task owns its destination slab exclusively.
 pub fn stream_velocity(
     ctx: &KernelCtx,
     tables: &StreamTables,

@@ -4,26 +4,27 @@
 //! This is the scalar-class collide half used by the `Orig`…`LoBr` rungs
 //! whenever a run has boundary conditions or a body force — the
 //! walled/driven flows that motivate the paper (§I). Since the
-//! [`CollideOp`](crate::kernels::op::CollideOp) refactor these entry points
-//! are thin instantiations of the shared boundary-aware drivers in
-//! [`crate::kernels::op`] and [`crate::kernels::par`]: the per-cell rule is
-//! [`GuoForced`] (half-force velocity shift `u = (Σ f c + G/2)/ρ`, BGK
-//! relaxation toward `f^eq(ρ, u)`, source `S_i` post-relaxation) or, for
-//! `G = 0`, the monomorphized [`PlainBgk`] rule — the identical code path
-//! the periodic CF/LoBr collide compiles to.
+//! [`CollideOp`](crate::kernels::op::CollideOp) refactor the entry point is
+//! a thin instantiation of the shared boundary-aware driver in
+//! [`crate::kernels::op`]: the per-cell rule is [`GuoForced`] (half-force
+//! velocity shift `u = (Σ f c + G/2)/ρ`, BGK relaxation toward `f^eq(ρ, u)`,
+//! source `S_i` post-relaxation) or, for `G = 0`, the monomorphized
+//! [`PlainBgk`] rule — the identical code path the periodic CF/LoBr collide
+//! compiles to.
 //!
-//! The serial and rayon drivers run the identical per-cell arithmetic in the
-//! identical order over disjoint x-plane chunks, so threaded scenario runs
-//! are bit-identical to serial runs — the same guarantee the periodic ladder
-//! kernels give. The SIMD- and Fused-class scenario variants live in
-//! [`crate::kernels::simd`] and [`crate::kernels::fused_simd`].
+//! Like every kernel entry point it chunks across the installed pool and is
+//! one plain call outside one (see [`crate::kernels::par`]); each chunk runs
+//! the identical per-cell arithmetic in the identical order, so threaded
+//! scenario runs are bit-identical to serial runs — the same guarantee the
+//! periodic ladder kernels give. The SIMD- and Fused-class scenario variants
+//! live in [`crate::kernels::simd`] and [`crate::kernels::fused_simd`].
 
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::op;
 use crate::kernels::KernelCtx;
 
-/// Serial scenario collide over planes `x ∈ [x_lo, x_hi)`: BGK + Guo forcing
+/// Scenario collide over planes `x ∈ [x_lo, x_hi)`: BGK + Guo forcing
 /// `g` on every fluid cell of `bounds`, leaving wall rows and masked cells
 /// untouched (their post-stream state was already transformed by
 /// [`BoundarySpec::apply`]).
@@ -37,21 +38,6 @@ pub fn collide_forced(
 ) {
     op::with_op!(g, |rule| op::collide_cells(
         ctx, f, x_lo, x_hi, rule, bounds
-    ));
-}
-
-/// Rayon-parallel scenario collide: disjoint x-plane chunks each running the
-/// identical kernel as [`collide_forced`] (bit-identical to serial).
-pub fn collide_forced_par(
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    g: [f64; 3],
-    bounds: &BoundarySpec,
-) {
-    op::with_op!(g, |rule| super::par::collide_cells_par(
-        ctx, f, x_lo, x_hi, rule, bounds, false
     ));
 }
 
@@ -168,7 +154,7 @@ mod tests {
                 .num_threads(5)
                 .build()
                 .unwrap();
-            pool.install(|| collide_forced_par(&c, &mut b, 0, dims.nx, g, &bounds));
+            pool.install(|| collide_forced(&c, &mut b, 0, dims.nx, g, &bounds));
             assert_eq!(a.max_abs_diff_owned(&b), 0.0, "{kind:?}");
         }
     }

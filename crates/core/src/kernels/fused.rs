@@ -109,7 +109,7 @@ pub(crate) fn check_fused_bounds(
 }
 
 /// Raw-destination form of the boundary-aware fused step, shared with the
-/// rayon scenario driver and the SIMD fallback.
+/// SIMD fallback.
 ///
 /// # Safety
 /// `dst_ptr` must point to `total` initialised doubles laid out exactly like

@@ -24,6 +24,7 @@ use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::fused::{self, ZBF};
 use crate::kernels::op::{CollideOp, PlainBgk};
+use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::simd_available;
 use crate::kernels::{KernelCtx, StreamTables};
 
@@ -54,7 +55,9 @@ pub fn stream_collide(
 }
 
 /// Boundary-aware vectorized fused step: the rule `op` on the fluid cells of
-/// `bounds`, the wall/mask transforms on its solid cells, in one pass.
+/// `bounds`, the wall/mask transforms on its solid cells, in one pass —
+/// chunked over destination planes across the installed pool (see
+/// [`super::par`]).
 #[allow(clippy::too_many_arguments)]
 pub fn stream_collide_cells<O: CollideOp>(
     ctx: &KernelCtx,
@@ -68,49 +71,23 @@ pub fn stream_collide_cells<O: CollideOp>(
 ) {
     fused::check_fused_bounds(ctx, src, dst, x_lo, x_hi);
     let total = dst.as_slice().len();
-    let dst_ptr = dst.as_mut_ptr();
-    // SAFETY: `&mut dst` grants exclusive access to all `total` doubles, and
-    // the bounds check above keeps every raw write inside them.
-    unsafe { stream_collide_cells_raw(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds) }
+    let base = SendPtr(dst.as_mut_ptr());
+    x_chunks(x_lo, x_hi, |lo, hi| {
+        // SAFETY: `&mut dst` is held for the whole sweep, the chunks
+        // partition [x_lo, x_hi) — which the bounds check above keeps inside
+        // the allocation — so each call writes its own planes of `dst`;
+        // `src` is only read and never aliases `dst` (distinct fields).
+        unsafe { stream_collide_cells_raw(ctx, tables, src, base.get(), total, lo, hi, op, bounds) }
+    });
 }
 
-/// Raw-destination dispatch of the plain periodic step, shared with the
-/// rayon fused driver: AVX2+FMA when available, scalar fused otherwise.
-///
-/// # Safety
-/// Same contract as [`fused::stream_collide_cells_raw`].
-pub(crate) unsafe fn stream_collide_raw(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
-    dst_ptr: *mut f64,
-    total: usize,
-    x_lo: usize,
-    x_hi: usize,
-) {
-    // SAFETY: forwarded contract.
-    unsafe {
-        stream_collide_cells_raw(
-            ctx,
-            tables,
-            src,
-            dst_ptr,
-            total,
-            x_lo,
-            x_hi,
-            PlainBgk,
-            &BoundarySpec::periodic(),
-        )
-    }
-}
-
-/// Raw-destination dispatch of the boundary-aware step, shared with the
-/// rayon scenario driver.
+/// Raw-destination dispatch of one chunk: AVX2+FMA when available, scalar
+/// fused otherwise.
 ///
 /// # Safety
 /// Same contract as [`fused::stream_collide_cells_raw`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn stream_collide_cells_raw<O: CollideOp>(
+unsafe fn stream_collide_cells_raw<O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
     src: &DistField,

@@ -33,9 +33,15 @@
 //! resident: the two-grid double buffer every rung above runs on, or the
 //! AA-pattern single array of [`aa`] (in-place even/odd steps, half the
 //! resident memory, `2·Q·8` model traffic). The AA dispatchers below
-//! ([`aa_even_scenario`], [`aa_odd_scenario`] and their `_par` forms) map
-//! the rung's kernel class onto the AA drivers: scalar classes run the
+//! ([`aa_even_scenario`], [`aa_odd_scenario`], [`aa_odd_scenario_periodic`])
+//! map the rung's kernel class onto the AA drivers: scalar classes run the
 //! shared scalar tile body, `Simd`/`Fused` the AVX2+FMA tile.
+//!
+//! Threading is orthogonal to both (see [`par`]): every kernel entry point
+//! chunks across the installed rayon pool and is one plain call outside
+//! one, bit-identical either way. Where a rung's own kernel cannot be
+//! chunked, [`stream`] and [`collide`] take a bitwise-equal one inside a
+//! pool.
 
 pub mod aa;
 pub mod cf;
@@ -257,6 +263,9 @@ pub fn stream(
     match level.kernel_class() {
         KernelClass::Naive => naive::stream(ctx, src, dst, x_lo, x_hi),
         KernelClass::Ghost => ghost::stream(ctx, tables, src, dst, x_lo, x_hi),
+        // Inside a pool the slab-ordered rungs stream one velocity per task;
+        // a stream is a pure copy, so it is bitwise each rung's own.
+        _ if par::in_pool() => par::stream_par(ctx, tables, src, dst, x_lo, x_hi),
         KernelClass::Dh => dh::stream(ctx, tables, src, dst, x_lo, x_hi),
         KernelClass::Cf | KernelClass::Simd | KernelClass::Fused => {
             cf::stream(ctx, tables, src, dst, x_lo, x_hi)
@@ -271,9 +280,11 @@ pub fn collide(level: OptLevel, ctx: &KernelCtx, f: &mut DistField, x_lo: usize,
     debug_assert!(x_hi <= f.alloc_dims().nx);
     match level.kernel_class() {
         KernelClass::Naive | KernelClass::Ghost => naive::collide(ctx, f, x_lo, x_hi),
-        KernelClass::Dh => dh::collide(ctx, f, x_lo, x_hi),
-        KernelClass::Cf => cf::collide(ctx, f, x_lo, x_hi),
-        KernelClass::LoBr => lobr::collide(ctx, f, x_lo, x_hi),
+        KernelClass::Dh if !par::in_pool() => dh::collide(ctx, f, x_lo, x_hi),
+        KernelClass::LoBr if !par::in_pool() => lobr::collide(ctx, f, x_lo, x_hi),
+        // The CF collide chunks across the pool and is bitwise the DH and
+        // LoBr collides, so their rungs take it inside one.
+        KernelClass::Dh | KernelClass::Cf | KernelClass::LoBr => cf::collide(ctx, f, x_lo, x_hi),
         KernelClass::Simd | KernelClass::Fused => simd::collide(ctx, f, x_lo, x_hi),
     }
 }
@@ -329,23 +340,6 @@ pub fn collide_scenario(
     }
 }
 
-/// Rayon-parallel [`collide_scenario`]: disjoint x-plane chunks, each
-/// running the identical per-class kernel — bit-identical to serial.
-pub fn collide_scenario_par(
-    level: OptLevel,
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    g: [f64; 3],
-    bounds: &BoundarySpec,
-) {
-    let use_simd = matches!(level.kernel_class(), KernelClass::Simd | KernelClass::Fused);
-    op::with_op!(g, |rule| par::collide_cells_par(
-        ctx, f, x_lo, x_hi, rule, bounds, use_simd
-    ));
-}
-
 /// Scenario fused stream+collide: one single pass computing
 /// `dst ← boundary+collide(pull(src))` — fluid cells collided (with Guo
 /// forcing `g` when nonzero), wall rows and masked cells transformed from
@@ -367,28 +361,9 @@ pub fn stream_collide_scenario(
     ));
 }
 
-/// Rayon-parallel [`stream_collide_scenario`] (disjoint destination
-/// x-chunks, bit-identical to serial).
-#[allow(clippy::too_many_arguments)]
-pub fn stream_collide_scenario_par(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
-    dst: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    g: [f64; 3],
-    bounds: &BoundarySpec,
-) {
-    op::with_op!(g, |rule| par::stream_collide_cells_par(
-        ctx, tables, src, dst, x_lo, x_hi, rule, bounds
-    ));
-}
-
 /// Whether `level`'s kernel class runs the vectorized AA arithmetic (the
 /// same class split as the two-grid ladder: AVX2+FMA at `Simd` and above).
-/// The vector classes also get the NT-store path — see
-/// [`aa::AaTune::for_class`].
+/// No class enables the NT-store path — see [`aa::AaTune::for_class`].
 const fn aa_use_simd(level: OptLevel) -> bool {
     matches!(level.kernel_class(), KernelClass::Simd | KernelClass::Fused)
 }
@@ -407,28 +382,6 @@ pub fn aa_even_scenario(
     bounds: &BoundarySpec,
 ) {
     op::with_op!(g, |rule| aa::even_cells(
-        ctx,
-        f,
-        x_lo,
-        x_hi,
-        rule,
-        bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
-    ));
-}
-
-/// Rayon-parallel [`aa_even_scenario`] (disjoint x-plane chunks,
-/// bit-identical to serial).
-pub fn aa_even_scenario_par(
-    level: OptLevel,
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    g: [f64; 3],
-    bounds: &BoundarySpec,
-) {
-    op::with_op!(g, |rule| par::aa_even_cells_par(
         ctx,
         f,
         x_lo,
@@ -482,57 +435,6 @@ pub fn aa_odd_scenario_periodic(
     bounds: &BoundarySpec,
 ) {
     op::with_op!(g, |rule| aa::odd_cells_periodic(
-        ctx,
-        tables,
-        f,
-        x_lo,
-        x_hi,
-        rule,
-        bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
-    ));
-}
-
-/// Rayon-parallel [`aa_odd_scenario`]: writer cells are chunked by x-plane;
-/// each writer owns exactly its own Q slots (the AA bijection), so chunked
-/// execution is conflict-free and bit-identical to serial.
-#[allow(clippy::too_many_arguments)]
-pub fn aa_odd_scenario_par(
-    level: OptLevel,
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    g: [f64; 3],
-    bounds: &BoundarySpec,
-) {
-    op::with_op!(g, |rule| par::aa_odd_cells_par(
-        ctx,
-        tables,
-        f,
-        x_lo,
-        x_hi,
-        rule,
-        bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
-    ));
-}
-
-/// Rayon-parallel [`aa_odd_scenario_periodic`] (see
-/// [`par::aa_odd_cells_periodic_par`]; bit-identical to serial).
-#[allow(clippy::too_many_arguments)]
-pub fn aa_odd_scenario_periodic_par(
-    level: OptLevel,
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    g: [f64; 3],
-    bounds: &BoundarySpec,
-) {
-    op::with_op!(g, |rule| par::aa_odd_cells_periodic_par(
         ctx,
         tables,
         f,

@@ -17,10 +17,11 @@
 //!   `fused.rs`/`fused_simd.rs`) plus the precomputed Guo source
 //!   coefficients, so there is exactly one equilibrium-constant path;
 //! * [`collide_cells_raw`] — the z-blocked, boundary-aware scalar collide
-//!   body shared by the serial scalar driver, the rayon chunks, and the
-//!   non-AVX2 fallback of the SIMD rung. Wall rows are skipped and masked
-//!   cells excluded via fluid z-runs, so walled/masked scenarios reuse the
-//!   identical line-blocked loop the periodic kernels run.
+//!   body shared by the scalar driver (one call per chunk of the installed
+//!   pool) and the non-AVX2 fallback of the SIMD rung. Wall rows are
+//!   skipped and masked cells excluded via fluid z-runs, so walled/masked
+//!   scenarios reuse the identical line-blocked loop the periodic kernels
+//!   run.
 //!
 //! ## The Guo source, hoisted
 //!
@@ -42,6 +43,7 @@
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
 use crate::kernels::dh::ZB;
+use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{KernelCtx, MAX_Q};
 
 /// A per-cell collide rule, threaded through every kernel driver.
@@ -273,10 +275,11 @@ pub(crate) fn next_fluid_run(
     }
 }
 
-/// Serial boundary-aware collide over planes `x ∈ [x_lo, x_hi)`: the rule
-/// `op` applied to every fluid cell of `bounds` (wall rows and masked cells
-/// untouched). With periodic `bounds` and [`PlainBgk`] this is exactly the
-/// CF/LoBr line-blocked collide.
+/// Boundary-aware collide over planes `x ∈ [x_lo, x_hi)`: the rule `op`
+/// applied to every fluid cell of `bounds` (wall rows and masked cells
+/// untouched), chunked across the installed pool (see [`super::par`]). With
+/// periodic `bounds` and [`PlainBgk`] this is exactly the CF/LoBr
+/// line-blocked collide.
 pub fn collide_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -292,26 +295,18 @@ pub fn collide_cells<O: CollideOp>(
     debug_assert!(x_hi <= d.nx);
     let total = f.as_slice().len();
     let slab_len = f.slab_stride();
-    let ptr = f.as_mut_ptr();
-    // SAFETY: exclusive &mut access to the whole field; offsets bounded by
-    // the layout contract checked in collide_cells_raw.
-    unsafe {
-        collide_cells_raw::<O>(
-            ptr,
-            total,
-            slab_len,
-            ctx,
-            &OpConsts::new(ctx, &op),
-            bounds,
-            d,
-            x_lo,
-            x_hi,
-        )
-    }
+    let base = SendPtr(f.as_mut_ptr());
+    let oc = OpConsts::new(ctx, &op);
+    x_chunks(x_lo, x_hi, |lo, hi| {
+        // SAFETY: `&mut f` is held for the whole sweep and the chunks
+        // partition [x_lo, x_hi), so each call has exclusive access to its
+        // planes; offsets are bounded by the layout contract.
+        unsafe { collide_cells_raw::<O>(base.get(), total, slab_len, ctx, &oc, bounds, d, lo, hi) }
+    });
 }
 
 /// The shared z-blocked scalar collide body, against a raw base pointer so
-/// the rayon drivers can run it per disjoint x-chunk.
+/// the chunks of one sweep can run it on disjoint x-ranges.
 ///
 /// # Safety
 /// `base_ptr` must point to `total = q·slab_len` initialised doubles laid

@@ -1,32 +1,34 @@
-//! Rayon-parallel kernel drivers — the intra-rank threading substrate for
-//! the paper's hybrid MPI/OpenMP experiments (§VI-B, Fig. 11).
+//! Intra-rank threading — the substrate for the paper's hybrid MPI/OpenMP
+//! experiments (§VI-B, Fig. 11).
 //!
-//! * **stream**: one task per velocity. Each task reads slab *i* of the
-//!   source and owns slab *i* of the destination exclusively
-//!   ([`DistField::slabs_mut`] hands out disjoint `&mut [f64]`) — fully safe.
-//! * **collide**: one task per x-plane chunk, running the same line-blocked
-//!   single-pass update as the serial CF/LoBr collide. Collide is purely
-//!   cell-local, so tasks partitioning the x-range write disjoint offsets of
-//!   every velocity slab; that disjointness is the safety argument for the
-//!   one raw-pointer wrapper below (the memory-traffic-doubling alternative
-//!   — a staged moment-field collide — costs ~2× on a bandwidth-bound
-//!   kernel, which is exactly what this paper is about avoiding).
-//! * **fused stream+collide**: one task per x-plane chunk of the
-//!   *destination*, each running the single-pass fused kernel; the source is
-//!   shared read-only, so only the destination needs the disjoint-chunk
-//!   argument.
+//! One rule: every kernel entry point chunks across the installed rayon pool
+//! and is one plain call outside one. The x-sweeping entry points (collide,
+//! fused stream+collide, the AA steps) run their raw-pointer body through
+//! `x_chunks`; the sparse tile drivers split their tile lists the same
+//! way. A rank that wants threads installs its pool around the serial
+//! kernel call; nothing else changes.
 //!
-//! The parallel collide performs the identical per-cell arithmetic in the
-//! identical order as the serial DH/CF/LoBr collide, so threaded runs are
-//! bit-identical to serial runs — which is what lets the Fig. 11 experiments
-//! compare configurations on time alone.
+//! Every chunk runs the same per-cell arithmetic in the same order as one
+//! call over the whole range, so threaded runs are bit-identical to serial
+//! runs — which is what lets the Fig. 11 experiments compare configurations
+//! on time alone. Each body's safety argument is the disjointness of its
+//! chunks: a collide or AA even step reads and writes only its own planes, a
+//! fused step writes only its own destination planes of a field no chunk
+//! reads, and the AA odd step's writers own disjoint slots (see
+//! [`crate::kernels::aa`]). The chunks share a raw base pointer because an
+//! x-chunk spans every velocity slab, so it cannot be handed out as one
+//! disjoint slice; the safe alternative, a staged moment-field collide,
+//! doubles the memory traffic of a bandwidth-bound kernel.
+//!
+//! The stream splits by velocity instead: [`stream_par`] runs one task per
+//! velocity, each owning its destination slab ([`DistField::slabs_mut`]
+//! hands out disjoint `&mut [f64]`) — fully safe. [`crate::kernels::stream`]
+//! takes it inside a pool.
 
 use rayon::prelude::*;
 
-use crate::boundary::BoundarySpec;
 use crate::field::DistField;
-use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
-use crate::kernels::{aa, dh, fused_simd, simd, KernelCtx, StreamTables};
+use crate::kernels::{dh, KernelCtx, StreamTables};
 
 /// Parallel pull-stream over `x ∈ [x_lo, x_hi)` (one velocity per task),
 /// using the DH rotate-copy row routine.
@@ -50,15 +52,30 @@ pub fn stream_par(
         });
 }
 
-/// Shareable base pointer for disjoint-x-chunk kernel tasks (used by the
-/// parallel collide drivers here and in [`super::forced`]).
+/// Shareable base pointer for the chunks of one [`x_chunks`] sweep (or one
+/// sparse tile-list sweep).
 #[derive(Clone, Copy)]
 pub(crate) struct SendPtr(pub(crate) *mut f64);
-// SAFETY: tasks created from this pointer write only to x-plane ranges that
-// partition [x_lo, x_hi) — enforced by `chunk_bounds` chunking at every use
-// site — so no two tasks touch the same element.
+// SAFETY: the pointer is only dereferenced by kernel bodies whose chunks
+// touch disjoint elements (see the module docs); the pointee outlives the
+// sweep, which borrows the field mutably for its whole duration.
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
+
+impl SendPtr {
+    /// The raw pointer. A method rather than a field read, so a closure
+    /// captures the whole (`Sync`) wrapper, not the bare pointer.
+    #[inline]
+    pub(crate) fn get(self) -> *mut f64 {
+        self.0
+    }
+}
+
+/// Whether the calling thread runs inside an installed pool.
+#[inline]
+pub(crate) fn in_pool() -> bool {
+    rayon::current_thread_index().is_some()
+}
 
 /// Balanced x-plane partition: chunk `c` of `chunks` over
 /// `[x_lo, x_lo + planes)`. Every chunk is non-empty when
@@ -70,313 +87,40 @@ pub(crate) fn chunk_bounds(x_lo: usize, planes: usize, chunks: usize, c: usize) 
     (x_lo + c * planes / chunks, x_lo + (c + 1) * planes / chunks)
 }
 
-/// Chunk count for an `[x_lo, x_hi)` sweep: a few chunks per worker for load
-/// balance, never more chunks than planes.
-fn chunk_count(planes: usize) -> usize {
+/// Chunk count for a sweep over `planes` items: a few chunks per worker of
+/// the current pool for load balance, never more chunks than items.
+pub(crate) fn chunk_count(planes: usize) -> usize {
     let threads = rayon::current_num_threads().max(1);
     (threads * 4).min(planes).max(1)
 }
 
-/// Parallel single-pass BGK collide over `x ∈ [x_lo, x_hi)`.
-///
-/// Bit-identical to the serial CF collide (same accumulation order, same
-/// reciprocal form, same z-blocking) — the [`PlainBgk`] instantiation of the
-/// shared boundary-aware driver.
-pub fn collide_par(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
-    collide_cells_par(
-        ctx,
-        f,
-        x_lo,
-        x_hi,
-        PlainBgk,
-        &BoundarySpec::periodic(),
-        false,
-    );
-}
-
-/// Rayon-parallel boundary-aware collide: disjoint x-plane chunks each
-/// running the rule `op` over the fluid cells of `bounds`, bit-identical to
-/// the matching serial driver. With `use_simd` the chunks run the AVX2+FMA
-/// kernel of [`crate::kernels::simd`] (scalar fallback when unavailable);
-/// otherwise the shared scalar body of [`crate::kernels::op`].
-pub fn collide_cells_par<O: CollideOp>(
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-    use_simd: bool,
-) {
-    let d = f.alloc_dims();
-    debug_assert!(x_hi <= d.nx);
-    if x_lo >= x_hi {
+/// Run `work(lo, hi)` over `x ∈ [x_lo, x_hi)`. Inside
+/// `ThreadPool::install` the calls cover a balanced partition of the range
+/// into a few non-empty chunks per worker, run concurrently; outside a pool
+/// it is one plain `work(x_lo, x_hi)` call on the caller's thread, whatever
+/// the host's width.
+pub(crate) fn x_chunks(x_lo: usize, x_hi: usize, work: impl Fn(usize, usize) + Sync) {
+    if !in_pool() {
+        work(x_lo, x_hi);
         return;
     }
-    let slab_len = f.slab_stride();
-    let total = f.as_slice().len();
-    let base = SendPtr(f.as_mut_ptr());
-    let oc = OpConsts::new(ctx, &op);
-
-    let planes = x_hi - x_lo;
-    let chunks = chunk_count(planes);
-
-    (0..chunks).into_par_iter().for_each(|c| {
-        let (lo, hi) = chunk_bounds(x_lo, planes, chunks, c);
-        if lo >= hi {
-            return;
-        }
-        let p = base;
-        // SAFETY: [lo, hi) ranges partition [x_lo, x_hi); each task writes
-        // only offsets i·slab_len + idx(x,·,·) with x ∈ [lo, hi), which are
-        // disjoint between tasks; `total`/`slab_len` bound all offsets.
-        unsafe {
-            if use_simd {
-                simd::collide_cells_raw::<O>(p.0, total, slab_len, ctx, &oc, bounds, d, lo, hi);
-            } else {
-                op::collide_cells_raw::<O>(p.0, total, slab_len, ctx, &oc, bounds, d, lo, hi);
-            }
-        }
-    });
-}
-
-/// Parallel fused stream+collide over `x ∈ [x_lo, x_hi)`: the `Fused` rung's
-/// threading substrate.
-///
-/// Tasks split the destination into disjoint x-plane chunks; `src` is shared
-/// read-only (the pull-stream reads `[lo − k, hi + k)` of `src`, which may
-/// overlap between tasks, but no task ever writes `src`) — a simpler safety
-/// story than the in-place `collide_par`, where read and write ranges live
-/// in the same field. Each task runs the full fused kernel (AVX2+FMA when
-/// available), so threaded results are bit-identical to single-threaded
-/// fused runs.
-///
-/// Halo contract as for [`fused_simd::stream_collide`]: `src` valid on
-/// `[x_lo − k, x_hi + k)`.
-pub fn stream_collide_par(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
-    dst: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-) {
-    if x_lo >= x_hi {
-        return;
-    }
-    crate::kernels::fused::check_fused_bounds(ctx, src, dst, x_lo, x_hi);
-    let total = dst.as_slice().len();
-    let base = SendPtr(dst.as_mut_ptr());
-    let planes = x_hi - x_lo;
-    let chunks = chunk_count(planes);
-
-    (0..chunks).into_par_iter().for_each(|c| {
-        let (lo, hi) = chunk_bounds(x_lo, planes, chunks, c);
-        if lo >= hi {
-            return;
-        }
-        let p = base;
-        // SAFETY: [lo, hi) ranges partition [x_lo, x_hi), which the bounds
-        // check above confines to the allocation, so tasks write disjoint
-        // in-bounds x-planes of `dst`; `src` is only read and never aliases
-        // `dst` (distinct fields).
-        unsafe { fused_simd::stream_collide_raw(ctx, tables, src, p.0, total, lo, hi) }
-    });
-}
-
-/// Rayon-parallel *scenario* fused stream+collide over `x ∈ [x_lo, x_hi)`:
-/// the boundary-aware single pass (wall rows transformed, masked cells
-/// bounced, fluid cells collided under `op`) per disjoint destination
-/// x-chunk. Bit-identical to the serial scenario fused kernel.
-///
-/// Halo contract as for [`fused_simd::stream_collide`].
-#[allow(clippy::too_many_arguments)]
-pub fn stream_collide_cells_par<O: CollideOp>(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    src: &DistField,
-    dst: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-) {
-    if x_lo >= x_hi {
-        return;
-    }
-    crate::kernels::fused::check_fused_bounds(ctx, src, dst, x_lo, x_hi);
-    let total = dst.as_slice().len();
-    let base = SendPtr(dst.as_mut_ptr());
-    let planes = x_hi - x_lo;
-    let chunks = chunk_count(planes);
-
-    (0..chunks).into_par_iter().for_each(|c| {
-        let (lo, hi) = chunk_bounds(x_lo, planes, chunks, c);
-        if lo >= hi {
-            return;
-        }
-        let p = base;
-        // SAFETY: as in `stream_collide_par` — disjoint in-bounds dst
-        // x-planes per task, `src` read-only and non-aliasing.
-        unsafe {
-            fused_simd::stream_collide_cells_raw(ctx, tables, src, p.0, total, lo, hi, op, bounds)
-        }
-    });
-}
-
-/// Rayon-parallel AA-pattern **even** step over `x ∈ [x_lo, x_hi)`: the
-/// step is purely cell-local, so disjoint x-plane chunks partition the
-/// writes exactly as in [`collide_cells_par`] — bit-identical to serial.
-pub fn aa_even_cells_par<O: CollideOp>(
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-    tune: aa::AaTune,
-) {
-    let d = f.alloc_dims();
-    assert!(
-        x_hi <= d.nx,
-        "even x-range [{x_lo}, {x_hi}) exceeds nx {}",
-        d.nx
-    );
-    if x_lo >= x_hi {
-        return;
-    }
-    let slab_len = f.slab_stride();
-    let total = f.as_slice().len();
-    let base = SendPtr(f.as_mut_ptr());
-    let oc = OpConsts::new(ctx, &op);
-    let planes = x_hi - x_lo;
+    let planes = x_hi.saturating_sub(x_lo);
     let chunks = chunk_count(planes);
     (0..chunks).into_par_iter().for_each(|c| {
         let (lo, hi) = chunk_bounds(x_lo, planes, chunks, c);
-        if lo >= hi {
-            return;
-        }
-        let p = base;
-        // SAFETY: [lo, hi) ranges partition [x_lo, x_hi); the even step
-        // reads and writes only planes in its own range.
-        unsafe {
-            aa::even_cells_raw::<O>(p.0, total, slab_len, ctx, &oc, bounds, d, lo, hi, tune);
-        }
-    });
-}
-
-/// Rayon-parallel AA-pattern **odd** step over writer planes
-/// `x ∈ [x_lo, x_hi)`.
-///
-/// Unlike every other parallel driver here, the written *planes* of two
-/// adjacent chunks overlap (a writer at a chunk edge scatters up to `k`
-/// planes outward). The partition is still conflict-free at element
-/// granularity: slot `(x + c_j, j)` belongs to writer cell `x` and to no
-/// other (the AA bijection — see [`crate::kernels::aa`]), each writer reads
-/// all of its slots before writing any, and writers are partitioned by
-/// x-plane. Hence no slot is touched by two tasks and the result is
-/// bit-identical to serial.
-#[allow(clippy::too_many_arguments)]
-pub fn aa_odd_cells_par<O: CollideOp>(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-    tune: aa::AaTune,
-) {
-    if x_lo >= x_hi {
-        return;
-    }
-    aa::check_odd_bounds(ctx, f, x_lo, x_hi);
-    aa_odd_chunked(
-        ctx,
-        tables,
-        f,
-        x_lo,
-        x_hi,
-        aa::XShift::Margin,
-        op,
-        bounds,
-        tune,
-    );
-}
-
-/// Rayon-parallel [`aa::odd_cells_periodic`]: the single-rank periodic odd
-/// sweep, chunked by writer plane. The writer↦slot bijection holds on the
-/// torus exactly as on the open interval (each slot has one writer), so the
-/// chunked sweep is conflict-free and bit-identical to serial.
-#[allow(clippy::too_many_arguments)]
-pub fn aa_odd_cells_periodic_par<O: CollideOp>(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    op: O,
-    bounds: &BoundarySpec,
-    tune: aa::AaTune,
-) {
-    if x_lo >= x_hi {
-        return;
-    }
-    let d = f.alloc_dims();
-    assert!(
-        x_hi <= d.nx,
-        "odd writer range [{x_lo}, {x_hi}) exceeds nx {}",
-        d.nx
-    );
-    let xw = aa::XShift::Wrap { lo: x_lo, hi: x_hi };
-    aa_odd_chunked(ctx, tables, f, x_lo, x_hi, xw, op, bounds, tune);
-}
-
-/// Shared chunked odd sweep behind the margin and periodic drivers (bounds
-/// already validated by the caller).
-#[allow(clippy::too_many_arguments)]
-fn aa_odd_chunked<O: CollideOp>(
-    ctx: &KernelCtx,
-    tables: &StreamTables,
-    f: &mut DistField,
-    x_lo: usize,
-    x_hi: usize,
-    xw: aa::XShift,
-    op: O,
-    bounds: &BoundarySpec,
-    tune: aa::AaTune,
-) {
-    let d = f.alloc_dims();
-    let slab_len = f.slab_stride();
-    let total = f.as_slice().len();
-    let base = SendPtr(f.as_mut_ptr());
-    let oc = OpConsts::new(ctx, &op);
-    let planes = x_hi - x_lo;
-    let chunks = chunk_count(planes);
-    (0..chunks).into_par_iter().for_each(|c| {
-        let (lo, hi) = chunk_bounds(x_lo, planes, chunks, c);
-        if lo >= hi {
-            return;
-        }
-        let p = base;
-        // SAFETY: writer ranges partition [x_lo, x_hi); the writer↦slot
-        // bijection makes the touched slots of different tasks disjoint
-        // (see the driver docs above); all offsets are bounded by the
-        // caller's bounds check (margin or wrap).
-        unsafe {
-            aa::odd_cells_raw::<O>(
-                p.0, total, slab_len, ctx, &oc, tables, bounds, d, lo, hi, xw, tune,
-            );
-        }
+        work(lo, hi);
     });
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use crate::collision::Bgk;
     use crate::equilibrium::EqOrder;
     use crate::index::Dim3;
+    use crate::kernels::{aa, cf, fused_simd};
     use crate::lattice::LatticeKind;
 
     fn ctx(kind: LatticeKind) -> KernelCtx {
@@ -398,6 +142,44 @@ mod tests {
             *v = 0.02 + (state % 613) as f64 / 900.0;
         }
         f
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn x_chunks_is_one_call_outside_a_pool_and_a_partition_inside() {
+        let calls = Mutex::new(Vec::new());
+        let record = |lo, hi| calls.lock().unwrap().push((lo, hi));
+        // Outside a pool: one call over the whole range, whatever the
+        // host's available parallelism.
+        x_chunks(3, 40, record);
+        assert_eq!(*calls.lock().unwrap(), [(3, 40)]);
+        for width in [1usize, 2, 5, 8] {
+            let pool = pool(width);
+            for planes in 1usize..=40 {
+                calls.lock().unwrap().clear();
+                pool.install(|| x_chunks(5, 5 + planes, record));
+                let mut got = calls.lock().unwrap().clone();
+                got.sort_unstable();
+                assert!(
+                    got.len() <= 4 * width,
+                    "{} calls ({width}/{planes})",
+                    got.len()
+                );
+                let mut expect = 5;
+                for (lo, hi) in got {
+                    assert_eq!(lo, expect, "gap or overlap ({width}/{planes})");
+                    assert!(hi > lo, "empty chunk ({width}/{planes})");
+                    expect = hi;
+                }
+                assert_eq!(expect, 5 + planes, "coverage ({width}/{planes})");
+            }
+        }
     }
 
     #[test]
@@ -423,8 +205,8 @@ mod tests {
             let dims = Dim3::new(11, 5, 70); // odd plane count, partial z-block
             let mut a = random_field(c.lat.q(), dims, 0, 29);
             let mut b = a.clone();
-            crate::kernels::cf::collide(&c, &mut a, 0, dims.nx);
-            collide_par(&c, &mut b, 0, dims.nx);
+            cf::collide(&c, &mut a, 0, dims.nx);
+            pool(4).install(|| cf::collide(&c, &mut b, 0, dims.nx));
             assert_eq!(a.max_abs_diff_owned(&b), 0.0, "{kind:?}");
         }
     }
@@ -435,7 +217,7 @@ mod tests {
         let dims = Dim3::new(6, 4, 4);
         let mut f = random_field(c.lat.q(), dims, 0, 3);
         let before = f.clone();
-        collide_par(&c, &mut f, 2, 4);
+        pool(4).install(|| cf::collide(&c, &mut f, 2, 4));
         let d = f.alloc_dims();
         for i in 0..c.lat.q() {
             for x in (0..2).chain(4..6) {
@@ -478,16 +260,13 @@ mod tests {
         // Regression: planes < threads (and planes barely above the old
         // div_ceil chunk count) must still partition correctly.
         let c = ctx(LatticeKind::D3Q19);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(8)
-            .build()
-            .unwrap();
+        let pool = pool(8);
         for nx in [1usize, 2, 3, 5, 9, 33] {
             let dims = Dim3::new(nx, 4, 11);
             let mut a = random_field(c.lat.q(), dims, 0, 57);
             let mut b = a.clone();
-            crate::kernels::cf::collide(&c, &mut a, 0, nx);
-            pool.install(|| collide_par(&c, &mut b, 0, nx));
+            cf::collide(&c, &mut a, 0, nx);
+            pool.install(|| cf::collide(&c, &mut b, 0, nx));
             assert_eq!(a.max_abs_diff_owned(&b), 0.0, "nx={nx}");
         }
     }
@@ -501,20 +280,11 @@ mod tests {
             let src = random_field(c.lat.q(), dims, k, 83);
             let tables = StreamTables::new(dims.ny, dims.nz);
             let mut serial = DistField::new(c.lat.q(), dims, k).unwrap();
-            crate::kernels::fused_simd::stream_collide(
-                &c,
-                &tables,
-                &src,
-                &mut serial,
-                k,
-                k + dims.nx,
-            );
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(5)
-                .build()
-                .unwrap();
+            fused_simd::stream_collide(&c, &tables, &src, &mut serial, k, k + dims.nx);
             let mut par = DistField::new(c.lat.q(), dims, k).unwrap();
-            pool.install(|| stream_collide_par(&c, &tables, &src, &mut par, k, k + dims.nx));
+            pool(5).install(|| {
+                fused_simd::stream_collide(&c, &tables, &src, &mut par, k, k + dims.nx)
+            });
             assert_eq!(serial.max_abs_diff_owned(&par), 0.0, "{kind:?}");
         }
     }
@@ -527,9 +297,10 @@ mod tests {
         let tables = StreamTables::new(dims.ny, dims.nz);
         let mut dst = DistField::new(c.lat.q(), dims, 1).unwrap();
         let before = dst.clone();
-        stream_collide_par(&c, &tables, &src, &mut dst, 4, 4); // empty
+        let pool = pool(4);
+        pool.install(|| fused_simd::stream_collide(&c, &tables, &src, &mut dst, 4, 4)); // empty
         assert_eq!(dst.max_abs_diff_owned(&before), 0.0);
-        stream_collide_par(&c, &tables, &src, &mut dst, 3, 5);
+        pool.install(|| fused_simd::stream_collide(&c, &tables, &src, &mut dst, 3, 5));
         let d = dst.alloc_dims();
         for i in 0..c.lat.q() {
             for x in (1..3).chain(5..9) {
@@ -554,10 +325,7 @@ mod tests {
                 crate::boundary::BoundarySpec::periodic().with_walls(ChannelWalls::no_slip(k));
             let tables = StreamTables::new(dims.ny, dims.nz);
             let a0 = random_field(c.lat.q(), dims, 2 * k, 61);
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(5)
-                .build()
-                .unwrap();
+            let pool = pool(5);
 
             let mut serial = a0.clone();
             let mut par = a0.clone();
@@ -574,7 +342,7 @@ mod tests {
                 aa::AaTune::SCALAR,
             );
             pool.install(|| {
-                aa_even_cells_par(
+                aa::even_cells(
                     &c,
                     &mut par,
                     2 * k,
@@ -598,7 +366,7 @@ mod tests {
                 aa::AaTune::SCALAR,
             );
             pool.install(|| {
-                aa_odd_cells_par(
+                aa::odd_cells(
                     &c,
                     &tables,
                     &mut par,
@@ -619,11 +387,12 @@ mod tests {
         let dims = Dim3::new(4, 4, 4);
         let mut f = random_field(c.lat.q(), dims, 0, 9);
         let before = f.clone();
-        collide_par(&c, &mut f, 2, 2); // empty
+        let pool = pool(4);
+        pool.install(|| cf::collide(&c, &mut f, 2, 2)); // empty
         assert_eq!(f.max_abs_diff_owned(&before), 0.0);
-        collide_par(&c, &mut f, 1, 2); // one plane
+        pool.install(|| cf::collide(&c, &mut f, 1, 2)); // one plane
         let mut g = before.clone();
-        crate::kernels::cf::collide(&c, &mut g, 1, 2);
+        cf::collide(&c, &mut g, 1, 2);
         assert_eq!(f.max_abs_diff_owned(&g), 0.0);
     }
 }

@@ -27,6 +27,7 @@
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
+use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::KernelCtx;
 
 /// True when the vectorized path is available on this CPU.
@@ -53,7 +54,8 @@ pub fn collide(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
 
 /// Vectorized boundary-aware collide: the rule `op` applied to every fluid
 /// cell of `bounds` over planes `x ∈ [x_lo, x_hi)` (wall rows and masked
-/// cells untouched), AVX2+FMA when available with scalar fallback.
+/// cells untouched), AVX2+FMA when available with scalar fallback, chunked
+/// across the installed pool (see [`super::par`]).
 pub fn collide_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -69,20 +71,23 @@ pub fn collide_cells<O: CollideOp>(
     debug_assert!(x_hi <= d.nx);
     let total = f.as_slice().len();
     let slab_len = f.slab_stride();
-    let ptr = f.as_mut_ptr();
+    let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
-    // SAFETY: exclusive &mut access to the whole field; offsets bounded by
-    // the layout contract.
-    unsafe { collide_cells_raw::<O>(ptr, total, slab_len, ctx, &oc, bounds, d, x_lo, x_hi) }
+    x_chunks(x_lo, x_hi, |lo, hi| {
+        // SAFETY: `&mut f` is held for the whole sweep and the chunks
+        // partition [x_lo, x_hi), so each call has exclusive access to its
+        // planes; offsets are bounded by the layout contract.
+        unsafe { collide_cells_raw::<O>(base.get(), total, slab_len, ctx, &oc, bounds, d, lo, hi) }
+    });
 }
 
-/// Raw-pointer dispatch shared with the rayon driver: AVX2+FMA when
-/// available, the shared scalar body otherwise.
+/// Raw-pointer dispatch of one chunk: AVX2+FMA when available, the shared
+/// scalar body otherwise.
 ///
 /// # Safety
 /// Same contract as [`op::collide_cells_raw`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn collide_cells_raw<O: CollideOp>(
+unsafe fn collide_cells_raw<O: CollideOp>(
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,

@@ -17,11 +17,13 @@
 //! values — so on a shared geometry the sparse fluid trajectory is
 //! **bitwise equal** to the dense masked path.
 //!
-//! Three drivers share the per-tile body: scalar, AVX2 (4-wide z-lines of a
-//! tile; no FMA contractions, so it is bitwise equal to the scalar driver —
-//! unlike the dense `Simd` rung, which trades exactness for fused
-//! multiply-adds), and rayon (disjoint owned-tile chunks; bitwise equal to
-//! serial since tiles are independent given `src`).
+//! Two tile bodies share the per-cell arithmetic: scalar and AVX2 (4-wide
+//! z-lines of a tile; no FMA contractions, so it is bitwise equal to the
+//! scalar body — unlike the dense `Simd` rung, which trades exactness for
+//! fused multiply-adds). Like every kernel entry point, each step chunks its
+//! tile lists across the installed pool and is one plain sweep outside one
+//! (see [`crate::kernels::par`]); chunks hold disjoint tiles, so threaded
+//! steps are bitwise equal to serial ones.
 
 use rayon::prelude::*;
 
@@ -31,7 +33,7 @@ use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
 use crate::kernels::op::{with_op, CollideOp, OpConsts};
-use crate::kernels::par::{chunk_bounds, SendPtr};
+use crate::kernels::par::{chunk_bounds, chunk_count, in_pool, SendPtr};
 use crate::kernels::{KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
 
@@ -238,10 +240,12 @@ pub fn sparse_simd_available() -> bool {
     }
 }
 
-/// One serial sparse step `dst ← collide(bounce(pull(src)))` over the owned
-/// tiles of `tiles`. `g` selects plain BGK (`[0; 3]`) or Guo forcing;
-/// `use_simd` opts into the AVX2 tile collide (bitwise equal, see module
-/// docs) when the host supports it.
+/// One sparse step `dst ← collide(bounce(pull(src)))` over the owned tiles
+/// of `tiles`. `g` selects plain BGK (`[0; 3]`) or Guo forcing; `use_simd`
+/// opts into the AVX2 tile collide (bitwise equal, see module docs) when the
+/// host supports it. Inside a pool the owned tiles are split into disjoint
+/// contiguous chunks — bitwise equal, because every tile reads only `src`
+/// and writes only its own `dst` frame.
 pub fn step(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -251,27 +255,7 @@ pub fn step(
     g: [f64; 3],
     use_simd: bool,
 ) {
-    with_op!(g, |op| step_with(
-        ctx, tiles, gt, src, dst, op, use_simd, false
-    ));
-}
-
-/// Rayon-parallel sparse step: owned tiles are split into disjoint
-/// contiguous chunks, each chunk running the serial tile body — bitwise
-/// equal to [`step`] because every tile reads only `src` and writes only its
-/// own `dst` frame. Call from inside the desired thread pool.
-pub fn step_par(
-    ctx: &KernelCtx,
-    tiles: &SparseTiles,
-    gt: &GatherTable,
-    src: &SparseField,
-    dst: &mut SparseField,
-    g: [f64; 3],
-    use_simd: bool,
-) {
-    with_op!(g, |op| step_with(
-        ctx, tiles, gt, src, dst, op, use_simd, true
-    ));
+    with_op!(g, |op| step_with(ctx, tiles, gt, src, dst, op, use_simd));
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -283,7 +267,6 @@ fn step_with<O: CollideOp>(
     dst: &mut SparseField,
     op: O,
     use_simd: bool,
-    parallel: bool,
 ) {
     let q = ctx.lat.q();
     assert_eq!(src.q(), q, "src q mismatch");
@@ -294,9 +277,9 @@ fn step_with<O: CollideOp>(
     let oc = OpConsts::new(ctx, &op);
     let simd = use_simd && sparse_simd_available();
     if ctx.third_order() {
-        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, simd, parallel);
+        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, simd);
     } else {
-        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, simd, parallel);
+        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, simd);
     }
 }
 
@@ -309,7 +292,6 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     dst: &mut SparseField,
     oc: &OpConsts,
     simd: bool,
-    parallel: bool,
 ) {
     let q = ctx.lat.q();
     let frame = dst.frame_len();
@@ -322,7 +304,6 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     // buffer is identical, so the collide output is bitwise equal. Both
     // lists are in packed (z-local) order.
     let run = move |list: &[usize], fast: bool| {
-        let base = base; // capture the whole SendPtr, not its raw-ptr field
         let mut buf = [0.0f64; MAX_Q * TILE_CELLS];
         for (idx, &t) in list.iter().enumerate() {
             let nbrs = &tiles.neighbors[t];
@@ -344,7 +325,7 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
             // SAFETY: the fast/slow lists partition the owned tiles and
             // chunks partition each list; each task writes only its own
             // tiles' frames, which are disjoint slices of dst.
-            let dstf = unsafe { std::slice::from_raw_parts_mut(base.0.add(t * frame), frame) };
+            let dstf = unsafe { std::slice::from_raw_parts_mut(base.get().add(t * frame), frame) };
             let fluid = tiles.tiles[t].fluid;
             #[cfg(target_arch = "x86_64")]
             if simd {
@@ -357,32 +338,21 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
         }
     };
 
-    drive_tile_lists(&tiles.fast_owned, &tiles.slow_owned, parallel, run);
+    drive_tile_lists(&tiles.fast_owned, &tiles.slow_owned, run);
 }
 
-/// Run `work(sublist, is_fast)` over the fast and slow tile lists, either
-/// serially or rayon-parallel. Chunks never straddle the class boundary, so
-/// the branch-free fast body is not serialized behind rim tiles sharing its
-/// chunk.
-fn drive_tile_lists(
-    fast: &[usize],
-    slow: &[usize],
-    parallel: bool,
-    work: impl Fn(&[usize], bool) + Sync,
-) {
+/// Run `work(sublist, is_fast)` over the fast and slow tile lists: chunked
+/// across the installed pool, one plain call per list outside one. Chunks
+/// never straddle the class boundary, so the branch-free fast body is not
+/// serialized behind rim tiles sharing its chunk.
+fn drive_tile_lists(fast: &[usize], slow: &[usize], work: impl Fn(&[usize], bool) + Sync) {
     let n = fast.len() + slow.len();
-    if !parallel || n <= 1 {
+    if !in_pool() || n <= 1 {
         work(fast, true);
         work(slow, false);
         return;
     }
-    let chunks_of = |len: usize| -> usize {
-        if len == 0 {
-            0
-        } else {
-            (rayon::current_num_threads().max(1) * 4).min(len)
-        }
-    };
+    let chunks_of = |len: usize| if len == 0 { 0 } else { chunk_count(len) };
     let cf = chunks_of(fast.len());
     let cs = chunks_of(slow.len());
     (0..cf + cs).into_par_iter().for_each(|c| {
@@ -728,6 +698,8 @@ unsafe fn tile_cells_avx2<const THIRD: bool, O: CollideOp>(
 /// Even (in-place, local) AA step over the owned fluid tiles: collide every
 /// cell and store the result velocity-swapped into the same frame. Rim
 /// tiles are untouched (the swapped bounce store is the identity there).
+/// Chunked across the installed pool; bitwise equal to the plain sweep,
+/// since every tile touches only its own frame.
 pub fn aa_even_step(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -735,26 +707,15 @@ pub fn aa_even_step(
     g: [f64; 3],
     use_simd: bool,
 ) {
-    with_op!(g, |op| aa_even_with(ctx, tiles, f, op, use_simd, false));
-}
-
-/// Rayon-parallel [`aa_even_step`]: bitwise equal — every tile touches only
-/// its own frame. Call from inside the desired thread pool.
-pub fn aa_even_step_par(
-    ctx: &KernelCtx,
-    tiles: &SparseTiles,
-    f: &mut SparseField,
-    g: [f64; 3],
-    use_simd: bool,
-) {
-    with_op!(g, |op| aa_even_with(ctx, tiles, f, op, use_simd, true));
+    with_op!(g, |op| aa_even_with(ctx, tiles, f, op, use_simd));
 }
 
 /// Odd (in-place, streaming) AA step: gather through the neighbour table at
 /// the opposite velocity, collide, scatter velocity-forward. Computes the
 /// owned fluid tiles plus the adjacent ghost-writer tiles (distributed
 /// builds), whose shallow cells duplicate the neighbour rank's scatter into
-/// our boundary slots.
+/// our boundary slots. Chunked across the installed pool; bitwise equal to
+/// the plain sweep by the slot-ownership argument in the section docs.
 pub fn aa_odd_step(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -763,20 +724,7 @@ pub fn aa_odd_step(
     g: [f64; 3],
     use_simd: bool,
 ) {
-    with_op!(g, |op| aa_odd_with(ctx, tiles, gt, f, op, use_simd, false));
-}
-
-/// Rayon-parallel [`aa_odd_step`]: bitwise equal by the slot-ownership
-/// argument in the section docs. Call from inside the desired thread pool.
-pub fn aa_odd_step_par(
-    ctx: &KernelCtx,
-    tiles: &SparseTiles,
-    gt: &GatherTable,
-    f: &mut SparseField,
-    g: [f64; 3],
-    use_simd: bool,
-) {
-    with_op!(g, |op| aa_odd_with(ctx, tiles, gt, f, op, use_simd, true));
+    with_op!(g, |op| aa_odd_with(ctx, tiles, gt, f, op, use_simd));
 }
 
 fn aa_even_with<O: CollideOp>(
@@ -785,7 +733,6 @@ fn aa_even_with<O: CollideOp>(
     f: &mut SparseField,
     op: O,
     use_simd: bool,
-    parallel: bool,
 ) {
     let q = ctx.lat.q();
     assert_eq!(f.q(), q, "field q mismatch");
@@ -793,9 +740,9 @@ fn aa_even_with<O: CollideOp>(
     let oc = OpConsts::new(ctx, &op);
     let simd = use_simd && sparse_simd_available();
     if ctx.third_order() {
-        aa_even_impl::<true, O>(ctx, tiles, f, &oc, simd, parallel);
+        aa_even_impl::<true, O>(ctx, tiles, f, &oc, simd);
     } else {
-        aa_even_impl::<false, O>(ctx, tiles, f, &oc, simd, parallel);
+        aa_even_impl::<false, O>(ctx, tiles, f, &oc, simd);
     }
 }
 
@@ -805,7 +752,6 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
     f: &mut SparseField,
     oc: &OpConsts,
     simd: bool,
-    parallel: bool,
 ) {
     let q = ctx.lat.q();
     let frame = f.frame_len();
@@ -813,14 +759,13 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
     let base = SendPtr(f.as_mut_slice().as_mut_ptr());
 
     let run = move |list: &[usize], _fast: bool| {
-        let base = base;
         let mut out = [0.0f64; MAX_Q * TILE_CELLS];
         for &t in list {
             debug_assert!((t + 1) * frame <= total);
             let fluid = tiles.tiles[t].fluid;
             // SAFETY: the even step touches only the tile's own frame and
             // the work lists partition distinct tiles across tasks.
-            let fr = unsafe { std::slice::from_raw_parts_mut(base.0.add(t * frame), frame) };
+            let fr = unsafe { std::slice::from_raw_parts_mut(base.get().add(t * frame), frame) };
             let outf = &mut out[..frame];
             #[cfg(target_arch = "x86_64")]
             if simd {
@@ -834,7 +779,7 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
             store_swapped(q, &oc.opp, outf, fr);
         }
     };
-    drive_tile_lists(&tiles.aa_even_fast, &tiles.aa_even_slow, parallel, run);
+    drive_tile_lists(&tiles.aa_even_fast, &tiles.aa_even_slow, run);
 }
 
 /// `frame[opp(i)·64 ..] ← out[i·64 ..]` for all velocities — the AA
@@ -856,7 +801,6 @@ fn aa_odd_with<O: CollideOp>(
     f: &mut SparseField,
     op: O,
     use_simd: bool,
-    parallel: bool,
 ) {
     let q = ctx.lat.q();
     assert_eq!(f.q(), q, "field q mismatch");
@@ -865,9 +809,9 @@ fn aa_odd_with<O: CollideOp>(
     let oc = OpConsts::new(ctx, &op);
     let simd = use_simd && sparse_simd_available();
     if ctx.third_order() {
-        aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, simd, parallel);
+        aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, simd);
     } else {
-        aa_odd_impl::<false, O>(ctx, tiles, gt, f, &oc, simd, parallel);
+        aa_odd_impl::<false, O>(ctx, tiles, gt, f, &oc, simd);
     }
 }
 
@@ -879,7 +823,6 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
     f: &mut SparseField,
     oc: &OpConsts,
     simd: bool,
-    parallel: bool,
 ) {
     let q = ctx.lat.q();
     let frame = f.frame_len();
@@ -887,7 +830,6 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
     let base = SendPtr(f.as_mut_slice().as_mut_ptr());
 
     let run = move |list: &[usize], fast: bool| {
-        let base = base;
         let mut buf = [0.0f64; MAX_Q * TILE_CELLS];
         let mut out = [0.0f64; MAX_Q * TILE_CELLS];
         for (idx, &t) in list.iter().enumerate() {
@@ -897,7 +839,7 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
             // lists assign each writer cell to exactly one task and every
             // tile gathers all of its slots before scattering any, so no
             // location is concurrently read and written by different tasks.
-            let src = unsafe { std::slice::from_raw_parts(base.0.cast_const(), total) };
+            let src = unsafe { std::slice::from_raw_parts(base.get().cast_const(), total) };
             if let Some(&t_next) = list.get(idx + 1) {
                 prefetch_next_tile(src, tiles, t_next, frame);
             }
@@ -923,14 +865,14 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
             // SAFETY: scatter targets are the writer-owned slots above.
             unsafe {
                 if fast {
-                    scatter_tile_aa::<true>(q, &oc.opp, gt, nbrs, fluid, outf, base.0);
+                    scatter_tile_aa::<true>(q, &oc.opp, gt, nbrs, fluid, outf, base.get());
                 } else {
-                    scatter_tile_aa::<false>(q, &oc.opp, gt, nbrs, fluid, outf, base.0);
+                    scatter_tile_aa::<false>(q, &oc.opp, gt, nbrs, fluid, outf, base.get());
                 }
             }
         }
     };
-    drive_tile_lists(&tiles.aa_odd_fast, &tiles.aa_odd_slow, parallel, run);
+    drive_tile_lists(&tiles.aa_odd_fast, &tiles.aa_odd_slow, run);
 }
 
 /// Odd-step pull: `buf[j·64 + c] ← field[(x − c_j, opp(j))]` through the
@@ -1458,6 +1400,15 @@ mod tests {
         assert_matches_dense(LatticeKind::D3Q15, &geom, [1e-5, 0.0, 0.0], 2);
     }
 
+    /// An explicit pool, so the threaded cases cross chunk seams whatever
+    /// the host's width.
+    fn test_pool() -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn simd_and_par_are_bitwise_equal_to_scalar() {
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
@@ -1480,7 +1431,7 @@ mod tests {
             let mut par = SparseField::new(q, n).unwrap();
             step(&ctx, &tiles, &gt, &f, &mut scalar, g, false);
             step(&ctx, &tiles, &gt, &f, &mut simd, g, true);
-            step_par(&ctx, &tiles, &gt, &f, &mut par, g, false);
+            test_pool().install(|| step(&ctx, &tiles, &gt, &f, &mut par, g, false));
             for t in 0..tiles.owned_tiles {
                 assert_eq!(
                     scalar.frame(t),
@@ -1639,7 +1590,7 @@ mod tests {
                 step(&ctx, &tiles, &gt, &f, &mut a, g, simd);
                 step(&ctx, &slow_tiles, &gt, &f, &mut b, g, simd);
                 assert_eq!(a.as_slice(), b.as_slice(), "{kind:?} simd={simd}");
-                step_par(&ctx, &tiles, &gt, &f, &mut b, g, simd);
+                test_pool().install(|| step(&ctx, &tiles, &gt, &f, &mut b, g, simd));
                 assert_eq!(a.as_slice(), b.as_slice(), "{kind:?} par simd={simd}");
             }
         }
@@ -1657,14 +1608,16 @@ mod tests {
         simd: bool,
         par: bool,
     ) {
-        for _ in 0..pairs {
-            if par {
-                aa_even_step_par(ctx, tiles, f, g, simd);
-                aa_odd_step_par(ctx, tiles, gt, f, g, simd);
-            } else {
+        let mut run = || {
+            for _ in 0..pairs {
                 aa_even_step(ctx, tiles, f, g, simd);
                 aa_odd_step(ctx, tiles, gt, f, g, simd);
             }
+        };
+        if par {
+            test_pool().install(run);
+        } else {
+            run();
         }
     }
 

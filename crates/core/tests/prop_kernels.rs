@@ -21,6 +21,15 @@ fn ctx_for(kind: LatticeKind, tau: f64) -> KernelCtx {
     KernelCtx::new(kind, order, Bgk::new(tau).unwrap())
 }
 
+/// An explicit pool for the threaded cases, so they cross chunk seams
+/// whatever the host's width (outside a pool every kernel is one call).
+fn pool() -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap()
+}
+
 /// Deterministic pseudo-random positive field from a seed.
 fn seeded_field(q: usize, dims: Dim3, halo: usize, seed: u64) -> DistField {
     let mut f = DistField::new(q, dims, halo).unwrap();
@@ -144,7 +153,7 @@ proptest! {
         }
     }
 
-    /// The fused single-pass kernels (scalar, SIMD, rayon-parallel) agree
+    /// The fused single-pass kernels (scalar, SIMD, threaded SIMD) agree
     /// with the split stream-then-collide reference within FP-reassociation
     /// tolerance, across all four lattices and both equilibrium orders.
     #[test]
@@ -182,9 +191,9 @@ proptest! {
         let diff = split.max_abs_diff_owned(&vec);
         prop_assert!(diff < 1e-12, "{:?}/{:?} simd fused: diff={}", kind, order, diff);
 
-        // The parallel driver is bitwise-identical to its serial kernel.
+        // The threaded kernel is bitwise-identical to the serial one.
         let mut par = DistField::new(ctx.lat.q(), dims, k).unwrap();
-        kernels::par::stream_collide_par(&ctx, &tables, &src, &mut par, k, k + nx);
+        pool().install(|| kernels::fused_simd::stream_collide(&ctx, &tables, &src, &mut par, k, k + nx));
         prop_assert_eq!(
             vec.max_abs_diff_owned(&par), 0.0,
             "{:?}/{:?} parallel fused", kind, order
@@ -220,10 +229,10 @@ proptest! {
 
     /// The forced/walled scenario kernels — scalar cell-operator body, AVX2
     /// split collide, scalar fused single pass, SIMD fused single pass, and
-    /// both rayon drivers — agree with the split scenario reference
+    /// their threaded runs — agree with the split scenario reference
     /// (stream → boundary apply → scalar forced collide) across all four
     /// lattices, both equilibrium orders, every wall kind and an optional
-    /// mask: bitwise for the scalar paths and serial≡rayon, within FMA
+    /// mask: bitwise for the scalar paths and serial≡threaded, within FMA
     /// re-rounding for the vectorized ones.
     #[test]
     fn forced_variants_match_split_scenario_reference(
@@ -287,12 +296,12 @@ proptest! {
         let diff = split.max_abs_diff_owned(&simd_split);
         prop_assert!(diff < 1e-12, "{:?}/{:?} simd split scenario: diff={}", kind, order, diff);
 
-        // The rayon drivers are bitwise identical to their serial kernels,
-        // at both kernel classes and for the fused scenario pass.
+        // Threaded runs are bitwise identical to serial ones, at both kernel
+        // classes and for the fused scenario pass.
         let mut par_scalar = DistField::new(ctx.lat.q(), dims, k).unwrap();
         kernels::stream(OptLevel::Dh, &ctx, &tables, &src, &mut par_scalar, k, k + nx);
         bounds.apply(&ctx, &mut par_scalar, k, k + nx);
-        kernels::forced::collide_forced_par(&ctx, &mut par_scalar, k, k + nx, g, &bounds);
+        pool().install(|| kernels::forced::collide_forced(&ctx, &mut par_scalar, k, k + nx, g, &bounds));
         prop_assert_eq!(
             split.max_abs_diff_owned(&par_scalar), 0.0,
             "{:?}/{:?} rayon scalar scenario", kind, order
@@ -301,16 +310,18 @@ proptest! {
         let mut par_simd = DistField::new(ctx.lat.q(), dims, k).unwrap();
         kernels::stream(OptLevel::Simd, &ctx, &tables, &src, &mut par_simd, k, k + nx);
         bounds.apply(&ctx, &mut par_simd, k, k + nx);
-        kernels::collide_scenario_par(OptLevel::Simd, &ctx, &mut par_simd, k, k + nx, g, &bounds);
+        pool().install(|| {
+            kernels::collide_scenario(OptLevel::Simd, &ctx, &mut par_simd, k, k + nx, g, &bounds)
+        });
         prop_assert_eq!(
             simd_split.max_abs_diff_owned(&par_simd), 0.0,
             "{:?}/{:?} rayon simd scenario", kind, order
         );
 
         let mut par_fused = DistField::new(ctx.lat.q(), dims, k).unwrap();
-        kernels::stream_collide_scenario_par(
-            &ctx, &tables, &src, &mut par_fused, k, k + nx, g, &bounds,
-        );
+        pool().install(|| {
+            kernels::stream_collide_scenario(&ctx, &tables, &src, &mut par_fused, k, k + nx, g, &bounds)
+        });
         prop_assert_eq!(
             fused_vec.max_abs_diff_owned(&par_fused), 0.0,
             "{:?}/{:?} rayon fused scenario", kind, order
@@ -422,8 +433,8 @@ proptest! {
 
     /// The AA even step is the slot-swapped image of the two-grid cell rule
     /// (fluid collide + boundary transform): bitwise for the scalar tile,
-    /// within FMA re-rounding for the AVX2 tile, and the rayon driver is
-    /// bitwise its serial kernel.
+    /// within FMA re-rounding for the AVX2 tile, and the threaded run is
+    /// bitwise the serial one.
     #[test]
     fn aa_even_step_is_the_swapped_two_grid_cell_rule(
         kind in arb_kind(),
@@ -476,18 +487,23 @@ proptest! {
         let diff = aa_scalar.max_abs_diff_owned(&aa_vec);
         prop_assert!(diff < 1e-12, "{:?}/{:?} avx2 even: {}", kind, order, diff);
 
-        // Rayon drivers bitwise-identical to serial, both classes.
+        // Threaded runs bitwise-identical to serial, both classes.
+        let pool = pool();
         let mut aa_par = a0.clone();
-        kernels::aa_even_scenario_par(OptLevel::LoBr, &ctx, &mut aa_par, 0, nx, g, &bounds);
+        pool.install(|| {
+            kernels::aa_even_scenario(OptLevel::LoBr, &ctx, &mut aa_par, 0, nx, g, &bounds)
+        });
         prop_assert_eq!(aa_scalar.max_abs_diff_owned(&aa_par), 0.0);
         let mut aa_par_vec = a0.clone();
-        kernels::aa_even_scenario_par(OptLevel::Fused, &ctx, &mut aa_par_vec, 0, nx, g, &bounds);
+        pool.install(|| {
+            kernels::aa_even_scenario(OptLevel::Fused, &ctx, &mut aa_par_vec, 0, nx, g, &bounds)
+        });
         prop_assert_eq!(aa_vec.max_abs_diff_owned(&aa_par_vec), 0.0);
     }
 
     /// The AA odd step is the pull-stream of the boundary-aware fused pass
     /// applied to the unswapped field: bitwise for the scalar tile, within
-    /// FMA re-rounding for the AVX2 tile, rayon bitwise serial.
+    /// FMA re-rounding for the AVX2 tile, threaded bitwise serial.
     #[test]
     fn aa_odd_step_is_the_streamed_two_grid_pass(
         kind in arb_kind(),
@@ -561,16 +577,17 @@ proptest! {
         let diff = aa_scalar.max_abs_diff_owned(&aa_vec);
         prop_assert!(diff < 1e-12, "{:?}/{:?} avx2 odd: {}", kind, order, diff);
 
-        // Rayon drivers bitwise-identical to serial.
+        // Threaded runs bitwise-identical to serial.
+        let pool = pool();
         let mut aa_par = b.clone();
-        kernels::aa_odd_scenario_par(
+        pool.install(|| kernels::aa_odd_scenario(
             OptLevel::LoBr, &ctx, &tables, &mut aa_par, k, alloc_nx - k, g, &bounds,
-        );
+        ));
         prop_assert_eq!(aa_scalar.max_abs_diff_owned(&aa_par), 0.0);
         let mut aa_par_vec = b.clone();
-        kernels::aa_odd_scenario_par(
+        pool.install(|| kernels::aa_odd_scenario(
             OptLevel::Fused, &ctx, &tables, &mut aa_par_vec, k, alloc_nx - k, g, &bounds,
-        );
+        ));
         prop_assert_eq!(aa_vec.max_abs_diff_owned(&aa_par_vec), 0.0);
     }
 }
@@ -666,7 +683,7 @@ proptest! {
 
     /// The periodic wrap sweep is bitwise the margin sweep over periodically
     /// filled ghost planes (the decomposed single-rank path it replaced),
-    /// and the rayon periodic driver is bitwise its serial kernel — across
+    /// and the threaded periodic sweep is bitwise the serial one — across
     /// lattices, wall kinds, masks, forces and both kernel classes.
     #[test]
     fn aa_periodic_wrap_matches_margin_bitwise(
@@ -712,7 +729,7 @@ proptest! {
         }
         aa::odd_cells_periodic(&ctx, &tables, &mut p, 0, nx, op, &bounds, tune);
 
-        // Rayon periodic driver bitwise serial.
+        // Threaded periodic sweep bitwise serial.
         let mut p_par = DistField::new(q, dims, 0).unwrap();
         for i in 0..q {
             p_par.slab_mut(i).copy_from_slice({
@@ -728,12 +745,10 @@ proptest! {
                 }
             });
         }
-        kernels::par::aa_odd_cells_periodic_par(
-            &ctx, &tables, &mut p_par, 0, nx, op, &bounds, tune,
-        );
+        pool().install(|| aa::odd_cells_periodic(&ctx, &tables, &mut p_par, 0, nx, op, &bounds, tune));
         prop_assert_eq!(
             first_bit_mismatch(&p, &p_par), None,
-            "{:?}/{:?} rayon periodic simd={}", kind, order, simd
+            "{:?}/{:?} threaded periodic simd={}", kind, order, simd
         );
 
         // Margin sweep with periodically filled ghosts, writers extended k

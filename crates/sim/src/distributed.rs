@@ -43,8 +43,7 @@
 //! complete post-collision state the moment they are written), the halo
 //! sends are posted, and the fused interior + ghost-region sweep overlaps
 //! the messages in flight. All pieces read only `src` and write disjoint
-//! destination planes, so the re-ordering is exact, under both serial and
-//! rayon-parallel drivers.
+//! destination planes, so the re-ordering is exact, serial or threaded.
 //!
 //! ## AA-pattern storage (`StorageMode::InPlaceAa`)
 //!
@@ -62,8 +61,8 @@
 //! The Fig. 7 border-first overlap carries over: under the GC-C schedule
 //! the even step computes the owned *border* planes first, posts the sends,
 //! and computes the interior while the messages fly; the odd step waits,
-//! unpacks and sweeps. Serial and rayon-parallel AA drivers are bitwise
-//! identical (the odd step's writer↦slot bijection makes chunked execution
+//! unpacks and sweeps. Serial and threaded AA sweeps are bitwise identical
+//! (the odd step's writer↦slot bijection makes chunked execution
 //! conflict-free), so the bitwise serial≡threaded guarantee holds in AA
 //! mode too.
 //!
@@ -97,6 +96,13 @@
 //! ghost planes evolve identically to the neighbour's owned planes at any
 //! ghost depth, under every class. Periodic unforced scenarios (e.g.
 //! Taylor–Green) take the fast paths above unchanged.
+//!
+//! ## Threads (paper §VI-B, Fig. 11)
+//!
+//! A rank with `threads_per_rank > 1` at `Dh` or above owns a rayon pool and
+//! makes every kernel call through `in_pool`. The kernels chunk across the
+//! installed pool themselves, so a threaded rank runs the same kernel as a
+//! serial rank and its result is bitwise the same.
 
 use std::time::Instant;
 
@@ -182,16 +188,14 @@ impl RankSolver {
             StorageMode::InPlaceAa => None,
         };
         let tables = StreamTables::new(owned.ny, owned.nz);
-        let pool = if cfg.threads_per_rank > 1 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(cfg.threads_per_rank)
-                    .build()
-                    .expect("rayon pool"),
-            )
-        } else {
-            None
-        };
+        // Threads start at the `Dh` rung: the historical `Orig`/`Gc`
+        // kernels run as written, on one thread.
+        let pool = (cfg.threads_per_rank > 1 && cfg.level >= OptLevel::Dh).then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(cfg.threads_per_rank)
+                .build()
+                .expect("rayon pool")
+        });
         let full = HaloPlan::full(ctx.lat.q(), h);
         let plan = match cfg.storage {
             StorageMode::TwoGrid => HaloPlan::crossing(&ctx.lat, h),
@@ -451,7 +455,7 @@ impl RankSolver {
         let (own_lo, own_hi) = self.owned();
         let g = self.aa_force();
         if self.sub.ranks == 1 {
-            self.aa_odd_periodic(own_lo, own_hi, g);
+            self.aa_odd(own_lo, own_hi, g);
             return 0;
         }
         // Under the ghost schedules the exchange was normally posted during
@@ -479,60 +483,28 @@ impl RankSolver {
             .map_or([0.0; 3], |b| b.g)
     }
 
-    /// In-place AA even sweep over `x ∈ [lo, hi)` at this rank's rung,
-    /// threaded when the rank has a pool — gated at `Dh` and above exactly
-    /// like the two-grid split path, so per-rung AA vs two-grid
-    /// comparisons stay like-for-like (bit-identical to serial either
-    /// way).
+    /// In-place AA even sweep over `x ∈ [lo, hi)` at this rank's rung
+    /// (threaded like every kernel call, see [`in_pool`]).
     fn aa_even(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
         if lo >= hi {
             return;
         }
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::aa_even_scenario_par(
-                    self.level,
-                    &self.ctx,
-                    &mut self.f,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            _ => kernels::aa_even_scenario(
-                self.level,
-                &self.ctx,
-                &mut self.f,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            ),
-        }
+        in_pool(self.pool.as_ref(), || {
+            kernels::aa_even_scenario(self.level, &self.ctx, &mut self.f, lo, hi, g, &self.bounds)
+        });
     }
 
-    /// In-place AA odd sweep over writer planes `x ∈ [lo, hi)`, threaded
-    /// when the rank has a pool (same `Dh`-and-above gate as
-    /// [`Self::aa_even`]; bit-identical to serial).
+    /// In-place AA odd sweep over writer planes `x ∈ [lo, hi)`. A single
+    /// rank wraps the x-shift inside the range, so no ghost plane is read or
+    /// written; decomposed ranks shift into the halo margin.
     fn aa_odd(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
-        }
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::aa_odd_scenario_par(
-                    self.level,
-                    &self.ctx,
-                    &self.tables,
-                    &mut self.f,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            _ => kernels::aa_odd_scenario(
+        let sweep = if self.sub.ranks == 1 {
+            kernels::aa_odd_scenario_periodic
+        } else {
+            kernels::aa_odd_scenario
+        };
+        in_pool(self.pool.as_ref(), || {
+            sweep(
                 self.level,
                 &self.ctx,
                 &self.tables,
@@ -541,42 +513,8 @@ impl RankSolver {
                 hi,
                 g,
                 &self.bounds,
-            ),
-        }
-    }
-
-    /// Single-rank periodic AA odd sweep over the owned planes
-    /// `x ∈ [lo, hi)` — the x-shift wraps inside the range, so no ghost
-    /// plane is read or written (same threading gate as [`Self::aa_odd`];
-    /// bit-identical to serial).
-    fn aa_odd_periodic(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        if lo >= hi {
-            return;
-        }
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::aa_odd_scenario_periodic_par(
-                    self.level,
-                    &self.ctx,
-                    &self.tables,
-                    &mut self.f,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            _ => kernels::aa_odd_scenario_periodic(
-                self.level,
-                &self.ctx,
-                &self.tables,
-                &mut self.f,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            ),
-        }
+            )
+        });
     }
 
     fn begin_cycle(&mut self, comm: &mut Comm) {
@@ -819,12 +757,9 @@ impl RankSolver {
 
     fn stream(&mut self, lo: usize, hi: usize) {
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::par::stream_par(&self.ctx, &self.tables, &self.f, tmp, lo, hi);
-            }),
-            _ => kernels::stream(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi),
-        }
+        in_pool(self.pool.as_ref(), || {
+            kernels::stream(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi)
+        });
     }
 
     fn collide(&mut self, lo: usize, hi: usize) {
@@ -832,54 +767,34 @@ impl RankSolver {
             return;
         }
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::par::collide_par(&self.ctx, tmp, lo, hi);
-            }),
-            _ => kernels::collide(self.level, &self.ctx, tmp, lo, hi),
-        }
+        in_pool(self.pool.as_ref(), || {
+            kernels::collide(self.level, &self.ctx, tmp, lo, hi)
+        });
     }
 
     /// Scenario collide: BGK + Guo forcing over the fluid cells of
     /// `x ∈ [lo, hi)` (wall rows and masked cells skipped), running the
     /// rung's kernel class (scalar below `Simd`, AVX2+FMA at `Simd` and
-    /// above) and threaded when the rank has a pool — bit-identical to
-    /// serial either way.
+    /// above).
     fn collide_scenario(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
         if lo >= hi {
             return;
         }
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) if self.level >= OptLevel::Dh => pool.install(|| {
-                kernels::collide_scenario_par(self.level, &self.ctx, tmp, lo, hi, g, &self.bounds);
-            }),
-            _ => kernels::collide_scenario(self.level, &self.ctx, tmp, lo, hi, g, &self.bounds),
-        }
+        in_pool(self.pool.as_ref(), || {
+            kernels::collide_scenario(self.level, &self.ctx, tmp, lo, hi, g, &self.bounds)
+        });
     }
 
     /// One boundary-aware fused pass `tmp ← boundary+collide(pull(f))` over
-    /// `x ∈ [lo, hi)` — the scenario form of [`Self::fused`], threaded when
-    /// the rank has a pool (bit-identical to serial).
+    /// `x ∈ [lo, hi)` — the scenario form of [`Self::fused`].
     fn fused_scenario(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
         if lo >= hi {
             return;
         }
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) => pool.install(|| {
-                kernels::stream_collide_scenario_par(
-                    &self.ctx,
-                    &self.tables,
-                    &self.f,
-                    tmp,
-                    lo,
-                    hi,
-                    g,
-                    &self.bounds,
-                );
-            }),
-            None => kernels::stream_collide_scenario(
+        in_pool(self.pool.as_ref(), || {
+            kernels::stream_collide_scenario(
                 &self.ctx,
                 &self.tables,
                 &self.f,
@@ -888,25 +803,20 @@ impl RankSolver {
                 hi,
                 g,
                 &self.bounds,
-            ),
-        }
+            )
+        });
     }
 
     /// One fused stream+collide pass `tmp ← collide(pull(f))` over
-    /// `x ∈ [lo, hi)`, threaded when the rank has a pool.
+    /// `x ∈ [lo, hi)`.
     fn fused(&mut self, lo: usize, hi: usize) {
         if lo >= hi {
             return;
         }
         let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        match &self.pool {
-            Some(pool) => pool.install(|| {
-                kernels::par::stream_collide_par(&self.ctx, &self.tables, &self.f, tmp, lo, hi);
-            }),
-            None => {
-                kernels::stream_collide(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi)
-            }
-        }
+        in_pool(self.pool.as_ref(), || {
+            kernels::stream_collide(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi)
+        });
     }
 
     /// Owned-region mass and momentum, summed across ranks.
@@ -1062,6 +972,18 @@ fn unpack_exchange(
     for ((side, msg), buf) in [Side::Left, Side::Right].into_iter().zip(msgs).zip(bufs) {
         plan.unpack(dst, side, &msg);
         *buf = msg;
+    }
+}
+
+/// Run `work` — one serial kernel call — across `pool` when the rank has
+/// one. Every kernel entry point chunks across the installed pool and is one
+/// plain call outside one (bit-identical either way), so this is the only
+/// place a rank's threading is decided; the rank decides whether to build a
+/// pool at all.
+pub(crate) fn in_pool<R>(pool: Option<&rayon::ThreadPool>, work: impl FnOnce() -> R) -> R {
+    match pool {
+        Some(p) => p.install(work),
+        None => work(),
     }
 }
 
@@ -1262,15 +1184,23 @@ mod tests {
 
     #[test]
     fn fused_threads_are_bitwise_identical_to_serial_fused() {
-        // The threaded fused driver runs the identical kernel per chunk, so
-        // rank-local threading must not change a single bit.
-        let base = Simulation::builder(LatticeKind::D3Q19, Dim3::new(12, 8, 8))
-            .ranks(2)
-            .level(OptLevel::Fused);
-        let serial = distributed_owned(&base.clone().threads(1).build_config().unwrap(), 6);
-        let threaded = distributed_owned(&base.threads(4).build_config().unwrap(), 6);
-        for (a, b) in serial.iter().zip(&threaded) {
-            assert_eq!(a.max_abs_diff_owned(b), 0.0);
+        // A threaded rank runs the same kernel as a serial rank, chunked, so
+        // rank-local threading must not change a single bit — on the fused
+        // rung and on every split rung that threads.
+        for level in [
+            OptLevel::Dh,
+            OptLevel::LoBr,
+            OptLevel::Simd,
+            OptLevel::Fused,
+        ] {
+            let base = Simulation::builder(LatticeKind::D3Q19, Dim3::new(12, 8, 8))
+                .ranks(2)
+                .level(level);
+            let serial = distributed_owned(&base.clone().threads(1).build_config().unwrap(), 6);
+            let threaded = distributed_owned(&base.threads(4).build_config().unwrap(), 6);
+            for (a, b) in serial.iter().zip(&threaded) {
+                assert_eq!(a.max_abs_diff_owned(b), 0.0, "{}", level.name());
+            }
         }
     }
 

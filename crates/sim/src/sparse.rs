@@ -44,7 +44,7 @@ use lbm_core::perf::PerfCounters;
 use lbm_core::{Error, Result};
 
 use crate::config::SimConfig;
-use crate::distributed::{jitter_u01, spin_sleep, RankSolver};
+use crate::distributed::{in_pool, jitter_u01, spin_sleep, RankSolver};
 use crate::json::Json;
 use crate::scenario::ScenarioHandle;
 
@@ -311,28 +311,17 @@ impl SparseRankSolver {
                 pool,
                 ..
             } = &mut *self;
-            match storage {
+            in_pool(pool.as_ref(), || match storage {
                 StorageMode::TwoGrid => {
                     let tmp = tmp.as_mut().expect("two-grid keeps a destination buffer");
-                    match pool {
-                        Some(p) => {
-                            p.install(|| sparse::step_par(ctx, tiles, gt, f, tmp, g, use_simd));
-                        }
-                        None => sparse::step(ctx, tiles, gt, f, tmp, g, use_simd),
-                    }
+                    sparse::step(ctx, tiles, gt, f, tmp, g, use_simd);
                     std::mem::swap(f, tmp);
                 }
-                StorageMode::InPlaceAa if aa_odd => match pool {
-                    Some(p) => {
-                        p.install(|| sparse::aa_odd_step_par(ctx, tiles, gt, f, g, use_simd))
-                    }
-                    None => sparse::aa_odd_step(ctx, tiles, gt, f, g, use_simd),
-                },
-                StorageMode::InPlaceAa => match pool {
-                    Some(p) => p.install(|| sparse::aa_even_step_par(ctx, tiles, f, g, use_simd)),
-                    None => sparse::aa_even_step(ctx, tiles, f, g, use_simd),
-                },
-            }
+                StorageMode::InPlaceAa if aa_odd => {
+                    sparse::aa_odd_step(ctx, tiles, gt, f, g, use_simd)
+                }
+                StorageMode::InPlaceAa => sparse::aa_even_step(ctx, tiles, f, g, use_simd),
+            });
             let noise = self.step_no;
             self.step_no += 1;
             let mut dt = t0.elapsed();

@@ -6,6 +6,10 @@
 //! `ThreadPool` does not own threads; `install` scopes a thread-count that
 //! [`current_num_threads`] and the parallel iterators observe, so
 //! `pool.install(|| ...par_iter...)` runs with the pool's configured width.
+//! [`current_thread_index`] tells code whether it runs inside an
+//! `install`: the installing thread is the pool's worker 0, while the scoped
+//! threads a parallel iterator spawns belong to no pool (as a thread outside
+//! any pool in real rayon), so work they run never fans out again.
 
 use std::cell::Cell;
 use std::fmt;
@@ -32,6 +36,13 @@ pub fn current_num_threads() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     }
+}
+
+/// Index of the current thread within the installed pool: `Some` inside
+/// [`ThreadPool::install`], `None` outside it and on the worker threads of a
+/// parallel iterator.
+pub fn current_thread_index() -> Option<usize> {
+    (INSTALLED_THREADS.with(Cell::get) > 0).then_some(0)
 }
 
 /// A logical thread pool: a configured width that scopes spawned workers.
@@ -122,5 +133,25 @@ mod tests {
         let inside = pool.install(current_num_threads);
         assert_eq!(inside, 3);
         assert_eq!(current_num_threads(), outside);
+    }
+
+    #[test]
+    fn thread_index_is_some_only_inside_install() {
+        use crate::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        assert_eq!(current_thread_index(), None);
+        assert!(pool.install(current_thread_index).is_some());
+        assert_eq!(current_thread_index(), None);
+        // The scoped workers of a parallel iterator are outside the pool.
+        let inside = AtomicUsize::new(0);
+        pool.install(|| {
+            (0..6).into_par_iter().for_each(|_| {
+                if current_thread_index().is_some() {
+                    inside.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        });
+        assert_eq!(inside.load(Ordering::Relaxed), 0);
     }
 }

@@ -76,7 +76,7 @@ fn total_mass(f: &DistField) -> f64 {
 
 /// Parity: `aa ≡ two_grid` (≤ 1e-11 after 6 steps, mass drift ≤ 1e-9)
 /// across all four lattices × scalar/SIMD/fused kernel classes ×
-/// serial/rayon drivers, distributed over 2 ranks.
+/// serial/threaded runs, distributed over 2 ranks.
 #[test]
 fn aa_matches_two_grid_across_lattices_levels_and_drivers() {
     let global = Dim3::new(16, 8, 8);
