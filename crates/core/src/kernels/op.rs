@@ -38,13 +38,19 @@
 //! keeps its sign and the source splits into a part even in `c` and a part
 //! odd in it, `S_{i,o} = [sc ξ − sb (u·G)] ± sa`, exactly as the
 //! equilibrium splits into `w ρ (E ± D)`. [`PairConsts`] lists the pairs
-//! for the drivers that evaluate both once per pair.
+//! for the drivers that evaluate both once per pair, and the AVX2+FMA pair
+//! expression itself lives here once: `group_moments` closes a lane
+//! group's paired moment sums, `relax_pair` and `relax_rest` relax a pair
+//! and the rest velocity. The AA kernels and the sparse tile body both
+//! call them.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
 use crate::kernels::dh::ZB;
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{KernelCtx, MAX_Q};
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::__m256d;
 
 /// A per-cell collide rule, threaded through every kernel driver.
 ///
@@ -170,9 +176,9 @@ pub(crate) struct VelPair {
 }
 
 /// The ±c pair view of an [`OpConsts`], for drivers that evaluate the
-/// equilibrium and the Guo source once per pair (the AVX2 AA body): every
-/// moving velocity appears in exactly one pair, and the rest velocity is a
-/// degenerate pair with `i == o` and `c = sa = sc = 0`.
+/// equilibrium and the Guo source once per pair (the AVX2 AA and sparse
+/// tile bodies): every moving velocity appears in exactly one pair, and the
+/// rest velocity is a degenerate pair with `i == o` and `c = sa = sc = 0`.
 #[derive(Debug, Clone)]
 pub(crate) struct PairConsts {
     pairs: [VelPair; MAX_Q / 2],
@@ -215,6 +221,159 @@ impl PairConsts {
     /// The moving-velocity pairs, in order of their first member.
     pub fn pairs(&self) -> &[VelPair] {
         &self.pairs[..self.n]
+    }
+}
+
+/// What every pair of one 4-lane group shares: the velocity, `u·G` (zero
+/// unforced), `ωρ`, and the ξ-free parts of the equilibrium's even and odd
+/// polynomials, `e0 = 1 − u²/2c_s²` and `d0 = 1/c_s² − u²/2c_s⁴` (`1/c_s²`
+/// at second order).
+#[cfg(target_arch = "x86_64")]
+pub(crate) struct GroupMoments {
+    ux: __m256d,
+    uy: __m256d,
+    uz: __m256d,
+    ug: __m256d,
+    orho: __m256d,
+    e0: __m256d,
+    d0: __m256d,
+}
+
+/// Close one lane group's paired moment sums `ρ`, `m = Σ c f` into the
+/// shared [`GroupMoments`] (one vector division, as in `simd`).
+///
+/// # Safety
+/// AVX2+FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
+pub(crate) unsafe fn group_moments<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    rho: __m256d,
+    mut m: [__m256d; 3],
+) -> GroupMoments {
+    use std::arch::x86_64::*;
+    let k = &ctx.consts;
+    let inv = _mm256_div_pd(_mm256_set1_pd(1.0), rho);
+    let mut ug = _mm256_setzero_pd();
+    for a in 0..3 {
+        if O::FORCED {
+            m[a] = _mm256_add_pd(m[a], _mm256_set1_pd(oc.half_g[a]));
+        }
+        m[a] = _mm256_mul_pd(m[a], inv);
+        if O::FORCED {
+            ug = _mm256_fmadd_pd(m[a], _mm256_set1_pd(oc.g[a]), ug);
+        }
+    }
+    let [ux, uy, uz] = m;
+    let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
+    let inv_cs2 = _mm256_set1_pd(k.inv_cs2);
+    GroupMoments {
+        ux,
+        uy,
+        uz,
+        ug,
+        orho: _mm256_mul_pd(_mm256_set1_pd(ctx.omega), rho),
+        e0: _mm256_fnmadd_pd(u2, _mm256_set1_pd(k.inv_2cs2), _mm256_set1_pd(1.0)),
+        d0: if THIRD {
+            _mm256_fnmadd_pd(u2, _mm256_set1_pd(k.inv_2cs4), inv_cs2)
+        } else {
+            inv_cs2
+        },
+    }
+}
+
+/// The ±c pair expression on one lane group: from arrivals `(f_i, f_o)` of
+/// pair `p` to post-collision `(t_i, t_o)`, equilibrium and Guo source
+/// evaluated once. With `ξ = c_i·u`, the even polynomial
+/// `E = e0 + ξ²/2c_s⁴` and the source part `sc ξ − sb (u·G)` keep their
+/// sign across the pair while `D = ξ (d0 + ξ²/6c_s⁶)` and `sa` flip it, so
+/// `t_{i,o} = (1 − ω) f_{i,o} + [w ωρ E + sc ξ − sb (u·G)] ± [w ωρ D + sa]`
+/// — 16 vector operations for a forced third-order pair. Zero components
+/// of `c` are multiplied, not tested.
+///
+/// # Safety
+/// AVX2+FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
+pub(crate) unsafe fn relax_pair<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    p: &VelPair,
+    m: &GroupMoments,
+    fi: __m256d,
+    fo: __m256d,
+) -> (__m256d, __m256d) {
+    use std::arch::x86_64::*;
+    let k = &ctx.consts;
+    let xi = _mm256_fmadd_pd(
+        _mm256_set1_pd(p.c[2]),
+        m.uz,
+        _mm256_fmadd_pd(
+            _mm256_set1_pd(p.c[1]),
+            m.uy,
+            _mm256_mul_pd(_mm256_set1_pd(p.c[0]), m.ux),
+        ),
+    );
+    let xi2 = _mm256_mul_pd(xi, xi);
+    let e = _mm256_fmadd_pd(xi2, _mm256_set1_pd(k.inv_2cs4), m.e0);
+    let d = _mm256_mul_pd(
+        xi,
+        if THIRD {
+            _mm256_fmadd_pd(xi2, _mm256_set1_pd(k.inv_6cs6), m.d0)
+        } else {
+            m.d0
+        },
+    );
+    let wr = _mm256_mul_pd(_mm256_set1_pd(p.w), m.orho);
+    let (even, odd) = if O::FORCED {
+        let src = _mm256_fmsub_pd(
+            _mm256_set1_pd(p.sc),
+            xi,
+            _mm256_mul_pd(_mm256_set1_pd(p.sb), m.ug),
+        );
+        (
+            _mm256_fmadd_pd(wr, e, src),
+            _mm256_fmadd_pd(wr, d, _mm256_set1_pd(p.sa)),
+        )
+    } else {
+        (_mm256_mul_pd(wr, e), _mm256_mul_pd(wr, d))
+    };
+    let omc = _mm256_set1_pd(1.0 - ctx.omega);
+    (
+        _mm256_fmadd_pd(omc, fi, _mm256_add_pd(even, odd)),
+        _mm256_fmadd_pd(omc, fo, _mm256_sub_pd(even, odd)),
+    )
+}
+
+/// The rest velocity's share of the pair body: `ξ = 0`, so `E = e0` and
+/// every odd part vanishes, `t_0 = (1 − ω) f_0 + w ωρ e0 − sb (u·G)`.
+///
+/// # Safety
+/// AVX2+FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
+pub(crate) unsafe fn relax_rest<O: CollideOp>(
+    ctx: &KernelCtx,
+    rest: &VelPair,
+    m: &GroupMoments,
+    f0: __m256d,
+) -> __m256d {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_fmadd_pd(
+        _mm256_mul_pd(_mm256_set1_pd(rest.w), m.orho),
+        m.e0,
+        _mm256_mul_pd(_mm256_set1_pd(1.0 - ctx.omega), f0),
+    );
+    if O::FORCED {
+        _mm256_fnmadd_pd(_mm256_set1_pd(rest.sb), m.ug, t0)
+    } else {
+        t0
     }
 }
 

@@ -8,22 +8,25 @@
 //! exchange.
 //!
 //! One step is a fused pull-stream + boundary + collide into a second
-//! buffer (two-grid): for every stored cell the streamed populations are
-//! gathered through the per-tile neighbour table (an unallocated neighbour
-//! reads as vacuum `0.0` — exact under the rim-allocation rule), then fluid
-//! cells run the *identical* per-cell BGK/Guo arithmetic as the dense
-//! [`crate::kernels::op`] drivers (same accumulation order, same reciprocal
-//! form) while solid cells store the full-way bounce-back of their gathered
-//! values — so on a shared geometry the sparse fluid trajectory is
-//! **bitwise equal** to the dense masked path.
+//! buffer (two-grid): for every stored tile the streamed populations are
+//! gathered z-line by z-line through the per-tile neighbour table (an
+//! unallocated neighbour reads as vacuum `0.0` — exact under the
+//! rim-allocation rule), then fluid cells collide while solid cells store
+//! the full-way bounce-back of their gathered values.
 //!
-//! Two tile bodies share the per-cell arithmetic: scalar and AVX2 (4-wide
-//! z-lines of a tile; no FMA contractions, so it is bitwise equal to the
-//! scalar body — unlike the dense `Simd` rung, which trades exactness for
-//! fused multiply-adds). Like every kernel entry point, each step chunks its
-//! tile lists across the installed pool and is one plain sweep outside one
-//! (see [`crate::kernels::par`]); chunks hold disjoint tiles, so threaded
-//! steps are bitwise equal to serial ones.
+//! Two tile bodies do the collide. The scalar body runs the *identical*
+//! per-cell BGK/Guo arithmetic as the dense [`crate::kernels::op`] drivers
+//! (same accumulation order, same reciprocal form), so on a shared geometry
+//! the scalar sparse fluid trajectory is **bitwise equal** to the dense
+//! masked path. The AVX2+FMA body evaluates every ±c velocity pair once on
+//! 4-wide z-lines of a tile, through the pair helpers it shares with the AA
+//! kernels (`op::relax_pair`); that reassociates the arithmetic,
+//! so — like the dense `Simd` rung — it agrees with the scalar body within
+//! re-rounding (fluid cells; the bounce-back of solid cells is a copy and
+//! stays bitwise). Like every kernel entry point, each step chunks its tile
+//! lists across the installed pool and is one plain sweep outside one (see
+//! [`crate::kernels::par`]); chunks hold disjoint tiles and both bodies are
+//! per-tile, so threaded steps are bitwise equal to serial ones.
 
 use rayon::prelude::*;
 
@@ -32,9 +35,11 @@ use crate::equilibrium::feq_i;
 use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
-use crate::kernels::op::{with_op, CollideOp, OpConsts};
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::op::{group_moments, relax_pair, relax_rest};
+use crate::kernels::op::{with_op, CollideOp, OpConsts, PairConsts};
 use crate::kernels::par::{chunk_bounds, chunk_count, in_pool, SendPtr};
-use crate::kernels::{KernelCtx, MAX_Q};
+use crate::kernels::{simd, KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
 
 /// Tile-major population storage: `q · 64` doubles per allocated tile.
@@ -119,9 +124,9 @@ impl SparseField {
 /// destination cells starting at `dst` all pull from the same neighbour
 /// `slot` at consecutive source cells starting at `src`. Because cells are
 /// packed z-fastest and every velocity shift is a constant offset, a row's
-/// 64 entries collapse into a handful of such segments — the full-tile fast
-/// path replaces the per-cell table walk with one `copy_from_slice` per
-/// segment.
+/// 64 entries collapse into a handful of such segments — the AA odd step's
+/// full-tile fast path replaces the per-cell table walk with one
+/// `copy_from_slice` per segment.
 #[derive(Clone, Copy, Debug)]
 struct Seg {
     dst: u8,
@@ -130,15 +135,36 @@ struct Seg {
     len: u8,
 }
 
+/// One destination z-line `(lx, ly, 0..4)` of a velocity's pull. Every
+/// `|c_z| ≤ 3 < TILE_B`, so its four sources are a window of two source
+/// z-lines laid end to end: the line at frame offset `off` in neighbour slot
+/// `lo` (the lower-z tile), then the same line in slot `hi`. The window
+/// starts [`GatherTable::zshift`] cells into `lo`'s line; a velocity with
+/// `c_z = 0` has shift 0 and `lo == hi`.
+#[derive(Clone, Copy, Debug)]
+struct ZLine {
+    lo: u8,
+    hi: u8,
+    off: u16,
+}
+
+/// z-lines per tile and velocity (`TILE_B²`).
+const TILE_LINES: usize = TILE_B * TILE_B;
+
 /// Geometry-independent streaming table for one lattice: for every
 /// `(velocity, destination cell)` pair, which neighbour-table slot the pull
 /// source lives in and its cell index there. Valid because every velocity
 /// component is ≤ 3 < [`TILE_B`], so the source is at most one tile away.
 ///
-/// Alongside the per-cell entries it carries the merged segment plan
-/// ([`Seg`]) driving the full-tile direct-addressed fast path; both views
-/// describe the identical source addresses, so the fast path is bitwise
-/// equal to the walk by construction.
+/// It carries three views of those identical source addresses:
+/// * the per-cell entries (the slot-decode walk, used by [`streamed_tile`]
+///   and the AA odd step's partial tiles);
+/// * the merged segment plan of the AA odd step's fast tiles;
+/// * the z-line plan of the two-grid step, with a `q·64` zero
+///   frame that stands in for every unallocated neighbour, so one
+///   branch-free gather serves fast, partial and rim tiles alike — and the
+///   list of source cache lines a tile reads from its 26 neighbours, which
+///   the step prefetches one tile ahead.
 #[derive(Clone, Debug)]
 pub struct GatherTable {
     q: usize,
@@ -148,6 +174,15 @@ pub struct GatherTable {
     segs: Vec<Seg>,
     /// `segs` range of velocity `i`: `seg_off[i]..seg_off[i + 1]`.
     seg_off: Vec<u32>,
+    /// `[i · 16 + lx · 4 + ly]`: the z-lines of velocity `i`.
+    lines: Vec<ZLine>,
+    /// Per velocity, the window start in its `lo` line: `(−c_z) mod 4`.
+    zshift: Vec<u8>,
+    /// The vacuum frame unallocated neighbours read (`q · 64` zeros).
+    zero: Vec<f64>,
+    /// `(slot, frame offset)` of every cache line the z-line gather reads
+    /// outside the tile's own frame, in slot order.
+    nbr_lines: Vec<(u8, u16)>,
 }
 
 impl GatherTable {
@@ -207,11 +242,46 @@ impl GatherTable {
             }
             seg_off.push(segs.len() as u32);
         }
+        // z-lines: a line's x/y source is one tile; in z a positive c_z
+        // reaches down into the dz = −1 tile, a negative one up into +1.
+        let mut lines = Vec::with_capacity(q * TILE_LINES);
+        let mut zshift = Vec::with_capacity(q);
+        let mut nbr_lines = std::collections::BTreeSet::new();
+        let own = crate::geometry::neighbor_slot(0, 0, 0) as u8;
+        for (i, c) in lat.velocities().iter().enumerate() {
+            let cz = c[2] as isize;
+            zshift.push((-cz).rem_euclid(TILE_B as isize) as u8);
+            for lx in 0..TILE_B {
+                for ly in 0..TILE_B {
+                    let (dx, ox) = split(lx as isize - c[0] as isize);
+                    let (dy, oy) = split(ly as isize - c[1] as isize);
+                    let slot = |dz| crate::geometry::neighbor_slot(dx, dy, dz) as u8;
+                    let (lo, hi) = match cz.signum() {
+                        1 => (slot(-1), slot(0)),
+                        -1 => (slot(0), slot(1)),
+                        _ => (slot(0), slot(0)),
+                    };
+                    let off = (i * TILE_CELLS + tile_cell(ox, oy, 0)) as u16;
+                    lines.push(ZLine { lo, hi, off });
+                    // A z-line is 32 bytes at a 32-byte aligned offset, so
+                    // it lies inside one 64-byte line of the frame.
+                    for s in [lo, hi] {
+                        if s != own {
+                            nbr_lines.insert((s, off & !7));
+                        }
+                    }
+                }
+            }
+        }
         Self {
             q,
             entries,
             segs,
             seg_off,
+            lines,
+            zshift,
+            zero: vec![0.0; q * TILE_CELLS],
+            nbr_lines: nbr_lines.into_iter().collect(),
         }
     }
 
@@ -228,24 +298,18 @@ impl GatherTable {
     }
 }
 
-/// Whether the AVX2 sparse collide is usable on this host.
+/// Whether the AVX2+FMA sparse tile body is usable on this host (the same
+/// runtime check as the dense vector rungs).
 pub fn sparse_simd_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    simd::simd_available()
 }
 
 /// One sparse step `dst ← collide(bounce(pull(src)))` over the owned tiles
 /// of `tiles`. `g` selects plain BGK (`[0; 3]`) or Guo forcing; `use_simd`
-/// opts into the AVX2 tile collide (bitwise equal, see module docs) when the
-/// host supports it. Inside a pool the owned tiles are split into disjoint
-/// contiguous chunks — bitwise equal, because every tile reads only `src`
-/// and writes only its own `dst` frame.
+/// opts into the AVX2+FMA pair body (within re-rounding of the scalar one,
+/// see module docs) when the host supports it. Inside a pool the owned tiles
+/// are split into disjoint contiguous chunks — bitwise equal, because every
+/// tile reads only `src` and writes only its own `dst` frame.
 pub fn step(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -275,11 +339,11 @@ fn step_with<O: CollideOp>(
     assert_eq!(dst.tile_count(), tiles.tile_count(), "dst tile mismatch");
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let simd = use_simd && sparse_simd_available();
+    let pc = pair_table(use_simd, &oc, q);
     if ctx.third_order() {
-        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, simd);
+        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref());
     } else {
-        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, simd);
+        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref());
     }
 }
 
@@ -291,7 +355,7 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     src: &SparseField,
     dst: &mut SparseField,
     oc: &OpConsts,
-    simd: bool,
+    pc: Option<&PairConsts>,
 ) {
     let q = ctx.lat.q();
     let frame = dst.frame_len();
@@ -299,52 +363,86 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     let base = SendPtr(dst.as_mut_slice().as_mut_ptr());
     let src_data = src.as_slice();
 
-    // Fast-class tiles (all-fluid, all neighbours allocated) replace the
-    // per-cell table walk with the merged segment copies; the gathered
-    // buffer is identical, so the collide output is bitwise equal. Both
-    // lists are in packed (z-local) order.
-    let run = move |list: &[usize], fast: bool| {
+    let dst_frame = move |t: usize| {
+        assert!((t + 1) * frame <= total);
+        // SAFETY: in bounds by the assert; chunks partition the owned tiles
+        // and each tile's frame is taken once, so every task writes only
+        // its own tiles' frames, which are disjoint slices of dst.
+        unsafe { std::slice::from_raw_parts_mut(base.get().add(t * frame), frame) }
+    };
+    // One z-line gather serves every tile class, so the owned tiles run in
+    // packed (z-local) order: the next tile mostly reads source lines the
+    // current one already brought in. A tile collides into the L1-resident
+    // `out`, which is streamed to its `dst` frame while the next tile
+    // gathers.
+    let run = move |list: &[usize], _fast: bool| {
         let mut buf = [0.0f64; MAX_Q * TILE_CELLS];
+        let mut out = [0.0f64; MAX_Q * TILE_CELLS];
+        let mut done: Option<usize> = None;
         for (idx, &t) in list.iter().enumerate() {
-            let nbrs = &tiles.neighbors[t];
             if let Some(&t_next) = list.get(idx + 1) {
-                // The indirect gather defeats the hardware stride
-                // prefetcher (the stream restarts at an arbitrary frame on
-                // every tile), so touch the next tile's source frame — the
-                // dominant gather source: every interior cell pulls from it
-                // — and its neighbour row while this tile computes; the AA
-                // and fused kernels' next-row pattern, adapted to tiles.
-                prefetch_next_tile(src_data, tiles, t_next, frame);
+                prefetch_tile_sources(src_data, gt, tiles, t_next, frame);
             }
-            if fast {
-                gather_tile_fast(q, gt, nbrs, src_data, &mut buf);
-            } else {
-                gather_tile(q, gt, nbrs, src_data, &mut buf);
-            }
-            debug_assert!((t + 1) * frame <= total);
-            // SAFETY: the fast/slow lists partition the owned tiles and
-            // chunks partition each list; each task writes only its own
-            // tiles' frames, which are disjoint slices of dst.
-            let dstf = unsafe { std::slice::from_raw_parts_mut(base.get().add(t * frame), frame) };
-            let fluid = tiles.tiles[t].fluid;
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd` implies AVX2 was detected at runtime.
-                unsafe { tile_cells_avx2::<THIRD, O>(ctx, oc, fluid, &buf, dstf) };
-                continue;
-            }
-            let _ = simd;
-            tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, &buf, dstf);
+            let flush = done.map(|d| (&out[..frame], dst_frame(d)));
+            gather_lines(q, gt, &tiles.neighbors[t], src_data, &mut buf, flush);
+            tile_body::<THIRD, O>(ctx, oc, pc, tiles.tiles[t].fluid, &buf, &mut out[..frame]);
+            done = Some(t);
         }
+        if let Some(d) = done {
+            stream_frame(&out[..frame], dst_frame(d));
+        }
+        sfence();
     };
 
-    drive_tile_lists(&tiles.fast_owned, &tiles.slow_owned, run);
+    let owned: Vec<usize> = (0..tiles.owned_tiles).collect();
+    drive_tile_lists(&owned, &[], run);
 }
 
-/// Run `work(sublist, is_fast)` over the fast and slow tile lists: chunked
-/// across the installed pool, one plain call per list outside one. Chunks
-/// never straddle the class boundary, so the branch-free fast body is not
-/// serialized behind rim tiles sharing its chunk.
+/// Copy a finished frame (or a velocity row of one) to its `dst` frame with
+/// non-temporal stores: the two-grid step writes every `dst` frame once and
+/// does not read it again this step, so streaming it past the cache saves
+/// the read-for-ownership of every line.
+#[inline]
+fn stream_frame(out: &[f64], dst: &mut [f64]) {
+    assert_eq!(out.len(), dst.len());
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_loadu_pd, _mm_stream_pd};
+        assert!(out.len() % 2 == 0 && dst.as_ptr() as usize % 16 == 0);
+        // SAFETY: both slices hold the same even number of doubles and
+        // `dst` is 16-byte aligned (asserted above), so every 16-byte load
+        // and aligned store is in bounds.
+        unsafe {
+            for k in (0..out.len()).step_by(2) {
+                _mm_stream_pd(dst.as_mut_ptr().add(k), _mm_loadu_pd(out.as_ptr().add(k)));
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    dst.copy_from_slice(out);
+}
+
+/// Order this thread's non-temporal stores before its chunk completes.
+#[inline]
+fn sfence() {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SFENCE is baseline SSE, always present on x86_64.
+    unsafe {
+        std::arch::x86_64::_mm_sfence()
+    };
+}
+
+/// The ±c pair table of the AVX2+FMA tile body, or `None` where the steps
+/// run the scalar body (not requested, or no AVX2+FMA on this CPU).
+fn pair_table(use_simd: bool, oc: &OpConsts, q: usize) -> Option<PairConsts> {
+    (use_simd && sparse_simd_available()).then(|| PairConsts::new(oc, q))
+}
+
+/// Run `work(sublist, is_fast)` over a fast and a slow tile list (the AA
+/// steps' classes; the two-grid step passes all owned tiles as one list):
+/// chunked across the installed pool, one plain call per list outside one.
+/// Chunks never straddle the class boundary, so the branch-free fast body
+/// is not serialized behind rim tiles sharing its chunk.
 fn drive_tile_lists(fast: &[usize], slow: &[usize], work: impl Fn(&[usize], bool) + Sync) {
     let n = fast.len() + slow.len();
     if !in_pool() || n <= 1 {
@@ -370,9 +468,11 @@ fn drive_tile_lists(fast: &[usize], slow: &[usize], work: impl Fn(&[usize], bool
 
 /// Software-prefetch the gather sources of tile `t_next`: its own source
 /// frame (`q·TILE_CELLS` doubles — the self slot every interior cell pulls
-/// through) and its neighbour-table row. Boundary cells also pull single
-/// lines from adjacent frames; those are left to demand misses — touching
-/// up to `TILE_NEIGHBORS` extra frames would evict more than it hides.
+/// through) and its neighbour-table row. The indirect gather defeats the
+/// hardware stride prefetcher: every tile restarts the stream at an
+/// arbitrary frame. This is the AA odd step's prefetch; the two-grid step
+/// adds the lines its z-line gather reads from adjacent frames
+/// ([`prefetch_tile_sources`]).
 #[inline]
 fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: usize) {
     #[cfg(target_arch = "x86_64")]
@@ -393,6 +493,37 @@ fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: us
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = (src, tiles, t_next, frame);
+}
+
+/// Software-prefetch everything tile `t_next`'s z-line gather reads: what
+/// [`prefetch_next_tile`] touches, plus the table's neighbour lines (156 for
+/// D3Q19) in each of its allocated neighbours — about half of a tile's
+/// source lines lie in other tiles' frames.
+#[inline]
+fn prefetch_tile_sources(
+    src: &[f64],
+    gt: &GatherTable,
+    tiles: &SparseTiles,
+    t_next: usize,
+    frame: usize,
+) {
+    prefetch_next_tile(src, tiles, t_next, frame);
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let nbrs = &tiles.neighbors[t_next];
+        for &(slot, off) in &gt.nbr_lines {
+            let n = nbrs[slot as usize];
+            if n >= 0 {
+                let p = src.as_ptr().wrapping_add(n as usize * frame + off as usize);
+                // SAFETY: PREFETCHT0 is a hint and cannot fault, whatever
+                // the address; `wrapping_add` keeps the arithmetic defined.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = gt;
 }
 
 /// Pull-stream one tile through the neighbour table into `buf[i·64 + c]`;
@@ -420,25 +551,62 @@ fn gather_tile(
     }
 }
 
-/// Direct-addressed pull-stream for a fast-class tile: every neighbour is
-/// allocated, so each merged segment is one unit-stride block copy at a
-/// constant intra-tile offset — no per-cell slot decode, no vacuum branch.
-/// Produces the identical `buf` as [`gather_tile`] on such tiles.
+/// Pull-stream one tile z-line by z-line into `buf[i·64 + c]`: each
+/// destination line is a window of two source lines ([`ZLine`]), and an
+/// unallocated neighbour reads the table's zero frame. The same copies as
+/// [`gather_tile`] without its per-cell slot decode and vacuum branch, so
+/// `buf` is bitwise the same.
+///
+/// `flush`, when given, is the previous tile's collided frame and its
+/// `dst` frame: one velocity row of it is streamed out per gathered
+/// velocity, so the write-combining buffers drain while this tile gathers
+/// instead of stalling the pipeline after the collide.
 #[inline]
-fn gather_tile_fast(
+fn gather_lines(
     q: usize,
     gt: &GatherTable,
     nbrs: &[i32; TILE_NEIGHBORS],
     src: &[f64],
     buf: &mut [f64],
+    mut flush: Option<(&[f64], &mut [f64])>,
 ) {
-    for i in 0..q {
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for s in gt.seg_row(i) {
-            let t = nbrs[s.slot as usize] as usize;
-            let (d, so, len) = (s.dst as usize, s.src as usize, s.len as usize);
-            let lo = (t * q + i) * TILE_CELLS + so;
-            out[d..d + len].copy_from_slice(&src[lo..lo + len]);
+    let frame = q * TILE_CELLS;
+    let mut from = [gt.zero.as_slice(); TILE_NEIGHBORS];
+    for (f, &n) in from.iter_mut().zip(nbrs) {
+        if n >= 0 {
+            let lo = n as usize * frame;
+            *f = &src[lo..lo + frame];
+        }
+    }
+    for (i, out) in buf[..frame].chunks_exact_mut(TILE_CELLS).enumerate() {
+        let lines = &gt.lines[i * TILE_LINES..(i + 1) * TILE_LINES];
+        match gt.zshift[i] {
+            0 => window_lines::<0>(&from, lines, out),
+            1 => window_lines::<1>(&from, lines, out),
+            2 => window_lines::<2>(&from, lines, out),
+            _ => window_lines::<3>(&from, lines, out),
+        }
+        if let Some((done, to)) = &mut flush {
+            let row = i * TILE_CELLS..(i + 1) * TILE_CELLS;
+            stream_frame(&done[row.clone()], &mut to[row]);
+        }
+    }
+}
+
+/// One velocity's 16 z-lines: line `l` gets cells `[K, K + 4)` of its `lo`
+/// source line followed by its `hi` source line.
+#[inline(always)]
+fn window_lines<const K: usize>(from: &[&[f64]; TILE_NEIGHBORS], lines: &[ZLine], out: &mut [f64]) {
+    for (l, o) in lines.iter().zip(out.chunks_exact_mut(TILE_B)) {
+        let off = l.off as usize;
+        let lo = &from[l.lo as usize][off..off + TILE_B];
+        let hi = &from[l.hi as usize][off..off + TILE_B];
+        for (j, v) in o.iter_mut().enumerate() {
+            *v = if j + K < TILE_B {
+                lo[j + K]
+            } else {
+                hi[j + K - TILE_B]
+            };
         }
     }
 }
@@ -457,6 +625,27 @@ pub fn streamed_tile(
     buf: &mut [f64],
 ) {
     gather_tile(q, gt, &tiles.neighbors[t], f.as_slice(), buf);
+}
+
+/// Collide one gathered tile `buf` into `out` with the body the step chose:
+/// the AVX2+FMA pair body when `pc` is set, the scalar body otherwise.
+#[inline]
+fn tile_body<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: Option<&PairConsts>,
+    fluid: u64,
+    buf: &[f64],
+    out: &mut [f64],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(pc) = pc {
+        // SAFETY: a pair table is built only once AVX2+FMA were detected.
+        unsafe { tile_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, out) };
+        return;
+    }
+    let _ = pc;
+    tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, buf, out);
 }
 
 /// Scalar tile body: per-cell BGK/Guo collide on fluid cells (the exact
@@ -526,18 +715,22 @@ fn tile_cells_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// AVX2 tile body: 4-wide z-lines of the tile, **without** FMA contractions
-/// — every lane performs the scalar driver's operation sequence, so the
-/// result is bitwise equal to [`tile_cells_scalar`]. Mixed fluid/solid lines
-/// blend the collide result with the bounce-back line by the fluid bitmap.
+/// AVX2+FMA tile body, evaluated once per ±c velocity pair on each of the
+/// tile's 16 z-lines (4 lanes): paired moment sums `ρ += f_i + f_o`,
+/// `ρu += c_i (f_i − f_o)`, then [`group_moments`] and [`relax_pair`] per
+/// pair — the AA kernels' expression. Solid lanes take the bounce-back swap
+/// `(t_i, t_o) = (f_o, f_i)` by blend, and all-solid lines only swap, so
+/// solid cells match [`tile_cells_scalar`] bitwise and fluid cells within
+/// re-rounding.
 ///
 /// # Safety
-/// Caller must ensure AVX2 is available.
+/// AVX2+FMA must be available.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile_cells_avx2<const THIRD: bool, O: CollideOp>(
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_pairs_avx2<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
+    pc: &PairConsts,
     fluid: u64,
     buf: &[f64],
     dst: &mut [f64],
@@ -546,128 +739,72 @@ unsafe fn tile_cells_avx2<const THIRD: bool, O: CollideOp>(
 
     const LANES: usize = 4;
     let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let hg = oc.half_g;
-    let g = oc.g;
-    debug_assert!(buf.len() >= q * TILE_CELLS && dst.len() >= q * TILE_CELLS);
+    assert!(buf.len() >= q * TILE_CELLS && dst.len() >= q * TILE_CELLS);
     let bp = buf.as_ptr();
     let dp = dst.as_mut_ptr();
+    let rest = &pc.rest;
 
-    // SAFETY: all offsets are i·64 + line·4 with i < q and line < 16, hence
+    // SAFETY: every offset is i·64 + line·4 with i < q and line < 16, hence
     // within the q·64 frames checked above.
     unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(ctx.omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-        let v_hg0 = _mm256_set1_pd(hg[0]);
-        let v_hg1 = _mm256_set1_pd(hg[1]);
-        let v_hg2 = _mm256_set1_pd(hg[2]);
-        let v_g0 = _mm256_set1_pd(g[0]);
-        let v_g1 = _mm256_set1_pd(g[1]);
-        let v_g2 = _mm256_set1_pd(g[2]);
-
         for line in 0..TILE_CELLS / LANES {
             let off = line * LANES;
+            macro_rules! ld {
+                ($i:expr) => {
+                    _mm256_loadu_pd(bp.add($i * TILE_CELLS + off))
+                };
+            }
+            macro_rules! st {
+                ($i:expr, $v:expr) => {
+                    _mm256_storeu_pd(dp.add($i * TILE_CELLS + off), $v)
+                };
+            }
             let bits = (fluid >> off) & 0xF;
             if bits == 0 {
-                for i in 0..q {
-                    let b = _mm256_loadu_pd(bp.add(oc.opp[i] * TILE_CELLS + off));
-                    _mm256_storeu_pd(dp.add(i * TILE_CELLS + off), b);
+                for p in pc.pairs() {
+                    let (fi, fo) = (ld!(p.i), ld!(p.o));
+                    st!(p.i, fo);
+                    st!(p.o, fi);
                 }
+                st!(rest.i, ld!(rest.i));
                 continue;
             }
-            // Moments, accumulated in the scalar order (no term skipping,
-            // no FMA).
-            let mut vrho = _mm256_setzero_pd();
-            let mut vmx = _mm256_setzero_pd();
-            let mut vmy = _mm256_setzero_pd();
-            let mut vmz = _mm256_setzero_pd();
-            for i in 0..q {
-                let c = oc.cw[i];
-                let fv = _mm256_loadu_pd(bp.add(i * TILE_CELLS + off));
-                vrho = _mm256_add_pd(vrho, fv);
-                vmx = _mm256_add_pd(vmx, _mm256_mul_pd(fv, _mm256_set1_pd(c[0])));
-                vmy = _mm256_add_pd(vmy, _mm256_mul_pd(fv, _mm256_set1_pd(c[1])));
-                vmz = _mm256_add_pd(vmz, _mm256_mul_pd(fv, _mm256_set1_pd(c[2])));
+            let mut rho = ld!(rest.i);
+            let mut m = [_mm256_setzero_pd(); 3];
+            for p in pc.pairs() {
+                let (fi, fo) = (ld!(p.i), ld!(p.o));
+                let d = _mm256_sub_pd(fi, fo);
+                rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
+                for a in 0..3 {
+                    m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
+                }
             }
-            let vinv = _mm256_div_pd(v_one, vrho);
-            let (vux, vuy, vuz);
-            let mut vug = _mm256_setzero_pd();
-            if O::FORCED {
-                vux = _mm256_mul_pd(_mm256_add_pd(vmx, v_hg0), vinv);
-                vuy = _mm256_mul_pd(_mm256_add_pd(vmy, v_hg1), vinv);
-                vuz = _mm256_mul_pd(_mm256_add_pd(vmz, v_hg2), vinv);
-                vug = _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(vux, v_g0), _mm256_mul_pd(vuy, v_g1)),
-                    _mm256_mul_pd(vuz, v_g2),
-                );
-            } else {
-                vux = _mm256_mul_pd(vmx, vinv);
-                vuy = _mm256_mul_pd(vmy, vinv);
-                vuz = _mm256_mul_pd(vmz, vinv);
-            }
-            let vu2 = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(vux, vux), _mm256_mul_pd(vuy, vuy)),
-                _mm256_mul_pd(vuz, vuz),
-            );
-            let blend_mask = if bits == 0xF {
-                _mm256_setzero_pd() // unused
-            } else {
-                let m = |b: u64| -> f64 {
-                    if bits & (1 << b) != 0 {
-                        f64::from_bits(1u64 << 63)
+            let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
+            // Solid lanes keep the bounce value; a full line skips the blend.
+            let fluid_lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                _mm256_and_si256(
+                    _mm256_set1_epi64x(bits as i64),
+                    _mm256_setr_epi64x(1, 2, 4, 8),
+                ),
+                _mm256_setr_epi64x(1, 2, 4, 8),
+            ));
+            macro_rules! keep_solid {
+                ($bounce:expr, $t:expr) => {
+                    if bits == 0xF {
+                        $t
                     } else {
-                        0.0
+                        _mm256_blendv_pd($bounce, $t, fluid_lanes)
                     }
                 };
-                _mm256_setr_pd(m(0), m(1), m(2), m(3))
-            };
-            for i in 0..q {
-                let c = oc.cw[i];
-                let vxi = _mm256_add_pd(
-                    _mm256_add_pd(
-                        _mm256_mul_pd(_mm256_set1_pd(c[0]), vux),
-                        _mm256_mul_pd(_mm256_set1_pd(c[1]), vuy),
-                    ),
-                    _mm256_mul_pd(_mm256_set1_pd(c[2]), vuz),
-                );
-                let mut vpoly = _mm256_sub_pd(
-                    _mm256_add_pd(
-                        _mm256_add_pd(v_one, _mm256_mul_pd(vxi, v_inv_cs2)),
-                        _mm256_mul_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4),
-                    ),
-                    _mm256_mul_pd(vu2, v_inv_2cs2),
-                );
-                if THIRD {
-                    let inner = _mm256_sub_pd(_mm256_mul_pd(vxi, vxi), _mm256_mul_pd(v_3cs2, vu2));
-                    vpoly =
-                        _mm256_add_pd(vpoly, _mm256_mul_pd(_mm256_mul_pd(vxi, inner), v_inv_6cs6));
-                }
-                let vfeq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), vrho), vpoly);
-                let fv = _mm256_loadu_pd(bp.add(i * TILE_CELLS + off));
-                let mut vnext = _mm256_add_pd(fv, _mm256_mul_pd(v_omega, _mm256_sub_pd(vfeq, fv)));
-                if O::FORCED {
-                    let src = _mm256_add_pd(
-                        _mm256_sub_pd(
-                            _mm256_set1_pd(oc.sa[i]),
-                            _mm256_mul_pd(_mm256_set1_pd(oc.sb[i]), vug),
-                        ),
-                        _mm256_mul_pd(_mm256_set1_pd(oc.sc[i]), vxi),
-                    );
-                    vnext = _mm256_add_pd(vnext, src);
-                }
-                let out = if bits == 0xF {
-                    vnext
-                } else {
-                    let b = _mm256_loadu_pd(bp.add(oc.opp[i] * TILE_CELLS + off));
-                    _mm256_blendv_pd(b, vnext, blend_mask)
-                };
-                _mm256_storeu_pd(dp.add(i * TILE_CELLS + off), out);
             }
+            for p in pc.pairs() {
+                let (fi, fo) = (ld!(p.i), ld!(p.o));
+                let (ti, to) = relax_pair::<THIRD, O>(ctx, p, &gm, fi, fo);
+                st!(p.i, keep_solid!(fo, ti));
+                st!(p.o, keep_solid!(fi, to));
+            }
+            let f0 = ld!(rest.i);
+            st!(rest.i, keep_solid!(f0, relax_rest::<O>(ctx, rest, &gm, f0)));
         }
     }
 }
@@ -738,11 +875,11 @@ fn aa_even_with<O: CollideOp>(
     assert_eq!(f.q(), q, "field q mismatch");
     assert_eq!(f.tile_count(), tiles.tile_count(), "field tile mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let simd = use_simd && sparse_simd_available();
+    let pc = pair_table(use_simd, &oc, q);
     if ctx.third_order() {
-        aa_even_impl::<true, O>(ctx, tiles, f, &oc, simd);
+        aa_even_impl::<true, O>(ctx, tiles, f, &oc, pc.as_ref());
     } else {
-        aa_even_impl::<false, O>(ctx, tiles, f, &oc, simd);
+        aa_even_impl::<false, O>(ctx, tiles, f, &oc, pc.as_ref());
     }
 }
 
@@ -751,7 +888,7 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
     tiles: &SparseTiles,
     f: &mut SparseField,
     oc: &OpConsts,
-    simd: bool,
+    pc: Option<&PairConsts>,
 ) {
     let q = ctx.lat.q();
     let frame = f.frame_len();
@@ -767,15 +904,7 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
             // the work lists partition distinct tiles across tasks.
             let fr = unsafe { std::slice::from_raw_parts_mut(base.get().add(t * frame), frame) };
             let outf = &mut out[..frame];
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd` implies AVX2 was detected at runtime.
-                unsafe { tile_cells_avx2::<THIRD, O>(ctx, oc, fluid, fr, outf) };
-                store_swapped(q, &oc.opp, outf, fr);
-                continue;
-            }
-            let _ = simd;
-            tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, fr, outf);
+            tile_body::<THIRD, O>(ctx, oc, pc, fluid, fr, outf);
             store_swapped(q, &oc.opp, outf, fr);
         }
     };
@@ -807,11 +936,11 @@ fn aa_odd_with<O: CollideOp>(
     assert_eq!(f.tile_count(), tiles.tile_count(), "field tile mismatch");
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let simd = use_simd && sparse_simd_available();
+    let pc = pair_table(use_simd, &oc, q);
     if ctx.third_order() {
-        aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, simd);
+        aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, pc.as_ref());
     } else {
-        aa_odd_impl::<false, O>(ctx, tiles, gt, f, &oc, simd);
+        aa_odd_impl::<false, O>(ctx, tiles, gt, f, &oc, pc.as_ref());
     }
 }
 
@@ -822,7 +951,7 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
     gt: &GatherTable,
     f: &mut SparseField,
     oc: &OpConsts,
-    simd: bool,
+    pc: Option<&PairConsts>,
 ) {
     let q = ctx.lat.q();
     let frame = f.frame_len();
@@ -850,18 +979,7 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
             }
             let fluid = tiles.tiles[t].fluid;
             let outf = &mut out[..frame];
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd` implies AVX2 was detected at runtime.
-                unsafe { tile_cells_avx2::<THIRD, O>(ctx, oc, fluid, &buf, outf) };
-            } else {
-                tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, &buf, outf);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let _ = simd;
-                tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, &buf, outf);
-            }
+            tile_body::<THIRD, O>(ctx, oc, pc, fluid, &buf, outf);
             // SAFETY: scatter targets are the writer-owned slots above.
             unsafe {
                 if fast {
@@ -1115,6 +1233,7 @@ mod tests {
     use crate::equilibrium::EqOrder;
     use crate::geometry::Geometry;
     use crate::index::wrap;
+    use crate::kernels::op::GuoForced;
     use crate::lattice::LatticeKind;
 
     fn ctx_for(kind: LatticeKind) -> KernelCtx {
@@ -1409,8 +1528,16 @@ mod tests {
             .unwrap()
     }
 
+    /// `a` and `b` agree to `rel` relative — the standing AVX2-vs-scalar
+    /// tolerance of the vector bodies.
+    fn close(a: f64, b: f64, rel: f64) -> bool {
+        a == b || (a - b).abs() <= rel * a.abs()
+    }
+
     #[test]
     fn simd_and_par_are_bitwise_equal_to_scalar() {
+        // Threading never changes a bit of either body; the AVX2+FMA pair
+        // body agrees with the scalar one within re-rounding.
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let ctx = ctx_for(kind);
             let geom = Geometry::pipe(
@@ -1426,25 +1553,30 @@ mod tests {
             let (tiles, gt, f, _) = sparse_setup(&ctx, &geom);
             let n = tiles.tile_count();
             let q = ctx.lat.q();
-            let mut scalar = SparseField::new(q, n).unwrap();
-            let mut simd = SparseField::new(q, n).unwrap();
-            let mut par = SparseField::new(q, n).unwrap();
-            step(&ctx, &tiles, &gt, &f, &mut scalar, g, false);
-            step(&ctx, &tiles, &gt, &f, &mut simd, g, true);
-            test_pool().install(|| step(&ctx, &tiles, &gt, &f, &mut par, g, false));
+            let run = |simd: bool, par: bool| {
+                let mut out = SparseField::new(q, n).unwrap();
+                if par {
+                    test_pool().install(|| step(&ctx, &tiles, &gt, &f, &mut out, g, simd));
+                } else {
+                    step(&ctx, &tiles, &gt, &f, &mut out, g, simd);
+                }
+                out
+            };
+            let (scalar, simd) = (run(false, false), run(true, false));
+            let (par, par_simd) = (run(false, true), run(true, true));
             for t in 0..tiles.owned_tiles {
                 assert_eq!(
                     scalar.frame(t),
                     par.frame(t),
                     "{kind:?} par tile {t} differs"
                 );
-                if sparse_simd_available() {
-                    for (a, b) in scalar.frame(t).iter().zip(simd.frame(t)) {
-                        assert!(
-                            a.to_bits() == b.to_bits(),
-                            "{kind:?} simd differs: {a} vs {b}"
-                        );
-                    }
+                assert_eq!(
+                    simd.frame(t),
+                    par_simd.frame(t),
+                    "{kind:?} par simd tile {t} differs"
+                );
+                for (a, b) in scalar.frame(t).iter().zip(simd.frame(t)) {
+                    assert!(close(*a, *b, 1e-13), "{kind:?} simd differs: {a} vs {b}");
                 }
             }
         }
@@ -1466,22 +1598,25 @@ mod tests {
             5,
         )
         .unwrap();
-        let (tiles, gt, mut f, mut tmp) = sparse_setup(&ctx, &geom);
+        let (tiles, gt, f0, mut tmp) = sparse_setup(&ctx, &geom);
         let mass = |f: &SparseField| -> f64 {
             (0..tiles.owned_tiles)
                 .map(|t| f.frame(t).iter().sum::<f64>())
                 .sum()
         };
-        let m0 = mass(&f);
-        for _ in 0..20 {
-            step(&ctx, &tiles, &gt, &f, &mut tmp, [1e-5, 0.0, 0.0], false);
-            std::mem::swap(&mut f, &mut tmp);
+        let m0 = mass(&f0);
+        for use_simd in [false, true] {
+            let mut f = f0.clone();
+            for _ in 0..20 {
+                step(&ctx, &tiles, &gt, &f, &mut tmp, [1e-5, 0.0, 0.0], use_simd);
+                std::mem::swap(&mut f, &mut tmp);
+            }
+            let m1 = mass(&f);
+            assert!(
+                ((m1 - m0) / m0).abs() < 1e-12,
+                "use_simd={use_simd}: stored mass drifted: {m0} -> {m1}"
+            );
         }
-        let m1 = mass(&f);
-        assert!(
-            ((m1 - m0) / m0).abs() < 1e-12,
-            "stored mass drifted: {m0} -> {m1}"
-        );
     }
 
     #[test]
@@ -1752,27 +1887,31 @@ mod tests {
                 geom.dims(),
                 smooth_state(geom.dims()),
             );
-            let variants: [(&SparseTiles, bool, bool); 4] = [
-                (&tiles, false, false),    // fast path, scalar, serial
-                (&tiles, true, false),     // fast path, simd
-                (&tiles, false, true),     // fast path, threaded
-                (&slow_tiles, true, true), // slow walk, simd, threaded
-            ];
-            let mut outputs = Vec::new();
-            for (t, simd, par) in variants {
+            // Per body: fast path serial, fast path threaded, slow walk
+            // threaded — bitwise one trajectory. Across bodies: re-rounding.
+            let run = |t: &SparseTiles, simd: bool, par: bool| {
                 let mut f = reference.clone();
                 run_aa_pairs(&ctx, t, &gt, &mut f, g, 2, simd, par);
-                outputs.push(f);
-            }
-            let head = outputs[0].as_slice();
-            assert!(head.iter().all(|v| v.is_finite()));
-            for (v, o) in outputs.iter().enumerate().skip(1) {
-                for (a, b) in head.iter().zip(o.as_slice()) {
-                    assert!(
-                        a.to_bits() == b.to_bits(),
-                        "{kind:?} variant {v}: {a} vs {b}"
-                    );
+                f
+            };
+            let scalar = run(&tiles, false, false);
+            assert!(scalar.as_slice().iter().all(|v| v.is_finite()));
+            let simd = run(&tiles, true, false);
+            for use_simd in [false, true] {
+                let head = if use_simd { &simd } else { &scalar };
+                let variants = [(&tiles, true), (&slow_tiles, true)];
+                for (v, (t, par)) in variants.into_iter().enumerate() {
+                    let o = run(t, use_simd, par);
+                    for (a, b) in head.as_slice().iter().zip(o.as_slice()) {
+                        assert!(
+                            a.to_bits() == b.to_bits(),
+                            "{kind:?} simd={use_simd} variant {v}: {a} vs {b}"
+                        );
+                    }
                 }
+            }
+            for (a, b) in scalar.as_slice().iter().zip(simd.as_slice()) {
+                assert!(close(*a, *b, 1e-13), "{kind:?} simd vs scalar: {a} vs {b}");
             }
         }
     }
@@ -1846,6 +1985,239 @@ mod tests {
                             dz * TILE_B as isize + sz as isize,
                             lz as isize - c[2] as isize
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The three geometries of the equivalence suites.
+    fn geometries() -> [Geometry; 3] {
+        [
+            Geometry::pipe(
+                Dim3 {
+                    nx: 8,
+                    ny: 16,
+                    nz: 16,
+                },
+                5.0,
+            )
+            .unwrap(),
+            Geometry::porous(
+                Dim3 {
+                    nx: 16,
+                    ny: 16,
+                    nz: 16,
+                },
+                2.5,
+                0.15,
+                11,
+            )
+            .unwrap(),
+            Geometry::bifurcation(
+                Dim3 {
+                    nx: 24,
+                    ny: 24,
+                    nz: 16,
+                },
+                6.0,
+                3.5,
+            )
+            .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn zline_gather_is_bitwise_the_cell_walk() {
+        // Every packed tile (owned and ghost) of serial and ghosted builds,
+        // on a field with a distinct value in every slot: the z-line gather
+        // and the per-cell walk produce the same bits, vacuum included.
+        for kind in LatticeKind::ALL {
+            let gt = GatherTable::new(&Lattice::new(kind));
+            let q = gt.q;
+            let (mut fast, mut partial, mut rim, mut vacuum) = (0, 0, 0, 0);
+            for geom in geometries() {
+                let cols = geom.dims().nx / TILE_B;
+                for tiles in [
+                    SparseTiles::build_serial(&geom).unwrap(),
+                    SparseTiles::build(&geom, 1, cols - 1, 1).unwrap(),
+                ] {
+                    let mut f = SparseField::new(q, tiles.tile_count()).unwrap();
+                    for (k, v) in f.as_mut_slice().iter_mut().enumerate() {
+                        *v = 1.0 + (k as f64).sqrt();
+                    }
+                    let mut walk = [0.0f64; MAX_Q * TILE_CELLS];
+                    let mut lines = [f64::NAN; MAX_Q * TILE_CELLS];
+                    for t in 0..tiles.tile_count() {
+                        let nbrs = &tiles.neighbors[t];
+                        gather_tile(q, &gt, nbrs, f.as_slice(), &mut walk);
+                        gather_lines(q, &gt, nbrs, f.as_slice(), &mut lines, None);
+                        for (c, (a, b)) in walk.iter().zip(&lines).take(q * TILE_CELLS).enumerate()
+                        {
+                            assert!(
+                                a.to_bits() == b.to_bits(),
+                                "{kind:?} tile {t} slot {c}: walk {a} vs lines {b}"
+                            );
+                        }
+                        let fluid = tiles.tiles[t].fluid;
+                        match (tiles.fast[t], fluid) {
+                            (true, _) => fast += 1,
+                            (false, 0) => rim += 1,
+                            _ => partial += 1,
+                        }
+                        vacuum += usize::from(nbrs.contains(&-1));
+                    }
+                }
+            }
+            assert!(
+                fast > 0 && partial > 0 && rim > 0 && vacuum > 0,
+                "{kind:?}: fast {fast} partial {partial} rim {rim} vacuum {vacuum}"
+            );
+        }
+    }
+
+    #[test]
+    fn neighbour_prefetch_lists_every_line_read_outside_the_tile() {
+        // The prefetch list is exactly the set of (slot, 64-byte line) the
+        // per-cell walk reads outside the own frame.
+        let own = crate::geometry::neighbor_slot(0, 0, 0) as u8;
+        for kind in LatticeKind::ALL {
+            let gt = GatherTable::new(&Lattice::new(kind));
+            let mut want = std::collections::BTreeSet::new();
+            for i in 0..gt.q {
+                for &(slot, sc) in gt.row(i) {
+                    if slot != own {
+                        want.insert((slot, ((i * TILE_CELLS + sc as usize) & !7) as u16));
+                    }
+                }
+            }
+            let got: std::collections::BTreeSet<_> = gt.nbr_lines.iter().copied().collect();
+            assert_eq!(got.len(), gt.nbr_lines.len(), "{kind:?} duplicates");
+            assert_eq!(got, want, "{kind:?}");
+        }
+        let d3q19 = GatherTable::new(&Lattice::new(LatticeKind::D3Q19));
+        assert_eq!(d3q19.nbr_lines.len(), 156);
+    }
+
+    fn kahan(terms: impl Iterator<Item = f64>) -> f64 {
+        let (mut sum, mut comp) = (0.0f64, 0.0f64);
+        for t in terms {
+            let y = t - comp;
+            let next = sum + y;
+            comp = (next - sum) - y;
+            sum = next;
+        }
+        sum
+    }
+
+    /// A near-equilibrium gathered tile: `f_i = w_i (1 + 0.1 r)`,
+    /// `r ∈ [−1, 1]`, so `ρ ≈ 1` and absolute tolerances mean what they say.
+    fn near_equilibrium_tile(ctx: &KernelCtx, seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        let mut buf = vec![0.0f64; ctx.lat.q() * TILE_CELLS];
+        for (i, w) in ctx.lat.weights().iter().enumerate() {
+            for v in &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS] {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                *v = w * (1.0 + 0.1 * ((s % 2001) as f64 / 1000.0 - 1.0));
+            }
+        }
+        buf
+    }
+
+    /// All-solid lines (`0x0`), all-fluid lines (`0xF`), and a bitmap whose
+    /// 16 lines mix both with partial ones.
+    const LINE_MASKS: [u64; 3] = [0, u64::MAX, 0x5A3C_0FF0_F00F_C3A5];
+
+    /// The scalar and the AVX2 pair body on one gathered tile.
+    #[cfg(target_arch = "x86_64")]
+    fn both_bodies<O: CollideOp>(
+        ctx: &KernelCtx,
+        op: O,
+        fluid: u64,
+        buf: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let q = ctx.lat.q();
+        let oc = OpConsts::new(ctx, &op);
+        let pc = PairConsts::new(&oc, q);
+        let (mut scalar, mut pair) = (vec![0.0; q * TILE_CELLS], vec![0.0; q * TILE_CELLS]);
+        // SAFETY: callers check AVX2+FMA first.
+        unsafe {
+            if ctx.third_order() {
+                tile_cells_scalar::<true, O>(ctx, &oc, fluid, buf, &mut scalar);
+                tile_pairs_avx2::<true, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
+            } else {
+                tile_cells_scalar::<false, O>(ctx, &oc, fluid, buf, &mut scalar);
+                tile_pairs_avx2::<false, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
+            }
+        }
+        (scalar, pair)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pair_body_matches_scalar_body_on_every_line_mask() {
+        if !sparse_simd_available() {
+            return;
+        }
+        for kind in LatticeKind::ALL {
+            for order in [EqOrder::Second, EqOrder::Third] {
+                let ctx = KernelCtx::new(kind, order, Bgk::new(0.8).unwrap());
+                let buf = near_equilibrium_tile(&ctx, 17);
+                for g in [[0.0; 3], [2e-5, -1e-5, 3e-5]] {
+                    for fluid in LINE_MASKS {
+                        let (scalar, pair) = with_op!(g, |op| both_bodies(&ctx, op, fluid, &buf));
+                        for (k, (a, b)) in scalar.iter().zip(&pair).enumerate() {
+                            let ok = if fluid >> (k % TILE_CELLS) & 1 == 1 {
+                                close(*a, *b, 1e-13)
+                            } else {
+                                a.to_bits() == b.to_bits()
+                            };
+                            assert!(
+                                ok,
+                                "{kind:?} {order:?} g={g:?} mask {fluid:#x} slot {k}: \
+                                 scalar {a} vs pair {b}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pair_body_keeps_the_per_cell_invariants() {
+        // Every fluid cell keeps its mass and gains exactly G of momentum:
+        // |Σ out − Σ f| ≤ 1e-14 ρ and |Σ c·out − Σ c·f − G| ≤ 1e-14, in
+        // compensated sums.
+        if !sparse_simd_available() {
+            return;
+        }
+        let g = [2e-5, -1e-5, 3e-5];
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let ctx = ctx_for(kind);
+            let q = ctx.lat.q();
+            let vel = ctx.lat.velocities();
+            let buf = near_equilibrium_tile(&ctx, 91);
+            for fluid in LINE_MASKS {
+                let (_, out) = both_bodies(&ctx, GuoForced { g }, fluid, &buf);
+                for c in (0..TILE_CELLS).filter(|c| fluid >> c & 1 == 1) {
+                    let f = |i: usize| buf[i * TILE_CELLS + c];
+                    let t = |i: usize| out[i * TILE_CELLS + c];
+                    let rho = kahan((0..q).map(f));
+                    let dm = kahan((0..q).map(t).chain((0..q).map(|i| -f(i))));
+                    assert!(dm.abs() <= 1e-14 * rho, "{kind:?} cell {c} mass {dm:e}");
+                    for ax in 0..3 {
+                        let c_ax = |i: usize| f64::from(vel[i][ax]);
+                        let dp = kahan(
+                            (0..q)
+                                .map(|i| c_ax(i) * t(i))
+                                .chain((0..q).map(|i| -c_ax(i) * f(i)))
+                                .chain([-g[ax]]),
+                        );
+                        assert!(dp.abs() <= 1e-14, "{kind:?} cell {c} axis {ax}: {dp:e}");
                     }
                 }
             }

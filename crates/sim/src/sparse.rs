@@ -759,7 +759,8 @@ mod tests {
     /// solid voxels come from the same pipe cross-section as a
     /// [`SectionMask`], under the same constant body force. The real dense
     /// masked path (stream → mask bounce → scenario collide) is the
-    /// reference the sparse tiles must reproduce bitwise on fluid cells.
+    /// reference the scalar sparse tiles must reproduce bitwise on fluid
+    /// cells.
     struct MaskedForced(SectionMask);
 
     impl Scenario for MaskedForced {
@@ -805,11 +806,12 @@ mod tests {
     }
 
     /// Run the same pipe flow on the sparse tiled path and on the real
-    /// dense masked path and demand bitwise equality on every fluid cell.
-    /// (Solid cells legitimately diverge: dense keeps re-bouncing streamed
-    /// values deep inside the solid, sparse stores vacuum there — the
-    /// one-bounce depth of full-way bounce-back keeps that divergence from
-    /// ever reaching a fluid cell.)
+    /// dense masked path and compare every fluid cell: bitwise on the scalar
+    /// rungs, within 1e-12 relative on the vector ones. (Solid cells
+    /// legitimately diverge: dense keeps re-bouncing streamed values deep
+    /// inside the solid, sparse stores vacuum there — the one-bounce depth
+    /// of full-way bounce-back keeps that divergence from ever reaching a
+    /// fluid cell.)
     fn assert_sparse_matches_masked_dense(
         kind: LatticeKind,
         level: OptLevel,
@@ -827,10 +829,10 @@ mod tests {
             .threads(threads)
             .build()
             .unwrap();
-        // The dense reference stays on a scalar-class rung: the sparse
-        // collide body reuses the scalar `op::collide_cells` arithmetic
-        // (its AVX2 form is bitwise-equal by construction), while the dense
-        // Simd-class scenario collide contracts with FMA.
+        // The dense reference stays on a scalar-class rung, whose collide is
+        // the arithmetic of the scalar sparse tile body. At `Simd` the
+        // sparse path runs the AVX2+FMA pair body, which reassociates it, so
+        // that comparison allows re-rounding.
         let mut dense = Simulation::builder(kind, global)
             .scenario(MaskedForced(mask))
             .level(OptLevel::LoBr)
@@ -852,13 +854,16 @@ mod tests {
                     }
                     for i in 0..q {
                         let gi = ((i * global.nx + x) * global.ny + y) * global.nz + z;
-                        assert_eq!(
-                            gs[gi].to_bits(),
-                            gd[gi].to_bits(),
+                        let (a, b) = (gs[gi], gd[gi]);
+                        let agree = if level >= OptLevel::Simd {
+                            (a - b).abs() <= 1e-12 * b.abs()
+                        } else {
+                            a.to_bits() == b.to_bits()
+                        };
+                        assert!(
+                            agree,
                             "{kind:?} ranks={ranks} threads={threads} {level:?}: \
-                             f_{i}({x},{y},{z}) sparse {} vs dense {}",
-                            gs[gi],
-                            gd[gi]
+                             f_{i}({x},{y},{z}) sparse {a} vs dense {b}"
                         );
                     }
                     checked += 1;
