@@ -175,20 +175,6 @@ fn pair_consts(tune: AaTune, oc: &OpConsts, q: usize) -> Option<PairConsts> {
     (tune.simd && simd::simd_available()).then(|| PairConsts::new(oc, q))
 }
 
-/// Drain the write-combining buffers after a non-temporal store sequence.
-/// Called once per raw-body call (i.e. per chunk of the sweep), *before*
-/// the chunk completes: NT stores are weakly ordered, and the disjoint-chunk
-/// bitwise guarantee needs every chunk's stores globally visible when its
-/// task joins.
-#[inline]
-fn sfence() {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SFENCE is baseline SSE, always present on x86_64.
-    unsafe {
-        std::arch::x86_64::_mm_sfence()
-    };
-}
-
 /// Prefetch the next y-row of every velocity slab (the rows the sweep
 /// touches next), `nz` doubles per slab starting at `next_base` — the AA
 /// adaptation of `fused_simd`'s next-src-row prefetch. The even step's 2Q
@@ -316,9 +302,9 @@ pub fn even_cells<O: CollideOp>(
 /// and writes up to `k` planes outside the writer range).
 ///
 /// The double-shifted gather software-prefetches each velocity's next
-/// y-row (the AA adaptation of `fused_simd`'s next-src-row + RFO pattern;
-/// the scatter rows *are* the gather rows of the opposite velocities, so
-/// the gather prefetch covers the destinations too). The AVX2+FMA path is
+/// y-row (the AA adaptation of `fused_simd`'s next-src-row prefetch; the
+/// scatter rows *are* the gather rows of the opposite velocities, so the
+/// gather prefetch covers the destinations too). The AVX2+FMA path is
 /// pair-evaluated, in the lane-group body it shares with the even step, and
 /// issues that prefetch from its moment loop. With `tune.nt` the
 /// scatter streams past the cache — each scatter row was fully consumed by
@@ -543,7 +529,7 @@ unsafe fn even_cells_raw<O: CollideOp>(
         }
     }
     if nt {
-        sfence();
+        simd::sfence();
     }
 }
 
@@ -819,7 +805,7 @@ unsafe fn odd_cells_raw<O: CollideOp>(
         }
     }
     if nt {
-        sfence();
+        simd::sfence();
     }
 }
 
@@ -827,8 +813,8 @@ unsafe fn odd_cells_raw<O: CollideOp>(
 /// `fq[i][j] = A[x−c_i][wrap(y−cy_i)][wrap(z0+j−cz_i)][opp(i)]`.
 ///
 /// With `prefetch` (once per row), each velocity's *next* y-row source is
-/// software-prefetched — the AA adaptation of `fused_simd`'s
-/// next-src-row-plus-destination-RFO pattern. The 2Q double-shifted streams defeat the
+/// software-prefetched — the AA adaptation of `fused_simd`'s next-src-row
+/// prefetch. The 2Q double-shifted streams defeat the
 /// hardware stride prefetcher, and no separate destination prefetch is
 /// needed: the scatter row of velocity `i` at `(x, y)` *is* this gather's
 /// row for `opp(i)` (same slab `i`, same plane `x + cx_i`, same row

@@ -216,8 +216,8 @@ pub(crate) unsafe fn store_wall_block(
 }
 
 /// Overwrite the masked solid cells of one fluid-row z-block with the
-/// full-way bounce-back of their gathered arrivals — shared by the scalar
-/// and AVX2 fused kernels so the mask convention cannot drift between them.
+/// full-way bounce-back of their gathered arrivals. (The AVX2 kernel gets
+/// the same values from its pair body's bounce blend.)
 ///
 /// # Safety
 /// `dst_ptr`/`total`/`slab_len` as in [`stream_collide_cells_raw`];

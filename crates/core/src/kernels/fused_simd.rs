@@ -1,32 +1,43 @@
 //! Vectorized fused stream+collide — the `Fused` rung's AVX2+FMA path.
 //!
 //! Same single-pass data flow as the scalar [`crate::kernels::fused`] kernel
-//! (`2·Q·8` bytes/cell: one read and one write per velocity), with the
-//! moment accumulation, reciprocal, equilibrium polynomial and relaxation
-//! performed on 4-wide `f64` z-lanes over the gathered tile — the same
-//! vectorization the paper hand-coded for the collide function (§V-G),
-//! applied to the kernel shape its conclusion (§VII) asks for.
+//! (one read and one write per velocity), in three steps per row z-block:
+//!
+//! 1. **Gather** — rotate-copy each velocity's shifted z-segment into a
+//!    `Q × 64` tile (at most two memcpys per row), with the next source row
+//!    software-prefetched.
+//! 2. **Collide** — the ±c pair tile body the sparse backend also runs
+//!    ([`crate::kernels::op`]'s `tile_pairs_avx2`: paired moment sums, one
+//!    division per 4-lane group, equilibrium and Guo source once per pair),
+//!    out of place into a second tile. Pad lanes past the block hold a
+//!    harmless density and are never stored.
+//! 3. **Stream out** — each velocity row of the collided tile goes to `dst`
+//!    as one contiguous non-temporal copy, so `dst` is written without a
+//!    read-for-ownership: `2·Q·8` bytes/cell is what reaches DRAM. Each
+//!    chunk of the sweep ends with one `sfence`.
 //!
 //! Like the scalar variant, the kernel is generic over the cell operator
-//! ([`crate::kernels::op::CollideOp`]) and boundary-aware: the Guo force is
-//! broadcast into the vectorized moment accumulation (half-force shift, then
-//! the hoisted source `sa_i − sb_i (u·G) + sc_i ξ_i` in the store pass), wall
-//! rows store the wall transform of the gathered tile instead of colliding,
-//! and masked cells are fixed up with full-way bounce-back after the vector
-//! stores — so forced/walled scenarios run the full fused rung.
+//! ([`crate::kernels::op::CollideOp`]) and boundary-aware. Wall rows store
+//! the wall transform of the gathered tile instead of colliding (the scalar
+//! kernel's code, bitwise). Masked cells take the pair body's bounce blend
+//! `(t_i, t_o) = (f_o, f_i)`, which is the scalar kernel's full-way
+//! bounce-back, bitwise. Fluid cells agree with the scalar kernel within
+//! re-rounding, since pair evaluation reassociates the arithmetic.
 //!
-//! The gather phase is the scalar rotate-copy (it is already a memcpy, which
-//! the platform vectorizes); the tile then stays cache-resident for the two
-//! vector passes. Feature detection happens at runtime; without AVX2+FMA the
-//! rung falls back to the scalar fused kernel, so the crate stays portable.
+//! Feature detection happens at runtime; without AVX2+FMA the rung falls
+//! back to the scalar fused kernel, so the crate stays portable.
 
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
+use crate::geometry::TILE_CELLS;
 use crate::kernels::fused::{self, ZBF};
 use crate::kernels::op::{CollideOp, PlainBgk};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::simd_available;
 use crate::kernels::{KernelCtx, StreamTables};
+
+// The fused tile and a sparse frame share the pair body's row stride.
+const _: () = assert!(ZBF == TILE_CELLS, "the pair tile body needs 64-double rows");
 
 /// One fused LBM step `dst ← collide(pull(src))` over planes
 /// `x ∈ [x_lo, x_hi)`, vectorized when the host supports AVX2+FMA and
@@ -137,9 +148,10 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
-    use std::arch::x86_64::*;
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
 
-    use crate::kernels::op::OpConsts;
+    use crate::kernels::op::{tile_pairs_avx2, OpConsts, PairConsts};
+    use crate::kernels::simd::{sfence, stream_frame};
     use crate::kernels::MAX_Q;
 
     const LANES: usize = 4;
@@ -147,49 +159,26 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     debug_assert!(x_lo >= ctx.lat.reach());
     debug_assert!(x_hi + ctx.lat.reach() <= d.nx);
     let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
     let nz = d.nz;
     let slab_len = src.slab_stride();
     let vel = ctx.lat.velocities();
     let mask = bounds.mask();
-
-    // The one shared per-invocation hoist: equilibrium-constant rows, the
-    // bounce-back permutation, the force terms, and the Guo source
-    // coefficients when forced — see `kernels::op`.
-    let oc = OpConsts::new(ctx, &op);
-    let g = oc.g;
-    let hg = oc.half_g;
-
-    // Gather tile plus per-lane moment scratch; everything stays L1/L2-hot.
-    let mut fq = [[0.0f64; ZBF]; MAX_Q];
-    let mut rho = [0.0f64; ZBF];
-    let mut ux = [0.0f64; ZBF];
-    let mut uy = [0.0f64; ZBF];
-    let mut uz = [0.0f64; ZBF];
-    let mut u2 = [0.0f64; ZBF];
-    let mut ug = [0.0f64; ZBF];
-
     let src_data = src.as_slice();
+
+    // The shared per-invocation hoist (see `kernels::op`) and its ±c pairs.
+    let oc = OpConsts::new(ctx, &op);
+    let pc = PairConsts::new(&oc, q);
+
+    // The gathered arrivals and their collided image; both stay cache-hot.
+    let mut fq = [[0.0f64; ZBF]; MAX_Q];
+    let mut out = [[0.0f64; ZBF]; MAX_Q];
 
     // SAFETY: all raw offsets below are i·slab_len + dbase + z0 + j with
     // j < blk and z0 + blk ≤ nz, hence within `total`; debug-asserted per
-    // row. Tile/scratch loads index stack arrays within ZBF.
+    // row. Every `dst` row slice lies in plane x ∈ [x_lo, x_hi), which the
+    // caller grants exclusively. Prefetches are in-bounds hints. AVX2+FMA
+    // are present per this function's contract.
     unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-        let v_hg0 = _mm256_set1_pd(hg[0]);
-        let v_hg1 = _mm256_set1_pd(hg[1]);
-        let v_hg2 = _mm256_set1_pd(hg[2]);
-        let v_g0 = _mm256_set1_pd(g[0]);
-        let v_g1 = _mm256_set1_pd(g[1]);
-        let v_g2 = _mm256_set1_pd(g[2]);
-
         // Balanced z-blocks (sizes differ by ≤ 1) instead of a short tail
         // block: with the row prefetch below hiding the gather latency, the
         // full-ZBF tile wins even for the high-Q lattices, and balanced
@@ -203,19 +192,10 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
                 for b in 0..nblocks {
                     let z0 = b * nz / nblocks;
                     let blk = (b + 1) * nz / nblocks - z0;
-                    // Round the accumulate/finalize loops up to whole lane
-                    // groups: lanes in [blk, vec_end) compute garbage (rho 0
-                    // → ±inf/NaN macroscopics — IEEE arithmetic on them has
-                    // no penalty) and are never stored to `dst`.
-                    let vec_end = blk.div_ceil(LANES) * LANES;
-                    // Phase 1 — pull + accumulate: rotate-copy each
-                    // velocity's shifted z-segment into the tile (at most
-                    // two contiguous memcpys per row, as in the scalar
-                    // fused kernel) and immediately fold the L1-hot row
-                    // into the moment arrays. Interleaving keeps the tile
-                    // from being traversed a second cold time — decisive
-                    // for the high-Q lattices whose tile outgrows L1. Wall
-                    // rows only gather: their arrivals are transformed.
+                    let lines = blk.div_ceil(LANES);
+                    // Gather: rotate-copy each velocity's shifted z-segment
+                    // into the tile (at most two contiguous memcpys per row,
+                    // as in the scalar fused kernel).
                     for i in 0..q {
                         let c = vel[i];
                         let xs = (x as isize - c[0] as isize) as usize;
@@ -235,15 +215,6 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
                                 _mm_prefetch::<_MM_HINT_T0>(src_data.as_ptr().add(p) as *const i8);
                                 p += 8;
                             }
-                            // …and this velocity's destination row, so the
-                            // phase-3 store's read-for-ownership overlaps
-                            // the gather instead of stalling the writes.
-                            let mut p = i * slab_len + dbase;
-                            let end = (p + nz).min(total);
-                            while p < end {
-                                _mm_prefetch::<_MM_HINT_T0>(dst_ptr.add(p) as *const i8);
-                                p += 8;
-                            }
                         }
                         let line = &mut fq[i];
                         let start = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
@@ -254,172 +225,48 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
                             line[..first].copy_from_slice(&srow[start..]);
                             line[first..blk].copy_from_slice(&srow[..blk - first]);
                         }
-                        if wall.is_some() {
-                            continue;
-                        }
-                        line[blk..vec_end].fill(0.0);
-                        let cf = oc.cw[i];
-                        let vcx = _mm256_set1_pd(cf[0]);
-                        let vcy = _mm256_set1_pd(cf[1]);
-                        let vcz = _mm256_set1_pd(cf[2]);
-                        let first_vel = i == 0;
-                        let mut j = 0;
-                        while j < vec_end {
-                            let fv = _mm256_loadu_pd(line.as_ptr().add(j));
-                            // rho/ux/uy/uz hold the running moment sums
-                            // (velocity division happens after the loop).
-                            let (vr, vx, vy, vz) = if first_vel {
-                                (
-                                    _mm256_setzero_pd(),
-                                    _mm256_setzero_pd(),
-                                    _mm256_setzero_pd(),
-                                    _mm256_setzero_pd(),
-                                )
-                            } else {
-                                (
-                                    _mm256_loadu_pd(rho.as_ptr().add(j)),
-                                    _mm256_loadu_pd(ux.as_ptr().add(j)),
-                                    _mm256_loadu_pd(uy.as_ptr().add(j)),
-                                    _mm256_loadu_pd(uz.as_ptr().add(j)),
-                                )
-                            };
-                            _mm256_storeu_pd(rho.as_mut_ptr().add(j), _mm256_add_pd(vr, fv));
-                            _mm256_storeu_pd(ux.as_mut_ptr().add(j), _mm256_fmadd_pd(fv, vcx, vx));
-                            _mm256_storeu_pd(uy.as_mut_ptr().add(j), _mm256_fmadd_pd(fv, vcy, vy));
-                            _mm256_storeu_pd(uz.as_mut_ptr().add(j), _mm256_fmadd_pd(fv, vcz, vz));
-                            j += LANES;
-                        }
+                        // Pad lanes: a finite density for the body's last
+                        // partial line, never stored.
+                        line[blk..lines * LANES].fill(1.0);
                     }
                     if let Some(kind) = wall {
                         // Solid wall row: store the transform of the tile —
                         // the in-pass form of the split boundary apply.
-                        // SAFETY: dbase+z0+blk inside every slab, within
-                        // this caller's exclusive x-planes.
                         fused::store_wall_block(
                             ctx, kind, &fq, &oc.opp, q, dst_ptr, total, slab_len, dbase, z0, blk,
                         );
                         continue;
                     }
-                    // Phase 2 — finalize macroscopics: one short vector pass
-                    // turning the moment sums into velocities (Guo half-force
-                    // shift applied to the momentum when forced).
-                    let mut j = 0;
-                    while j < vec_end {
-                        let vrho = _mm256_loadu_pd(rho.as_ptr().add(j));
-                        let vinv = _mm256_div_pd(v_one, vrho);
-                        let mut vmx = _mm256_loadu_pd(ux.as_ptr().add(j));
-                        let mut vmy = _mm256_loadu_pd(uy.as_ptr().add(j));
-                        let mut vmz = _mm256_loadu_pd(uz.as_ptr().add(j));
-                        if O::FORCED {
-                            vmx = _mm256_add_pd(vmx, v_hg0);
-                            vmy = _mm256_add_pd(vmy, v_hg1);
-                            vmz = _mm256_add_pd(vmz, v_hg2);
-                        }
-                        let vux = _mm256_mul_pd(vmx, vinv);
-                        let vuy = _mm256_mul_pd(vmy, vinv);
-                        let vuz = _mm256_mul_pd(vmz, vinv);
-                        let vu2 = _mm256_fmadd_pd(
-                            vux,
-                            vux,
-                            _mm256_fmadd_pd(vuy, vuy, _mm256_mul_pd(vuz, vuz)),
-                        );
-                        _mm256_storeu_pd(ux.as_mut_ptr().add(j), vux);
-                        _mm256_storeu_pd(uy.as_mut_ptr().add(j), vuy);
-                        _mm256_storeu_pd(uz.as_mut_ptr().add(j), vuz);
-                        _mm256_storeu_pd(u2.as_mut_ptr().add(j), vu2);
-                        if O::FORCED {
-                            let vug = _mm256_fmadd_pd(
-                                vux,
-                                v_g0,
-                                _mm256_fmadd_pd(vuy, v_g1, _mm256_mul_pd(vuz, v_g2)),
-                            );
-                            _mm256_storeu_pd(ug.as_mut_ptr().add(j), vug);
-                        }
-                        j += LANES;
-                    }
-                    // Phase 3 — relax + store: per velocity the broadcasts
-                    // are hoisted out of the lane loop, and the row write is
-                    // the step's only memory write traffic. Only whole lane
-                    // groups inside `blk` are stored vectorized; the last
-                    // partial group finishes scalar.
-                    let store_end = blk - blk % LANES;
-                    for i in 0..q {
-                        let c = oc.cw[i];
+                    // Masked cells clear their bit and take the body's
+                    // bounce blend; pad lanes stay fluid.
+                    let fluid = mask.map_or(u64::MAX, |m| {
+                        (0..blk)
+                            .filter(|&j| m.is_solid(y, z0 + j))
+                            .fold(u64::MAX, |bits, j| bits & !(1 << j))
+                    });
+                    tile_pairs_avx2::<THIRD, O>(
+                        ctx,
+                        &oc,
+                        &pc,
+                        fluid,
+                        lines,
+                        fq.as_flattened(),
+                        out.as_flattened_mut(),
+                    );
+                    // Stream out: one contiguous row copy per velocity.
+                    for (i, row) in out.iter().enumerate().take(q) {
                         let off = i * slab_len + dbase + z0;
                         debug_assert!(off + blk <= total);
-                        let vcx = _mm256_set1_pd(c[0]);
-                        let vcy = _mm256_set1_pd(c[1]);
-                        let vcz = _mm256_set1_pd(c[2]);
-                        let vw = _mm256_set1_pd(c[3]);
-                        let mut j = 0;
-                        while j < store_end {
-                            let vux = _mm256_loadu_pd(ux.as_ptr().add(j));
-                            let vuy = _mm256_loadu_pd(uy.as_ptr().add(j));
-                            let vuz = _mm256_loadu_pd(uz.as_ptr().add(j));
-                            let vu2 = _mm256_loadu_pd(u2.as_ptr().add(j));
-                            let vrho = _mm256_loadu_pd(rho.as_ptr().add(j));
-                            let vxi = _mm256_fmadd_pd(
-                                vcx,
-                                vux,
-                                _mm256_fmadd_pd(vcy, vuy, _mm256_mul_pd(vcz, vuz)),
-                            );
-                            // poly = 1 + ξ/cs² + ξ²/(2cs⁴) − u²/(2cs²) [+3rd]
-                            let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                            vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                            vpoly = _mm256_fnmadd_pd(vu2, v_inv_2cs2, vpoly);
-                            if THIRD {
-                                let t = _mm256_fnmadd_pd(v_3cs2, vu2, _mm256_mul_pd(vxi, vxi));
-                                vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                            }
-                            let vfeq = _mm256_mul_pd(_mm256_mul_pd(vw, vrho), vpoly);
-                            let fv = _mm256_loadu_pd(fq[i].as_ptr().add(j));
-                            let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                            if O::FORCED {
-                                // S_i = sa_i − sb_i (u·G) + sc_i ξ_i.
-                                let vug = _mm256_loadu_pd(ug.as_ptr().add(j));
-                                let vs = _mm256_fmadd_pd(
-                                    _mm256_set1_pd(oc.sc[i]),
-                                    vxi,
-                                    _mm256_fnmadd_pd(
-                                        _mm256_set1_pd(oc.sb[i]),
-                                        vug,
-                                        _mm256_set1_pd(oc.sa[i]),
-                                    ),
-                                );
-                                out = _mm256_add_pd(out, vs);
-                            }
-                            _mm256_storeu_pd(dst_ptr.add(off + j), out);
-                            j += LANES;
-                        }
-                        while j < blk {
-                            let xi = c[0] * ux[j] + c[1] * uy[j] + c[2] * uz[j];
-                            let mut poly =
-                                1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2[j] * k.inv_2cs2;
-                            if THIRD {
-                                poly += xi * (xi * xi - 3.0 * k.cs2 * u2[j]) * k.inv_6cs6;
-                            }
-                            let feq = c[3] * rho[j] * poly;
-                            let fv = fq[i][j];
-                            let mut next = fv + omega * (feq - fv);
-                            if O::FORCED {
-                                next += oc.sa[i] - oc.sb[i] * ug[j] + oc.sc[i] * xi;
-                            }
-                            *dst_ptr.add(off + j) = next;
-                            j += 1;
-                        }
-                    }
-                    // Masked solid cells inside a fluid row: overwrite the
-                    // collided garbage with the full-way bounce-back of the
-                    // gathered arrivals (shared with the scalar kernel).
-                    if let Some(m) = mask {
-                        fused::store_masked_cells(
-                            m, &fq, &oc.opp, q, dst_ptr, total, slab_len, y, dbase, z0, blk,
+                        stream_frame(
+                            &row[..blk],
+                            std::slice::from_raw_parts_mut(dst_ptr.add(off), blk),
                         );
                     }
                 }
             }
         }
     }
+    sfence();
 }
 
 #[cfg(test)]
@@ -551,6 +398,191 @@ mod tests {
                     &before.slab(i)[b..b + d.plane()],
                     "x={x}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_simd_matches_fused_scalar_on_every_row_shape() {
+        // Every z-block shape the AVX2 pass can meet: single cells, partial
+        // 4-lane lines with pad lanes, full 64-cell blocks, balanced pairs
+        // of blocks and unaligned rows (odd nz) under the streamed copy-out.
+        // Fluid cells agree within re-rounding; wall rows and masked cells
+        // are copies/transforms of the same arrivals, so they are bitwise.
+        if !simd_available() {
+            return;
+        }
+        type Solid = fn(usize, usize) -> bool;
+        let masks: [Option<Solid>; 3] = [
+            None,
+            // Every 4-lane line mixes solid and fluid lanes.
+            Some(|y, z| (y + z) % 3 == 0),
+            // Cells 4..8 of every row: one all-solid line.
+            Some(|_, z| (4..8).contains(&z)),
+        ];
+        let ny = 4;
+        for kind in LatticeKind::ALL {
+            for nz in (1..=13).chain([48, 64, 67, 96, 128]) {
+                // The fused gather wraps z by rotate-copy, valid at any nz,
+                // and reads only the y tables; the z tables need nz > 3.
+                let tables = StreamTables::new(ny, nz.max(4));
+                for order in [EqOrder::Second, EqOrder::Third] {
+                    let c = ctx(kind, order);
+                    let src = random_field(c.lat.q(), Dim3::new(2, ny, nz), c.lat.reach(), 7);
+                    for (m, walls) in (0..masks.len()).flat_map(|m| [(m, false), (m, true)]) {
+                        let mut bounds = BoundarySpec::periodic();
+                        if let Some(solid) = masks[m] {
+                            bounds = bounds.with_mask(SectionMask::from_fn(ny, nz, solid));
+                        }
+                        if walls {
+                            bounds = bounds.with_walls(ChannelWalls::no_slip(1));
+                        }
+                        let case = format!("{kind:?} {order:?} nz={nz} mask {m} walls={walls}");
+                        let g = [3e-5, -2e-5, 1e-5];
+                        assert_simd_matches_scalar(&c, &tables, &src, &bounds, PlainBgk, &case);
+                        assert_simd_matches_scalar(
+                            &c,
+                            &tables,
+                            &src,
+                            &bounds,
+                            GuoForced { g },
+                            &case,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One fused step of `src` by the scalar and the AVX2 kernel: fluid
+    /// cells agree to 1e-13, wall rows and masked cells bitwise.
+    fn assert_simd_matches_scalar<O: CollideOp>(
+        c: &KernelCtx,
+        tables: &StreamTables,
+        src: &DistField,
+        bounds: &BoundarySpec,
+        op: O,
+        case: &str,
+    ) {
+        let k = c.lat.reach();
+        let d = src.alloc_dims();
+        let (mut a, mut b) = (src.clone(), src.clone());
+        fused::stream_collide_cells(c, tables, src, &mut a, k, d.nx - k, op, bounds);
+        stream_collide_cells(c, tables, src, &mut b, k, d.nx - k, op, bounds);
+        for i in 0..c.lat.q() {
+            for x in k..d.nx - k {
+                for y in 0..d.ny {
+                    for z in 0..d.nz {
+                        let (va, vb) = (a.slab(i)[d.idx(x, y, z)], b.slab(i)[d.idx(x, y, z)]);
+                        let ok = if bounds.is_fluid(d.ny, y, z) {
+                            (va - vb).abs() <= 1e-13
+                        } else {
+                            va.to_bits() == vb.to_bits()
+                        };
+                        assert!(
+                            ok,
+                            "{case} forced={} slot {i} at ({x},{y},{z}): scalar {va} vs simd {vb}",
+                            O::FORCED
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Kahan-compensated sum, so the invariant checks below measure the
+    /// kernel's rounding and not the checker's.
+    fn kahan(terms: impl Iterator<Item = f64>) -> f64 {
+        let (mut sum, mut comp) = (0.0f64, 0.0f64);
+        for t in terms {
+            let y = t - comp;
+            let next = sum + y;
+            comp = (next - sum) - y;
+            sum = next;
+        }
+        sum
+    }
+
+    #[test]
+    fn fused_pair_body_keeps_the_per_cell_invariants() {
+        // Every fluid cell keeps the mass of its arrivals and gains exactly
+        // G of momentum: |Σ out − Σ f| ≤ 1e-14 ρ and
+        // |Σ c·out − Σ c·f − G| ≤ 1e-14, in compensated sums. The arrivals
+        // f are the pull-stream of src; near equilibrium, so ρ ≈ 1.
+        if !simd_available() {
+            return;
+        }
+        let g = [2e-5, -1e-5, 3e-5];
+        for (kind, order) in [
+            (LatticeKind::D3Q19, EqOrder::Second),
+            (LatticeKind::D3Q39, EqOrder::Third),
+        ] {
+            let c = ctx(kind, order);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            let vel = c.lat.velocities();
+            let dims = Dim3::new(3, 5, 13);
+            let mut src = DistField::new(q, dims, k).unwrap();
+            let mut s = 29u64;
+            for i in 0..q {
+                let w = c.lat.weights()[i];
+                for v in src.slab_mut(i) {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    *v = w * (1.0 + 0.1 * ((s % 2001) as f64 / 1000.0 - 1.0));
+                }
+            }
+            let tables = StreamTables::new(dims.ny, dims.nz);
+            let mut arrived = DistField::new(q, dims, k).unwrap();
+            dh::stream(&c, &tables, &src, &mut arrived, k, k + dims.nx);
+            for bounds in [
+                BoundarySpec::periodic(),
+                BoundarySpec::periodic().with_mask(SectionMask::from_fn(
+                    dims.ny,
+                    dims.nz,
+                    |y, z| (y + z) % 3 == 0,
+                )),
+            ] {
+                let mut out = DistField::new(q, dims, k).unwrap();
+                stream_collide_cells(
+                    &c,
+                    &tables,
+                    &src,
+                    &mut out,
+                    k,
+                    k + dims.nx,
+                    GuoForced { g },
+                    &bounds,
+                );
+                let d = out.alloc_dims();
+                for x in k..k + dims.nx {
+                    for y in 0..dims.ny {
+                        for z in (0..dims.nz).filter(|&z| bounds.is_fluid(dims.ny, y, z)) {
+                            let lin = d.idx(x, y, z);
+                            let f = |i: usize| arrived.slab(i)[lin];
+                            let t = |i: usize| out.slab(i)[lin];
+                            let rho = kahan((0..q).map(f));
+                            let dm = kahan((0..q).map(t).chain((0..q).map(|i| -f(i))));
+                            assert!(
+                                dm.abs() <= 1e-14 * rho,
+                                "{kind:?} ({x},{y},{z}) mass {dm:e}"
+                            );
+                            for ax in 0..3 {
+                                let c_ax = |i: usize| f64::from(vel[i][ax]);
+                                let dp = kahan(
+                                    (0..q)
+                                        .map(|i| c_ax(i) * t(i))
+                                        .chain((0..q).map(|i| -c_ax(i) * f(i)))
+                                        .chain([-g[ax]]),
+                                );
+                                assert!(
+                                    dp.abs() <= 1e-14,
+                                    "{kind:?} ({x},{y},{z}) axis {ax}: {dp:e}"
+                                );
+                            }
+                        }
+                    }
+                }
             }
         }
     }

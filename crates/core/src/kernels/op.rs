@@ -41,11 +41,14 @@
 //! for the drivers that evaluate both once per pair, and the AVX2+FMA pair
 //! expression itself lives here once: `group_moments` closes a lane
 //! group's paired moment sums, `relax_pair` and `relax_rest` relax a pair
-//! and the rest velocity. The AA kernels and the sparse tile body both
-//! call them.
+//! and the rest velocity. The AA kernels call them directly;
+//! `tile_pairs_avx2` runs them over a gathered tile, and serves both the
+//! sparse tile step and the dense fused z-block.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
+#[cfg(target_arch = "x86_64")]
+use crate::geometry::TILE_CELLS;
 use crate::kernels::dh::ZB;
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{KernelCtx, MAX_Q};
@@ -176,8 +179,8 @@ pub(crate) struct VelPair {
 }
 
 /// The ±c pair view of an [`OpConsts`], for drivers that evaluate the
-/// equilibrium and the Guo source once per pair (the AVX2 AA and sparse
-/// tile bodies): every moving velocity appears in exactly one pair, and the
+/// equilibrium and the Guo source once per pair (the AVX2 AA, sparse and
+/// fused bodies): every moving velocity appears in exactly one pair, and the
 /// rest velocity is a degenerate pair with `i == o` and `c = sa = sc = 0`.
 #[derive(Debug, Clone)]
 pub(crate) struct PairConsts {
@@ -374,6 +377,106 @@ pub(crate) unsafe fn relax_rest<O: CollideOp>(
         _mm256_fnmadd_pd(_mm256_set1_pd(rest.sb), m.ug, t0)
     } else {
         t0
+    }
+}
+
+/// The ±c pair body over a tile of `lines` 4-lane z-lines, from gathered
+/// arrivals `buf[i·64 + c]` to post-collision `dst[i·64 + c]` (one row of
+/// [`TILE_CELLS`] doubles per velocity, cells `c < 4·lines`). Per line:
+/// paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then
+/// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Cell `c`
+/// is fluid iff bit `c` of `fluid` is set. Solid lanes take the bounce-back
+/// swap `(t_i, t_o) = (f_o, f_i)` by blend, and all-solid lines only swap,
+/// so solid cells are exact copies and fluid cells agree with the per-cell
+/// scalar rule within re-rounding. Sparse tiles (16 lines, a `q·64` frame)
+/// and dense fused z-blocks (`⌈blk/4⌉` lines of a `[[f64; 64]; MAX_Q]` tile)
+/// both run it.
+///
+/// # Safety
+/// AVX2+FMA must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    fluid: u64,
+    lines: usize,
+    buf: &[f64],
+    dst: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+
+    const LANES: usize = 4;
+    let q = ctx.lat.q();
+    assert!(lines * LANES <= TILE_CELLS);
+    assert!(buf.len() >= q * TILE_CELLS && dst.len() >= q * TILE_CELLS);
+    let bp = buf.as_ptr();
+    let dp = dst.as_mut_ptr();
+    let rest = &pc.rest;
+
+    // SAFETY: every offset is i·64 + line·4 with i < q and line·4 < 64
+    // (asserted above), hence within the q·64 rows checked above.
+    unsafe {
+        for line in 0..lines {
+            let off = line * LANES;
+            macro_rules! ld {
+                ($i:expr) => {
+                    _mm256_loadu_pd(bp.add($i * TILE_CELLS + off))
+                };
+            }
+            macro_rules! st {
+                ($i:expr, $v:expr) => {
+                    _mm256_storeu_pd(dp.add($i * TILE_CELLS + off), $v)
+                };
+            }
+            let bits = (fluid >> off) & 0xF;
+            if bits == 0 {
+                for p in pc.pairs() {
+                    let (fi, fo) = (ld!(p.i), ld!(p.o));
+                    st!(p.i, fo);
+                    st!(p.o, fi);
+                }
+                st!(rest.i, ld!(rest.i));
+                continue;
+            }
+            let mut rho = ld!(rest.i);
+            let mut m = [_mm256_setzero_pd(); 3];
+            for p in pc.pairs() {
+                let (fi, fo) = (ld!(p.i), ld!(p.o));
+                let d = _mm256_sub_pd(fi, fo);
+                rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
+                for a in 0..3 {
+                    m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
+                }
+            }
+            let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
+            // Solid lanes keep the bounce value; a full line skips the blend.
+            let fluid_lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                _mm256_and_si256(
+                    _mm256_set1_epi64x(bits as i64),
+                    _mm256_setr_epi64x(1, 2, 4, 8),
+                ),
+                _mm256_setr_epi64x(1, 2, 4, 8),
+            ));
+            macro_rules! keep_solid {
+                ($bounce:expr, $t:expr) => {
+                    if bits == 0xF {
+                        $t
+                    } else {
+                        _mm256_blendv_pd($bounce, $t, fluid_lanes)
+                    }
+                };
+            }
+            for p in pc.pairs() {
+                let (fi, fo) = (ld!(p.i), ld!(p.o));
+                let (ti, to) = relax_pair::<THIRD, O>(ctx, p, &gm, fi, fo);
+                st!(p.i, keep_solid!(fo, ti));
+                st!(p.o, keep_solid!(fi, to));
+            }
+            let f0 = ld!(rest.i);
+            st!(rest.i, keep_solid!(f0, relax_rest::<O>(ctx, rest, &gm, f0)));
+        }
     }
 }
 

@@ -19,8 +19,9 @@
 //! (same accumulation order, same reciprocal form), so on a shared geometry
 //! the scalar sparse fluid trajectory is **bitwise equal** to the dense
 //! masked path. The AVX2+FMA body evaluates every ±c velocity pair once on
-//! 4-wide z-lines of a tile, through the pair helpers it shares with the AA
-//! kernels (`op::relax_pair`); that reassociates the arithmetic,
+//! 4-wide z-lines of a tile: it is `op::tile_pairs_avx2`, shared with the
+//! dense fused rung, built on the pair helpers of the AA kernels
+//! (`op::relax_pair`). That reassociates the arithmetic,
 //! so — like the dense `Simd` rung — it agrees with the scalar body within
 //! re-rounding (fluid cells; the bounce-back of solid cells is a copy and
 //! stays bitwise). Like every kernel entry point, each step chunks its tile
@@ -36,9 +37,10 @@ use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{group_moments, relax_pair, relax_rest};
+use crate::kernels::op::tile_pairs_avx2;
 use crate::kernels::op::{with_op, CollideOp, OpConsts, PairConsts};
 use crate::kernels::par::{chunk_bounds, chunk_count, in_pool, SendPtr};
+use crate::kernels::simd::{sfence, stream_frame};
 use crate::kernels::{simd, KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
 
@@ -398,40 +400,6 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     drive_tile_lists(&owned, &[], run);
 }
 
-/// Copy a finished frame (or a velocity row of one) to its `dst` frame with
-/// non-temporal stores: the two-grid step writes every `dst` frame once and
-/// does not read it again this step, so streaming it past the cache saves
-/// the read-for-ownership of every line.
-#[inline]
-fn stream_frame(out: &[f64], dst: &mut [f64]) {
-    assert_eq!(out.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_loadu_pd, _mm_stream_pd};
-        assert!(out.len() % 2 == 0 && dst.as_ptr() as usize % 16 == 0);
-        // SAFETY: both slices hold the same even number of doubles and
-        // `dst` is 16-byte aligned (asserted above), so every 16-byte load
-        // and aligned store is in bounds.
-        unsafe {
-            for k in (0..out.len()).step_by(2) {
-                _mm_stream_pd(dst.as_mut_ptr().add(k), _mm_loadu_pd(out.as_ptr().add(k)));
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    dst.copy_from_slice(out);
-}
-
-/// Order this thread's non-temporal stores before its chunk completes.
-#[inline]
-fn sfence() {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: SFENCE is baseline SSE, always present on x86_64.
-    unsafe {
-        std::arch::x86_64::_mm_sfence()
-    };
-}
-
 /// The ±c pair table of the AVX2+FMA tile body, or `None` where the steps
 /// run the scalar body (not requested, or no AVX2+FMA on this CPU).
 fn pair_table(use_simd: bool, oc: &OpConsts, q: usize) -> Option<PairConsts> {
@@ -641,7 +609,7 @@ fn tile_body<const THIRD: bool, O: CollideOp>(
     #[cfg(target_arch = "x86_64")]
     if let Some(pc) = pc {
         // SAFETY: a pair table is built only once AVX2+FMA were detected.
-        unsafe { tile_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, out) };
+        unsafe { tile_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, TILE_LINES, buf, out) };
         return;
     }
     let _ = pc;
@@ -711,100 +679,6 @@ fn tile_cells_scalar<const THIRD: bool, O: CollideOp>(
                 next += oc.sa[i] - oc.sb[i] * ug + oc.sc[i] * xi;
             }
             dst[i * TILE_CELLS + c] = next;
-        }
-    }
-}
-
-/// AVX2+FMA tile body, evaluated once per ±c velocity pair on each of the
-/// tile's 16 z-lines (4 lanes): paired moment sums `ρ += f_i + f_o`,
-/// `ρu += c_i (f_i − f_o)`, then [`group_moments`] and [`relax_pair`] per
-/// pair — the AA kernels' expression. Solid lanes take the bounce-back swap
-/// `(t_i, t_o) = (f_o, f_i)` by blend, and all-solid lines only swap, so
-/// solid cells match [`tile_cells_scalar`] bitwise and fluid cells within
-/// re-rounding.
-///
-/// # Safety
-/// AVX2+FMA must be available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tile_pairs_avx2<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    pc: &PairConsts,
-    fluid: u64,
-    buf: &[f64],
-    dst: &mut [f64],
-) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
-    let q = ctx.lat.q();
-    assert!(buf.len() >= q * TILE_CELLS && dst.len() >= q * TILE_CELLS);
-    let bp = buf.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let rest = &pc.rest;
-
-    // SAFETY: every offset is i·64 + line·4 with i < q and line < 16, hence
-    // within the q·64 frames checked above.
-    unsafe {
-        for line in 0..TILE_CELLS / LANES {
-            let off = line * LANES;
-            macro_rules! ld {
-                ($i:expr) => {
-                    _mm256_loadu_pd(bp.add($i * TILE_CELLS + off))
-                };
-            }
-            macro_rules! st {
-                ($i:expr, $v:expr) => {
-                    _mm256_storeu_pd(dp.add($i * TILE_CELLS + off), $v)
-                };
-            }
-            let bits = (fluid >> off) & 0xF;
-            if bits == 0 {
-                for p in pc.pairs() {
-                    let (fi, fo) = (ld!(p.i), ld!(p.o));
-                    st!(p.i, fo);
-                    st!(p.o, fi);
-                }
-                st!(rest.i, ld!(rest.i));
-                continue;
-            }
-            let mut rho = ld!(rest.i);
-            let mut m = [_mm256_setzero_pd(); 3];
-            for p in pc.pairs() {
-                let (fi, fo) = (ld!(p.i), ld!(p.o));
-                let d = _mm256_sub_pd(fi, fo);
-                rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
-                for a in 0..3 {
-                    m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
-                }
-            }
-            let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
-            // Solid lanes keep the bounce value; a full line skips the blend.
-            let fluid_lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                _mm256_and_si256(
-                    _mm256_set1_epi64x(bits as i64),
-                    _mm256_setr_epi64x(1, 2, 4, 8),
-                ),
-                _mm256_setr_epi64x(1, 2, 4, 8),
-            ));
-            macro_rules! keep_solid {
-                ($bounce:expr, $t:expr) => {
-                    if bits == 0xF {
-                        $t
-                    } else {
-                        _mm256_blendv_pd($bounce, $t, fluid_lanes)
-                    }
-                };
-            }
-            for p in pc.pairs() {
-                let (fi, fo) = (ld!(p.i), ld!(p.o));
-                let (ti, to) = relax_pair::<THIRD, O>(ctx, p, &gm, fi, fo);
-                st!(p.i, keep_solid!(fo, ti));
-                st!(p.o, keep_solid!(fi, to));
-            }
-            let f0 = ld!(rest.i);
-            st!(rest.i, keep_solid!(f0, relax_rest::<O>(ctx, rest, &gm, f0)));
         }
     }
 }
@@ -2146,10 +2020,10 @@ mod tests {
         unsafe {
             if ctx.third_order() {
                 tile_cells_scalar::<true, O>(ctx, &oc, fluid, buf, &mut scalar);
-                tile_pairs_avx2::<true, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
+                tile_pairs_avx2::<true, O>(ctx, &oc, &pc, fluid, TILE_LINES, buf, &mut pair);
             } else {
                 tile_cells_scalar::<false, O>(ctx, &oc, fluid, buf, &mut scalar);
-                tile_pairs_avx2::<false, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
+                tile_pairs_avx2::<false, O>(ctx, &oc, &pc, fluid, TILE_LINES, buf, &mut pair);
             }
         }
         (scalar, pair)

@@ -19,6 +19,8 @@ use std::time::{Duration, Instant};
 /// storage-parameterized): `3·Q·8` for [`StorageMode::TwoGrid`] (load src,
 /// load+store dst with write-allocate), `2·Q·8` for
 /// [`StorageMode::InPlaceAa`] (one read + one in-place write per velocity).
+/// The two-grid figure overstates the AVX2 fused pass, whose non-temporal
+/// stores skip the write-allocate read: it moves `2·Q·8`.
 pub const fn model_bytes_per_cell(storage: StorageMode, q: usize) -> usize {
     match storage {
         StorageMode::TwoGrid => 3 * q * 8,

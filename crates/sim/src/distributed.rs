@@ -1202,6 +1202,17 @@ mod tests {
                 assert_eq!(a.max_abs_diff_owned(b), 0.0, "{}", level.name());
             }
         }
+        // D3Q39 (third order by default) through the streamed copy-out: with
+        // odd nz the rows are unaligned, and a 7·13-cell plane is not a whole
+        // number of cache lines, so chunk edges split lines between threads.
+        let base = Simulation::builder(LatticeKind::D3Q39, Dim3::new(16, 7, 13))
+            .ranks(2)
+            .level(OptLevel::Fused);
+        let serial = distributed_owned(&base.clone().threads(1).build_config().unwrap(), 4);
+        let threaded = distributed_owned(&base.threads(4).build_config().unwrap(), 4);
+        for (a, b) in serial.iter().zip(&threaded) {
+            assert_eq!(a.max_abs_diff_owned(b), 0.0, "D3Q39 Fused");
+        }
     }
 
     #[test]
