@@ -176,10 +176,9 @@ fn pair_consts(tune: AaTune, oc: &OpConsts, q: usize) -> Option<PairConsts> {
 }
 
 /// Prefetch the next y-row of every velocity slab (the rows the sweep
-/// touches next), `nz` doubles per slab starting at `next_base` — the AA
-/// adaptation of `fused_simd`'s next-src-row prefetch. The even step's 2Q
-/// concurrent unit-stride streams exceed the hardware stride prefetcher's
-/// capacity; one software touch per row keeps them flowing.
+/// touches next), `nz` doubles per slab starting at `next_base`. The even
+/// step's 2Q concurrent unit-stride streams exceed the hardware stride
+/// prefetcher's capacity; one software touch per row keeps them flowing.
 #[inline]
 fn prefetch_next_rows(
     base_ptr: *const f64,
@@ -302,11 +301,11 @@ pub fn even_cells<O: CollideOp>(
 /// and writes up to `k` planes outside the writer range).
 ///
 /// The double-shifted gather software-prefetches each velocity's next
-/// y-row (the AA adaptation of `fused_simd`'s next-src-row prefetch; the
-/// scatter rows *are* the gather rows of the opposite velocities, so the
-/// gather prefetch covers the destinations too). The AVX2+FMA path is
-/// pair-evaluated, in the lane-group body it shares with the even step, and
-/// issues that prefetch from its moment loop. With `tune.nt` the
+/// y-row (the scatter rows *are* the gather rows of the opposite
+/// velocities, so the gather prefetch covers the destinations too). The
+/// AVX2+FMA path is pair-evaluated, in the lane-group body it shares with
+/// the even step, and issues that prefetch from its moment loop. With
+/// `tune.nt` the
 /// scatter streams past the cache — each scatter row was fully consumed by
 /// this writer's own gather before the store (see [`AaTune`]).
 pub fn odd_cells<O: CollideOp>(
@@ -813,9 +812,8 @@ unsafe fn odd_cells_raw<O: CollideOp>(
 /// `fq[i][j] = A[x−c_i][wrap(y−cy_i)][wrap(z0+j−cz_i)][opp(i)]`.
 ///
 /// With `prefetch` (once per row), each velocity's *next* y-row source is
-/// software-prefetched — the AA adaptation of `fused_simd`'s next-src-row
-/// prefetch. The 2Q double-shifted streams defeat the
-/// hardware stride prefetcher, and no separate destination prefetch is
+/// software-prefetched: the 2Q double-shifted streams defeat the
+/// hardware stride prefetcher. No separate destination prefetch is
 /// needed: the scatter row of velocity `i` at `(x, y)` *is* this gather's
 /// row for `opp(i)` (same slab `i`, same plane `x + cx_i`, same row
 /// `wrap(y + cy_i)`), so every scatter destination is already resident.

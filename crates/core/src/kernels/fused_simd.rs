@@ -1,43 +1,42 @@
 //! Vectorized fused stream+collide — the `Fused` rung's AVX2+FMA path.
 //!
 //! Same single-pass data flow as the scalar [`crate::kernels::fused`] kernel
-//! (one read and one write per velocity), in three steps per row z-block:
+//! (one read and one write per velocity), with no tile in between. Each
+//! fluid row is a row view for the ±c pair body the sparse backend also
+//! runs ([`crate::kernels::op`]'s `tile_pairs_avx2`: paired moment sums, one
+//! division per 4-lane line, equilibrium and Guo source once per pair):
 //!
-//! 1. **Gather** — rotate-copy each velocity's shifted z-segment into a
-//!    `Q × 64` tile (at most two memcpys per row), with the next source row
-//!    software-prefetched.
-//! 2. **Collide** — the ±c pair tile body the sparse backend also runs
-//!    ([`crate::kernels::op`]'s `tile_pairs_avx2`: paired moment sums, one
-//!    division per 4-lane group, equilibrium and Guo source once per pair),
-//!    out of place into a second tile. Pad lanes past the block hold a
-//!    harmless density and are never stored.
-//! 3. **Stream out** — each velocity row of the collided tile goes to `dst`
-//!    as one contiguous non-temporal copy, so `dst` is written without a
-//!    read-for-ownership: `2·Q·8` bytes/cell is what reaches DRAM. Each
-//!    chunk of the sweep ends with one `sfence`.
+//! * **Loads** — velocity `i` reads its arrivals in place, from its source
+//!   row `(x − cx_i, y − cy_i)` shifted by `−cz_i`. In the groups at the
+//!   row's ends (its seams), the velocities whose window wraps in z read
+//!   through an 8-lane stack buffer, filled from a wrap-index table built
+//!   once per call.
+//! * **Stores** — 8 cells at a time, so every velocity row of a group is one
+//!   whole 64-byte line of `dst`, written with two back-to-back streaming
+//!   stores and no read-for-ownership: `2·Q·8` bytes/cell is what reaches
+//!   DRAM. When `nz` is not a multiple of 8 the rows are not line-aligned;
+//!   such rows collide 64 cells at a time into a stack frame that goes to
+//!   `dst` as one non-temporal row copy per velocity. Each chunk of the
+//!   sweep ends with one `sfence`.
 //!
 //! Like the scalar variant, the kernel is generic over the cell operator
-//! ([`crate::kernels::op::CollideOp`]) and boundary-aware. Wall rows store
-//! the wall transform of the gathered tile instead of colliding (the scalar
-//! kernel's code, bitwise). Masked cells take the pair body's bounce blend
-//! `(t_i, t_o) = (f_o, f_i)`, which is the scalar kernel's full-way
-//! bounce-back, bitwise. Fluid cells agree with the scalar kernel within
-//! re-rounding, since pair evaluation reassociates the arithmetic.
+//! ([`crate::kernels::op::CollideOp`]) and boundary-aware. Wall rows gather
+//! into a `Q × 64` tile and store its wall transform instead of colliding
+//! (the scalar kernel's code, bitwise). Masked cells take the pair body's
+//! bounce blend `(t_i, t_o) = (f_o, f_i)`, which is the scalar kernel's
+//! full-way bounce-back, bitwise. Fluid cells agree with the scalar kernel
+//! within re-rounding, since pair evaluation reassociates the arithmetic.
 //!
 //! Feature detection happens at runtime; without AVX2+FMA the rung falls
 //! back to the scalar fused kernel, so the crate stays portable.
 
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
-use crate::geometry::TILE_CELLS;
-use crate::kernels::fused::{self, ZBF};
+use crate::kernels::fused;
 use crate::kernels::op::{CollideOp, PlainBgk};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::simd_available;
 use crate::kernels::{KernelCtx, StreamTables};
-
-// The fused tile and a sparse frame share the pair body's row stride.
-const _: () = assert!(ZBF == TILE_CELLS, "the pair tile body needs 64-double rows");
 
 /// One fused LBM step `dst ← collide(pull(src))` over planes
 /// `x ∈ [x_lo, x_hi)`, vectorized when the host supports AVX2+FMA and
@@ -148,17 +147,18 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
-    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-
-    use crate::kernels::op::{tile_pairs_avx2, OpConsts, PairConsts};
+    use crate::kernels::fused::ZBF;
+    use crate::kernels::op::{tile_pairs_avx2, OpConsts, PairConsts, RowPtrs, GROUP};
     use crate::kernels::simd::{sfence, stream_frame};
     use crate::kernels::MAX_Q;
 
-    const LANES: usize = 4;
+    /// Cells per call of the pair body: one `u64` fluid word.
+    const CHUNK: usize = u64::BITS as usize;
     let d = src.alloc_dims();
     debug_assert!(x_lo >= ctx.lat.reach());
     debug_assert!(x_hi + ctx.lat.reach() <= d.nx);
     let q = ctx.lat.q();
+    let k = ctx.lat.reach();
     let nz = d.nz;
     let slab_len = src.slab_stride();
     let vel = ctx.lat.velocities();
@@ -169,98 +169,144 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     let oc = OpConsts::new(ctx, &op);
     let pc = PairConsts::new(&oc, q);
 
-    // The gathered arrivals and their collided image; both stay cache-hot.
+    // Rows start on a cache line when `nz` is a whole number of groups: the
+    // body then streams straight into `dst`. Otherwise it collides into
+    // `frame`, which is streamed out row by row.
+    let direct = nz % GROUP == 0 && slab_len % GROUP == 0 && dst_ptr as usize % 64 == 0;
+    // The group at z reads source cells [z − cz, z − cz + 8), inside the
+    // row for every |cz| ≤ k iff k ≤ z and z + 8 + k ≤ nz.
+    let interior = |z: usize| z >= k && z + GROUP + k <= nz;
+    // wrap[z − cz + k] = (z − cz) mod nz, for every lane of a seam group.
+    let wrap: Vec<usize> = (0..nz + 2 * k)
+        .map(|t| (t as isize - k as isize).rem_euclid(nz as isize) as usize)
+        .collect();
+
+    // Wall-row gather tile, the collided chunk of an unaligned row, and the
+    // seam groups' wrapped arrivals; all stay cache-hot.
     let mut fq = [[0.0f64; ZBF]; MAX_Q];
-    let mut out = [[0.0f64; ZBF]; MAX_Q];
+    let mut frame = [[0.0f64; CHUNK]; MAX_Q];
+    let mut seam = [[0.0f64; GROUP]; MAX_Q];
 
-    // SAFETY: all raw offsets below are i·slab_len + dbase + z0 + j with
-    // j < blk and z0 + blk ≤ nz, hence within `total`; debug-asserted per
-    // row. Every `dst` row slice lies in plane x ∈ [x_lo, x_hi), which the
-    // caller grants exclusively. Prefetches are in-bounds hints. AVX2+FMA
-    // are present per this function's contract.
+    // SAFETY: source rows are `row_off[i] + [0, nz)` inside `src_data`; the
+    // body reads `sp[i] + z + [0, 8)` only where that window lies inside the
+    // row, and everything else from `seam`. It writes `dp[i] + [0, nz)`
+    // — row (x, y) of slab i, within `total` (debug-asserted) and in plane
+    // x ∈ [x_lo, x_hi), which the caller grants exclusively — or `frame`.
+    // `direct` rows are 64-byte aligned, as the streaming stores need.
+    // AVX2+FMA are present per this function's contract.
     unsafe {
-        // Balanced z-blocks (sizes differ by ≤ 1) instead of a short tail
-        // block: with the row prefetch below hiding the gather latency, the
-        // full-ZBF tile wins even for the high-Q lattices, and balanced
-        // blocks keep the per-row copy overhead even across blocks.
-        let nblocks = nz.div_ceil(ZBF);
-
         for x in x_lo..x_hi {
             for y in 0..d.ny {
-                let wall = bounds.wall_row_kind(d.ny, y);
                 let dbase = d.idx(x, y, 0);
-                for b in 0..nblocks {
-                    let z0 = b * nz / nblocks;
-                    let blk = (b + 1) * nz / nblocks - z0;
-                    let lines = blk.div_ceil(LANES);
-                    // Gather: rotate-copy each velocity's shifted z-segment
-                    // into the tile (at most two contiguous memcpys per row,
-                    // as in the scalar fused kernel).
-                    for i in 0..q {
-                        let c = vel[i];
-                        let xs = (x as isize - c[0] as isize) as usize;
-                        let ys = tables.y_for(c[1]).src(y);
-                        let row_off = i * slab_len + d.idx(xs, ys, 0);
-                        let srow = &src_data[row_off..][..nz];
-                        if b == 0 {
-                            // Software-prefetch this velocity's *next* y-row:
-                            // the gather cycles Q short interleaved streams,
-                            // which defeats the hardware streamer exactly for
-                            // the high-Q lattices; one row of lookahead per
-                            // stream hides the L3 latency. (Clamped in-bounds;
-                            // the wrap rows it occasionally misses are noise.)
-                            let mut p = row_off + nz;
-                            let end = (row_off + 2 * nz).min(src_data.len());
-                            while p < end {
-                                _mm_prefetch::<_MM_HINT_T0>(src_data.as_ptr().add(p) as *const i8);
-                                p += 8;
+                let mut row_off = [0usize; MAX_Q];
+                for i in 0..q {
+                    let c = vel[i];
+                    let xs = (x as isize - c[0] as isize) as usize;
+                    let ys = tables.y_for(c[1]).src(y);
+                    row_off[i] = i * slab_len + d.idx(xs, ys, 0);
+                    debug_assert!(i * slab_len + dbase + nz <= total);
+                }
+                if let Some(kind) = bounds.wall_row_kind(d.ny, y) {
+                    // Solid wall row: rotate-copy each velocity's shifted
+                    // z-segment into the tile (at most two memcpys, as in
+                    // the scalar fused kernel) and store its transform —
+                    // the in-pass form of the split boundary apply.
+                    for z0 in (0..nz).step_by(ZBF) {
+                        let blk = (nz - z0).min(ZBF);
+                        for i in 0..q {
+                            let srow = &src_data[row_off[i]..][..nz];
+                            let line = &mut fq[i];
+                            let start =
+                                (z0 as isize - vel[i][2] as isize).rem_euclid(nz as isize) as usize;
+                            if start + blk <= nz {
+                                line[..blk].copy_from_slice(&srow[start..start + blk]);
+                            } else {
+                                let first = nz - start;
+                                line[..first].copy_from_slice(&srow[start..]);
+                                line[first..blk].copy_from_slice(&srow[..blk - first]);
                             }
                         }
-                        let line = &mut fq[i];
-                        let start = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
-                        if start + blk <= nz {
-                            line[..blk].copy_from_slice(&srow[start..start + blk]);
-                        } else {
-                            let first = nz - start;
-                            line[..first].copy_from_slice(&srow[start..]);
-                            line[first..blk].copy_from_slice(&srow[..blk - first]);
-                        }
-                        // Pad lanes: a finite density for the body's last
-                        // partial line, never stored.
-                        line[blk..lines * LANES].fill(1.0);
-                    }
-                    if let Some(kind) = wall {
-                        // Solid wall row: store the transform of the tile —
-                        // the in-pass form of the split boundary apply.
                         fused::store_wall_block(
                             ctx, kind, &fq, &oc.opp, q, dst_ptr, total, slab_len, dbase, z0, blk,
                         );
-                        continue;
                     }
+                    continue;
+                }
+                // The row view: shifted source rows, `dst` rows.
+                let mut sp = [src_data.as_ptr(); MAX_Q];
+                let mut dp = [dst_ptr; MAX_Q];
+                for i in 0..q {
+                    sp[i] = sp[i].add(row_off[i]).wrapping_offset(-(vel[i][2] as isize));
+                    dp[i] = dp[i].add(i * slab_len + dbase);
+                }
+                for z0 in (0..nz).step_by(CHUNK) {
+                    let n = (nz - z0).min(CHUNK);
                     // Masked cells clear their bit and take the body's
                     // bounce blend; pad lanes stay fluid.
                     let fluid = mask.map_or(u64::MAX, |m| {
-                        (0..blk)
+                        (0..n)
                             .filter(|&j| m.is_solid(y, z0 + j))
                             .fold(u64::MAX, |bits, j| bits & !(1 << j))
                     });
-                    tile_pairs_avx2::<THIRD, O>(
-                        ctx,
-                        &oc,
-                        &pc,
-                        fluid,
-                        lines,
-                        fq.as_flattened(),
-                        out.as_flattened_mut(),
-                    );
-                    // Stream out: one contiguous row copy per velocity.
-                    for (i, row) in out.iter().enumerate().take(q) {
-                        let off = i * slab_len + dbase + z0;
-                        debug_assert!(off + blk <= total);
-                        stream_frame(
-                            &row[..blk],
-                            std::slice::from_raw_parts_mut(dst_ptr.add(off), blk),
-                        );
+                    let mut out = dp;
+                    if !direct {
+                        for i in 0..q {
+                            out[i] = frame[i].as_mut_ptr().wrapping_sub(z0);
+                        }
+                    }
+                    let body = |from: &[*const f64; MAX_Q], z: usize, groups: usize| {
+                        let (rows, bits) = (RowPtrs(from, &out), fluid >> (z - z0));
+                        if direct {
+                            tile_pairs_avx2::<THIRD, true, O, _>(
+                                ctx, &oc, &pc, rows, z, groups, bits,
+                            );
+                        } else {
+                            tile_pairs_avx2::<THIRD, false, O, _>(
+                                ctx, &oc, &pc, rows, z, groups, bits,
+                            );
+                        }
+                    };
+                    let mut z = z0;
+                    while z < z0 + n {
+                        if interior(z) {
+                            let mut end = z + GROUP;
+                            while end < z0 + n && interior(end) {
+                                end += GROUP;
+                            }
+                            body(&sp, z, (end - z) / GROUP);
+                            z = end;
+                            continue;
+                        }
+                        // Seam group: a velocity whose window leaves the
+                        // row, or any velocity of a short last group, reads
+                        // wrapped lanes (pad lanes 1.0, a harmless density,
+                        // never stored); the others still load in place.
+                        let lanes = (nz - z).min(GROUP);
+                        let mut from = sp;
+                        for i in 0..q {
+                            let cz = vel[i][2] as isize;
+                            let s = z as isize - cz;
+                            if lanes == GROUP && s >= 0 && s as usize + GROUP <= nz {
+                                continue;
+                            }
+                            let srow = &src_data[row_off[i]..][..nz];
+                            let at = s + k as isize;
+                            for (l, v) in seam[i].iter_mut().enumerate() {
+                                *v = if l < lanes {
+                                    srow[wrap[at as usize + l]]
+                                } else {
+                                    1.0
+                                };
+                            }
+                            from[i] = seam[i].as_ptr().wrapping_sub(z);
+                        }
+                        body(&from, z, 1);
+                        z += GROUP;
+                    }
+                    if !direct {
+                        for (row, &to) in frame.iter().zip(&dp).take(q) {
+                            stream_frame(&row[..n], std::slice::from_raw_parts_mut(to.add(z0), n));
+                        }
                     }
                 }
             }
@@ -404,11 +450,15 @@ mod tests {
 
     #[test]
     fn fused_simd_matches_fused_scalar_on_every_row_shape() {
-        // Every z-block shape the AVX2 pass can meet: single cells, partial
-        // 4-lane lines with pad lanes, full 64-cell blocks, balanced pairs
-        // of blocks and unaligned rows (odd nz) under the streamed copy-out.
-        // Fluid cells agree within re-rounding; wall rows and masked cells
-        // are copies/transforms of the same arrivals, so they are bitwise.
+        // Every row shape the AVX2 pass can meet: single cells, short last
+        // groups with pad lanes, rows made only of seam groups, rows of
+        // whole 8-cell groups streamed straight into `dst` (nz 8, 48, 64,
+        // 96, 128), several 64-cell chunks and unaligned rows (odd nz)
+        // under the streamed copy-out. Fluid cells agree with scalar fused
+        // within re-rounding; wall rows and masked cells are
+        // copies/transforms of the same arrivals, so they are bitwise. And
+        // the whole output is bitwise the scalar-pulled rows run through
+        // the pair body's frame-row instantiation.
         if !simd_available() {
             return;
         }
@@ -455,7 +505,8 @@ mod tests {
     }
 
     /// One fused step of `src` by the scalar and the AVX2 kernel: fluid
-    /// cells agree to 1e-13, wall rows and masked cells bitwise.
+    /// cells agree to 1e-13, wall rows and masked cells bitwise, and the
+    /// AVX2 output is bitwise [`frame_body_image`] of the step.
     fn assert_simd_matches_scalar<O: CollideOp>(
         c: &KernelCtx,
         tables: &StreamTables,
@@ -484,6 +535,146 @@ mod tests {
                             "{case} forced={} slot {i} at ({x},{y},{z}): scalar {va} vs simd {vb}",
                             O::FORCED
                         );
+                    }
+                }
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            let want = frame_body_image(c, src, bounds, op, &a);
+            let (got, want) = (b.as_slice(), want.as_slice());
+            for (p, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{case} forced={} at offset {p}: row view {g} vs frame body {w}",
+                    O::FORCED
+                );
+            }
+        }
+    }
+
+    /// What the AVX2 fused step must write, built the slow way: each fluid
+    /// row pulled by a per-cell scalar gather into a `q·64` frame, 64 cells
+    /// at a time, and run through the pair body's frame-row instantiation
+    /// (the sparse steps' body), with the fluid bits of `bounds`. Wall rows
+    /// and the planes outside the sweep come from `walls`, the scalar fused
+    /// step.
+    #[cfg(target_arch = "x86_64")]
+    fn frame_body_image<O: CollideOp>(
+        c: &KernelCtx,
+        src: &DistField,
+        bounds: &BoundarySpec,
+        op: O,
+        walls: &DistField,
+    ) -> DistField {
+        use crate::geometry::TILE_CELLS;
+        use crate::kernels::op::{frame_pairs_avx2, OpConsts, PairConsts};
+
+        let (q, k) = (c.lat.q(), c.lat.reach());
+        let d = src.alloc_dims();
+        let oc = OpConsts::new(c, &op);
+        let pc = PairConsts::new(&oc, q);
+        let wrap =
+            |v: usize, s: i32, n: usize| (v as isize - s as isize).rem_euclid(n as isize) as usize;
+        let mut image = walls.clone();
+        let (mut buf, mut out) = (vec![1.0; q * TILE_CELLS], vec![0.0; q * TILE_CELLS]);
+        for x in k..d.nx - k {
+            for y in (0..d.ny).filter(|&y| bounds.wall_row_kind(d.ny, y).is_none()) {
+                for z0 in (0..d.nz).step_by(TILE_CELLS) {
+                    let n = (d.nz - z0).min(TILE_CELLS);
+                    let mut fluid = u64::MAX;
+                    for j in 0..n {
+                        if !bounds.is_fluid(d.ny, y, z0 + j) {
+                            fluid &= !(1 << j);
+                        }
+                        for (i, cv) in c.lat.velocities().iter().enumerate() {
+                            let (xs, ys) =
+                                ((x as isize - cv[0] as isize) as usize, wrap(y, cv[1], d.ny));
+                            buf[i * TILE_CELLS + j] =
+                                src.slab(i)[d.idx(xs, ys, wrap(z0 + j, cv[2], d.nz))];
+                        }
+                    }
+                    // SAFETY: the caller checked AVX2+FMA.
+                    unsafe {
+                        if c.third_order() {
+                            frame_pairs_avx2::<true, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                        } else {
+                            frame_pairs_avx2::<false, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                        }
+                    }
+                    for i in 0..q {
+                        let row = d.idx(x, y, z0);
+                        image.slab_mut(i)[row..row + n]
+                            .copy_from_slice(&out[i * TILE_CELLS..][..n]);
+                    }
+                }
+            }
+        }
+        image
+    }
+
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn fused_simd_streamed_stores_stay_inside_the_swept_planes() {
+        // The AVX2 pass writes `dst` through raw streaming stores: with all
+        // of `dst` NaN-poisoned, one step on [x_lo, x_hi) must leave every
+        // value outside those planes (halo planes and slab pads included)
+        // with its NaN bits and every value inside finite — on line-aligned
+        // rows (nz = 96) and unaligned ones (nz = 13), with and without
+        // masked cells, serial and split across a pool.
+        let poison = f64::from_bits(0x7ff8_dead_beef_0001);
+        for (kind, order) in [
+            (LatticeKind::D3Q19, EqOrder::Second),
+            (LatticeKind::D3Q39, EqOrder::Third),
+        ] {
+            let c = ctx(kind, order);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            for nz in [13, 96] {
+                let dims = Dim3::new(6, 5, nz);
+                let src = random_field(q, dims, k, 61);
+                let tables = StreamTables::new(dims.ny, nz);
+                let (x_lo, x_hi) = (k + 1, k + 5);
+                for masked in [false, true] {
+                    let mut bounds = BoundarySpec::periodic();
+                    if masked {
+                        bounds =
+                            bounds.with_mask(SectionMask::from_fn(5, nz, |y, z| (y + z) % 3 == 0));
+                    }
+                    for threads in [1, 4] {
+                        let mut dst = DistField::new(q, dims, k).unwrap();
+                        dst.as_mut_slice().fill(poison);
+                        let step = |dst: &mut DistField| {
+                            stream_collide_cells(
+                                &c, &tables, &src, dst, x_lo, x_hi, PlainBgk, &bounds,
+                            )
+                        };
+                        if threads == 1 {
+                            step(&mut dst);
+                        } else {
+                            pool(threads).install(|| step(&mut dst));
+                        }
+                        let d = dst.alloc_dims();
+                        let stride = dst.slab_stride();
+                        for (p, v) in dst.as_slice().iter().enumerate() {
+                            let r = p % stride;
+                            let inside = r < d.len() && (x_lo..x_hi).contains(&(r / d.plane()));
+                            assert!(
+                                if inside {
+                                    v.is_finite()
+                                } else {
+                                    v.to_bits() == poison.to_bits()
+                                },
+                                "{kind:?} nz={nz} masked={masked} threads={threads} offset {p} \
+                                 (inside: {inside}): {v}"
+                            );
+                        }
                     }
                 }
             }

@@ -42,8 +42,9 @@
 //! expression itself lives here once: `group_moments` closes a lane
 //! group's paired moment sums, `relax_pair` and `relax_rest` relax a pair
 //! and the rest velocity. The AA kernels call them directly;
-//! `tile_pairs_avx2` runs them over a gathered tile, and serves both the
-//! sparse tile step and the dense fused z-block.
+//! `tile_pairs_avx2` runs them over a row view, 8 cells at a time: the
+//! sparse steps pass the rows of a gathered tile frame, the dense fused
+//! step the shifted source rows and the `dst` rows themselves.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
@@ -232,6 +233,7 @@ impl PairConsts {
 /// polynomials, `e0 = 1 − u²/2c_s²` and `d0 = 1/c_s² − u²/2c_s⁴` (`1/c_s²`
 /// at second order).
 #[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
 pub(crate) struct GroupMoments {
     ux: __m256d,
     uy: __m256d,
@@ -380,103 +382,243 @@ pub(crate) unsafe fn relax_rest<O: CollideOp>(
     }
 }
 
-/// The ±c pair body over a tile of `lines` 4-lane z-lines, from gathered
-/// arrivals `buf[i·64 + c]` to post-collision `dst[i·64 + c]` (one row of
-/// [`TILE_CELLS`] doubles per velocity, cells `c < 4·lines`). Per line:
-/// paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then
-/// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Cell `c`
-/// is fluid iff bit `c` of `fluid` is set. Solid lanes take the bounce-back
-/// swap `(t_i, t_o) = (f_o, f_i)` by blend, and all-solid lines only swap,
-/// so solid cells are exact copies and fluid cells agree with the per-cell
-/// scalar rule within re-rounding. Sparse tiles (16 lines, a `q·64` frame)
-/// and dense fused z-blocks (`⌈blk/4⌉` lines of a `[[f64; 64]; MAX_Q]` tile)
-/// both run it.
+/// Cells of one iteration of [`tile_pairs_avx2`]: two 4-lane lines, one
+/// whole 64-byte cache line of each velocity row.
+pub(crate) const GROUP: usize = 8;
+
+/// Where the velocity rows of a [`tile_pairs_avx2`] view live: velocity
+/// `i` reads its arrivals at `src(i) + z` and stores its post-collision
+/// values at `dst(i) + z`.
+#[cfg(target_arch = "x86_64")]
+pub(crate) trait Rows: Copy {
+    /// Start of velocity `i`'s source row (`i < q`).
+    fn src(self, i: usize) -> *const f64;
+    /// Start of velocity `i`'s destination row (`i < q`).
+    fn dst(self, i: usize) -> *mut f64;
+}
+
+/// The velocity rows of a gathered `q·64` frame and of its output frame,
+/// row `i` at offset `i·64` of each. Computed, not looked up: the sparse
+/// tile body is bound by its instruction count, and a table lookup per
+/// access costs it several percent.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct FrameRows(*const f64, *mut f64);
+
+#[cfg(target_arch = "x86_64")]
+impl Rows for FrameRows {
+    #[inline(always)]
+    fn src(self, i: usize) -> *const f64 {
+        self.0.wrapping_add(i * TILE_CELLS)
+    }
+
+    #[inline(always)]
+    fn dst(self, i: usize) -> *mut f64 {
+        self.1.wrapping_add(i * TILE_CELLS)
+    }
+}
+
+/// One source and one destination row pointer per velocity (the dense
+/// fused step's shifted source rows).
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct RowPtrs<'a>(pub &'a [*const f64; MAX_Q], pub &'a [*mut f64; MAX_Q]);
+
+#[cfg(target_arch = "x86_64")]
+impl Rows for RowPtrs<'_> {
+    #[inline(always)]
+    fn src(self, i: usize) -> *const f64 {
+        self.0[i]
+    }
+
+    #[inline(always)]
+    fn dst(self, i: usize) -> *mut f64 {
+        self.1[i]
+    }
+}
+
+/// The ±c pair body over a row view `rows` (see [`Rows`]), for `groups`
+/// groups of [`GROUP`] cells from `z0` on. Cell `z0 + j` is fluid iff bit
+/// `j` of `fluid` is set, so one call covers at most 64 cells. Per 4-lane
+/// line: paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then
+/// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Solid
+/// lanes take the bounce-back swap `(t_i, t_o) = (f_o, f_i)` by blend, and
+/// all-solid lines only swap, so solid cells are exact copies and fluid
+/// cells agree with the per-cell scalar rule within re-rounding.
+///
+/// With `NT` the stores stream past the cache, and a group's two lines run
+/// side by side so that each velocity's two stores fill one cache line back
+/// to back: write-combining buffers then never wait on half-filled lines.
+/// With plain stores the lines run one at a time, which keeps fewer
+/// vectors live. The per-line arithmetic is the same either way. The sparse
+/// steps run it on their frames ([`frame_pairs_avx2`]), the dense fused
+/// step on shifted source rows straight into `dst`.
+///
+/// # Safety
+/// AVX2+FMA must be available. For every velocity `i < q` and group, the
+/// 8 doubles at `rows.src(i) + z` must be readable and those at
+/// `rows.dst(i) + z` writable (`wrapping_add` is used, so a row start may
+/// lie outside its allocation as long as the accessed doubles do not); with
+/// `NT` every `rows.dst(i) + z` must be 32-byte aligned.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: CollideOp, R: Rows>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    rows: R,
+    z0: usize,
+    groups: usize,
+    fluid: u64,
+) {
+    const LANES: usize = 4;
+    debug_assert!(groups * GROUP <= u64::BITS as usize);
+    for g in 0..groups {
+        let (z, bits) = (z0 + g * GROUP, fluid >> (g * GROUP));
+        let (lo, hi) = ((z, bits & 0xF), (z + LANES, (bits >> LANES) & 0xF));
+        // SAFETY: forwarded contract; both lines lie in the group.
+        unsafe {
+            if NT {
+                pair_lines::<THIRD, true, 2, O, R>(ctx, oc, pc, rows, [lo, hi]);
+            } else {
+                for line in [lo, hi] {
+                    pair_lines::<THIRD, false, 1, O, R>(ctx, oc, pc, rows, [line]);
+                }
+            }
+        }
+    }
+}
+
+/// [`tile_pairs_avx2`] on `L` 4-lane lines side by side: line `l` is cells
+/// `[z, z + 4)` of every row with fluid bits `bits` (lane `j` is fluid iff
+/// bit `j` is set), `lines[l] = (z, bits)`. Each velocity's `L` stores are
+/// issued back to back.
+///
+/// # Safety
+/// As for [`tile_pairs_avx2`], for the 4 doubles of each line.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[inline]
+unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: CollideOp, R: Rows>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    rows: R,
+    lines: [(usize, u64); L],
+) {
+    use std::arch::x86_64::*;
+
+    let rest = &pc.rest;
+    // SAFETY: the caller grants every access below (see # Safety).
+    unsafe {
+        macro_rules! ld {
+            ($i:expr) => {{
+                let (row, mut v) = (rows.src($i), [_mm256_setzero_pd(); L]);
+                for l in 0..L {
+                    v[l] = _mm256_loadu_pd(row.wrapping_add(lines[l].0));
+                }
+                v
+            }};
+        }
+        macro_rules! st {
+            ($i:expr, $v:expr) => {{
+                let (row, v) = (rows.dst($i), $v);
+                for l in 0..L {
+                    let p = row.wrapping_add(lines[l].0);
+                    if NT {
+                        _mm256_stream_pd(p, v[l])
+                    } else {
+                        _mm256_storeu_pd(p, v[l])
+                    }
+                }
+            }};
+        }
+        if lines.iter().all(|&(_, bits)| bits == 0) {
+            for p in pc.pairs() {
+                let (fi, fo) = (ld!(p.i), ld!(p.o));
+                st!(p.i, fo);
+                st!(p.o, fi);
+            }
+            st!(rest.i, ld!(rest.i));
+            return;
+        }
+        let mut rho = ld!(rest.i);
+        let mut m = [[_mm256_setzero_pd(); 3]; L];
+        for p in pc.pairs() {
+            let (fi, fo) = (ld!(p.i), ld!(p.o));
+            for l in 0..L {
+                let d = _mm256_sub_pd(fi[l], fo[l]);
+                rho[l] = _mm256_add_pd(rho[l], _mm256_add_pd(fi[l], fo[l]));
+                for a in 0..3 {
+                    m[l][a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[l][a]);
+                }
+            }
+        }
+        let mut gm = [group_moments::<THIRD, O>(ctx, oc, rho[0], m[0]); L];
+        for l in 1..L {
+            gm[l] = group_moments::<THIRD, O>(ctx, oc, rho[l], m[l]);
+        }
+        // Solid lanes keep the bounce value; a full line skips the blend.
+        let mut fluid_lanes = [_mm256_setzero_pd(); L];
+        for l in 0..L {
+            let lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+            fluid_lanes[l] = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                _mm256_and_si256(_mm256_set1_epi64x(lines[l].1 as i64), lane_bits),
+                lane_bits,
+            ));
+        }
+        macro_rules! keep_solid {
+            ($bounce:expr, $t:expr) => {{
+                let (bounce, mut t) = ($bounce, $t);
+                for l in 0..L {
+                    if lines[l].1 != 0xF {
+                        t[l] = _mm256_blendv_pd(bounce[l], t[l], fluid_lanes[l]);
+                    }
+                }
+                t
+            }};
+        }
+        for p in pc.pairs() {
+            let (fi, fo) = (ld!(p.i), ld!(p.o));
+            let (mut ti, mut to) = ([_mm256_setzero_pd(); L], [_mm256_setzero_pd(); L]);
+            for l in 0..L {
+                (ti[l], to[l]) = relax_pair::<THIRD, O>(ctx, p, &gm[l], fi[l], fo[l]);
+            }
+            st!(p.i, keep_solid!(fo, ti));
+            st!(p.o, keep_solid!(fi, to));
+        }
+        let f0 = ld!(rest.i);
+        let mut t0 = [_mm256_setzero_pd(); L];
+        for l in 0..L {
+            t0[l] = relax_rest::<O>(ctx, rest, &gm[l], f0[l]);
+        }
+        st!(rest.i, keep_solid!(f0, t0));
+    }
+}
+
+/// The pair body on one gathered `q·64` frame, from `buf[i·64 + c]` to
+/// `out[i·64 + c]` with plain stores ([`FrameRows`]). Cell `c` is fluid
+/// iff bit `c` of `fluid` is set.
 ///
 /// # Safety
 /// AVX2+FMA must be available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, O: CollideOp>(
+pub(crate) unsafe fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
     fluid: u64,
-    lines: usize,
     buf: &[f64],
-    dst: &mut [f64],
+    out: &mut [f64],
 ) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
     let q = ctx.lat.q();
-    assert!(lines * LANES <= TILE_CELLS);
-    assert!(buf.len() >= q * TILE_CELLS && dst.len() >= q * TILE_CELLS);
-    let bp = buf.as_ptr();
-    let dp = dst.as_mut_ptr();
-    let rest = &pc.rest;
-
-    // SAFETY: every offset is i·64 + line·4 with i < q and line·4 < 64
-    // (asserted above), hence within the q·64 rows checked above.
+    assert!(buf.len() >= q * TILE_CELLS && out.len() >= q * TILE_CELLS);
+    let rows = FrameRows(buf.as_ptr(), out.as_mut_ptr());
+    // SAFETY: row i spans [i·64, i·64 + 64) of both frames, which the
+    // assert above keeps in bounds; AVX2+FMA per this function's contract.
     unsafe {
-        for line in 0..lines {
-            let off = line * LANES;
-            macro_rules! ld {
-                ($i:expr) => {
-                    _mm256_loadu_pd(bp.add($i * TILE_CELLS + off))
-                };
-            }
-            macro_rules! st {
-                ($i:expr, $v:expr) => {
-                    _mm256_storeu_pd(dp.add($i * TILE_CELLS + off), $v)
-                };
-            }
-            let bits = (fluid >> off) & 0xF;
-            if bits == 0 {
-                for p in pc.pairs() {
-                    let (fi, fo) = (ld!(p.i), ld!(p.o));
-                    st!(p.i, fo);
-                    st!(p.o, fi);
-                }
-                st!(rest.i, ld!(rest.i));
-                continue;
-            }
-            let mut rho = ld!(rest.i);
-            let mut m = [_mm256_setzero_pd(); 3];
-            for p in pc.pairs() {
-                let (fi, fo) = (ld!(p.i), ld!(p.o));
-                let d = _mm256_sub_pd(fi, fo);
-                rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
-                for a in 0..3 {
-                    m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
-                }
-            }
-            let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
-            // Solid lanes keep the bounce value; a full line skips the blend.
-            let fluid_lanes = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                _mm256_and_si256(
-                    _mm256_set1_epi64x(bits as i64),
-                    _mm256_setr_epi64x(1, 2, 4, 8),
-                ),
-                _mm256_setr_epi64x(1, 2, 4, 8),
-            ));
-            macro_rules! keep_solid {
-                ($bounce:expr, $t:expr) => {
-                    if bits == 0xF {
-                        $t
-                    } else {
-                        _mm256_blendv_pd($bounce, $t, fluid_lanes)
-                    }
-                };
-            }
-            for p in pc.pairs() {
-                let (fi, fo) = (ld!(p.i), ld!(p.o));
-                let (ti, to) = relax_pair::<THIRD, O>(ctx, p, &gm, fi, fo);
-                st!(p.i, keep_solid!(fo, ti));
-                st!(p.o, keep_solid!(fi, to));
-            }
-            let f0 = ld!(rest.i);
-            st!(rest.i, keep_solid!(f0, relax_rest::<O>(ctx, rest, &gm, f0)));
-        }
+        tile_pairs_avx2::<THIRD, false, O, _>(ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
     }
 }
 

@@ -19,8 +19,9 @@
 //! (same accumulation order, same reciprocal form), so on a shared geometry
 //! the scalar sparse fluid trajectory is **bitwise equal** to the dense
 //! masked path. The AVX2+FMA body evaluates every ±c velocity pair once on
-//! 4-wide z-lines of a tile: it is `op::tile_pairs_avx2`, shared with the
-//! dense fused rung, built on the pair helpers of the AA kernels
+//! 8-cell groups of a tile: it is `op::tile_pairs_avx2` on the frame's
+//! velocity rows (`op::frame_pairs_avx2`), the body the dense fused rung
+//! runs on shifted source rows, built on the pair helpers of the AA kernels
 //! (`op::relax_pair`). That reassociates the arithmetic,
 //! so — like the dense `Simd` rung — it agrees with the scalar body within
 //! re-rounding (fluid cells; the bounce-back of solid cells is a copy and
@@ -37,7 +38,7 @@ use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::tile_pairs_avx2;
+use crate::kernels::op::frame_pairs_avx2;
 use crate::kernels::op::{with_op, CollideOp, OpConsts, PairConsts};
 use crate::kernels::par::{chunk_bounds, chunk_count, in_pool, SendPtr};
 use crate::kernels::simd::{sfence, stream_frame};
@@ -609,7 +610,7 @@ fn tile_body<const THIRD: bool, O: CollideOp>(
     #[cfg(target_arch = "x86_64")]
     if let Some(pc) = pc {
         // SAFETY: a pair table is built only once AVX2+FMA were detected.
-        unsafe { tile_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, TILE_LINES, buf, out) };
+        unsafe { frame_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, out) };
         return;
     }
     let _ = pc;
@@ -2020,10 +2021,10 @@ mod tests {
         unsafe {
             if ctx.third_order() {
                 tile_cells_scalar::<true, O>(ctx, &oc, fluid, buf, &mut scalar);
-                tile_pairs_avx2::<true, O>(ctx, &oc, &pc, fluid, TILE_LINES, buf, &mut pair);
+                frame_pairs_avx2::<true, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
             } else {
                 tile_cells_scalar::<false, O>(ctx, &oc, fluid, buf, &mut scalar);
-                tile_pairs_avx2::<false, O>(ctx, &oc, &pc, fluid, TILE_LINES, buf, &mut pair);
+                frame_pairs_avx2::<false, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
             }
         }
         (scalar, pair)
