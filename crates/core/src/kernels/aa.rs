@@ -20,6 +20,13 @@
 //!   two cells ever share a slot. In-place, conflict-free, and bitwise
 //!   deterministic under threading.
 //!
+//! Both parities therefore run **one sweep**: per `(x, y)` row it builds a
+//! row view — `rows[i]`, the row holding `a_i`, and `zrot[i]`, its
+//! z-rotation — and the row holding `a_i` is the row that receives
+//! `t_opp(i)`. The even view is the natural rows with zero rotation, the
+//! odd view the double-shifted gather rows; everything after the view
+//! (fluid runs, wall rows, prefetch) is shared.
+//!
 //! ## Representation and two-grid correspondence
 //!
 //! At even time steps `A[x][i]` holds the *pre-collision arrivals*
@@ -35,7 +42,7 @@
 //! Guo source once per ±c velocity pair. That reassociates the arithmetic,
 //! so they agree with the scalar drivers within re-rounding, like the
 //! `Simd`/`Fused` rungs — and bitwise with each other (serial, rayon,
-//! ranks, margin/wrap, NT on/off), since all of them call that one body.
+//! ranks, margin/wrap), since all of them call that one body.
 //!
 //! ## Boundaries come for free
 //!
@@ -63,52 +70,10 @@ use crate::kernels::op::{group_moments, relax_pair, relax_rest};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
 
-/// z-block for the AA sweeps (and the odd-step gather tile: Q×ZBA doubles on
-/// the stack, ≈20 KiB at D3Q39 — the same working-set budget as the fused
-/// kernel's tile).
+/// z-block for the AA sweeps (and the wall-row gather tile: Q×ZBA doubles
+/// on the stack, ≈20 KiB at D3Q39 — the same working-set budget as the
+/// fused kernel's tile).
 pub(crate) const ZBA: usize = 64;
-
-/// Tuning knobs for the AA drivers, threaded from the ladder dispatchers.
-///
-/// * `simd` — run the AVX2+FMA cell arithmetic (runtime-detected, scalar
-///   fallback), exactly like the two-grid `Simd`/`Fused` rungs.
-/// * `nt` — non-temporal stores for destination slots that are provably
-///   write-only within the step: the even step's opposite-slot stores and
-///   the odd step's scatter rows. Safe because the writer↦slot map is a
-///   bijection — every slot is read (by its unique writer) before it is
-///   written, and no slot is re-read after its write until the next step —
-///   so bypassing the cache on the store changes no value, only traffic.
-///   Runtime-gated on AVX2 (scalar stores otherwise); each chunk issues an
-///   `sfence` before returning so the bitwise serial≡threaded guarantee
-///   survives the weakly-ordered stores.
-///
-/// Both knobs change *scheduling only*: every combination is
-/// bitwise-identical to the same `simd` setting with `nt` off, and `simd`
-/// agrees with scalar within FMA re-rounding (property-tested).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AaTune {
-    /// AVX2+FMA collide arithmetic (with runtime detection + scalar
-    /// fallback).
-    pub simd: bool,
-    /// Non-temporal stores on the write-only destination slots (runtime
-    /// AVX2 gate; ignored where a step's store pattern cannot stream).
-    pub nt: bool,
-}
-
-impl AaTune {
-    /// Fully scalar: the bitwise reference configuration.
-    pub const SCALAR: Self = Self {
-        simd: false,
-        nt: false,
-    };
-
-    /// Knobs for a ladder rung's kernel class: the vector classes
-    /// (`Simd`/`Fused`) get the AVX2 tile, the scalar classes the scalar
-    /// bodies. No class enables the NT-store path.
-    pub const fn for_class(simd: bool) -> Self {
-        Self { simd, nt: false }
-    }
-}
 
 /// How the odd sweep maps a writer plane `x` to its `±c_x`-shifted
 /// gather/scatter planes.
@@ -145,76 +110,33 @@ impl XShift {
             }
         }
     }
-
-    /// The scatter plane of velocity component `cx` for writer plane `x`.
-    #[inline]
-    fn dst(self, x: usize, cx: i32) -> usize {
-        self.src(x, -cx)
-    }
 }
 
-/// Whether the NT-store path is live: the knob is on *and* the CPU has AVX2
-/// (the same runtime gate as the vector collide).
-#[inline]
-fn nt_active(tune: AaTune) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        tune.nt && simd::simd_available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tune;
-        false
-    }
+/// Which access pattern a sweep runs — it decides only the row view.
+#[derive(Clone, Copy)]
+enum Parity<'a> {
+    /// Natural rows, zero rotation: each cell reads and writes its own slots.
+    Even,
+    /// Double-shifted gather rows: velocity `i` reads slab `opp(i)` at plane
+    /// `xw.src(x, cx_i)`, row `wrap(y − cy_i)`, z rotated by `−cz_i`.
+    Odd {
+        tables: &'a StreamTables,
+        xw: XShift,
+    },
 }
 
 /// The ±c pair table of the AVX2+FMA body, or `None` where the sweep runs
-/// the scalar bodies (knob off, or no AVX2+FMA on this CPU).
+/// the scalar bodies (`simd` off, or no AVX2+FMA on this CPU).
 #[inline]
-fn pair_consts(tune: AaTune, oc: &OpConsts, q: usize) -> Option<PairConsts> {
-    (tune.simd && simd::simd_available()).then(|| PairConsts::new(oc, q))
+fn pair_consts(simd: bool, oc: &OpConsts, q: usize) -> Option<PairConsts> {
+    (simd && simd::simd_available()).then(|| PairConsts::new(oc, q))
 }
 
-/// Prefetch the next y-row of every velocity slab (the rows the sweep
-/// touches next), `nz` doubles per slab starting at `next_base`. The even
-/// step's 2Q concurrent unit-stride streams exceed the hardware stride
-/// prefetcher's capacity; one software touch per row keeps them flowing.
-#[inline]
-fn prefetch_next_rows(
-    base_ptr: *const f64,
-    total: usize,
-    slab_len: usize,
-    q: usize,
-    next_base: usize,
-    nz: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: PREFETCHT0 is architecturally a hint and cannot fault; all
-    // offsets are clamped to `total`.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        for i in 0..q {
-            let row = i * slab_len + next_base;
-            let mut p = row;
-            let end = (row + nz).min(total);
-            while p < end {
-                _mm_prefetch::<_MM_HINT_T0>(base_ptr.add(p) as *const i8);
-                p += 8;
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (base_ptr, total, slab_len, q, next_base, nz);
-    }
-}
-
-/// Prefetch the next y-row (`row + nz`) of every per-velocity gather row —
-/// the odd-step variant of [`prefetch_next_rows`], where each velocity
-/// reads a differently shifted plane/row so the row bases are irregular.
-/// No separate destination prefetch is needed: the scatter row of velocity
-/// `i` *is* the gather row of `opp(i)` (same slab, plane, and row), so
-/// every store destination is already resident by the time it is written.
+/// Prefetch the next y-row (`row + nz`) of every row of the view. The even
+/// step's 2Q unit-stride streams and the odd step's double-shifted rows
+/// both exceed the hardware stride prefetcher's capacity; one software
+/// touch per row keeps them flowing. No separate destination prefetch is
+/// needed: the row receiving `t_opp(i)` *is* the row holding `a_i`.
 #[inline]
 fn prefetch_rows_ahead(base_ptr: *const f64, total: usize, rows: &[usize], nz: usize) {
     #[cfg(target_arch = "x86_64")]
@@ -242,16 +164,11 @@ fn prefetch_rows_ahead(base_ptr: *const f64, total: usize, rows: &[usize], nz: u
 /// fluid cells of `bounds`; bounce-back wall rows and masked cells are
 /// exact no-ops; moving/diffuse walls transform in place.
 ///
-/// Fluid rows run the **tile-free velocity-pair update**: one moment pass
-/// reading every slab row in place, then one relax pass over velocity
-/// pairs `(i, opp(i))` that loads both rows, computes both post-collision
-/// lines, and stores each into the other's slot — every population is
-/// loaded twice (moments + relax) and stored exactly once, with no
-/// gather-tile round trip. `tune` selects the AVX2+FMA arithmetic and the
-/// NT-store path (both runtime-detected, scalar fallback); the data
-/// movement is identical either way (see [`AaTune`]). The AVX2+FMA path is
-/// pair-evaluated and is the odd step's lane-group body on natural rows
-/// with zero shift.
+/// This is the odd step's sweep on the natural rows with zero shift: one
+/// moment pass reading every slab row in place, then one relax pass over
+/// velocity pairs `(i, opp(i))` that stores each post-collision line into
+/// the other's slot — no gather-tile round trip. `simd` selects the
+/// AVX2+FMA pair body (runtime-detected, scalar fallback).
 pub fn even_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -259,40 +176,14 @@ pub fn even_cells<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
     }
-    let d = f.alloc_dims();
-    assert!(
-        x_hi <= d.nx,
-        "even x-range [{x_lo}, {x_hi}) exceeds nx {}",
-        d.nx
-    );
-    let total = f.as_slice().len();
-    let slab_len = f.slab_stride();
-    let base = SendPtr(f.as_mut_ptr());
-    let oc = OpConsts::new(ctx, &op);
-    x_chunks(x_lo, x_hi, |lo, hi| {
-        // SAFETY: `&mut f` is held for the whole sweep; the x-range is
-        // checked above and the chunks partition it, and the even step reads
-        // and writes only planes of its own chunk.
-        unsafe {
-            even_cells_raw::<O>(
-                base.get(),
-                total,
-                slab_len,
-                ctx,
-                &oc,
-                bounds,
-                d,
-                lo,
-                hi,
-                tune,
-            )
-        }
-    });
+    let nx = f.alloc_dims().nx;
+    assert!(x_hi <= nx, "even x-range [{x_lo}, {x_hi}) exceeds nx {nx}");
+    sweep(ctx, f, x_lo, x_hi, Parity::Even, op, bounds, simd);
 }
 
 /// One AA **odd** step over *writer* planes `x ∈ [x_lo, x_hi)`:
@@ -300,14 +191,10 @@ pub fn even_cells<O: CollideOp>(
 /// module docs). Requires `x_lo ≥ k` and `x_hi + k ≤ nx` (the sweep reads
 /// and writes up to `k` planes outside the writer range).
 ///
-/// The double-shifted gather software-prefetches each velocity's next
-/// y-row (the scatter rows *are* the gather rows of the opposite
-/// velocities, so the gather prefetch covers the destinations too). The
-/// AVX2+FMA path is pair-evaluated, in the lane-group body it shares with
-/// the even step, and issues that prefetch from its moment loop. With
-/// `tune.nt` the
-/// scatter streams past the cache — each scatter row was fully consumed by
-/// this writer's own gather before the store (see [`AaTune`]).
+/// The double-shifted gather rows are software-prefetched one y-row ahead
+/// (the scatter rows *are* the gather rows of the opposite velocities, so
+/// that covers the destinations too); the AVX2+FMA pair body issues the
+/// same prefetch from its moment loop.
 pub fn odd_cells<O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -316,13 +203,15 @@ pub fn odd_cells<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
     }
     check_odd_bounds(ctx, f, x_lo, x_hi);
-    odd_sweep(ctx, tables, f, x_lo, x_hi, XShift::Margin, op, bounds, tune);
+    let xw = XShift::Margin;
+    let odd = Parity::Odd { tables, xw };
+    sweep(ctx, f, x_lo, x_hi, odd, op, bounds, simd);
 }
 
 /// One AA **odd** step over writer planes `x ∈ [x_lo, x_hi)` with the
@@ -342,37 +231,37 @@ pub fn odd_cells_periodic<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     if x_lo >= x_hi {
         return;
     }
-    let d = f.alloc_dims();
+    let nx = f.alloc_dims().nx;
     assert!(
-        x_hi <= d.nx,
-        "odd writer range [{x_lo}, {x_hi}) exceeds nx {}",
-        d.nx
+        x_hi <= nx,
+        "odd writer range [{x_lo}, {x_hi}) exceeds nx {nx}"
     );
     let xw = XShift::Wrap { lo: x_lo, hi: x_hi };
-    odd_sweep(ctx, tables, f, x_lo, x_hi, xw, op, bounds, tune);
+    let odd = Parity::Odd { tables, xw };
+    sweep(ctx, f, x_lo, x_hi, odd, op, bounds, simd);
 }
 
-/// The odd sweep behind [`odd_cells`] and [`odd_cells_periodic`], chunked by
-/// writer plane across the installed pool. Writer ranges partition
-/// `[x_lo, x_hi)`, and the writer↦slot bijection (which holds on the torus
-/// exactly as on the open interval) makes the slots of different chunks
-/// disjoint even though their written *planes* overlap.
+/// The sweep behind every entry point, chunked by writer plane across the
+/// installed pool. Writer ranges partition `[x_lo, x_hi)`; each writer owns
+/// its own slots on the even step and, by the writer↦slot bijection (which
+/// holds on the torus exactly as on the open interval), the slots
+/// `(x + c_j, j)` on the odd step — so the slots of different chunks are
+/// disjoint even though the odd step's written *planes* overlap.
 #[allow(clippy::too_many_arguments)]
-fn odd_sweep<O: CollideOp>(
+fn sweep<O: CollideOp>(
     ctx: &KernelCtx,
-    tables: &StreamTables,
     f: &mut DistField,
     x_lo: usize,
     x_hi: usize,
-    xw: XShift,
+    parity: Parity,
     op: O,
     bounds: &BoundarySpec,
-    tune: AaTune,
+    simd: bool,
 ) {
     let d = f.alloc_dims();
     let total = f.as_slice().len();
@@ -380,31 +269,31 @@ fn odd_sweep<O: CollideOp>(
     let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
     x_chunks(x_lo, x_hi, |lo, hi| {
-        // SAFETY: `&mut f` is held for the whole sweep; the caller's bounds
-        // check (margin or wrap range) keeps every gather/scatter plane
-        // inside the allocation, and distinct chunks touch distinct slots.
+        // SAFETY: `&mut f` is held for the whole sweep; the entry point's
+        // bounds check (even range, odd margin or wrap range) keeps every
+        // row of the view inside the allocation, and distinct chunks touch
+        // distinct slots.
         unsafe {
-            odd_cells_raw::<O>(
+            sweep_raw::<O>(
                 base.get(),
                 total,
                 slab_len,
                 ctx,
                 &oc,
-                tables,
                 bounds,
                 d,
                 lo,
                 hi,
-                xw,
-                tune,
+                parity,
+                simd,
             )
         }
     });
 }
 
-/// Hard bounds check shared by the safe odd-step entry points: the raw
-/// kernels write through pointers up to `k` planes outside the writer
-/// range, so an out-of-range sweep must fail loudly in release builds too.
+/// Hard bounds check of the margin odd step: the raw sweep writes through
+/// pointers up to `k` planes outside the writer range, so an out-of-range
+/// sweep must fail loudly in release builds too.
 fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
     let k = ctx.lat.reach();
     let nx = f.alloc_dims().nx;
@@ -414,15 +303,26 @@ fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
     );
 }
 
-/// Raw-pointer even step: the body one chunk of [`even_cells`] runs.
+/// Raw-pointer sweep of either parity: the body one chunk of [`sweep`]
+/// runs. Per `(x, y)` row it builds the row view (see [`Parity`]); then
+/// bounce-back rows are skipped (the identity in both parities), moving and
+/// diffuse wall rows go through [`store_wall`], and fluid z-runs through
+/// [`odd_block`].
 ///
 /// # Safety
 /// `base_ptr` must point to `total = q·slab_len` initialised doubles laid
-/// out as consecutive velocity slabs of a field with allocated dims `d`;
-/// the caller must guarantee exclusive access to the x-planes
-/// `[x_lo, x_hi)` (the even step touches no other planes).
+/// out as consecutive velocity slabs of a field with allocated dims `d`.
+/// Every row of the view must lie inside the allocation: `x_hi ≤ d.nx` on
+/// the even step; on the odd step every shifted plane `xw.src(x, ±c_x)`
+/// (with [`XShift::Margin`] that means `x_lo ≥ k` and `x_hi + k ≤ d.nx`; a
+/// wrap range inside the allocation satisfies it by construction). The
+/// caller must guarantee that no other thread concurrently touches a slot
+/// owned by a writer cell `x ∈ [x_lo, x_hi)`: its own slots on the even
+/// step, the slots `(x + c_j, j)` on the odd step (on the torus under
+/// `Wrap`). Both maps are bijections, so partitioning writers into
+/// disjoint x-ranges satisfies this.
 #[allow(clippy::too_many_arguments)]
-unsafe fn even_cells_raw<O: CollideOp>(
+unsafe fn sweep_raw<O: CollideOp>(
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,
@@ -432,76 +332,78 @@ unsafe fn even_cells_raw<O: CollideOp>(
     d: Dim3,
     x_lo: usize,
     x_hi: usize,
-    tune: AaTune,
+    parity: Parity,
+    simd: bool,
 ) {
     let q = ctx.lat.q();
     let nz = d.nz;
     let mask = bounds.mask();
-    let nt = nt_active(tune);
-    let pc = pair_consts(tune, oc, q);
+    let pc = pair_consts(simd, oc, q);
+    let vel = ctx.lat.velocities();
+    // Each row's z-rotation at `z0 = 0` (zero on the even view); a block at
+    // `z0` adds `z0` and wraps at most once.
+    let mut zrot = [0usize; MAX_Q];
+    if let Parity::Odd { .. } = parity {
+        for (r, c) in zrot.iter_mut().zip(vel) {
+            *r = (-c[2] as isize).rem_euclid(nz as isize) as usize;
+        }
+    }
+    let mut rows = [0usize; MAX_Q];
     let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
 
     for x in x_lo..x_hi {
         for y in 0..d.ny {
             let wall = bounds.wall_row_kind(d.ny, y);
             if matches!(wall, Some(WallKind::BounceBack)) {
-                continue; // AA even bounce-back is the identity
+                continue; // AA bounce-back is the identity
             }
-            let dbase = d.idx(x, y, 0);
-            if let Some(kind) = wall {
-                let mut z0 = 0usize;
-                while z0 < nz {
-                    let blk = (nz - z0).min(ZBA);
-                    for (i, line) in fq.iter_mut().enumerate().take(q) {
-                        let off = i * slab_len + dbase + z0;
-                        debug_assert!(off + blk <= total);
-                        // SAFETY: off+blk ≤ total per the layout contract.
-                        unsafe {
-                            std::ptr::copy_nonoverlapping(
-                                base_ptr.add(off) as *const f64,
-                                line.as_mut_ptr(),
-                                blk,
-                            )
-                        };
+            // The row holding `a_i` also receives `t_opp(i)`. On the odd
+            // step the scatter row of `o = opp(i)` is slab `o`, plane
+            // `x+cx_o = x−cx_i`, row `wrap(y+cy_o) = wrap(y−cy_i)`, start
+            // `wrap(z0+cz_o) = wrap(z0−cz_i)` — the gather row of `i`. So
+            // both parities are one velocity-pair in-place swap over the
+            // view, and need no gather-tile round trip.
+            for (i, row) in rows.iter_mut().enumerate().take(q) {
+                *row = match parity {
+                    Parity::Even => i * slab_len + d.idx(x, y, 0),
+                    Parity::Odd { tables, xw } => {
+                        let c = vel[i];
+                        let (xs, ys) = (xw.src(x, c[0]), tables.y_for(c[1]).src(y));
+                        oc.opp[i] * slab_len + d.idx(xs, ys, 0)
                     }
-                    // SAFETY: same offsets as the gather above.
-                    unsafe {
-                        store_wall_even(
-                            ctx, kind, &fq, oc, q, base_ptr, total, slab_len, dbase, z0, blk,
-                        )
-                    };
-                    z0 += blk;
-                }
-                continue;
+                };
+                debug_assert!(*row + nz <= total);
             }
-            // Fluid row, tile-free: one software touch of the next y-row
-            // per slab (2Q unit-stride streams overwhelm the hardware
-            // stride prefetcher; the AVX2 body issues its own from the
-            // moment loop), then the velocity-pair blocks in place.
-            // Masked solid cells are exact AA no-ops, so the sweep simply
-            // visits the fluid z-runs (identical run logic to every other
-            // boundary-aware driver). The AVX2 body takes the even step as
-            // the odd step's row view with natural rows and zero shift.
-            let mut rows = [0usize; MAX_Q];
-            if pc.is_some() {
-                for (i, row) in rows.iter_mut().enumerate().take(q) {
-                    *row = i * slab_len + dbase;
-                }
-            } else {
-                prefetch_next_rows(base_ptr, total, slab_len, q, dbase + nz, nz);
+            // The AVX2 body prefetches from its own moment loop.
+            if wall.is_some() || pc.is_none() {
+                prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
             }
+            // Wall rows transform every cell; fluid rows visit the fluid
+            // z-runs (masked solid cells are exact AA no-ops).
+            let runs = if wall.is_some() { None } else { mask };
             let mut zs = 0usize;
-            while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
+            while let Some((run_lo, run_hi)) = op::next_fluid_run(runs, y, nz, &mut zs) {
                 let mut z0 = run_lo;
                 while z0 < run_hi {
                     let blk = (run_hi - z0).min(ZBA);
-                    // SAFETY: every row offset i·slab_len + dbase + z0 + blk
-                    // is ≤ total per the layout contract; writes stay inside
-                    // this caller's exclusive x-planes.
+                    let starts: [usize; MAX_Q] = std::array::from_fn(|i| {
+                        let s = z0 + zrot[i];
+                        if s >= nz {
+                            s - nz
+                        } else {
+                            s
+                        }
+                    });
+                    // SAFETY: every row of the view is inside the
+                    // allocation per this function's contract, the run
+                    // `[z0, z0 + blk)` does not wrap in z, and the pair
+                    // swap touches exactly the slots this writer owns.
                     unsafe {
-                        if pc.is_some() {
-                            let starts = [z0; MAX_Q];
-                            odd_block::<O>(
+                        match wall {
+                            Some(kind) => store_wall(
+                                ctx, kind, oc, base_ptr, &rows, &starts, nz, blk, &mut fq,
+                            ),
+                            None => odd_block::<O>(
                                 ctx,
                                 oc,
                                 pc.as_ref(),
@@ -510,25 +412,13 @@ unsafe fn even_cells_raw<O: CollideOp>(
                                 &starts,
                                 nz,
                                 blk,
-                                tune.nt,
-                            );
-                        } else if ctx.third_order() {
-                            even_block_scalar::<true, O>(
-                                ctx, oc, base_ptr, total, slab_len, dbase, z0, blk,
-                            );
-                        } else {
-                            even_block_scalar::<false, O>(
-                                ctx, oc, base_ptr, total, slab_len, dbase, z0, blk,
-                            );
+                            ),
                         }
                     }
                     z0 += blk;
                 }
             }
         }
-    }
-    if nt {
-        simd::sfence();
     }
 }
 
@@ -565,534 +455,100 @@ fn relax_one<const THIRD: bool, O: CollideOp>(
     next
 }
 
-/// Scalar tile-free even z-block — the shared relax arithmetic applied
-/// directly to the field rows, no gather tile: the moment pass
-/// reads each row once, the pair pass reads each row once more, computes
-/// `t_i` and `t_opp(i)`, and stores each into the other's slot.
-///
-/// # Safety
-/// Layout contract as for [`even_cells_raw`]; `dbase + z0 + blk` within
-/// every slab and inside the caller's exclusive x-planes.
-#[allow(clippy::too_many_arguments)]
-unsafe fn even_block_scalar<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-) {
-    let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    let mut rho = [0.0f64; ZBA];
-    let mut mx = [0.0f64; ZBA];
-    let mut my = [0.0f64; ZBA];
-    let mut mz = [0.0f64; ZBA];
-    let mut ux = [0.0f64; ZBA];
-    let mut uy = [0.0f64; ZBA];
-    let mut uz = [0.0f64; ZBA];
-    let mut u2 = [0.0f64; ZBA];
-    let mut ug = [0.0f64; ZBA];
-
-    rho[..blk].fill(0.0);
-    mx[..blk].fill(0.0);
-    my[..blk].fill(0.0);
-    mz[..blk].fill(0.0);
-    for i in 0..q {
-        let c = oc.cw[i];
-        let off = i * slab_len + dbase + z0;
-        debug_assert!(off + blk <= total);
-        // SAFETY: off+blk ≤ total per the layout contract.
-        let p = unsafe { base_ptr.add(off) as *const f64 };
-        for j in 0..blk {
-            let fv = unsafe { *p.add(j) };
-            rho[j] += fv;
-            mx[j] += fv * c[0];
-            my[j] += fv * c[1];
-            mz[j] += fv * c[2];
-        }
-    }
-    for j in 0..blk {
-        let inv = 1.0 / rho[j];
-        if O::FORCED {
-            ux[j] = (mx[j] + hg[0]) * inv;
-            uy[j] = (my[j] + hg[1]) * inv;
-            uz[j] = (mz[j] + hg[2]) * inv;
-            ug[j] = ux[j] * g[0] + uy[j] * g[1] + uz[j] * g[2];
-        } else {
-            ux[j] = mx[j] * inv;
-            uy[j] = my[j] * inv;
-            uz[j] = mz[j] * inv;
-        }
-        u2[j] = ux[j] * ux[j] + uy[j] * uy[j] + uz[j] * uz[j];
-    }
-    // Relax in velocity pairs: rows i and opp(i) are each other's
-    // destination, so the pair is loaded, collided, and cross-stored in one
-    // loop — each slot is read before either is overwritten.
-    for i in 0..q {
-        let o = oc.opp[i];
-        if o < i {
-            continue; // pair already done
-        }
-        let off_i = i * slab_len + dbase + z0;
-        let off_o = o * slab_len + dbase + z0;
-        debug_assert!(off_i + blk <= total && off_o + blk <= total);
-        // SAFETY: offsets bounded above; rows of a pair are touched by
-        // this pair alone, inside the caller's exclusive x-planes.
-        let pi = unsafe { base_ptr.add(off_i) };
-        if o == i {
-            // Self-opposite (rest velocity): in place.
-            for j in 0..blk {
-                // SAFETY: j < blk ≤ row length.
-                unsafe {
-                    let fv = *pi.add(j);
-                    *pi.add(j) = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fv,
-                    );
-                }
-            }
-        } else {
-            let po = unsafe { base_ptr.add(off_o) };
-            for j in 0..blk {
-                // SAFETY: j < blk ≤ row length; both loads precede both
-                // stores.
-                unsafe {
-                    let fi = *pi.add(j);
-                    let fo = *po.add(j);
-                    let ti = relax_one::<THIRD, O>(
-                        k, oc, i, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fi,
-                    );
-                    let to = relax_one::<THIRD, O>(
-                        k, oc, o, omega, rho[j], ux[j], uy[j], uz[j], u2[j], ug[j], fo,
-                    );
-                    *po.add(j) = ti;
-                    *pi.add(j) = to;
-                }
-            }
-        }
-    }
+/// The two contiguous pieces `(row offset, line offset, len)` of the
+/// `blk`-long window of a field row of `nz` doubles that starts at rotation
+/// `start < nz` and wraps at the row's end (the second piece may be empty).
+fn rotated_pieces(start: usize, blk: usize, nz: usize) -> [(usize, usize, usize); 2] {
+    let first = blk.min(nz - start);
+    [(start, 0, first), (0, first, blk - first)]
 }
 
-/// Raw-pointer odd step: the body one chunk of [`odd_sweep`] runs.
+/// AA wall transform for one z-block of a moving or diffuse wall row, over
+/// the row view of either parity (bounce-back rows never reach here — they
+/// are exact no-ops). Gathers the arrivals `a_i` from `rows[i]` at rotation
+/// `starts[i]` into `fq`, forms `t_i = a_opp(i) + corr_i` (moving) or
+/// `t_i = feq_i(Σ a)` (diffuse), and stores `t_i` into the row holding
+/// `a_opp(i)` — the swapped local slot on the even view, `A[x+c_i][i]` on
+/// the odd view. Identical per-cell arithmetic to
+/// [`crate::boundary::BoundarySpec::apply`].
 ///
 /// # Safety
-/// Layout contract as for [`even_cells_raw`]; additionally every shifted
-/// plane `xw.src(x, ±c_x)` must lie inside the allocation (with
-/// [`XShift::Margin`] that means `x_lo ≥ k` and `x_hi + k ≤ d.nx`; a wrap
-/// range inside the allocation satisfies it by construction), and the
-/// caller must guarantee that no other thread concurrently touches any slot
-/// `(x + c_i, i)` for writer cells `x ∈ [x_lo, x_hi)`. Because the
-/// writer↦slot map is a bijection (cell `x` owns exactly the slots
-/// `(x + c_j, j)` — on the torus under `Wrap`), partitioning writers into
-/// disjoint x-ranges satisfies this even though the written *planes*
-/// overlap chunk boundaries.
+/// As for [`odd_block`], without the AVX2 requirement.
 #[allow(clippy::too_many_arguments)]
-unsafe fn odd_cells_raw<O: CollideOp>(
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
+unsafe fn store_wall(
     ctx: &KernelCtx,
+    kind: WallKind,
     oc: &OpConsts,
-    tables: &StreamTables,
-    bounds: &BoundarySpec,
-    d: Dim3,
-    x_lo: usize,
-    x_hi: usize,
-    xw: XShift,
-    tune: AaTune,
-) {
-    let q = ctx.lat.q();
-    let nz = d.nz;
-    let mask = bounds.mask();
-    let nt = nt_active(tune);
-    let pc = pair_consts(tune, oc, q);
-    let vel = ctx.lat.velocities();
-    // Each gather row's z-rotation at `z0 = 0`; a block at `z0` adds `z0`
-    // and wraps at most once.
-    let mut zrot = [0usize; MAX_Q];
-    for (r, c) in zrot.iter_mut().zip(vel) {
-        *r = (-c[2] as isize).rem_euclid(nz as isize) as usize;
-    }
-    let mut fq = [[0.0f64; ZBA]; MAX_Q];
-
-    for x in x_lo..x_hi {
-        for y in 0..d.ny {
-            let wall = bounds.wall_row_kind(d.ny, y);
-            if matches!(wall, Some(WallKind::BounceBack)) {
-                continue; // AA odd bounce-back is the identity
-            }
-            // Prefetch on the first z-block of each row only (the later
-            // blocks of the row hit the rows the first block touched).
-            let mut prefetch = true;
-            if let Some(kind) = wall {
-                let mut z0 = 0usize;
-                while z0 < nz {
-                    let blk = (nz - z0).min(ZBA);
-                    // SAFETY: gather planes x−c are inside the allocation
-                    // per the odd-bounds contract.
-                    unsafe {
-                        gather_swapped(
-                            base_ptr, total, slab_len, vel, oc, tables, d, q, x, y, z0, blk,
-                            &mut fq, prefetch, xw,
-                        )
-                    };
-                    prefetch = false;
-                    // SAFETY: scatter planes x+c inside the allocation.
-                    unsafe {
-                        store_wall_odd(
-                            ctx, kind, &fq, oc, vel, tables, d, q, base_ptr, total, slab_len, x, y,
-                            z0, blk, xw,
-                        )
-                    };
-                    z0 += blk;
-                }
-                continue;
-            }
-            // Fluid row, tile-free: the gather row of velocity `i` (slab
-            // `opp(i)`, plane `x−cx_i`, row `wrap(y−cy_i)`, z shifted by
-            // `−cz_i`) is *also* the scatter destination of `t_opp(i)` —
-            // the scatter row of `o = opp(i)` is slab `o`, plane
-            // `x+cx_o = x−cx_i`, row `wrap(y+cy_o) = wrap(y−cy_i)`, start
-            // `wrap(z0+cz_o) = wrap(z0−cz_i)`. So the odd step, like the
-            // even step, is a pure velocity-pair in-place swap — just on
-            // double-shifted rows — and needs no gather-tile round trip.
-            let mut rows = [0usize; MAX_Q];
-            for (i, c) in vel.iter().enumerate().take(q) {
-                let xs = xw.src(x, c[0]);
-                let ys = tables.y_for(c[1]).src(y);
-                rows[i] = oc.opp[i] * slab_len + d.idx(xs, ys, 0);
-                debug_assert!(rows[i] + nz <= total);
-            }
-            if pc.is_none() {
-                prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
-            }
-            let mut zs = 0usize;
-            while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, nz, &mut zs) {
-                let mut z0 = run_lo;
-                while z0 < run_hi {
-                    let blk = (run_hi - z0).min(ZBA);
-                    let mut starts = [0usize; MAX_Q];
-                    for i in 0..q {
-                        let s = z0 + zrot[i];
-                        starts[i] = if s >= nz { s - nz } else { s };
-                    }
-                    // SAFETY: every gather row is inside the allocation per
-                    // the odd-bounds contract; the pair swap touches exactly
-                    // the slots this writer owns.
-                    unsafe {
-                        odd_block::<O>(
-                            ctx,
-                            oc,
-                            pc.as_ref(),
-                            base_ptr,
-                            &rows,
-                            &starts,
-                            nz,
-                            blk,
-                            tune.nt,
-                        )
-                    };
-                    z0 += blk;
-                }
-            }
-        }
-    }
-    if nt {
-        simd::sfence();
-    }
-}
-
-/// Gather the swapped arrivals of one z-block into `fq`:
-/// `fq[i][j] = A[x−c_i][wrap(y−cy_i)][wrap(z0+j−cz_i)][opp(i)]`.
-///
-/// With `prefetch` (once per row), each velocity's *next* y-row source is
-/// software-prefetched: the 2Q double-shifted streams defeat the
-/// hardware stride prefetcher. No separate destination prefetch is
-/// needed: the scatter row of velocity `i` at `(x, y)` *is* this gather's
-/// row for `opp(i)` (same slab `i`, same plane `x + cx_i`, same row
-/// `wrap(y + cy_i)`), so every scatter destination is already resident.
-///
-/// # Safety
-/// Layout contract as for [`odd_cells_raw`]; `x ± k` must be valid planes.
-#[allow(clippy::too_many_arguments)]
-unsafe fn gather_swapped(
     base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    vel: &[[i32; 3]],
-    oc: &OpConsts,
-    tables: &StreamTables,
-    d: Dim3,
-    q: usize,
-    x: usize,
-    y: usize,
-    z0: usize,
+    rows: &[usize; MAX_Q],
+    starts: &[usize; MAX_Q],
+    nz: usize,
     blk: usize,
     fq: &mut [[f64; ZBA]; MAX_Q],
-    prefetch: bool,
-    xw: XShift,
 ) {
-    let nz = d.nz;
-    for (i, c) in vel.iter().enumerate().take(q) {
-        let xs = xw.src(x, c[0]);
-        let ys = tables.y_for(c[1]).src(y);
-        let row = oc.opp[i] * slab_len + d.idx(xs, ys, 0);
-        debug_assert!(row + nz <= total);
-        #[cfg(target_arch = "x86_64")]
-        if prefetch {
-            // SAFETY: PREFETCHT0 is a hint and cannot fault; clamped below.
+    let q = ctx.lat.q();
+    for (i, line) in fq.iter_mut().enumerate().take(q) {
+        for (r, l, n) in rotated_pieces(starts[i], blk, nz) {
+            // SAFETY: `rows[i] + nz` is inside the allocation, so the piece
+            // `[r, r + n)` lies inside row `i`; `[l, l + n)` lies inside the
+            // line since `blk ≤ ZBA`.
             unsafe {
-                use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-                let mut p = row + nz;
-                let end = (row + 2 * nz).min(total);
-                while p < end {
-                    _mm_prefetch::<_MM_HINT_T0>(base_ptr.add(p) as *const i8);
-                    p += 8;
-                }
-            }
-        }
-        let start = (z0 as isize - c[2] as isize).rem_euclid(nz as isize) as usize;
-        let line = fq[i].as_mut_ptr();
-        // SAFETY: row+nz ≤ total; both rotate segments stay inside the row.
-        unsafe {
-            let src = base_ptr.add(row) as *const f64;
-            if start + blk <= nz {
-                std::ptr::copy_nonoverlapping(src.add(start), line, blk);
-            } else {
-                let first = nz - start;
-                std::ptr::copy_nonoverlapping(src.add(start), line, first);
-                std::ptr::copy_nonoverlapping(src, line.add(first), blk - first);
+                let src = base_ptr.add(rows[i] + r) as *const f64;
+                std::ptr::copy_nonoverlapping(src, line.as_mut_ptr().add(l), n);
             }
         }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = prefetch;
-}
-
-/// Rotate-copy `blk` doubles from `line` into a field row of length `nz`
-/// starting at (wrapped) `start`. With `nt` the contiguous segments stream
-/// past the cache (caller guarantees AVX and that the destination is
-/// write-only for the rest of the step).
-///
-/// # Safety
-/// `row_ptr` must be valid for `nz` doubles; `blk ≤ nz`; `nt` only when
-/// AVX is available.
-unsafe fn scatter_line(
-    line: *const f64,
-    row_ptr: *mut f64,
-    start: usize,
-    blk: usize,
-    nz: usize,
-    nt: bool,
-) {
-    // SAFETY: both segments stay inside the row per the contract.
-    unsafe {
-        if start + blk <= nz {
-            copy_segment(line, row_ptr.add(start), blk, nt);
-        } else {
-            let first = nz - start;
-            copy_segment(line, row_ptr.add(start), first, nt);
-            copy_segment(line.add(first), row_ptr, blk - first, nt);
-        }
-    }
-}
-
-/// Copy `n` doubles, optionally via non-temporal stores (unaligned head
-/// and tail fall back to regular stores; values are identical either way).
-///
-/// # Safety
-/// `src`/`dst` valid for `n` doubles, non-overlapping; `nt` only when AVX
-/// is available.
-#[inline]
-unsafe fn copy_segment(src: *const f64, dst: *mut f64, n: usize, nt: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if nt {
-        // SAFETY: AVX presence guaranteed by the caller (`nt_active`).
-        unsafe { copy_segment_nt(src, dst, n) };
-        return;
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = nt;
-    // SAFETY: forwarded contract.
-    unsafe { std::ptr::copy_nonoverlapping(src, dst, n) };
-}
-
-/// Streaming copy: scalar head until the destination is 32-byte aligned,
-/// 4-lane `MOVNTPD` middle, scalar tail.
-///
-/// # Safety
-/// AVX must be available; `src`/`dst` valid for `n` doubles,
-/// non-overlapping.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn copy_segment_nt(src: *const f64, dst: *mut f64, n: usize) {
-    use std::arch::x86_64::{_mm256_loadu_pd, _mm256_stream_pd};
-    // SAFETY: all offsets below stay inside [0, n).
-    unsafe {
-        let mut i = 0usize;
-        while i < n && (dst.add(i) as usize) & 31 != 0 {
-            *dst.add(i) = *src.add(i);
-            i += 1;
-        }
-        while i + 4 <= n {
-            _mm256_stream_pd(dst.add(i), _mm256_loadu_pd(src.add(i)));
-            i += 4;
-        }
-        while i < n {
-            *dst.add(i) = *src.add(i);
-            i += 1;
-        }
-    }
-}
-
-/// AA even-step wall transform for one z-block of a solid row, written to
-/// the *swapped* local slots: slot `m` receives `t_{opp(m)}` (bounce-back
-/// rows never reach here — they are exact no-ops). Identical per-cell
-/// arithmetic to [`crate::boundary::BoundarySpec::apply`].
-///
-/// # Safety
-/// Layout contract as for [`even_cells_raw`]; `dbase + z0 + blk` within
-/// every slab and inside the caller's exclusive x-planes.
-#[allow(clippy::too_many_arguments)]
-unsafe fn store_wall_even(
-    ctx: &KernelCtx,
-    kind: WallKind,
-    fq: &[[f64; ZBA]; MAX_Q],
-    oc: &OpConsts,
-    q: usize,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    dbase: usize,
-    z0: usize,
-    blk: usize,
-) {
-    let cs2 = ctx.lat.cs2();
-    match kind {
-        WallKind::BounceBack => unreachable!("bounce-back rows are skipped"),
-        WallKind::Moving { u, rho } => {
-            // Slot m ← a_m + corr_{opp(m)}: the swapped-slot image of
-            // `new[i] = old[opp(i)] + corr_i`.
-            for m in 0..q {
-                let i = oc.opp[m];
-                let c = ctx.lat.velocities()[i];
-                let cu = c[0] as f64 * u[0] + c[1] as f64 * u[1] + c[2] as f64 * u[2];
-                let corr = 2.0 * ctx.lat.weights()[i] * rho * cu / cs2;
-                let off = m * slab_len + dbase + z0;
-                debug_assert!(off + blk <= total);
-                let line = &fq[m];
-                for j in 0..blk {
-                    // SAFETY: off+blk ≤ total per the caller's contract.
-                    unsafe { *base_ptr.add(off + j) = line[j] + corr };
-                }
-            }
-        }
-        WallKind::Diffuse { u } => {
-            // Arriving mass in velocity-index order (matches the two-grid
-            // boundary apply), re-emitted as wall equilibrium.
-            let mut mass = [0.0f64; ZBA];
-            for line in fq.iter().take(q) {
-                for j in 0..blk {
-                    mass[j] += line[j];
-                }
-            }
-            for m in 0..q {
-                let i = oc.opp[m];
-                let off = m * slab_len + dbase + z0;
-                debug_assert!(off + blk <= total);
-                for (j, mj) in mass.iter().enumerate().take(blk) {
-                    // SAFETY: as above.
-                    unsafe { *base_ptr.add(off + j) = feq_i(&ctx.lat, EqOrder::Second, i, *mj, u) };
-                }
-            }
-        }
-    }
-}
-
-/// AA odd-step wall transform for one z-block of a solid row: `t_i` from
-/// the gathered swapped arrivals, scatter-stored to `A[x+c_i][i]`
-/// (bounce-back rows never reach here — exact no-ops).
-///
-/// # Safety
-/// Layout contract as for [`odd_cells_raw`]; `x ± k` valid planes.
-#[allow(clippy::too_many_arguments)]
-unsafe fn store_wall_odd(
-    ctx: &KernelCtx,
-    kind: WallKind,
-    fq: &[[f64; ZBA]; MAX_Q],
-    oc: &OpConsts,
-    vel: &[[i32; 3]],
-    tables: &StreamTables,
-    d: Dim3,
-    q: usize,
-    base_ptr: *mut f64,
-    total: usize,
-    slab_len: usize,
-    x: usize,
-    y: usize,
-    z0: usize,
-    blk: usize,
-    xw: XShift,
-) {
-    let cs2 = ctx.lat.cs2();
-    let nz = d.nz;
-    let mut t = [0.0f64; ZBA];
+    // Arriving mass in velocity-index order (matches the two-grid boundary
+    // apply), re-emitted as wall equilibrium.
     let mut mass = [0.0f64; ZBA];
     if matches!(kind, WallKind::Diffuse { .. }) {
-        mass[..blk].fill(0.0);
         for line in fq.iter().take(q) {
             for j in 0..blk {
                 mass[j] += line[j];
             }
         }
     }
-    for (i, c) in vel.iter().enumerate().take(q) {
+    let cs2 = ctx.lat.cs2();
+    let mut t = [0.0f64; ZBA];
+    for (i, c) in ctx.lat.velocities().iter().enumerate().take(q) {
+        let o = oc.opp[i];
         match kind {
             WallKind::BounceBack => unreachable!("bounce-back rows are skipped"),
             WallKind::Moving { u, rho } => {
                 let cu = c[0] as f64 * u[0] + c[1] as f64 * u[1] + c[2] as f64 * u[2];
                 let corr = 2.0 * ctx.lat.weights()[i] * rho * cu / cs2;
-                let line = &fq[oc.opp[i]];
                 for j in 0..blk {
-                    t[j] = line[j] + corr;
+                    t[j] = fq[o][j] + corr;
                 }
             }
             WallKind::Diffuse { u } => {
-                for (j, mj) in mass.iter().enumerate().take(blk) {
-                    t[j] = feq_i(&ctx.lat, EqOrder::Second, i, *mj, u);
+                for j in 0..blk {
+                    t[j] = feq_i(&ctx.lat, EqOrder::Second, i, mass[j], u);
                 }
             }
         }
-        let xd = xw.dst(x, c[0]);
-        let yd = tables.y_for(-c[1]).src(y);
-        let row = i * slab_len + d.idx(xd, yd, 0);
-        debug_assert!(row + nz <= total);
-        let start = (z0 as isize + c[2] as isize).rem_euclid(nz as isize) as usize;
-        // SAFETY: row+nz ≤ total; segments inside the row (wall rows keep
-        // regular stores — O(boundary) work).
-        unsafe { scatter_line(t.as_ptr(), base_ptr.add(row), start, blk, nz, false) };
+        for (r, l, n) in rotated_pieces(starts[o], blk, nz) {
+            // SAFETY: as for the gather, on row `o`; every arrival was read
+            // above, before the first store.
+            unsafe {
+                std::ptr::copy_nonoverlapping(t.as_ptr().add(l), base_ptr.add(rows[o] + r), n)
+            };
+        }
     }
 }
 
-/// One tile-free z-block over a row view: the velocity-pair in-place swap
-/// on double-shifted rows. `rows[i]` is the gather row of velocity `i` (slab
-/// `opp(i)`, plane `x−cx_i`, row `wrap(y−cy_i)`) and `starts[i]` its
-/// z-rotation `wrap(z0−cz_i)`; the same (row, rotation) is the scatter
-/// destination of `t_opp(i)`, so the moment pass reads every row in place
-/// and the relax pass cross-stores each pair — no gather/scatter tile.
-/// With a pair table this is the AVX2+FMA pair body (which also serves the
-/// even step, see [`even_cells_raw`]); without one, the scalar body.
+/// One tile-free z-block over a row view, for either parity: the
+/// velocity-pair in-place swap. `rows[i]` is the row holding the arrivals
+/// of velocity `i` and `starts[i]` its z-rotation; the same (row, rotation)
+/// receives `t_opp(i)`, so the moment pass reads every row in place and the
+/// relax pass cross-stores each pair — no gather/scatter tile. With a pair
+/// table this is the AVX2+FMA pair body; without one, the scalar body.
 ///
 /// # Safety
-/// Every `rows[i] + nz` must be ≤ the allocation length; `blk ≤ nz` and
-/// the writer run does not wrap in z; the caller owns all slots of this
-/// writer row exclusively; `pc` only where AVX2+FMA are available.
+/// Every `rows[i] + nz` must be ≤ the allocation length; `starts[i] < nz`,
+/// `blk ≤ nz` and the writer run does not wrap in z; the caller owns all
+/// slots of this writer row exclusively; `pc` only where AVX2+FMA are
+/// available.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 unsafe fn odd_block<O: CollideOp>(
@@ -1104,7 +560,6 @@ unsafe fn odd_block<O: CollideOp>(
     starts: &[usize; MAX_Q],
     nz: usize,
     blk: usize,
-    nt: bool,
 ) {
     // SAFETY: contract forwarded; a pair table exists only where the
     // features were detected (`pair_consts`).
@@ -1112,13 +567,13 @@ unsafe fn odd_block<O: CollideOp>(
         #[cfg(target_arch = "x86_64")]
         if let Some(pc) = pc {
             if ctx.third_order() {
-                pair_block_avx2::<true, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk, nt);
+                pair_block_avx2::<true, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk);
             } else {
-                pair_block_avx2::<false, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk, nt);
+                pair_block_avx2::<false, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk);
             }
             return;
         }
-        let _ = (pc, nt);
+        let _ = pc;
         if ctx.third_order() {
             odd_block_scalar::<true, O>(ctx, oc, base_ptr, rows, starts, nz, blk);
         } else {
@@ -1127,10 +582,10 @@ unsafe fn odd_block<O: CollideOp>(
     }
 }
 
-/// Scalar tile-free odd z-block — identical accumulation order and
-/// expressions as the shared two-grid scalar body ([`op::collide_cells`]),
-/// applied to the rotated gather rows, so scalar AA runs stay bitwise the
-/// streamed image of scalar two-grid runs.
+/// Scalar tile-free z-block — identical accumulation order and expressions
+/// as the shared two-grid scalar body ([`op::collide_cells`]), applied to
+/// the rows of the view, so scalar AA runs stay bitwise the streamed image
+/// of scalar two-grid runs.
 ///
 /// # Safety
 /// See [`odd_block`].
@@ -1160,18 +615,14 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
     let mut u2 = [0.0f64; ZBA];
     let mut ug = [0.0f64; ZBA];
 
-    rho[..blk].fill(0.0);
-    mx[..blk].fill(0.0);
-    my[..blk].fill(0.0);
-    mz[..blk].fill(0.0);
     for i in 0..q {
         let c = oc.cw[i];
         let s = starts[i];
-        // SAFETY: rows[i] + nz ≤ total per the contract; both rotation
-        // segments stay inside the row.
+        // SAFETY: `rows[i] + nz` is inside the allocation per the contract.
         let p = unsafe { base_ptr.add(rows[i]) as *const f64 };
         let l1 = blk.min(nz - s);
         for j in 0..l1 {
+            // SAFETY: `s + j < s + l1 ≤ nz`.
             let fv = unsafe { *p.add(s + j) };
             rho[j] += fv;
             mx[j] += fv * c[0];
@@ -1179,6 +630,7 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
             mz[j] += fv * c[2];
         }
         for j in l1..blk {
+            // SAFETY: `j − l1 < blk − l1 ≤ s < nz` (the wrapped segment).
             let fv = unsafe { *p.add(j - l1) };
             rho[j] += fv;
             mx[j] += fv * c[0];
@@ -1208,14 +660,13 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
         if o < i {
             continue; // pair already done
         }
-        // SAFETY: offsets bounded by rows[·] + nz ≤ total; the running
-        // rotation indices stay < nz.
+        // SAFETY: `rows[i] + nz` is inside the allocation per the contract.
         let pi = unsafe { base_ptr.add(rows[i]) };
         let mut zi = starts[i];
         if o == i {
             // Self-opposite (rest velocity): unshifted, in place.
             for j in 0..blk {
-                // SAFETY: zi < nz.
+                // SAFETY: the running rotation index `zi` stays < nz.
                 unsafe {
                     let fv = *pi.add(zi);
                     *pi.add(zi) = relax_one::<THIRD, O>(
@@ -1228,10 +679,13 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
                 }
             }
         } else {
+            // SAFETY: `rows[o] + nz` is inside the allocation per the
+            // contract.
             let po = unsafe { base_ptr.add(rows[o]) };
             let mut zo = starts[o];
             for j in 0..blk {
-                // SAFETY: zi, zo < nz; both loads precede both stores.
+                // SAFETY: zi, zo < nz; both loads precede both stores, and
+                // the two slots belong to this pair alone.
                 unsafe {
                     let fi = *pi.add(zi);
                     let fo = *po.add(zo);
@@ -1284,7 +738,6 @@ unsafe fn pair_block_avx2<const THIRD: bool, O: CollideOp>(
     starts: &[usize; MAX_Q],
     nz: usize,
     blk: usize,
-    nt: bool,
 ) {
     use std::arch::x86_64::*;
 
@@ -1328,8 +781,7 @@ unsafe fn pair_block_avx2<const THIRD: bool, O: CollideOp>(
         // Lane access: pre-offset and branchless where `$fast`, else `n ≤ 4`
         // lanes from rotated index `starts[i] + z < 2·nz` on, wrapping at
         // the row seam. Lanes past `n` read 1.0 (a harmless density for the
-        // arithmetic) and are never stored. `nt` streams aligned
-        // contiguous groups past the cache.
+        // arithmetic) and are never stored.
         macro_rules! ld {
             ($fast:expr, $i:expr, $z:expr, $n:expr) => {{
                 let (p, t) = (base_ptr.add(rows[$i]), starts[$i] + $z);
@@ -1353,17 +805,10 @@ unsafe fn pair_block_avx2<const THIRD: bool, O: CollideOp>(
         macro_rules! st {
             ($fast:expr, $i:expr, $z:expr, $n:expr, $v:expr) => {{
                 let (p, t) = (base_ptr.add(rows[$i]), starts[$i] + $z);
-                if $fast || ($n == LANES && (t + LANES <= nz || t >= nz)) {
-                    let dst = if $fast {
-                        fp[$i].wrapping_add($z)
-                    } else {
-                        p.add(if t >= nz { t - nz } else { t })
-                    };
-                    if nt && (dst as usize) & 31 == 0 {
-                        _mm256_stream_pd(dst, $v);
-                    } else {
-                        _mm256_storeu_pd(dst, $v);
-                    }
+                if $fast {
+                    _mm256_storeu_pd(fp[$i].wrapping_add($z), $v);
+                } else if $n == LANES && (t + LANES <= nz || t >= nz) {
+                    _mm256_storeu_pd(p.add(if t >= nz { t - nz } else { t }), $v);
                 } else {
                     let mut lanes = [0.0f64; LANES];
                     _mm256_storeu_pd(lanes.as_mut_ptr(), $v);
@@ -1490,7 +935,7 @@ mod tests {
                 dims.nx,
                 PlainBgk,
                 &BoundarySpec::periodic(),
-                AaTune::SCALAR,
+                false,
             );
 
             let expect = unswap(&c, &collided);
@@ -1515,15 +960,7 @@ mod tests {
         // (bounce-back) and masked cells are *no-ops* so they keep A's
         // natural values — the swapped comparison must account for both.
         let mut aa = a0.clone();
-        even_cells(
-            &c,
-            &mut aa,
-            0,
-            dims.nx,
-            GuoForced { g },
-            &bounds,
-            AaTune::SCALAR,
-        );
+        even_cells(&c, &mut aa, 0, dims.nx, GuoForced { g }, &bounds, false);
 
         let d = aa.alloc_dims();
         for i in 0..c.lat.q() {
@@ -1582,7 +1019,7 @@ mod tests {
                 alloc_nx - k,
                 PlainBgk,
                 &BoundarySpec::periodic(),
-                AaTune::SCALAR,
+                false,
             );
 
             // Planes [2k, alloc−2k) of `aa` are complete (all writers
@@ -1605,13 +1042,17 @@ mod tests {
     fn periodic_odd_matches_margin_odd_with_filled_halo() {
         // The wrap path must reproduce, bitwise, what the decomposed path
         // computes from periodic ghost copies and 2k ghost writer planes —
-        // fluid rows, wall transforms, and masked runs alike.
-        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+        // fluid rows, wall transforms, and masked runs alike; at nz = 70 the
+        // rotated wall-row gathers cross a z-block seam.
+        for (kind, nz) in [LatticeKind::D3Q19, LatticeKind::D3Q39]
+            .into_iter()
+            .flat_map(|kind| [(kind, 11), (kind, 70)])
+        {
             let c = ctx(kind);
             let q = c.lat.q();
             let k = c.lat.reach();
             let h = 2 * k;
-            let dims = Dim3::new(8, 9, 11);
+            let dims = Dim3::new(8, 9, nz);
             let bounds = BoundarySpec::periodic()
                 .with_walls(ChannelWalls {
                     low: WallKind::Moving {
@@ -1621,7 +1062,7 @@ mod tests {
                     high: WallKind::Diffuse { u: [0.0; 3] },
                     layers: k,
                 })
-                .with_mask(crate::boundary::SectionMask::from_fn(9, 11, |_y, z| z == 4));
+                .with_mask(crate::boundary::SectionMask::from_fn(9, nz, |_y, z| z == 4));
             let tables = StreamTables::new(dims.ny, dims.nz);
             let m0 = random_field(q, dims, h, 37);
             let da = m0.alloc_dims();
@@ -1637,16 +1078,7 @@ mod tests {
                     p.slab_mut(i)[t..t + plane].copy_from_slice(&m0.slab(i)[s..s + plane]);
                 }
             }
-            odd_cells_periodic(
-                &c,
-                &tables,
-                &mut p,
-                0,
-                dims.nx,
-                PlainBgk,
-                &bounds,
-                AaTune::SCALAR,
-            );
+            odd_cells_periodic(&c, &tables, &mut p, 0, dims.nx, PlainBgk, &bounds, false);
 
             // Margin sweep with periodically filled ghosts, writers extended
             // k planes into them, exactly as the decomposed solver runs it.
@@ -1669,7 +1101,7 @@ mod tests {
                 h + dims.nx + k,
                 PlainBgk,
                 &bounds,
-                AaTune::SCALAR,
+                false,
             );
 
             for i in 0..q {
@@ -1699,15 +1131,7 @@ mod tests {
         let tables = StreamTables::new(dims.ny, dims.nz);
         let mut f = random_field(c.lat.q(), dims, 2 * k, 31);
         let before = f.clone();
-        even_cells(
-            &c,
-            &mut f,
-            2 * k,
-            2 * k + dims.nx,
-            PlainBgk,
-            &bounds,
-            AaTune::SCALAR,
-        );
+        even_cells(&c, &mut f, 2 * k, 2 * k + dims.nx, PlainBgk, &bounds, false);
         let d = f.alloc_dims();
         for i in 0..c.lat.q() {
             for x in 2 * k..2 * k + dims.nx {
@@ -1734,7 +1158,7 @@ mod tests {
             alloc_nx - k,
             PlainBgk,
             &bounds,
-            AaTune::SCALAR,
+            false,
         );
         // In the odd step, a slot `(y, i)` is written by writer cell
         // `y − c_i`; slots whose writer is itself a bounce-back wall cell
@@ -1766,37 +1190,44 @@ mod tests {
     fn moving_and_diffuse_walls_match_the_two_grid_transform() {
         use crate::boundary::WallKind;
         // even(A) at a moving/diffuse wall row must equal the swapped
-        // BoundarySpec::apply of A, bitwise.
-        let c = ctx(LatticeKind::D3Q19);
-        let dims = Dim3::new(3, 8, 9);
-        let bounds = BoundarySpec::periodic().with_walls(ChannelWalls {
-            low: WallKind::Diffuse { u: [0.0; 3] },
-            high: WallKind::Moving {
-                u: [0.03, 0.0, 0.01],
-                rho: 1.0,
-            },
-            layers: 1,
-        });
-        let a0 = random_field(c.lat.q(), dims, 0, 41);
+        // BoundarySpec::apply of A, bitwise — at nz = 70 across a z-block
+        // seam.
+        for (kind, nz) in [LatticeKind::D3Q19, LatticeKind::D3Q39]
+            .into_iter()
+            .flat_map(|kind| [(kind, 9), (kind, 70)])
+        {
+            let c = ctx(kind);
+            let k = c.lat.reach();
+            let dims = Dim3::new(3, 8, nz);
+            let bounds = BoundarySpec::periodic().with_walls(ChannelWalls {
+                low: WallKind::Diffuse { u: [0.0; 3] },
+                high: WallKind::Moving {
+                    u: [0.03, 0.0, 0.01],
+                    rho: 1.0,
+                },
+                layers: k,
+            });
+            let a0 = random_field(c.lat.q(), dims, 0, 41);
 
-        let mut two_grid = a0.clone();
-        bounds.apply(&c, &mut two_grid, 0, dims.nx);
+            let mut two_grid = a0.clone();
+            bounds.apply(&c, &mut two_grid, 0, dims.nx);
 
-        let mut aa = a0.clone();
-        even_cells(&c, &mut aa, 0, dims.nx, PlainBgk, &bounds, AaTune::SCALAR);
+            let mut aa = a0.clone();
+            even_cells(&c, &mut aa, 0, dims.nx, PlainBgk, &bounds, false);
 
-        let d = aa.alloc_dims();
-        for i in 0..c.lat.q() {
-            let o = c.lat.opposite(i);
-            for x in 0..dims.nx {
-                for y in [0usize, dims.ny - 1] {
-                    for z in 0..dims.nz {
-                        let lin = d.idx(x, y, z);
-                        assert_eq!(
-                            aa.slab(i)[lin],
-                            two_grid.slab(o)[lin],
-                            "i={i} ({x},{y},{z})"
-                        );
+            let d = aa.alloc_dims();
+            for i in 0..c.lat.q() {
+                let o = c.lat.opposite(i);
+                for x in 0..dims.nx {
+                    for y in (0..k).chain(dims.ny - k..dims.ny) {
+                        for z in 0..dims.nz {
+                            let lin = d.idx(x, y, z);
+                            assert_eq!(
+                                aa.slab(i)[lin],
+                                two_grid.slab(o)[lin],
+                                "{kind:?} nz={nz} i={i} ({x},{y},{z})"
+                            );
+                        }
                     }
                 }
             }
@@ -1826,7 +1257,7 @@ mod tests {
                 2 * k + dims.nx,
                 GuoForced { g },
                 &bounds,
-                AaTune::SCALAR,
+                false,
             );
             even_cells(
                 &c,
@@ -1835,7 +1266,7 @@ mod tests {
                 2 * k + dims.nx,
                 GuoForced { g },
                 &bounds,
-                AaTune::for_class(true),
+                true,
             );
             let diff = s.max_abs_diff_owned(&v);
             assert!(diff < 1e-13, "{kind:?} even: {diff}");
@@ -1849,7 +1280,7 @@ mod tests {
                 alloc_nx - k,
                 GuoForced { g },
                 &bounds,
-                AaTune::SCALAR,
+                false,
             );
             odd_cells(
                 &c,
@@ -1859,7 +1290,7 @@ mod tests {
                 alloc_nx - k,
                 GuoForced { g },
                 &bounds,
-                AaTune::for_class(true),
+                true,
             );
             let diff = s.max_abs_diff_owned(&v);
             assert!(diff < 1e-12, "{kind:?} odd: {diff}");
@@ -1880,15 +1311,7 @@ mod tests {
         let tables = StreamTables::new(dims.ny, dims.nz);
         let bounds = BoundarySpec::periodic();
 
-        even_cells(
-            &c,
-            &mut f,
-            own_lo,
-            own_hi,
-            PlainBgk,
-            &bounds,
-            AaTune::SCALAR,
-        );
+        even_cells(&c, &mut f, own_lo, own_hi, PlainBgk, &bounds, false);
         // Refresh halos from the owned wrap (what the solver's exchange
         // does), then run the odd writers.
         for i in 0..c.lat.q() {
@@ -1904,16 +1327,7 @@ mod tests {
             }
         }
         let mass_mid = f.owned_mass();
-        odd_cells(
-            &c,
-            &tables,
-            &mut f,
-            k,
-            d.nx - k,
-            PlainBgk,
-            &bounds,
-            AaTune::SCALAR,
-        );
+        odd_cells(&c, &tables, &mut f, k, d.nx - k, PlainBgk, &bounds, false);
         let mass_after = f.owned_mass();
         // The even step conserves mass cell-locally; the odd step moves
         // mass between cells but the wrapped halo bookkeeping keeps the
@@ -1940,68 +1354,8 @@ mod tests {
             nx,
             PlainBgk,
             &BoundarySpec::periodic(),
-            AaTune::SCALAR,
+            false,
         );
-    }
-
-    #[test]
-    fn nt_stores_are_bitwise_identical_for_both_parities() {
-        // The NT path changes only *how* the destination slots are stored,
-        // never the values: scalar+nt ≡ scalar (odd scatter streams) and
-        // simd+nt ≡ simd (even pair stores + odd scatter stream) must be
-        // exact, across walls, mask, and force.
-        use crate::boundary::SectionMask;
-        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
-            let c = ctx(kind);
-            let k = c.lat.reach();
-            let dims = Dim3::new(7, 9, 12);
-            let bounds = BoundarySpec::periodic()
-                .with_walls(ChannelWalls::no_slip(k))
-                .with_mask(SectionMask::from_fn(9, 12, |_y, z| z == 5));
-            let tables = StreamTables::new(dims.ny, dims.nz);
-            let g = [2e-5, -1e-5, 0.0];
-            let a0 = random_field(c.lat.q(), dims, 2 * k, 71);
-
-            for simd in [false, true] {
-                let plain = AaTune { simd, nt: false };
-                let nt = AaTune { simd, nt: true };
-                let mut a = a0.clone();
-                let mut b = a0.clone();
-                even_cells(
-                    &c,
-                    &mut a,
-                    2 * k,
-                    2 * k + dims.nx,
-                    GuoForced { g },
-                    &bounds,
-                    plain,
-                );
-                even_cells(
-                    &c,
-                    &mut b,
-                    2 * k,
-                    2 * k + dims.nx,
-                    GuoForced { g },
-                    &bounds,
-                    nt,
-                );
-                assert_eq!(a.max_abs_diff_owned(&b), 0.0, "{kind:?} even simd={simd}");
-
-                let nx = a.alloc_dims().nx;
-                odd_cells(
-                    &c,
-                    &tables,
-                    &mut a,
-                    k,
-                    nx - k,
-                    GuoForced { g },
-                    &bounds,
-                    plain,
-                );
-                odd_cells(&c, &tables, &mut b, k, nx - k, GuoForced { g }, &bounds, nt);
-                assert_eq!(a.max_abs_diff_owned(&b), 0.0, "{kind:?} odd simd={simd}");
-            }
-        }
     }
 
     #[test]
@@ -2170,7 +1524,7 @@ mod tests {
         // exactly G of momentum, |Σ out − Σ f| ≤ 1e-14 ρ and
         // |Σ c·out − Σ c·f − G| ≤ 1e-14, in compensated sums.
         let g = [2e-5, -1e-5, 3e-5];
-        let tune = AaTune::for_class(true);
+        let tune = true;
         let bounds = BoundarySpec::periodic();
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let c = ctx(kind);
@@ -2266,24 +1620,8 @@ mod tests {
                     }
                     let a0 = random_field(c.lat.q(), dims, 0, 59 + nz as u64);
                     let (mut s, mut v) = (a0.clone(), a0.clone());
-                    even_cells(
-                        &c,
-                        &mut s,
-                        0,
-                        dims.nx,
-                        GuoForced { g },
-                        &bounds,
-                        AaTune::SCALAR,
-                    );
-                    even_cells(
-                        &c,
-                        &mut v,
-                        0,
-                        dims.nx,
-                        GuoForced { g },
-                        &bounds,
-                        AaTune::for_class(true),
-                    );
+                    even_cells(&c, &mut s, 0, dims.nx, GuoForced { g }, &bounds, false);
+                    even_cells(&c, &mut v, 0, dims.nx, GuoForced { g }, &bounds, true);
                     let diff = s.max_abs_diff_owned(&v);
                     assert!(diff < 1e-13, "{kind:?} nz={nz} mask {n} even: {diff}");
                     if nz < 4 {
@@ -2298,7 +1636,7 @@ mod tests {
                         dims.nx,
                         GuoForced { g },
                         &bounds,
-                        AaTune::SCALAR,
+                        false,
                     );
                     odd_cells_periodic(
                         &c,
@@ -2308,7 +1646,7 @@ mod tests {
                         dims.nx,
                         GuoForced { g },
                         &bounds,
-                        AaTune::for_class(true),
+                        true,
                     );
                     let diff = s.max_abs_diff_owned(&v);
                     assert!(diff < 1e-12, "{kind:?} nz={nz} mask {n} odd: {diff}");

@@ -362,8 +362,8 @@ pub fn stream_collide_scenario(
 }
 
 /// Whether `level`'s kernel class runs the vectorized AA arithmetic (the
-/// same class split as the two-grid ladder: AVX2+FMA at `Simd` and above).
-/// No class enables the NT-store path — see [`aa::AaTune::for_class`].
+/// same class split as the two-grid ladder: AVX2+FMA at `Simd` and above,
+/// the scalar bodies below) — the `simd` argument of the [`aa`] sweeps.
 const fn aa_use_simd(level: OptLevel) -> bool {
     matches!(level.kernel_class(), KernelClass::Simd | KernelClass::Fused)
 }
@@ -388,7 +388,7 @@ pub fn aa_even_scenario(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -415,7 +415,7 @@ pub fn aa_odd_scenario(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 
@@ -442,7 +442,7 @@ pub fn aa_odd_scenario_periodic(
         x_hi,
         rule,
         bounds,
-        aa::AaTune::for_class(aa_use_simd(level))
+        aa_use_simd(level)
     ));
 }
 

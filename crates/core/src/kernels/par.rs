@@ -332,51 +332,15 @@ mod tests {
             let op = crate::kernels::op::GuoForced {
                 g: [2e-5, 0.0, 0.0],
             };
-            aa::even_cells(
-                &c,
-                &mut serial,
-                2 * k,
-                2 * k + dims.nx,
-                op,
-                &bounds,
-                aa::AaTune::SCALAR,
-            );
+            aa::even_cells(&c, &mut serial, 2 * k, 2 * k + dims.nx, op, &bounds, false);
             pool.install(|| {
-                aa::even_cells(
-                    &c,
-                    &mut par,
-                    2 * k,
-                    2 * k + dims.nx,
-                    op,
-                    &bounds,
-                    aa::AaTune::SCALAR,
-                )
+                aa::even_cells(&c, &mut par, 2 * k, 2 * k + dims.nx, op, &bounds, false)
             });
             assert_eq!(serial.max_abs_diff_owned(&par), 0.0, "{kind:?} even");
 
             let nx = serial.alloc_dims().nx;
-            aa::odd_cells(
-                &c,
-                &tables,
-                &mut serial,
-                k,
-                nx - k,
-                op,
-                &bounds,
-                aa::AaTune::SCALAR,
-            );
-            pool.install(|| {
-                aa::odd_cells(
-                    &c,
-                    &tables,
-                    &mut par,
-                    k,
-                    nx - k,
-                    op,
-                    &bounds,
-                    aa::AaTune::SCALAR,
-                )
-            });
+            aa::odd_cells(&c, &tables, &mut serial, k, nx - k, op, &bounds, false);
+            pool.install(|| aa::odd_cells(&c, &tables, &mut par, k, nx - k, op, &bounds, false));
             assert_eq!(serial.max_abs_diff_owned(&par), 0.0, "{kind:?} odd");
         }
     }
