@@ -66,7 +66,7 @@ use crate::field::DistField;
 use crate::index::Dim3;
 use crate::kernels::op::{self, CollideOp, OpConsts, PairConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{group_moments, relax_pair, relax_rest};
+use crate::kernels::op::{group_moments, relax_pair, relax_rest, AHEAD};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
 
@@ -191,10 +191,11 @@ pub fn even_cells<O: CollideOp>(
 /// module docs). Requires `x_lo ≥ k` and `x_hi + k ≤ nx` (the sweep reads
 /// and writes up to `k` planes outside the writer range).
 ///
-/// The double-shifted gather rows are software-prefetched one y-row ahead
-/// (the scatter rows *are* the gather rows of the opposite velocities, so
-/// that covers the destinations too); the AVX2+FMA pair body issues the
-/// same prefetch from its moment loop.
+/// The double-shifted gather rows are software-prefetched (the scatter rows
+/// *are* the gather rows of the opposite velocities, so that covers the
+/// destinations too): the scalar body and wall rows one y-row ahead, the
+/// AVX2+FMA pair body from its moment loop, each row `op::AHEAD` doubles
+/// ahead once per 8 cells.
 pub fn odd_cells<O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -717,7 +718,7 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
 /// `t_opp(i)`. The odd step passes its double-shifted gather rows, the even
 /// step natural rows with `starts[i] = z0`. Each 4-lane group runs one
 /// body: paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)` over
-/// all rows (prefetching each row's next y-row, one touch per cache line),
+/// all rows (touching each row [`AHEAD`] doubles ahead, once per 8 cells),
 /// then [`relax_pair`] on every pair with the moments still in registers,
 /// cross-stored. A sub-4-lane tail runs the same body on padded lanes.
 ///
@@ -824,24 +825,24 @@ unsafe fn pair_block_avx2<const THIRD: bool, O: CollideOp>(
                 let (z, n) = ($z, $n);
                 let rest = &pc.rest;
                 // 2Q unit-stride streams overwhelm the hardware prefetcher:
-                // touch each row's next y-row once per 64-byte line.
-                let ahead = (z % 8 == 0).then_some(z + nz);
+                // once per 8 cells, touch each row `AHEAD` doubles ahead.
+                let touch = |i: usize| {
+                    if z % 8 == 0 {
+                        op::prefetch(fp[i].wrapping_add(z + AHEAD));
+                    }
+                };
                 let mut rho = ld!($fast, rest.i, z, n);
+                touch(rest.i);
                 let mut m = [_mm256_setzero_pd(); 3];
                 for p in pc.pairs() {
                     let (fi, fo) = (ld!($fast, p.i, z, n), ld!($fast, p.o, z, n));
-                    if let Some(a) = ahead {
-                        _mm_prefetch::<_MM_HINT_T0>(fp[p.i].wrapping_add(a) as *const i8);
-                        _mm_prefetch::<_MM_HINT_T0>(fp[p.o].wrapping_add(a) as *const i8);
-                    }
+                    touch(p.i);
+                    touch(p.o);
                     let d = _mm256_sub_pd(fi, fo);
                     rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
                     for a in 0..3 {
                         m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
                     }
-                }
-                if let Some(a) = ahead {
-                    _mm_prefetch::<_MM_HINT_T0>(fp[rest.i].wrapping_add(a) as *const i8);
                 }
                 let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
                 for p in pc.pairs() {

@@ -10,7 +10,10 @@
 //!   row `(x − cx_i, y − cy_i)` shifted by `−cz_i`. In the groups at the
 //!   row's ends (its seams), the velocities whose window wraps in z read
 //!   through an 8-lane stack buffer, filled from a wrap-index table built
-//!   once per call.
+//!   once per call. The body's moment loop touches every velocity's source
+//!   row `op::AHEAD` doubles (4 lines) past each 8-cell group: Q streams are
+//!   more than the hardware prefetcher follows. Past a row's end the touch
+//!   lands on the next y-row, which is read next.
 //! * **Stores** — 8 cells at a time, so every velocity row of a group is one
 //!   whole 64-byte line of `dst`, written with two back-to-back streaming
 //!   stores and no read-for-ownership: `2·Q·8` bytes/cell is what reaches

@@ -386,11 +386,37 @@ pub(crate) unsafe fn relax_rest<O: CollideOp>(
 /// whole 64-byte cache line of each velocity row.
 pub(crate) const GROUP: usize = 8;
 
+/// How far ahead of the group being loaded, in doubles, the row-view AVX2
+/// bodies touch each velocity's source stream: 4 cache lines. A D3Q39 cell
+/// reads 39 unit-stride streams, more than the hardware stride prefetcher
+/// follows, so without the touch each line arrives late. One touch per
+/// stream per line, interleaved with the loads, keeps every stream
+/// 4 lines ahead ([`pair_lines`] on [`RowPtrs`], and the AA body).
+#[cfg(target_arch = "x86_64")]
+pub(crate) const AHEAD: usize = 32;
+
+/// Touch the cache line holding `p` into L1 (`PREFETCHT0`): a hint that
+/// never faults, whatever `p` points to, so any `wrapping_add` of a row
+/// pointer may be passed.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn prefetch(p: *const f64) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: SSE is part of the x86_64 baseline, and a prefetch reads no
+    // memory architecturally: it cannot fault on any address.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
+}
+
 /// Where the velocity rows of a [`tile_pairs_avx2`] view live: velocity
 /// `i` reads its arrivals at `src(i) + z` and stores its post-collision
-/// values at `dst(i) + z`.
+/// values at `dst(i) + z`. `PREFETCH` says whether the body should touch
+/// each source row [`AHEAD`] doubles ahead: worth it for rows streamed from
+/// memory, not for frames already in L1.
 #[cfg(target_arch = "x86_64")]
 pub(crate) trait Rows: Copy {
+    /// Whether [`pair_lines`] touches `src(i) + z + AHEAD` per velocity and
+    /// group (compile-time: `false` compiles the touches away).
+    const PREFETCH: bool;
     /// Start of velocity `i`'s source row (`i < q`).
     fn src(self, i: usize) -> *const f64;
     /// Start of velocity `i`'s destination row (`i < q`).
@@ -400,13 +426,16 @@ pub(crate) trait Rows: Copy {
 /// The velocity rows of a gathered `q·64` frame and of its output frame,
 /// row `i` at offset `i·64` of each. Computed, not looked up: the sparse
 /// tile body is bound by its instruction count, and a table lookup per
-/// access costs it several percent.
+/// access costs it several percent. Not prefetched: the frames are
+/// L1-resident.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct FrameRows(*const f64, *mut f64);
 
 #[cfg(target_arch = "x86_64")]
 impl Rows for FrameRows {
+    const PREFETCH: bool = false;
+
     #[inline(always)]
     fn src(self, i: usize) -> *const f64 {
         self.0.wrapping_add(i * TILE_CELLS)
@@ -419,13 +448,16 @@ impl Rows for FrameRows {
 }
 
 /// One source and one destination row pointer per velocity (the dense
-/// fused step's shifted source rows).
+/// fused step's shifted source rows). Prefetched: the source rows stream
+/// from memory.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct RowPtrs<'a>(pub &'a [*const f64; MAX_Q], pub &'a [*mut f64; MAX_Q]);
 
 #[cfg(target_arch = "x86_64")]
 impl Rows for RowPtrs<'_> {
+    const PREFETCH: bool = true;
+
     #[inline(always)]
     fn src(self, i: usize) -> *const f64 {
         self.0[i]
@@ -444,7 +476,9 @@ impl Rows for RowPtrs<'_> {
 /// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Solid
 /// lanes take the bounce-back swap `(t_i, t_o) = (f_o, f_i)` by blend, and
 /// all-solid lines only swap, so solid cells are exact copies and fluid
-/// cells agree with the per-cell scalar rule within re-rounding.
+/// cells agree with the per-cell scalar rule within re-rounding. Where
+/// `R::PREFETCH`, the moment sums touch each velocity's source row
+/// [`AHEAD`] doubles past the group, once per group.
 ///
 /// With `NT` the stores stream past the cache, and a group's two lines run
 /// side by side so that each velocity's two stores fill one cache line back
@@ -458,8 +492,9 @@ impl Rows for RowPtrs<'_> {
 /// AVX2+FMA must be available. For every velocity `i < q` and group, the
 /// 8 doubles at `rows.src(i) + z` must be readable and those at
 /// `rows.dst(i) + z` writable (`wrapping_add` is used, so a row start may
-/// lie outside its allocation as long as the accessed doubles do not); with
-/// `NT` every `rows.dst(i) + z` must be 32-byte aligned.
+/// lie outside its allocation as long as the accessed doubles do not; the
+/// prefetched addresses need not be valid at all); with `NT` every
+/// `rows.dst(i) + z` must be 32-byte aligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: CollideOp, R: Rows>(
@@ -479,10 +514,10 @@ pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: Colli
         // SAFETY: forwarded contract; both lines lie in the group.
         unsafe {
             if NT {
-                pair_lines::<THIRD, true, 2, O, R>(ctx, oc, pc, rows, [lo, hi]);
+                pair_lines::<THIRD, true, 2, O, R>(ctx, oc, pc, rows, [lo, hi], true);
             } else {
-                for line in [lo, hi] {
-                    pair_lines::<THIRD, false, 1, O, R>(ctx, oc, pc, rows, [line]);
+                for (line, first) in [(lo, true), (hi, false)] {
+                    pair_lines::<THIRD, false, 1, O, R>(ctx, oc, pc, rows, [line], first);
                 }
             }
         }
@@ -492,7 +527,10 @@ pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: Colli
 /// [`tile_pairs_avx2`] on `L` 4-lane lines side by side: line `l` is cells
 /// `[z, z + 4)` of every row with fluid bits `bits` (lane `j` is fluid iff
 /// bit `j` is set), `lines[l] = (z, bits)`. Each velocity's `L` stores are
-/// issued back to back.
+/// issued back to back. When `lines[0]` opens its 8-cell group (`first`)
+/// and `R::PREFETCH`, the moment loop touches `rows.src(i) + z + AHEAD`
+/// for every velocity right after loading it: one touch per stream per
+/// group, whether the group runs as one call (`L = 2`) or two.
 ///
 /// # Safety
 /// As for [`tile_pairs_avx2`], for the 4 doubles of each line.
@@ -505,10 +543,17 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
     pc: &PairConsts,
     rows: R,
     lines: [(usize, u64); L],
+    first: bool,
 ) {
     use std::arch::x86_64::*;
 
     let rest = &pc.rest;
+    let ahead = lines[0].0 + AHEAD;
+    let touch = |i: usize| {
+        if R::PREFETCH && first {
+            prefetch(rows.src(i).wrapping_add(ahead));
+        }
+    };
     // SAFETY: the caller grants every access below (see # Safety).
     unsafe {
         macro_rules! ld {
@@ -543,9 +588,12 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
             return;
         }
         let mut rho = ld!(rest.i);
+        touch(rest.i);
         let mut m = [[_mm256_setzero_pd(); 3]; L];
         for p in pc.pairs() {
             let (fi, fo) = (ld!(p.i), ld!(p.o));
+            touch(p.i);
+            touch(p.o);
             for l in 0..L {
                 let d = _mm256_sub_pd(fi[l], fo[l]);
                 rho[l] = _mm256_add_pd(rho[l], _mm256_add_pd(fi[l], fo[l]));
@@ -795,6 +843,7 @@ unsafe fn collide_cells_impl<const THIRD: bool, O: CollideOp>(
                         // SAFETY: off+blk ≤ total per the layout contract.
                         let p = unsafe { base_ptr.add(off) as *const f64 };
                         for j in 0..blk {
+                            // SAFETY: j < blk, so p + j < base_ptr + total.
                             let fv = unsafe { *p.add(j) };
                             rho[j] += fv;
                             mx[j] += fv * c[0];
@@ -832,6 +881,8 @@ unsafe fn collide_cells_impl<const THIRD: bool, O: CollideOp>(
                                 poly += xi * (xi * xi - 3.0 * k.cs2 * u2[j]) * k.inv_6cs6;
                             }
                             let feq = w * rho[j] * poly;
+                            // SAFETY: j < blk, so p + j < base_ptr + total,
+                            // in this caller's exclusive x range.
                             unsafe {
                                 let fv = *p.add(j);
                                 let mut next = fv + omega * (feq - fv);
