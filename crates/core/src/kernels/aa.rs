@@ -1604,7 +1604,8 @@ mod tests {
         // Tail-only rows (nz < 4), sub-8-cell rows, a masked run that starts
         // mid-group and ends exactly at the z seam, and two runs per row:
         // nz from 1 on the even step and from 4 on the odd step, under the
-        // standing AVX2-vs-scalar tolerances.
+        // standing AVX2-vs-scalar tolerances. On every shape, each AVX2
+        // sweep is also bitwise its pair-body image.
         use crate::boundary::SectionMask;
         let g = [3e-5, 0.0, -1e-5];
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
@@ -1625,9 +1626,12 @@ mod tests {
                     even_cells(&c, &mut v, 0, dims.nx, GuoForced { g }, &bounds, true);
                     let diff = s.max_abs_diff_owned(&v);
                     assert!(diff < 1e-13, "{kind:?} nz={nz} mask {n} even: {diff}");
+                    let case = format!("{kind:?} nz={nz} mask {n}");
+                    assert_pair_body_image(&c, &a0, &v, &bounds, GuoForced { g }, false, &case);
                     if nz < 4 {
                         continue; // below the lattice reach: no z-stream
                     }
+                    let v_even = v.clone();
                     let tables = StreamTables::new(dims.ny, nz);
                     odd_cells_periodic(
                         &c,
@@ -1651,6 +1655,194 @@ mod tests {
                     );
                     let diff = s.max_abs_diff_owned(&v);
                     assert!(diff < 1e-12, "{kind:?} nz={nz} mask {n} odd: {diff}");
+                    assert_pair_body_image(&c, &v_even, &v, &bounds, GuoForced { g }, true, &case);
+                }
+            }
+        }
+    }
+
+    /// `after`, one AVX2 sweep of `before` on a halo-free field over all its
+    /// planes (the odd step on the torus), must be bitwise the sweep's
+    /// pair-body image. Does nothing without AVX2+FMA.
+    fn assert_pair_body_image<O: CollideOp>(
+        c: &KernelCtx,
+        before: &DistField,
+        after: &DistField,
+        bounds: &BoundarySpec,
+        op: O,
+        odd: bool,
+        case: &str,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if simd::simd_available() {
+            let want = pair_body_image(c, before, bounds, op, odd);
+            let (got, want) = (after.as_slice(), want.as_slice());
+            for (p, (g, w)) in got.iter().zip(want).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{case} odd={odd} at offset {p}: sweep {g} vs pair body {w}"
+                );
+            }
+        }
+        let _ = (c, before, after, bounds, op, odd, case);
+    }
+
+    /// What an AVX2 sweep of `before` must write, built the slow way: per
+    /// fluid `(x, y)` row, the arrivals `a_i` of the row view gathered cell
+    /// by cell into a `q·64` frame, 64 cells at a time, run through the pair
+    /// body's frame-row instantiation, and each fluid cell's `t_i` stored
+    /// into the slot that held `a_opp(i)`. Solid cells and wall rows keep
+    /// their values. The view is the even one, or with `odd` the periodic
+    /// odd one over the whole (halo-free) field.
+    #[cfg(target_arch = "x86_64")]
+    fn pair_body_image<O: CollideOp>(
+        c: &KernelCtx,
+        before: &DistField,
+        bounds: &BoundarySpec,
+        op: O,
+        odd: bool,
+    ) -> DistField {
+        use crate::geometry::TILE_CELLS;
+        use crate::kernels::op::frame_pairs_avx2;
+
+        let q = c.lat.q();
+        let d = before.alloc_dims();
+        let oc = OpConsts::new(c, &op);
+        let pc = PairConsts::new(&oc, q);
+        let wrap =
+            |v: usize, s: i32, n: usize| (v as isize - s as isize).rem_euclid(n as isize) as usize;
+        // The slot (slab, offset) holding a_i of cell (x, y, z): its own
+        // slot i on the even view, slot opp(i) of cell x − c_i on the odd.
+        let slot = |i: usize, x: usize, y: usize, z: usize| {
+            let cv = c.lat.velocities()[i];
+            if odd {
+                let at = d.idx(
+                    wrap(x, cv[0], d.nx),
+                    wrap(y, cv[1], d.ny),
+                    wrap(z, cv[2], d.nz),
+                );
+                (oc.opp[i], at)
+            } else {
+                (i, d.idx(x, y, z))
+            }
+        };
+        let mut image = before.clone();
+        let (mut buf, mut out) = (vec![1.0; q * TILE_CELLS], vec![0.0; q * TILE_CELLS]);
+        for x in 0..d.nx {
+            for y in (0..d.ny).filter(|&y| bounds.wall_row_kind(d.ny, y).is_none()) {
+                for z0 in (0..d.nz).step_by(TILE_CELLS) {
+                    let n = (d.nz - z0).min(TILE_CELLS);
+                    let mut fluid = u64::MAX;
+                    for j in 0..n {
+                        if !bounds.is_fluid(d.ny, y, z0 + j) {
+                            fluid &= !(1 << j);
+                        }
+                        for i in 0..q {
+                            let (s, at) = slot(i, x, y, z0 + j);
+                            buf[i * TILE_CELLS + j] = before.slab(s)[at];
+                        }
+                    }
+                    // SAFETY: the caller checked AVX2+FMA.
+                    unsafe {
+                        if c.third_order() {
+                            frame_pairs_avx2::<true, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                        } else {
+                            frame_pairs_avx2::<false, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                        }
+                    }
+                    for j in (0..n).filter(|&j| fluid >> j & 1 == 1) {
+                        for i in 0..q {
+                            let (s, at) = slot(oc.opp[i], x, y, z0 + j);
+                            image.slab_mut(s)[at] = out[i * TILE_CELLS + j];
+                        }
+                    }
+                }
+            }
+        }
+        image
+    }
+
+    #[test]
+    fn avx2_sweeps_write_only_the_writer_slots() {
+        // The AVX2 sweeps store through raw row pointers. With the whole
+        // field NaN-poisoned except the slots the writers of [x_lo, x_hi)
+        // own (their own slots on the even step, (x + c_j, j) on the margin
+        // odd step), a sweep must leave every other slot with its NaN bits
+        // and every owned slot finite: no pad lane is stored and no write
+        // lands past a row end. Rows of nz 7 and 13 are all seam and short
+        // groups, 64 all whole groups, 70 both; with and without masked
+        // cells, serial and split across a pool.
+        use crate::boundary::SectionMask;
+        let poison = f64::from_bits(0x7ff8_dead_beef_0001);
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            for nz in [7, 13, 64, 70] {
+                let dims = Dim3::new(6, 5, nz);
+                let tables = StreamTables::new(dims.ny, nz);
+                let values = random_field(q, dims, k, 67 + nz as u64);
+                let (d, stride) = (values.alloc_dims(), values.slab_stride());
+                let (x_lo, x_hi) = (k + 1, k + 5);
+                for odd in [false, true] {
+                    let mut owned = vec![false; values.as_slice().len()];
+                    for (j, cv) in c.lat.velocities().iter().enumerate() {
+                        let s = if odd { *cv } else { [0; 3] };
+                        let wrap = |v: usize, s: i32, n: usize| {
+                            (v as isize + s as isize).rem_euclid(n as isize) as usize
+                        };
+                        for x in x_lo..x_hi {
+                            let xs = (x as isize + s[0] as isize) as usize;
+                            for y in 0..dims.ny {
+                                for z in 0..nz {
+                                    let at = d.idx(xs, wrap(y, s[1], dims.ny), wrap(z, s[2], nz));
+                                    owned[j * stride + at] = true;
+                                }
+                            }
+                        }
+                    }
+                    for masked in [false, true] {
+                        let mut bounds = BoundarySpec::periodic();
+                        if masked {
+                            let mask = SectionMask::from_fn(dims.ny, nz, |y, z| (y + z) % 3 == 0);
+                            bounds = bounds.with_mask(mask);
+                        }
+                        for threads in [1, 4] {
+                            let mut f = values.clone();
+                            for (v, &own) in f.as_mut_slice().iter_mut().zip(&owned) {
+                                if !own {
+                                    *v = poison;
+                                }
+                            }
+                            let step = |f: &mut DistField| {
+                                if odd {
+                                    odd_cells(&c, &tables, f, x_lo, x_hi, PlainBgk, &bounds, true);
+                                } else {
+                                    even_cells(&c, f, x_lo, x_hi, PlainBgk, &bounds, true);
+                                }
+                            };
+                            if threads == 1 {
+                                step(&mut f);
+                            } else {
+                                rayon::ThreadPoolBuilder::new()
+                                    .num_threads(threads)
+                                    .build()
+                                    .unwrap()
+                                    .install(|| step(&mut f));
+                            }
+                            for (p, (v, &own)) in f.as_slice().iter().zip(&owned).enumerate() {
+                                assert!(
+                                    if own {
+                                        v.is_finite()
+                                    } else {
+                                        v.to_bits() == poison.to_bits()
+                                    },
+                                    "{kind:?} nz={nz} odd={odd} masked={masked} \
+                                     threads={threads} offset {p} (owned: {own}): {v}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

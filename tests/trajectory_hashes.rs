@@ -111,6 +111,27 @@ fn knudsen_q39_aa_simd_across_a_z_block_seam() {
 }
 
 #[test]
+fn knudsen_q39_aa_simd_short_rows() {
+    // nz = 13: every 8-cell group of a row is a seam group or a short last
+    // one, on both parities.
+    let b = aa(knudsen_q39(Dim3::new(6, 16, 13)), OptLevel::Simd);
+    check(b, true, 0xd42a_65c7_241c_06fc);
+}
+
+#[test]
+fn cavity_q19_aa_simd_2_ranks_2_threads() {
+    // The cavity's side walls are a z-mask: masked cells inside fluid rows,
+    // at nz = 21 a seam group at each row end and a 5-cell last group.
+    let b = Simulation::builder(LatticeKind::D3Q19, Dim3::new(8, 16, 21))
+        .scenario(LidDrivenCavity::new(100.0));
+    check(
+        aa(b, OptLevel::Simd).ranks(2).threads(2),
+        true,
+        0x7ac3_4170_bcf2_2b31,
+    );
+}
+
+#[test]
 fn taylor_green_q19_fused_unaligned_rows() {
     // nz = 70 is no whole number of 8-cell groups: the fused step collides
     // into its stack frame and streams that out, across a 64-cell chunk.
