@@ -25,7 +25,7 @@
 //! z-rotation — and the row holding `a_i` is the row that receives
 //! `t_opp(i)`. The even view is the natural rows with zero rotation, the
 //! odd view the double-shifted gather rows; everything after the view
-//! (fluid runs, wall rows, prefetch) is shared.
+//! (fluid rows, wall rows, prefetch) is shared.
 //!
 //! ## Representation and two-grid correspondence
 //!
@@ -37,18 +37,22 @@
 //! per-cell arithmetic below is shared with the two-grid kernels
 //! ([`crate::kernels::op`]'s rules and constants), the scalar AA trajectory
 //! is the *bitwise* streamed image of the scalar two-grid trajectory. The
-//! AVX2+FMA drivers are pair-evaluated: both parities run one lane-group
-//! body (`pair_block_avx2`) that sums moments and evaluates equilibrium and
-//! Guo source once per ±c velocity pair. That reassociates the arithmetic,
-//! so they agree with the scalar drivers within re-rounding, like the
-//! `Simd`/`Fused` rungs — and bitwise with each other (serial, rayon,
-//! ranks, margin/wrap), since all of them call that one body.
+//! AVX2+FMA rows run the ±c pair body the fused and sparse steps share
+//! ([`op`]'s `tile_pairs_avx2`) over the row view: `src(i)` is the row
+//! holding `a_i`, `dst(i) = src(opp(i))`. It sums moments and evaluates
+//! equilibrium and Guo source once per ±c velocity pair. That reassociates
+//! the arithmetic, so AVX2 rows agree with the scalar drivers within
+//! re-rounding, like the `Simd`/`Fused` rungs — and bitwise with each other
+//! (serial, rayon, ranks, margin/wrap), since all of them call that one
+//! body.
 //!
 //! ## Boundaries come for free
 //!
 //! Full-way bounce-back writes `t_i = a_{opp(i)}` — in both AA phases that
 //! is a **no-op** (the value is already in the slot about to be written),
-//! so bounce-back wall rows and masked solid cells are simply *skipped*.
+//! so bounce-back wall rows are simply *skipped*, and so are masked solid
+//! cells in the scalar body; the AVX2 body's bounce blend stores each of
+//! their values back into its own slot.
 //! Moving walls add the per-velocity momentum correction in place; diffuse
 //! walls re-emit the gathered mass as wall equilibrium, identical
 //! arithmetic to [`crate::boundary::BoundarySpec::apply`].
@@ -60,19 +64,21 @@
 //! the resident population memory — see
 //! [`crate::perf::model_bytes_per_cell`].
 
+#[cfg(target_arch = "x86_64")]
+use crate::boundary::SectionMask;
 use crate::boundary::{BoundarySpec, WallKind};
 use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
 use crate::kernels::op::{self, CollideOp, OpConsts, PairConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{group_moments, relax_pair, relax_rest, AHEAD};
+use crate::kernels::op::{tile_pairs_avx2, RowPtrs, Rows, GROUP};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
 
-/// z-block for the AA sweeps (and the wall-row gather tile: Q×ZBA doubles
-/// on the stack, ≈20 KiB at D3Q39 — the same working-set budget as the
-/// fused kernel's tile).
+/// z-block of the scalar body and of the wall-row gather tile (Q×ZBA
+/// doubles on the stack, ≈20 KiB at D3Q39 — the same working-set budget as
+/// the fused kernel's tile). AVX2 fluid rows run 64-cell chunks instead.
 pub(crate) const ZBA: usize = 64;
 
 /// How the odd sweep maps a writer plane `x` to its `±c_x`-shifted
@@ -194,8 +200,8 @@ pub fn even_cells<O: CollideOp>(
 /// The double-shifted gather rows are software-prefetched (the scatter rows
 /// *are* the gather rows of the opposite velocities, so that covers the
 /// destinations too): the scalar body and wall rows one y-row ahead, the
-/// AVX2+FMA pair body from its moment loop, each row `op::AHEAD` doubles
-/// ahead once per 8 cells.
+/// AVX2+FMA rows from the shared pair body's moment loop, each row
+/// `op::AHEAD` doubles ahead once per 8 cells.
 pub fn odd_cells<O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -307,8 +313,9 @@ fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
 /// Raw-pointer sweep of either parity: the body one chunk of [`sweep`]
 /// runs. Per `(x, y)` row it builds the row view (see [`Parity`]); then
 /// bounce-back rows are skipped (the identity in both parities), moving and
-/// diffuse wall rows go through [`store_wall`], and fluid z-runs through
-/// [`odd_block`].
+/// diffuse wall rows go through [`store_wall`], and fluid rows through
+/// [`fluid_row_avx2`] where a pair table exists, else their fluid z-runs
+/// through [`odd_block_scalar`].
 ///
 /// # Safety
 /// `base_ptr` must point to `total = q·slab_len` initialised doubles laid
@@ -340,6 +347,8 @@ unsafe fn sweep_raw<O: CollideOp>(
     let nz = d.nz;
     let mask = bounds.mask();
     let pc = pair_consts(simd, oc, q);
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = &pc;
     let vel = ctx.lat.velocities();
     // Each row's z-rotation at `z0 = 0` (zero on the even view); a block at
     // `z0` adds `z0` and wraps at most once.
@@ -351,6 +360,8 @@ unsafe fn sweep_raw<O: CollideOp>(
     }
     let mut rows = [0usize; MAX_Q];
     let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
+    #[cfg(target_arch = "x86_64")]
+    let mut seam = [[0.0f64; 2 * GROUP]; MAX_Q]; // AVX2 seam groups only
 
     for x in x_lo..x_hi {
         for y in 0..d.ny {
@@ -375,10 +386,28 @@ unsafe fn sweep_raw<O: CollideOp>(
                 };
                 debug_assert!(*row + nz <= total);
             }
-            // The AVX2 body prefetches from its own moment loop.
-            if wall.is_some() || pc.is_none() {
-                prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
+            // AVX2 fluid rows: the pair body prefetches from its own moment
+            // loop and blends masked cells into exact AA no-ops.
+            #[cfg(target_arch = "x86_64")]
+            if let (None, Some(pc)) = (wall, &pc) {
+                // SAFETY: every row of the view is inside the allocation per
+                // this function's contract, the pair table exists only where
+                // AVX2+FMA were detected (`pair_consts`), and the row touches
+                // exactly the slots its writer cells own.
+                unsafe {
+                    if ctx.third_order() {
+                        fluid_row_avx2::<true, O>(
+                            ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
+                        );
+                    } else {
+                        fluid_row_avx2::<false, O>(
+                            ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
+                        );
+                    }
+                }
+                continue;
             }
+            prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
             // Wall rows transform every cell; fluid rows visit the fluid
             // z-runs (masked solid cells are exact AA no-ops).
             let runs = if wall.is_some() { None } else { mask };
@@ -404,15 +433,11 @@ unsafe fn sweep_raw<O: CollideOp>(
                             Some(kind) => store_wall(
                                 ctx, kind, oc, base_ptr, &rows, &starts, nz, blk, &mut fq,
                             ),
-                            None => odd_block::<O>(
-                                ctx,
-                                oc,
-                                pc.as_ref(),
-                                base_ptr,
-                                &rows,
-                                &starts,
-                                nz,
-                                blk,
+                            None if ctx.third_order() => odd_block_scalar::<true, O>(
+                                ctx, oc, base_ptr, &rows, &starts, nz, blk,
+                            ),
+                            None => odd_block_scalar::<false, O>(
+                                ctx, oc, base_ptr, &rows, &starts, nz, blk,
                             ),
                         }
                     }
@@ -474,7 +499,7 @@ fn rotated_pieces(start: usize, blk: usize, nz: usize) -> [(usize, usize, usize)
 /// [`crate::boundary::BoundarySpec::apply`].
 ///
 /// # Safety
-/// As for [`odd_block`], without the AVX2 requirement.
+/// As for [`odd_block_scalar`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn store_wall(
     ctx: &KernelCtx,
@@ -538,58 +563,19 @@ unsafe fn store_wall(
     }
 }
 
-/// One tile-free z-block over a row view, for either parity: the
+/// The scalar z-block over a row view, for either parity: the
 /// velocity-pair in-place swap. `rows[i]` is the row holding the arrivals
 /// of velocity `i` and `starts[i]` its z-rotation; the same (row, rotation)
 /// receives `t_opp(i)`, so the moment pass reads every row in place and the
-/// relax pass cross-stores each pair — no gather/scatter tile. With a pair
-/// table this is the AVX2+FMA pair body; without one, the scalar body.
+/// relax pass cross-stores each pair — no gather/scatter tile. Identical
+/// accumulation order and expressions as the shared two-grid scalar body
+/// ([`op::collide_cells`]), so scalar AA runs stay bitwise the streamed
+/// image of scalar two-grid runs.
 ///
 /// # Safety
 /// Every `rows[i] + nz` must be ≤ the allocation length; `starts[i] < nz`,
 /// `blk ≤ nz` and the writer run does not wrap in z; the caller owns all
-/// slots of this writer row exclusively; `pc` only where AVX2+FMA are
-/// available.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-unsafe fn odd_block<O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    pc: Option<&PairConsts>,
-    base_ptr: *mut f64,
-    rows: &[usize; MAX_Q],
-    starts: &[usize; MAX_Q],
-    nz: usize,
-    blk: usize,
-) {
-    // SAFETY: contract forwarded; a pair table exists only where the
-    // features were detected (`pair_consts`).
-    unsafe {
-        #[cfg(target_arch = "x86_64")]
-        if let Some(pc) = pc {
-            if ctx.third_order() {
-                pair_block_avx2::<true, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk);
-            } else {
-                pair_block_avx2::<false, O>(ctx, oc, pc, base_ptr, rows, starts, nz, blk);
-            }
-            return;
-        }
-        let _ = pc;
-        if ctx.third_order() {
-            odd_block_scalar::<true, O>(ctx, oc, base_ptr, rows, starts, nz, blk);
-        } else {
-            odd_block_scalar::<false, O>(ctx, oc, base_ptr, rows, starts, nz, blk);
-        }
-    }
-}
-
-/// Scalar tile-free z-block — identical accumulation order and expressions
-/// as the shared two-grid scalar body ([`op::collide_cells`]), applied to
-/// the rows of the view, so scalar AA runs stay bitwise the streamed image
-/// of scalar two-grid runs.
-///
-/// # Safety
-/// See [`odd_block`].
+/// slots of this writer row exclusively.
 #[allow(clippy::too_many_arguments)]
 unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
@@ -712,158 +698,187 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// The AVX2+FMA z-block of **both** parities: a velocity-pair in-place swap
-/// over a row view. `rows[i]` is the row holding the arrivals of velocity
-/// `i` and `starts[i]` its z-rotation; the same (row, rotation) receives
-/// `t_opp(i)`. The odd step passes its double-shifted gather rows, the even
-/// step natural rows with `starts[i] = z0`. Each 4-lane group runs one
-/// body: paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)` over
-/// all rows (touching each row [`AHEAD`] doubles ahead, once per 8 cells),
-/// then [`relax_pair`] on every pair with the moments still in registers,
-/// cross-stored. A sub-4-lane tail runs the same body on padded lanes.
+/// The AA row view for [`tile_pairs_avx2`]: a [`RowPtrs`] whose `dst(i)`
+/// is `src(opp(i))`, the slot that held `a_opp(i)`. A type of its own so
+/// that the pair body's `RowPtrs` instantiation keeps the fused step as its
+/// one caller, where LTO inlines it as before.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct AaRows<'a>(RowPtrs<'a>);
+
+#[cfg(target_arch = "x86_64")]
+impl Rows for AaRows<'_> {
+    const PREFETCH: bool = <RowPtrs as Rows>::PREFETCH;
+
+    #[inline(always)]
+    fn src(self, i: usize) -> *const f64 {
+        self.0.src(i)
+    }
+
+    #[inline(always)]
+    fn dst(self, i: usize) -> *mut f64 {
+        self.0.dst(i)
+    }
+}
+
+/// The AVX2+FMA fluid row of either parity: the row view as [`AaRows`] for
+/// the ±c pair body the fused and sparse steps share ([`tile_pairs_avx2`]),
+/// one 64-cell chunk and one fluid word per call. Velocity `i` reads cell
+/// `z`'s arrival at `(z + zrot[i]) mod nz` of row `rows[i]`; each `t_i`
+/// goes to the slot that held `a_opp(i)`, row `opp(i)` first, as the scalar
+/// body stores. A masked cell clears its fluid bit and takes the body's
+/// bounce blend `(t_i, t_o) = (f_o, f_i)`, which stores every value back
+/// into the slot it came from: the AA no-op.
+///
+/// Velocity `i` of the group at `z` loads in place when its window
+/// `t + [0, 8)`, `t = (z + zrot[i]) mod nz`, lies inside the row, as every
+/// full group does on the even view; runs of groups where that holds for
+/// every velocity go to the body in one call. Otherwise (a seam group, or
+/// any velocity of a short last group) the window goes through a stack row
+/// of `seam`, which is both `src(i)` and `dst(opp(i))` for the group:
+/// * in a full group of a row of at least 16 cells, the ring of the row's
+///   last and first 8 cells, which holds the wrapped window contiguously.
+///   Both halves are fixed-size copies in and out; the lanes outside the
+///   window go back with the values they were read with.
+/// * otherwise the window's valid lanes, gathered through the wrap, with
+///   pad lanes 1.0 (a harmless density, never stored); only the valid lanes
+///   go back.
 ///
 /// # Safety
 /// AVX2+FMA must be available; every `rows[i] + nz` must be ≤ the
-/// allocation length; `starts[i] = wrap(z0 − s_i)` for one writer run
-/// `[z0, z0 + blk)` that does not wrap in z (`z0 + blk ≤ nz`) and row
-/// shifts `|s_i| < 4` (the lattice's `cz_i`; 0 on the even view); the
-/// caller owns the touched slots exclusively.
+/// allocation length and every `zrot[i] < nz`; the caller owns the slots of
+/// the row's writer cells exclusively.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn pair_block_avx2<const THIRD: bool, O: CollideOp>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
     base_ptr: *mut f64,
     rows: &[usize; MAX_Q],
-    starts: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
     nz: usize,
-    blk: usize,
+    mask: Option<&SectionMask>,
+    y: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
 ) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
-    let vec_end = blk - blk % LANES;
-
-    // Seam analysis: writer runs never wrap in z (`run_hi ≤ nz`), so a
-    // velocity's rotated source can cross the row seam only within the
-    // first |cz| lanes (when `starts[i]` sits at the top of the row) or the
-    // last |cz| lanes (when the run reaches it) — never mid-block. Groups in
-    // `[mid_lo, mid_hi)` are therefore seam-free for *every* velocity and
-    // run branchless on pre-offset pointers `fp[i]`; the rest take the
-    // rotated lane path.
-    let mut fp = [base_ptr; MAX_Q];
-    let (mut mid_lo, mut mid_hi) = (0usize, vec_end);
-    for i in 0..ctx.lat.q() {
-        let s = starts[i];
-        let off = if s + LANES > nz {
-            // Wraps inside the head group and for good after it.
-            mid_lo = LANES.min(vec_end);
-            s as isize - nz as isize
-        } else {
-            if s + vec_end > nz {
-                // Wraps at lane nz−s near the block end: stop the fast
-                // range at the last whole group before the seam.
-                mid_hi = mid_hi.min((nz - s) & !(LANES - 1));
-            }
-            s as isize
-        };
-        // A negative `off` on the allocation's first row points before the
-        // allocation, which `add`/`offset` forbid even unused: wrap instead.
-        fp[i] = base_ptr.wrapping_add(rows[i]).wrapping_offset(off);
+    /// Cells per call of the pair body: one `u64` fluid word.
+    const CHUNK: usize = u64::BITS as usize;
+    let q = ctx.lat.q();
+    // Each rotation's representative in (−nz/2, nz/2], the in-place offset
+    // of velocity i's window (`−cz_i` on the odd view of a row longer than
+    // 6 cells); any representative reads the same slots while in the row.
+    let shift: [isize; MAX_Q] =
+        std::array::from_fn(|i| zrot[i] as isize - if 2 * zrot[i] > nz { nz as isize } else { 0 });
+    // The group at z is in place for every velocity iff the largest shift
+    // keeps its window inside the row.
+    let reach = shift[..q]
+        .iter()
+        .map(|s| s.unsigned_abs())
+        .max()
+        .unwrap_or(0);
+    let interior = |z: usize| z >= reach && z + GROUP + reach <= nz;
+    // A negative shift on the allocation's first row points before it,
+    // which `add`/`offset` forbid even unused: wrap instead.
+    let mut src = [base_ptr.cast_const(); MAX_Q];
+    let mut dst = [base_ptr; MAX_Q];
+    for i in 0..q {
+        let row = base_ptr.wrapping_add(rows[i]).wrapping_offset(shift[i]);
+        (src[i], dst[oc.opp[i]]) = (row, row);
     }
+    // The slot in its row of rotated index `t < 2·nz`.
+    let wrapped = |t: usize| if t >= nz { t - nz } else { t };
 
-    // SAFETY: rotated accesses stay inside `rows[·] + nz ≤ total`. The
-    // `fp[i]` views are dereferenced only at `z ≥ mid_lo` — so at indices
-    // `≥ −off` — and below `mid_hi`, i.e. inside row `i`. Prefetches are
-    // hints on wrapped pointers and cannot fault. Both loads of a slot
-    // precede its store, and each slot belongs to one pair.
-    unsafe {
-        // Lane access: pre-offset and branchless where `$fast`, else `n ≤ 4`
-        // lanes from rotated index `starts[i] + z < 2·nz` on, wrapping at
-        // the row seam. Lanes past `n` read 1.0 (a harmless density for the
-        // arithmetic) and are never stored.
-        macro_rules! ld {
-            ($fast:expr, $i:expr, $z:expr, $n:expr) => {{
-                let (p, t) = (base_ptr.add(rows[$i]), starts[$i] + $z);
-                if $fast {
-                    _mm256_loadu_pd(fp[$i].wrapping_add($z))
-                } else if $n == LANES && (t + LANES <= nz || t >= nz) {
-                    _mm256_loadu_pd(p.add(if t >= nz { t - nz } else { t }))
-                } else {
-                    let lane = |l: usize| {
-                        let u = t + l;
-                        if l < $n {
-                            *p.add(if u >= nz { u - nz } else { u })
-                        } else {
-                            1.0
-                        }
-                    };
-                    _mm256_setr_pd(lane(0), lane(1), lane(2), lane(3))
-                }
-            }};
-        }
-        macro_rules! st {
-            ($fast:expr, $i:expr, $z:expr, $n:expr, $v:expr) => {{
-                let (p, t) = (base_ptr.add(rows[$i]), starts[$i] + $z);
-                if $fast {
-                    _mm256_storeu_pd(fp[$i].wrapping_add($z), $v);
-                } else if $n == LANES && (t + LANES <= nz || t >= nz) {
-                    _mm256_storeu_pd(p.add(if t >= nz { t - nz } else { t }), $v);
-                } else {
-                    let mut lanes = [0.0f64; LANES];
-                    _mm256_storeu_pd(lanes.as_mut_ptr(), $v);
-                    for (l, v) in lanes.iter().enumerate().take($n) {
-                        let u = t + l;
-                        *p.add(if u >= nz { u - nz } else { u }) = *v;
-                    }
-                }
-            }};
-        }
-        macro_rules! lane_group {
-            ($z:expr, $n:expr, $fast:expr) => {{
-                let (z, n) = ($z, $n);
-                let rest = &pc.rest;
-                // 2Q unit-stride streams overwhelm the hardware prefetcher:
-                // once per 8 cells, touch each row `AHEAD` doubles ahead.
-                let touch = |i: usize| {
-                    if z % 8 == 0 {
-                        op::prefetch(fp[i].wrapping_add(z + AHEAD));
-                    }
-                };
-                let mut rho = ld!($fast, rest.i, z, n);
-                touch(rest.i);
-                let mut m = [_mm256_setzero_pd(); 3];
-                for p in pc.pairs() {
-                    let (fi, fo) = (ld!($fast, p.i, z, n), ld!($fast, p.o, z, n));
-                    touch(p.i);
-                    touch(p.o);
-                    let d = _mm256_sub_pd(fi, fo);
-                    rho = _mm256_add_pd(rho, _mm256_add_pd(fi, fo));
-                    for a in 0..3 {
-                        m[a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[a]);
-                    }
-                }
-                let gm = group_moments::<THIRD, O>(ctx, oc, rho, m);
-                for p in pc.pairs() {
-                    let (fi, fo) = (ld!($fast, p.i, z, n), ld!($fast, p.o, z, n));
-                    let (ti, to) = relax_pair::<THIRD, O>(ctx, p, &gm, fi, fo);
-                    st!($fast, p.o, z, n, ti);
-                    st!($fast, p.i, z, n, to);
-                }
-                let t0 = relax_rest::<O>(ctx, rest, &gm, ld!($fast, rest.i, z, n));
-                st!($fast, rest.i, z, n, t0);
-            }};
-        }
-
-        let mut z = 0usize;
-        while z < blk {
-            if z >= mid_lo && z + LANES <= mid_hi {
-                lane_group!(z, LANES, true);
-            } else {
-                lane_group!(z, (blk - z).min(LANES), false);
+    for z0 in (0..nz).step_by(CHUNK) {
+        let n = (nz - z0).min(CHUNK);
+        let fluid = mask.map_or(u64::MAX, |m| {
+            (0..n)
+                .filter(|&j| m.is_solid(y, z0 + j))
+                .fold(u64::MAX, |bits, j| bits & !(1 << j))
+        });
+        let body = |src: &[*const f64; MAX_Q], dst: &[*mut f64; MAX_Q], z: usize, groups: usize| {
+            let rows = AaRows(RowPtrs(src, dst));
+            // SAFETY: AVX2+FMA per this function's contract; every window
+            // of the view is inside its row or a stack row (see below).
+            unsafe {
+                tile_pairs_avx2::<THIRD, false, O, _>(
+                    ctx,
+                    oc,
+                    pc,
+                    rows,
+                    z,
+                    groups,
+                    fluid >> (z - z0),
+                )
             }
-            z += LANES;
+        };
+        let mut z = z0;
+        while z < z0 + n {
+            if interior(z) {
+                let mut end = z + GROUP;
+                while end < z0 + n && interior(end) {
+                    end += GROUP;
+                }
+                body(&src, &dst, z, (end - z) / GROUP);
+                z = end;
+                continue;
+            }
+            let lanes = (nz - z).min(GROUP);
+            // Velocity i's window starts at slot `start(i)` of its row and
+            // goes through the seam buffer unless it is 8 in-row cells.
+            let start = |i: usize| wrapped(z + zrot[i]);
+            let buffered = |i: usize| lanes < GROUP || start(i) + GROUP > nz;
+            // A full group of a row of ≥ 16 cells: every buffered window
+            // lies in the ring of the row's last and first 8 cells.
+            let ring = lanes == GROUP && nz >= 2 * GROUP;
+            let (mut from, mut to) = (src, dst);
+            for i in 0..q {
+                let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
+                let view = if !buffered(i) {
+                    row.wrapping_add(t0)
+                } else if ring {
+                    let buf = seam[i].as_mut_ptr();
+                    // SAFETY: `nz ≥ 16`: both halves lie inside row `i`,
+                    // inside the allocation; the ring holds 16 doubles.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(row.add(nz - GROUP), buf, GROUP);
+                        std::ptr::copy_nonoverlapping(row, buf.add(GROUP), GROUP);
+                    }
+                    // `t0 > nz − 8`: the window starts in the first half.
+                    buf.wrapping_add(t0 + GROUP - nz)
+                } else {
+                    for l in 0..GROUP {
+                        // SAFETY: `t0 + l < 2·nz` for a valid lane, so its
+                        // slot lies inside row `i`, inside the allocation.
+                        let v = (l < lanes).then(|| unsafe { *row.add(wrapped(t0 + l)) });
+                        seam[i][l] = v.unwrap_or(1.0);
+                    }
+                    seam[i].as_mut_ptr()
+                }
+                .wrapping_sub(z);
+                (from[i], to[oc.opp[i]]) = (view, view);
+            }
+            body(&from, &to, z, 1);
+            for i in (0..q).filter(|&i| buffered(i)) {
+                let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
+                if ring {
+                    // SAFETY: the two halves the gather read. Lanes outside
+                    // the window store the values they were read with, into
+                    // slots of this writer row, which no other thread owns.
+                    unsafe {
+                        std::ptr::copy_nonoverlapping(seam[i].as_ptr(), row.add(nz - GROUP), GROUP);
+                        std::ptr::copy_nonoverlapping(seam[i].as_ptr().add(GROUP), row, GROUP);
+                    }
+                    continue;
+                }
+                for (l, v) in seam[i].iter().enumerate().take(lanes) {
+                    // SAFETY: the slots the gather read: only valid lanes
+                    // go back, to the slots they came from.
+                    unsafe { *row.add(wrapped(t0 + l)) = *v };
+                }
+            }
+            z += GROUP;
         }
     }
 }
@@ -874,6 +889,8 @@ mod tests {
     use crate::boundary::ChannelWalls;
     use crate::collision::Bgk;
     use crate::equilibrium::EqOrder;
+    #[cfg(target_arch = "x86_64")]
+    use crate::kernels::op::{group_moments, relax_pair};
     use crate::kernels::op::{GuoForced, PlainBgk};
     use crate::kernels::{dh, fused, OptLevel};
     use crate::lattice::LatticeKind;

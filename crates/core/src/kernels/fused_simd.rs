@@ -2,9 +2,10 @@
 //!
 //! Same single-pass data flow as the scalar [`crate::kernels::fused`] kernel
 //! (one read and one write per velocity), with no tile in between. Each
-//! fluid row is a row view for the ±c pair body the sparse backend also
-//! runs ([`crate::kernels::op`]'s `tile_pairs_avx2`: paired moment sums, one
-//! division per 4-lane line, equilibrium and Guo source once per pair):
+//! fluid row is a row view for the ±c pair body the sparse backend and the
+//! AA sweep also run ([`crate::kernels::op`]'s `tile_pairs_avx2`: paired
+//! moment sums, one division per 4-lane line, equilibrium and Guo source
+//! once per pair):
 //!
 //! * **Loads** — velocity `i` reads its arrivals in place, from its source
 //!   row `(x − cx_i, y − cy_i)` shifted by `−cz_i`. In the groups at the

@@ -41,10 +41,10 @@
 //! for the drivers that evaluate both once per pair, and the AVX2+FMA pair
 //! expression itself lives here once: `group_moments` closes a lane
 //! group's paired moment sums, `relax_pair` and `relax_rest` relax a pair
-//! and the rest velocity. The AA kernels call them directly;
-//! `tile_pairs_avx2` runs them over a row view, 8 cells at a time: the
-//! sparse steps pass the rows of a gathered tile frame, the dense fused
-//! step the shifted source rows and the `dst` rows themselves.
+//! and the rest velocity. `tile_pairs_avx2` runs them over a row view, 8
+//! cells at a time: the sparse steps pass the rows of a gathered tile
+//! frame, the dense fused step the shifted source rows and the `dst` rows
+//! themselves, the AA sweep its in-place view with `dst(i) = src(opp(i))`.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
@@ -391,7 +391,7 @@ pub(crate) const GROUP: usize = 8;
 /// reads 39 unit-stride streams, more than the hardware stride prefetcher
 /// follows, so without the touch each line arrives late. One touch per
 /// stream per line, interleaved with the loads, keeps every stream
-/// 4 lines ahead ([`pair_lines`] on [`RowPtrs`], and the AA body).
+/// 4 lines ahead ([`pair_lines`] on [`RowPtrs`]).
 #[cfg(target_arch = "x86_64")]
 pub(crate) const AHEAD: usize = 32;
 
@@ -448,8 +448,8 @@ impl Rows for FrameRows {
 }
 
 /// One source and one destination row pointer per velocity (the dense
-/// fused step's shifted source rows). Prefetched: the source rows stream
-/// from memory.
+/// fused step's shifted source rows, and the AA sweep's in-place view).
+/// Prefetched: the source rows stream from memory.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct RowPtrs<'a>(pub &'a [*const f64; MAX_Q], pub &'a [*mut f64; MAX_Q]);
@@ -486,7 +486,9 @@ impl Rows for RowPtrs<'_> {
 /// With plain stores the lines run one at a time, which keeps fewer
 /// vectors live. The per-line arithmetic is the same either way. The sparse
 /// steps run it on their frames ([`frame_pairs_avx2`]), the dense fused
-/// step on shifted source rows straight into `dst`.
+/// step on shifted source rows straight into `dst`, and the AA sweep in
+/// place: its `dst(i)` is `src(opp(i))`, so each solid lane's blend stores
+/// every value back into the slot it came from.
 ///
 /// # Safety
 /// AVX2+FMA must be available. For every velocity `i < q` and group, the
@@ -690,8 +692,9 @@ pub(crate) use with_op;
 
 /// Advance `zs` to the next fluid z-run of row `y` and return its bounds,
 /// or `None` when the row is exhausted. With no mask the whole row is one
-/// run. Shared by every boundary-aware driver (scalar body, AVX2 collide),
-/// so the run boundaries cannot drift between the kernel classes.
+/// run. Shared by the scalar bodies (split collide, AA) and the `Simd`
+/// rung's AVX2 split collide, so the run boundaries cannot drift between
+/// the kernel classes.
 #[inline]
 pub(crate) fn next_fluid_run(
     mask: Option<&SectionMask>,

@@ -10,6 +10,13 @@
 
 use std::fmt;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a bound a long run of `[`
+/// overflows the stack: an abort, not an `Err`, which no caller can catch.
+/// The deepest document the crate writes, a checkpoint header, nests a few
+/// levels (a test checks it stays far below this bound).
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed or constructed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -88,16 +95,27 @@ impl Json {
     }
 
     /// Parse a complete JSON document (trailing whitespace allowed, trailing
-    /// garbage rejected).
+    /// garbage and nesting deeper than [`MAX_DEPTH`] rejected).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
         }
         Ok(v)
+    }
+
+    /// Nesting depth: 0 for a scalar, one more per enclosing array or object.
+    #[cfg(test)]
+    pub(crate) fn depth(&self) -> usize {
+        let children: Vec<&Json> = match self {
+            Json::Arr(items) => items.iter().collect(),
+            Json::Obj(members) => members.iter().map(|(_, v)| v).collect(),
+            _ => return 0,
+        };
+        1 + children.into_iter().map(Json::depth).max().unwrap_or(0)
     }
 }
 
@@ -179,8 +197,12 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parse one value at `pos`, inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -196,7 +218,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -221,7 +243,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -377,5 +399,19 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        for text in ["[".repeat(1 << 20), "{\"a\":".repeat(1 << 18)] {
+            let err = Json::parse(&text).unwrap_err();
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
+        let at_bound = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert_eq!(Json::parse(&at_bound).unwrap().depth(), MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert_eq!(Json::parse(&objects).unwrap().depth(), MAX_DEPTH);
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&past).is_err());
     }
 }

@@ -490,6 +490,29 @@ mod tests {
     }
 
     #[test]
+    fn written_json_nests_far_below_the_parser_bound() {
+        // The deepest documents the crate writes, a sparse checkpoint's
+        // header and a run report, must parse back well inside
+        // `json::MAX_DEPTH`.
+        use crate::json::MAX_DEPTH;
+        use crate::scenario::ForcedFlow;
+        use lbm_core::geometry::Geometry;
+
+        let global = Dim3::new(8, 12, 12);
+        let mut sim = Simulation::builder(LatticeKind::D3Q19, global)
+            .scenario(ForcedFlow::new(4e-6))
+            .geometry(Geometry::pipe(global, 4.0).unwrap())
+            .ranks(2)
+            .build()
+            .unwrap();
+        let report = sim.run(1).unwrap().to_json().to_string();
+        let (header, _) = parse_container(&sim.checkpoint().unwrap()).unwrap();
+        for doc in [header, Json::parse(&report).unwrap()] {
+            assert!(4 * doc.depth() <= MAX_DEPTH, "depth {}", doc.depth());
+        }
+    }
+
+    #[test]
     fn sparse_checkpoints_carry_geometry_and_resume_bitwise() {
         use crate::scenario::ForcedFlow;
         use lbm_core::geometry::Geometry;
