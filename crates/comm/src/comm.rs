@@ -181,24 +181,27 @@ impl Comm {
         self.timers.barrier += start.elapsed();
     }
 
-    /// Element-wise sum across ranks (everyone gets the result).
+    /// Element-wise sum across ranks (everyone gets the result). The
+    /// contributions are added in rank order, `((v0 + v1) + v2) …`, whatever
+    /// order the ranks arrive in, so the result is bitwise reproducible at
+    /// any rank count.
     pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
         self.collective(vals, |a, b| a + b)
     }
 
-    /// Element-wise max across ranks.
+    /// Element-wise max across ranks (folded in rank order).
     pub fn allreduce_max(&mut self, vals: &[f64]) -> Vec<f64> {
         self.collective(vals, f64::max)
     }
 
-    /// Element-wise min across ranks.
+    /// Element-wise min across ranks (folded in rank order).
     pub fn allreduce_min(&mut self, vals: &[f64]) -> Vec<f64> {
         self.collective(vals, f64::min)
     }
 
     fn collective(&mut self, vals: &[f64], op: fn(f64, f64) -> f64) -> Vec<f64> {
         let start = Instant::now();
-        let out = self.fabric.allreduce(vals, op);
+        let out = self.fabric.allreduce(self.rank, vals, op);
         self.timers.collective += start.elapsed();
         out
     }

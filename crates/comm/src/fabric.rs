@@ -42,7 +42,6 @@ pub struct Fabric {
     /// exited — matches MPI buffered-send semantics).
     _keepalive: Vec<Receiver<Message>>,
     barrier: Monitor<()>,
-    reduce: Monitor<Vec<f64>>,
     gather: Monitor<Vec<Vec<f64>>>,
 }
 
@@ -69,7 +68,6 @@ impl Fabric {
             receivers,
             _keepalive: keepalive,
             barrier: Monitor::new(size, ()),
-            reduce: Monitor::new(size, Vec::new()),
             gather: Monitor::new(size, Vec::new()),
         })
     }
@@ -102,21 +100,20 @@ impl Fabric {
         self.barrier.phase(|_| {}, |_| ());
     }
 
-    /// All-reduce a vector of doubles with `op` (elementwise).
-    pub(crate) fn allreduce(&self, mine: &[f64], op: fn(f64, f64) -> f64) -> Vec<f64> {
-        self.reduce.phase(
-            |acc| {
-                if acc.is_empty() {
-                    *acc = mine.to_vec();
-                } else {
-                    assert_eq!(acc.len(), mine.len(), "allreduce length mismatch");
-                    for (a, m) in acc.iter_mut().zip(mine) {
-                        *a = op(*a, *m);
-                    }
-                }
-            },
-            |acc| acc.clone(),
-        )
+    /// All-reduce a vector of doubles with `op` (elementwise). The ranks'
+    /// vectors are gathered into rank-ordered slots and folded
+    /// `((v0 op v1) op v2) …`, so the result's bits never depend on which
+    /// rank arrived first.
+    pub(crate) fn allreduce(&self, rank: usize, mine: &[f64], op: fn(f64, f64) -> f64) -> Vec<f64> {
+        let mut slots = self.gather_all(rank, mine.to_vec()).into_iter();
+        let mut acc = slots.next().expect("fabric has ranks");
+        for s in slots {
+            assert_eq!(acc.len(), s.len(), "allreduce length mismatch");
+            for (a, m) in acc.iter_mut().zip(s) {
+                *a = op(*a, m);
+            }
+        }
+        acc
     }
 
     /// Gather every rank's vector, returned to all ranks in rank order.
@@ -128,7 +125,7 @@ impl Fabric {
                     slots.clear();
                     slots.resize(size, Vec::new());
                 }
-                slots[rank] = mine.clone();
+                slots[rank] = mine;
             },
             |slots| slots.clone(),
         )
@@ -244,7 +241,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|r| {
                     let f = &f;
-                    s.spawn(move || f.allreduce(&[r as f64, 1.0], |a, b| a + b))
+                    s.spawn(move || f.allreduce(r, &[r as f64, 1.0], |a, b| a + b))
                 })
                 .collect();
             for h in handles {
@@ -252,6 +249,51 @@ mod tests {
                 assert_eq!(out, vec![6.0, 4.0]);
             }
         });
+    }
+
+    /// Run one 3-rank allreduce with the ranks arriving in the order 2, 1, 0
+    /// (each waits until the previous one has deposited).
+    fn allreduce_arriving_backwards(vals: [[f64; 3]; 3], op: fn(f64, f64) -> f64) -> Vec<Vec<f64>> {
+        let f = Fabric::new(3, CostModel::free());
+        std::thread::scope(|s| {
+            let mut handles = Vec::new();
+            for (arrived, r) in [2usize, 1, 0].into_iter().enumerate() {
+                while f.gather.state.lock().arrived < arrived {
+                    std::thread::yield_now();
+                }
+                let f = &f;
+                handles.push((r, s.spawn(move || f.allreduce(r, &vals[r], op))));
+            }
+            handles.sort_by_key(|(r, _)| *r);
+            handles
+                .into_iter()
+                .map(|(_, h)| h.join().unwrap())
+                .collect()
+        })
+    }
+
+    #[test]
+    fn allreduce_folds_in_rank_order_not_arrival_order() {
+        let v = [1e16, 1.0, -1e16];
+        // Rank r deposits v rotated by r, so lane 1 holds (v1, v2, v0): its
+        // rank-order sum is 0 and its arrival-order sum (2, 1, 0) is 1.
+        let vals = [[v[0], v[1], v[2]], [v[1], v[2], v[0]], [v[2], v[0], v[1]]];
+        let ops: [fn(f64, f64) -> f64; 3] = [|a, b| a + b, f64::max, f64::min];
+        for (k, op) in ops.into_iter().enumerate() {
+            let want: Vec<u64> = (0..3)
+                .map(|l| op(op(vals[0][l], vals[1][l]), vals[2][l]).to_bits())
+                .collect();
+            for out in allreduce_arriving_backwards(vals, op) {
+                let got: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "op {k} (sum, max, min)");
+            }
+        }
+        let lane1 = |a: usize, b: usize, c: usize| (vals[a][1] + vals[b][1]) + vals[c][1];
+        assert_ne!(
+            lane1(0, 1, 2),
+            lane1(2, 1, 0),
+            "lane 1 tells the orders apart"
+        );
     }
 
     #[test]
@@ -264,7 +306,7 @@ mod tests {
                     s.spawn(move || {
                         let mut outs = Vec::new();
                         for round in 0..5 {
-                            let v = f.allreduce(&[(r + round) as f64], f64::max);
+                            let v = f.allreduce(r, &[(r + round) as f64], f64::max);
                             outs.push(v[0]);
                         }
                         outs

@@ -819,6 +819,13 @@ impl RankSolver {
         });
     }
 
+    /// Owned-region mass summed across ranks: one streaming pass over the
+    /// owned planes ([`DistField::owned_mass`]) and a one-value allreduce.
+    /// Bitwise `global_invariants(comm).0`, without the per-cell moments.
+    pub fn global_mass(&self, comm: &mut Comm) -> f64 {
+        comm.allreduce_sum(&[self.f.owned_mass()])[0]
+    }
+
     /// Owned-region mass and momentum, summed across ranks.
     pub fn global_invariants(&self, comm: &mut Comm) -> (f64, [f64; 3]) {
         let (mass, mom) = self.local_invariants();
@@ -1333,6 +1340,54 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn global_mass_is_bitwise_the_moments_sweep() {
+        use crate::scenario::{KnudsenMicrochannel, LidDrivenCavity};
+        use lbm_core::field::StorageMode::{InPlaceAa, TwoGrid};
+        // Owned boxes of 210 cells (under one 512-cell block) up to several
+        // blocks with a partial last one; halos of 1–6 planes outside the
+        // summed range; mid-pair AA states after 1 and 7 steps.
+        let cases = [
+            Simulation::builder(LatticeKind::D3Q19, Dim3::new(6, 5, 7)),
+            Simulation::builder(LatticeKind::D3Q19, Dim3::new(12, 9, 70))
+                .ranks(3)
+                .ghost_depth(2),
+            Simulation::builder(LatticeKind::D3Q19, Dim3::new(12, 9, 70))
+                .ranks(2)
+                .storage(InPlaceAa),
+            Simulation::builder(LatticeKind::D3Q19, Dim3::new(8, 16, 16))
+                .ranks(2)
+                .scenario(LidDrivenCavity::new(100.0))
+                .storage(InPlaceAa),
+            Simulation::builder(LatticeKind::D3Q19, Dim3::new(8, 16, 16))
+                .scenario(LidDrivenCavity::new(100.0))
+                .storage(TwoGrid),
+            Simulation::builder(LatticeKind::D3Q39, Dim3::new(18, 8, 10))
+                .ranks(3)
+                .scenario(KnudsenMicrochannel::new(0.1))
+                .storage(InPlaceAa)
+                .level(OptLevel::Simd),
+            Simulation::builder(LatticeKind::D3Q39, Dim3::new(24, 7, 11))
+                .ranks(2)
+                .ghost_depth(2)
+                .level(OptLevel::Simd),
+        ];
+        for b in cases {
+            let cfg = b.build_config().unwrap();
+            Universe::run(cfg.ranks, CostModel::free(), |comm| {
+                let mut s = RankSolver::new(&cfg, comm.rank()).unwrap();
+                for n in [1, 1, 5] {
+                    s.run(comm, n);
+                    let what = format!("{cfg:?} after {} steps", s.steps_done());
+                    let (local, _) = s.local_invariants();
+                    assert_eq!(s.f.owned_mass().to_bits(), local.to_bits(), "{what}");
+                    let (global, _) = s.global_invariants(comm);
+                    assert_eq!(s.global_mass(comm).to_bits(), global.to_bits(), "{what}");
+                }
+            });
         }
     }
 

@@ -154,7 +154,10 @@ pub struct RunReport {
     pub comm_median_secs: f64,
     /// Max per-rank communication seconds.
     pub comm_max_secs: f64,
-    /// Global mass after the run (conservation check).
+    /// Global mass after the run (conservation check): one streaming pass
+    /// over each rank's owned populations, summed across ranks in rank
+    /// order. Bitwise `Simulation::probe().mass` on the same state, at any
+    /// rank and thread count.
     pub mass: f64,
     /// Fluid fraction of the global box: 1.0 for dense runs, the
     /// geometry's fluid-voxel fraction on the sparse tiled path (the

@@ -278,7 +278,7 @@ impl Engine {
             rs.solver.run(&mut rs.comm, steps);
             let wall = t0.elapsed();
             let timers = rs.comm.take_timers();
-            let (mass, _mom) = rs.solver.global_invariants(&mut rs.comm);
+            let mass = rs.solver.global_mass(&mut rs.comm);
             let report = RankReport {
                 schema: REPORT_SCHEMA_VERSION,
                 rank: rs.comm.rank(),

@@ -658,10 +658,11 @@ impl AnySolver {
         }
     }
 
-    pub(crate) fn global_invariants(&self, comm: &mut Comm) -> (f64, [f64; 3]) {
+    /// Owned-region mass summed across ranks (the run report's reading).
+    pub(crate) fn global_mass(&self, comm: &mut Comm) -> f64 {
         match self {
-            AnySolver::Dense(s) => s.global_invariants(comm),
-            AnySolver::Sparse(s) => s.global_invariants(comm),
+            AnySolver::Dense(s) => s.global_mass(comm),
+            AnySolver::Sparse(s) => s.global_invariants(comm).0,
         }
     }
 

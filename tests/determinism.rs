@@ -99,3 +99,44 @@ fn report_is_internally_consistent() {
     // The legacy default flow is reported as the Taylor–Green scenario.
     assert_eq!(rep.scenario, "taylor_green");
 }
+
+/// The report's mass is one streaming pass per rank, allreduced in rank
+/// order: bitwise the probe's rank-ordered sum of per-cell moments, at
+/// every rank and thread count and AA parity.
+#[test]
+fn run_mass_is_bitwise_the_probe_mass() {
+    let knudsen = Simulation::builder(LatticeKind::D3Q39, Dim3::new(18, 8, 16))
+        .scenario(KnudsenMicrochannel::new(0.1))
+        .storage(StorageMode::InPlaceAa)
+        .level(OptLevel::Simd);
+    let taylor_green =
+        Simulation::builder(LatticeKind::D3Q19, Dim3::new(12, 9, 70)).level(OptLevel::Fused);
+    for base in [knudsen, taylor_green] {
+        for (ranks, threads) in [(1, 1), (2, 1), (3, 1), (1, 2), (3, 2)] {
+            let mut sim = base.clone().ranks(ranks).threads(threads).build().unwrap();
+            for n in [1, 2, 7] {
+                let run = sim.run(n).unwrap().mass;
+                let probe = sim.probe().unwrap().mass;
+                assert_eq!(
+                    run.to_bits(),
+                    probe.to_bits(),
+                    "{} ranks {ranks} threads {threads} run({n}): {run} vs {probe}",
+                    sim.scenario_name()
+                );
+            }
+        }
+    }
+}
+
+/// Three ranks finish a chunk in an order set by thread timing; the
+/// report's mass must not depend on it.
+#[test]
+fn three_rank_run_mass_has_one_bit_pattern() {
+    let base = Simulation::builder(LatticeKind::D3Q19, Dim3::new(24, 9, 70))
+        .ranks(3)
+        .level(OptLevel::Fused);
+    let patterns: std::collections::BTreeSet<u64> = (0..50)
+        .map(|_| base.clone().build().unwrap().run(1).unwrap().mass.to_bits())
+        .collect();
+    assert_eq!(patterns.len(), 1, "{patterns:?}");
+}
