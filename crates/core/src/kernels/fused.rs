@@ -129,7 +129,8 @@ pub(crate) unsafe fn stream_collide_cells_raw<O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
-    // SAFETY: forwarded contract.
+    // SAFETY: `fused_impl` has this function's contract, which the caller
+    // upholds.
     unsafe {
         if ctx.third_order() {
             fused_impl::<true, O>(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds);
@@ -187,7 +188,8 @@ pub(crate) unsafe fn store_wall_block(
                 debug_assert!(off + blk <= total);
                 let line = &fq[opp[i]];
                 for j in 0..blk {
-                    // SAFETY: as above.
+                    // SAFETY: j < blk and off+blk ≤ total per the caller's
+                    // contract.
                     unsafe { *dst_ptr.add(off + j) = line[j] + corr };
                 }
             }
@@ -207,7 +209,8 @@ pub(crate) unsafe fn store_wall_block(
                 for (j, m) in mass.iter().enumerate().take(blk) {
                     // feq sums to its density argument, so emitting
                     // feq(mass, u_wall) conserves the arriving mass.
-                    // SAFETY: as above.
+                    // SAFETY: j < blk and off+blk ≤ total per the caller's
+                    // contract.
                     unsafe { *dst_ptr.add(off + j) = feq_i(&ctx.lat, EqOrder::Second, i, *m, u) };
                 }
             }
@@ -397,7 +400,9 @@ unsafe fn fused_impl<const THIRD: bool, O: CollideOp>(
                 // gathered arrivals (sparse — cavity side walls and carved
                 // geometry).
                 if let Some(m) = mask {
-                    // SAFETY: as for the stores above.
+                    // SAFETY: dbase+z0+blk stays inside every slab and in
+                    // this caller's exclusive x-planes, as for the stores
+                    // above, and blk ≤ ZBF.
                     unsafe {
                         store_masked_cells(
                             m, &fq, &oc.opp, q, dst_ptr, total, slab_len, y, dbase, z0, blk,

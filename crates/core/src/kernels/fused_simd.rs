@@ -115,7 +115,8 @@ unsafe fn stream_collide_cells_raw<O: CollideOp>(
     #[cfg(target_arch = "x86_64")]
     {
         if simd_available() {
-            // SAFETY: feature presence checked above; contract forwarded.
+            // SAFETY: AVX2+FMA were detected just above, and `fused_avx2`
+            // has this function's layout contract, which the caller upholds.
             unsafe {
                 if ctx.third_order() {
                     fused_avx2::<true, O>(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds);
@@ -128,7 +129,8 @@ unsafe fn stream_collide_cells_raw<O: CollideOp>(
             return;
         }
     }
-    // SAFETY: contract forwarded.
+    // SAFETY: the scalar fused body has this function's contract, which the
+    // caller upholds.
     unsafe {
         fused::stream_collide_cells_raw(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
     }
@@ -599,7 +601,8 @@ mod tests {
                                 src.slab(i)[d.idx(xs, ys, wrap(z0 + j, cv[2], d.nz))];
                         }
                     }
-                    // SAFETY: the caller checked AVX2+FMA.
+                    // SAFETY: the caller checked AVX2+FMA; `buf` and `out`
+                    // hold q·64 doubles, as the frame body asserts.
                     unsafe {
                         if c.third_order() {
                             frame_pairs_avx2::<true, O>(c, &oc, &pc, fluid, &buf, &mut out);

@@ -13,7 +13,7 @@
 //! | `LoBr`  | loop/branch restr. (V-D)| [`lobr`] — region-split loops, hoisted index arithmetic | blocking, end of step |
 //! | `NbC`   | nonblocking comm (V-E) | [`lobr`]                            | nonblocking             |
 //! | `GcC`   | ghost-collide (V-F)    | [`lobr`]                            | overlapped (Fig. 7)     |
-//! | `Simd`  | SIMD (V-G)             | [`simd`] — AVX2+FMA collide         | overlapped (Fig. 7)     |
+//! | `Simd`  | SIMD (V-G)             | [`simd`] — AVX2+FMA collide: the ±c pair body of `Fused`, in place on slab rows | overlapped (Fig. 7) |
 //! | `Fused` | §VII future work       | [`fused`]/[`fused_simd`] — single-pass stream+collide, AVX2+FMA | overlapped (Fig. 7) |
 //!
 //! The `Fused` rung goes past the paper's ladder: it implements the
@@ -26,7 +26,10 @@
 //!
 //! All variants compute the *same* stream and BGK update; the naive pair is
 //! the semantic oracle (property-tested against [`reference`]); the optimized
-//! pairs must agree within floating-point reassociation tolerance.
+//! pairs must agree within floating-point reassociation tolerance. Within a
+//! kernel class split and fused agree bitwise: the scalar split pipeline
+//! (stream → boundary apply → collide) is the scalar fused pass, and the
+//! `Simd` split pipeline the AVX2 fused pass, since both run one pair body.
 //!
 //! Orthogonal to the ladder, the **storage dimension**
 //! ([`crate::field::StorageMode`]) selects how the populations are

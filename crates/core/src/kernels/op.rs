@@ -44,7 +44,10 @@
 //! and the rest velocity. `tile_pairs_avx2` runs them over a row view, 8
 //! cells at a time: the sparse steps pass the rows of a gathered tile
 //! frame, the dense fused step the shifted source rows and the `dst` rows
-//! themselves, the AA sweep its in-place view with `dst(i) = src(opp(i))`.
+//! themselves, the AA sweep its in-place view with `dst(i) = src(opp(i))`,
+//! and the `Simd` rung's split collide its in-place view with
+//! `dst(i) = src(i)`, slab `i`'s row. That is every AVX2 collide of the
+//! crate: a change to the pair expression is made here once.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
@@ -411,12 +414,20 @@ pub(crate) fn prefetch(p: *const f64) {
 /// `i` reads its arrivals at `src(i) + z` and stores its post-collision
 /// values at `dst(i) + z`. `PREFETCH` says whether the body should touch
 /// each source row [`AHEAD`] doubles ahead: worth it for rows streamed from
-/// memory, not for frames already in L1.
+/// memory, not for frames already in L1. `BOUNCE` says what a solid lane
+/// stores.
 #[cfg(target_arch = "x86_64")]
 pub(crate) trait Rows: Copy {
     /// Whether [`pair_lines`] touches `src(i) + z + AHEAD` per velocity and
     /// group (compile-time: `false` compiles the touches away).
     const PREFETCH: bool;
+    /// What a solid lane stores (compile-time). `true`: the bounce value,
+    /// `(t_i, t_o) = (f_o, f_i)` — the fused, sparse and AA steps, whose
+    /// solid cells bounce back inside the pass. `false`: its own arrivals,
+    /// `(t_i, t_o) = (f_i, f_o)` — the split collide, whose solid cells the
+    /// boundary apply has already transformed; an all-solid line then
+    /// neither loads nor stores.
+    const BOUNCE: bool = true;
     /// Start of velocity `i`'s source row (`i < q`).
     fn src(self, i: usize) -> *const f64;
     /// Start of velocity `i`'s destination row (`i < q`).
@@ -474,8 +485,9 @@ impl Rows for RowPtrs<'_> {
 /// `j` of `fluid` is set, so one call covers at most 64 cells. Per 4-lane
 /// line: paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then
 /// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Solid
-/// lanes take the bounce-back swap `(t_i, t_o) = (f_o, f_i)` by blend, and
-/// all-solid lines only swap, so solid cells are exact copies and fluid
+/// lanes take the bounce-back swap `(t_i, t_o) = (f_o, f_i)` by blend, or
+/// keep `(f_i, f_o)` where `R::BOUNCE` is false; all-solid lines only swap,
+/// or are left alone, so solid cells are exact copies and fluid
 /// cells agree with the per-cell scalar rule within re-rounding. Where
 /// `R::PREFETCH`, the moment sums touch each velocity's source row
 /// [`AHEAD`] doubles past the group, once per group.
@@ -486,9 +498,11 @@ impl Rows for RowPtrs<'_> {
 /// With plain stores the lines run one at a time, which keeps fewer
 /// vectors live. The per-line arithmetic is the same either way. The sparse
 /// steps run it on their frames ([`frame_pairs_avx2`]), the dense fused
-/// step on shifted source rows straight into `dst`, and the AA sweep in
-/// place: its `dst(i)` is `src(opp(i))`, so each solid lane's blend stores
-/// every value back into the slot it came from.
+/// step on shifted source rows straight into `dst`, the AA sweep in place
+/// (its `dst(i)` is `src(opp(i))`, so each solid lane's blend stores every
+/// value back into the slot it came from), and the split collide of the
+/// `Simd` rung in place on slab rows, `dst(i) = src(i)`, keeping solid
+/// lanes.
 ///
 /// # Safety
 /// AVX2+FMA must be available. For every velocity `i < q` and group, the
@@ -513,7 +527,8 @@ pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: Colli
     for g in 0..groups {
         let (z, bits) = (z0 + g * GROUP, fluid >> (g * GROUP));
         let (lo, hi) = ((z, bits & 0xF), (z + LANES, (bits >> LANES) & 0xF));
-        // SAFETY: forwarded contract; both lines lie in the group.
+        // SAFETY: the caller grants AVX2+FMA and the accesses of every group
+        // g < groups; both lines lie in group g.
         unsafe {
             if NT {
                 pair_lines::<THIRD, true, 2, O, R>(ctx, oc, pc, rows, [lo, hi], true);
@@ -581,12 +596,14 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
             }};
         }
         if lines.iter().all(|&(_, bits)| bits == 0) {
-            for p in pc.pairs() {
-                let (fi, fo) = (ld!(p.i), ld!(p.o));
-                st!(p.i, fo);
-                st!(p.o, fi);
+            if R::BOUNCE {
+                for p in pc.pairs() {
+                    let (fi, fo) = (ld!(p.i), ld!(p.o));
+                    st!(p.i, fo);
+                    st!(p.o, fi);
+                }
+                st!(rest.i, ld!(rest.i));
             }
-            st!(rest.i, ld!(rest.i));
             return;
         }
         let mut rho = ld!(rest.i);
@@ -608,7 +625,8 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
         for l in 1..L {
             gm[l] = group_moments::<THIRD, O>(ctx, oc, rho[l], m[l]);
         }
-        // Solid lanes keep the bounce value; a full line skips the blend.
+        // Solid lanes keep the value `R::BOUNCE` names; a full line skips
+        // the blend.
         let mut fluid_lanes = [_mm256_setzero_pd(); L];
         for l in 0..L {
             let lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
@@ -634,8 +652,9 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
             for l in 0..L {
                 (ti[l], to[l]) = relax_pair::<THIRD, O>(ctx, p, &gm[l], fi[l], fo[l]);
             }
-            st!(p.i, keep_solid!(fo, ti));
-            st!(p.o, keep_solid!(fi, to));
+            let (si, so) = if R::BOUNCE { (fo, fi) } else { (fi, fo) };
+            st!(p.i, keep_solid!(si, ti));
+            st!(p.o, keep_solid!(so, to));
         }
         let f0 = ld!(rest.i);
         let mut t0 = [_mm256_setzero_pd(); L];
@@ -692,9 +711,9 @@ pub(crate) use with_op;
 
 /// Advance `zs` to the next fluid z-run of row `y` and return its bounds,
 /// or `None` when the row is exhausted. With no mask the whole row is one
-/// run. Shared by the scalar bodies (split collide, AA) and the `Simd`
-/// rung's AVX2 split collide, so the run boundaries cannot drift between
-/// the kernel classes.
+/// run. Shared by the scalar bodies (split collide, AA), so the run
+/// boundaries cannot drift between them; the AVX2 bodies read the mask as
+/// fluid words instead.
 #[inline]
 pub(crate) fn next_fluid_run(
     mask: Option<&SectionMask>,
@@ -779,7 +798,8 @@ pub(crate) unsafe fn collide_cells_raw<O: CollideOp>(
     x_lo: usize,
     x_hi: usize,
 ) {
-    // SAFETY: forwarded contract.
+    // SAFETY: `collide_cells_impl` has this function's contract, which the
+    // caller upholds.
     unsafe {
         if ctx.third_order() {
             collide_cells_impl::<true, O>(
@@ -873,7 +893,8 @@ unsafe fn collide_cells_impl<const THIRD: bool, O: CollideOp>(
                         let w = c[3];
                         let off = i * slab_len + base + z0;
                         debug_assert!(off + blk <= total);
-                        // SAFETY: as above; writes stay within this caller's
+                        // SAFETY: off+blk ≤ total per the layout contract,
+                        // and the writes below stay in this caller's
                         // exclusive x range.
                         let p = unsafe { base_ptr.add(off) };
                         for j in 0..blk {

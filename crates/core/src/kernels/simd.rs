@@ -2,21 +2,24 @@
 //!
 //! The paper hand-coded double-hummer intrinsics (BG/P) and QPX quad-word
 //! operations (BG/Q) for the collide function, on 16-byte-aligned data. The
-//! host analogue is AVX2+FMA over 4-wide `f64` lanes: four consecutive
-//! z-cells are collided at once — moment accumulation, one vector reciprocal,
-//! equilibrium polynomial, and relaxation all in vector registers with fused
-//! multiply-adds (the same `fpmadd` idea the paper invokes).
+//! host analogue is AVX2+FMA over 4-wide `f64` lanes with fused
+//! multiply-adds (the same `fpmadd` idea the paper invokes). This rung owns
+//! no vector arithmetic of its own: it runs the ±c pair body the fused,
+//! sparse and AA steps share ([`crate::kernels::op`]'s `tile_pairs_avx2`)
+//! in place, on a row view whose velocity `i` row is slab `i`'s row, both
+//! read and written. Per 4-lane line the body sums paired moments, takes one
+//! vector reciprocal, and evaluates the equilibrium and the Guo source once
+//! per ±c pair.
 //!
-//! The kernel is generic over the cell operator
-//! ([`crate::kernels::op::CollideOp`]): the [`PlainBgk`] instantiation is
-//! the periodic ladder rung, while [`GuoForced`](crate::kernels::op)
-//! broadcasts the force vector into the vectorized moment accumulation
-//! (half-force velocity shift) and adds the hoisted Guo source —
-//! `sa_i − sb_i (u·G) + sc_i ξ_i` — in the relax pass, two extra fmas per
-//! (lane group, velocity). Row dispatch is [`BoundarySpec`]-aware: wall rows
-//! are skipped and masked cells excluded via fluid z-runs, each run swept
-//! vector-first with a scalar tail, so walled/forced scenarios run the same
-//! vectorized collide as the periodic flows.
+//! Row dispatch is [`BoundarySpec`]-aware: wall rows are skipped; fluid rows
+//! run 64-cell chunks, one fluid word of the mask each, over their whole
+//! 8-cell groups, and their last `nz mod 8` cells through an 8-lane stack
+//! frame whose pad lanes are solid. A solid lane keeps its own values (the
+//! view's `BOUNCE = false`), so masked cells stay as the boundary apply
+//! left them. The arithmetic per line is the fused pass's, so the split
+//! pipeline stream → apply → collide at this rung is bitwise the `Fused`
+//! rung's AVX2 pass, as the scalar split pipeline is the scalar fused one.
+//! Against the scalar classes fluid cells agree within re-rounding.
 //!
 //! Feature detection happens at runtime; without AVX2+FMA the rung falls
 //! back to the shared scalar cell-operator body (so the crate stays
@@ -27,8 +30,12 @@
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::op::{tile_pairs_avx2, PairConsts, Rows, GROUP};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::KernelCtx;
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::MAX_Q;
 
 /// True when the vectorized path is available on this CPU.
 pub fn simd_available() -> bool {
@@ -159,14 +166,16 @@ unsafe fn collide_cells_raw<O: CollideOp>(
     #[cfg(target_arch = "x86_64")]
     {
         if simd_available() {
-            // SAFETY: feature presence checked above; contract forwarded.
+            // SAFETY: AVX2+FMA were detected just above, and
+            // `pair_rows_avx2` has this function's layout contract, which
+            // the caller upholds.
             unsafe {
                 if ctx.third_order() {
-                    collide_avx2::<true, O>(
+                    pair_rows_avx2::<true, O>(
                         base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
                     );
                 } else {
-                    collide_avx2::<false, O>(
+                    pair_rows_avx2::<false, O>(
                         base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
                     );
                 }
@@ -174,17 +183,51 @@ unsafe fn collide_cells_raw<O: CollideOp>(
             return;
         }
     }
-    // SAFETY: contract forwarded.
+    // SAFETY: the scalar body has this function's contract, which the caller
+    // upholds.
     unsafe { op::collide_cells_raw::<O>(base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi) }
 }
 
+/// The split collide's row view for [`tile_pairs_avx2`]: velocity `i`'s
+/// row starts at `row + i·stride` and is read and written in place — a row
+/// of every velocity slab of the field (`stride` the slab length), or a row
+/// of the tail frame (`stride` 8). Computed, like the sparse frames' view,
+/// and a type of its own, so that the fused step stays the one caller of
+/// the pair body's `RowPtrs` instantiation. Prefetched: slab rows stream
+/// from memory. Solid lanes keep their own values.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct SlabRows(*mut f64, usize);
+
+#[cfg(target_arch = "x86_64")]
+impl Rows for SlabRows {
+    const PREFETCH: bool = true;
+    const BOUNCE: bool = false;
+
+    #[inline(always)]
+    fn src(self, i: usize) -> *const f64 {
+        self.0.wrapping_add(i * self.1)
+    }
+
+    #[inline(always)]
+    fn dst(self, i: usize) -> *mut f64 {
+        self.0.wrapping_add(i * self.1)
+    }
+}
+
+/// The AVX2+FMA split collide of one chunk. Each fluid row runs the ±c pair
+/// body in place over its whole 8-cell groups, 64 cells and one fluid word
+/// per call; its last `nz mod 8` cells go through an 8-lane stack frame
+/// whose pad lanes are solid, and only the valid lanes go back. Wall rows
+/// are skipped; masked cells clear their fluid bit and keep their values.
+///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available and the layout/exclusivity
-/// contract of [`op::collide_cells_raw`] holds.
+/// AVX2+FMA must be available, and the layout/exclusivity contract of
+/// [`op::collide_cells_raw`] must hold.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn collide_avx2<const THIRD: bool, O: CollideOp>(
+unsafe fn pair_rows_avx2<const THIRD: bool, O: CollideOp>(
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,
@@ -195,178 +238,49 @@ unsafe fn collide_avx2<const THIRD: bool, O: CollideOp>(
     x_lo: usize,
     x_hi: usize,
 ) {
-    use std::arch::x86_64::*;
-
-    const LANES: usize = 4;
+    /// Cells per call of the pair body: one `u64` fluid word.
+    const CHUNK: usize = u64::BITS as usize;
     let q = ctx.lat.q();
-    let k = &ctx.consts;
-    let omega = ctx.omega;
-    let fluid_y = bounds.fluid_y(d.ny);
+    let nz = d.nz;
+    let whole = nz - nz % GROUP;
+    let pc = PairConsts::new(oc, q);
     let mask = bounds.mask();
-    let hg = oc.half_g;
-    let g = oc.g;
-
-    // SAFETY: all pointer offsets below are i*slab_len + base + z with
-    // z + LANES ≤ nz, hence within `total`; debug-asserted per row.
-    unsafe {
-        let v_one = _mm256_set1_pd(1.0);
-        let v_omega = _mm256_set1_pd(omega);
-        let v_inv_cs2 = _mm256_set1_pd(k.inv_cs2);
-        let v_inv_2cs4 = _mm256_set1_pd(k.inv_2cs4);
-        let v_inv_2cs2 = _mm256_set1_pd(k.inv_2cs2);
-        let v_inv_6cs6 = _mm256_set1_pd(k.inv_6cs6);
-        let v_3cs2 = _mm256_set1_pd(3.0 * k.cs2);
-        let v_hg0 = _mm256_set1_pd(hg[0]);
-        let v_hg1 = _mm256_set1_pd(hg[1]);
-        let v_hg2 = _mm256_set1_pd(hg[2]);
-        let v_g0 = _mm256_set1_pd(g[0]);
-        let v_g1 = _mm256_set1_pd(g[1]);
-        let v_g2 = _mm256_set1_pd(g[2]);
-
-        for x in x_lo..x_hi {
-            for y in fluid_y.clone() {
-                let base = d.idx(x, y, 0);
-                debug_assert!(base + d.nz <= slab_len);
-                // Fluid z-runs of this row (one full run when there is no
-                // mask), each run swept vector-first with a scalar tail.
-                let mut zs = 0usize;
-                while let Some((run_lo, run_hi)) = op::next_fluid_run(mask, y, d.nz, &mut zs) {
-                    let run_len = run_hi - run_lo;
-                    let vec_end = run_lo + (run_len - run_len % LANES);
-                    let mut z = run_lo;
-                    while z < vec_end {
-                        let off = base + z;
-                        // Pass 1: moments.
-                        let mut vrho = _mm256_setzero_pd();
-                        let mut vmx = _mm256_setzero_pd();
-                        let mut vmy = _mm256_setzero_pd();
-                        let mut vmz = _mm256_setzero_pd();
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            debug_assert!(i * slab_len + off + LANES <= total);
-                            let fv = _mm256_loadu_pd(base_ptr.add(i * slab_len + off));
-                            vrho = _mm256_add_pd(vrho, fv);
-                            if c[0] != 0.0 {
-                                vmx = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[0]), vmx);
-                            }
-                            if c[1] != 0.0 {
-                                vmy = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[1]), vmy);
-                            }
-                            if c[2] != 0.0 {
-                                vmz = _mm256_fmadd_pd(fv, _mm256_set1_pd(c[2]), vmz);
-                            }
-                        }
-                        let vinv = _mm256_div_pd(v_one, vrho);
-                        if O::FORCED {
-                            // Guo half-force shift of the momentum before the
-                            // velocity division: u = (m + G/2)/ρ.
-                            vmx = _mm256_add_pd(vmx, v_hg0);
-                            vmy = _mm256_add_pd(vmy, v_hg1);
-                            vmz = _mm256_add_pd(vmz, v_hg2);
-                        }
-                        let vux = _mm256_mul_pd(vmx, vinv);
-                        let vuy = _mm256_mul_pd(vmy, vinv);
-                        let vuz = _mm256_mul_pd(vmz, vinv);
-                        let vu2 = _mm256_fmadd_pd(
-                            vux,
-                            vux,
-                            _mm256_fmadd_pd(vuy, vuy, _mm256_mul_pd(vuz, vuz)),
-                        );
-                        let vug = if O::FORCED {
-                            _mm256_fmadd_pd(
-                                vux,
-                                v_g0,
-                                _mm256_fmadd_pd(vuy, v_g1, _mm256_mul_pd(vuz, v_g2)),
-                            )
-                        } else {
-                            _mm256_setzero_pd()
-                        };
-                        // Pass 2: equilibrium + relax (+ Guo source).
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            let mut vxi = _mm256_setzero_pd();
-                            if c[0] != 0.0 {
-                                vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[0]), vux, vxi);
-                            }
-                            if c[1] != 0.0 {
-                                vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[1]), vuy, vxi);
-                            }
-                            if c[2] != 0.0 {
-                                vxi = _mm256_fmadd_pd(_mm256_set1_pd(c[2]), vuz, vxi);
-                            }
-                            // poly = 1 + xi/cs2 + xi²/(2cs⁴) − u²/(2cs²) [+ third]
-                            let mut vpoly = _mm256_fmadd_pd(vxi, v_inv_cs2, v_one);
-                            vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, vxi), v_inv_2cs4, vpoly);
-                            vpoly = _mm256_fnmadd_pd(vu2, v_inv_2cs2, vpoly);
-                            if THIRD {
-                                let t = _mm256_fnmadd_pd(v_3cs2, vu2, _mm256_mul_pd(vxi, vxi));
-                                vpoly = _mm256_fmadd_pd(_mm256_mul_pd(vxi, t), v_inv_6cs6, vpoly);
-                            }
-                            let vfeq =
-                                _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(c[3]), vrho), vpoly);
-                            let p = base_ptr.add(i * slab_len + off);
-                            let fv = _mm256_loadu_pd(p);
-                            let mut out = _mm256_fmadd_pd(v_omega, _mm256_sub_pd(vfeq, fv), fv);
-                            if O::FORCED {
-                                // S_i = sa_i − sb_i (u·G) + sc_i ξ_i.
-                                let vs = _mm256_fmadd_pd(
-                                    _mm256_set1_pd(oc.sc[i]),
-                                    vxi,
-                                    _mm256_fnmadd_pd(
-                                        _mm256_set1_pd(oc.sb[i]),
-                                        vug,
-                                        _mm256_set1_pd(oc.sa[i]),
-                                    ),
-                                );
-                                out = _mm256_add_pd(out, vs);
-                            }
-                            _mm256_storeu_pd(p, out);
-                        }
-                        z += LANES;
+    // Fluid bits of cells [z0, z0 + n) of row y; bits from n on are solid.
+    let fluid = |y: usize, z0: usize, n: usize| {
+        let all = if n == CHUNK { u64::MAX } else { (1 << n) - 1 };
+        mask.map_or(all, |m| {
+            (0..n)
+                .filter(|&j| m.is_solid(y, z0 + j))
+                .fold(all, |bits, j| bits & !(1 << j))
+        })
+    };
+    let mut frame = [[1.0f64; GROUP]; MAX_Q];
+    let tail = SlabRows(frame.as_mut_ptr().cast(), GROUP);
+    for x in x_lo..x_hi {
+        for y in bounds.fluid_y(d.ny) {
+            let base = d.idx(x, y, 0);
+            debug_assert!((q - 1) * slab_len + base + nz <= total);
+            let rows = SlabRows(base_ptr.wrapping_add(base), slab_len);
+            // SAFETY: row i of `rows` is [i·slab_len + base, + nz), inside
+            // `total` and in plane x, which the caller grants exclusively;
+            // the calls touch its whole groups only. Row i of `tail` is
+            // frame[i], and the copies move the row's last n < 8 cells.
+            // AVX2+FMA per this function's contract.
+            unsafe {
+                for z0 in (0..whole).step_by(CHUNK) {
+                    let n = (whole - z0).min(CHUNK);
+                    let bits = fluid(y, z0, n);
+                    tile_pairs_avx2::<THIRD, false, O, _>(ctx, oc, &pc, rows, z0, n / GROUP, bits);
+                }
+                let n = nz - whole;
+                if n > 0 {
+                    for i in 0..q {
+                        std::ptr::copy_nonoverlapping(rows.src(i).add(whole), tail.dst(i), n);
                     }
-                    // Scalar tail (run_len % 4 cells), reciprocal form.
-                    while z < run_hi {
-                        let off = base + z;
-                        let mut rho = 0.0;
-                        let mut m = [0.0f64; 3];
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            let fv = *base_ptr.add(i * slab_len + off);
-                            rho += fv;
-                            m[0] += fv * c[0];
-                            m[1] += fv * c[1];
-                            m[2] += fv * c[2];
-                        }
-                        let inv = 1.0 / rho;
-                        let u = if O::FORCED {
-                            [
-                                (m[0] + hg[0]) * inv,
-                                (m[1] + hg[1]) * inv,
-                                (m[2] + hg[2]) * inv,
-                            ]
-                        } else {
-                            [m[0] * inv, m[1] * inv, m[2] * inv]
-                        };
-                        let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-                        let ug = u[0] * g[0] + u[1] * g[1] + u[2] * g[2];
-                        for i in 0..q {
-                            let c = oc.cw[i];
-                            let xi = c[0] * u[0] + c[1] * u[1] + c[2] * u[2];
-                            let mut poly =
-                                1.0 + xi * k.inv_cs2 + xi * xi * k.inv_2cs4 - u2 * k.inv_2cs2;
-                            if THIRD {
-                                poly += xi * (xi * xi - 3.0 * k.cs2 * u2) * k.inv_6cs6;
-                            }
-                            let feq = c[3] * rho * poly;
-                            let p = base_ptr.add(i * slab_len + off);
-                            let fv = *p;
-                            let mut next = fv + omega * (feq - fv);
-                            if O::FORCED {
-                                next += oc.sa[i] - oc.sb[i] * ug + oc.sc[i] * xi;
-                            }
-                            *p = next;
-                        }
-                        z += 1;
+                    let bits = fluid(y, whole, n);
+                    tile_pairs_avx2::<THIRD, false, O, _>(ctx, oc, &pc, tail, 0, 1, bits);
+                    for i in 0..q {
+                        std::ptr::copy_nonoverlapping(tail.src(i), rows.dst(i).add(whole), n);
                     }
                 }
             }
@@ -394,8 +308,8 @@ mod tests {
         KernelCtx::new(kind, order, Bgk::new(0.85).unwrap())
     }
 
-    fn random_field(q: usize, dims: Dim3, seed: u64) -> DistField {
-        let mut f = DistField::new(q, dims, 0).unwrap();
+    fn random_field(q: usize, dims: Dim3, halo: usize, seed: u64) -> DistField {
+        let mut f = DistField::new(q, dims, halo).unwrap();
         let mut state = seed | 1;
         for v in f.as_mut_slice() {
             state ^= state << 13;
@@ -406,19 +320,84 @@ mod tests {
         f
     }
 
+    /// Row lengths covering every shape of the AVX2 driver: only a tail
+    /// (3, 7), only whole groups (8, 64), one short chunk and a tail (9,
+    /// 13), and a full 64-cell chunk and a tail (70).
+    const ROW_SHAPES: [usize; 7] = [3, 7, 8, 9, 13, 64, 70];
+
+    /// Solid on every row: the last cell, a tail lane when `nz mod 8 ≠ 0`;
+    /// on even rows also the last whole 8-cell group (an all-solid pair of
+    /// lines).
+    fn tail_and_group_mask(ny: usize, nz: usize) -> SectionMask {
+        let whole = nz - nz % 8;
+        SectionMask::from_fn(ny, nz, move |y, z| {
+            z == nz - 1 || (y % 2 == 0 && z < whole && z + 8 >= whole)
+        })
+    }
+
+    /// Run `step` serially (`threads == 1`) or inside a pool.
+    fn on(threads: usize, step: impl FnOnce() + Send) {
+        if threads == 1 {
+            step();
+        } else {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(step);
+        }
+    }
+
+    /// Every cell `(x, y, z)` of an owned box.
+    fn cells(dims: Dim3) -> impl Iterator<Item = (usize, usize, usize)> {
+        (0..dims.nx)
+            .flat_map(move |x| (0..dims.ny).flat_map(move |y| (0..dims.nz).map(move |z| (x, y, z))))
+    }
+
     #[test]
     fn simd_collide_matches_dh_within_fma_tolerance() {
+        // Every row shape, serial and split across a pool: the periodic
+        // collide against DH, and the masked one against the scalar
+        // cell-operator body (bitwise DH on fluid cells), which leaves the
+        // masked cells as they were.
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let c = ctx(kind);
-            // nz = 11 forces a 3-cell scalar tail.
-            let dims = Dim3::new(4, 3, 11);
-            let mut a = random_field(c.lat.q(), dims, 71);
-            let mut b = a.clone();
-            dh::collide(&c, &mut a, 0, dims.nx);
-            collide(&c, &mut b, 0, dims.nx);
-            let diff = a.max_abs_diff_owned(&b);
-            // FMA re-rounding only: differences are a few ulps of O(1) values.
-            assert!(diff < 1e-13, "{kind:?}: {diff}");
+            for nz in ROW_SHAPES {
+                let dims = Dim3::new(4, 3, nz);
+                let bounds = BoundarySpec::periodic().with_mask(tail_and_group_mask(dims.ny, nz));
+                for threads in [1, 4] {
+                    let case = format!("{kind:?} nz={nz} threads={threads}");
+                    let mut a = random_field(c.lat.q(), dims, 0, 71);
+                    let mut b = a.clone();
+                    dh::collide(&c, &mut a, 0, dims.nx);
+                    on(threads, || collide(&c, &mut b, 0, dims.nx));
+                    let diff = a.max_abs_diff_owned(&b);
+                    // FMA re-rounding only: differences are a few ulps of O(1) values.
+                    assert!(diff < 1e-13, "{case}: {diff}");
+
+                    let mut a = random_field(c.lat.q(), dims, 0, 72);
+                    let mut b = a.clone();
+                    op::collide_cells(&c, &mut a, 0, dims.nx, PlainBgk, &bounds);
+                    on(threads, || {
+                        collide_cells(&c, &mut b, 0, dims.nx, PlainBgk, &bounds)
+                    });
+                    let diff = a.max_abs_diff_owned(&b);
+                    assert!(diff < 1e-13, "{case} masked: {diff}");
+                    let d = a.alloc_dims();
+                    for i in 0..c.lat.q() {
+                        for (x, y, z) in
+                            cells(dims).filter(|&(_, y, z)| !bounds.is_fluid(dims.ny, y, z))
+                        {
+                            let lin = d.idx(x, y, z);
+                            assert_eq!(
+                                a.slab(i)[lin].to_bits(),
+                                b.slab(i)[lin].to_bits(),
+                                "{case}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -426,7 +405,7 @@ mod tests {
     fn simd_collide_conserves_mass_exactly_enough() {
         let c = ctx(LatticeKind::D3Q39);
         let dims = Dim3::new(3, 3, 16);
-        let mut f = random_field(c.lat.q(), dims, 5);
+        let mut f = random_field(c.lat.q(), dims, 0, 5);
         let before = f.owned_mass();
         collide(&c, &mut f, 0, dims.nx);
         let after = f.owned_mass();
@@ -447,7 +426,7 @@ mod tests {
             let op = GuoForced {
                 g: [4e-5, 0.0, -2e-5],
             };
-            let mut a = random_field(c.lat.q(), dims, 77);
+            let mut a = random_field(c.lat.q(), dims, 0, 77);
             let mut b = a.clone();
             op::collide_cells(&c, &mut a, 0, dims.nx, op, &bounds);
             collide_cells(&c, &mut b, 0, dims.nx, op, &bounds);
@@ -458,39 +437,105 @@ mod tests {
 
     #[test]
     fn forced_simd_skips_walls_and_mask() {
-        let c = ctx(LatticeKind::D3Q19);
-        let dims = Dim3::new(3, 6, 9);
-        let bounds = BoundarySpec::periodic()
-            .with_walls(ChannelWalls::no_slip(1))
-            .with_mask(SectionMask::from_fn(6, 9, |_y, z| z == 4));
-        let mut f = random_field(c.lat.q(), dims, 13);
-        let before = f.clone();
-        collide_cells(
-            &c,
-            &mut f,
-            0,
-            dims.nx,
-            GuoForced {
-                g: [1e-4, 0.0, 0.0],
-            },
-            &bounds,
-        );
-        let d = f.alloc_dims();
-        for i in 0..c.lat.q() {
-            for x in 0..dims.nx {
-                for z in 0..dims.nz {
-                    for y in [0usize, 5] {
-                        let lin = d.idx(x, y, z);
-                        assert_eq!(f.slab(i)[lin], before.slab(i)[lin], "wall row");
-                    }
-                    let lin = d.idx(x, 2, z);
-                    if z == 4 {
-                        assert_eq!(f.slab(i)[lin], before.slab(i)[lin], "masked");
+        // Every row shape, serial and split across a pool: wall rows and
+        // masked cells (a tail lane, a whole group) keep their bits, fluid
+        // cells collide.
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            let k = c.lat.reach();
+            for nz in ROW_SHAPES {
+                let dims = Dim3::new(3, 2 * k + 4, nz);
+                let bounds = BoundarySpec::periodic()
+                    .with_walls(ChannelWalls::no_slip(k))
+                    .with_mask(tail_and_group_mask(dims.ny, nz));
+                for threads in [1, 4] {
+                    let case = format!("{kind:?} nz={nz} threads={threads}");
+                    let mut f = random_field(c.lat.q(), dims, 0, 13);
+                    let before = f.clone();
+                    let op = GuoForced {
+                        g: [1e-4, 0.0, 0.0],
+                    };
+                    on(threads, || {
+                        collide_cells(&c, &mut f, 0, dims.nx, op, &bounds)
+                    });
+                    let d = f.alloc_dims();
+                    for i in 0..c.lat.q() {
+                        for (x, y, z) in cells(dims) {
+                            let lin = d.idx(x, y, z);
+                            let (now, was) = (f.slab(i)[lin], before.slab(i)[lin]);
+                            if !bounds.fluid_y(dims.ny).contains(&y) {
+                                assert_eq!(now.to_bits(), was.to_bits(), "{case}: wall row");
+                            } else if !bounds.is_fluid(dims.ny, y, z) {
+                                assert_eq!(now.to_bits(), was.to_bits(), "{case}: masked");
+                            } else {
+                                assert_ne!(
+                                    now.to_bits(),
+                                    was.to_bits(),
+                                    "{case}: fluid must collide"
+                                );
+                            }
+                        }
                     }
                 }
             }
         }
-        assert!(f.max_abs_diff_owned(&before) > 0.0, "fluid must collide");
+    }
+
+    #[test]
+    fn avx2_collide_writes_only_the_fluid_cells_of_its_planes() {
+        // The AVX2 driver stores in place through raw row pointers. With
+        // the whole field NaN-poisoned except the fluid cells of planes
+        // [x_lo, x_hi), a forced collide must leave every other slot (the
+        // halo and the other owned planes, slab pads, wall rows, masked
+        // cells) with its NaN bits and every fluid cell finite: no pad lane
+        // of the tail frame goes back and no write lands past a row end.
+        // Every row shape, serial and split across a pool.
+        let poison = f64::from_bits(0x7ff8_dead_beef_0001);
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            for nz in ROW_SHAPES {
+                let dims = Dim3::new(6, 2 * k + 4, nz);
+                let bounds = BoundarySpec::periodic()
+                    .with_walls(ChannelWalls::no_slip(k))
+                    .with_mask(tail_and_group_mask(dims.ny, nz));
+                let values = random_field(q, dims, k, 67 + nz as u64);
+                let (d, stride) = (values.alloc_dims(), values.slab_stride());
+                let (x_lo, x_hi) = (k + 1, k + 5);
+                let mut fluid = vec![false; values.as_slice().len()];
+                for i in 0..q {
+                    for x in x_lo..x_hi {
+                        for (y, z) in (0..dims.ny).flat_map(|y| (0..nz).map(move |z| (y, z))) {
+                            fluid[i * stride + d.idx(x, y, z)] = bounds.is_fluid(dims.ny, y, z);
+                        }
+                    }
+                }
+                for threads in [1, 4] {
+                    let mut f = values.clone();
+                    for (v, &own) in f.as_mut_slice().iter_mut().zip(&fluid) {
+                        if !own {
+                            *v = poison;
+                        }
+                    }
+                    let op = GuoForced {
+                        g: [2e-5, -1e-5, 3e-5],
+                    };
+                    on(threads, || {
+                        collide_cells(&c, &mut f, x_lo, x_hi, op, &bounds)
+                    });
+                    for (p, (v, &own)) in f.as_slice().iter().zip(&fluid).enumerate() {
+                        assert!(
+                            if own {
+                                v.is_finite()
+                            } else {
+                                v.to_bits() == poison.to_bits()
+                            },
+                            "{kind:?} nz={nz} threads={threads} offset {p} (fluid: {own}): {v}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -233,7 +233,8 @@ proptest! {
     /// (stream → boundary apply → scalar forced collide) across all four
     /// lattices, both equilibrium orders, every wall kind and an optional
     /// mask: bitwise for the scalar paths and serial≡threaded, within FMA
-    /// re-rounding for the vectorized ones.
+    /// re-rounding for the vectorized ones, which are bitwise each other
+    /// (SIMD split ≡ SIMD fused, as scalar split ≡ scalar fused).
     #[test]
     fn forced_variants_match_split_scenario_reference(
         kind in arb_kind(),
@@ -295,6 +296,12 @@ proptest! {
         kernels::collide_scenario(OptLevel::Simd, &ctx, &mut simd_split, k, k + nx, g, &bounds);
         let diff = split.max_abs_diff_owned(&simd_split);
         prop_assert!(diff < 1e-12, "{:?}/{:?} simd split scenario: diff={}", kind, order, diff);
+        // Both vector paths run one pair body per 4-lane line on the same
+        // arrivals: the SIMD split pipeline is bitwise the SIMD fused pass.
+        prop_assert_eq!(
+            first_bit_mismatch(&fused_vec, &simd_split), None,
+            "{:?}/{:?} simd split vs simd fused scenario", kind, order
+        );
 
         // Threaded runs are bitwise identical to serial ones, at both kernel
         // classes and for the fused scenario pass.
