@@ -437,11 +437,21 @@ pub(crate) trait Rows: Copy {
 /// The velocity rows of a gathered `q·64` frame and of its output frame,
 /// row `i` at offset `i·64` of each. Computed, not looked up: the sparse
 /// tile body is bound by its instruction count, and a table lookup per
-/// access costs it several percent. Not prefetched: the frames are
-/// L1-resident.
+/// access costs it several percent. Not prefetched: the gathered frame is
+/// L1-resident. The output frame is an L1 frame of the sparse AA steps, or
+/// the two-grid step's `dst` frame, streamed to with `NT`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct FrameRows(*const f64, *mut f64);
+
+#[cfg(target_arch = "x86_64")]
+impl FrameRows {
+    /// The rows of the gathered frame `buf` and of the output frame `out`.
+    /// Taking the pointers is safe; the body's caller vouches for them.
+    pub(crate) fn new(buf: &[f64], out: &mut [f64]) -> Self {
+        Self(buf.as_ptr(), out.as_mut_ptr())
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 impl Rows for FrameRows {
@@ -497,12 +507,13 @@ impl Rows for RowPtrs<'_> {
 /// to back: write-combining buffers then never wait on half-filled lines.
 /// With plain stores the lines run one at a time, which keeps fewer
 /// vectors live. The per-line arithmetic is the same either way. The sparse
-/// steps run it on their frames ([`frame_pairs_avx2`]), the dense fused
-/// step on shifted source rows straight into `dst`, the AA sweep in place
-/// (its `dst(i)` is `src(opp(i))`, so each solid lane's blend stores every
-/// value back into the slot it came from), and the split collide of the
-/// `Simd` rung in place on slab rows, `dst(i) = src(i)`, keeping solid
-/// lanes.
+/// AA steps run it on their frames ([`frame_pairs_avx2`]), the sparse
+/// two-grid step from its gathered frame straight into `dst` (`NT`,
+/// [`FrameRows`]), the dense fused step on shifted source rows straight
+/// into `dst`, the AA sweep in place (its `dst(i)` is `src(opp(i))`, so
+/// each solid lane's blend stores every value back into the slot it came
+/// from), and the split collide of the `Simd` rung in place on slab rows,
+/// `dst(i) = src(i)`, keeping solid lanes.
 ///
 /// # Safety
 /// AVX2+FMA must be available. For every velocity `i < q` and group, the

@@ -53,7 +53,7 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Copy a finished row (or frame) of populations to its destination with
+/// Copy a finished row of populations to its destination with
 /// non-temporal stores: a two-grid step writes every destination value once
 /// and does not read it again this step, so streaming it past the cache
 /// saves the read-for-ownership of every line. A scalar head brings the
@@ -83,8 +83,8 @@ pub(crate) fn stream_frame(src: &[f64], dst: &mut [f64]) {
             }
         };
         if head == 0 && tail == n {
-            // Aligned even copies, among them every sparse frame row: the
-            // caller's own bounds let a fixed-length row unroll fully.
+            // Aligned even copies: the caller's own bounds let a
+            // fixed-length row unroll fully.
             run(0, n);
         } else {
             run(head, tail);

@@ -9,10 +9,12 @@
 //!
 //! One step is a fused pull-stream + boundary + collide into a second
 //! buffer (two-grid): for every stored tile the streamed populations are
-//! gathered z-line by z-line through the per-tile neighbour table (an
-//! unallocated neighbour reads as vacuum `0.0` — exact under the
-//! rim-allocation rule), then fluid cells collide while solid cells store
-//! the full-way bounce-back of their gathered values.
+//! gathered z-line by z-line through the per-tile neighbour table into an
+//! L1 frame (an unallocated neighbour reads as vacuum `0.0` — exact under
+//! the rim-allocation rule), then fluid cells collide while solid cells
+//! store the full-way bounce-back of their gathered values, straight into
+//! the tile's `dst` frame. The gather is a copy, one 4-lane vector per
+//! z-line on AVX2 hosts, so either form fills the same frame.
 //!
 //! Two tile bodies do the collide. The scalar body runs the *identical*
 //! per-cell BGK/Guo arithmetic as the dense [`crate::kernels::op`] drivers
@@ -20,15 +22,18 @@
 //! the scalar sparse fluid trajectory is **bitwise equal** to the dense
 //! masked path. The AVX2+FMA body evaluates every ±c velocity pair once on
 //! 8-cell groups of a tile: it is `op::tile_pairs_avx2` on the frame's
-//! velocity rows (`op::frame_pairs_avx2`), the body the dense fused rung
-//! runs on shifted source rows, built on the pair helpers of the AA kernels
-//! (`op::relax_pair`). That reassociates the arithmetic,
-//! so — like the dense `Simd` rung — it agrees with the scalar body within
-//! re-rounding (fluid cells; the bounce-back of solid cells is a copy and
-//! stays bitwise). Like every kernel entry point, each step chunks its tile
-//! lists across the installed pool and is one plain sweep outside one (see
-//! [`crate::kernels::par`]); chunks hold disjoint tiles and both bodies are
-//! per-tile, so threaded steps are bitwise equal to serial ones.
+//! velocity rows, the body the dense fused rung runs on shifted source
+//! rows, built on the pair helpers of the AA kernels (`op::relax_pair`).
+//! That reassociates the arithmetic, so — like the dense `Simd` rung — it
+//! agrees with the scalar body within re-rounding (fluid cells; the
+//! bounce-back of solid cells is a copy and stays bitwise). The two-grid
+//! step runs it with streaming stores into `dst`, the AA steps into an L1
+//! frame (`op::frame_pairs_avx2`); the per-line arithmetic is the same, so
+//! both produce the same bits. Like every kernel entry point, each step
+//! chunks its tile lists across the installed pool and is one plain sweep
+//! outside one (see [`crate::kernels::par`]); chunks hold disjoint tiles
+//! and both bodies are per-tile, so threaded steps are bitwise equal to
+//! serial ones.
 
 use rayon::prelude::*;
 
@@ -38,10 +43,10 @@ use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::frame_pairs_avx2;
+use crate::kernels::op::{frame_pairs_avx2, prefetch, tile_pairs_avx2, FrameRows, GROUP};
 use crate::kernels::op::{with_op, CollideOp, OpConsts, PairConsts};
 use crate::kernels::par::{chunk_bounds, chunk_count, in_pool, SendPtr};
-use crate::kernels::simd::{sfence, stream_frame};
+use crate::kernels::simd::sfence;
 use crate::kernels::{simd, KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
 
@@ -143,7 +148,8 @@ struct Seg {
 /// z-lines laid end to end: the line at frame offset `off` in neighbour slot
 /// `lo` (the lower-z tile), then the same line in slot `hi`. The window
 /// starts [`GatherTable::zshift`] cells into `lo`'s line; a velocity with
-/// `c_z = 0` has shift 0 and `lo == hi`.
+/// `c_z = 0` has shift 0 and `lo == hi`. A line starts at `lz = 0` of its
+/// velocity's row, so `off + TILE_B ≤ q·64` always.
 #[derive(Clone, Copy, Debug)]
 struct ZLine {
     lo: u8,
@@ -165,9 +171,10 @@ const TILE_LINES: usize = TILE_B * TILE_B;
 /// * the merged segment plan of the AA odd step's fast tiles;
 /// * the z-line plan of the two-grid step, with a `q·64` zero
 ///   frame that stands in for every unallocated neighbour, so one
-///   branch-free gather serves fast, partial and rim tiles alike — and the
-///   list of source cache lines a tile reads from its 26 neighbours, which
-///   the step prefetches one tile ahead.
+///   branch-free gather serves fast, partial and rim tiles alike (the
+///   portable `gather_lines`, or `gather_lines_avx2` with one vector
+///   per line) — and the list of source cache lines a tile reads from its
+///   26 neighbours, which the step prefetches one tile ahead.
 #[derive(Clone, Debug)]
 pub struct GatherTable {
     q: usize,
@@ -360,7 +367,6 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     oc: &OpConsts,
     pc: Option<&PairConsts>,
 ) {
-    let q = ctx.lat.q();
     let frame = dst.frame_len();
     let total = dst.as_slice().len();
     let base = SendPtr(dst.as_mut_slice().as_mut_ptr());
@@ -375,25 +381,29 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     };
     // One z-line gather serves every tile class, so the owned tiles run in
     // packed (z-local) order: the next tile mostly reads source lines the
-    // current one already brought in. A tile collides into the L1-resident
-    // `out`, which is streamed to its `dst` frame while the next tile
-    // gathers.
+    // current one already brought in. A tile is gathered into the
+    // L1-resident `buf` and collided from there straight into its `dst`
+    // frame.
     let run = move |list: &[usize], _fast: bool| {
-        let mut buf = [0.0f64; MAX_Q * TILE_CELLS];
-        let mut out = [0.0f64; MAX_Q * TILE_CELLS];
-        let mut done: Option<usize> = None;
+        let mut buf = GatherFrame([0.0; MAX_Q * TILE_CELLS]);
         for (idx, &t) in list.iter().enumerate() {
             if let Some(&t_next) = list.get(idx + 1) {
                 prefetch_tile_sources(src_data, gt, tiles, t_next, frame);
             }
-            let flush = done.map(|d| (&out[..frame], dst_frame(d)));
-            gather_lines(q, gt, &tiles.neighbors[t], src_data, &mut buf, flush);
-            tile_body::<THIRD, O>(ctx, oc, pc, tiles.tiles[t].fluid, &buf, &mut out[..frame]);
-            done = Some(t);
+            let (nbrs, fluid) = (&tiles.neighbors[t], tiles.tiles[t].fluid);
+            pull_collide::<THIRD, O>(
+                ctx,
+                oc,
+                pc,
+                gt,
+                nbrs,
+                src_data,
+                fluid,
+                &mut buf.0,
+                dst_frame(t),
+            );
         }
-        if let Some(d) = done {
-            stream_frame(&out[..frame], dst_frame(d));
-        }
+        // The AVX2 body's streaming stores are weakly ordered.
         sfence();
     };
 
@@ -446,17 +456,12 @@ fn drive_tile_lists(fast: &[usize], slow: &[usize], work: impl Fn(&[usize], bool
 fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: usize) {
     #[cfg(target_arch = "x86_64")]
     {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let nbr_ptr = std::ptr::from_ref(&tiles.neighbors[t_next]).cast::<i8>();
-        // SAFETY: PREFETCHT0 is a hint and cannot fault; the offsets below
-        // are clamped to the slice.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(nbr_ptr) };
+        prefetch(std::ptr::from_ref(&tiles.neighbors[t_next]).cast());
         let lo = t_next * frame;
         let hi = (lo + frame).min(src.len());
         let mut p = lo;
         while p < hi {
-            // SAFETY: p < src.len() — in-bounds pointer, hint-only.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(src.as_ptr().add(p).cast::<i8>()) };
+            prefetch(src.as_ptr().wrapping_add(p));
             p += 8;
         }
     }
@@ -479,15 +484,11 @@ fn prefetch_tile_sources(
     prefetch_next_tile(src, tiles, t_next, frame);
     #[cfg(target_arch = "x86_64")]
     {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         let nbrs = &tiles.neighbors[t_next];
         for &(slot, off) in &gt.nbr_lines {
             let n = nbrs[slot as usize];
             if n >= 0 {
-                let p = src.as_ptr().wrapping_add(n as usize * frame + off as usize);
-                // SAFETY: PREFETCHT0 is a hint and cannot fault, whatever
-                // the address; `wrapping_add` keeps the arithmetic defined.
-                unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>()) };
+                prefetch(src.as_ptr().wrapping_add(n as usize * frame + off as usize));
             }
         }
     }
@@ -520,26 +521,20 @@ fn gather_tile(
     }
 }
 
-/// Pull-stream one tile z-line by z-line into `buf[i·64 + c]`: each
-/// destination line is a window of two source lines ([`ZLine`]), and an
-/// unallocated neighbour reads the table's zero frame. The same copies as
-/// [`gather_tile`] without its per-cell slot decode and vacuum branch, so
-/// `buf` is bitwise the same.
-///
-/// `flush`, when given, is the previous tile's collided frame and its
-/// `dst` frame: one velocity row of it is streamed out per gathered
-/// velocity, so the write-combining buffers drain while this tile gathers
-/// instead of stalling the pipeline after the collide.
+/// A `q·64` gather frame on a cache line of its own, so each of its
+/// velocity rows is one aligned pair of lines.
+#[repr(C, align(64))]
+struct GatherFrame([f64; MAX_Q * TILE_CELLS]);
+
+/// The source frame behind each neighbour slot: the neighbour's own frame
+/// in `src`, or the table's zero frame where it is unallocated.
 #[inline]
-fn gather_lines(
-    q: usize,
-    gt: &GatherTable,
+fn source_frames<'a>(
+    gt: &'a GatherTable,
     nbrs: &[i32; TILE_NEIGHBORS],
-    src: &[f64],
-    buf: &mut [f64],
-    mut flush: Option<(&[f64], &mut [f64])>,
-) {
-    let frame = q * TILE_CELLS;
+    src: &'a [f64],
+) -> [&'a [f64]; TILE_NEIGHBORS] {
+    let frame = gt.zero.len();
     let mut from = [gt.zero.as_slice(); TILE_NEIGHBORS];
     for (f, &n) in from.iter_mut().zip(nbrs) {
         if n >= 0 {
@@ -547,6 +542,25 @@ fn gather_lines(
             *f = &src[lo..lo + frame];
         }
     }
+    from
+}
+
+/// Pull-stream one tile z-line by z-line into `buf[i·64 + c]`: each
+/// destination line is a window of two source lines ([`ZLine`]), and an
+/// unallocated neighbour reads the table's zero frame. The same copies as
+/// [`gather_tile`] without its per-cell slot decode and vacuum branch, so
+/// `buf` is bitwise the same. The portable gather; AVX2 hosts run
+/// [`gather_lines_avx2`].
+#[inline]
+fn gather_lines(
+    q: usize,
+    gt: &GatherTable,
+    nbrs: &[i32; TILE_NEIGHBORS],
+    src: &[f64],
+    buf: &mut [f64],
+) {
+    let frame = q * TILE_CELLS;
+    let from = source_frames(gt, nbrs, src);
     for (i, out) in buf[..frame].chunks_exact_mut(TILE_CELLS).enumerate() {
         let lines = &gt.lines[i * TILE_LINES..(i + 1) * TILE_LINES];
         match gt.zshift[i] {
@@ -554,10 +568,6 @@ fn gather_lines(
             1 => window_lines::<1>(&from, lines, out),
             2 => window_lines::<2>(&from, lines, out),
             _ => window_lines::<3>(&from, lines, out),
-        }
-        if let Some((done, to)) = &mut flush {
-            let row = i * TILE_CELLS..(i + 1) * TILE_CELLS;
-            stream_frame(&done[row.clone()], &mut to[row]);
         }
     }
 }
@@ -580,6 +590,109 @@ fn window_lines<const K: usize>(from: &[&[f64]; TILE_NEIGHBORS], lines: &[ZLine]
     }
 }
 
+/// [`gather_lines`] with one 4-lane vector per z-line: the window of `lo`
+/// line `a` and `hi` line `b` at shift `K` is `a` itself for `K = 0`;
+/// otherwise `m = [a₂ a₃ b₀ b₁]` (the middle 128-bit halves) gives
+/// `[a₁ a₂ a₃ b₀]`, `m` and `[a₃ b₀ b₁ b₂]` for `K = 1, 2, 3`, one
+/// in-lane shuffle each. A copy, so `buf` is bitwise [`gather_lines`]'
+/// frame. Each velocity's 16 lines run monomorphised on its shift.
+///
+/// # Safety
+/// AVX2 must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gather_lines_avx2(
+    q: usize,
+    gt: &GatherTable,
+    nbrs: &[i32; TILE_NEIGHBORS],
+    src: &[f64],
+    buf: &mut [f64],
+) {
+    use std::arch::x86_64::*;
+    let frame = q * TILE_CELLS;
+    assert!(gt.q == q && buf.len() >= frame);
+    let from = source_frames(gt, nbrs, src);
+    for (i, out) in buf[..frame].chunks_exact_mut(TILE_CELLS).enumerate() {
+        let lines = &gt.lines[i * TILE_LINES..(i + 1) * TILE_LINES];
+        // SAFETY: every `from` slice is one `q·64` frame and every line
+        // offset satisfies `off + 4 ≤ q·64` (`GatherTable::new`), so both
+        // 4-double loads are in bounds; each store writes one whole chunk
+        // of `out`. AVX2 per this function's contract.
+        unsafe {
+            macro_rules! window {
+                ($k:literal) => {
+                    for (l, o) in lines.iter().zip(out.chunks_exact_mut(TILE_B)) {
+                        let off = l.off as usize;
+                        let a = _mm256_loadu_pd(from[l.lo as usize].as_ptr().add(off));
+                        let v = if $k == 0 {
+                            a
+                        } else {
+                            let b = _mm256_loadu_pd(from[l.hi as usize].as_ptr().add(off));
+                            let m = _mm256_permute2f128_pd::<0x21>(a, b);
+                            match $k {
+                                1 => _mm256_shuffle_pd::<0b0101>(a, m),
+                                2 => m,
+                                _ => _mm256_shuffle_pd::<0b0101>(m, b),
+                            }
+                        };
+                        _mm256_storeu_pd(o.as_mut_ptr(), v);
+                    }
+                };
+            }
+            match gt.zshift[i] {
+                0 => window!(0),
+                1 => window!(1),
+                2 => window!(2),
+                _ => window!(3),
+            }
+        }
+    }
+}
+
+/// Pull-stream tile `nbrs` into the L1 frame `buf` and collide it straight
+/// into its `dst` frame `to` — the two-grid step's whole per-tile work.
+/// With a pair table: the AVX2 gather, then the pair body with streaming
+/// stores, each group's two lines side by side so that every velocity
+/// fills one whole cache line of `to`. Otherwise the portable gather and
+/// the scalar body, with plain stores.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn pull_collide<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: Option<&PairConsts>,
+    gt: &GatherTable,
+    nbrs: &[i32; TILE_NEIGHBORS],
+    src: &[f64],
+    fluid: u64,
+    buf: &mut [f64],
+    to: &mut [f64],
+) {
+    let q = ctx.lat.q();
+    #[cfg(target_arch = "x86_64")]
+    if let Some(pc) = pc {
+        let frame = q * TILE_CELLS;
+        assert!(buf.len() >= frame && to.len() >= frame);
+        assert!(
+            to.as_ptr() as usize % 32 == 0,
+            "dst frame not 32-byte aligned"
+        );
+        // SAFETY: a pair table is built only once AVX2+FMA were detected.
+        // Row i of either frame spans [i·64, i·64 + 64), in bounds by the
+        // assert, and every line of `to` starts 32-byte aligned, as the
+        // streaming stores need (asserted).
+        unsafe {
+            gather_lines_avx2(q, gt, nbrs, src, buf);
+            let rows = FrameRows::new(buf, to);
+            tile_pairs_avx2::<THIRD, true, O, _>(ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid);
+        }
+        return;
+    }
+    let _ = pc;
+    gather_lines(q, gt, nbrs, src, buf);
+    tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, buf, to);
+}
+
 /// The streamed (pull) image of packed tile `t`: `buf[i·64 + c]` receives
 /// exactly what the fused two-grid step would gather before bouncing and
 /// colliding, vacuum zeros included. Sparse AA storage holds this image
@@ -596,7 +709,7 @@ pub fn streamed_tile(
     gather_tile(q, gt, &tiles.neighbors[t], f.as_slice(), buf);
 }
 
-/// Collide one gathered tile `buf` into `out` with the body the step chose:
+/// Collide one gathered tile `buf` into `out` with the body the AA step chose:
 /// the AVX2+FMA pair body when `pc` is set, the scalar body otherwise.
 #[inline]
 fn tile_body<const THIRD: bool, O: CollideOp>(
@@ -1907,9 +2020,14 @@ mod tests {
         // Every packed tile (owned and ghost) of serial and ghosted builds,
         // on a field with a distinct value in every slot: the z-line gather
         // and the per-cell walk produce the same bits, vacuum included.
+        // The AVX2 gather does too, and the lattices cover every shift K.
+        let mut shifts = [false; TILE_B];
         for kind in LatticeKind::ALL {
             let gt = GatherTable::new(&Lattice::new(kind));
             let q = gt.q;
+            for &k in &gt.zshift {
+                shifts[k as usize] = true;
+            }
             let (mut fast, mut partial, mut rim, mut vacuum) = (0, 0, 0, 0);
             for geom in geometries() {
                 let cols = geom.dims().nx / TILE_B;
@@ -1926,13 +2044,27 @@ mod tests {
                     for t in 0..tiles.tile_count() {
                         let nbrs = &tiles.neighbors[t];
                         gather_tile(q, &gt, nbrs, f.as_slice(), &mut walk);
-                        gather_lines(q, &gt, nbrs, f.as_slice(), &mut lines, None);
+                        gather_lines(q, &gt, nbrs, f.as_slice(), &mut lines);
                         for (c, (a, b)) in walk.iter().zip(&lines).take(q * TILE_CELLS).enumerate()
                         {
                             assert!(
                                 a.to_bits() == b.to_bits(),
                                 "{kind:?} tile {t} slot {c}: walk {a} vs lines {b}"
                             );
+                        }
+                        #[cfg(target_arch = "x86_64")]
+                        if sparse_simd_available() {
+                            let mut vector = GatherFrame([f64::NAN; MAX_Q * TILE_CELLS]);
+                            // SAFETY: AVX2 was detected above.
+                            unsafe { gather_lines_avx2(q, &gt, nbrs, f.as_slice(), &mut vector.0) };
+                            for (c, (a, b)) in
+                                walk.iter().zip(&vector.0).take(q * TILE_CELLS).enumerate()
+                            {
+                                assert!(
+                                    a.to_bits() == b.to_bits(),
+                                    "{kind:?} tile {t} slot {c}: walk {a} vs AVX2 lines {b}"
+                                );
+                            }
                         }
                         let fluid = tiles.tiles[t].fluid;
                         match (tiles.fast[t], fluid) {
@@ -1948,6 +2080,116 @@ mod tests {
                 fast > 0 && partial > 0 && rim > 0 && vacuum > 0,
                 "{kind:?}: fast {fast} partial {partial} rim {rim} vacuum {vacuum}"
             );
+        }
+        assert_eq!(shifts, [true; TILE_B], "window shifts exercised");
+    }
+
+    /// One step into `out`, serial or on [`test_pool`].
+    #[allow(clippy::too_many_arguments)]
+    fn step_on(
+        par: bool,
+        ctx: &KernelCtx,
+        tiles: &SparseTiles,
+        gt: &GatherTable,
+        f: &SparseField,
+        out: &mut SparseField,
+        g: [f64; 3],
+        simd: bool,
+    ) {
+        if par {
+            test_pool().install(|| step(ctx, tiles, gt, f, out, g, simd));
+        } else {
+            step(ctx, tiles, gt, f, out, g, simd);
+        }
+    }
+
+    const FORCES: [[f64; 3]; 2] = [[0.0; 3], [1e-5, -2e-6, 3e-6]];
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn nt_step_is_bitwise_the_gather_then_frame_body() {
+        // The composition the step ran before streaming into `dst` — the
+        // per-cell walk into an L1 frame, then `frame_pairs_avx2` into a
+        // second L1 frame — is the oracle of its vector gather and streamed
+        // body, bit for bit.
+        if !sparse_simd_available() {
+            return;
+        }
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let ctx = ctx_for(kind);
+            let q = ctx.lat.q();
+            for geom in geometries() {
+                let (tiles, gt, f, mut out) = sparse_setup(&ctx, &geom);
+                let mut buf = vec![0.0f64; q * TILE_CELLS];
+                for g in FORCES {
+                    for par in [false, true] {
+                        out.as_mut_slice().fill(f64::NAN);
+                        step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, true);
+                        for t in 0..tiles.owned_tiles {
+                            gather_tile(q, &gt, &tiles.neighbors[t], f.as_slice(), &mut buf);
+                            let fluid = tiles.tiles[t].fluid;
+                            let (_, want) = with_op!(g, |op| both_bodies(&ctx, op, fluid, &buf));
+                            for (k, (a, b)) in want.iter().zip(out.frame(t)).enumerate() {
+                                assert!(
+                                    a.to_bits() == b.to_bits(),
+                                    "{kind:?} {:?} g={g:?} par {par} tile {t} slot {k}: \
+                                     frame body {a} vs step {b}",
+                                    geom.dims()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_grid_step_writes_every_owned_frame_and_no_ghost_frame() {
+        // A NaN-poisoned `dst` on a ghosted build: both bodies, serial and
+        // pooled, overwrite every owned slot and leave every ghost tile's
+        // frame bitwise as it was.
+        let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let ctx = ctx_for(kind);
+            let q = ctx.lat.q();
+            let mut ghosts = 0;
+            for geom in geometries() {
+                let cols = geom.dims().nx / TILE_B;
+                let tiles = SparseTiles::build(&geom, 1, cols - 1, 1).unwrap();
+                let gt = GatherTable::new(&ctx.lat);
+                let mut f = SparseField::new(q, tiles.tile_count()).unwrap();
+                for (k, v) in f.as_mut_slice().iter_mut().enumerate() {
+                    *v = 0.01 + 1e-6 * (k % 97) as f64;
+                }
+                ghosts += tiles.tile_count() - tiles.owned_tiles;
+                for (simd, par) in [(false, false), (false, true), (true, false), (true, true)] {
+                    for g in FORCES {
+                        let mut out = SparseField::new(q, tiles.tile_count()).unwrap();
+                        out.as_mut_slice().fill(poison);
+                        step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, simd);
+                        let name =
+                            format!("{kind:?} {:?} simd {simd} par {par} g={g:?}", geom.dims());
+                        for t in 0..tiles.tile_count() {
+                            for (k, v) in out.frame(t).iter().enumerate() {
+                                if t < tiles.owned_tiles {
+                                    assert!(
+                                        !v.is_nan(),
+                                        "{name}: owned tile {t} slot {k} unwritten"
+                                    );
+                                } else {
+                                    assert_eq!(
+                                        v.to_bits(),
+                                        poison.to_bits(),
+                                        "{name}: ghost tile {t} slot {k} written"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(ghosts > 0, "{kind:?}: no ghost tiles");
         }
     }
 
