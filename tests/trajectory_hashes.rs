@@ -195,3 +195,18 @@ fn pipe_q19_sparse_two_grid_simd() {
 fn pipe_q19_sparse_aa_simd() {
     check(aa(pipe_q19(), OptLevel::Simd), true, 0xf679_b9cd_5858_1504);
 }
+
+#[test]
+fn pipe_q19_sparse_aa_scalar() {
+    check(aa(pipe_q19(), OptLevel::LoBr), false, 0xeb1d_79f3_47a0_9d92);
+}
+
+#[test]
+fn pipe_q19_sparse_aa_simd_2_ranks_2_threads() {
+    // Two ranks: the odd step also runs each rank's ghost-writer tiles.
+    check(
+        aa(pipe_q19(), OptLevel::Simd).ranks(2).threads(2),
+        true,
+        0x323a_819c_10cd_a24b,
+    );
+}
