@@ -716,8 +716,9 @@ fn geometry_mode(args: &Args, fracs: &[f64]) -> ExitCode {
             // The headline per-fluid-cell ratio, taken at the densest
             // fraction swept: MFlup/s counts fluid updates only, so the
             // same-storage MFLUPS ratio *is* the per-fluid-cell cost
-            // ratio, and the densest row is where the full-tile fast path
-            // must close the gap on the direct-addressed dense kernel.
+            // ratio, and the densest row is where the tile steps, mostly
+            // on all-fluid tiles there, must close the gap on the
+            // direct-addressed dense kernel.
             let per_fluid = densest
                 .as_ref()
                 .filter(|_| dense.mflups > 0.0)

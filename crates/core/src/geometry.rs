@@ -518,29 +518,19 @@ pub struct SparseTiles {
     pub recv_left: Vec<usize>,
     /// Packed indices of the right ghost tiles.
     pub recv_right: Vec<usize>,
-    /// Per-packed-tile fast-path class: `true` iff the fluid bitmap is
-    /// all-ones **and** all 27 neighbour entries are allocated, so a step
-    /// can run the direct-addressed full-tile body with no per-cell mask
-    /// or vacuum test.
-    pub fast: Vec<bool>,
-    /// Owned fast-class tiles, packed (z-local) order.
+    /// Owned tiles that are all fluid with all 27 neighbours allocated,
+    /// packed order. A statistic only: no step reads it, every step runs
+    /// one tile list.
     pub fast_owned: Vec<usize>,
-    /// Owned slow-class tiles (partial/rim), packed order. Together with
-    /// [`Self::fast_owned`] this partitions `0..owned_tiles`.
-    pub slow_owned: Vec<usize>,
-    /// AA even-pass work lists: owned tiles containing fluid (rim tiles
-    /// are strict no-ops in the in-place pattern), split by class.
-    pub aa_even_fast: Vec<usize>,
-    /// Slow-class half of the AA even-pass list.
-    pub aa_even_slow: Vec<usize>,
-    /// AA odd-pass work lists: the even-pass tiles plus the "ghost writer"
-    /// tiles in the ghost columns adjacent to the owned span (local
-    /// `tx == ghost_cols − 1` or `tx == ghost_cols + n_cols`), whose
-    /// shallow cells deterministically duplicate the neighbour rank's
-    /// scatter into our boundary slots.
-    pub aa_odd_fast: Vec<usize>,
-    /// Slow-class half of the AA odd-pass list.
-    pub aa_odd_slow: Vec<usize>,
+    /// AA even-pass work list: the owned tiles containing fluid (rim tiles
+    /// are strict no-ops in the in-place pattern), packed order.
+    pub aa_even: Vec<usize>,
+    /// AA odd-pass work list: [`Self::aa_even`] followed by the "ghost
+    /// writer" tiles in the ghost columns adjacent to the owned span (local
+    /// `tx == ghost_cols − 1` or `tx == ghost_cols + n_cols`), whose shallow
+    /// cells deterministically duplicate the neighbour rank's scatter into
+    /// our boundary slots.
+    pub aa_odd: Vec<usize>,
 }
 
 impl SparseTiles {
@@ -693,26 +683,14 @@ impl SparseTiles {
         } else {
             (Vec::new(), Vec::new(), Vec::new(), Vec::new())
         };
-        // Build-time tile classification: a full-fluid tile with every
-        // neighbour allocated runs the direct-addressed fast body; anything
-        // touching a rim or vacuum keeps the per-cell gather walk.
-        let fast: Vec<bool> = (0..tiles.len())
-            .map(|p| tiles[p].fluid == u64::MAX && neighbors[p].iter().all(|&n| n >= 0))
+        let fast_owned: Vec<usize> = (0..owned_tiles)
+            .filter(|&p| tiles[p].fluid == u64::MAX && neighbors[p].iter().all(|&n| n >= 0))
             .collect();
-        let split =
-            |list: &[usize]| -> (Vec<usize>, Vec<usize>) { list.iter().partition(|&&p| fast[p]) };
-        let owned_list: Vec<usize> = (0..owned_tiles).collect();
-        let (fast_owned, slow_owned) = split(&owned_list);
-        let aa_even_list: Vec<usize> = owned_list
-            .iter()
-            .copied()
-            .filter(|&p| tiles[p].fluid != 0)
-            .collect();
-        let (aa_even_fast, aa_even_slow) = split(&aa_even_list);
+        let aa_even: Vec<usize> = (0..owned_tiles).filter(|&p| tiles[p].fluid != 0).collect();
         // Ghost writers: the ghost columns touching the owned span. Lattice
         // reach ≤ 3 < TILE_B, so only these columns hold cells whose odd
         // scatter reaches owned slots.
-        let aa_odd_list: Vec<usize> = aa_even_list
+        let aa_odd: Vec<usize> = aa_even
             .iter()
             .copied()
             .chain((owned_tiles..tiles.len()).filter(|&p| {
@@ -720,7 +698,6 @@ impl SparseTiles {
                 tiles[p].fluid != 0 && (tx + 1 == g || tx == g + n_cols)
             }))
             .collect();
-        let (aa_odd_fast, aa_odd_slow) = split(&aa_odd_list);
         Ok(Self {
             tdims,
             tiles,
@@ -734,13 +711,9 @@ impl SparseTiles {
             send_right,
             recv_left,
             recv_right,
-            fast,
             fast_owned,
-            slow_owned,
-            aa_even_fast,
-            aa_even_slow,
-            aa_odd_fast,
-            aa_odd_slow,
+            aa_even,
+            aa_odd,
         })
     }
 
@@ -1026,32 +999,41 @@ mod tests {
     }
 
     #[test]
-    fn fast_classification_partitions_owned_tiles() {
-        // A wide pipe has all-fluid interior tiles (fast) and rim/partial
-        // boundary tiles (slow); the two lists partition the owned prefix.
+    fn aa_lists_are_owned_fluid_tiles_plus_ghost_writers() {
+        // A wide pipe has all-fluid interior tiles and rim tiles without
+        // fluid. The even list is the owned fluid tiles in packed order; the
+        // odd list adds the fluid tiles of the two ghost columns touching
+        // the owned span, and equals the even list on a serial build.
         let g = Geometry::pipe(dims(16, 24, 24), 10.0).unwrap();
-        let t = SparseTiles::build_serial(&g).unwrap();
-        assert!(!t.fast_owned.is_empty(), "wide pipe has interior tiles");
-        assert!(!t.slow_owned.is_empty(), "pipe wall makes slow tiles");
-        let mut all: Vec<usize> = t.fast_owned.iter().chain(&t.slow_owned).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..t.owned_tiles).collect::<Vec<_>>());
-        for &p in &t.fast_owned {
-            assert_eq!(t.tiles[p].fluid, u64::MAX);
-            assert!(t.neighbors[p].iter().all(|&n| n >= 0));
-            assert!(t.fast[p]);
+        for t in [
+            SparseTiles::build_serial(&g).unwrap(),
+            SparseTiles::build(&g, 1, 2, 1).unwrap(),
+        ] {
+            let owned_fluid: Vec<usize> = (0..t.owned_tiles)
+                .filter(|&p| t.tiles[p].fluid != 0)
+                .collect();
+            assert!(
+                owned_fluid.len() < t.owned_tiles,
+                "pipe wall makes rim tiles"
+            );
+            assert_eq!(t.aa_even, owned_fluid);
+            let writers: Vec<usize> = (t.owned_tiles..t.tile_count())
+                .filter(|&p| {
+                    let tx = t.tiles[p].tx;
+                    t.tiles[p].fluid != 0
+                        && (tx + 1 == t.ghost_cols || tx == t.tdims.nx - t.ghost_cols)
+                })
+                .collect();
+            assert_eq!(t.aa_odd[..t.aa_even.len()], t.aa_even[..]);
+            assert_eq!(t.aa_odd[t.aa_even.len()..], writers[..]);
+            assert_eq!(writers.is_empty(), t.ghost_cols == 0);
+            // The statistic: owned tiles all fluid with every neighbour.
+            assert!(!t.fast_owned.is_empty(), "wide pipe has interior tiles");
+            for p in 0..t.owned_tiles {
+                let full = t.tiles[p].fluid == u64::MAX && t.neighbors[p].iter().all(|&n| n >= 0);
+                assert_eq!(t.fast_owned.contains(&p), full);
+            }
         }
-        for &p in &t.slow_owned {
-            assert!(!t.fast[p]);
-        }
-        // AA even lists: owned fluid tiles only; rim tiles excluded.
-        let fluid_tiles = (0..t.owned_tiles)
-            .filter(|&p| t.tiles[p].fluid != 0)
-            .count();
-        assert_eq!(t.aa_even_fast.len() + t.aa_even_slow.len(), fluid_tiles);
-        // Serial build: no ghost writers, odd list == even list.
-        assert_eq!(t.aa_odd_fast, t.aa_even_fast);
-        assert_eq!(t.aa_odd_slow, t.aa_even_slow);
     }
 
     #[test]
@@ -1082,15 +1064,8 @@ mod tests {
         assert_eq!(globals(&a, &a.send_right), globals(&b, &b.recv_left));
         assert_eq!(globals(&b, &b.send_left), globals(&a, &a.recv_right));
         // Ghost writers: only the adjacent ghost columns join the odd list.
-        let odd: Vec<usize> = a
-            .aa_odd_fast
-            .iter()
-            .chain(&a.aa_odd_slow)
-            .copied()
-            .collect();
-        let even_len = a.aa_even_fast.len() + a.aa_even_slow.len();
-        assert!(odd.len() > even_len);
-        for &p in &odd {
+        assert!(a.aa_odd.len() > a.aa_even.len());
+        for &p in &a.aa_odd {
             let tx = a.tiles[p].tx;
             assert!((2..6).contains(&tx) || tx == 1 || tx == 6, "tx {tx}");
         }

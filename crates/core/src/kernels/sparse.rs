@@ -29,13 +29,17 @@
 //! bounce-back of solid cells is a copy and stays bitwise). The two-grid
 //! step runs it with streaming stores into `dst`, the AA steps into an L1
 //! frame (`op::frame_pairs_avx2`); the per-line arithmetic is the same, so
-//! both produce the same bits. Like every kernel entry point, each step
-//! chunks its tile lists across the installed pool and is one plain sweep
+//! both produce the same bits.
+//!
+//! The in-place AA steps work on one frame per tile. The even step collides
+//! each tile in place; the odd step gathers on the same z-line windows with
+//! each velocity reading its opposite's row, and scatters back through them
+//! as the transpose, storing only fluid writers' lanes. Each step runs one
+//! tile list in packed order. Like every kernel entry point, each step
+//! chunks its tile list across the installed pool and is one plain sweep
 //! outside one (see [`crate::kernels::par`]); chunks hold disjoint tiles
 //! and both bodies are per-tile, so threaded steps are bitwise equal to
 //! serial ones.
-
-use rayon::prelude::*;
 
 use crate::align::AlignedBuf;
 use crate::equilibrium::feq_i;
@@ -45,7 +49,7 @@ use crate::index::Dim3;
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::op::{frame_pairs_avx2, prefetch, tile_pairs_avx2, FrameRows, GROUP};
 use crate::kernels::op::{with_op, CollideOp, OpConsts, PairConsts};
-use crate::kernels::par::{chunk_bounds, chunk_count, in_pool, SendPtr};
+use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::sfence;
 use crate::kernels::{simd, KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
@@ -128,28 +132,13 @@ impl SparseField {
     }
 }
 
-/// One merged unit-stride run of a gather row: `len` consecutive
-/// destination cells starting at `dst` all pull from the same neighbour
-/// `slot` at consecutive source cells starting at `src`. Because cells are
-/// packed z-fastest and every velocity shift is a constant offset, a row's
-/// 64 entries collapse into a handful of such segments — the AA odd step's
-/// full-tile fast path replaces the per-cell table walk with one
-/// `copy_from_slice` per segment.
-#[derive(Clone, Copy, Debug)]
-struct Seg {
-    dst: u8,
-    src: u8,
-    slot: u8,
-    len: u8,
-}
-
 /// One destination z-line `(lx, ly, 0..4)` of a velocity's pull. Every
 /// `|c_z| ≤ 3 < TILE_B`, so its four sources are a window of two source
 /// z-lines laid end to end: the line at frame offset `off` in neighbour slot
 /// `lo` (the lower-z tile), then the same line in slot `hi`. The window
 /// starts [`GatherTable::zshift`] cells into `lo`'s line; a velocity with
-/// `c_z = 0` has shift 0 and `lo == hi`. A line starts at `lz = 0` of its
-/// velocity's row, so `off + TILE_B ≤ q·64` always.
+/// `c_z = 0` has shift 0 and `lo == hi`. A line starts at `lz = 0` of a
+/// velocity row, so `off + TILE_B ≤ q·64` always.
 #[derive(Clone, Copy, Debug)]
 struct ZLine {
     lo: u8,
@@ -160,39 +149,72 @@ struct ZLine {
 /// z-lines per tile and velocity (`TILE_B²`).
 const TILE_LINES: usize = TILE_B * TILE_B;
 
+/// A z-line plan: the 16 [`ZLine`]s of every velocity, and the cache lines
+/// they read outside the tile's own frame.
+#[derive(Clone, Debug)]
+struct LinePlan {
+    /// `[i · 16 + lx · 4 + ly]`: the z-lines of velocity `i`.
+    lines: Vec<ZLine>,
+    /// `(slot, frame offset)` of every 64-byte line the plan reads outside
+    /// the tile's own frame, in slot order.
+    nbr_lines: Vec<(u8, u16)>,
+}
+
+impl LinePlan {
+    /// The plan of `lines`, with their neighbour cache lines collected.
+    fn new(lines: Vec<ZLine>) -> Self {
+        let own = crate::geometry::neighbor_slot(0, 0, 0) as u8;
+        // A z-line is 32 bytes at a 32-byte aligned offset, so it lies
+        // inside one 64-byte line of the frame.
+        let nbr_lines: std::collections::BTreeSet<(u8, u16)> = lines
+            .iter()
+            .flat_map(|l| [(l.lo, l.off & !7), (l.hi, l.off & !7)])
+            .filter(|&(s, _)| s != own)
+            .collect();
+        Self {
+            lines,
+            nbr_lines: nbr_lines.into_iter().collect(),
+        }
+    }
+
+    /// The 16 z-lines of velocity `i`.
+    #[inline]
+    fn velocity(&self, i: usize) -> &[ZLine] {
+        &self.lines[i * TILE_LINES..(i + 1) * TILE_LINES]
+    }
+}
+
 /// Geometry-independent streaming table for one lattice: for every
 /// `(velocity, destination cell)` pair, which neighbour-table slot the pull
 /// source lives in and its cell index there. Valid because every velocity
 /// component is ≤ 3 < [`TILE_B`], so the source is at most one tile away.
 ///
-/// It carries three views of those identical source addresses:
+/// It holds those source addresses three ways:
 /// * the per-cell entries (the slot-decode walk, used by [`streamed_tile`]
-///   and the AA odd step's partial tiles);
-/// * the merged segment plan of the AA odd step's fast tiles;
-/// * the z-line plan of the two-grid step, with a `q·64` zero
-///   frame that stands in for every unallocated neighbour, so one
-///   branch-free gather serves fast, partial and rim tiles alike (the
-///   portable `gather_lines`, or `gather_lines_avx2` with one vector
-///   per line) — and the list of source cache lines a tile reads from its
-///   26 neighbours, which the step prefetches one tile ahead.
+///   and [`zero_escaping_slots`]);
+/// * the two-grid z-line plan, where velocity `i` reads row `i` of its
+///   sources;
+/// * the AA odd plan, the same lines and shifts with velocity `j` reading
+///   row `opp(j)`, which its gather pulls through and its scatter writes
+///   back through as the transpose.
+///
+/// A `q·64` zero frame stands in for every unallocated neighbour, so one
+/// branch-free gather serves full, partial and rim tiles alike (the portable
+/// `gather_lines` on either plan, or `gather_lines_avx2` with one vector per
+/// line on the two-grid plan).
 #[derive(Clone, Debug)]
 pub struct GatherTable {
     q: usize,
     /// `[i · 64 + c] = (neighbour slot, source cell)`.
     entries: Vec<(u8, u8)>,
-    /// Merged segments, all velocities concatenated.
-    segs: Vec<Seg>,
-    /// `segs` range of velocity `i`: `seg_off[i]..seg_off[i + 1]`.
-    seg_off: Vec<u32>,
-    /// `[i · 16 + lx · 4 + ly]`: the z-lines of velocity `i`.
-    lines: Vec<ZLine>,
     /// Per velocity, the window start in its `lo` line: `(−c_z) mod 4`.
     zshift: Vec<u8>,
     /// The vacuum frame unallocated neighbours read (`q · 64` zeros).
     zero: Vec<f64>,
-    /// `(slot, frame offset)` of every cache line the z-line gather reads
-    /// outside the tile's own frame, in slot order.
-    nbr_lines: Vec<(u8, u16)>,
+    /// The two-grid pull: `buf[i] ← src[(x − c_i, i)]`.
+    pull: LinePlan,
+    /// The AA odd pull `buf[j] ← f[(x − c_j, opp(j))]`.
+    odd: LinePlan,
 }
 
 impl GatherTable {
@@ -224,40 +246,10 @@ impl GatherTable {
                 }
             }
         }
-        // Merge each row into unit-stride segments: extend while the next
-        // destination cell pulls from the same slot at the next source cell.
-        let mut segs = Vec::new();
-        let mut seg_off = Vec::with_capacity(q + 1);
-        seg_off.push(0u32);
-        for i in 0..q {
-            let row = &entries[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-            let mut c = 0usize;
-            while c < TILE_CELLS {
-                let (slot, src) = row[c];
-                let mut len = 1usize;
-                while c + len < TILE_CELLS {
-                    let (s2, c2) = row[c + len];
-                    if s2 != slot || c2 as usize != src as usize + len {
-                        break;
-                    }
-                    len += 1;
-                }
-                segs.push(Seg {
-                    dst: c as u8,
-                    src,
-                    slot,
-                    len: len as u8,
-                });
-                c += len;
-            }
-            seg_off.push(segs.len() as u32);
-        }
         // z-lines: a line's x/y source is one tile; in z a positive c_z
         // reaches down into the dz = −1 tile, a negative one up into +1.
         let mut lines = Vec::with_capacity(q * TILE_LINES);
         let mut zshift = Vec::with_capacity(q);
-        let mut nbr_lines = std::collections::BTreeSet::new();
-        let own = crate::geometry::neighbor_slot(0, 0, 0) as u8;
         for (i, c) in lat.velocities().iter().enumerate() {
             let cz = c[2] as isize;
             zshift.push((-cz).rem_euclid(TILE_B as isize) as u8);
@@ -273,25 +265,29 @@ impl GatherTable {
                     };
                     let off = (i * TILE_CELLS + tile_cell(ox, oy, 0)) as u16;
                     lines.push(ZLine { lo, hi, off });
-                    // A z-line is 32 bytes at a 32-byte aligned offset, so
-                    // it lies inside one 64-byte line of the frame.
-                    for s in [lo, hi] {
-                        if s != own {
-                            nbr_lines.insert((s, off & !7));
-                        }
-                    }
                 }
             }
         }
+        // The odd plan moves each velocity's lines from row j to row opp(j).
+        let odd_lines = lines
+            .iter()
+            .enumerate()
+            .map(|(k, l)| {
+                let j = k / TILE_LINES;
+                let off = l.off as usize - j * TILE_CELLS + lat.opposite(j) * TILE_CELLS;
+                ZLine {
+                    off: off as u16,
+                    ..*l
+                }
+            })
+            .collect();
         Self {
             q,
             entries,
-            segs,
-            seg_off,
-            lines,
             zshift,
             zero: vec![0.0; q * TILE_CELLS],
-            nbr_lines: nbr_lines.into_iter().collect(),
+            pull: LinePlan::new(lines),
+            odd: LinePlan::new(odd_lines),
         }
     }
 
@@ -299,12 +295,6 @@ impl GatherTable {
     #[inline]
     fn row(&self, i: usize) -> &[(u8, u8)] {
         &self.entries[i * TILE_CELLS..(i + 1) * TILE_CELLS]
-    }
-
-    /// The merged segments of velocity `i`'s row.
-    #[inline]
-    fn seg_row(&self, i: usize) -> &[Seg] {
-        &self.segs[self.seg_off[i] as usize..self.seg_off[i + 1] as usize]
     }
 }
 
@@ -379,16 +369,15 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
         // its own tiles' frames, which are disjoint slices of dst.
         unsafe { std::slice::from_raw_parts_mut(base.get().add(t * frame), frame) }
     };
-    // One z-line gather serves every tile class, so the owned tiles run in
-    // packed (z-local) order: the next tile mostly reads source lines the
-    // current one already brought in. A tile is gathered into the
-    // L1-resident `buf` and collided from there straight into its `dst`
-    // frame.
-    let run = move |list: &[usize], _fast: bool| {
+    // The owned tiles run in packed (z-local) order: the next tile mostly
+    // reads source lines the current one already brought in. A tile is
+    // gathered into the L1-resident `buf` and collided from there straight
+    // into its `dst` frame.
+    let run = move |list: &[usize]| {
         let mut buf = GatherFrame([0.0; MAX_Q * TILE_CELLS]);
         for (idx, &t) in list.iter().enumerate() {
             if let Some(&t_next) = list.get(idx + 1) {
-                prefetch_tile_sources(src_data, gt, tiles, t_next, frame);
+                prefetch_tile_sources(src_data, &gt.pull, tiles, t_next, frame);
             }
             let (nbrs, fluid) = (&tiles.neighbors[t], tiles.tiles[t].fluid);
             pull_collide::<THIRD, O>(
@@ -408,7 +397,7 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     };
 
     let owned: Vec<usize> = (0..tiles.owned_tiles).collect();
-    drive_tile_lists(&owned, &[], run);
+    drive_tiles(&owned, run);
 }
 
 /// The ±c pair table of the AVX2+FMA tile body, or `None` where the steps
@@ -417,46 +406,31 @@ fn pair_table(use_simd: bool, oc: &OpConsts, q: usize) -> Option<PairConsts> {
     (use_simd && sparse_simd_available()).then(|| PairConsts::new(oc, q))
 }
 
-/// Run `work(sublist, is_fast)` over a fast and a slow tile list (the AA
-/// steps' classes; the two-grid step passes all owned tiles as one list):
-/// chunked across the installed pool, one plain call per list outside one.
-/// Chunks never straddle the class boundary, so the branch-free fast body
-/// is not serialized behind rim tiles sharing its chunk.
-fn drive_tile_lists(fast: &[usize], slow: &[usize], work: impl Fn(&[usize], bool) + Sync) {
-    let n = fast.len() + slow.len();
-    if !in_pool() || n <= 1 {
-        work(fast, true);
-        work(slow, false);
-        return;
-    }
-    let chunks_of = |len: usize| if len == 0 { 0 } else { chunk_count(len) };
-    let cf = chunks_of(fast.len());
-    let cs = chunks_of(slow.len());
-    (0..cf + cs).into_par_iter().for_each(|c| {
-        let (list, chunks, c, is_fast) = if c < cf {
-            (fast, cf, c, true)
-        } else {
-            (slow, cs, c - cf, false)
-        };
-        let (lo, hi) = chunk_bounds(0, list.len(), chunks, c);
-        if lo < hi {
-            work(&list[lo..hi], is_fast);
-        }
-    });
+/// Run `work(sublist)` over a tile list: chunked across the installed pool,
+/// one plain call outside one.
+fn drive_tiles(list: &[usize], work: impl Fn(&[usize]) + Sync) {
+    x_chunks(0, list.len(), |lo, hi| work(&list[lo..hi]));
 }
 
-/// Software-prefetch the gather sources of tile `t_next`: its own source
-/// frame (`q·TILE_CELLS` doubles — the self slot every interior cell pulls
-/// through) and its neighbour-table row. The indirect gather defeats the
-/// hardware stride prefetcher: every tile restarts the stream at an
-/// arbitrary frame. This is the AA odd step's prefetch; the two-grid step
-/// adds the lines its z-line gather reads from adjacent frames
-/// ([`prefetch_tile_sources`]).
+/// Software-prefetch everything tile `t_next`'s z-line gather on `plan`
+/// reads: its own source frame (`q·TILE_CELLS` doubles, the self slot every
+/// interior cell pulls through), its neighbour-table row, and the plan's
+/// neighbour lines (156 for D3Q19) in each of its allocated neighbours —
+/// about half of a tile's source lines lie in other tiles' frames. The
+/// indirect gather defeats the hardware stride prefetcher: every tile
+/// restarts the stream at an arbitrary frame.
 #[inline]
-fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: usize) {
+fn prefetch_tile_sources(
+    src: &[f64],
+    plan: &LinePlan,
+    tiles: &SparseTiles,
+    t_next: usize,
+    frame: usize,
+) {
     #[cfg(target_arch = "x86_64")]
     {
-        prefetch(std::ptr::from_ref(&tiles.neighbors[t_next]).cast());
+        let nbrs = &tiles.neighbors[t_next];
+        prefetch(std::ptr::from_ref(nbrs).cast());
         let lo = t_next * frame;
         let hi = (lo + frame).min(src.len());
         let mut p = lo;
@@ -464,28 +438,7 @@ fn prefetch_next_tile(src: &[f64], tiles: &SparseTiles, t_next: usize, frame: us
             prefetch(src.as_ptr().wrapping_add(p));
             p += 8;
         }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = (src, tiles, t_next, frame);
-}
-
-/// Software-prefetch everything tile `t_next`'s z-line gather reads: what
-/// [`prefetch_next_tile`] touches, plus the table's neighbour lines (156 for
-/// D3Q19) in each of its allocated neighbours — about half of a tile's
-/// source lines lie in other tiles' frames.
-#[inline]
-fn prefetch_tile_sources(
-    src: &[f64],
-    gt: &GatherTable,
-    tiles: &SparseTiles,
-    t_next: usize,
-    frame: usize,
-) {
-    prefetch_next_tile(src, tiles, t_next, frame);
-    #[cfg(target_arch = "x86_64")]
-    {
-        let nbrs = &tiles.neighbors[t_next];
-        for &(slot, off) in &gt.nbr_lines {
+        for &(slot, off) in &plan.nbr_lines {
             let n = nbrs[slot as usize];
             if n >= 0 {
                 prefetch(src.as_ptr().wrapping_add(n as usize * frame + off as usize));
@@ -493,7 +446,7 @@ fn prefetch_tile_sources(
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = gt;
+    let _ = (src, plan, tiles, t_next, frame);
 }
 
 /// Pull-stream one tile through the neighbour table into `buf[i·64 + c]`;
@@ -545,16 +498,19 @@ fn source_frames<'a>(
     from
 }
 
-/// Pull-stream one tile z-line by z-line into `buf[i·64 + c]`: each
-/// destination line is a window of two source lines ([`ZLine`]), and an
-/// unallocated neighbour reads the table's zero frame. The same copies as
-/// [`gather_tile`] without its per-cell slot decode and vacuum branch, so
-/// `buf` is bitwise the same. The portable gather; AVX2 hosts run
-/// [`gather_lines_avx2`].
+/// Pull-stream one tile z-line by z-line on `plan` into `buf[i·64 + c]`:
+/// each destination line is a window of two source lines ([`ZLine`]), and
+/// an unallocated neighbour reads the table's zero frame. On the two-grid
+/// plan these are the same copies as [`gather_tile`] without its per-cell
+/// slot decode and vacuum branch, so `buf` is bitwise the same. It reads
+/// exactly the window's four cells of each line and nothing beside them,
+/// which the in-place AA odd step relies on. The portable gather; the
+/// two-grid step on AVX2 hosts runs [`gather_lines_avx2`].
 #[inline]
 fn gather_lines(
     q: usize,
     gt: &GatherTable,
+    plan: &LinePlan,
     nbrs: &[i32; TILE_NEIGHBORS],
     src: &[f64],
     buf: &mut [f64],
@@ -562,7 +518,7 @@ fn gather_lines(
     let frame = q * TILE_CELLS;
     let from = source_frames(gt, nbrs, src);
     for (i, out) in buf[..frame].chunks_exact_mut(TILE_CELLS).enumerate() {
-        let lines = &gt.lines[i * TILE_LINES..(i + 1) * TILE_LINES];
+        let lines = plan.velocity(i);
         match gt.zshift[i] {
             0 => window_lines::<0>(&from, lines, out),
             1 => window_lines::<1>(&from, lines, out),
@@ -590,12 +546,14 @@ fn window_lines<const K: usize>(from: &[&[f64]; TILE_NEIGHBORS], lines: &[ZLine]
     }
 }
 
-/// [`gather_lines`] with one 4-lane vector per z-line: the window of `lo`
-/// line `a` and `hi` line `b` at shift `K` is `a` itself for `K = 0`;
-/// otherwise `m = [a₂ a₃ b₀ b₁]` (the middle 128-bit halves) gives
-/// `[a₁ a₂ a₃ b₀]`, `m` and `[a₃ b₀ b₁ b₂]` for `K = 1, 2, 3`, one
+/// [`gather_lines`] on the two-grid plan with one 4-lane vector per z-line:
+/// the window of `lo` line `a` and `hi` line `b` at shift `K` is `a` itself
+/// for `K = 0`; otherwise `m = [a₂ a₃ b₀ b₁]` (the middle 128-bit halves)
+/// gives `[a₁ a₂ a₃ b₀]`, `m` and `[a₃ b₀ b₁ b₂]` for `K = 1, 2, 3`, one
 /// in-lane shuffle each. A copy, so `buf` is bitwise [`gather_lines`]'
-/// frame. Each velocity's 16 lines run monomorphised on its shift.
+/// frame. Each velocity's 16 lines run monomorphised on its shift. Its
+/// whole-line loads also read the lanes beside each window, which is fine
+/// on a read-only `src` and is why the in-place AA odd step does not use it.
 ///
 /// # Safety
 /// AVX2 must be available.
@@ -613,7 +571,7 @@ unsafe fn gather_lines_avx2(
     assert!(gt.q == q && buf.len() >= frame);
     let from = source_frames(gt, nbrs, src);
     for (i, out) in buf[..frame].chunks_exact_mut(TILE_CELLS).enumerate() {
-        let lines = &gt.lines[i * TILE_LINES..(i + 1) * TILE_LINES];
+        let lines = gt.pull.velocity(i);
         // SAFETY: every `from` slice is one `q·64` frame and every line
         // offset satisfies `off + 4 ≤ q·64` (`GatherTable::new`), so both
         // 4-double loads are in bounds; each store writes one whole chunk
@@ -689,7 +647,7 @@ fn pull_collide<const THIRD: bool, O: CollideOp>(
         return;
     }
     let _ = pc;
-    gather_lines(q, gt, nbrs, src, buf);
+    gather_lines(q, gt, &gt.pull, nbrs, src, buf);
     tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, buf, to);
 }
 
@@ -818,6 +776,17 @@ fn tile_cells_scalar<const THIRD: bool, O: CollideOp>(
 // neighbour's slot is the in-flight bounce-back storage that the same
 // writer re-gathers next odd step — full-way bounce-back with the two-grid
 // delay, bitwise.
+//
+// The odd step addresses those slots through the table's odd z-line plan:
+// the portable `gather_lines` pulls each destination line from the window
+// of two source lines, and `scatter_lines` pushes it back as the transpose.
+// Both are lane-exact: they touch only the window's four cells of a line,
+// which are the slots of this tile's writers, so the ownership argument
+// above holds as stated. The AVX2 `gather_lines_avx2` is not used here. Its
+// whole-line loads also read the lanes beside each window, which another
+// task's writer may be storing at the same moment: a data race, even though
+// the values are discarded. The collide between the two is the step's tile
+// body, as in the even step.
 // ---------------------------------------------------------------------------
 
 /// Even (in-place, local) AA step over the owned fluid tiles: collide every
@@ -835,12 +804,13 @@ pub fn aa_even_step(
     with_op!(g, |op| aa_even_with(ctx, tiles, f, op, use_simd));
 }
 
-/// Odd (in-place, streaming) AA step: gather through the neighbour table at
-/// the opposite velocity, collide, scatter velocity-forward. Computes the
-/// owned fluid tiles plus the adjacent ghost-writer tiles (distributed
-/// builds), whose shallow cells duplicate the neighbour rank's scatter into
-/// our boundary slots. Chunked across the installed pool; bitwise equal to
-/// the plain sweep by the slot-ownership argument in the section docs.
+/// Odd (in-place, streaming) AA step: gather on the odd z-line plan (the
+/// opposite velocity's row), collide, scatter velocity-forward through the
+/// same plan. Computes the owned fluid tiles plus the adjacent ghost-writer
+/// tiles (distributed builds), whose shallow cells duplicate the neighbour
+/// rank's scatter into our boundary slots, as one list in packed order.
+/// Chunked across the installed pool; bitwise equal to the plain sweep by
+/// the slot-ownership argument in the section docs.
 pub fn aa_odd_step(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -883,7 +853,7 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
     let total = f.as_slice().len();
     let base = SendPtr(f.as_mut_slice().as_mut_ptr());
 
-    let run = move |list: &[usize], _fast: bool| {
+    let run = move |list: &[usize]| {
         let mut out = [0.0f64; MAX_Q * TILE_CELLS];
         for &t in list {
             debug_assert!((t + 1) * frame <= total);
@@ -896,7 +866,7 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
             store_swapped(q, &oc.opp, outf, fr);
         }
     };
-    drive_tile_lists(&tiles.aa_even_fast, &tiles.aa_even_slow, run);
+    drive_tiles(&tiles.aa_even, run);
 }
 
 /// `frame[opp(i)·64 ..] ← out[i·64 ..]` for all velocities — the AA
@@ -946,142 +916,115 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
     let total = f.as_slice().len();
     let base = SendPtr(f.as_mut_slice().as_mut_ptr());
 
-    let run = move |list: &[usize], fast: bool| {
+    let run = move |list: &[usize]| {
         let mut buf = [0.0f64; MAX_Q * TILE_CELLS];
         let mut out = [0.0f64; MAX_Q * TILE_CELLS];
+        // Stores aimed at an unallocated neighbour land here, unread.
+        let mut sink = [0.0f64; MAX_Q * TILE_CELLS];
         for (idx, &t) in list.iter().enumerate() {
             let nbrs = &tiles.neighbors[t];
-            // SAFETY: slot `(P, i)` is read only by writer `P − c_i` and
-            // written only by the same writer (section docs); the work
-            // lists assign each writer cell to exactly one task and every
-            // tile gathers all of its slots before scattering any, so no
-            // location is concurrently read and written by different tasks.
+            // SAFETY: the portable gather reads exactly slots `(x − c_j,
+            // opp(j))` of this tile's writers `x`, and the scatter writes
+            // only slots of the same writers (section docs); the lists give
+            // each writer to one task, and every tile gathers all its slots
+            // before scattering any, so no location is read and written
+            // concurrently by different tasks.
             let src = unsafe { std::slice::from_raw_parts(base.get().cast_const(), total) };
             if let Some(&t_next) = list.get(idx + 1) {
-                prefetch_next_tile(src, tiles, t_next, frame);
+                prefetch_tile_sources(src, &gt.odd, tiles, t_next, frame);
             }
-            if fast {
-                gather_tile_aa_fast(q, &oc.opp, gt, nbrs, src, &mut buf);
-            } else {
-                gather_tile_aa(q, &oc.opp, gt, nbrs, src, &mut buf);
-            }
+            gather_lines(q, gt, &gt.odd, nbrs, src, &mut buf);
             let fluid = tiles.tiles[t].fluid;
             let outf = &mut out[..frame];
             tile_body::<THIRD, O>(ctx, oc, pc, fluid, &buf, outf);
-            // SAFETY: scatter targets are the writer-owned slots above.
-            unsafe {
-                if fast {
-                    scatter_tile_aa::<true>(q, &oc.opp, gt, nbrs, fluid, outf, base.get());
-                } else {
-                    scatter_tile_aa::<false>(q, &oc.opp, gt, nbrs, fluid, outf, base.get());
-                }
-            }
+            let to = scatter_frames(base.get(), total, frame, nbrs, sink.as_mut_ptr());
+            // SAFETY: every `to` frame is `q·64` doubles of `f` (asserted)
+            // or the sink, and the lane-exact scatter writes only slots
+            // owned by this tile's fluid writers, as argued above.
+            unsafe { scatter_lines(q, gt, &oc.opp, &to, fluid, outf) };
         }
     };
-    drive_tile_lists(&tiles.aa_odd_fast, &tiles.aa_odd_slow, run);
+    drive_tiles(&tiles.aa_odd, run);
 }
 
-/// Odd-step pull: `buf[j·64 + c] ← field[(x − c_j, opp(j))]` through the
-/// neighbour table (vacuum for unallocated sources, which only ever feeds
-/// discarded solid/deep-ghost outputs).
-#[inline]
-fn gather_tile_aa(
-    q: usize,
-    opp: &[usize; MAX_Q],
-    gt: &GatherTable,
+/// The frame each neighbour slot's scatter stores to: the neighbour's
+/// `frame`-double frame in the `total`-double field at `base`, or `sink`
+/// where the neighbour is unallocated. Each frame index is asserted here,
+/// once per tile.
+fn scatter_frames(
+    base: *mut f64,
+    total: usize,
+    frame: usize,
     nbrs: &[i32; TILE_NEIGHBORS],
-    src: &[f64],
-    buf: &mut [f64],
-) {
-    for i in 0..q {
-        let row = gt.row(i);
-        let oi = opp[i];
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for (c, o) in out.iter_mut().enumerate() {
-            let (slot, sc) = row[c];
-            let t = nbrs[slot as usize];
-            *o = if t < 0 {
-                0.0
-            } else {
-                src[(t as usize * q + oi) * TILE_CELLS + sc as usize]
-            };
+    sink: *mut f64,
+) -> [*mut f64; TILE_NEIGHBORS] {
+    let mut to = [sink; TILE_NEIGHBORS];
+    for (p, &n) in to.iter_mut().zip(nbrs) {
+        if n >= 0 {
+            assert!(
+                (n as usize + 1) * frame <= total,
+                "neighbour frame {n} out of range"
+            );
+            *p = base.wrapping_add(n as usize * frame);
         }
     }
+    to
 }
 
-/// Segment-copy variant of [`gather_tile_aa`] for fast-class tiles.
-#[inline]
-fn gather_tile_aa_fast(
-    q: usize,
-    opp: &[usize; MAX_Q],
-    gt: &GatherTable,
-    nbrs: &[i32; TILE_NEIGHBORS],
-    src: &[f64],
-    buf: &mut [f64],
-) {
-    for i in 0..q {
-        let oi = opp[i];
-        let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
-        for s in gt.seg_row(i) {
-            let t = nbrs[s.slot as usize] as usize;
-            let (d, so, len) = (s.dst as usize, s.src as usize, s.len as usize);
-            let lo = (t * q + oi) * TILE_CELLS + so;
-            out[d..d + len].copy_from_slice(&src[lo..lo + len]);
-        }
-    }
-}
-
-/// Odd-step push: `field[(x + c_i, i)] ← out[i·64 + c]` for the writer
-/// cells. `FAST` scatters the whole tile by segment copies (all cells
-/// fluid, all neighbours allocated); otherwise only fluid writers scatter,
-/// and a `-1` target (deep ghost writer past the halo) is discarded — the
-/// owning rank computes that slot itself.
+/// The odd push `f[(x + c_i, i)] ← out[i·64 + c]` for the fluid writers `x`
+/// of a tile: the transpose of [`gather_lines`] on the odd plan. Since
+/// `x + c_i = x − c_opp(i)`, output row `i` leaves through the odd plan's
+/// lines of velocity `opp(i)`, which address row `i`: lane `l` of a line
+/// stores to `lo[off + l + K]` if `l + K < 4` and to `hi[off + l + K − 4]`
+/// otherwise, `K` the velocity's shift. Only lanes whose bit is set in the
+/// line's fluid nibble store, and only the slots of those writers are
+/// written. `to[slot]` is the neighbour's frame, or a sink for an
+/// unallocated neighbour (the owning rank computes that slot itself).
 ///
 /// # Safety
-/// Caller must uphold the slot-ownership partition documented on the
-/// section: the written slots belong exclusively to this tile's writers.
+/// Every `to` pointer must address `q·64` writable doubles, and the slots
+/// of this tile's fluid writers must be written by no other task meanwhile.
 #[inline]
-unsafe fn scatter_tile_aa<const FAST: bool>(
+unsafe fn scatter_lines(
     q: usize,
-    opp: &[usize; MAX_Q],
     gt: &GatherTable,
-    nbrs: &[i32; TILE_NEIGHBORS],
+    opp: &[usize; MAX_Q],
+    to: &[*mut f64; TILE_NEIGHBORS],
     fluid: u64,
     out: &[f64],
-    base: *mut f64,
 ) {
-    for i in 0..q {
-        let oi = opp[i];
-        if FAST {
-            for s in gt.seg_row(oi) {
-                let t = nbrs[s.slot as usize] as usize;
-                let (d, so, len) = (s.dst as usize, s.src as usize, s.len as usize);
-                let lo = (t * q + i) * TILE_CELLS + so;
-                // SAFETY: in-bounds by the frame layout; exclusivity per
-                // the function contract.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(
-                        out.as_ptr().add(i * TILE_CELLS + d),
-                        base.add(lo),
-                        len,
-                    );
-                }
-            }
-        } else {
-            let row = gt.row(oi);
-            let mut bits = fluid;
-            while bits != 0 {
-                let c = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (slot, sc) = row[c];
-                let t = nbrs[slot as usize];
-                if t >= 0 {
-                    // SAFETY: as above.
-                    unsafe {
-                        *base.add((t as usize * q + i) * TILE_CELLS + sc as usize) =
-                            out[i * TILE_CELLS + c];
+    for (i, row) in out[..q * TILE_CELLS].chunks_exact(TILE_CELLS).enumerate() {
+        let lines = gt.odd.velocity(opp[i]);
+        // SAFETY: `off + 4 ≤ q·64` for every line (`GatherTable::new`) and
+        // `l + K − 4 < 4`, so each store is inside one `to` frame; slot
+        // ownership per this function's contract.
+        unsafe {
+            macro_rules! window {
+                ($k:literal) => {
+                    for (n, (l, o)) in lines.iter().zip(row.chunks_exact(TILE_B)).enumerate() {
+                        let nibble = fluid >> (TILE_B * n) & 0xF;
+                        if nibble == 0 {
+                            continue;
+                        }
+                        let off = l.off as usize;
+                        let (lo, hi) = (to[l.lo as usize].add(off), to[l.hi as usize].add(off));
+                        for (j, &v) in o.iter().enumerate() {
+                            if nibble == 0xF || nibble >> j & 1 == 1 {
+                                if j + $k < TILE_B {
+                                    *lo.add(j + $k) = v;
+                                } else {
+                                    *hi.add(j + $k - TILE_B) = v;
+                                }
+                            }
+                        }
                     }
-                }
+                };
+            }
+            match gt.zshift[opp[i]] {
+                0 => window!(0),
+                1 => window!(1),
+                2 => window!(2),
+                _ => window!(3),
             }
         }
     }
@@ -1221,7 +1164,7 @@ mod tests {
     use crate::equilibrium::EqOrder;
     use crate::geometry::Geometry;
     use crate::index::wrap;
-    use crate::kernels::op::GuoForced;
+    use crate::kernels::op::{GuoForced, PlainBgk};
     use crate::lattice::LatticeKind;
 
     fn ctx_for(kind: LatticeKind) -> KernelCtx {
@@ -1643,80 +1586,37 @@ mod tests {
         assert!((rho - 1.0).abs() < 0.05, "rho {rho}");
     }
 
-    /// Clone with the fast path disabled: every tile classified slow, so
-    /// the step runs the per-cell gather walk everywhere.
-    fn force_slow(tiles: &SparseTiles) -> SparseTiles {
-        let mut t = tiles.clone();
-        let demote = |fast: &mut Vec<usize>, slow: &mut Vec<usize>| {
-            let mut all: Vec<usize> = fast.drain(..).chain(slow.drain(..)).collect();
-            all.sort_unstable();
-            *slow = all;
-        };
-        let (ef, es) = (&mut t.aa_even_fast, &mut t.aa_even_slow);
-        demote(ef, es);
-        let (of, os) = (&mut t.aa_odd_fast, &mut t.aa_odd_slow);
-        demote(of, os);
-        let (ff, fs) = (&mut t.fast_owned, &mut t.slow_owned);
-        demote(ff, fs);
-        t
-    }
-
     #[test]
-    fn segments_reproduce_gather_rows() {
-        for kind in [
-            LatticeKind::D3Q15,
-            LatticeKind::D3Q19,
-            LatticeKind::D3Q27,
-            LatticeKind::D3Q39,
-        ] {
-            let gt = GatherTable::new(&Lattice::new(kind));
-            for i in 0..gt.q {
-                let row = gt.row(i);
-                let mut covered = 0usize;
-                for s in gt.seg_row(i) {
-                    for k in 0..s.len as usize {
-                        let (slot, sc) = row[s.dst as usize + k];
-                        assert_eq!(slot, s.slot);
-                        assert_eq!(sc as usize, s.src as usize + k);
-                        covered += 1;
+    fn odd_plan_reproduces_gather_rows() {
+        // Every lane of the odd plan's lines of velocity j addresses what the
+        // per-cell entry row(j) names, at row opp(j) of the source frame.
+        let mut shifts = [false; TILE_B];
+        for kind in LatticeKind::ALL {
+            let lat = Lattice::new(kind);
+            let gt = GatherTable::new(&lat);
+            for j in 0..gt.q {
+                let k = gt.zshift[j] as usize;
+                shifts[k] = true;
+                let row = gt.row(j);
+                for (n, l) in gt.odd.velocity(j).iter().enumerate() {
+                    for lane in 0..TILE_B {
+                        let (slot, at) = if lane + k < TILE_B {
+                            (l.lo, l.off as usize + lane + k)
+                        } else {
+                            (l.hi, l.off as usize + lane + k - TILE_B)
+                        };
+                        let (want_slot, sc) = row[n * TILE_B + lane];
+                        assert_eq!(slot, want_slot, "{kind:?} j={j} line {n} lane {lane}");
+                        assert_eq!(
+                            at,
+                            lat.opposite(j) * TILE_CELLS + sc as usize,
+                            "{kind:?} j={j} line {n} lane {lane}"
+                        );
                     }
                 }
-                assert_eq!(covered, TILE_CELLS, "{kind:?} i={i} segments leak");
             }
         }
-    }
-
-    #[test]
-    fn fast_path_is_bitwise_equal_to_gather_path() {
-        // Wide pipe: plenty of interior (fast) tiles plus wall (slow) ones.
-        let d = Dim3 {
-            nx: 8,
-            ny: 24,
-            nz: 24,
-        };
-        for (kind, g) in [
-            (LatticeKind::D3Q15, [1e-5, 0.0, 0.0]),
-            (LatticeKind::D3Q19, [0.0; 3]),
-            (LatticeKind::D3Q27, [0.0, 2e-6, 0.0]),
-            (LatticeKind::D3Q39, [1e-5, 0.0, 3e-6]),
-        ] {
-            let ctx = ctx_for(kind);
-            let geom = Geometry::pipe(d, 10.0).unwrap();
-            let (tiles, gt, f, _) = sparse_setup(&ctx, &geom);
-            assert!(!tiles.fast_owned.is_empty(), "{kind:?} no fast tiles");
-            let slow_tiles = force_slow(&tiles);
-            let q = ctx.lat.q();
-            let n = tiles.tile_count();
-            let mut a = SparseField::new(q, n).unwrap();
-            let mut b = SparseField::new(q, n).unwrap();
-            for simd in [false, true] {
-                step(&ctx, &tiles, &gt, &f, &mut a, g, simd);
-                step(&ctx, &slow_tiles, &gt, &f, &mut b, g, simd);
-                assert_eq!(a.as_slice(), b.as_slice(), "{kind:?} simd={simd}");
-                test_pool().install(|| step(&ctx, &tiles, &gt, &f, &mut b, g, simd));
-                assert_eq!(a.as_slice(), b.as_slice(), "{kind:?} par simd={simd}");
-            }
-        }
+        assert_eq!(shifts, [true; TILE_B], "window shifts exercised");
     }
 
     /// Run `pairs` AA even/odd pairs in place.
@@ -1863,8 +1763,10 @@ mod tests {
             )
             .unwrap();
             let tiles = SparseTiles::build_serial(&geom).unwrap();
-            assert!(!tiles.aa_even_fast.is_empty(), "{kind:?} no fast AA tiles");
-            let slow_tiles = force_slow(&tiles);
+            assert!(
+                !tiles.fast_owned.is_empty(),
+                "{kind:?} no all-fluid interior tiles"
+            );
             let gt = GatherTable::new(&ctx.lat);
             let q = ctx.lat.q();
             let mut reference = SparseField::new(q, tiles.tile_count()).unwrap();
@@ -1875,31 +1777,284 @@ mod tests {
                 geom.dims(),
                 smooth_state(geom.dims()),
             );
-            // Per body: fast path serial, fast path threaded, slow walk
-            // threaded — bitwise one trajectory. Across bodies: re-rounding.
-            let run = |t: &SparseTiles, simd: bool, par: bool| {
+            // Per body: serial and threaded are bitwise one trajectory.
+            // Across bodies: re-rounding.
+            let run = |simd: bool, par: bool| {
                 let mut f = reference.clone();
-                run_aa_pairs(&ctx, t, &gt, &mut f, g, 2, simd, par);
+                run_aa_pairs(&ctx, &tiles, &gt, &mut f, g, 2, simd, par);
                 f
             };
-            let scalar = run(&tiles, false, false);
+            let scalar = run(false, false);
             assert!(scalar.as_slice().iter().all(|v| v.is_finite()));
-            let simd = run(&tiles, true, false);
+            let simd = run(true, false);
             for use_simd in [false, true] {
                 let head = if use_simd { &simd } else { &scalar };
-                let variants = [(&tiles, true), (&slow_tiles, true)];
-                for (v, (t, par)) in variants.into_iter().enumerate() {
-                    let o = run(t, use_simd, par);
-                    for (a, b) in head.as_slice().iter().zip(o.as_slice()) {
-                        assert!(
-                            a.to_bits() == b.to_bits(),
-                            "{kind:?} simd={use_simd} variant {v}: {a} vs {b}"
-                        );
-                    }
+                let o = run(use_simd, true);
+                for (a, b) in head.as_slice().iter().zip(o.as_slice()) {
+                    assert!(
+                        a.to_bits() == b.to_bits(),
+                        "{kind:?} simd={use_simd} threaded: {a} vs {b}"
+                    );
                 }
             }
             for (a, b) in scalar.as_slice().iter().zip(simd.as_slice()) {
                 assert!(close(*a, *b, 1e-13), "{kind:?} simd vs scalar: {a} vs {b}");
+            }
+        }
+    }
+
+    /// Test oracle of the odd pull: `buf[j·64 + c] ← f[(x − c_j, opp(j))]`
+    /// cell by cell through the per-cell entries, vacuum for an unallocated
+    /// source.
+    fn gather_tile_aa(
+        q: usize,
+        opp: &[usize; MAX_Q],
+        gt: &GatherTable,
+        nbrs: &[i32; TILE_NEIGHBORS],
+        src: &[f64],
+        buf: &mut [f64],
+    ) {
+        for i in 0..q {
+            let row = gt.row(i);
+            let oi = opp[i];
+            let out = &mut buf[i * TILE_CELLS..(i + 1) * TILE_CELLS];
+            for (c, o) in out.iter_mut().enumerate() {
+                let (slot, sc) = row[c];
+                let t = nbrs[slot as usize];
+                *o = if t < 0 {
+                    0.0
+                } else {
+                    src[(t as usize * q + oi) * TILE_CELLS + sc as usize]
+                };
+            }
+        }
+    }
+
+    /// Test oracle of the odd push: `f[(x + c_i, i)] ← out[i·64 + c]` cell
+    /// by cell for the fluid writers `x`; a store to an unallocated tile is
+    /// dropped.
+    fn scatter_cells_aa(
+        q: usize,
+        opp: &[usize; MAX_Q],
+        gt: &GatherTable,
+        nbrs: &[i32; TILE_NEIGHBORS],
+        fluid: u64,
+        out: &[f64],
+        f: &mut [f64],
+    ) {
+        for i in 0..q {
+            let row = gt.row(opp[i]);
+            for c in (0..TILE_CELLS).filter(|c| fluid >> c & 1 == 1) {
+                let (slot, sc) = row[c];
+                let t = nbrs[slot as usize];
+                if t >= 0 {
+                    f[(t as usize * q + i) * TILE_CELLS + sc as usize] = out[i * TILE_CELLS + c];
+                }
+            }
+        }
+    }
+
+    /// The odd step the oracle's way: per tile of `aa_odd`, serially, the
+    /// per-cell gather, the step's own tile body, the per-cell scatter.
+    fn aa_odd_cells<O: CollideOp>(
+        ctx: &KernelCtx,
+        tiles: &SparseTiles,
+        gt: &GatherTable,
+        f: &mut SparseField,
+        op: O,
+        simd: bool,
+    ) {
+        let q = ctx.lat.q();
+        let oc = OpConsts::new(ctx, &op);
+        let pc = pair_table(simd, &oc, q);
+        let mut buf = vec![0.0f64; q * TILE_CELLS];
+        let mut out = vec![0.0f64; q * TILE_CELLS];
+        for &t in &tiles.aa_odd {
+            let (nbrs, fluid) = (&tiles.neighbors[t], tiles.tiles[t].fluid);
+            gather_tile_aa(q, &oc.opp, gt, nbrs, f.as_slice(), &mut buf);
+            if ctx.third_order() {
+                tile_body::<true, O>(ctx, &oc, pc.as_ref(), fluid, &buf, &mut out);
+            } else {
+                tile_body::<false, O>(ctx, &oc, pc.as_ref(), fluid, &buf, &mut out);
+            }
+            scatter_cells_aa(q, &oc.opp, gt, nbrs, fluid, &out, f.as_mut_slice());
+        }
+    }
+
+    /// Serial and ghosted tile lists of `geom`: the ghosted one owns all
+    /// columns but the first, with one ghost column a side, so its odd list
+    /// holds ghost-writer tiles.
+    fn serial_and_ghosted(geom: &Geometry) -> [SparseTiles; 2] {
+        let cols = geom.dims().nx / TILE_B;
+        [
+            SparseTiles::build_serial(geom).unwrap(),
+            SparseTiles::build(geom, 1, cols - 1, 1).unwrap(),
+        ]
+    }
+
+    /// An even-parity AA field of `tiles` with a distinct value in every
+    /// slot: the smooth equilibrium, each slot scaled by its own factor.
+    fn distinct_aa_field(ctx: &KernelCtx, tiles: &SparseTiles, geom: &Geometry) -> SparseField {
+        let mut f = SparseField::new(ctx.lat.q(), tiles.tile_count()).unwrap();
+        init_equilibrium_aa(ctx, tiles, &mut f, geom.dims(), smooth_state(geom.dims()));
+        for (k, v) in f.as_mut_slice().iter_mut().enumerate() {
+            *v *= 1.0 + 1e-3 * (k % 101) as f64 / 101.0;
+        }
+        f
+    }
+
+    #[test]
+    fn aa_odd_zline_step_is_bitwise_the_cell_walk() {
+        // The odd step (z-line gather on the odd plan, the tile body, the
+        // transposed lane-exact scatter) against the per-cell oracle, every
+        // lattice, plain and Guo, both bodies, serial and pooled, on serial
+        // and ghosted builds: the whole field, bit for bit.
+        for kind in LatticeKind::ALL {
+            let ctx = ctx_for(kind);
+            let gt = GatherTable::new(&ctx.lat);
+            let mut writers = 0;
+            for geom in geometries() {
+                for tiles in serial_and_ghosted(&geom) {
+                    writers += tiles.aa_odd.len() - tiles.aa_even.len();
+                    let f0 = distinct_aa_field(&ctx, &tiles, &geom);
+                    for g in FORCES {
+                        for simd in [false, true] {
+                            let mut want = f0.clone();
+                            with_op!(g, |op| aa_odd_cells(&ctx, &tiles, &gt, &mut want, op, simd));
+                            for par in [false, true] {
+                                let mut got = f0.clone();
+                                let mut step = || aa_odd_step(&ctx, &tiles, &gt, &mut got, g, simd);
+                                if par {
+                                    test_pool().install(step);
+                                } else {
+                                    step();
+                                }
+                                for (k, (a, b)) in
+                                    want.as_slice().iter().zip(got.as_slice()).enumerate()
+                                {
+                                    assert!(
+                                        a.to_bits() == b.to_bits(),
+                                        "{kind:?} {:?} ghosts {} g={g:?} simd {simd} par {par} \
+                                         slot {k}: cells {a} vs z-lines {b}",
+                                        geom.dims(),
+                                        tiles.ghost_cols
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(writers > 0, "{kind:?}: no ghost-writer tiles");
+        }
+    }
+
+    /// Per slot of `tiles`' storage: the fluid writer of an `aa_odd` tile
+    /// whose odd scatter stores to it, as `(tile, cell)`, if any.
+    fn odd_writers(
+        q: usize,
+        opp: &[usize; MAX_Q],
+        gt: &GatherTable,
+        tiles: &SparseTiles,
+    ) -> Vec<Option<(usize, usize)>> {
+        let mut writer = vec![None; q * TILE_CELLS * tiles.tile_count()];
+        for &t in &tiles.aa_odd {
+            let fluid = tiles.tiles[t].fluid;
+            for i in 0..q {
+                let row = gt.row(opp[i]);
+                for c in (0..TILE_CELLS).filter(|c| fluid >> c & 1 == 1) {
+                    let (slot, sc) = row[c];
+                    let n = tiles.neighbors[t][slot as usize];
+                    if n >= 0 {
+                        let k = (n as usize * q + i) * TILE_CELLS + sc as usize;
+                        assert!(writer[k].is_none(), "slot {k} has two writers");
+                        writer[k] = Some((t, i * TILE_CELLS + c));
+                    }
+                }
+            }
+        }
+        writer
+    }
+
+    #[test]
+    fn aa_odd_step_writes_only_its_fluid_writers_slots() {
+        // NaN poison in every slot that no fluid cell of an `aa_odd` tile
+        // writes. One odd step, both bodies, serial and pooled, on serial
+        // and ghosted builds, leaves every such slot bitwise as it was and
+        // overwrites the others with finite values. Then the scatter alone,
+        // tile by tile, from a distinct `out` frame into a poisoned field:
+        // exactly the slots of that tile's fluid writers change, each to its
+        // writer's lane. (On the whole step a solid writer's bounce output
+        // is bitwise what it read, so a store it should not make is
+        // invisible there; the scatter-alone half catches it.)
+        let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0002);
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let ctx = ctx_for(kind);
+            let q = ctx.lat.q();
+            let gt = GatherTable::new(&ctx.lat);
+            let oc = OpConsts::new(&ctx, &PlainBgk);
+            for geom in geometries() {
+                for tiles in serial_and_ghosted(&geom) {
+                    let writer = odd_writers(q, &oc.opp, &gt, &tiles);
+                    let mut f0 = distinct_aa_field(&ctx, &tiles, &geom);
+                    for (v, w) in f0.as_mut_slice().iter_mut().zip(&writer) {
+                        if w.is_none() {
+                            *v = poison;
+                        }
+                    }
+                    let name = format!("{kind:?} {:?} ghosts {}", geom.dims(), tiles.ghost_cols);
+                    for (simd, par) in [(false, false), (false, true), (true, false), (true, true)]
+                    {
+                        let mut f = f0.clone();
+                        let mut step = || aa_odd_step(&ctx, &tiles, &gt, &mut f, FORCES[1], simd);
+                        if par {
+                            test_pool().install(step);
+                        } else {
+                            step();
+                        }
+                        for (k, ((a, b), w)) in f0
+                            .as_slice()
+                            .iter()
+                            .zip(f.as_slice())
+                            .zip(&writer)
+                            .enumerate()
+                        {
+                            match w {
+                                None => assert!(
+                                    a.to_bits() == b.to_bits(),
+                                    "{name} simd {simd} par {par}: slot {k} written"
+                                ),
+                                Some(_) => assert!(
+                                    b.is_finite(),
+                                    "{name} simd {simd} par {par}: slot {k} holds {b}"
+                                ),
+                            }
+                        }
+                    }
+                    let out: Vec<f64> = (0..q * TILE_CELLS).map(|k| 1.0 + k as f64).collect();
+                    let mut f = SparseField::new(q, tiles.tile_count()).unwrap();
+                    let mut sink = vec![poison; q * TILE_CELLS];
+                    let (total, frame) = (f.as_slice().len(), f.frame_len());
+                    for &t in &tiles.aa_odd {
+                        f.as_mut_slice().fill(poison);
+                        let base = f.as_mut_slice().as_mut_ptr();
+                        let nbrs = &tiles.neighbors[t];
+                        let to = scatter_frames(base, total, frame, nbrs, sink.as_mut_ptr());
+                        // SAFETY: every `to` frame is a whole frame of `f`
+                        // or the sink, and nothing else runs meanwhile.
+                        unsafe { scatter_lines(q, &gt, &oc.opp, &to, tiles.tiles[t].fluid, &out) };
+                        for (k, (v, w)) in f.as_slice().iter().zip(&writer).enumerate() {
+                            let want = match w {
+                                Some((wt, lane)) if *wt == t => out[*lane],
+                                _ => poison,
+                            };
+                            assert!(
+                                v.to_bits() == want.to_bits(),
+                                "{name}: tile {t} scatter slot {k}: {v} vs {want}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -2028,7 +2183,7 @@ mod tests {
             for &k in &gt.zshift {
                 shifts[k as usize] = true;
             }
-            let (mut fast, mut partial, mut rim, mut vacuum) = (0, 0, 0, 0);
+            let (mut full, mut partial, mut rim, mut vacuum) = (0, 0, 0, 0);
             for geom in geometries() {
                 let cols = geom.dims().nx / TILE_B;
                 for tiles in [
@@ -2044,7 +2199,7 @@ mod tests {
                     for t in 0..tiles.tile_count() {
                         let nbrs = &tiles.neighbors[t];
                         gather_tile(q, &gt, nbrs, f.as_slice(), &mut walk);
-                        gather_lines(q, &gt, nbrs, f.as_slice(), &mut lines);
+                        gather_lines(q, &gt, &gt.pull, nbrs, f.as_slice(), &mut lines);
                         for (c, (a, b)) in walk.iter().zip(&lines).take(q * TILE_CELLS).enumerate()
                         {
                             assert!(
@@ -2066,10 +2221,9 @@ mod tests {
                                 );
                             }
                         }
-                        let fluid = tiles.tiles[t].fluid;
-                        match (tiles.fast[t], fluid) {
-                            (true, _) => fast += 1,
-                            (false, 0) => rim += 1,
+                        match tiles.tiles[t].fluid {
+                            0 => rim += 1,
+                            u64::MAX if !nbrs.contains(&-1) => full += 1,
                             _ => partial += 1,
                         }
                         vacuum += usize::from(nbrs.contains(&-1));
@@ -2077,8 +2231,8 @@ mod tests {
                 }
             }
             assert!(
-                fast > 0 && partial > 0 && rim > 0 && vacuum > 0,
-                "{kind:?}: fast {fast} partial {partial} rim {rim} vacuum {vacuum}"
+                full > 0 && partial > 0 && rim > 0 && vacuum > 0,
+                "{kind:?}: full {full} partial {partial} rim {rim} vacuum {vacuum}"
             );
         }
         assert_eq!(shifts, [true; TILE_B], "window shifts exercised");
@@ -2195,25 +2349,36 @@ mod tests {
 
     #[test]
     fn neighbour_prefetch_lists_every_line_read_outside_the_tile() {
-        // The prefetch list is exactly the set of (slot, 64-byte line) the
-        // per-cell walk reads outside the own frame.
+        // Each plan's prefetch list is exactly the set of (slot, 64-byte
+        // line) the per-cell walk reads outside the own frame: row i for the
+        // two-grid pull, row opp(i) for the AA odd pull.
         let own = crate::geometry::neighbor_slot(0, 0, 0) as u8;
         for kind in LatticeKind::ALL {
-            let gt = GatherTable::new(&Lattice::new(kind));
-            let mut want = std::collections::BTreeSet::new();
-            for i in 0..gt.q {
-                for &(slot, sc) in gt.row(i) {
-                    if slot != own {
-                        want.insert((slot, ((i * TILE_CELLS + sc as usize) & !7) as u16));
+            let lat = Lattice::new(kind);
+            let gt = GatherTable::new(&lat);
+            for (plan, row_of) in [
+                (&gt.pull, &(|i| i) as &dyn Fn(usize) -> usize),
+                (&gt.odd, &|i| lat.opposite(i)),
+            ] {
+                let mut want = std::collections::BTreeSet::new();
+                for i in 0..gt.q {
+                    for &(slot, sc) in gt.row(i) {
+                        if slot != own {
+                            want.insert((
+                                slot,
+                                ((row_of(i) * TILE_CELLS + sc as usize) & !7) as u16,
+                            ));
+                        }
                     }
                 }
+                let got: std::collections::BTreeSet<_> = plan.nbr_lines.iter().copied().collect();
+                assert_eq!(got.len(), plan.nbr_lines.len(), "{kind:?} duplicates");
+                assert_eq!(got, want, "{kind:?}");
             }
-            let got: std::collections::BTreeSet<_> = gt.nbr_lines.iter().copied().collect();
-            assert_eq!(got.len(), gt.nbr_lines.len(), "{kind:?} duplicates");
-            assert_eq!(got, want, "{kind:?}");
         }
         let d3q19 = GatherTable::new(&Lattice::new(LatticeKind::D3Q19));
-        assert_eq!(d3q19.nbr_lines.len(), 156);
+        assert_eq!(d3q19.pull.nbr_lines.len(), 156);
+        assert_eq!(d3q19.odd.nbr_lines.len(), 156);
     }
 
     fn kahan(terms: impl Iterator<Item = f64>) -> f64 {

@@ -30,7 +30,7 @@ pub const fn model_bytes_per_cell(storage: StorageMode, q: usize) -> usize {
 
 /// Per-tile metadata the sparse gather walks each streaming step: the
 /// 27-entry `i32` neighbour row plus the `u64` fluid bitmap. The shared
-/// `GatherTable` (and its merged segment plan) is a few KB reused by every
+/// `GatherTable` (and its two z-line plans) is a few KB reused by every
 /// tile, so it lives in cache and is excluded — like the dense kernels'
 /// lattice constants.
 pub const SPARSE_TILE_META_BYTES: usize = 27 * 4 + 8;

@@ -561,21 +561,6 @@ impl SparseRankSolver {
         let mid = self.f.as_slice().len() / 2;
         self.f.as_mut_slice()[mid] = f64::NAN;
     }
-
-    /// Test hook: demote every fast-class tile to the per-cell gather walk
-    /// so a forced-slow twin can be compared bitwise against the fast path.
-    #[cfg(test)]
-    pub(crate) fn force_slow_path(&mut self) {
-        let t = &mut self.tiles;
-        for (fast, slow) in [
-            (&mut t.fast_owned, &mut t.slow_owned),
-            (&mut t.aa_even_fast, &mut t.aa_even_slow),
-            (&mut t.aa_odd_fast, &mut t.aa_odd_slow),
-        ] {
-            slow.append(fast);
-            slow.sort_unstable();
-        }
-    }
 }
 
 /// The engine-facing solver dispatch: dense box paths (every `OptLevel` ×
@@ -939,9 +924,8 @@ mod tests {
         );
     }
 
-    /// A pipe wide enough that its core contains fast-class tiles (fully
-    /// fluid, all 27 neighbours allocated) on every rank of a 1–2 rank
-    /// split.
+    /// A pipe wide enough that its core holds tiles that are all fluid with
+    /// all 27 neighbours allocated, beside its partial and rim tiles.
     fn fast_pipe_sim(
         kind: LatticeKind,
         storage: StorageMode,
@@ -959,69 +943,6 @@ mod tests {
             .threads(threads)
             .build()
             .unwrap()
-    }
-
-    /// Property: demoting every fast-class tile to the per-cell gather walk
-    /// leaves the trajectory bitwise unchanged — the direct-addressed fast
-    /// path is an addressing optimization, not a different discretization.
-    fn assert_fast_matches_forced_slow(
-        kind: LatticeKind,
-        storage: StorageMode,
-        ranks: usize,
-        threads: usize,
-    ) {
-        let global = Dim3::new(16, 24, 24);
-        let mut fast = fast_pipe_sim(kind, storage, OptLevel::Simd, ranks, threads);
-        let mut slow = fast_pipe_sim(kind, storage, OptLevel::Simd, ranks, threads);
-        let engine = slow.engine_mut().unwrap();
-        let mut had_fast = false;
-        for rs in &mut engine.ranks {
-            let AnySolver::Sparse(s) = &mut rs.solver else {
-                panic!("geometry runs must take the sparse path")
-            };
-            had_fast |= !s.tiles.fast_owned.is_empty()
-                && !s.tiles.aa_even_fast.is_empty()
-                && !s.tiles.aa_odd_fast.is_empty();
-            s.force_slow_path();
-            assert!(s.tiles.fast_owned.is_empty() && s.tiles.aa_odd_fast.is_empty());
-        }
-        assert!(
-            had_fast,
-            "a radius-10 pipe must hold fast-class interior tiles on every rank"
-        );
-        fast.run_local(STEPS).unwrap();
-        slow.run_local(STEPS).unwrap();
-        let q = lbm_core::lattice::Lattice::new(kind).q();
-        let a = assemble_global(&mut fast, global, q);
-        let b = assemble_global(&mut slow, global, q);
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{kind:?} {storage:?} ranks={ranks} threads={threads}: \
-                 flat {i}: fast {x} vs forced-slow {y}"
-            );
-        }
-    }
-
-    #[test]
-    fn sparse_fast_path_matches_forced_slow_d3q15_two_grid_serial() {
-        assert_fast_matches_forced_slow(LatticeKind::D3Q15, StorageMode::TwoGrid, 1, 1);
-    }
-
-    #[test]
-    fn sparse_fast_path_matches_forced_slow_d3q19_aa_threaded() {
-        assert_fast_matches_forced_slow(LatticeKind::D3Q19, StorageMode::InPlaceAa, 1, 2);
-    }
-
-    #[test]
-    fn sparse_fast_path_matches_forced_slow_d3q27_two_grid_two_ranks_threaded() {
-        assert_fast_matches_forced_slow(LatticeKind::D3Q27, StorageMode::TwoGrid, 2, 2);
-    }
-
-    #[test]
-    fn sparse_fast_path_matches_forced_slow_d3q39_aa_two_ranks() {
-        assert_fast_matches_forced_slow(LatticeKind::D3Q39, StorageMode::InPlaceAa, 2, 1);
     }
 
     /// Property: after N even/odd pairs the AA frames hold exactly the
