@@ -364,6 +364,7 @@ fn host_block(args: &Args) -> Json {
             Json::Int((args.ranks * args.threads) as i64),
         ),
         ("simd_avx2_fma", Json::Bool(simd::simd_available())),
+        ("simd_lanes", Json::str(simd::lanes().name())),
     ])
 }
 
@@ -556,7 +557,10 @@ fn geometry_mode(args: &Args, fracs: &[f64]) -> ExitCode {
 
     for &kind in &args.lattices {
         let global = args.global.unwrap_or_else(|| geometry_default_box(kind));
-        if global.nx % TILE_B != 0 || global.ny % TILE_B != 0 || global.nz % TILE_B != 0 {
+        if !global.nx.is_multiple_of(TILE_B)
+            || !global.ny.is_multiple_of(TILE_B)
+            || !global.nz.is_multiple_of(TILE_B)
+        {
             usage(&format!(
                 "--global {}×{}×{} is not a multiple of the {TILE_B}-cell tile edge",
                 global.nx, global.ny, global.nz
@@ -582,7 +586,8 @@ fn geometry_mode(args: &Args, fracs: &[f64]) -> ExitCode {
             let dense = run_geometry_entry(args, kind, global, top, storage, None);
             let dense_resident = dense.resident_population_bytes();
             println!(
-                "{} / geometry / {} (box {}×{}×{}, {} rank(s) × {} thread(s), {} steps, best of {}):",
+                "{} / geometry / {} (box {}×{}×{}, {} rank(s) × {} thread(s), {} steps, best of {}, \
+                 {} lanes):",
                 kind.name(),
                 storage.name(),
                 global.nx,
@@ -591,7 +596,8 @@ fn geometry_mode(args: &Args, fracs: &[f64]) -> ExitCode {
                 args.ranks,
                 args.threads,
                 args.steps,
-                args.repeats
+                args.repeats,
+                simd::lanes().name()
             );
             println!(
                 "  dense baseline at {}: {} MFlup/s, {} MB resident",
@@ -801,7 +807,8 @@ fn main() -> ExitCode {
             let mut measured: Vec<(StorageMode, OptLevel, f64, u64)> = Vec::new();
             for &storage in &args.storages {
                 println!(
-                    "{} / {} / {} (box {}×{}×{}, {} rank(s) × {} thread(s), {} steps, best of {}):",
+                    "{} / {} / {} (box {}×{}×{}, {} rank(s) × {} thread(s), {} steps, best of {}, \
+                     {} lanes):",
                     kind.name(),
                     scenario_name,
                     storage.name(),
@@ -811,7 +818,8 @@ fn main() -> ExitCode {
                     args.ranks,
                     args.threads,
                     args.steps,
-                    args.repeats
+                    args.repeats,
+                    simd::lanes().name()
                 );
                 // The speedup column baselines against the first level
                 // actually run (the whole ladder by default, i.e. Orig) —

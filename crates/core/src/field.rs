@@ -94,7 +94,7 @@ pub struct DistField {
 /// line offset walks successive slabs across all 64 line slots of a page.
 fn pad_stride(len: usize) -> usize {
     let mut stride = len.next_multiple_of(8);
-    if (stride / 8) % 2 == 0 {
+    if (stride / 8).is_multiple_of(2) {
         stride += 8;
     }
     stride

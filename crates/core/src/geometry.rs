@@ -235,7 +235,10 @@ impl Geometry {
     /// multiple of [`TILE_B`] and at least one fluid voxel.
     pub fn validate_tiles(&self) -> Result<()> {
         let d = self.dims;
-        if d.nx % TILE_B != 0 || d.ny % TILE_B != 0 || d.nz % TILE_B != 0 {
+        if !d.nx.is_multiple_of(TILE_B)
+            || !d.ny.is_multiple_of(TILE_B)
+            || !d.nz.is_multiple_of(TILE_B)
+        {
             return Err(Error::BadDimensions(format!(
                 "sparse tiles need dims divisible by {TILE_B}, got {}x{}x{}",
                 d.nx, d.ny, d.nz

@@ -37,21 +37,22 @@
 //! per-cell arithmetic below is shared with the two-grid kernels
 //! ([`crate::kernels::op`]'s rules and constants), the scalar AA trajectory
 //! is the *bitwise* streamed image of the scalar two-grid trajectory. The
-//! AVX2+FMA rows run the ±c pair body the fused and sparse steps share
-//! ([`op`]'s `tile_pairs_avx2`) over the row view: `src(i)` is the row
-//! holding `a_i`, `dst(i) = src(opp(i))`. It sums moments and evaluates
+//! vector rows run the lane-generic ±c pair body the fused and sparse steps
+//! share ([`op`]'s `tile_pairs`) over the row view: `src(i)` is the row
+//! holding `a_i`, `dst(i) = src(opp(i))`, on the widest lane instance the
+//! CPU runs (AVX-512 or AVX2, bitwise equal). It sums moments and evaluates
 //! equilibrium and Guo source once per ±c velocity pair. That reassociates
-//! the arithmetic, so AVX2 rows agree with the scalar drivers within
+//! the arithmetic, so vector rows agree with the scalar drivers within
 //! re-rounding, like the `Simd`/`Fused` rungs — and bitwise with each other
-//! (serial, rayon, ranks, margin/wrap), since all of them call that one
-//! body.
+//! (serial, rayon, ranks, margin/wrap, either instance), since all of them
+//! run that one body.
 //!
 //! ## Boundaries come for free
 //!
 //! Full-way bounce-back writes `t_i = a_{opp(i)}` — in both AA phases that
 //! is a **no-op** (the value is already in the slot about to be written),
 //! so bounce-back wall rows are simply *skipped*, and so are masked solid
-//! cells in the scalar body; the AVX2 body's bounce blend stores each of
+//! cells in the scalar body; the vector body's bounce select stores each of
 //! their values back into its own slot.
 //! Moving walls add the per-velocity momentum correction in place; diffuse
 //! walls re-emit the gathered mass as wall equilibrium, identical
@@ -70,15 +71,16 @@ use crate::boundary::{BoundarySpec, WallKind};
 use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
-use crate::kernels::op::{self, CollideOp, OpConsts, PairConsts};
+use crate::kernels::op::{self, CollideOp, OpConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{tile_pairs_avx2, RowPtrs, Rows, GROUP};
+use crate::kernels::op::{tile_pairs, Avx2, Avx512, Lane, PairConsts, RowPtrs, GROUP};
 use crate::kernels::par::{x_chunks, SendPtr};
-use crate::kernels::{simd, KernelCtx, StreamTables, MAX_Q};
+use crate::kernels::simd::{self, Lanes};
+use crate::kernels::{KernelCtx, StreamTables, MAX_Q};
 
 /// z-block of the scalar body and of the wall-row gather tile (Q×ZBA
 /// doubles on the stack, ≈20 KiB at D3Q39 — the same working-set budget as
-/// the fused kernel's tile). AVX2 fluid rows run 64-cell chunks instead.
+/// the fused kernel's tile). Vector fluid rows run 64-cell chunks instead.
 pub(crate) const ZBA: usize = 64;
 
 /// How the odd sweep maps a writer plane `x` to its `±c_x`-shifted
@@ -131,13 +133,6 @@ enum Parity<'a> {
     },
 }
 
-/// The ±c pair table of the AVX2+FMA body, or `None` where the sweep runs
-/// the scalar bodies (`simd` off, or no AVX2+FMA on this CPU).
-#[inline]
-fn pair_consts(simd: bool, oc: &OpConsts, q: usize) -> Option<PairConsts> {
-    (simd && simd::simd_available()).then(|| PairConsts::new(oc, q))
-}
-
 /// Prefetch the next y-row (`row + nz`) of every row of the view. The even
 /// step's 2Q unit-stride streams and the odd step's double-shifted rows
 /// both exceed the hardware stride prefetcher's capacity; one software
@@ -174,7 +169,7 @@ fn prefetch_rows_ahead(base_ptr: *const f64, total: usize, rows: &[usize], nz: u
 /// moment pass reading every slab row in place, then one relax pass over
 /// velocity pairs `(i, opp(i))` that stores each post-collision line into
 /// the other's slot — no gather-tile round trip. `simd` selects the
-/// AVX2+FMA pair body (runtime-detected, scalar fallback).
+/// vector pair body (the widest instance the CPU runs, scalar fallback).
 pub fn even_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -189,7 +184,16 @@ pub fn even_cells<O: CollideOp>(
     }
     let nx = f.alloc_dims().nx;
     assert!(x_hi <= nx, "even x-range [{x_lo}, {x_hi}) exceeds nx {nx}");
-    sweep(ctx, f, x_lo, x_hi, Parity::Even, op, bounds, simd);
+    sweep(
+        ctx,
+        f,
+        x_lo,
+        x_hi,
+        Parity::Even,
+        op,
+        bounds,
+        simd::lanes_for(simd),
+    );
 }
 
 /// One AA **odd** step over *writer* planes `x ∈ [x_lo, x_hi)`:
@@ -200,7 +204,7 @@ pub fn even_cells<O: CollideOp>(
 /// The double-shifted gather rows are software-prefetched (the scatter rows
 /// *are* the gather rows of the opposite velocities, so that covers the
 /// destinations too): the scalar body and wall rows one y-row ahead, the
-/// AVX2+FMA rows from the shared pair body's moment loop, each row
+/// vector rows from the shared pair body's moment loop, each row
 /// `op::AHEAD` doubles ahead once per 8 cells.
 pub fn odd_cells<O: CollideOp>(
     ctx: &KernelCtx,
@@ -218,7 +222,7 @@ pub fn odd_cells<O: CollideOp>(
     check_odd_bounds(ctx, f, x_lo, x_hi);
     let xw = XShift::Margin;
     let odd = Parity::Odd { tables, xw };
-    sweep(ctx, f, x_lo, x_hi, odd, op, bounds, simd);
+    sweep(ctx, f, x_lo, x_hi, odd, op, bounds, simd::lanes_for(simd));
 }
 
 /// One AA **odd** step over writer planes `x ∈ [x_lo, x_hi)` with the
@@ -250,7 +254,7 @@ pub fn odd_cells_periodic<O: CollideOp>(
     );
     let xw = XShift::Wrap { lo: x_lo, hi: x_hi };
     let odd = Parity::Odd { tables, xw };
-    sweep(ctx, f, x_lo, x_hi, odd, op, bounds, simd);
+    sweep(ctx, f, x_lo, x_hi, odd, op, bounds, simd::lanes_for(simd));
 }
 
 /// The sweep behind every entry point, chunked by writer plane across the
@@ -258,7 +262,9 @@ pub fn odd_cells_periodic<O: CollideOp>(
 /// its own slots on the even step and, by the writer↦slot bijection (which
 /// holds on the torus exactly as on the open interval), the slots
 /// `(x + c_j, j)` on the odd step — so the slots of different chunks are
-/// disjoint even though the odd step's written *planes* overlap.
+/// disjoint even though the odd step's written *planes* overlap. Fluid rows
+/// run the pair body on `lanes` (checked to run on this CPU), or the scalar
+/// body on [`Lanes::Scalar`].
 #[allow(clippy::too_many_arguments)]
 fn sweep<O: CollideOp>(
     ctx: &KernelCtx,
@@ -268,8 +274,9 @@ fn sweep<O: CollideOp>(
     parity: Parity,
     op: O,
     bounds: &BoundarySpec,
-    simd: bool,
+    lanes: Lanes,
 ) {
+    let lanes = simd::supported(lanes);
     let d = f.alloc_dims();
     let total = f.as_slice().len();
     let slab_len = f.slab_stride();
@@ -292,7 +299,7 @@ fn sweep<O: CollideOp>(
                 lo,
                 hi,
                 parity,
-                simd,
+                lanes,
             )
         }
     });
@@ -313,9 +320,9 @@ fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
 /// Raw-pointer sweep of either parity: the body one chunk of [`sweep`]
 /// runs. Per `(x, y)` row it builds the row view (see [`Parity`]); then
 /// bounce-back rows are skipped (the identity in both parities), moving and
-/// diffuse wall rows go through [`store_wall`], and fluid rows through
-/// [`fluid_row_avx2`] where a pair table exists, else their fluid z-runs
-/// through [`odd_block_scalar`].
+/// diffuse wall rows go through [`store_wall`], and fluid rows through the
+/// pair body's [`fluid_row`] on `lanes`, or on [`Lanes::Scalar`] their
+/// fluid z-runs through [`odd_block_scalar`].
 ///
 /// # Safety
 /// `base_ptr` must point to `total = q·slab_len` initialised doubles laid
@@ -328,7 +335,7 @@ fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
 /// owned by a writer cell `x ∈ [x_lo, x_hi)`: its own slots on the even
 /// step, the slots `(x + c_j, j)` on the odd step (on the torus under
 /// `Wrap`). Both maps are bijections, so partitioning writers into
-/// disjoint x-ranges satisfies this.
+/// disjoint x-ranges satisfies this. The CPU must run `lanes`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn sweep_raw<O: CollideOp>(
     base_ptr: *mut f64,
@@ -341,12 +348,12 @@ unsafe fn sweep_raw<O: CollideOp>(
     x_lo: usize,
     x_hi: usize,
     parity: Parity,
-    simd: bool,
+    lanes: Lanes,
 ) {
     let q = ctx.lat.q();
     let nz = d.nz;
     let mask = bounds.mask();
-    let pc = pair_consts(simd, oc, q);
+    let pc = op::pair_body(lanes, oc, q);
     #[cfg(not(target_arch = "x86_64"))]
     let _ = &pc;
     let vel = ctx.lat.velocities();
@@ -361,7 +368,7 @@ unsafe fn sweep_raw<O: CollideOp>(
     let mut rows = [0usize; MAX_Q];
     let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
     #[cfg(target_arch = "x86_64")]
-    let mut seam = [[0.0f64; 2 * GROUP]; MAX_Q]; // AVX2 seam groups only
+    let mut seam = [[0.0f64; 2 * GROUP]; MAX_Q]; // vector seam groups only
 
     for x in x_lo..x_hi {
         for y in 0..d.ny {
@@ -386,23 +393,28 @@ unsafe fn sweep_raw<O: CollideOp>(
                 };
                 debug_assert!(*row + nz <= total);
             }
-            // AVX2 fluid rows: the pair body prefetches from its own moment
-            // loop and blends masked cells into exact AA no-ops.
+            // Vector fluid rows: the pair body prefetches from its own
+            // moment loop and selects masked cells into exact AA no-ops.
             #[cfg(target_arch = "x86_64")]
-            if let (None, Some(pc)) = (wall, &pc) {
+            if let (None, Some((lanes, pc))) = (wall, &pc) {
                 // SAFETY: every row of the view is inside the allocation per
-                // this function's contract, the pair table exists only where
-                // AVX2+FMA were detected (`pair_consts`), and the row touches
-                // exactly the slots its writer cells own.
+                // this function's contract, the CPU runs `lanes` (the pair
+                // table's instance), and the row touches exactly the slots
+                // its writer cells own.
                 unsafe {
-                    if ctx.third_order() {
-                        fluid_row_avx2::<true, O>(
+                    match (lanes, ctx.third_order()) {
+                        (Lanes::Avx512, true) => fluid_row_avx512::<true, O>(
                             ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
-                        );
-                    } else {
-                        fluid_row_avx2::<false, O>(
+                        ),
+                        (Lanes::Avx512, false) => fluid_row_avx512::<false, O>(
                             ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
-                        );
+                        ),
+                        (_, true) => fluid_row_avx2::<true, O>(
+                            ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
+                        ),
+                        (_, false) => fluid_row_avx2::<false, O>(
+                            ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
+                        ),
                     }
                 }
                 continue;
@@ -698,37 +710,15 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// The AA row view for [`tile_pairs_avx2`]: a [`RowPtrs`] whose `dst(i)`
-/// is `src(opp(i))`, the slot that held `a_opp(i)`. A type of its own so
-/// that the pair body's `RowPtrs` instantiation keeps the fused step as its
-/// one caller, where LTO inlines it as before.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct AaRows<'a>(RowPtrs<'a>);
-
-#[cfg(target_arch = "x86_64")]
-impl Rows for AaRows<'_> {
-    const PREFETCH: bool = <RowPtrs as Rows>::PREFETCH;
-
-    #[inline(always)]
-    fn src(self, i: usize) -> *const f64 {
-        self.0.src(i)
-    }
-
-    #[inline(always)]
-    fn dst(self, i: usize) -> *mut f64 {
-        self.0.dst(i)
-    }
-}
-
-/// The AVX2+FMA fluid row of either parity: the row view as [`AaRows`] for
-/// the ±c pair body the fused and sparse steps share ([`tile_pairs_avx2`]),
-/// one 64-cell chunk and one fluid word per call. Velocity `i` reads cell
-/// `z`'s arrival at `(z + zrot[i]) mod nz` of row `rows[i]`; each `t_i`
-/// goes to the slot that held `a_opp(i)`, row `opp(i)` first, as the scalar
-/// body stores. A masked cell clears its fluid bit and takes the body's
-/// bounce blend `(t_i, t_o) = (f_o, f_i)`, which stores every value back
-/// into the slot it came from: the AA no-op.
+/// The vector fluid row of either parity, on the lane instance `V`: the
+/// row view as [`RowPtrs`] whose `dst(i)` is `src(opp(i))`, the slot that
+/// held `a_opp(i)`, for the ±c pair body the fused and sparse steps share
+/// ([`tile_pairs`]), one 64-cell chunk and one fluid word per call.
+/// Velocity `i` reads cell `z`'s arrival at `(z + zrot[i]) mod nz` of row
+/// `rows[i]`; each `t_i` goes to the slot that held `a_opp(i)`, row
+/// `opp(i)` first, as the scalar body stores. A masked cell clears its
+/// fluid bit and takes the body's bounce select `(t_i, t_o) = (f_o, f_i)`,
+/// which stores every value back into the slot it came from: the AA no-op.
 ///
 /// Velocity `i` of the group at `z` loads in place when its window
 /// `t + [0, 8)`, `t = (z + zrot[i]) mod nz`, lies inside the row, as every
@@ -745,13 +735,14 @@ impl Rows for AaRows<'_> {
 ///   go back.
 ///
 /// # Safety
-/// AVX2+FMA must be available; every `rows[i] + nz` must be ≤ the
-/// allocation length and every `zrot[i] < nz`; the caller owns the slots of
-/// the row's writer cells exclusively.
+/// Every `rows[i] + nz` must be ≤ the allocation length and every
+/// `zrot[i] < nz`; the caller owns the slots of the row's writer cells
+/// exclusively.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
+unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
@@ -787,6 +778,8 @@ unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
         let row = base_ptr.wrapping_add(rows[i]).wrapping_offset(shift[i]);
         (src[i], dst[oc.opp[i]]) = (row, row);
     }
+    // The seam group's view, rebuilt for each seam group.
+    let (mut from, mut to) = (src, dst);
     // The slot in its row of rotated index `t < 2·nz`.
     let wrapped = |t: usize| if t >= nz { t - nz } else { t };
 
@@ -797,33 +790,8 @@ unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
                 .filter(|&j| m.is_solid(y, z0 + j))
                 .fold(u64::MAX, |bits, j| bits & !(1 << j))
         });
-        let body = |src: &[*const f64; MAX_Q], dst: &[*mut f64; MAX_Q], z: usize, groups: usize| {
-            let rows = AaRows(RowPtrs(src, dst));
-            // SAFETY: AVX2+FMA per this function's contract; every window
-            // of the view is inside its row or a stack row (see below).
-            unsafe {
-                tile_pairs_avx2::<THIRD, false, O, _>(
-                    ctx,
-                    oc,
-                    pc,
-                    rows,
-                    z,
-                    groups,
-                    fluid >> (z - z0),
-                )
-            }
-        };
         let mut z = z0;
         while z < z0 + n {
-            if interior(z) {
-                let mut end = z + GROUP;
-                while end < z0 + n && interior(end) {
-                    end += GROUP;
-                }
-                body(&src, &dst, z, (end - z) / GROUP);
-                z = end;
-                continue;
-            }
             let lanes = (nz - z).min(GROUP);
             // Velocity i's window starts at slot `start(i)` of its row and
             // goes through the seam buffer unless it is 8 in-row cells.
@@ -832,54 +800,135 @@ unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
             // A full group of a row of ≥ 16 cells: every buffered window
             // lies in the ring of the row's last and first 8 cells.
             let ring = lanes == GROUP && nz >= 2 * GROUP;
-            let (mut from, mut to) = (src, dst);
-            for i in 0..q {
-                let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
-                let view = if !buffered(i) {
-                    row.wrapping_add(t0)
-                } else if ring {
-                    let buf = seam[i].as_mut_ptr();
-                    // SAFETY: `nz ≥ 16`: both halves lie inside row `i`,
-                    // inside the allocation; the ring holds 16 doubles.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(row.add(nz - GROUP), buf, GROUP);
-                        std::ptr::copy_nonoverlapping(row, buf.add(GROUP), GROUP);
-                    }
-                    // `t0 > nz − 8`: the window starts in the first half.
-                    buf.wrapping_add(t0 + GROUP - nz)
-                } else {
-                    for l in 0..GROUP {
-                        // SAFETY: `t0 + l < 2·nz` for a valid lane, so its
-                        // slot lies inside row `i`, inside the allocation.
-                        let v = (l < lanes).then(|| unsafe { *row.add(wrapped(t0 + l)) });
-                        seam[i][l] = v.unwrap_or(1.0);
-                    }
-                    seam[i].as_mut_ptr()
+            let in_place = interior(z);
+            let (view, groups) = if in_place {
+                let mut end = z + GROUP;
+                while end < z0 + n && interior(end) {
+                    end += GROUP;
                 }
-                .wrapping_sub(z);
-                (from[i], to[oc.opp[i]]) = (view, view);
+                (RowPtrs(&src, &dst), (end - z) / GROUP)
+            } else {
+                for i in 0..q {
+                    let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
+                    let at = if !buffered(i) {
+                        row.wrapping_add(t0)
+                    } else if ring {
+                        let buf = seam[i].as_mut_ptr();
+                        // SAFETY: `nz ≥ 16`: both halves lie inside row `i`,
+                        // inside the allocation; the ring holds 16 doubles.
+                        unsafe {
+                            std::ptr::copy_nonoverlapping(row.add(nz - GROUP), buf, GROUP);
+                            std::ptr::copy_nonoverlapping(row, buf.add(GROUP), GROUP);
+                        }
+                        // `t0 > nz − 8`: the window starts in the first half.
+                        buf.wrapping_add(t0 + GROUP - nz)
+                    } else {
+                        for l in 0..GROUP {
+                            // SAFETY: `t0 + l < 2·nz` for a valid lane, so its
+                            // slot lies inside row `i`, inside the allocation.
+                            let x = (l < lanes).then(|| unsafe { *row.add(wrapped(t0 + l)) });
+                            seam[i][l] = x.unwrap_or(1.0);
+                        }
+                        seam[i].as_mut_ptr()
+                    }
+                    .wrapping_sub(z);
+                    (from[i], to[oc.opp[i]]) = (at, at);
+                }
+                (RowPtrs(&from, &to), 1)
+            };
+            // SAFETY: every window of the view is inside its row or a stack
+            // row (see above); `v` proves the instance's features.
+            unsafe {
+                tile_pairs::<V, THIRD, false, O, _>(
+                    v,
+                    ctx,
+                    oc,
+                    pc,
+                    view,
+                    z,
+                    groups,
+                    fluid >> (z - z0),
+                )
+            };
+            if !in_place {
+                for i in (0..q).filter(|&i| buffered(i)) {
+                    let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
+                    if ring {
+                        // SAFETY: the two halves the gather read. Lanes
+                        // outside the window store the values they were read
+                        // with, into slots of this writer row, which no other
+                        // thread owns.
+                        unsafe {
+                            std::ptr::copy_nonoverlapping(
+                                seam[i].as_ptr(),
+                                row.add(nz - GROUP),
+                                GROUP,
+                            );
+                            std::ptr::copy_nonoverlapping(seam[i].as_ptr().add(GROUP), row, GROUP);
+                        }
+                        continue;
+                    }
+                    for (l, x) in seam[i].iter().enumerate().take(lanes) {
+                        // SAFETY: the slots the gather read: only valid lanes
+                        // go back, to the slots they came from.
+                        unsafe { *row.add(wrapped(t0 + l)) = *x };
+                    }
+                }
             }
-            body(&from, &to, z, 1);
-            for i in (0..q).filter(|&i| buffered(i)) {
-                let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
-                if ring {
-                    // SAFETY: the two halves the gather read. Lanes outside
-                    // the window store the values they were read with, into
-                    // slots of this writer row, which no other thread owns.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(seam[i].as_ptr(), row.add(nz - GROUP), GROUP);
-                        std::ptr::copy_nonoverlapping(seam[i].as_ptr().add(GROUP), row, GROUP);
-                    }
-                    continue;
-                }
-                for (l, v) in seam[i].iter().enumerate().take(lanes) {
-                    // SAFETY: the slots the gather read: only valid lanes
-                    // go back, to the slots they came from.
-                    unsafe { *row.add(wrapped(t0 + l)) = *v };
-                }
-            }
-            z += GROUP;
+            z += groups * GROUP;
         }
+    }
+}
+
+/// [`fluid_row`] on [`Avx2`].
+///
+/// # Safety
+/// AVX2+FMA must be available, and [`fluid_row`]'s contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
+    nz: usize,
+    mask: Option<&SectionMask>,
+    y: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+) {
+    // SAFETY: AVX2+FMA and the row contract per this function's contract.
+    unsafe {
+        let v = Avx2::assume();
+        fluid_row::<_, THIRD, O>(v, ctx, oc, pc, base_ptr, rows, zrot, nz, mask, y, seam)
+    }
+}
+
+/// [`fluid_row`] on [`Avx512`].
+///
+/// # Safety
+/// AVX-512F, AVX2 and FMA must be available, and [`fluid_row`]'s contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fluid_row_avx512<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
+    nz: usize,
+    mask: Option<&SectionMask>,
+    y: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+) {
+    // SAFETY: AVX-512F, AVX2, FMA and the row contract per this function's contract.
+    unsafe {
+        let v = Avx512::assume();
+        fluid_row::<_, THIRD, O>(v, ctx, oc, pc, base_ptr, rows, zrot, nz, mask, y, seam)
     }
 }
 
@@ -891,7 +940,8 @@ mod tests {
     use crate::equilibrium::EqOrder;
     #[cfg(target_arch = "x86_64")]
     use crate::kernels::op::{group_moments, relax_pair};
-    use crate::kernels::op::{GuoForced, PlainBgk};
+    use crate::kernels::op::{with_op, GuoForced, PlainBgk};
+    use crate::kernels::simd::vector_lanes;
     use crate::kernels::{dh, fused, OptLevel};
     use crate::lattice::LatticeKind;
 
@@ -1464,10 +1514,11 @@ mod tests {
     #[test]
     fn pair_expression_matches_two_relax_one_calls() {
         // The pair expression on random (ρ, u, f_i, f_o) against the scalar
-        // per-velocity expression, to 1e-14 relative. (A sign flip of `D`
-        // or of the odd source part `sa` fails this by many orders.)
-        fn check<const THIRD: bool, O: CollideOp>(c: &KernelCtx, op: O, seed: u64) {
-            use std::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
+        // per-velocity expression, to 1e-14 relative, on each lane instance.
+        // (A sign flip of `D` or of the odd source part `sa` fails this by
+        // many orders.)
+        fn check<V: Lane, const THIRD: bool, O: CollideOp>(v: V, c: &KernelCtx, op: O, seed: u64) {
+            let n = V::N;
             let oc = OpConsts::new(c, &op);
             let pc = PairConsts::new(&oc, c.lat.q());
             let mut s = seed | 1;
@@ -1478,27 +1529,27 @@ mod tests {
                 lo + (hi - lo) * (s % 10_007) as f64 / 10_007.0
             };
             for p in pc.pairs() {
-                let rho: [f64; 4] = std::array::from_fn(|_| rnd(0.6, 1.6));
-                let m: [[f64; 4]; 3] =
-                    std::array::from_fn(|_| std::array::from_fn(|l| rho[l] * rnd(-0.12, 0.12)));
-                let fi: [f64; 4] = std::array::from_fn(|l| p.w * rho[l] * rnd(0.6, 1.4));
-                let fo: [f64; 4] = std::array::from_fn(|l| p.w * rho[l] * rnd(0.6, 1.4));
-                let (mut ti, mut to) = ([0.0f64; 4], [0.0f64; 4]);
-                // SAFETY: the caller checked AVX2+FMA; the pointers are
-                // 4-element stack arrays.
+                let rho: Vec<f64> = (0..n).map(|_| rnd(0.6, 1.6)).collect();
+                let m: [Vec<f64>; 3] =
+                    std::array::from_fn(|_| (0..n).map(|l| rho[l] * rnd(-0.12, 0.12)).collect());
+                let fi: Vec<f64> = (0..n).map(|l| p.w * rho[l] * rnd(0.6, 1.4)).collect();
+                let fo: Vec<f64> = (0..n).map(|l| p.w * rho[l] * rnd(0.6, 1.4)).collect();
+                let (mut ti, mut to) = (vec![0.0f64; n], vec![0.0f64; n]);
+                // SAFETY: every pointer addresses n = V::N doubles.
                 unsafe {
-                    let ld = |a: &[f64; 4]| _mm256_loadu_pd(a.as_ptr());
-                    let gm = group_moments::<THIRD, O>(
+                    let ld = |a: &[f64]| v.loadu(a.as_ptr());
+                    let gm = group_moments::<V, THIRD, O>(
+                        v,
                         c,
                         &oc,
                         ld(&rho),
                         [ld(&m[0]), ld(&m[1]), ld(&m[2])],
                     );
-                    let (vi, vo) = relax_pair::<THIRD, O>(c, p, &gm, ld(&fi), ld(&fo));
-                    _mm256_storeu_pd(ti.as_mut_ptr(), vi);
-                    _mm256_storeu_pd(to.as_mut_ptr(), vo);
+                    let (vi, vo) = relax_pair::<V, THIRD, O>(v, c, p, &gm, ld(&fi), ld(&fo));
+                    v.storeu(ti.as_mut_ptr(), vi);
+                    v.storeu(to.as_mut_ptr(), vo);
                 }
-                for l in 0..4 {
+                for l in 0..n {
                     let inv = 1.0 / rho[l];
                     let u: [f64; 3] = std::array::from_fn(|a| (m[a][l] + oc.half_g[a]) * inv);
                     let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
@@ -1509,7 +1560,7 @@ mod tests {
                         );
                         assert!(
                             (got - want).abs() <= 1e-14 * want.abs().max(f),
-                            "{:?} third={THIRD} forced={} velocity {idx}: {got} vs {want}",
+                            "{:?} N={n} third={THIRD} forced={} velocity {idx}: {got} vs {want}",
                             c.lat.kind(),
                             O::FORCED
                         );
@@ -1517,20 +1568,163 @@ mod tests {
                 }
             }
         }
-        if !simd::simd_available() {
-            return;
+        fn each<V: Lane>(v: V) {
+            let g = [3e-4, -2e-4, 1e-4];
+            for (n, kind) in LatticeKind::ALL.into_iter().enumerate() {
+                for tau in [0.56, 0.8, 1.9] {
+                    let bgk = Bgk::new(tau).unwrap();
+                    let seed = 77 + n as u64;
+                    let second = KernelCtx::new(kind, EqOrder::Second, bgk);
+                    check::<V, false, _>(v, &second, PlainBgk, seed);
+                    check::<V, false, _>(v, &second, GuoForced { g }, seed);
+                    let third = KernelCtx::new(kind, EqOrder::Third, bgk);
+                    check::<V, true, _>(v, &third, PlainBgk, seed);
+                    check::<V, true, _>(v, &third, GuoForced { g }, seed);
+                }
+            }
         }
-        let g = [3e-4, -2e-4, 1e-4];
-        for (n, kind) in LatticeKind::ALL.into_iter().enumerate() {
-            for tau in [0.56, 0.8, 1.9] {
-                let bgk = Bgk::new(tau).unwrap();
-                let seed = 77 + n as u64;
-                let second = KernelCtx::new(kind, EqOrder::Second, bgk);
-                check::<false, _>(&second, PlainBgk, seed);
-                check::<false, _>(&second, GuoForced { g }, seed);
-                let third = KernelCtx::new(kind, EqOrder::Third, bgk);
-                check::<true, _>(&third, PlainBgk, seed);
-                check::<true, _>(&third, GuoForced { g }, seed);
+        for lanes in vector_lanes() {
+            // SAFETY: `vector_lanes` lists only instances the CPU runs.
+            unsafe {
+                match lanes {
+                    Lanes::Avx512 => each(crate::kernels::op::Avx512::assume()),
+                    _ => each(crate::kernels::op::Avx2::assume()),
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_instances_agree_on_aa_rows() {
+        // The in-place AA view: row i at i·72, and t_i stored into the row
+        // that held a_opp(i).
+        use crate::align::AlignedBuf;
+        use crate::kernels::op::lane_tests;
+        const STRIDE: usize = 72;
+        for c in lane_tests::contexts() {
+            let q = c.lat.q();
+            let data = lane_tests::arrivals(q * STRIDE, 13);
+            let mut buf = AlignedBuf::new(data.len());
+            let base = buf.as_mut_ptr();
+            let mut src = [base.cast_const(); MAX_Q];
+            let mut dst = [base; MAX_Q];
+            for i in 0..q {
+                let row = base.wrapping_add(i * STRIDE);
+                (src[i], dst[c.lat.opposite(i)]) = (row, row);
+            }
+            let case = format!("{:?} third {} AA view", c.lat.kind(), c.third_order());
+            // SAFETY: every row's 64 cells lie in `buf`, on cache lines.
+            unsafe {
+                crate::kernels::op::lane_tests::assert_instances_agree(
+                    &c,
+                    base,
+                    &data,
+                    RowPtrs(&src, &dst),
+                    &case,
+                )
+            };
+        }
+    }
+
+    /// An even sweep of the owned planes `[k, k + n)`, a torus odd sweep
+    /// of them and a margin odd sweep of every plane with margin, on
+    /// `lanes`, serial (`threads == 1`) or on a pool.
+    #[allow(clippy::too_many_arguments)]
+    fn aa_sweeps_on<O: CollideOp>(
+        c: &KernelCtx,
+        tables: &StreamTables,
+        f: &mut DistField,
+        n: usize,
+        op: O,
+        bounds: &BoundarySpec,
+        lanes: Lanes,
+        threads: usize,
+    ) {
+        let k = c.lat.reach();
+        let nx = f.alloc_dims().nx;
+        let step = |f: &mut DistField| {
+            sweep(c, f, k, k + n, Parity::Even, op, bounds, lanes);
+            let xw = XShift::Wrap { lo: k, hi: k + n };
+            sweep(
+                c,
+                f,
+                k,
+                k + n,
+                Parity::Odd { tables, xw },
+                op,
+                bounds,
+                lanes,
+            );
+            let xw = XShift::Margin;
+            sweep(
+                c,
+                f,
+                k,
+                nx - k,
+                Parity::Odd { tables, xw },
+                op,
+                bounds,
+                lanes,
+            );
+        };
+        if threads == 1 {
+            step(f);
+        } else {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| step(f));
+        }
+    }
+
+    #[test]
+    fn lane_instances_agree_on_aa_sweeps() {
+        // Every vector instance this CPU runs writes the same bits, on even
+        // and odd (torus and margin) sweeps: rows of only seam and short
+        // groups (nz 4..13), whole groups (64) and both (67, 70), with and
+        // without masked cells, plain and Guo, serial and on 4 threads.
+        use crate::boundary::SectionMask;
+        let lanes = vector_lanes();
+        for kind in LatticeKind::ALL {
+            let c = ctx(kind);
+            let k = c.lat.reach();
+            for nz in (4..=13).chain([64, 67, 70]) {
+                let dims = Dim3::new(3, 4, nz);
+                let tables = StreamTables::new(dims.ny, nz);
+                for masked in [false, true] {
+                    let mut bounds = BoundarySpec::periodic();
+                    if masked {
+                        let mask = SectionMask::from_fn(dims.ny, nz, |y, z| (y + 2 * z) % 5 == 0);
+                        bounds = bounds.with_mask(mask);
+                    }
+                    for (g, threads) in [([0.0; 3], 1), ([2e-5, -1e-5, 3e-5], 4)] {
+                        let a0 = random_field(c.lat.q(), dims, k, 31 + nz as u64);
+                        let mut first: Option<DistField> = None;
+                        for &l in &lanes {
+                            let mut f = a0.clone();
+                            with_op!(g, |op| aa_sweeps_on(
+                                &c, &tables, &mut f, dims.nx, op, &bounds, l, threads
+                            ));
+                            let case = format!("{kind:?} nz={nz} masked={masked} g={g:?} {l:?}");
+                            assert!(f.max_abs_diff_owned(&a0) > 0.0, "{case}: no change");
+                            match &first {
+                                None => first = Some(f),
+                                Some(want) => {
+                                    for (p, (a, b)) in
+                                        want.as_slice().iter().zip(f.as_slice()).enumerate()
+                                    {
+                                        assert!(
+                                            a.to_bits() == b.to_bits(),
+                                            "{case} offset {p}: {a} vs {b}"
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -1789,7 +1983,8 @@ mod tests {
         // and every owned slot finite: no pad lane is stored and no write
         // lands past a row end. Rows of nz 7 and 13 are all seam and short
         // groups, 64 all whole groups, 70 both; with and without masked
-        // cells, serial and split across a pool.
+        // cells, serial and split across a pool, on every vector instance
+        // this CPU runs.
         use crate::boundary::SectionMask;
         let poison = f64::from_bits(0x7ff8_dead_beef_0001);
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
@@ -1824,7 +2019,9 @@ mod tests {
                             let mask = SectionMask::from_fn(dims.ny, nz, |y, z| (y + z) % 3 == 0);
                             bounds = bounds.with_mask(mask);
                         }
-                        for threads in [1, 4] {
+                        for (lanes, threads) in
+                            vector_lanes().into_iter().flat_map(|l| [(l, 1), (l, 4)])
+                        {
                             let mut f = values.clone();
                             for (v, &own) in f.as_mut_slice().iter_mut().zip(&owned) {
                                 if !own {
@@ -1832,11 +2029,17 @@ mod tests {
                                 }
                             }
                             let step = |f: &mut DistField| {
-                                if odd {
-                                    odd_cells(&c, &tables, f, x_lo, x_hi, PlainBgk, &bounds, true);
+                                let parity = if odd {
+                                    check_odd_bounds(&c, f, x_lo, x_hi);
+                                    let xw = XShift::Margin;
+                                    Parity::Odd {
+                                        tables: &tables,
+                                        xw,
+                                    }
                                 } else {
-                                    even_cells(&c, f, x_lo, x_hi, PlainBgk, &bounds, true);
-                                }
+                                    Parity::Even
+                                };
+                                sweep(&c, f, x_lo, x_hi, parity, PlainBgk, &bounds, lanes);
                             };
                             if threads == 1 {
                                 step(&mut f);
@@ -1854,7 +2057,7 @@ mod tests {
                                     } else {
                                         v.to_bits() == poison.to_bits()
                                     },
-                                    "{kind:?} nz={nz} odd={odd} masked={masked} \
+                                    "{kind:?} nz={nz} odd={odd} masked={masked} {lanes:?} \
                                      threads={threads} offset {p} (owned: {own}): {v}"
                                 );
                             }

@@ -1,11 +1,12 @@
-//! Vectorized fused stream+collide — the `Fused` rung's AVX2+FMA path.
+//! Vectorized fused stream+collide — the `Fused` rung's vector path.
 //!
 //! Same single-pass data flow as the scalar [`crate::kernels::fused`] kernel
 //! (one read and one write per velocity), with no tile in between. Each
-//! fluid row is a row view for the ±c pair body the sparse backend and the
-//! AA sweep also run ([`crate::kernels::op`]'s `tile_pairs_avx2`: paired
-//! moment sums, one division per 4-lane line, equilibrium and Guo source
-//! once per pair):
+//! fluid row is a row view for the lane-generic ±c pair body the sparse
+//! backend and the AA sweep also run ([`crate::kernels::op`]'s
+//! `tile_pairs`: paired moment sums, one division per line, equilibrium
+//! and Guo source once per pair), on the widest lane instance the CPU runs
+//! (AVX-512 or AVX2, bitwise equal):
 //!
 //! * **Loads** — velocity `i` reads its arrivals in place, from its source
 //!   row `(x − cx_i, y − cy_i)` shifted by `−cz_i`. In the groups at the
@@ -16,8 +17,8 @@
 //!   more than the hardware prefetcher follows. Past a row's end the touch
 //!   lands on the next y-row, which is read next.
 //! * **Stores** — 8 cells at a time, so every velocity row of a group is one
-//!   whole 64-byte line of `dst`, written with two back-to-back streaming
-//!   stores and no read-for-ownership: `2·Q·8` bytes/cell is what reaches
+//!   whole 64-byte line of `dst`, written with one 8-lane or two
+//!   back-to-back 4-lane streaming stores and no read-for-ownership: `2·Q·8` bytes/cell is what reaches
 //!   DRAM. When `nz` is not a multiple of 8 the rows are not line-aligned;
 //!   such rows collide 64 cells at a time into a stack frame that goes to
 //!   `dst` as one non-temporal row copy per velocity. Each chunk of the
@@ -27,23 +28,27 @@
 //! ([`crate::kernels::op::CollideOp`]) and boundary-aware. Wall rows gather
 //! into a `Q × 64` tile and store its wall transform instead of colliding
 //! (the scalar kernel's code, bitwise). Masked cells take the pair body's
-//! bounce blend `(t_i, t_o) = (f_o, f_i)`, which is the scalar kernel's
+//! bounce select `(t_i, t_o) = (f_o, f_i)`, which is the scalar kernel's
 //! full-way bounce-back, bitwise. Fluid cells agree with the scalar kernel
 //! within re-rounding, since pair evaluation reassociates the arithmetic.
 //!
-//! Feature detection happens at runtime; without AVX2+FMA the rung falls
-//! back to the scalar fused kernel, so the crate stays portable.
+//! Feature detection happens once, at runtime
+//! ([`crate::kernels::simd::lanes`]); without AVX2+FMA the rung falls back
+//! to the scalar fused kernel, so the crate stays portable.
 
 use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::fused;
+#[cfg(target_arch = "x86_64")]
+use crate::kernels::op::{Avx2, Avx512, Lane};
 use crate::kernels::op::{CollideOp, PlainBgk};
 use crate::kernels::par::{x_chunks, SendPtr};
-use crate::kernels::simd::simd_available;
+use crate::kernels::simd::{self, Lanes};
 use crate::kernels::{KernelCtx, StreamTables};
 
 /// One fused LBM step `dst ← collide(pull(src))` over planes
-/// `x ∈ [x_lo, x_hi)`, vectorized when the host supports AVX2+FMA and
+/// `x ∈ [x_lo, x_hi)`, vectorized when the host supports AVX2+FMA (on
+/// 8 lanes where it also has AVX-512F) and
 /// falling back to the scalar fused kernel otherwise.
 ///
 /// Halo contract identical to [`fused::stream_collide`]: `src` must be valid
@@ -83,6 +88,24 @@ pub fn stream_collide_cells<O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
+    stream_collide_on(simd::lanes(), ctx, tables, src, dst, x_lo, x_hi, op, bounds);
+}
+
+/// [`stream_collide_cells`] on the pair-body instance `lanes` (checked to
+/// run on this CPU), or the scalar fused kernel on [`Lanes::Scalar`].
+#[allow(clippy::too_many_arguments)]
+fn stream_collide_on<O: CollideOp>(
+    lanes: Lanes,
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+) {
+    let lanes = simd::supported(lanes);
     fused::check_fused_bounds(ctx, src, dst, x_lo, x_hi);
     let total = dst.as_slice().len();
     let base = SendPtr(dst.as_mut_ptr());
@@ -90,18 +113,34 @@ pub fn stream_collide_cells<O: CollideOp>(
         // SAFETY: `&mut dst` is held for the whole sweep, the chunks
         // partition [x_lo, x_hi) — which the bounds check above keeps inside
         // the allocation — so each call writes its own planes of `dst`;
-        // `src` is only read and never aliases `dst` (distinct fields).
-        unsafe { stream_collide_cells_raw(ctx, tables, src, base.get(), total, lo, hi, op, bounds) }
+        // `src` is only read and never aliases `dst` (distinct fields). The
+        // CPU runs `lanes` (checked above).
+        unsafe {
+            stream_collide_cells_raw(
+                lanes,
+                ctx,
+                tables,
+                src,
+                base.get(),
+                total,
+                lo,
+                hi,
+                op,
+                bounds,
+            )
+        }
     });
 }
 
-/// Raw-destination dispatch of one chunk: AVX2+FMA when available, scalar
-/// fused otherwise.
+/// Raw-destination dispatch of one chunk: the pair body on `lanes`, or the
+/// scalar fused kernel on [`Lanes::Scalar`].
 ///
 /// # Safety
-/// Same contract as [`fused::stream_collide_cells_raw`].
+/// The CPU must run `lanes`, and the contract of
+/// [`fused::stream_collide_cells_raw`] must hold.
 #[allow(clippy::too_many_arguments)]
 unsafe fn stream_collide_cells_raw<O: CollideOp>(
+    lanes: Lanes,
     ctx: &KernelCtx,
     tables: &StreamTables,
     src: &DistField,
@@ -113,20 +152,24 @@ unsafe fn stream_collide_cells_raw<O: CollideOp>(
     bounds: &BoundarySpec,
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if simd_available() {
-            // SAFETY: AVX2+FMA were detected just above, and `fused_avx2`
-            // has this function's layout contract, which the caller upholds.
-            unsafe {
-                if ctx.third_order() {
-                    fused_avx2::<true, O>(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds);
-                } else {
-                    fused_avx2::<false, O>(
-                        ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds,
-                    );
-                }
+    // SAFETY: the CPU runs `lanes`, and the entry points have this
+    // function's layout contract, which the caller upholds.
+    unsafe {
+        let (d, t) = (dst_ptr, total);
+        match (lanes, ctx.third_order()) {
+            (Lanes::Avx512, true) => {
+                return fused_avx512::<true, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
             }
-            return;
+            (Lanes::Avx512, false) => {
+                return fused_avx512::<false, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+            }
+            (Lanes::Avx2, true) => {
+                return fused_avx2::<true, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+            }
+            (Lanes::Avx2, false) => {
+                return fused_avx2::<false, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+            }
+            (Lanes::Scalar, _) => {}
         }
     }
     // SAFETY: the scalar fused body has this function's contract, which the
@@ -136,13 +179,17 @@ unsafe fn stream_collide_cells_raw<O: CollideOp>(
     }
 }
 
+/// The vector fused pass of one chunk on the lane instance `V` (see the
+/// module docs).
+///
 /// # Safety
-/// Caller must ensure AVX2+FMA are available and the layout/exclusivity
-/// contract of [`fused::stream_collide_cells_raw`] holds.
+/// The layout/exclusivity contract of [`fused::stream_collide_cells_raw`]
+/// must hold.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
+unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
     ctx: &KernelCtx,
     tables: &StreamTables,
     src: &DistField,
@@ -154,7 +201,7 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     bounds: &BoundarySpec,
 ) {
     use crate::kernels::fused::ZBF;
-    use crate::kernels::op::{tile_pairs_avx2, OpConsts, PairConsts, RowPtrs, GROUP};
+    use crate::kernels::op::{tile_pairs, OpConsts, PairConsts, RowPtrs, GROUP};
     use crate::kernels::simd::{sfence, stream_frame};
     use crate::kernels::MAX_Q;
 
@@ -178,7 +225,9 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     // Rows start on a cache line when `nz` is a whole number of groups: the
     // body then streams straight into `dst`. Otherwise it collides into
     // `frame`, which is streamed out row by row.
-    let direct = nz % GROUP == 0 && slab_len % GROUP == 0 && dst_ptr as usize % 64 == 0;
+    let direct = nz.is_multiple_of(GROUP)
+        && slab_len.is_multiple_of(GROUP)
+        && (dst_ptr as usize).is_multiple_of(64);
     // The group at z reads source cells [z − cz, z − cz + 8), inside the
     // row for every |cz| ≤ k iff k ≤ z and z + 8 + k ≤ nz.
     let interior = |z: usize| z >= k && z + GROUP + k <= nz;
@@ -192,14 +241,16 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     let mut fq = [[0.0f64; ZBF]; MAX_Q];
     let mut frame = [[0.0f64; CHUNK]; MAX_Q];
     let mut seam = [[0.0f64; GROUP]; MAX_Q];
+    // The source rows of a seam group: in place or in `seam`.
+    let mut seam_from: [*const f64; MAX_Q];
 
     // SAFETY: source rows are `row_off[i] + [0, nz)` inside `src_data`; the
     // body reads `sp[i] + z + [0, 8)` only where that window lies inside the
     // row, and everything else from `seam`. It writes `dp[i] + [0, nz)`
     // — row (x, y) of slab i, within `total` (debug-asserted) and in plane
     // x ∈ [x_lo, x_hi), which the caller grants exclusively — or `frame`.
-    // `direct` rows are 64-byte aligned, as the streaming stores need.
-    // AVX2+FMA are present per this function's contract.
+    // `direct` rows are 64-byte aligned, as the streaming stores of either
+    // lane instance need; `v` proves the instance's features.
     unsafe {
         for x in x_lo..x_hi {
             for y in 0..d.ny {
@@ -248,7 +299,7 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
                 for z0 in (0..nz).step_by(CHUNK) {
                     let n = (nz - z0).min(CHUNK);
                     // Masked cells clear their bit and take the body's
-                    // bounce blend; pad lanes stay fluid.
+                    // bounce select; pad lanes stay fluid.
                     let fluid = mask.map_or(u64::MAX, |m| {
                         (0..n)
                             .filter(|&j| m.is_solid(y, z0 + j))
@@ -260,54 +311,52 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
                             out[i] = frame[i].as_mut_ptr().wrapping_sub(z0);
                         }
                     }
-                    let body = |from: &[*const f64; MAX_Q], z: usize, groups: usize| {
-                        let (rows, bits) = (RowPtrs(from, &out), fluid >> (z - z0));
-                        if direct {
-                            tile_pairs_avx2::<THIRD, true, O, _>(
-                                ctx, &oc, &pc, rows, z, groups, bits,
-                            );
-                        } else {
-                            tile_pairs_avx2::<THIRD, false, O, _>(
-                                ctx, &oc, &pc, rows, z, groups, bits,
-                            );
-                        }
-                    };
                     let mut z = z0;
                     while z < z0 + n {
-                        if interior(z) {
+                        let (from, groups) = if interior(z) {
                             let mut end = z + GROUP;
                             while end < z0 + n && interior(end) {
                                 end += GROUP;
                             }
-                            body(&sp, z, (end - z) / GROUP);
-                            z = end;
-                            continue;
-                        }
-                        // Seam group: a velocity whose window leaves the
-                        // row, or any velocity of a short last group, reads
-                        // wrapped lanes (pad lanes 1.0, a harmless density,
-                        // never stored); the others still load in place.
-                        let lanes = (nz - z).min(GROUP);
-                        let mut from = sp;
-                        for i in 0..q {
-                            let cz = vel[i][2] as isize;
-                            let s = z as isize - cz;
-                            if lanes == GROUP && s >= 0 && s as usize + GROUP <= nz {
-                                continue;
+                            (&sp, (end - z) / GROUP)
+                        } else {
+                            // Seam group: a velocity whose window leaves the
+                            // row, or any velocity of a short last group,
+                            // reads wrapped lanes (pad lanes 1.0, a harmless
+                            // density, never stored); the others still load
+                            // in place.
+                            let lanes = (nz - z).min(GROUP);
+                            seam_from = sp;
+                            for i in 0..q {
+                                let cz = vel[i][2] as isize;
+                                let s = z as isize - cz;
+                                if lanes == GROUP && s >= 0 && s as usize + GROUP <= nz {
+                                    continue;
+                                }
+                                let srow = &src_data[row_off[i]..][..nz];
+                                let at = s + k as isize;
+                                for (l, x) in seam[i].iter_mut().enumerate() {
+                                    *x = if l < lanes {
+                                        srow[wrap[at as usize + l]]
+                                    } else {
+                                        1.0
+                                    };
+                                }
+                                seam_from[i] = seam[i].as_ptr().wrapping_sub(z);
                             }
-                            let srow = &src_data[row_off[i]..][..nz];
-                            let at = s + k as isize;
-                            for (l, v) in seam[i].iter_mut().enumerate() {
-                                *v = if l < lanes {
-                                    srow[wrap[at as usize + l]]
-                                } else {
-                                    1.0
-                                };
-                            }
-                            from[i] = seam[i].as_ptr().wrapping_sub(z);
+                            (&seam_from, 1)
+                        };
+                        let (rows, bits) = (RowPtrs(from, &out), fluid >> (z - z0));
+                        if direct {
+                            tile_pairs::<V, THIRD, true, O, _>(
+                                v, ctx, &oc, &pc, rows, z, groups, bits,
+                            );
+                        } else {
+                            tile_pairs::<V, THIRD, false, O, _>(
+                                v, ctx, &oc, &pc, rows, z, groups, bits,
+                            );
                         }
-                        body(&from, z, 1);
-                        z += GROUP;
+                        z += groups * GROUP;
                     }
                     if !direct {
                         for (row, &to) in frame.iter().zip(&dp).take(q) {
@@ -319,6 +368,57 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
         }
     }
     sfence();
+}
+
+/// [`fused_rows`] on [`Avx2`].
+///
+/// # Safety
+/// AVX2+FMA must be available, and [`fused_rows`]' contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst_ptr: *mut f64,
+    total: usize,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+) {
+    // SAFETY: AVX2+FMA and the layout contract per this function's contract.
+    unsafe {
+        let v = Avx2::assume();
+        fused_rows::<_, THIRD, O>(v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
+    }
+}
+
+/// [`fused_rows`] on [`Avx512`].
+///
+/// # Safety
+/// AVX-512F, AVX2 and FMA must be available, and [`fused_rows`]' contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fused_avx512<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst_ptr: *mut f64,
+    total: usize,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+) {
+    // SAFETY: AVX-512F, AVX2, FMA and the layout contract per this function's
+    // contract.
+    unsafe {
+        let v = Avx512::assume();
+        fused_rows::<_, THIRD, O>(v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
+    }
 }
 
 #[cfg(test)]
@@ -465,7 +565,7 @@ mod tests {
         // copies/transforms of the same arrivals, so they are bitwise. And
         // the whole output is bitwise the scalar-pulled rows run through
         // the pair body's frame-row instantiation.
-        if !simd_available() {
+        if !simd::simd_available() {
             return;
         }
         type Solid = fn(usize, usize) -> bool;
@@ -630,12 +730,13 @@ mod tests {
 
     #[test]
     fn fused_simd_streamed_stores_stay_inside_the_swept_planes() {
-        // The AVX2 pass writes `dst` through raw streaming stores: with all
-        // of `dst` NaN-poisoned, one step on [x_lo, x_hi) must leave every
-        // value outside those planes (halo planes and slab pads included)
-        // with its NaN bits and every value inside finite — on line-aligned
-        // rows (nz = 96) and unaligned ones (nz = 13), with and without
-        // masked cells, serial and split across a pool.
+        // The vector pass writes `dst` through raw streaming stores: with
+        // all of `dst` NaN-poisoned, one step on [x_lo, x_hi) must leave
+        // every value outside those planes (halo planes and slab pads
+        // included) with its NaN bits and every value inside finite — on
+        // line-aligned rows (nz = 96) and unaligned ones (nz = 13), with and
+        // without masked cells, serial and split across a pool, on every
+        // vector instance this CPU runs.
         let poison = f64::from_bits(0x7ff8_dead_beef_0001);
         for (kind, order) in [
             (LatticeKind::D3Q19, EqOrder::Second),
@@ -654,12 +755,15 @@ mod tests {
                         bounds =
                             bounds.with_mask(SectionMask::from_fn(5, nz, |y, z| (y + z) % 3 == 0));
                     }
-                    for threads in [1, 4] {
+                    for (lanes, threads) in simd::vector_lanes()
+                        .into_iter()
+                        .flat_map(|l| [(l, 1), (l, 4)])
+                    {
                         let mut dst = DistField::new(q, dims, k).unwrap();
                         dst.as_mut_slice().fill(poison);
                         let step = |dst: &mut DistField| {
-                            stream_collide_cells(
-                                &c, &tables, &src, dst, x_lo, x_hi, PlainBgk, &bounds,
+                            stream_collide_on(
+                                lanes, &c, &tables, &src, dst, x_lo, x_hi, PlainBgk, &bounds,
                             )
                         };
                         if threads == 1 {
@@ -678,9 +782,74 @@ mod tests {
                                 } else {
                                     v.to_bits() == poison.to_bits()
                                 },
-                                "{kind:?} nz={nz} masked={masked} threads={threads} offset {p} \
+                                "{kind:?} nz={nz} masked={masked} {lanes:?} threads={threads} offset {p} \
                                  (inside: {inside}): {v}"
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_instances_agree_on_the_fused_step() {
+        // Every vector instance this CPU runs writes the same bits: single
+        // cells, short last groups, seam-only rows, rows streamed straight
+        // into `dst` (nz 64, 96) and unaligned rows under the streamed
+        // copy-out (67), with masked cells and wall rows, plain and Guo,
+        // serial and on 4 threads.
+        let ny = 5;
+        for kind in LatticeKind::ALL {
+            let order = if kind == LatticeKind::D3Q39 {
+                EqOrder::Third
+            } else {
+                EqOrder::Second
+            };
+            let c = ctx(kind, order);
+            let k = c.lat.reach();
+            for nz in [1, 3, 8, 13, 64, 67, 96] {
+                let dims = Dim3::new(3, ny, nz);
+                let tables = StreamTables::new(ny, nz.max(4));
+                let src = random_field(c.lat.q(), dims, k, 53 + nz as u64);
+                let bounds = BoundarySpec::periodic()
+                    .with_walls(ChannelWalls::no_slip(1))
+                    .with_mask(SectionMask::from_fn(ny, nz, |y, z| (y + z) % 3 == 0));
+                for (g, threads) in [([0.0; 3], 1), ([3e-5, -2e-5, 1e-5], 4)] {
+                    let mut first: Option<DistField> = None;
+                    for lanes in simd::vector_lanes() {
+                        let mut dst = DistField::new(c.lat.q(), dims, k).unwrap();
+                        let step = |dst: &mut DistField| {
+                            crate::kernels::op::with_op!(g, |op| stream_collide_on(
+                                lanes,
+                                &c,
+                                &tables,
+                                &src,
+                                dst,
+                                k,
+                                k + dims.nx,
+                                op,
+                                &bounds
+                            ))
+                        };
+                        if threads == 1 {
+                            step(&mut dst);
+                        } else {
+                            pool(threads).install(|| step(&mut dst));
+                        }
+                        let case = format!("{kind:?} nz={nz} g={g:?} {lanes:?}");
+                        match &first {
+                            None => first = Some(dst),
+                            Some(want) => {
+                                for (p, (a, b)) in
+                                    want.as_slice().iter().zip(dst.as_slice()).enumerate()
+                                {
+                                    assert!(
+                                        a.to_bits() == b.to_bits(),
+                                        "{case} offset {p}: {a} vs {b}"
+                                    );
+                                }
+                            }
                         }
                     }
                 }
@@ -707,7 +876,7 @@ mod tests {
         // G of momentum: |Σ out − Σ f| ≤ 1e-14 ρ and
         // |Σ c·out − Σ c·f − G| ≤ 1e-14, in compensated sums. The arrivals
         // f are the pull-stream of src; near equilibrium, so ρ ≈ 1.
-        if !simd_available() {
+        if !simd::simd_available() {
             return;
         }
         let g = [2e-5, -1e-5, 3e-5];

@@ -2,7 +2,7 @@
 //! drivers.
 //!
 //! Every rung of the ladder runs the same *data movement* (in-place sweep,
-//! AVX2 lanes, fused single pass, rayon chunks) around one of two per-cell
+//! vector lanes, fused single pass, rayon chunks) around one of two per-cell
 //! *rules*: plain BGK relaxation, or the Guo-forced variant (half-force
 //! velocity shift plus a post-relaxation source). A [`CollideOp`] names the
 //! rule; the drivers are generic over it and monomorphize, so the unforced
@@ -18,7 +18,7 @@
 //!   coefficients, so there is exactly one equilibrium-constant path;
 //! * [`collide_cells_raw`] — the z-blocked, boundary-aware scalar collide
 //!   body shared by the scalar driver (one call per chunk of the installed
-//!   pool) and the non-AVX2 fallback of the SIMD rung. Wall rows are
+//!   pool) and the scalar fallback of the SIMD rung. Wall rows are
 //!   skipped and masked cells excluded via fluid z-runs, so walled/masked
 //!   scenarios reuse the identical line-blocked loop the periodic kernels
 //!   run.
@@ -31,23 +31,37 @@
 //! `sc_i = p_i (c_i·G)/c_s⁴`, `p_i = (1 − ω/2) w_i`. Only `u·G` and `ξ_i`
 //! vary per cell — and `ξ_i` is already computed for the equilibrium — so
 //! the forced path costs two extra fmas per (cell, velocity) in both the
-//! scalar and AVX2 drivers.
+//! scalar and vector drivers.
 //!
 //! Across a ±c pair `(i, o = opp(i))` the constants mirror — `sa`, `sc` and
 //! `ξ` negate, `sb` is shared — so `sc ξ`, a product of two odd factors,
 //! keeps its sign and the source splits into a part even in `c` and a part
 //! odd in it, `S_{i,o} = [sc ξ − sb (u·G)] ± sa`, exactly as the
 //! equilibrium splits into `w ρ (E ± D)`. [`PairConsts`] lists the pairs
-//! for the drivers that evaluate both once per pair, and the AVX2+FMA pair
-//! expression itself lives here once: `group_moments` closes a lane
-//! group's paired moment sums, `relax_pair` and `relax_rest` relax a pair
-//! and the rest velocity. `tile_pairs_avx2` runs them over a row view, 8
-//! cells at a time: the sparse steps pass the rows of a gathered tile
-//! frame, the dense fused step the shifted source rows and the `dst` rows
-//! themselves, the AA sweep its in-place view with `dst(i) = src(opp(i))`,
-//! and the `Simd` rung's split collide its in-place view with
-//! `dst(i) = src(i)`, slab `i`'s row. That is every AVX2 collide of the
-//! crate: a change to the pair expression is made here once.
+//! for the drivers that evaluate both once per pair, and the pair
+//! expression itself lives here once, written over a lane type
+//! (`Lane`): `group_moments` closes a line's paired moment sums,
+//! `relax_pair` and `relax_rest` relax a pair and the rest velocity.
+//! `tile_pairs` runs them over a row view, 8 cells at a time: the sparse
+//! steps pass the rows of a gathered tile frame, the dense fused step the
+//! shifted source rows and the `dst` rows themselves, the AA sweep its
+//! in-place view with `dst(i) = src(opp(i))`, and the `Simd` rung's split
+//! collide its in-place view with `dst(i) = src(i)`, slab `i`'s row. That
+//! is every vector collide of the crate: a change to the pair expression
+//! is made here once.
+//!
+//! ## Lane instances
+//!
+//! The body is generic over `Lane`, a vector of `N` doubles with the dozen
+//! operations it uses, and has two instances: `Avx2` (`__m256d`, 4 lanes,
+//! a group is two lines) and `Avx512` (`__m512d`, 8 lanes, a group is one
+//! line). Every lane sees the same operation sequence on either, so the
+//! two write the same bits. Each driver's body is generic in turn, with two
+//! thin `#[target_feature]` entry points, `avx2,fma` and
+//! `avx512f,avx2,fma`, into which the whole body inlines; the driver picks
+//! one per kernel call from [`crate::kernels::simd::lanes`], the widest
+//! instance the CPU runs, detected once. A value of a lane type is the
+//! proof that the CPU runs it, so the body's arithmetic is safe code.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
@@ -55,9 +69,10 @@ use crate::field::DistField;
 use crate::geometry::TILE_CELLS;
 use crate::kernels::dh::ZB;
 use crate::kernels::par::{x_chunks, SendPtr};
+use crate::kernels::simd::Lanes;
 use crate::kernels::{KernelCtx, MAX_Q};
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::__m256d;
+use std::arch::x86_64::*;
 
 /// A per-cell collide rule, threaded through every kernel driver.
 ///
@@ -183,7 +198,7 @@ pub(crate) struct VelPair {
 }
 
 /// The ±c pair view of an [`OpConsts`], for drivers that evaluate the
-/// equilibrium and the Guo source once per pair (the AVX2 AA, sparse and
+/// equilibrium and the Guo source once per pair (the vector AA, sparse and
 /// fused bodies): every moving velocity appears in exactly one pair, and the
 /// rest velocity is a degenerate pair with `i == o` and `c = sa = sc = 0`.
 #[derive(Debug, Clone)]
@@ -231,165 +246,408 @@ impl PairConsts {
     }
 }
 
-/// What every pair of one 4-lane group shares: the velocity, `u·G` (zero
-/// unforced), `ωρ`, and the ξ-free parts of the equilibrium's even and odd
+/// A vector of `N` `f64` lanes that the ±c pair body is written over, once:
+/// [`Avx2`] (`__m256d`, `N = 4`) and [`Avx512`] (`__m512d`, `N = 8`). The
+/// body issues the same operation per lane on either, so the two produce
+/// the same bits. A value of an instance is a token: it says that the CPU
+/// runs the instance's instructions, which makes the methods safe to call.
+/// They are all `#[inline(always)]`: inside a function that enables the
+/// instance's features (the kernels' `#[target_feature]` entry points) each
+/// compiles to its one instruction.
+///
+/// # Safety
+/// An implementor's value may exist only where the CPU runs every
+/// instruction its methods issue: implementors make one only in
+/// [`Lane::assume`], and have no other constructor.
+#[cfg(target_arch = "x86_64")]
+pub(crate) unsafe trait Lane: Copy {
+    /// Lanes per vector: 4 or 8, so that a [`GROUP`] is one or two lines.
+    const N: usize;
+    /// The vector of `N` doubles.
+    type V: Copy;
+    /// Which lanes of a line are fluid.
+    type Mask: Copy;
+    /// The token.
+    ///
+    /// # Safety
+    /// The CPU must support the instance: `simd::lanes()` is at least it.
+    unsafe fn assume() -> Self;
+    /// Every lane `x`.
+    fn splat(self, x: f64) -> Self::V;
+    /// Load `N` doubles from `p`.
+    ///
+    /// # Safety
+    /// The `N` doubles at `p` must be readable.
+    unsafe fn loadu(self, p: *const f64) -> Self::V;
+    /// Store `v` to the `N` doubles at `p`.
+    ///
+    /// # Safety
+    /// The `N` doubles at `p` must be writable.
+    unsafe fn storeu(self, p: *mut f64, v: Self::V);
+    /// Store `v` to the `N` doubles at `p` past the cache (non-temporal).
+    ///
+    /// # Safety
+    /// The `N` doubles at `p` must be writable, and `p` aligned to the whole
+    /// vector (`8·N` bytes: the lane's NT alignment).
+    unsafe fn stream(self, p: *mut f64, v: Self::V);
+    /// `a + b`.
+    fn add(self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a − b`.
+    fn sub(self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a · b`.
+    fn mul(self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a / b`.
+    fn div(self, a: Self::V, b: Self::V) -> Self::V;
+    /// `a · b + c`, rounded once.
+    fn fmadd(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `c − a · b`, rounded once.
+    fn fnmadd(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// `a · b − c`, rounded once.
+    fn fmsub(self, a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// The mask of a line whose lane `j` is fluid iff bit `j` of `bits` is
+    /// set (bits from `N` on are ignored).
+    fn fluid(self, bits: u64) -> Self::Mask;
+    /// Lane by lane: `fluid` where `m` says fluid, `solid` elsewhere.
+    fn select(self, m: Self::Mask, solid: Self::V, fluid: Self::V) -> Self::V;
+}
+
+/// The AVX2+FMA instance of [`Lane`]: 4 lanes, `__m256d`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx2(());
+
+// SAFETY: `Avx2` is made only by `assume`, whose caller vouches for
+// AVX2+FMA; every method below issues AVX, AVX2 or FMA instructions only.
+#[cfg(target_arch = "x86_64")]
+unsafe impl Lane for Avx2 {
+    const N: usize = 4;
+    type V = __m256d;
+    type Mask = __m256d;
+
+    #[inline(always)]
+    unsafe fn assume() -> Self {
+        Self(())
+    }
+
+    #[inline(always)]
+    fn splat(self, x: f64) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_set1_pd(x) }
+    }
+
+    #[inline(always)]
+    unsafe fn loadu(self, p: *const f64) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA; the caller grants the read.
+        unsafe { _mm256_loadu_pd(p) }
+    }
+
+    #[inline(always)]
+    unsafe fn storeu(self, p: *mut f64, v: __m256d) {
+        // SAFETY: `self` proves AVX2+FMA; the caller grants the write.
+        unsafe { _mm256_storeu_pd(p, v) }
+    }
+
+    #[inline(always)]
+    unsafe fn stream(self, p: *mut f64, v: __m256d) {
+        // SAFETY: `self` proves AVX2+FMA; the caller grants the write and
+        // the 32-byte alignment.
+        unsafe { _mm256_stream_pd(p, v) }
+    }
+
+    #[inline(always)]
+    fn add(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_add_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn sub(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_sub_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_mul_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn div(self, a: __m256d, b: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_div_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn fmadd(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_fmadd_pd(a, b, c) }
+    }
+
+    #[inline(always)]
+    fn fnmadd(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_fnmadd_pd(a, b, c) }
+    }
+
+    #[inline(always)]
+    fn fmsub(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_fmsub_pd(a, b, c) }
+    }
+
+    #[inline(always)]
+    fn fluid(self, bits: u64) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe {
+            let lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+            _mm256_castsi256_pd(_mm256_cmpeq_epi64(
+                _mm256_and_si256(_mm256_set1_epi64x(bits as i64), lane_bits),
+                lane_bits,
+            ))
+        }
+    }
+
+    #[inline(always)]
+    fn select(self, m: __m256d, solid: __m256d, fluid: __m256d) -> __m256d {
+        // SAFETY: `self` proves AVX2+FMA (trait contract).
+        unsafe { _mm256_blendv_pd(solid, fluid, m) }
+    }
+}
+
+/// The AVX-512F instance of [`Lane`]: 8 lanes, `__m512d`, one [`GROUP`]
+/// per vector. Its token also proves AVX2+FMA, so the entry points that
+/// run it enable `avx512f,avx2,fma`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct Avx512(());
+
+// SAFETY: `Avx512` is made only by `assume`, whose caller vouches for
+// AVX-512F; every method below issues AVX-512F instructions only.
+#[cfg(target_arch = "x86_64")]
+unsafe impl Lane for Avx512 {
+    const N: usize = 8;
+    type V = __m512d;
+    type Mask = __mmask8;
+
+    #[inline(always)]
+    unsafe fn assume() -> Self {
+        Self(())
+    }
+
+    #[inline(always)]
+    fn splat(self, x: f64) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_set1_pd(x) }
+    }
+
+    #[inline(always)]
+    unsafe fn loadu(self, p: *const f64) -> __m512d {
+        // SAFETY: `self` proves AVX-512F; the caller grants the read.
+        unsafe { _mm512_loadu_pd(p) }
+    }
+
+    #[inline(always)]
+    unsafe fn storeu(self, p: *mut f64, v: __m512d) {
+        // SAFETY: `self` proves AVX-512F; the caller grants the write.
+        unsafe { _mm512_storeu_pd(p, v) }
+    }
+
+    #[inline(always)]
+    unsafe fn stream(self, p: *mut f64, v: __m512d) {
+        // SAFETY: `self` proves AVX-512F; the caller grants the write and
+        // the 64-byte alignment.
+        unsafe { _mm512_stream_pd(p, v) }
+    }
+
+    #[inline(always)]
+    fn add(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_add_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn sub(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_sub_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn mul(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_mul_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn div(self, a: __m512d, b: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_div_pd(a, b) }
+    }
+
+    #[inline(always)]
+    fn fmadd(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_fmadd_pd(a, b, c) }
+    }
+
+    #[inline(always)]
+    fn fnmadd(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_fnmadd_pd(a, b, c) }
+    }
+
+    #[inline(always)]
+    fn fmsub(self, a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_fmsub_pd(a, b, c) }
+    }
+
+    #[inline(always)]
+    fn fluid(self, bits: u64) -> __mmask8 {
+        bits as __mmask8
+    }
+
+    #[inline(always)]
+    fn select(self, m: __mmask8, solid: __m512d, fluid: __m512d) -> __m512d {
+        // SAFETY: `self` proves AVX-512F (trait contract).
+        unsafe { _mm512_mask_blend_pd(m, solid, fluid) }
+    }
+}
+
+/// What every pair of one line shares: the velocity, `u·G` (zero unforced),
+/// `ωρ`, and the ξ-free parts of the equilibrium's even and odd
 /// polynomials, `e0 = 1 − u²/2c_s²` and `d0 = 1/c_s² − u²/2c_s⁴` (`1/c_s²`
 /// at second order).
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-pub(crate) struct GroupMoments {
-    ux: __m256d,
-    uy: __m256d,
-    uz: __m256d,
-    ug: __m256d,
-    orho: __m256d,
-    e0: __m256d,
-    d0: __m256d,
+pub(crate) struct GroupMoments<V: Lane> {
+    ux: V::V,
+    uy: V::V,
+    uz: V::V,
+    ug: V::V,
+    orho: V::V,
+    e0: V::V,
+    d0: V::V,
 }
 
-/// Close one lane group's paired moment sums `ρ`, `m = Σ c f` into the
-/// shared [`GroupMoments`] (one vector division, as in `simd`).
-///
-/// # Safety
-/// AVX2+FMA must be available.
+/// Close one line's paired moment sums `ρ`, `m = Σ c f` into the shared
+/// [`GroupMoments`] (one vector division, as in `simd`).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
-pub(crate) unsafe fn group_moments<const THIRD: bool, O: CollideOp>(
+#[inline(always)]
+pub(crate) fn group_moments<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
-    rho: __m256d,
-    mut m: [__m256d; 3],
-) -> GroupMoments {
-    use std::arch::x86_64::*;
+    rho: V::V,
+    mut m: [V::V; 3],
+) -> GroupMoments<V> {
     let k = &ctx.consts;
-    let inv = _mm256_div_pd(_mm256_set1_pd(1.0), rho);
-    let mut ug = _mm256_setzero_pd();
+    let inv = v.div(v.splat(1.0), rho);
+    let mut ug = v.splat(0.0);
     for a in 0..3 {
         if O::FORCED {
-            m[a] = _mm256_add_pd(m[a], _mm256_set1_pd(oc.half_g[a]));
+            m[a] = v.add(m[a], v.splat(oc.half_g[a]));
         }
-        m[a] = _mm256_mul_pd(m[a], inv);
+        m[a] = v.mul(m[a], inv);
         if O::FORCED {
-            ug = _mm256_fmadd_pd(m[a], _mm256_set1_pd(oc.g[a]), ug);
+            ug = v.fmadd(m[a], v.splat(oc.g[a]), ug);
         }
     }
     let [ux, uy, uz] = m;
-    let u2 = _mm256_fmadd_pd(ux, ux, _mm256_fmadd_pd(uy, uy, _mm256_mul_pd(uz, uz)));
-    let inv_cs2 = _mm256_set1_pd(k.inv_cs2);
+    let u2 = v.fmadd(ux, ux, v.fmadd(uy, uy, v.mul(uz, uz)));
+    let inv_cs2 = v.splat(k.inv_cs2);
     GroupMoments {
         ux,
         uy,
         uz,
         ug,
-        orho: _mm256_mul_pd(_mm256_set1_pd(ctx.omega), rho),
-        e0: _mm256_fnmadd_pd(u2, _mm256_set1_pd(k.inv_2cs2), _mm256_set1_pd(1.0)),
+        orho: v.mul(v.splat(ctx.omega), rho),
+        e0: v.fnmadd(u2, v.splat(k.inv_2cs2), v.splat(1.0)),
         d0: if THIRD {
-            _mm256_fnmadd_pd(u2, _mm256_set1_pd(k.inv_2cs4), inv_cs2)
+            v.fnmadd(u2, v.splat(k.inv_2cs4), inv_cs2)
         } else {
             inv_cs2
         },
     }
 }
 
-/// The ±c pair expression on one lane group: from arrivals `(f_i, f_o)` of
-/// pair `p` to post-collision `(t_i, t_o)`, equilibrium and Guo source
+/// The ±c pair expression on one line: from arrivals `(f_i, f_o)` of pair
+/// `p` to post-collision `(t_i, t_o)`, equilibrium and Guo source
 /// evaluated once. With `ξ = c_i·u`, the even polynomial
 /// `E = e0 + ξ²/2c_s⁴` and the source part `sc ξ − sb (u·G)` keep their
 /// sign across the pair while `D = ξ (d0 + ξ²/6c_s⁶)` and `sa` flip it, so
 /// `t_{i,o} = (1 − ω) f_{i,o} + [w ωρ E + sc ξ − sb (u·G)] ± [w ωρ D + sa]`
 /// — 16 vector operations for a forced third-order pair. Zero components
 /// of `c` are multiplied, not tested.
-///
-/// # Safety
-/// AVX2+FMA must be available.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
-pub(crate) unsafe fn relax_pair<const THIRD: bool, O: CollideOp>(
+#[inline(always)]
+pub(crate) fn relax_pair<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
     ctx: &KernelCtx,
     p: &VelPair,
-    m: &GroupMoments,
-    fi: __m256d,
-    fo: __m256d,
-) -> (__m256d, __m256d) {
-    use std::arch::x86_64::*;
+    m: &GroupMoments<V>,
+    fi: V::V,
+    fo: V::V,
+) -> (V::V, V::V) {
     let k = &ctx.consts;
-    let xi = _mm256_fmadd_pd(
-        _mm256_set1_pd(p.c[2]),
+    let xi = v.fmadd(
+        v.splat(p.c[2]),
         m.uz,
-        _mm256_fmadd_pd(
-            _mm256_set1_pd(p.c[1]),
-            m.uy,
-            _mm256_mul_pd(_mm256_set1_pd(p.c[0]), m.ux),
-        ),
+        v.fmadd(v.splat(p.c[1]), m.uy, v.mul(v.splat(p.c[0]), m.ux)),
     );
-    let xi2 = _mm256_mul_pd(xi, xi);
-    let e = _mm256_fmadd_pd(xi2, _mm256_set1_pd(k.inv_2cs4), m.e0);
-    let d = _mm256_mul_pd(
+    let xi2 = v.mul(xi, xi);
+    let e = v.fmadd(xi2, v.splat(k.inv_2cs4), m.e0);
+    let d = v.mul(
         xi,
         if THIRD {
-            _mm256_fmadd_pd(xi2, _mm256_set1_pd(k.inv_6cs6), m.d0)
+            v.fmadd(xi2, v.splat(k.inv_6cs6), m.d0)
         } else {
             m.d0
         },
     );
-    let wr = _mm256_mul_pd(_mm256_set1_pd(p.w), m.orho);
+    let wr = v.mul(v.splat(p.w), m.orho);
     let (even, odd) = if O::FORCED {
-        let src = _mm256_fmsub_pd(
-            _mm256_set1_pd(p.sc),
-            xi,
-            _mm256_mul_pd(_mm256_set1_pd(p.sb), m.ug),
-        );
-        (
-            _mm256_fmadd_pd(wr, e, src),
-            _mm256_fmadd_pd(wr, d, _mm256_set1_pd(p.sa)),
-        )
+        let src = v.fmsub(v.splat(p.sc), xi, v.mul(v.splat(p.sb), m.ug));
+        (v.fmadd(wr, e, src), v.fmadd(wr, d, v.splat(p.sa)))
     } else {
-        (_mm256_mul_pd(wr, e), _mm256_mul_pd(wr, d))
+        (v.mul(wr, e), v.mul(wr, d))
     };
-    let omc = _mm256_set1_pd(1.0 - ctx.omega);
+    let omc = v.splat(1.0 - ctx.omega);
     (
-        _mm256_fmadd_pd(omc, fi, _mm256_add_pd(even, odd)),
-        _mm256_fmadd_pd(omc, fo, _mm256_sub_pd(even, odd)),
+        v.fmadd(omc, fi, v.add(even, odd)),
+        v.fmadd(omc, fo, v.sub(even, odd)),
     )
 }
 
 /// The rest velocity's share of the pair body: `ξ = 0`, so `E = e0` and
 /// every odd part vanishes, `t_0 = (1 − ω) f_0 + w ωρ e0 − sb (u·G)`.
-///
-/// # Safety
-/// AVX2+FMA must be available.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-#[allow(unsafe_op_in_unsafe_fn)] // no pointers: all safe fns from Rust 1.86 on, MSRV 1.85
-pub(crate) unsafe fn relax_rest<O: CollideOp>(
+#[inline(always)]
+pub(crate) fn relax_rest<V: Lane, O: CollideOp>(
+    v: V,
     ctx: &KernelCtx,
     rest: &VelPair,
-    m: &GroupMoments,
-    f0: __m256d,
-) -> __m256d {
-    use std::arch::x86_64::*;
-    let t0 = _mm256_fmadd_pd(
-        _mm256_mul_pd(_mm256_set1_pd(rest.w), m.orho),
+    m: &GroupMoments<V>,
+    f0: V::V,
+) -> V::V {
+    let t0 = v.fmadd(
+        v.mul(v.splat(rest.w), m.orho),
         m.e0,
-        _mm256_mul_pd(_mm256_set1_pd(1.0 - ctx.omega), f0),
+        v.mul(v.splat(1.0 - ctx.omega), f0),
     );
     if O::FORCED {
-        _mm256_fnmadd_pd(_mm256_set1_pd(rest.sb), m.ug, t0)
+        v.fnmadd(v.splat(rest.sb), m.ug, t0)
     } else {
         t0
     }
 }
 
-/// Cells of one iteration of [`tile_pairs_avx2`]: two 4-lane lines, one
-/// whole 64-byte cache line of each velocity row.
+/// Cells of one iteration of [`tile_pairs`]: one whole 64-byte cache line
+/// of each velocity row, two 4-lane lines under [`Avx2`] and one 8-lane
+/// line under [`Avx512`].
 pub(crate) const GROUP: usize = 8;
 
-/// How far ahead of the group being loaded, in doubles, the row-view AVX2
+/// How far ahead of the group being loaded, in doubles, the row-view
 /// bodies touch each velocity's source stream: 4 cache lines. A D3Q39 cell
 /// reads 39 unit-stride streams, more than the hardware stride prefetcher
 /// follows, so without the touch each line arrives late. One touch per
@@ -410,10 +668,10 @@ pub(crate) fn prefetch(p: *const f64) {
     unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
 }
 
-/// Where the velocity rows of a [`tile_pairs_avx2`] view live: velocity
-/// `i` reads its arrivals at `src(i) + z` and stores its post-collision
-/// values at `dst(i) + z`. `PREFETCH` says whether the body should touch
-/// each source row [`AHEAD`] doubles ahead: worth it for rows streamed from
+/// Where the velocity rows of a [`tile_pairs`] view live: velocity `i`
+/// reads its arrivals at `src(i) + z` and stores its post-collision values
+/// at `dst(i) + z`. `PREFETCH` says whether the body should touch each
+/// source row [`AHEAD`] doubles ahead: worth it for rows streamed from
 /// memory, not for frames already in L1. `BOUNCE` says what a solid lane
 /// stores.
 #[cfg(target_arch = "x86_64")]
@@ -491,40 +749,50 @@ impl Rows for RowPtrs<'_> {
 }
 
 /// The ±c pair body over a row view `rows` (see [`Rows`]), for `groups`
-/// groups of [`GROUP`] cells from `z0` on. Cell `z0 + j` is fluid iff bit
-/// `j` of `fluid` is set, so one call covers at most 64 cells. Per 4-lane
-/// line: paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then
-/// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Solid
-/// lanes take the bounce-back swap `(t_i, t_o) = (f_o, f_i)` by blend, or
-/// keep `(f_i, f_o)` where `R::BOUNCE` is false; all-solid lines only swap,
-/// or are left alone, so solid cells are exact copies and fluid
-/// cells agree with the per-cell scalar rule within re-rounding. Where
-/// `R::PREFETCH`, the moment sums touch each velocity's source row
-/// [`AHEAD`] doubles past the group, once per group.
+/// groups of [`GROUP`] cells from `z0` on, on the lane instance `V`. Cell
+/// `z0 + j` is fluid iff bit `j` of `fluid` is set, so one call covers at
+/// most 64 cells. Per line of `V::N` cells: paired moment sums
+/// `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then [`group_moments`],
+/// [`relax_pair`] per pair and [`relax_rest`]. Solid lanes take the
+/// bounce-back swap `(t_i, t_o) = (f_o, f_i)` by select, or keep
+/// `(f_i, f_o)` where `R::BOUNCE` is false; all-solid lines only swap, or
+/// are left alone, so solid cells are exact copies and fluid cells agree
+/// with the per-cell scalar rule within re-rounding. Where `R::PREFETCH`,
+/// the moment sums touch each velocity's source row [`AHEAD`] doubles past
+/// the group, once per group. Every lane sees the same operations on
+/// either instance, so [`Avx2`] and [`Avx512`] write the same bits.
 ///
-/// With `NT` the stores stream past the cache, and a group's two lines run
-/// side by side so that each velocity's two stores fill one cache line back
-/// to back: write-combining buffers then never wait on half-filled lines.
-/// With plain stores the lines run one at a time, which keeps fewer
-/// vectors live. The per-line arithmetic is the same either way. The sparse
-/// AA steps run it on their frames ([`frame_pairs_avx2`]), the sparse
-/// two-grid step from its gathered frame straight into `dst` (`NT`,
-/// [`FrameRows`]), the dense fused step on shifted source rows straight
-/// into `dst`, the AA sweep in place (its `dst(i)` is `src(opp(i))`, so
-/// each solid lane's blend stores every value back into the slot it came
-/// from), and the split collide of the `Simd` rung in place on slab rows,
-/// `dst(i) = src(i)`, keeping solid lanes.
+/// With `NT` the stores stream past the cache, and under [`Avx2`] a group's
+/// two lines run side by side so that each velocity's two stores fill one
+/// cache line back to back: write-combining buffers then never wait on
+/// half-filled lines (under [`Avx512`] one store is the whole line). With
+/// plain stores the lines run one at a time, which keeps fewer vectors
+/// live. The per-line arithmetic is the same either way. The sparse AA
+/// steps run it on their frames ([`frame_pairs`]), the sparse two-grid step
+/// from its gathered frame straight into `dst` (`NT`, [`FrameRows`]), the
+/// dense fused step on shifted source rows straight into `dst`, the AA
+/// sweep in place (its `dst(i)` is `src(opp(i))`, so each solid lane's
+/// select stores every value back into the slot it came from), and the
+/// split collide of the `Simd` rung in place on slab rows, `dst(i) =
+/// src(i)`, keeping solid lanes.
 ///
 /// # Safety
-/// AVX2+FMA must be available. For every velocity `i < q` and group, the
-/// 8 doubles at `rows.src(i) + z` must be readable and those at
-/// `rows.dst(i) + z` writable (`wrapping_add` is used, so a row start may
-/// lie outside its allocation as long as the accessed doubles do not; the
-/// prefetched addresses need not be valid at all); with `NT` every
-/// `rows.dst(i) + z` must be 32-byte aligned.
+/// For every velocity `i < q` and group, the 8 doubles at `rows.src(i) + z`
+/// must be readable and those at `rows.dst(i) + z` writable (`wrapping_add`
+/// is used, so a row start may lie outside its allocation as long as the
+/// accessed doubles do not; the prefetched addresses need not be valid at
+/// all); with `NT` every `rows.dst(i) + z` must have the lane's NT
+/// alignment ([`Lane::stream`]).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: CollideOp, R: Rows>(
+#[inline(always)]
+pub(crate) unsafe fn tile_pairs<
+    V: Lane,
+    const THIRD: bool,
+    const NT: bool,
+    O: CollideOp,
+    R: Rows,
+>(
+    v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
@@ -533,39 +801,55 @@ pub(crate) unsafe fn tile_pairs_avx2<const THIRD: bool, const NT: bool, O: Colli
     groups: usize,
     fluid: u64,
 ) {
-    const LANES: usize = 4;
+    const { assert!(V::N == GROUP || 2 * V::N == GROUP) };
     debug_assert!(groups * GROUP <= u64::BITS as usize);
+    let full = u64::MAX >> (u64::BITS as usize - V::N);
     for g in 0..groups {
         let (z, bits) = (z0 + g * GROUP, fluid >> (g * GROUP));
-        let (lo, hi) = ((z, bits & 0xF), (z + LANES, (bits >> LANES) & 0xF));
-        // SAFETY: the caller grants AVX2+FMA and the accesses of every group
-        // g < groups; both lines lie in group g.
+        let line = |l: usize| (z + l * V::N, (bits >> (l * V::N)) & full);
+        // SAFETY: the caller grants the accesses of every group g < groups;
+        // every line lies in group g.
         unsafe {
-            if NT {
-                pair_lines::<THIRD, true, 2, O, R>(ctx, oc, pc, rows, [lo, hi], true);
+            if NT && V::N < GROUP {
+                pair_lines::<V, THIRD, true, 2, O, R>(
+                    v,
+                    ctx,
+                    oc,
+                    pc,
+                    rows,
+                    [line(0), line(1)],
+                    true,
+                );
             } else {
-                for (line, first) in [(lo, true), (hi, false)] {
-                    pair_lines::<THIRD, false, 1, O, R>(ctx, oc, pc, rows, [line], first);
+                for l in 0..GROUP / V::N {
+                    pair_lines::<V, THIRD, NT, 1, O, R>(v, ctx, oc, pc, rows, [line(l)], l == 0);
                 }
             }
         }
     }
 }
 
-/// [`tile_pairs_avx2`] on `L` 4-lane lines side by side: line `l` is cells
-/// `[z, z + 4)` of every row with fluid bits `bits` (lane `j` is fluid iff
-/// bit `j` is set), `lines[l] = (z, bits)`. Each velocity's `L` stores are
-/// issued back to back. When `lines[0]` opens its 8-cell group (`first`)
-/// and `R::PREFETCH`, the moment loop touches `rows.src(i) + z + AHEAD`
-/// for every velocity right after loading it: one touch per stream per
-/// group, whether the group runs as one call (`L = 2`) or two.
+/// [`tile_pairs`] on `L` lines side by side: line `l` is cells
+/// `[z, z + V::N)` of every row with fluid bits `bits` (lane `j` is fluid
+/// iff bit `j` is set), `lines[l] = (z, bits)`. Each velocity's `L` stores
+/// are issued back to back. When `lines[0]` opens its 8-cell group
+/// (`first`) and `R::PREFETCH`, the moment loop touches
+/// `rows.src(i) + z + AHEAD` for every velocity right after loading it: one
+/// touch per stream per group, whether the group runs as one call or two.
 ///
 /// # Safety
-/// As for [`tile_pairs_avx2`], for the 4 doubles of each line.
+/// As for [`tile_pairs`], for the `V::N` doubles of each line.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[inline]
-unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: CollideOp, R: Rows>(
+#[inline(always)]
+unsafe fn pair_lines<
+    V: Lane,
+    const THIRD: bool,
+    const NT: bool,
+    const L: usize,
+    O: CollideOp,
+    R: Rows,
+>(
+    v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
@@ -573,10 +857,9 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
     lines: [(usize, u64); L],
     first: bool,
 ) {
-    use std::arch::x86_64::*;
-
     let rest = &pc.rest;
     let ahead = lines[0].0 + AHEAD;
+    let full = u64::MAX >> (u64::BITS as usize - V::N);
     let touch = |i: usize| {
         if R::PREFETCH && first {
             prefetch(rows.src(i).wrapping_add(ahead));
@@ -586,22 +869,22 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
     unsafe {
         macro_rules! ld {
             ($i:expr) => {{
-                let (row, mut v) = (rows.src($i), [_mm256_setzero_pd(); L]);
+                let (row, mut x) = (rows.src($i), [v.splat(0.0); L]);
                 for l in 0..L {
-                    v[l] = _mm256_loadu_pd(row.wrapping_add(lines[l].0));
+                    x[l] = v.loadu(row.wrapping_add(lines[l].0));
                 }
-                v
+                x
             }};
         }
         macro_rules! st {
-            ($i:expr, $v:expr) => {{
-                let (row, v) = (rows.dst($i), $v);
+            ($i:expr, $x:expr) => {{
+                let (row, x) = (rows.dst($i), $x);
                 for l in 0..L {
                     let p = row.wrapping_add(lines[l].0);
                     if NT {
-                        _mm256_stream_pd(p, v[l])
+                        v.stream(p, x[l])
                     } else {
-                        _mm256_storeu_pd(p, v[l])
+                        v.storeu(p, x[l])
                     }
                 }
             }};
@@ -619,39 +902,35 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
         }
         let mut rho = ld!(rest.i);
         touch(rest.i);
-        let mut m = [[_mm256_setzero_pd(); 3]; L];
+        let mut m = [[v.splat(0.0); 3]; L];
         for p in pc.pairs() {
             let (fi, fo) = (ld!(p.i), ld!(p.o));
             touch(p.i);
             touch(p.o);
             for l in 0..L {
-                let d = _mm256_sub_pd(fi[l], fo[l]);
-                rho[l] = _mm256_add_pd(rho[l], _mm256_add_pd(fi[l], fo[l]));
+                let d = v.sub(fi[l], fo[l]);
+                rho[l] = v.add(rho[l], v.add(fi[l], fo[l]));
                 for a in 0..3 {
-                    m[l][a] = _mm256_fmadd_pd(d, _mm256_set1_pd(p.c[a]), m[l][a]);
+                    m[l][a] = v.fmadd(d, v.splat(p.c[a]), m[l][a]);
                 }
             }
         }
-        let mut gm = [group_moments::<THIRD, O>(ctx, oc, rho[0], m[0]); L];
+        let mut gm = [group_moments::<V, THIRD, O>(v, ctx, oc, rho[0], m[0]); L];
         for l in 1..L {
-            gm[l] = group_moments::<THIRD, O>(ctx, oc, rho[l], m[l]);
+            gm[l] = group_moments::<V, THIRD, O>(v, ctx, oc, rho[l], m[l]);
         }
         // Solid lanes keep the value `R::BOUNCE` names; a full line skips
-        // the blend.
-        let mut fluid_lanes = [_mm256_setzero_pd(); L];
-        for l in 0..L {
-            let lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
-            fluid_lanes[l] = _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                _mm256_and_si256(_mm256_set1_epi64x(lines[l].1 as i64), lane_bits),
-                lane_bits,
-            ));
+        // the select.
+        let mut fluid_lanes = [v.fluid(lines[0].1); L];
+        for l in 1..L {
+            fluid_lanes[l] = v.fluid(lines[l].1);
         }
         macro_rules! keep_solid {
             ($bounce:expr, $t:expr) => {{
                 let (bounce, mut t) = ($bounce, $t);
                 for l in 0..L {
-                    if lines[l].1 != 0xF {
-                        t[l] = _mm256_blendv_pd(bounce[l], t[l], fluid_lanes[l]);
+                    if lines[l].1 != full {
+                        t[l] = v.select(fluid_lanes[l], bounce[l], t[l]);
                     }
                 }
                 t
@@ -659,32 +938,31 @@ unsafe fn pair_lines<const THIRD: bool, const NT: bool, const L: usize, O: Colli
         }
         for p in pc.pairs() {
             let (fi, fo) = (ld!(p.i), ld!(p.o));
-            let (mut ti, mut to) = ([_mm256_setzero_pd(); L], [_mm256_setzero_pd(); L]);
+            let (mut ti, mut to) = ([v.splat(0.0); L], [v.splat(0.0); L]);
             for l in 0..L {
-                (ti[l], to[l]) = relax_pair::<THIRD, O>(ctx, p, &gm[l], fi[l], fo[l]);
+                (ti[l], to[l]) = relax_pair::<V, THIRD, O>(v, ctx, p, &gm[l], fi[l], fo[l]);
             }
             let (si, so) = if R::BOUNCE { (fo, fi) } else { (fi, fo) };
             st!(p.i, keep_solid!(si, ti));
             st!(p.o, keep_solid!(so, to));
         }
         let f0 = ld!(rest.i);
-        let mut t0 = [_mm256_setzero_pd(); L];
+        let mut t0 = [v.splat(0.0); L];
         for l in 0..L {
-            t0[l] = relax_rest::<O>(ctx, rest, &gm[l], f0[l]);
+            t0[l] = relax_rest::<V, O>(v, ctx, rest, &gm[l], f0[l]);
         }
         st!(rest.i, keep_solid!(f0, t0));
     }
 }
 
 /// The pair body on one gathered `q·64` frame, from `buf[i·64 + c]` to
-/// `out[i·64 + c]` with plain stores ([`FrameRows`]). Cell `c` is fluid
-/// iff bit `c` of `fluid` is set.
-///
-/// # Safety
-/// AVX2+FMA must be available.
+/// `out[i·64 + c]` with plain stores ([`FrameRows`]), on the lane instance
+/// `V`. Cell `c` is fluid iff bit `c` of `fluid` is set. The sparse AA
+/// steps' body; the tests' oracle of every row view.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
+#[inline(always)]
+pub(crate) fn frame_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
@@ -696,10 +974,51 @@ pub(crate) unsafe fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
     assert!(buf.len() >= q * TILE_CELLS && out.len() >= q * TILE_CELLS);
     let rows = FrameRows(buf.as_ptr(), out.as_mut_ptr());
     // SAFETY: row i spans [i·64, i·64 + 64) of both frames, which the
-    // assert above keeps in bounds; AVX2+FMA per this function's contract.
+    // assert above keeps in bounds; plain stores need no alignment.
     unsafe {
-        tile_pairs_avx2::<THIRD, false, O, _>(ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
+        tile_pairs::<V, THIRD, false, O, _>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
     }
+}
+
+/// [`frame_pairs`] on [`Avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    fluid: u64,
+    buf: &[f64],
+    out: &mut [f64],
+) {
+    // SAFETY: a safe `#[target_feature]` function runs only where its
+    // features are present: AVX2+FMA.
+    let v = unsafe { Avx2::assume() };
+    frame_pairs::<_, THIRD, O>(v, ctx, oc, pc, fluid, buf, out)
+}
+
+/// [`frame_pairs`] on [`Avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+pub(crate) fn frame_pairs_avx512<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    fluid: u64,
+    buf: &[f64],
+    out: &mut [f64],
+) {
+    // SAFETY: a safe `#[target_feature]` function runs only where its
+    // features are present: AVX-512F, AVX2 and FMA.
+    let v = unsafe { Avx512::assume() };
+    frame_pairs::<_, THIRD, O>(v, ctx, oc, pc, fluid, buf, out)
+}
+
+/// The vector instance of a kernel call that runs the pair body, with its
+/// ±c pair table: `None` where `lanes` is [`Lanes::Scalar`] and the call
+/// runs the scalar bodies.
+pub(crate) fn pair_body(lanes: Lanes, oc: &OpConsts, q: usize) -> Option<(Lanes, PairConsts)> {
+    (lanes != Lanes::Scalar).then(|| (lanes, PairConsts::new(oc, q)))
 }
 
 /// Monomorphize a block over the force vector: `g = 0` binds the operator
@@ -723,7 +1042,7 @@ pub(crate) use with_op;
 /// Advance `zs` to the next fluid z-run of row `y` and return its bounds,
 /// or `None` when the row is exhausted. With no mask the whole row is one
 /// run. Shared by the scalar bodies (split collide, AA), so the run
-/// boundaries cannot drift between them; the AVX2 bodies read the mask as
+/// boundaries cannot drift between them; the vector bodies read the mask as
 /// fluid words instead.
 #[inline]
 pub(crate) fn next_fluid_run(
@@ -935,6 +1254,180 @@ unsafe fn collide_cells_impl<const THIRD: bool, O: CollideOp>(
     }
 }
 
+/// Test support: the pair body on each lane instance over any row view.
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) mod lane_tests {
+    use super::*;
+    use crate::kernels::simd::vector_lanes;
+
+    /// Fluid words of one 64-cell call: all fluid, all solid, one solid lane
+    /// in the low half of every group (lane 1), one in the high half (lane
+    /// 6), and a random word.
+    pub(crate) const FLUID_WORDS: [u64; 5] = [
+        u64::MAX,
+        0,
+        !0x0202_0202_0202_0202,
+        !0x4040_4040_4040_4040,
+        0x5A3C_0FF0_F00F_C3A5,
+    ];
+
+    /// [`tile_pairs`] on [`Avx2`] over 64 cells from `z = 0`.
+    ///
+    /// # Safety
+    /// AVX2+FMA must be available, and `rows` must satisfy [`tile_pairs`]'
+    /// contract for the 64 cells.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn body_avx2<const THIRD: bool, const NT: bool, O: CollideOp, R: Rows>(
+        ctx: &KernelCtx,
+        oc: &OpConsts,
+        pc: &PairConsts,
+        rows: R,
+        fluid: u64,
+    ) {
+        // SAFETY: per this function's contract.
+        unsafe {
+            let v = Avx2::assume();
+            tile_pairs::<_, THIRD, NT, O, R>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
+        }
+    }
+
+    /// [`tile_pairs`] on [`Avx512`] over 64 cells from `z = 0`.
+    ///
+    /// # Safety
+    /// AVX-512F, AVX2 and FMA must be available, and `rows` must satisfy [`tile_pairs`]'
+    /// contract for the 64 cells.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    unsafe fn body_avx512<const THIRD: bool, const NT: bool, O: CollideOp, R: Rows>(
+        ctx: &KernelCtx,
+        oc: &OpConsts,
+        pc: &PairConsts,
+        rows: R,
+        fluid: u64,
+    ) {
+        // SAFETY: per this function's contract.
+        unsafe {
+            let v = Avx512::assume();
+            tile_pairs::<_, THIRD, NT, O, R>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
+        }
+    }
+
+    /// One body call on `lanes`, with or without streaming stores.
+    ///
+    /// # Safety
+    /// The CPU must run `lanes`; `rows` as for [`body_avx2`].
+    unsafe fn call<const THIRD: bool, O: CollideOp, R: Rows>(
+        lanes: Lanes,
+        nt: bool,
+        ctx: &KernelCtx,
+        op: O,
+        rows: R,
+        fluid: u64,
+    ) {
+        let oc = OpConsts::new(ctx, &op);
+        let pc = PairConsts::new(&oc, ctx.lat.q());
+        // SAFETY: per this function's contract.
+        unsafe {
+            match (lanes, nt) {
+                (Lanes::Avx512, true) => {
+                    body_avx512::<THIRD, true, O, R>(ctx, &oc, &pc, rows, fluid)
+                }
+                (Lanes::Avx512, false) => {
+                    body_avx512::<THIRD, false, O, R>(ctx, &oc, &pc, rows, fluid)
+                }
+                (_, true) => body_avx2::<THIRD, true, O, R>(ctx, &oc, &pc, rows, fluid),
+                (_, false) => body_avx2::<THIRD, false, O, R>(ctx, &oc, &pc, rows, fluid),
+            }
+        }
+    }
+
+    /// The pair body on every instance this CPU runs, over the 64 cells from
+    /// `z = 0` of `rows`, a view into the `data.len()` doubles at `base`:
+    /// for each of [`FLUID_WORDS`], plain and Guo, with plain and streaming
+    /// stores, the doubles at `base` start as `data` and must end bitwise
+    /// equal on every instance, and changed where a lane is fluid.
+    ///
+    /// # Safety
+    /// `base` must address `data.len()` writable doubles that nothing else
+    /// accesses meanwhile, and `rows` must lie inside them for the 64 cells
+    /// with every destination row 64-byte aligned.
+    pub(crate) unsafe fn assert_instances_agree<R: Rows>(
+        ctx: &KernelCtx,
+        base: *mut f64,
+        data: &[f64],
+        rows: R,
+        case: &str,
+    ) {
+        let g = GuoForced {
+            g: [3e-5, -2e-5, 1e-5],
+        };
+        for fluid in FLUID_WORDS {
+            for (nt, forced) in [(false, false), (false, true), (true, false), (true, true)] {
+                let mut first: Option<(Lanes, Vec<f64>)> = None;
+                for lanes in vector_lanes() {
+                    // SAFETY: `base` holds `data.len()` doubles, `rows`
+                    // lies inside them (this function's contract), and
+                    // `vector_lanes` lists only instances the CPU runs.
+                    let after = unsafe {
+                        std::ptr::copy_nonoverlapping(data.as_ptr(), base, data.len());
+                        match (ctx.third_order(), forced) {
+                            (true, true) => call::<true, _, R>(lanes, nt, ctx, g, rows, fluid),
+                            (true, false) => {
+                                call::<true, _, R>(lanes, nt, ctx, PlainBgk, rows, fluid)
+                            }
+                            (false, true) => call::<false, _, R>(lanes, nt, ctx, g, rows, fluid),
+                            (false, false) => {
+                                call::<false, _, R>(lanes, nt, ctx, PlainBgk, rows, fluid)
+                            }
+                        }
+                        std::slice::from_raw_parts(base, data.len()).to_vec()
+                    };
+                    let what = format!("{case} fluid {fluid:#x} nt {nt} forced {forced}");
+                    assert!(fluid == 0 || after != data, "{what} {lanes:?}: no change");
+                    match &first {
+                        None => first = Some((lanes, after)),
+                        Some((l0, want)) => {
+                            for (k, (a, b)) in want.iter().zip(&after).enumerate() {
+                                assert!(
+                                    a.to_bits() == b.to_bits(),
+                                    "{what} offset {k}: {l0:?} {a} vs {lanes:?} {b}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Distinct positive arrivals, so that every velocity's row is told
+    /// apart and `ρ` stays away from zero.
+    pub(crate) fn arrivals(len: usize, seed: u64) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                0.02 + (s % 613) as f64 / 900.0
+            })
+            .collect()
+    }
+
+    /// Every lattice, at second and third order.
+    pub(crate) fn contexts() -> Vec<KernelCtx> {
+        use crate::collision::Bgk;
+        use crate::equilibrium::EqOrder;
+        use crate::lattice::LatticeKind;
+        LatticeKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                [EqOrder::Second, EqOrder::Third]
+                    .map(|order| KernelCtx::new(kind, order, Bgk::new(0.9).unwrap()))
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1068,6 +1561,50 @@ mod tests {
                     },
                 );
             }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_instances_agree_on_frame_rows() {
+        // A gathered frame and a separate output frame, row i at i·64.
+        use crate::align::AlignedBuf;
+        for c in lane_tests::contexts() {
+            let q = c.lat.q();
+            let data = lane_tests::arrivals(2 * q * TILE_CELLS, 5);
+            let mut buf = AlignedBuf::new(data.len());
+            let base = buf.as_mut_ptr();
+            let rows = FrameRows(base, base.wrapping_add(q * TILE_CELLS));
+            let case = format!("{:?} third {} FrameRows", c.lat.kind(), c.third_order());
+            // SAFETY: both frames lie in `buf`, 64-byte aligned rows.
+            unsafe { lane_tests::assert_instances_agree(&c, base, &data, rows, &case) };
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_instances_agree_on_row_pointers() {
+        // Source rows at odd offsets (unaligned loads) in reverse order,
+        // destination rows on cache lines after them.
+        use crate::align::AlignedBuf;
+        const STRIDE: usize = 72;
+        for c in lane_tests::contexts() {
+            let q = c.lat.q();
+            let data = lane_tests::arrivals(2 * q * STRIDE, 9);
+            let mut buf = AlignedBuf::new(data.len());
+            let base = buf.as_mut_ptr();
+            let mut src = [base.cast_const(); MAX_Q];
+            let mut dst = [base; MAX_Q];
+            for i in 0..q {
+                src[i] = base.wrapping_add((q - 1 - i) * STRIDE + 3);
+                dst[i] = base.wrapping_add((q + i) * STRIDE);
+            }
+            let case = format!("{:?} third {} RowPtrs", c.lat.kind(), c.third_order());
+            // SAFETY: every row's 64 cells lie in `buf`; destination rows
+            // start at multiples of 72 doubles, on cache lines.
+            unsafe {
+                lane_tests::assert_instances_agree(&c, base, &data, RowPtrs(&src, &dst), &case)
+            };
         }
     }
 

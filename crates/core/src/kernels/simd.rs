@@ -2,14 +2,14 @@
 //!
 //! The paper hand-coded double-hummer intrinsics (BG/P) and QPX quad-word
 //! operations (BG/Q) for the collide function, on 16-byte-aligned data. The
-//! host analogue is AVX2+FMA over 4-wide `f64` lanes with fused
-//! multiply-adds (the same `fpmadd` idea the paper invokes). This rung owns
-//! no vector arithmetic of its own: it runs the ±c pair body the fused,
-//! sparse and AA steps share ([`crate::kernels::op`]'s `tile_pairs_avx2`)
-//! in place, on a row view whose velocity `i` row is slab `i`'s row, both
-//! read and written. Per 4-lane line the body sums paired moments, takes one
-//! vector reciprocal, and evaluates the equilibrium and the Guo source once
-//! per ±c pair.
+//! host analogue is AVX2+FMA over 4-wide `f64` lanes, or AVX-512 over
+//! 8-wide ones, with fused multiply-adds (the same `fpmadd` idea the paper
+//! invokes). This rung owns no vector arithmetic of its own: it runs the
+//! lane-generic ±c pair body the fused, sparse and AA steps share
+//! ([`crate::kernels::op`]'s `tile_pairs`) in place, on a row view whose
+//! velocity `i` row is slab `i`'s row, both read and written. Per line the
+//! body sums paired moments, takes one vector reciprocal, and evaluates the
+//! equilibrium and the Guo source once per ±c pair.
 //!
 //! Row dispatch is [`BoundarySpec`]-aware: wall rows are skipped; fluid rows
 //! run 64-cell chunks, one fluid word of the mask each, over their whole
@@ -18,12 +18,14 @@
 //! view's `BOUNCE = false`), so masked cells stay as the boundary apply
 //! left them. The arithmetic per line is the fused pass's, so the split
 //! pipeline stream → apply → collide at this rung is bitwise the `Fused`
-//! rung's AVX2 pass, as the scalar split pipeline is the scalar fused one.
+//! rung's vector pass, as the scalar split pipeline is the scalar fused one.
 //! Against the scalar classes fluid cells agree within re-rounding.
 //!
-//! Feature detection happens at runtime; without AVX2+FMA the rung falls
-//! back to the shared scalar cell-operator body (so the crate stays
-//! portable, and the benchmark harness reports when the fallback was taken).
+//! Feature detection happens once, at runtime ([`lanes`]): with AVX-512F
+//! (and AVX2+FMA) the body runs on 8 lanes, with AVX2+FMA on 4, the two
+//! bitwise equal; without AVX2+FMA the rung falls back to the shared scalar
+//! cell-operator body (so the crate stays portable, and the benchmark
+//! harness reports which instance ran).
 //! Streaming is already a memcpy exercise after LoBr, so this rung reuses
 //! the CF/LoBr stream.
 
@@ -31,26 +33,97 @@ use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{tile_pairs_avx2, PairConsts, Rows, GROUP};
+use crate::kernels::op::{tile_pairs, Avx2, Avx512, Lane, PairConsts, Rows, GROUP};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::KernelCtx;
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::MAX_Q;
 
-/// True when the vectorized path is available on this CPU.
-pub fn simd_available() -> bool {
+/// The instance of the ±c pair body a kernel call runs on: the widest one
+/// this CPU supports ([`lanes`]). Ordered by width, so `a <= lanes()` says
+/// that the CPU runs `a`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Lanes {
+    /// No AVX2+FMA: the scalar bodies.
+    Scalar,
+    /// AVX2+FMA, 4 lanes of `f64` (`__m256d`).
+    Avx2,
+    /// AVX-512F besides AVX2+FMA, 8 lanes of `f64` (`__m512d`).
+    Avx512,
+}
+
+impl Lanes {
+    /// The instance's name in reports: `"scalar"`, `"avx2"` or `"avx512"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Lanes::Scalar => "scalar",
+            Lanes::Avx2 => "avx2",
+            Lanes::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The widest pair-body instance this CPU supports, detected once.
+pub fn lanes() -> Lanes {
     #[cfg(target_arch = "x86_64")]
     {
-        static AVAIL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVAIL.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
+        static LANES: std::sync::OnceLock<Lanes> = std::sync::OnceLock::new();
+        *LANES.get_or_init(|| {
+            use std::arch::is_x86_feature_detected as has;
+            match (has!("avx2") && has!("fma"), has!("avx512f")) {
+                (true, true) => Lanes::Avx512,
+                (true, false) => Lanes::Avx2,
+                (false, _) => Lanes::Scalar,
+            }
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        Lanes::Scalar
     }
+}
+
+/// True when the vectorized path is available on this CPU.
+pub fn simd_available() -> bool {
+    lanes() != Lanes::Scalar
+}
+
+/// The instance a kernel call runs: [`lanes`] where `simd` asks for the
+/// vector body, [`Lanes::Scalar`] otherwise.
+pub(crate) fn lanes_for(simd: bool) -> Lanes {
+    if simd {
+        lanes()
+    } else {
+        Lanes::Scalar
+    }
+}
+
+/// `lanes`, checked to run on this CPU. The kernels' inner entry points take
+/// an instance, so that tests can run each one; this keeps them from running
+/// one the CPU lacks.
+pub(crate) fn supported(lanes: Lanes) -> Lanes {
+    assert!(
+        lanes <= self::lanes(),
+        "{lanes:?} is not supported on this CPU"
+    );
+    lanes
+}
+
+/// The vector instances this CPU runs, for tests that run each one: a
+/// missing instance is skipped with a printed note, as the vector tests
+/// skip without AVX2.
+#[cfg(test)]
+pub(crate) fn vector_lanes() -> Vec<Lanes> {
+    [Lanes::Avx2, Lanes::Avx512]
+        .into_iter()
+        .filter(|&l| {
+            let runs = l <= lanes();
+            if !runs {
+                println!("note: {l:?} is not supported on this CPU; skipped");
+            }
+            runs
+        })
+        .collect()
 }
 
 /// Copy a finished row of populations to its destination with
@@ -68,7 +141,7 @@ pub(crate) fn stream_frame(src: &[f64], dst: &mut [f64]) {
     {
         use std::arch::x86_64::{_mm_loadu_pd, _mm_stream_pd};
         let n = dst.len();
-        let head = usize::from(n > 0 && dst.as_ptr() as usize % 16 != 0);
+        let head = usize::from(n > 0 && !(dst.as_ptr() as usize).is_multiple_of(16));
         let tail = head + (n - head) / 2 * 2;
         if head == 1 {
             dst[0] = src[0];
@@ -119,8 +192,9 @@ pub fn collide(ctx: &KernelCtx, f: &mut DistField, x_lo: usize, x_hi: usize) {
 
 /// Vectorized boundary-aware collide: the rule `op` applied to every fluid
 /// cell of `bounds` over planes `x ∈ [x_lo, x_hi)` (wall rows and masked
-/// cells untouched), AVX2+FMA when available with scalar fallback, chunked
-/// across the installed pool (see [`super::par`]).
+/// cells untouched), on the widest pair-body instance this CPU runs with
+/// scalar fallback, chunked across the installed pool (see
+/// [`super::par`]).
 pub fn collide_cells<O: CollideOp>(
     ctx: &KernelCtx,
     f: &mut DistField,
@@ -129,6 +203,21 @@ pub fn collide_cells<O: CollideOp>(
     op: O,
     bounds: &BoundarySpec,
 ) {
+    collide_cells_on(lanes(), ctx, f, x_lo, x_hi, op, bounds);
+}
+
+/// [`collide_cells`] on the pair-body instance `lanes` (checked to run on
+/// this CPU), or the scalar body on [`Lanes::Scalar`].
+fn collide_cells_on<O: CollideOp>(
+    lanes: Lanes,
+    ctx: &KernelCtx,
+    f: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+) {
+    let lanes = supported(lanes);
     if x_lo >= x_hi {
         return;
     }
@@ -141,18 +230,34 @@ pub fn collide_cells<O: CollideOp>(
     x_chunks(x_lo, x_hi, |lo, hi| {
         // SAFETY: `&mut f` is held for the whole sweep and the chunks
         // partition [x_lo, x_hi), so each call has exclusive access to its
-        // planes; offsets are bounded by the layout contract.
-        unsafe { collide_cells_raw::<O>(base.get(), total, slab_len, ctx, &oc, bounds, d, lo, hi) }
+        // planes; offsets are bounded by the layout contract. The CPU runs
+        // `lanes` (checked above).
+        unsafe {
+            collide_cells_raw::<O>(
+                lanes,
+                base.get(),
+                total,
+                slab_len,
+                ctx,
+                &oc,
+                bounds,
+                d,
+                lo,
+                hi,
+            )
+        }
     });
 }
 
-/// Raw-pointer dispatch of one chunk: AVX2+FMA when available, the shared
-/// scalar body otherwise.
+/// Raw-pointer dispatch of one chunk: the pair body on `lanes`, the shared
+/// scalar body on [`Lanes::Scalar`].
 ///
 /// # Safety
-/// Same contract as [`op::collide_cells_raw`].
+/// The CPU must run `lanes`, and the contract of [`op::collide_cells_raw`]
+/// must hold.
 #[allow(clippy::too_many_arguments)]
 unsafe fn collide_cells_raw<O: CollideOp>(
+    lanes: Lanes,
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,
@@ -164,23 +269,24 @@ unsafe fn collide_cells_raw<O: CollideOp>(
     x_hi: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if simd_available() {
-            // SAFETY: AVX2+FMA were detected just above, and
-            // `pair_rows_avx2` has this function's layout contract, which
-            // the caller upholds.
-            unsafe {
-                if ctx.third_order() {
-                    pair_rows_avx2::<true, O>(
-                        base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
-                    );
-                } else {
-                    pair_rows_avx2::<false, O>(
-                        base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi,
-                    );
-                }
+    // SAFETY: the CPU runs `lanes`, and the entry points have this
+    // function's layout contract, which the caller upholds.
+    unsafe {
+        let (p, n, s) = (base_ptr, total, slab_len);
+        match (lanes, ctx.third_order()) {
+            (Lanes::Avx512, true) => {
+                return pair_rows_avx512::<true, O>(p, n, s, ctx, oc, bounds, d, x_lo, x_hi)
             }
-            return;
+            (Lanes::Avx512, false) => {
+                return pair_rows_avx512::<false, O>(p, n, s, ctx, oc, bounds, d, x_lo, x_hi)
+            }
+            (Lanes::Avx2, true) => {
+                return pair_rows_avx2::<true, O>(p, n, s, ctx, oc, bounds, d, x_lo, x_hi)
+            }
+            (Lanes::Avx2, false) => {
+                return pair_rows_avx2::<false, O>(p, n, s, ctx, oc, bounds, d, x_lo, x_hi)
+            }
+            (Lanes::Scalar, _) => {}
         }
     }
     // SAFETY: the scalar body has this function's contract, which the caller
@@ -188,13 +294,12 @@ unsafe fn collide_cells_raw<O: CollideOp>(
     unsafe { op::collide_cells_raw::<O>(base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi) }
 }
 
-/// The split collide's row view for [`tile_pairs_avx2`]: velocity `i`'s
+/// The split collide's row view for [`tile_pairs`]: velocity `i`'s
 /// row starts at `row + i·stride` and is read and written in place — a row
 /// of every velocity slab of the field (`stride` the slab length), or a row
-/// of the tail frame (`stride` 8). Computed, like the sparse frames' view,
-/// and a type of its own, so that the fused step stays the one caller of
-/// the pair body's `RowPtrs` instantiation. Prefetched: slab rows stream
-/// from memory. Solid lanes keep their own values.
+/// of the tail frame (`stride` 8). Computed, like the sparse frames' view.
+/// Prefetched: slab rows stream from memory. Solid lanes keep their own
+/// values.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct SlabRows(*mut f64, usize);
@@ -215,19 +320,20 @@ impl Rows for SlabRows {
     }
 }
 
-/// The AVX2+FMA split collide of one chunk. Each fluid row runs the ±c pair
-/// body in place over its whole 8-cell groups, 64 cells and one fluid word
-/// per call; its last `nz mod 8` cells go through an 8-lane stack frame
-/// whose pad lanes are solid, and only the valid lanes go back. Wall rows
-/// are skipped; masked cells clear their fluid bit and keep their values.
+/// The vector split collide of one chunk, on the lane instance `V`. Each
+/// fluid row runs the ±c pair body in place over its whole 8-cell groups,
+/// 64 cells and one fluid word per call; its last `nz mod 8` cells go
+/// through an 8-lane stack frame whose pad lanes are solid, and only the
+/// valid lanes go back. Wall rows are skipped; masked cells clear their
+/// fluid bit and keep their values.
 ///
 /// # Safety
-/// AVX2+FMA must be available, and the layout/exclusivity contract of
-/// [`op::collide_cells_raw`] must hold.
+/// The layout/exclusivity contract of [`op::collide_cells_raw`] must hold.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn pair_rows_avx2<const THIRD: bool, O: CollideOp>(
+unsafe fn pair_rows<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
     base_ptr: *mut f64,
     total: usize,
     slab_len: usize,
@@ -264,13 +370,13 @@ unsafe fn pair_rows_avx2<const THIRD: bool, O: CollideOp>(
             // SAFETY: row i of `rows` is [i·slab_len + base, + nz), inside
             // `total` and in plane x, which the caller grants exclusively;
             // the calls touch its whole groups only. Row i of `tail` is
-            // frame[i], and the copies move the row's last n < 8 cells.
-            // AVX2+FMA per this function's contract.
+            // frame[i], and the copies move the row's last n < 8 cells. `v`
+            // proves the instance's features.
             unsafe {
                 for z0 in (0..whole).step_by(CHUNK) {
                     let n = (whole - z0).min(CHUNK);
                     let bits = fluid(y, z0, n);
-                    tile_pairs_avx2::<THIRD, false, O, _>(ctx, oc, &pc, rows, z0, n / GROUP, bits);
+                    tile_pairs::<V, THIRD, false, O, _>(v, ctx, oc, &pc, rows, z0, n / GROUP, bits);
                 }
                 let n = nz - whole;
                 if n > 0 {
@@ -278,13 +384,64 @@ unsafe fn pair_rows_avx2<const THIRD: bool, O: CollideOp>(
                         std::ptr::copy_nonoverlapping(rows.src(i).add(whole), tail.dst(i), n);
                     }
                     let bits = fluid(y, whole, n);
-                    tile_pairs_avx2::<THIRD, false, O, _>(ctx, oc, &pc, tail, 0, 1, bits);
+                    tile_pairs::<V, THIRD, false, O, _>(v, ctx, oc, &pc, tail, 0, 1, bits);
                     for i in 0..q {
                         std::ptr::copy_nonoverlapping(tail.src(i), rows.dst(i).add(whole), n);
                     }
                 }
             }
         }
+    }
+}
+
+/// [`pair_rows`] on [`Avx2`].
+///
+/// # Safety
+/// AVX2+FMA must be available, and [`pair_rows`]' contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn pair_rows_avx2<const THIRD: bool, O: CollideOp>(
+    base_ptr: *mut f64,
+    total: usize,
+    slab_len: usize,
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    bounds: &BoundarySpec,
+    d: crate::index::Dim3,
+    x_lo: usize,
+    x_hi: usize,
+) {
+    // SAFETY: AVX2+FMA and the layout contract per this function's contract.
+    unsafe {
+        let v = Avx2::assume();
+        pair_rows::<_, THIRD, O>(v, base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi)
+    }
+}
+
+/// [`pair_rows`] on [`Avx512`].
+///
+/// # Safety
+/// AVX-512F, AVX2 and FMA must be available, and [`pair_rows`]' contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn pair_rows_avx512<const THIRD: bool, O: CollideOp>(
+    base_ptr: *mut f64,
+    total: usize,
+    slab_len: usize,
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    bounds: &BoundarySpec,
+    d: crate::index::Dim3,
+    x_lo: usize,
+    x_hi: usize,
+) {
+    // SAFETY: AVX-512F, AVX2, FMA and the layout contract per this function's
+    // contract.
+    unsafe {
+        let v = Avx512::assume();
+        pair_rows::<_, THIRD, O>(v, base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi)
     }
 }
 
@@ -483,13 +640,14 @@ mod tests {
 
     #[test]
     fn avx2_collide_writes_only_the_fluid_cells_of_its_planes() {
-        // The AVX2 driver stores in place through raw row pointers. With
+        // The vector driver stores in place through raw row pointers. With
         // the whole field NaN-poisoned except the fluid cells of planes
         // [x_lo, x_hi), a forced collide must leave every other slot (the
         // halo and the other owned planes, slab pads, wall rows, masked
         // cells) with its NaN bits and every fluid cell finite: no pad lane
         // of the tail frame goes back and no write lands past a row end.
-        // Every row shape, serial and split across a pool.
+        // Every row shape, serial and split across a pool, on every vector
+        // instance this CPU runs.
         let poison = f64::from_bits(0x7ff8_dead_beef_0001);
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let c = ctx(kind);
@@ -510,7 +668,7 @@ mod tests {
                         }
                     }
                 }
-                for threads in [1, 4] {
+                for (lanes, threads) in vector_lanes().into_iter().flat_map(|l| [(l, 1), (l, 4)]) {
                     let mut f = values.clone();
                     for (v, &own) in f.as_mut_slice().iter_mut().zip(&fluid) {
                         if !own {
@@ -521,7 +679,7 @@ mod tests {
                         g: [2e-5, -1e-5, 3e-5],
                     };
                     on(threads, || {
-                        collide_cells(&c, &mut f, x_lo, x_hi, op, &bounds)
+                        collide_cells_on(lanes, &c, &mut f, x_lo, x_hi, op, &bounds)
                     });
                     for (p, (v, &own)) in f.as_slice().iter().zip(&fluid).enumerate() {
                         assert!(
@@ -530,8 +688,128 @@ mod tests {
                             } else {
                                 v.to_bits() == poison.to_bits()
                             },
-                            "{kind:?} nz={nz} threads={threads} offset {p} (fluid: {own}): {v}"
+                            "{kind:?} nz={nz} {lanes:?} threads={threads} offset {p} (fluid: {own}): {v}"
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_collide_leaves_each_solid_slot_its_own_bits() {
+        // Every solid slot (wall rows, masked cells) holds a NaN with a
+        // payload of its own, so a write of any other value, a collided
+        // NaN among them, shows. A collide on every vector instance this
+        // CPU runs must leave each with its bits and every fluid cell
+        // finite.
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let c = ctx(kind);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            for nz in ROW_SHAPES {
+                let dims = Dim3::new(2, 2 * k + 4, nz);
+                let bounds = BoundarySpec::periodic()
+                    .with_walls(ChannelWalls::no_slip(k))
+                    .with_mask(SectionMask::from_fn(dims.ny, nz, |y, z| (y + z) % 3 == 0));
+                let mut f0 = random_field(q, dims, 0, 89 + nz as u64);
+                let (d, stride) = (f0.alloc_dims(), f0.slab_stride());
+                let mut solid = vec![false; f0.as_slice().len()];
+                for i in 0..q {
+                    for (x, y, z) in
+                        cells(dims).filter(|&(_, y, z)| !bounds.is_fluid(dims.ny, y, z))
+                    {
+                        let p = i * stride + d.idx(x, y, z);
+                        solid[p] = true;
+                        f0.as_mut_slice()[p] = f64::from_bits(0x7ff8_0000_0000_0000 | p as u64);
+                    }
+                }
+                for lanes in vector_lanes() {
+                    let mut f = f0.clone();
+                    let op = GuoForced {
+                        g: [2e-5, -1e-5, 3e-5],
+                    };
+                    collide_cells_on(lanes, &c, &mut f, 0, dims.nx, op, &bounds);
+                    for (p, ((a, b), &s)) in f0
+                        .as_slice()
+                        .iter()
+                        .zip(f.as_slice())
+                        .zip(&solid)
+                        .enumerate()
+                    {
+                        assert!(
+                            if s {
+                                a.to_bits() == b.to_bits()
+                            } else {
+                                b.is_finite()
+                            },
+                            "{kind:?} nz={nz} {lanes:?} offset {p} (solid: {s}): {:#x} vs {:#x}",
+                            a.to_bits(),
+                            b.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_instances_agree_on_slab_rows() {
+        // The split collide's in-place view: row i at i·72, solid lanes
+        // keep their own values.
+        use crate::align::AlignedBuf;
+        use crate::kernels::op::lane_tests;
+        const STRIDE: usize = 72;
+        for c in lane_tests::contexts() {
+            let data = lane_tests::arrivals(c.lat.q() * STRIDE, 17);
+            let mut buf = AlignedBuf::new(data.len());
+            let base = buf.as_mut_ptr();
+            let case = format!("{:?} third {} SlabRows", c.lat.kind(), c.third_order());
+            // SAFETY: every row's 64 cells lie in `buf`, on cache lines.
+            unsafe {
+                lane_tests::assert_instances_agree(&c, base, &data, SlabRows(base, STRIDE), &case)
+            };
+        }
+    }
+
+    #[test]
+    fn lane_instances_agree_on_the_split_collide() {
+        // Every vector instance this CPU runs writes the same bits: every
+        // row shape, masked tail lanes and groups, wall rows, plain and
+        // Guo, serial and on 4 threads.
+        for kind in LatticeKind::ALL {
+            let c = ctx(kind);
+            let k = c.lat.reach();
+            for nz in ROW_SHAPES {
+                let dims = Dim3::new(3, 2 * k + 4, nz);
+                let bounds = BoundarySpec::periodic()
+                    .with_walls(ChannelWalls::no_slip(k))
+                    .with_mask(tail_and_group_mask(dims.ny, nz));
+                for (g, threads) in [([0.0; 3], 1), ([2e-5, -1e-5, 3e-5], 4)] {
+                    let a0 = random_field(c.lat.q(), dims, 0, 41 + nz as u64);
+                    let mut first: Option<DistField> = None;
+                    for lanes in vector_lanes() {
+                        let mut f = a0.clone();
+                        on(threads, || {
+                            op::with_op!(g, |rule| collide_cells_on(
+                                lanes, &c, &mut f, 0, dims.nx, rule, &bounds
+                            ))
+                        });
+                        let case = format!("{kind:?} nz={nz} g={g:?} {lanes:?}");
+                        assert!(f.max_abs_diff_owned(&a0) > 0.0, "{case}: no change");
+                        match &first {
+                            None => first = Some(f),
+                            Some(want) => {
+                                for (p, (a, b)) in
+                                    want.as_slice().iter().zip(f.as_slice()).enumerate()
+                                {
+                                    assert!(
+                                        a.to_bits() == b.to_bits(),
+                                        "{case} offset {p}: {a} vs {b}"
+                                    );
+                                }
+                            }
+                        }
                     }
                 }
             }
@@ -541,5 +819,7 @@ mod tests {
     #[test]
     fn availability_probe_is_stable() {
         assert_eq!(simd_available(), simd_available());
+        assert_eq!(lanes(), lanes());
+        assert_eq!(simd_available(), lanes() >= Lanes::Avx2);
     }
 }

@@ -20,15 +20,16 @@
 //! per-cell BGK/Guo arithmetic as the dense [`crate::kernels::op`] drivers
 //! (same accumulation order, same reciprocal form), so on a shared geometry
 //! the scalar sparse fluid trajectory is **bitwise equal** to the dense
-//! masked path. The AVX2+FMA body evaluates every ±c velocity pair once on
-//! 8-cell groups of a tile: it is `op::tile_pairs_avx2` on the frame's
-//! velocity rows, the body the dense fused rung runs on shifted source
-//! rows, built on the pair helpers of the AA kernels (`op::relax_pair`).
+//! masked path. The vector body evaluates every ±c velocity pair once on
+//! 8-cell groups of a tile: it is the lane-generic `op::tile_pairs` on the
+//! frame's velocity rows, the body the dense fused rung runs on shifted
+//! source rows, on the widest lane instance the CPU runs (AVX-512 or AVX2,
+//! bitwise equal).
 //! That reassociates the arithmetic, so — like the dense `Simd` rung — it
 //! agrees with the scalar body within re-rounding (fluid cells; the
 //! bounce-back of solid cells is a copy and stays bitwise). The two-grid
 //! step runs it with streaming stores into `dst`, the AA steps into an L1
-//! frame (`op::frame_pairs_avx2`); the per-line arithmetic is the same, so
+//! frame (`op::frame_pairs`); the per-line arithmetic is the same, so
 //! both produce the same bits.
 //!
 //! The in-place AA steps work on one frame per tile. The even step collides
@@ -46,12 +47,15 @@ use crate::equilibrium::feq_i;
 use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
+use crate::kernels::op::{self, with_op, CollideOp, OpConsts, PairConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{frame_pairs_avx2, prefetch, tile_pairs_avx2, FrameRows, GROUP};
-use crate::kernels::op::{with_op, CollideOp, OpConsts, PairConsts};
+use crate::kernels::op::{
+    frame_pairs_avx2, frame_pairs_avx512, prefetch, tile_pairs, Avx2, Avx512, FrameRows, Lane,
+    GROUP,
+};
 use crate::kernels::par::{x_chunks, SendPtr};
-use crate::kernels::simd::sfence;
-use crate::kernels::{simd, KernelCtx, MAX_Q};
+use crate::kernels::simd::{self, sfence, Lanes};
+use crate::kernels::{KernelCtx, MAX_Q};
 use crate::lattice::Lattice;
 
 /// Tile-major population storage: `q · 64` doubles per allocated tile.
@@ -298,7 +302,7 @@ impl GatherTable {
     }
 }
 
-/// Whether the AVX2+FMA sparse tile body is usable on this host (the same
+/// Whether the vector sparse tile body is usable on this host (the same
 /// runtime check as the dense vector rungs).
 pub fn sparse_simd_available() -> bool {
     simd::simd_available()
@@ -306,7 +310,7 @@ pub fn sparse_simd_available() -> bool {
 
 /// One sparse step `dst ← collide(bounce(pull(src)))` over the owned tiles
 /// of `tiles`. `g` selects plain BGK (`[0; 3]`) or Guo forcing; `use_simd`
-/// opts into the AVX2+FMA pair body (within re-rounding of the scalar one,
+/// opts into the vector pair body (within re-rounding of the scalar one,
 /// see module docs) when the host supports it. Inside a pool the owned tiles
 /// are split into disjoint contiguous chunks — bitwise equal, because every
 /// tile reads only `src` and writes only its own `dst` frame.
@@ -319,7 +323,8 @@ pub fn step(
     g: [f64; 3],
     use_simd: bool,
 ) {
-    with_op!(g, |op| step_with(ctx, tiles, gt, src, dst, op, use_simd));
+    let lanes = simd::lanes_for(use_simd);
+    with_op!(g, |op| step_with(ctx, tiles, gt, src, dst, op, lanes));
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -330,7 +335,7 @@ fn step_with<O: CollideOp>(
     src: &SparseField,
     dst: &mut SparseField,
     op: O,
-    use_simd: bool,
+    lanes: Lanes,
 ) {
     let q = ctx.lat.q();
     assert_eq!(src.q(), q, "src q mismatch");
@@ -339,7 +344,7 @@ fn step_with<O: CollideOp>(
     assert_eq!(dst.tile_count(), tiles.tile_count(), "dst tile mismatch");
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let pc = pair_table(use_simd, &oc, q);
+    let pc = pair_table(lanes, &oc, q);
     if ctx.third_order() {
         step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref());
     } else {
@@ -355,7 +360,7 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     src: &SparseField,
     dst: &mut SparseField,
     oc: &OpConsts,
-    pc: Option<&PairConsts>,
+    pc: Option<&(Lanes, PairConsts)>,
 ) {
     let frame = dst.frame_len();
     let total = dst.as_slice().len();
@@ -392,7 +397,7 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
                 dst_frame(t),
             );
         }
-        // The AVX2 body's streaming stores are weakly ordered.
+        // The vector body's streaming stores are weakly ordered.
         sfence();
     };
 
@@ -400,10 +405,11 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     drive_tiles(&owned, run);
 }
 
-/// The ±c pair table of the AVX2+FMA tile body, or `None` where the steps
-/// run the scalar body (not requested, or no AVX2+FMA on this CPU).
-fn pair_table(use_simd: bool, oc: &OpConsts, q: usize) -> Option<PairConsts> {
-    (use_simd && sparse_simd_available()).then(|| PairConsts::new(oc, q))
+/// The vector tile body's instance and ±c pair table, or `None` where the
+/// steps run the scalar body (`lanes` is [`Lanes::Scalar`]). Checks that
+/// the CPU runs `lanes`.
+fn pair_table(lanes: Lanes, oc: &OpConsts, q: usize) -> Option<(Lanes, PairConsts)> {
+    op::pair_body(simd::supported(lanes), oc, q)
 }
 
 /// Run `work(sublist)` over a tile list: chunked across the installed pool,
@@ -609,16 +615,16 @@ unsafe fn gather_lines_avx2(
 
 /// Pull-stream tile `nbrs` into the L1 frame `buf` and collide it straight
 /// into its `dst` frame `to` — the two-grid step's whole per-tile work.
-/// With a pair table: the AVX2 gather, then the pair body with streaming
-/// stores, each group's two lines side by side so that every velocity
-/// fills one whole cache line of `to`. Otherwise the portable gather and
-/// the scalar body, with plain stores.
+/// With a pair table: the AVX2 gather, then the pair body on its instance
+/// with streaming stores, so that every velocity fills one whole cache line
+/// of `to` per group ([`nt_pairs`]). Otherwise the portable gather and the
+/// scalar body, with plain stores.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn pull_collide<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
-    pc: Option<&PairConsts>,
+    pc: Option<&(Lanes, PairConsts)>,
     gt: &GatherTable,
     nbrs: &[i32; TILE_NEIGHBORS],
     src: &[f64],
@@ -628,27 +634,92 @@ fn pull_collide<const THIRD: bool, O: CollideOp>(
 ) {
     let q = ctx.lat.q();
     #[cfg(target_arch = "x86_64")]
-    if let Some(pc) = pc {
+    if let Some((lanes, pc)) = pc {
         let frame = q * TILE_CELLS;
         assert!(buf.len() >= frame && to.len() >= frame);
         assert!(
-            to.as_ptr() as usize % 32 == 0,
-            "dst frame not 32-byte aligned"
+            (to.as_ptr() as usize).is_multiple_of(64),
+            "dst frame not 64-byte aligned"
         );
-        // SAFETY: a pair table is built only once AVX2+FMA were detected.
-        // Row i of either frame spans [i·64, i·64 + 64), in bounds by the
-        // assert, and every line of `to` starts 32-byte aligned, as the
-        // streaming stores need (asserted).
+        // SAFETY: a pair table is built only for an instance the CPU runs
+        // (`pair_table`), which includes AVX2. Row i of either frame spans
+        // [i·64, i·64 + 64), in bounds by the assert, and every line of
+        // `to` starts 64-byte aligned, the NT alignment of either lane
+        // (asserted).
         unsafe {
             gather_lines_avx2(q, gt, nbrs, src, buf);
-            let rows = FrameRows::new(buf, to);
-            tile_pairs_avx2::<THIRD, true, O, _>(ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid);
+            match lanes {
+                Lanes::Avx512 => nt_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
+                _ => nt_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
+            }
         }
         return;
     }
     let _ = pc;
     gather_lines(q, gt, &gt.pull, nbrs, src, buf);
     tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, buf, to);
+}
+
+/// The two-grid step's vector tile body on the lane instance `V`: the pair
+/// body from the gathered frame `buf` straight into the `dst` frame `to`
+/// with streaming stores ([`FrameRows`], `NT`).
+///
+/// # Safety
+/// `buf` and `to` must hold `q·64` doubles, and `to` must start at the
+/// lane's NT alignment.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn nt_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    fluid: u64,
+    buf: &[f64],
+    to: &mut [f64],
+) {
+    let rows = FrameRows::new(buf, to);
+    // SAFETY: row i of either frame spans [i·64, i·64 + 64) and every line
+    // of `to` keeps its start's alignment, per this function's contract.
+    unsafe {
+        tile_pairs::<V, THIRD, true, O, _>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
+    }
+}
+
+/// [`nt_pairs`] on [`Avx2`].
+///
+/// # Safety
+/// AVX2+FMA must be available, and [`nt_pairs`]' contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn nt_pairs_avx2<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    fluid: u64,
+    buf: &[f64],
+    to: &mut [f64],
+) {
+    // SAFETY: AVX2+FMA and the frame contract per this function's contract.
+    unsafe { nt_pairs::<_, THIRD, O>(Avx2::assume(), ctx, oc, pc, fluid, buf, to) }
+}
+
+/// [`nt_pairs`] on [`Avx512`].
+///
+/// # Safety
+/// AVX-512F, AVX2 and FMA must be available, and [`nt_pairs`]' contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn nt_pairs_avx512<const THIRD: bool, O: CollideOp>(
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    fluid: u64,
+    buf: &[f64],
+    to: &mut [f64],
+) {
+    // SAFETY: AVX-512F, AVX2, FMA and the frame contract per this function's contract.
+    unsafe { nt_pairs::<_, THIRD, O>(Avx512::assume(), ctx, oc, pc, fluid, buf, to) }
 }
 
 /// The streamed (pull) image of packed tile `t`: `buf[i·64 + c]` receives
@@ -668,20 +739,27 @@ pub fn streamed_tile(
 }
 
 /// Collide one gathered tile `buf` into `out` with the body the AA step chose:
-/// the AVX2+FMA pair body when `pc` is set, the scalar body otherwise.
+/// the pair body on its instance when `pc` is set, the scalar body
+/// otherwise.
 #[inline]
 fn tile_body<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
-    pc: Option<&PairConsts>,
+    pc: Option<&(Lanes, PairConsts)>,
     fluid: u64,
     buf: &[f64],
     out: &mut [f64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(pc) = pc {
-        // SAFETY: a pair table is built only once AVX2+FMA were detected.
-        unsafe { frame_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, out) };
+    if let Some((lanes, pc)) = pc {
+        // SAFETY: a pair table is built only for an instance the CPU runs
+        // (`pair_table`).
+        unsafe {
+            match lanes {
+                Lanes::Avx512 => frame_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, out),
+                _ => frame_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, out),
+            }
+        }
         return;
     }
     let _ = pc;
@@ -801,7 +879,8 @@ pub fn aa_even_step(
     g: [f64; 3],
     use_simd: bool,
 ) {
-    with_op!(g, |op| aa_even_with(ctx, tiles, f, op, use_simd));
+    let lanes = simd::lanes_for(use_simd);
+    with_op!(g, |op| aa_even_with(ctx, tiles, f, op, lanes));
 }
 
 /// Odd (in-place, streaming) AA step: gather on the odd z-line plan (the
@@ -819,7 +898,8 @@ pub fn aa_odd_step(
     g: [f64; 3],
     use_simd: bool,
 ) {
-    with_op!(g, |op| aa_odd_with(ctx, tiles, gt, f, op, use_simd));
+    let lanes = simd::lanes_for(use_simd);
+    with_op!(g, |op| aa_odd_with(ctx, tiles, gt, f, op, lanes));
 }
 
 fn aa_even_with<O: CollideOp>(
@@ -827,13 +907,13 @@ fn aa_even_with<O: CollideOp>(
     tiles: &SparseTiles,
     f: &mut SparseField,
     op: O,
-    use_simd: bool,
+    lanes: Lanes,
 ) {
     let q = ctx.lat.q();
     assert_eq!(f.q(), q, "field q mismatch");
     assert_eq!(f.tile_count(), tiles.tile_count(), "field tile mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let pc = pair_table(use_simd, &oc, q);
+    let pc = pair_table(lanes, &oc, q);
     if ctx.third_order() {
         aa_even_impl::<true, O>(ctx, tiles, f, &oc, pc.as_ref());
     } else {
@@ -846,7 +926,7 @@ fn aa_even_impl<const THIRD: bool, O: CollideOp>(
     tiles: &SparseTiles,
     f: &mut SparseField,
     oc: &OpConsts,
-    pc: Option<&PairConsts>,
+    pc: Option<&(Lanes, PairConsts)>,
 ) {
     let q = ctx.lat.q();
     let frame = f.frame_len();
@@ -887,14 +967,14 @@ fn aa_odd_with<O: CollideOp>(
     gt: &GatherTable,
     f: &mut SparseField,
     op: O,
-    use_simd: bool,
+    lanes: Lanes,
 ) {
     let q = ctx.lat.q();
     assert_eq!(f.q(), q, "field q mismatch");
     assert_eq!(f.tile_count(), tiles.tile_count(), "field tile mismatch");
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
-    let pc = pair_table(use_simd, &oc, q);
+    let pc = pair_table(lanes, &oc, q);
     if ctx.third_order() {
         aa_odd_impl::<true, O>(ctx, tiles, gt, f, &oc, pc.as_ref());
     } else {
@@ -909,7 +989,7 @@ fn aa_odd_impl<const THIRD: bool, O: CollideOp>(
     gt: &GatherTable,
     f: &mut SparseField,
     oc: &OpConsts,
-    pc: Option<&PairConsts>,
+    pc: Option<&(Lanes, PairConsts)>,
 ) {
     let q = ctx.lat.q();
     let frame = f.frame_len();
@@ -1866,7 +1946,7 @@ mod tests {
     ) {
         let q = ctx.lat.q();
         let oc = OpConsts::new(ctx, &op);
-        let pc = pair_table(simd, &oc, q);
+        let pc = pair_table(simd::lanes_for(simd), &oc, q);
         let mut buf = vec![0.0f64; q * TILE_CELLS];
         let mut out = vec![0.0f64; q * TILE_CELLS];
         for &t in &tiles.aa_odd {
@@ -1979,8 +2059,9 @@ mod tests {
     #[test]
     fn aa_odd_step_writes_only_its_fluid_writers_slots() {
         // NaN poison in every slot that no fluid cell of an `aa_odd` tile
-        // writes. One odd step, both bodies, serial and pooled, on serial
-        // and ghosted builds, leaves every such slot bitwise as it was and
+        // writes. One odd step, the scalar body and every vector instance
+        // this CPU runs, serial and pooled, on serial and ghosted builds,
+        // leaves every such slot bitwise as it was and
         // overwrites the others with finite values. Then the scatter alone,
         // tile by tile, from a distinct `out` frame into a poisoned field:
         // exactly the slots of that tile's fluid writers change, each to its
@@ -2003,10 +2084,13 @@ mod tests {
                         }
                     }
                     let name = format!("{kind:?} {:?} ghosts {}", geom.dims(), tiles.ghost_cols);
-                    for (simd, par) in [(false, false), (false, true), (true, false), (true, true)]
+                    for (lanes, par) in all_lanes()
+                        .into_iter()
+                        .flat_map(|l| [(l, false), (l, true)])
                     {
                         let mut f = f0.clone();
-                        let mut step = || aa_odd_step(&ctx, &tiles, &gt, &mut f, FORCES[1], simd);
+                        let op = GuoForced { g: FORCES[1] };
+                        let mut step = || aa_odd_with(&ctx, &tiles, &gt, &mut f, op, lanes);
                         if par {
                             test_pool().install(step);
                         } else {
@@ -2022,11 +2106,11 @@ mod tests {
                             match w {
                                 None => assert!(
                                     a.to_bits() == b.to_bits(),
-                                    "{name} simd {simd} par {par}: slot {k} written"
+                                    "{name} {lanes:?} par {par}: slot {k} written"
                                 ),
                                 Some(_) => assert!(
                                     b.is_finite(),
-                                    "{name} simd {simd} par {par}: slot {k} holds {b}"
+                                    "{name} {lanes:?} par {par}: slot {k} holds {b}"
                                 ),
                             }
                         }
@@ -2259,6 +2343,72 @@ mod tests {
 
     const FORCES: [[f64; 3]; 2] = [[0.0; 3], [1e-5, -2e-6, 3e-6]];
 
+    /// The scalar body and every vector instance this CPU runs.
+    fn all_lanes() -> Vec<Lanes> {
+        std::iter::once(Lanes::Scalar)
+            .chain(simd::vector_lanes())
+            .collect()
+    }
+
+    #[test]
+    fn lane_instances_agree_on_sparse_steps() {
+        // Every vector instance this CPU runs writes the same bits on the
+        // two-grid step (streaming into `dst`) and on an AA even and odd
+        // pair (in-place frames): every lattice, serial and ghosted builds,
+        // plain and Guo, serial and pooled.
+        let lanes = simd::vector_lanes();
+        for kind in LatticeKind::ALL {
+            let ctx = ctx_for(kind);
+            let q = ctx.lat.q();
+            for geom in geometries() {
+                for tiles in serial_and_ghosted(&geom) {
+                    let gt = GatherTable::new(&ctx.lat);
+                    let f = distinct_aa_field(&ctx, &tiles, &geom);
+                    for (g, par) in [(FORCES[0], false), (FORCES[1], true)] {
+                        let mut first: Option<(Lanes, [SparseField; 2])> = None;
+                        for &l in &lanes {
+                            let mut two_grid = SparseField::new(q, tiles.tile_count()).unwrap();
+                            let mut aa = f.clone();
+                            let mut run = || {
+                                with_op!(g, |op| {
+                                    step_with(&ctx, &tiles, &gt, &f, &mut two_grid, op, l);
+                                    aa_even_with(&ctx, &tiles, &mut aa, op, l);
+                                    aa_odd_with(&ctx, &tiles, &gt, &mut aa, op, l);
+                                })
+                            };
+                            if par {
+                                test_pool().install(run);
+                            } else {
+                                run();
+                            }
+                            let name = format!(
+                                "{kind:?} {:?} ghosts {} g={g:?} par {par}",
+                                geom.dims(),
+                                tiles.ghost_cols
+                            );
+                            let Some((l0, want)) = &first else {
+                                first = Some((l, [two_grid, aa]));
+                                continue;
+                            };
+                            for (step, (a, b)) in ["two-grid", "AA"]
+                                .iter()
+                                .zip(want.iter().zip([&two_grid, &aa]))
+                            {
+                                for (k, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate()
+                                {
+                                    assert!(
+                                        x.to_bits() == y.to_bits(),
+                                        "{name} {step} slot {k}: {l0:?} {x} vs {l:?} {y}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn nt_step_is_bitwise_the_gather_then_frame_body() {
@@ -2300,9 +2450,9 @@ mod tests {
 
     #[test]
     fn two_grid_step_writes_every_owned_frame_and_no_ghost_frame() {
-        // A NaN-poisoned `dst` on a ghosted build: both bodies, serial and
-        // pooled, overwrite every owned slot and leave every ghost tile's
-        // frame bitwise as it was.
+        // A NaN-poisoned `dst` on a ghosted build: the scalar body and every
+        // vector instance this CPU runs, serial and pooled, overwrite every
+        // owned slot and leave every ghost tile's frame bitwise as it was.
         let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let ctx = ctx_for(kind);
@@ -2317,13 +2467,25 @@ mod tests {
                     *v = 0.01 + 1e-6 * (k % 97) as f64;
                 }
                 ghosts += tiles.tile_count() - tiles.owned_tiles;
-                for (simd, par) in [(false, false), (false, true), (true, false), (true, true)] {
+                for (lanes, par) in all_lanes()
+                    .into_iter()
+                    .flat_map(|l| [(l, false), (l, true)])
+                {
                     for g in FORCES {
                         let mut out = SparseField::new(q, tiles.tile_count()).unwrap();
                         out.as_mut_slice().fill(poison);
-                        step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, simd);
+                        let mut step = || {
+                            with_op!(g, |op| step_with(
+                                &ctx, &tiles, &gt, &f, &mut out, op, lanes
+                            ))
+                        };
+                        if par {
+                            test_pool().install(step);
+                        } else {
+                            step();
+                        }
                         let name =
-                            format!("{kind:?} {:?} simd {simd} par {par} g={g:?}", geom.dims());
+                            format!("{kind:?} {:?} {lanes:?} par {par} g={g:?}", geom.dims());
                         for t in 0..tiles.tile_count() {
                             for (k, v) in out.frame(t).iter().enumerate() {
                                 if t < tiles.owned_tiles {

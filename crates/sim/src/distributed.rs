@@ -388,7 +388,7 @@ impl RankSolver {
     fn run_aa(&mut self, comm: &mut Comm, steps: usize) {
         for s in 0..steps {
             let t0 = Instant::now();
-            let ghost_planes = if self.step_no % 2 == 0 {
+            let ghost_planes = if self.step_no.is_multiple_of(2) {
                 // Post-ahead only pays off when this run still executes the
                 // pair's odd step; otherwise leave the exchange to the odd
                 // step's just-in-time path (next `run` call, if any) so a
@@ -400,7 +400,7 @@ impl RankSolver {
             };
             let noise = self.step_no;
             self.step_no += 1;
-            if self.step_no % 2 == 0 {
+            if self.step_no.is_multiple_of(2) {
                 self.cycle += 1; // one completed pair
             }
             let mut dt = t0.elapsed();
