@@ -11,16 +11,128 @@
 //! pull-stream of the two-grid initial field. Initialising AA this way makes
 //! the in-place trajectory site-for-site the streamed image of the two-grid
 //! trajectory, which is what the `aa ≡ two_grid` parity suites compare.
+//!
+//! Both forms run one plane-ring writer. It calls `state` **once per source
+//! site**, plane by plane, into a ring of structure-of-arrays planes
+//! (ρ, u_x, u_y, u_z): one plane for the plain form, `2·reach + 1` for the
+//! streamed form, whose allocation plane `x` reads the source planes
+//! `x − reach ..= x + reach`. Then, per destination plane, velocity and
+//! y-row, it writes one velocity's equilibria over a contiguous source row
+//! into that velocity's slab (rotated by `c_z` in the streamed form). Every
+//! value is [`feq_i`] of its site's state, so the field is bitwise the one
+//! a per-(cell, velocity) `feq_i(state(..))` loop writes; only the number
+//! of `state` calls (one per cell, or `(alloc.nx + 2·reach)·ny·nz`) and the
+//! write order differ. The ring is the only transient memory, and it does
+//! not grow with `nx`.
 
-use crate::equilibrium::feq_i;
+use crate::equilibrium::{feq_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
 use crate::kernels::{KernelCtx, MAX_Q};
+use crate::lattice::Lattice;
 
 /// Periodic wrap of a possibly-negative coordinate into `[0, n)`.
 #[inline]
 fn wrap_coord(i: isize, n: usize) -> usize {
     i.rem_euclid(n as isize) as usize
+}
+
+/// Macroscopic states of a run of sites, structure of arrays: filled once
+/// per site, then read one velocity at a time over contiguous runs.
+pub(crate) struct SiteStates {
+    rho: Vec<f64>,
+    u: [Vec<f64>; 3],
+}
+
+impl SiteStates {
+    /// `n` sites, all at `(0, [0; 3])`.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            rho: vec![0.0; n],
+            u: [vec![0.0; n], vec![0.0; n], vec![0.0; n]],
+        }
+    }
+
+    /// Store site `k`'s state.
+    #[inline]
+    pub(crate) fn set(&mut self, k: usize, (rho, u): (f64, [f64; 3])) {
+        self.rho[k] = rho;
+        for (a, ua) in u.into_iter().enumerate() {
+            self.u[a][k] = ua;
+        }
+    }
+
+    /// `out[j] = feq_i(state of site start + j)` — [`feq_i`] value for
+    /// value, over `out.len()` consecutive sites. With `i` fixed the loop
+    /// vectorises.
+    #[inline]
+    pub(crate) fn feq_row(
+        &self,
+        lat: &Lattice,
+        order: EqOrder,
+        i: usize,
+        start: usize,
+        out: &mut [f64],
+    ) {
+        let run = start..start + out.len();
+        let (rho, ux, uy, uz) = (
+            &self.rho[run.clone()],
+            &self.u[0][run.clone()],
+            &self.u[1][run.clone()],
+            &self.u[2][run],
+        );
+        for ((((o, &r), &x), &y), &z) in out.iter_mut().zip(rho).zip(ux).zip(uy).zip(uz) {
+            *o = feq_i(lat, order, i, r, [x, y, z]);
+        }
+    }
+}
+
+/// The plane-ring writer behind [`from_macroscopic`] (`reach = 0`) and
+/// [`from_macroscopic_streamed`] (`reach = lattice reach`). Extended plane
+/// `e ∈ 0..alloc.nx + 2·reach` holds `state(plane_x(e), y, z)`; population
+/// `i` of allocation plane `x` is the equilibrium at extended plane
+/// `x + reach − c_x`, row `wrap(y − c_y)`, column `wrap(z − c_z)` (with
+/// `c = 0` when `reach = 0`). `state` is called once per extended site, in
+/// `(e, y, z)` order.
+fn fill_planes<F>(
+    ctx: &KernelCtx,
+    f: &mut DistField,
+    reach: usize,
+    plane_x: impl Fn(usize) -> usize,
+    mut state: F,
+) where
+    F: FnMut(usize, usize, usize) -> (f64, [f64; 3]),
+{
+    let d = f.alloc_dims();
+    let (ny, nz, plane) = (d.ny, d.nz, d.plane());
+    let slots = 2 * reach + 1;
+    let mut ring = SiteStates::new(slots * plane);
+    let mut load = |ring: &mut SiteStates, e: usize| {
+        let (x, base) = (plane_x(e), e % slots * plane);
+        for y in 0..ny {
+            for z in 0..nz {
+                ring.set(base + y * nz + z, state(x, y, z));
+            }
+        }
+    };
+    for e in 0..2 * reach {
+        load(&mut ring, e);
+    }
+    for x in 0..d.nx {
+        load(&mut ring, x + 2 * reach);
+        for (i, c) in ctx.lat.velocities().iter().enumerate() {
+            let c = if reach == 0 { [0; 3] } else { *c };
+            let slot = ((x + reach) as isize - c[0] as isize) as usize % slots;
+            let rot = wrap_coord(c[2] as isize, nz);
+            let dst = &mut f.slab_mut(i)[x * plane..(x + 1) * plane];
+            for (y, row) in dst.chunks_exact_mut(nz).enumerate() {
+                let src = slot * plane + wrap_coord(y as isize - c[1] as isize, ny) * nz;
+                let (head, tail) = row.split_at_mut(rot);
+                ring.feq_row(&ctx.lat, ctx.order, i, src, tail);
+                ring.feq_row(&ctx.lat, ctx.order, i, src + nz - rot, head);
+            }
+        }
+    }
 }
 
 /// Set every owned and halo cell to equilibrium at `(rho, u)`.
@@ -38,26 +150,13 @@ pub fn uniform(ctx: &KernelCtx, f: &mut DistField, rho: f64, u: [f64; 3]) {
 
 /// Set each cell to equilibrium of a macroscopic state given by a closure of
 /// *global* coordinates (the subdomain mapping is the caller's business; the
-/// closure receives allocation-local coordinates here).
-pub fn from_macroscopic<F>(ctx: &KernelCtx, f: &mut DistField, mut state: F)
+/// closure receives allocation-local coordinates here). `state` is called
+/// exactly once per allocated cell, in [`Dim3::idx`] order.
+pub fn from_macroscopic<F>(ctx: &KernelCtx, f: &mut DistField, state: F)
 where
     F: FnMut(usize, usize, usize) -> (f64, [f64; 3]),
 {
-    let d = f.alloc_dims();
-    let q = ctx.lat.q();
-    let mut cell = [0.0f64; MAX_Q];
-    for x in 0..d.nx {
-        for y in 0..d.ny {
-            for z in 0..d.nz {
-                let (rho, u) = state(x, y, z);
-                for (i, c) in cell[..q].iter_mut().enumerate() {
-                    *c = feq_i(&ctx.lat, ctx.order, i, rho, u);
-                }
-                let lin = d.idx(x, y, z);
-                f.scatter_cell(lin, &cell[..q]);
-            }
-        }
-    }
+    fill_planes(ctx, f, 0, |x| x, state);
 }
 
 /// AA-pattern (arrivals) initialisation: set population `i` of every
@@ -69,37 +168,30 @@ where
 /// first owned global x plane (allocation-local `x` maps to global
 /// `x_start + x − halo` before the upwind shift and wrap). `global.ny` /
 /// `global.nz` must equal the allocated cross-section (the decomposition
-/// cuts x only).
+/// cuts x only). `state` is called exactly `(alloc.nx + 2·reach)·ny·nz`
+/// times: once per site of the allocated planes widened by the lattice
+/// reach on each side.
 pub fn from_macroscopic_streamed<F>(
     ctx: &KernelCtx,
     f: &mut DistField,
     global: Dim3,
     x_start: isize,
-    mut state: F,
+    state: F,
 ) where
     F: FnMut(usize, usize, usize) -> (f64, [f64; 3]),
 {
     let d = f.alloc_dims();
     debug_assert_eq!(d.ny, global.ny, "decomposition cuts x only");
     debug_assert_eq!(d.nz, global.nz, "decomposition cuts x only");
-    let halo = f.halo() as isize;
-    let q = ctx.lat.q();
-    let vel = ctx.lat.velocities().to_vec();
-    for x in 0..d.nx {
-        let gx = x_start + x as isize - halo;
-        for y in 0..d.ny {
-            for z in 0..d.nz {
-                let lin = d.idx(x, y, z);
-                for (i, c) in vel.iter().enumerate().take(q) {
-                    let ux = wrap_coord(gx - c[0] as isize, global.nx);
-                    let uy = wrap_coord(y as isize - c[1] as isize, global.ny);
-                    let uz = wrap_coord(z as isize - c[2] as isize, global.nz);
-                    let (rho, u) = state(ux, uy, uz);
-                    f.slab_mut(i)[lin] = feq_i(&ctx.lat, ctx.order, i, rho, u);
-                }
-            }
-        }
-    }
+    let reach = ctx.lat.reach();
+    let x0 = x_start - f.halo() as isize - reach as isize;
+    fill_planes(
+        ctx,
+        f,
+        reach,
+        |e| wrap_coord(x0 + e as isize, global.nx),
+        state,
+    );
 }
 
 /// Taylor–Green-like vortex in the x–y plane (z-invariant), the classic
@@ -265,6 +357,181 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The per-(cell, velocity) plain initialiser the plane ring replaced:
+    /// the bitwise oracle.
+    fn oracle_plain<F>(ctx: &KernelCtx, f: &mut DistField, mut state: F)
+    where
+        F: FnMut(usize, usize, usize) -> (f64, [f64; 3]),
+    {
+        let d = f.alloc_dims();
+        let q = ctx.lat.q();
+        let mut cell = [0.0f64; MAX_Q];
+        for x in 0..d.nx {
+            for y in 0..d.ny {
+                for z in 0..d.nz {
+                    let (rho, u) = state(x, y, z);
+                    for (i, c) in cell[..q].iter_mut().enumerate() {
+                        *c = feq_i(&ctx.lat, ctx.order, i, rho, u);
+                    }
+                    let lin = d.idx(x, y, z);
+                    f.scatter_cell(lin, &cell[..q]);
+                }
+            }
+        }
+    }
+
+    /// The per-(cell, velocity) streamed initialiser the plane ring
+    /// replaced: the bitwise oracle.
+    fn oracle_streamed<F>(
+        ctx: &KernelCtx,
+        f: &mut DistField,
+        global: Dim3,
+        x_start: isize,
+        mut state: F,
+    ) where
+        F: FnMut(usize, usize, usize) -> (f64, [f64; 3]),
+    {
+        let d = f.alloc_dims();
+        let halo = f.halo() as isize;
+        for x in 0..d.nx {
+            let gx = x_start + x as isize - halo;
+            for y in 0..d.ny {
+                for z in 0..d.nz {
+                    let lin = d.idx(x, y, z);
+                    for (i, c) in ctx.lat.velocities().iter().enumerate() {
+                        let ux = wrap_coord(gx - c[0] as isize, global.nx);
+                        let uy = wrap_coord(y as isize - c[1] as isize, global.ny);
+                        let uz = wrap_coord(z as isize - c[2] as isize, global.nz);
+                        let (rho, u) = state(ux, uy, uz);
+                        f.slab_mut(i)[lin] = feq_i(&ctx.lat, ctx.order, i, rho, u);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A state that differs at every site of a small box.
+    fn site_state(x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
+        let (x, y, z) = (x as f64, y as f64, z as f64);
+        (
+            1.0 + 0.01 * (1.3 * x + 0.7 * y + 0.3 * z).sin(),
+            [
+                0.04 * (0.9 * x - 0.4 * z).cos(),
+                -0.03 * (0.5 * y + 1.1 * x).sin(),
+                0.02 * (0.8 * z - 0.6 * y).cos(),
+            ],
+        )
+    }
+
+    fn assert_bitwise(got: &DistField, want: &DistField, what: &str) {
+        let bits = |f: &DistField| f.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(got) == bits(want), "{what}: fields differ");
+    }
+
+    /// Every lattice and order, with halo 0, reach and 2·reach.
+    fn cases() -> impl Iterator<Item = (KernelCtx, usize)> {
+        LatticeKind::ALL.into_iter().flat_map(|kind| {
+            [EqOrder::Second, EqOrder::Third]
+                .into_iter()
+                .flat_map(move |order| {
+                    let c = KernelCtx::new(kind, order, Bgk::new(0.8).unwrap());
+                    let k = c.lat.reach();
+                    [0, k, 2 * k].map(|h| (c.clone(), h))
+                })
+        })
+    }
+
+    /// Global boxes: a plain one, and ones whose ny or nz (or both) lie
+    /// below the D3Q39 reach, so the wraps repeat.
+    const BOXES: [Dim3; 4] = [
+        Dim3::new(9, 7, 5),
+        Dim3::new(6, 2, 8),
+        Dim3::new(6, 5, 1),
+        Dim3::new(3, 2, 2),
+    ];
+
+    /// Three ranks' `(x_start, owned nx)` over `nx`: the first, a middle
+    /// and the last.
+    fn ranks(nx: usize) -> [(usize, usize); 3] {
+        let w = nx / 3;
+        [(0, w), (w, w), (2 * w, nx - 2 * w)]
+    }
+
+    #[test]
+    fn plain_init_is_bitwise_the_per_value_oracle() {
+        for (c, h) in cases() {
+            for g in BOXES {
+                for (x_start, nx) in ranks(g.nx) {
+                    let owned = Dim3::new(nx, g.ny, g.nz);
+                    let state = |x: usize, y, z| {
+                        site_state(wrap_coord((x_start + x) as isize - h as isize, g.nx), y, z)
+                    };
+                    let mut got = DistField::new(c.lat.q(), owned, h).unwrap();
+                    from_macroscopic(&c, &mut got, state);
+                    let mut want = DistField::new(c.lat.q(), owned, h).unwrap();
+                    oracle_plain(&c, &mut want, state);
+                    let what = format!(
+                        "{} {:?} halo {h} {g:?} x_start {x_start}",
+                        c.lat.name(),
+                        c.order
+                    );
+                    assert_bitwise(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_init_is_bitwise_the_per_value_oracle() {
+        for (c, h) in cases() {
+            for g in BOXES {
+                for (x_start, nx) in ranks(g.nx) {
+                    let owned = Dim3::new(nx, g.ny, g.nz);
+                    let x_start = x_start as isize;
+                    let mut got = DistField::new(c.lat.q(), owned, h).unwrap();
+                    from_macroscopic_streamed(&c, &mut got, g, x_start, site_state);
+                    let mut want = DistField::new(c.lat.q(), owned, h).unwrap();
+                    oracle_streamed(&c, &mut want, g, x_start, site_state);
+                    let what = format!(
+                        "{} {:?} halo {h} {g:?} x_start {x_start}",
+                        c.lat.name(),
+                        c.order
+                    );
+                    assert_bitwise(&got, &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plain_init_calls_state_once_per_allocated_cell() {
+        for (c, h) in cases() {
+            let mut f = DistField::new(c.lat.q(), Dim3::new(4, 3, 5), h).unwrap();
+            let mut calls = 0usize;
+            from_macroscopic(&c, &mut f, |x, y, z| {
+                calls += 1;
+                site_state(x, y, z)
+            });
+            assert_eq!(calls, f.alloc_dims().len(), "{} halo {h}", c.lat.name());
+        }
+    }
+
+    #[test]
+    fn streamed_init_calls_state_once_per_source_site() {
+        for (c, h) in cases() {
+            let g = Dim3::new(12, 3, 5);
+            let mut f = DistField::new(c.lat.q(), Dim3::new(4, g.ny, g.nz), h).unwrap();
+            let mut calls = 0usize;
+            from_macroscopic_streamed(&c, &mut f, g, 4, |x, y, z| {
+                calls += 1;
+                site_state(x, y, z)
+            });
+            let d = f.alloc_dims();
+            let want = (d.nx + 2 * c.lat.reach()) * d.ny * d.nz;
+            assert_eq!(calls, want, "{} halo {h}", c.lat.name());
         }
     }
 

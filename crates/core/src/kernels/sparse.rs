@@ -43,10 +43,10 @@
 //! serial ones.
 
 use crate::align::AlignedBuf;
-use crate::equilibrium::feq_i;
 use crate::error::{Error, Result};
 use crate::geometry::{tile_cell, SparseTiles, TILE_B, TILE_CELLS, TILE_NEIGHBORS};
 use crate::index::Dim3;
+use crate::init::SiteStates;
 use crate::kernels::op::{self, with_op, CollideOp, OpConsts, PairConsts};
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::op::{
@@ -1118,6 +1118,11 @@ unsafe fn scatter_lines(
 /// step. Ghost frames get the same rule where the source is locally
 /// addressable (they are overwritten by the halo exchange before first
 /// use).
+///
+/// Per tile, `state` is called once per addressable site of the tile's
+/// reach neighbourhood (the tile widened by the lattice reach on each
+/// side), and each velocity's slots are written from it one z-run at a
+/// time.
 pub fn init_equilibrium_aa(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -1128,42 +1133,52 @@ pub fn init_equilibrium_aa(
     assert_eq!(f.tile_count(), tiles.tile_count());
     let td = tiles.tdims;
     let (lnx, lny, lnz) = (td.nx * TILE_B, td.ny * TILE_B, td.nz * TILE_B);
-    let vels = ctx.lat.velocities().to_vec();
+    let r = ctx.lat.reach();
+    let w = TILE_B + 2 * r;
+    let mut sites = SiteStates::new(w * w * w);
+    // Box site `b` of a tile is its cell `b − r` (each axis); the upwind
+    // source of cell `l` along `c` is box site `l + r − c`, and `live`
+    // marks the sites whose slot is an equilibrium rather than vacuum.
+    let mut live = vec![false; w * w * w];
     for t in 0..tiles.tile_count() {
         let ti = tiles.tiles[t];
+        let corner = |tc: usize| (tc * TILE_B) as isize - r as isize;
+        for bx in 0..w {
+            let sxi = corner(ti.tx) + bx as isize;
+            let sx = if tiles.ghost_cols == 0 {
+                Some(sxi.rem_euclid(lnx as isize) as usize)
+            } else if (0..lnx as isize).contains(&sxi) {
+                Some(sxi as usize)
+            } else {
+                None
+            };
+            for by in 0..w {
+                let sy = (corner(ti.ty) + by as isize).rem_euclid(lny as isize) as usize;
+                for bz in 0..w {
+                    let sz = (corner(ti.tz) + bz as isize).rem_euclid(lnz as isize) as usize;
+                    let k = (bx * w + by) * w + bz;
+                    live[k] = sx.is_some_and(|sx| {
+                        tiles.tile_of[td.idx(sx / TILE_B, sy / TILE_B, sz / TILE_B)] >= 0
+                    });
+                    if let (true, Some(sx)) = (live[k], sx) {
+                        sites.set(k, state(tiles.global_cell_x(sx, gdims.nx), sy, sz));
+                    }
+                }
+            }
+        }
         let frame = f.frame_mut(t);
-        for lx in 0..TILE_B {
-            let x = ti.tx * TILE_B + lx;
-            for ly in 0..TILE_B {
-                let y = ti.ty * TILE_B + ly;
-                for lz in 0..TILE_B {
-                    let z = ti.tz * TILE_B + lz;
-                    let c = tile_cell(lx, ly, lz);
-                    for (i, cv) in vels.iter().enumerate() {
-                        let sxi = x as isize - cv[0] as isize;
-                        let sx = if tiles.ghost_cols == 0 {
-                            Some(sxi.rem_euclid(lnx as isize) as usize)
-                        } else if (0..lnx as isize).contains(&sxi) {
-                            Some(sxi as usize)
-                        } else {
-                            None
-                        };
-                        let sy = (y as isize - cv[1] as isize).rem_euclid(lny as isize) as usize;
-                        let sz = (z as isize - cv[2] as isize).rem_euclid(lnz as isize) as usize;
-                        frame[i * TILE_CELLS + c] = match sx {
-                            None => 0.0,
-                            Some(sx) => {
-                                let tt =
-                                    tiles.tile_of[td.idx(sx / TILE_B, sy / TILE_B, sz / TILE_B)];
-                                if tt < 0 {
-                                    0.0
-                                } else {
-                                    let gx = tiles.global_cell_x(sx, gdims.nx);
-                                    let (rho, u) = state(gx, sy, sz);
-                                    feq_i(&ctx.lat, ctx.order, i, rho, u)
-                                }
-                            }
-                        };
+        for (i, cv) in ctx.lat.velocities().iter().enumerate() {
+            let [cx, cy, cz] = cv.map(|c| (r as isize - c as isize) as usize);
+            for lx in 0..TILE_B {
+                for ly in 0..TILE_B {
+                    let k = ((lx + cx) * w + ly + cy) * w + cz;
+                    let c = tile_cell(lx, ly, 0);
+                    let run = &mut frame[i * TILE_CELLS + c..i * TILE_CELLS + c + TILE_B];
+                    sites.feq_row(&ctx.lat, ctx.order, i, k, run);
+                    for (v, &on) in run.iter_mut().zip(&live[k..k + TILE_B]) {
+                        if !on {
+                            *v = 0.0;
+                        }
                     }
                 }
             }
@@ -1177,7 +1192,8 @@ pub fn init_equilibrium_aa(
 /// owned tiles (slot `i` of cell `P` where `P + c_i` falls in an
 /// unallocated tile). Nothing ever reads an escaping slot and each step
 /// rewrites it to the vacuum pull (zero), so zeroing them at init makes the
-/// stored mass exactly conserved from step 0.
+/// stored mass exactly conserved from step 0. Per tile, `state` is called
+/// once per cell, then each velocity's 64 slots are written as one row.
 pub fn init_equilibrium(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -1188,22 +1204,26 @@ pub fn init_equilibrium(
 ) {
     let q = ctx.lat.q();
     assert_eq!(f.tile_count(), tiles.tile_count());
+    let mut cells = SiteStates::new(TILE_CELLS);
     for t in 0..tiles.tile_count() {
         let ti = tiles.tiles[t];
-        let frame = f.frame_mut(t);
         for lx in 0..TILE_B {
             let gx = tiles.global_cell_x(ti.tx * TILE_B + lx, gdims.nx);
             for ly in 0..TILE_B {
                 let gy = ti.ty * TILE_B + ly;
                 for lz in 0..TILE_B {
                     let gz = ti.tz * TILE_B + lz;
-                    let (rho, u) = state(gx, gy, gz);
-                    let c = tile_cell(lx, ly, lz);
-                    for i in 0..q {
-                        frame[i * TILE_CELLS + c] = feq_i(&ctx.lat, ctx.order, i, rho, u);
-                    }
+                    cells.set(tile_cell(lx, ly, lz), state(gx, gy, gz));
                 }
             }
+        }
+        for (i, row) in f
+            .frame_mut(t)
+            .chunks_exact_mut(TILE_CELLS)
+            .take(q)
+            .enumerate()
+        {
+            cells.feq_row(&ctx.lat, ctx.order, i, 0, row);
         }
     }
     zero_escaping_slots(ctx, tiles, gt, f);
@@ -1241,7 +1261,7 @@ pub fn zero_escaping_slots(
 mod tests {
     use super::*;
     use crate::collision::Bgk;
-    use crate::equilibrium::EqOrder;
+    use crate::equilibrium::{feq_i, EqOrder};
     use crate::geometry::Geometry;
     use crate::index::wrap;
     use crate::kernels::op::{GuoForced, PlainBgk};
@@ -2665,6 +2685,168 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The per-(cell, velocity) AA initialiser the neighbourhood states
+    /// replaced: the bitwise oracle.
+    fn oracle_init_aa(
+        ctx: &KernelCtx,
+        tiles: &SparseTiles,
+        f: &mut SparseField,
+        gdims: Dim3,
+        state: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
+    ) {
+        let td = tiles.tdims;
+        let (lnx, lny, lnz) = (td.nx * TILE_B, td.ny * TILE_B, td.nz * TILE_B);
+        for t in 0..tiles.tile_count() {
+            let ti = tiles.tiles[t];
+            let frame = f.frame_mut(t);
+            for lx in 0..TILE_B {
+                let x = ti.tx * TILE_B + lx;
+                for ly in 0..TILE_B {
+                    let y = ti.ty * TILE_B + ly;
+                    for lz in 0..TILE_B {
+                        let z = ti.tz * TILE_B + lz;
+                        let c = tile_cell(lx, ly, lz);
+                        for (i, cv) in ctx.lat.velocities().iter().enumerate() {
+                            let sxi = x as isize - cv[0] as isize;
+                            let sx = if tiles.ghost_cols == 0 {
+                                Some(sxi.rem_euclid(lnx as isize) as usize)
+                            } else if (0..lnx as isize).contains(&sxi) {
+                                Some(sxi as usize)
+                            } else {
+                                None
+                            };
+                            let sy =
+                                (y as isize - cv[1] as isize).rem_euclid(lny as isize) as usize;
+                            let sz =
+                                (z as isize - cv[2] as isize).rem_euclid(lnz as isize) as usize;
+                            frame[i * TILE_CELLS + c] = match sx {
+                                None => 0.0,
+                                Some(sx) => {
+                                    let tt = tiles.tile_of
+                                        [td.idx(sx / TILE_B, sy / TILE_B, sz / TILE_B)];
+                                    if tt < 0 {
+                                        0.0
+                                    } else {
+                                        let gx = tiles.global_cell_x(sx, gdims.nx);
+                                        let (rho, u) = state(gx, sy, sz);
+                                        feq_i(&ctx.lat, ctx.order, i, rho, u)
+                                    }
+                                }
+                            };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-(cell, velocity) two-grid initialiser the 64-cell rows
+    /// replaced: the bitwise oracle.
+    fn oracle_init(
+        ctx: &KernelCtx,
+        tiles: &SparseTiles,
+        gt: &GatherTable,
+        f: &mut SparseField,
+        gdims: Dim3,
+        state: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
+    ) {
+        for t in 0..tiles.tile_count() {
+            let ti = tiles.tiles[t];
+            let frame = f.frame_mut(t);
+            for lx in 0..TILE_B {
+                let gx = tiles.global_cell_x(ti.tx * TILE_B + lx, gdims.nx);
+                for ly in 0..TILE_B {
+                    let gy = ti.ty * TILE_B + ly;
+                    for lz in 0..TILE_B {
+                        let gz = ti.tz * TILE_B + lz;
+                        let (rho, u) = state(gx, gy, gz);
+                        let c = tile_cell(lx, ly, lz);
+                        for i in 0..ctx.lat.q() {
+                            frame[i * TILE_CELLS + c] = feq_i(&ctx.lat, ctx.order, i, rho, u);
+                        }
+                    }
+                }
+            }
+        }
+        zero_escaping_slots(ctx, tiles, gt, f);
+    }
+
+    /// Every lattice, every equivalence geometry, serial and ghosted builds.
+    fn init_cases() -> Vec<(KernelCtx, Geometry, SparseTiles)> {
+        let mut out = Vec::new();
+        for kind in LatticeKind::ALL {
+            for geom in geometries() {
+                let cols = geom.dims().nx / TILE_B;
+                for tiles in [
+                    SparseTiles::build_serial(&geom).unwrap(),
+                    SparseTiles::build(&geom, 1, cols - 1, 1).unwrap(),
+                ] {
+                    out.push((ctx_for(kind), geom.clone(), tiles));
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(f: &SparseField) -> Vec<u64> {
+        f.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn init_equilibrium_is_bitwise_the_per_value_oracle() {
+        for (ctx, geom, tiles) in init_cases() {
+            let (d, q, n) = (geom.dims(), ctx.lat.q(), tiles.tile_count());
+            let gt = GatherTable::new(&ctx.lat);
+            let mut got = SparseField::new(q, n).unwrap();
+            init_equilibrium(&ctx, &tiles, &gt, &mut got, d, smooth_state(d));
+            let mut want = SparseField::new(q, n).unwrap();
+            oracle_init(&ctx, &tiles, &gt, &mut want, d, smooth_state(d));
+            let what = format!("{} {d:?} ghosts {}", ctx.lat.name(), tiles.ghost_cols);
+            assert!(bits(&got) == bits(&want), "{what}");
+        }
+    }
+
+    #[test]
+    fn init_equilibrium_aa_is_bitwise_the_per_value_oracle() {
+        for (ctx, geom, tiles) in init_cases() {
+            let (d, q, n) = (geom.dims(), ctx.lat.q(), tiles.tile_count());
+            let mut got = SparseField::new(q, n).unwrap();
+            init_equilibrium_aa(&ctx, &tiles, &mut got, d, smooth_state(d));
+            let mut want = SparseField::new(q, n).unwrap();
+            oracle_init_aa(&ctx, &tiles, &mut want, d, smooth_state(d));
+            let what = format!("{} {d:?} ghosts {}", ctx.lat.name(), tiles.ghost_cols);
+            assert!(bits(&got) == bits(&want), "{what}");
+        }
+    }
+
+    #[test]
+    fn sparse_inits_call_state_once_per_site() {
+        // The two-grid init: once per stored cell. The AA init: at most once
+        // per site of each tile's reach neighbourhood, which is below the
+        // per-(cell, velocity) count on every lattice.
+        for (ctx, geom, tiles) in init_cases() {
+            let (d, q, n) = (geom.dims(), ctx.lat.q(), tiles.tile_count());
+            let calls = std::cell::Cell::new(0usize);
+            let counted = |x, y, z| {
+                calls.set(calls.get() + 1);
+                smooth_state(d)(x, y, z)
+            };
+            let gt = GatherTable::new(&ctx.lat);
+            let mut f = SparseField::new(q, n).unwrap();
+            init_equilibrium(&ctx, &tiles, &gt, &mut f, d, counted);
+            assert_eq!(calls.replace(0), n * TILE_CELLS, "{}", ctx.lat.name());
+            init_equilibrium_aa(&ctx, &tiles, &mut f, d, counted);
+            let w = TILE_B + 2 * ctx.lat.reach();
+            assert!(w * w * w < TILE_CELLS * q);
+            let what = format!("{} {d:?} ghosts {}", ctx.lat.name(), tiles.ghost_cols);
+            assert!(
+                calls.get() <= n * w * w * w,
+                "{what}: {} calls",
+                calls.get()
+            );
         }
     }
 }

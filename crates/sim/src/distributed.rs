@@ -184,7 +184,7 @@ impl RankSolver {
         let owned = sub.owned();
         let f = DistField::new(ctx.lat.q(), owned, h)?;
         let tmp = match cfg.storage {
-            StorageMode::TwoGrid => Some(f.clone()),
+            StorageMode::TwoGrid => Some(DistField::new(ctx.lat.q(), owned, h)?),
             StorageMode::InPlaceAa => None,
         };
         let tables = StreamTables::new(owned.ny, owned.nz);

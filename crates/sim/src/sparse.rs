@@ -236,7 +236,9 @@ impl SparseRankSolver {
         let gt = GatherTable::new(&ctx.lat);
         let mut f = SparseField::new(ctx.lat.q(), tiles.tile_count())?;
         let storage = cfg.storage;
-        let tmp = (storage == StorageMode::TwoGrid).then(|| f.clone());
+        let tmp = (storage == StorageMode::TwoGrid)
+            .then(|| SparseField::new(ctx.lat.q(), tiles.tile_count()))
+            .transpose()?;
         let scenario = cfg.scenario.clone();
         let global = cfg.global;
         let state = |x: usize, y: usize, z: usize| match &scenario {
