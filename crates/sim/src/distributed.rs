@@ -165,6 +165,10 @@ pub struct RankSolver {
     bounds: BoundarySpec,
     /// Time steps completed (drives time-varying forcing).
     step_no: u64,
+    /// The halos hold the initial fill (the periodic wrap of the initial
+    /// state), so the first cycle needs no exchange. False on a freshly
+    /// allocated or restored rank, whose first cycle derives them.
+    halos_from_init: bool,
 }
 
 /// Tag-space offset for the no-ghost mid-step (scatter) exchange, keeping it
@@ -172,8 +176,21 @@ pub struct RankSolver {
 const MIDSTEP_TAG_BASE: u64 = 1 << 40;
 
 impl RankSolver {
-    /// Build the solver for `rank` under `cfg` (assumed validated).
+    /// Build the solver for `rank` under `cfg` (assumed validated),
+    /// initialised from the scenario's initial state.
     pub fn new(cfg: &SimConfig, rank: usize) -> Result<Self> {
+        let mut solver = Self::allocate(cfg, rank)?;
+        match solver.scenario.clone() {
+            Some(s) => solver.init_scenario(&s),
+            None => solver.init_taylor_green(1.0, cfg.init_u0),
+        }
+        Ok(solver)
+    }
+
+    /// The solver for `rank` with every buffer allocated and no population
+    /// written: the start of [`Self::new`], and of a restore, whose
+    /// snapshot supplies the owned planes.
+    pub(crate) fn allocate(cfg: &SimConfig, rank: usize) -> Result<Self> {
         cfg.validate()?;
         let order: EqOrder = cfg.eq_order();
         let ctx = KernelCtx::new(cfg.lattice, order, Bgk::new(cfg.tau)?);
@@ -205,7 +222,7 @@ impl RankSolver {
         let bounds = scenario
             .as_ref()
             .map_or_else(BoundarySpec::periodic, |s| s.boundaries(cfg.global));
-        let mut solver = Self {
+        Ok(Self {
             ctx,
             sub,
             level: cfg.level,
@@ -233,12 +250,8 @@ impl RankSolver {
             scenario,
             bounds,
             step_no: 0,
-        };
-        match solver.scenario.clone() {
-            Some(s) => solver.init_scenario(&s),
-            None => solver.init_taylor_green(1.0, cfg.init_u0),
-        }
-        Ok(solver)
+            halos_from_init: false,
+        })
     }
 
     /// Initialise every allocated cell (halos included) to the equilibrium
@@ -274,6 +287,7 @@ impl RankSolver {
         self.cycle = 0;
         self.step_no = 0;
         self.pending.clear();
+        self.halos_from_init = true;
     }
 
     /// Initialise to a global Taylor–Green mode (halos included — trig
@@ -303,6 +317,7 @@ impl RankSolver {
         self.cycle = 0;
         self.step_no = 0;
         self.pending.clear();
+        self.halos_from_init = true;
     }
 
     /// Time steps completed since initialisation.
@@ -518,7 +533,7 @@ impl RankSolver {
     }
 
     fn begin_cycle(&mut self, comm: &mut Comm) {
-        if self.cycle == 0 {
+        if self.cycle == 0 && self.halos_from_init {
             return; // halos valid from initialisation
         }
         if self.sub.ranks == 1 {
@@ -527,10 +542,11 @@ impl RankSolver {
         }
         // Under the ghost schedules the sends were posted at the end of the
         // previous cycle — except on the first cycle after a checkpoint
-        // restore, where nothing is in flight (restores never strand posted
-        // requests) and the exchange happens just in time: `f` has not
-        // changed since the previous cycle's sends would have packed it, so
-        // the payload is bitwise the one the pre-posted schedule carries.
+        // restore (cycle 0 included), where nothing is in flight (restores
+        // never strand posted requests) and the exchange happens just in
+        // time: `f` has not changed since the previous cycle's sends would
+        // have packed it, so the payload is bitwise the one the pre-posted
+        // schedule carries.
         self.exchange(comm, Self::tags(self.cycle));
     }
 
@@ -868,27 +884,30 @@ impl RankSolver {
 
     /// Copy of the owned planes (halo-free), for cross-run comparisons.
     pub fn owned_snapshot(&self) -> DistField {
-        let owned = self.sub.owned();
-        let mut out = DistField::new(self.ctx.lat.q(), owned, 0).expect("snapshot alloc");
-        let ds = self.f.alloc_dims();
-        let dd = out.alloc_dims();
+        let mut out =
+            DistField::new(self.ctx.lat.q(), self.sub.owned(), 0).expect("snapshot alloc");
+        let own = self.owned_range();
         for i in 0..self.ctx.lat.q() {
-            for x in 0..owned.nx {
-                let s = ds.idx(x + self.h, 0, 0);
-                let t = dd.idx(x, 0, 0);
-                let row = self.f.slab(i)[s..s + ds.plane()].to_vec();
-                out.slab_mut(i)[t..t + dd.plane()].copy_from_slice(&row);
-            }
+            out.slab_mut(i)
+                .copy_from_slice(&self.f.slab(i)[own.clone()]);
         }
         out
+    }
+
+    /// The owned planes' span inside a slab of `f`: x-major storage makes
+    /// them one contiguous run.
+    fn owned_range(&self) -> std::ops::Range<usize> {
+        let d = self.f.alloc_dims();
+        let (lo, hi) = self.owned();
+        d.idx(lo, 0, 0)..d.idx(hi, 0, 0)
     }
 
     /// Restore this rank from a checkpointed owned snapshot: overwrite the
     /// owned planes with `snap` (halo-free, bitwise) and fast-forward the
     /// step/cycle counters. Pending receives are cleared — the first cycle
-    /// (or odd AA step) after a restore re-exchanges halos just in time,
-    /// which the deep-halo invariant makes bitwise-equivalent to the
-    /// uninterrupted schedule.
+    /// (or odd AA step) after a restore derives the halos just in time (a
+    /// self-fill on one rank, an exchange on several), which the deep-halo
+    /// invariant makes bitwise-equivalent to the uninterrupted schedule.
     pub fn restore_owned(&mut self, snap: &DistField, step_no: u64, cycle: u64) -> Result<()> {
         let owned = self.sub.owned();
         if snap.q() != self.ctx.lat.q() || snap.owned_dims() != owned || snap.halo() != 0 {
@@ -902,19 +921,14 @@ impl RankSolver {
                 owned,
             )));
         }
-        let ds = self.f.alloc_dims();
-        let dd = snap.alloc_dims();
+        let own = self.owned_range();
         for i in 0..self.ctx.lat.q() {
-            for x in 0..owned.nx {
-                let t = ds.idx(x + self.h, 0, 0);
-                let s = dd.idx(x, 0, 0);
-                let row = snap.slab(i)[s..s + dd.plane()].to_vec();
-                self.f.slab_mut(i)[t..t + ds.plane()].copy_from_slice(&row);
-            }
+            self.f.slab_mut(i)[own.clone()].copy_from_slice(snap.slab(i));
         }
         self.step_no = step_no;
         self.cycle = cycle;
         self.pending.clear();
+        self.halos_from_init = false;
         self.reset_counters();
         Ok(())
     }

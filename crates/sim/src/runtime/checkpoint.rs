@@ -35,7 +35,10 @@
 //! *bitwise* the uninterrupted one. Halos are deliberately absent: the
 //! deep-halo invariant keeps ghost planes bitwise equal to the neighbour's
 //! owned planes, so the first cycle after a resume re-derives them with a
-//! just-in-time exchange. Scenario state travels as a
+//! just-in-time exchange (a self-fill on one rank). A resumed rank is
+//! therefore never filled with the initial state: it is allocated and its
+//! snapshot decoded and restored on its own construction thread. Scenario
+//! state travels as a
 //! [`ScenarioSpec`](crate::scenario::ScenarioSpec) — every shipped scenario
 //! is RNG-free, so its parameters are its entire state. The link-cost model
 //! shapes timings, never populations, and is not serialized.
@@ -54,6 +57,7 @@ use crate::config::CommStrategy;
 use crate::json::Json;
 use crate::scenario::ScenarioSpec;
 use crate::simulation::Simulation;
+use crate::sparse::AnySolver;
 
 /// File magic leading every checkpoint.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"LBMCKPT\0";
@@ -301,6 +305,21 @@ fn parse_container(bytes: &[u8]) -> Result<(Json, usize)> {
 /// engine. This is the probe resume uses to pick the newest undamaged
 /// generation, and the cheap half of "never resume silently wrong".
 pub fn validate(bytes: &[u8]) -> Result<CheckpointInfo> {
+    Ok(walk(bytes)?.info)
+}
+
+/// What [`walk`] learns of a container that passed validation.
+struct Walked {
+    header: Json,
+    info: CheckpointInfo,
+    /// Offset of the geometry frame (sparse runs) or first rank snapshot.
+    body: usize,
+    /// Offset of each rank's snapshot frame, in rank order.
+    frames: Vec<usize>,
+}
+
+/// [`validate`], keeping the parsed header and every frame's offset.
+fn walk(bytes: &[u8]) -> Result<Walked> {
     let (header, body) = parse_container(bytes)?;
     let int = |key: &str| -> Result<u64> {
         header
@@ -329,28 +348,40 @@ pub fn validate(bytes: &[u8]) -> Result<CheckpointInfo> {
     if has_geometry {
         Geometry::validate_frame(bytes, &mut pos)?;
     }
-    let mut frames = 0usize;
+    let mut frames = Vec::new();
     while pos < bytes.len() {
+        frames.push(pos);
         snapshot::validate_field(bytes, &mut pos)?;
-        frames += 1;
     }
-    if frames != ranks {
+    if frames.len() != ranks {
         return Err(corrupt(format!(
-            "container holds {frames} rank snapshots, header declares {ranks}"
+            "container holds {} rank snapshots, header declares {ranks}",
+            frames.len()
         )));
     }
-    Ok(CheckpointInfo {
-        step_no,
-        cycle,
-        ranks,
+    Ok(Walked {
+        header,
+        info: CheckpointInfo {
+            step_no,
+            cycle,
+            ranks,
+        },
+        body,
+        frames,
     })
 }
 
 /// Rebuild a [`Simulation`] from checkpoint bytes. The whole container is
 /// [`validate`]d up front, so no engine is ever built from damaged bytes.
+/// Each rank's snapshot is then decoded and restored on that rank's
+/// construction thread, into a rank that skips the initial fill.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Simulation> {
-    validate(bytes)?;
-    let (header, body) = parse_container(bytes)?;
+    let Walked {
+        header,
+        info: CheckpointInfo { step_no, cycle, .. },
+        body,
+        frames,
+    } = walk(bytes)?;
 
     let int = |v: &Json, key: &str| -> Result<u64> {
         v.get(key)
@@ -369,12 +400,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Simulation> {
             .ok_or_else(|| corrupt(format!("header missing `{key}`")))
     };
 
-    let schema = int(&header, "schema")? as u32;
-    if schema != CHECKPOINT_VERSION {
-        return Err(corrupt(format!("header schema {schema}")));
-    }
-    let step_no = int(&header, "step_no")?;
-    let cycle = int(&header, "cycle")?;
     let config = header
         .get("config")
         .ok_or_else(|| corrupt("header missing `config`"))?;
@@ -439,17 +464,11 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Simulation> {
     }
 
     let mut sim = b.build().map_err(Error::from)?;
-    let engine = sim.engine_mut()?;
-    for rs in engine.ranks.iter_mut() {
+    sim.build_engine(|cfg, rank| {
+        let mut pos = frames[rank];
         let snap = snapshot::decode_field(bytes, &mut pos)?;
-        rs.solver.restore_owned(&snap, step_no, cycle)?;
-    }
-    if pos != bytes.len() {
-        return Err(corrupt(format!(
-            "{} trailing bytes after the last rank snapshot",
-            bytes.len() - pos
-        )));
-    }
+        AnySolver::restored(cfg, rank, &snap, step_no, cycle)
+    })?;
     Ok(sim)
 }
 
@@ -527,6 +546,15 @@ mod tests {
                 .build()
                 .unwrap()
         };
+        // Before the first step: the resumed ranks get no initial fill, so
+        // their ghost frames come from the first exchange alone.
+        let mut sim = build();
+        let bytes = sim.checkpoint().unwrap();
+        let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
+        sim.run_local(5).unwrap();
+        resumed.run_local(5).unwrap();
+        assert_eq!(resumed.checkpoint().unwrap(), sim.checkpoint().unwrap());
+
         let mut sim = build();
         sim.run_local(5).unwrap();
         let bytes = sim.checkpoint().unwrap();
@@ -567,23 +595,31 @@ mod tests {
 
         let global = Dim3::new(16, 16, 16);
         let geom = Geometry::pipe(global, 5.0).unwrap();
-        let mut sim = Simulation::builder(LatticeKind::D3Q19, global)
-            .scenario(ForcedFlow::new(4e-6))
-            .geometry(geom)
-            .storage(StorageMode::InPlaceAa)
-            .ranks(2)
-            .build()
-            .unwrap();
         // 5 steps: an odd, slot-swapped mid-pair state — the checkpoint
         // stores the raw frames and the parity comes back from `step_no`.
-        sim.run_local(5).unwrap();
-        let bytes = sim.checkpoint().unwrap();
-        let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
-        assert_eq!(resumed.steps_done(), 5);
-        assert_eq!(resumed.config().storage, StorageMode::InPlaceAa);
-        sim.run_local(5).unwrap();
-        resumed.run_local(5).unwrap();
-        assert_eq!(resumed.checkpoint().unwrap(), sim.checkpoint().unwrap());
+        // 0 steps: ranks resumed before the first step, with no initial
+        // fill behind them.
+        for a in [0, 5] {
+            let mut sim = Simulation::builder(LatticeKind::D3Q19, global)
+                .scenario(ForcedFlow::new(4e-6))
+                .geometry(geom.clone())
+                .storage(StorageMode::InPlaceAa)
+                .ranks(2)
+                .build()
+                .unwrap();
+            sim.run_local(a).unwrap();
+            let bytes = sim.checkpoint().unwrap();
+            let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
+            assert_eq!(resumed.steps_done(), a as u64);
+            assert_eq!(resumed.config().storage, StorageMode::InPlaceAa);
+            sim.run_local(5).unwrap();
+            resumed.run_local(5).unwrap();
+            assert_eq!(
+                resumed.checkpoint().unwrap(),
+                sim.checkpoint().unwrap(),
+                "a = {a}"
+            );
+        }
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! One handle, one engine: the first call to [`Simulation::run`],
 //! [`Simulation::step`] or [`Simulation::probe`] materialises a persistent
 //! universe of ranks (any rank × thread shape, every [`OptLevel`] and
-//! [`CommStrategy`] schedule) initialised from the scenario, and every later
-//! call *continues* that same trajectory. `run` returns a timed
-//! [`RunReport`] for the span it advanced; `step`/`probe` interleave freely
-//! with it. [`Simulation::checkpoint`] serializes the live state so
-//! [`Simulation::resume`] can continue the trajectory bitwise in another
-//! process (the substrate of the [`crate::runtime`] job layer).
+//! [`CommStrategy`] schedule) initialised from the scenario, each rank on its
+//! own thread, and every later call *continues* that same trajectory. `run`
+//! returns a timed [`RunReport`] for the span it advanced; `step`/`probe`
+//! interleave freely with it. [`Simulation::checkpoint`] serializes the live
+//! state so [`Simulation::resume`] can continue the trajectory bitwise in
+//! another process (the substrate of the [`crate::runtime`] job layer).
 //!
 //! [`SimulationBuilder::geometry`] plugs in a voxel [`Geometry`] and routes
 //! the whole run through the sparse tiled-storage path (see
@@ -226,8 +226,11 @@ pub struct Simulation {
 }
 
 /// The persistent multi-rank engine: every rank's solver and communicator
-/// held alive between calls, driven by short-lived scoped threads per
-/// advance (rank 0 inline when there is only one).
+/// held alive between calls. Every per-rank phase — construction (or the
+/// snapshot restore of a resume) and every advance — runs through
+/// [`once_per_rank`]: inline for a solo rank, one scoped thread per rank
+/// otherwise, so ranks allocate, first-touch and fill their fields
+/// concurrently exactly as they step.
 pub(crate) struct Engine {
     pub(crate) ranks: Vec<RankState>,
 }
@@ -238,20 +241,52 @@ pub(crate) struct RankState {
     pub(crate) comm: Comm,
 }
 
-impl Engine {
-    fn new(cfg: &SimConfig) -> Result<Self> {
-        let comms = Universe::endpoints(cfg.ranks, cfg.cost.clone());
-        let ranks = comms
+/// Run `work` once per item and collect the results in item order: inline
+/// for a single item, on a scoped thread per item otherwise. A panic on any
+/// thread is re-raised on the caller's thread.
+fn once_per_rank<I, T, F>(items: I, work: F) -> Vec<T>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    T: Send,
+    F: Fn(I::Item) -> T + Sync,
+{
+    let items = items.into_iter();
+    if items.len() == 1 {
+        return items.map(work).collect();
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        handles
             .into_iter()
-            .enumerate()
-            .map(|(rank, comm)| {
-                Ok(RankState {
-                    solver: AnySolver::new(cfg, rank)?,
-                    comm,
-                })
+            .map(|h| match h.join() {
+                Ok(v) => v,
+                Err(e) => std::panic::resume_unwind(e),
             })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self { ranks })
+            .collect()
+    })
+}
+
+impl Engine {
+    /// Build every rank with `solver(cfg, rank)`, each on its own thread
+    /// (see [`once_per_rank`]). The solvers are those a serial loop builds,
+    /// bit for bit; a failure returns the first error in rank order.
+    fn build<F>(cfg: &SimConfig, solver: F) -> Result<Self>
+    where
+        F: Fn(&SimConfig, usize) -> Result<AnySolver> + Sync,
+    {
+        let comms = Universe::endpoints(cfg.ranks, cfg.cost.clone());
+        let ranks = once_per_rank(comms, |comm| {
+            Ok(RankState {
+                solver: solver(cfg, comm.rank())?,
+                comm,
+            })
+        });
+        Ok(Self {
+            ranks: ranks.into_iter().collect::<Result<_>>()?,
+        })
     }
 
     /// Advance every rank by `steps` (untimed). Multi-rank advances drive
@@ -298,32 +333,14 @@ impl Engine {
         })
     }
 
-    /// Run `work` once per rank and collect the results in rank order:
-    /// inline for a solo rank, on a scoped thread per rank otherwise.
+    /// Run `work` once per rank (see [`once_per_rank`]) and collect the
+    /// results in rank order.
     fn for_each_rank<T, F>(&mut self, work: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut RankState) -> T + Sync,
     {
-        if self.ranks.len() == 1 {
-            vec![work(&mut self.ranks[0])]
-        } else {
-            std::thread::scope(|scope| {
-                let work = &work;
-                let handles: Vec<_> = self
-                    .ranks
-                    .iter_mut()
-                    .map(|rs| scope.spawn(move || work(rs)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(v) => v,
-                        Err(e) => std::panic::resume_unwind(e),
-                    })
-                    .collect()
-            })
-        }
+        once_per_rank(&mut self.ranks, work)
     }
 }
 
@@ -544,9 +561,11 @@ impl Simulation {
     }
 
     /// Rebuild a simulation from checkpoint bytes; the trajectory continues
-    /// bitwise from the checkpointed step. The link-cost model is not part
-    /// of the format (it shapes timings, never state) and resumes as
-    /// [`CostModel::free`].
+    /// bitwise from the checkpointed step. Each rank is allocated, decoded
+    /// and restored on its own thread, without the scenario's initial fill
+    /// (the snapshot overwrites every owned value; the first cycle derives
+    /// the halos). The link-cost model is not part of the format
+    /// (it shapes timings, never state) and resumes as [`CostModel::free`].
     pub fn resume_bytes(bytes: &[u8]) -> Result<Simulation> {
         crate::runtime::checkpoint::decode(bytes)
     }
@@ -557,11 +576,22 @@ impl Simulation {
         Self::resume_bytes(&bytes)
     }
 
+    /// The engine, built from the scenario's initial state on first use.
     pub(crate) fn engine_mut(&mut self) -> Result<&mut Engine> {
         if self.engine.is_none() {
-            self.engine = Some(Engine::new(&self.cfg)?);
+            self.engine = Some(Engine::build(&self.cfg, AnySolver::new)?);
         }
         Ok(self.engine.as_mut().expect("just created"))
+    }
+
+    /// Build the engine with `solver(cfg, rank)` in place of the initial
+    /// state — the resume path, whose ranks come from their snapshots.
+    pub(crate) fn build_engine<F>(&mut self, solver: F) -> Result<()>
+    where
+        F: Fn(&SimConfig, usize) -> Result<AnySolver> + Sync,
+    {
+        self.engine = Some(Engine::build(&self.cfg, solver)?);
+        Ok(())
     }
 }
 
@@ -801,6 +831,106 @@ mod tests {
                 "{kind:?}: Simd vs Fused mass drift"
             );
         }
+    }
+
+    /// Every rank's resident values (field with halos, or every sparse
+    /// tile frame) as bits.
+    fn rank_bits(solver: &AnySolver) -> Vec<u64> {
+        solver.raw().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn parallel_construction_is_bitwise_the_serial_one() {
+        // More ranks than a two-core host has cores, so some construction
+        // threads share a core.
+        let global = Dim3::new(16, 16, 16);
+        let pipe = Geometry::pipe(global, 5.0).unwrap();
+        for ranks in [2, 3, 4] {
+            for storage in [StorageMode::TwoGrid, StorageMode::InPlaceAa] {
+                for sparse in [false, true] {
+                    for threads in [1, 2] {
+                        let mut b = Simulation::builder(LatticeKind::D3Q19, global)
+                            .scenario(TaylorGreen::default())
+                            .ranks(ranks)
+                            .threads(threads)
+                            .storage(storage);
+                        if sparse {
+                            b = b.geometry(pipe.clone());
+                        }
+                        let mut sim = b.build().unwrap();
+                        let cfg = sim.config().clone();
+                        let parallel = sim.engine_mut().unwrap();
+                        assert_eq!(parallel.ranks.len(), ranks);
+                        for (rank, rs) in parallel.ranks.iter().enumerate() {
+                            let serial = AnySolver::new(&cfg, rank).unwrap();
+                            assert_eq!(rs.comm.rank(), rank);
+                            assert!(
+                                rank_bits(&rs.solver) == rank_bits(&serial),
+                                "ranks={ranks} {} sparse={sparse} threads={threads}: \
+                                 rank {rank} differs",
+                                storage.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_construction_returns_the_serial_error() {
+        // Fluid only in tile column 1 of 6: three ranks split the columns
+        // [0, 2), [2, 3), [3, 6), and the last rank's columns hold neither
+        // fluid nor rim, so its tile build fails.
+        let global = Dim3::new(24, 8, 8);
+        let geom = Geometry::from_fn(global, |x, _, _| (4..8).contains(&x)).unwrap();
+        let mut sim = Simulation::builder(LatticeKind::D3Q19, global)
+            .geometry(geom)
+            .ranks(3)
+            .build()
+            .unwrap();
+        let cfg = sim.config().clone();
+        let serial = (0..cfg.ranks)
+            .map(|rank| AnySolver::new(&cfg, rank))
+            .collect::<Result<Vec<_>>>();
+        let want = match serial {
+            Err(e) => e,
+            Ok(_) => panic!("the last rank's tile build must fail"),
+        };
+        assert!(want.to_string().contains("allocate no tiles"), "{want}");
+        match sim.engine_mut() {
+            Err(got) => assert_eq!(got, want),
+            Ok(_) => panic!("parallel construction accepted what a serial loop rejects"),
+        }
+    }
+
+    #[test]
+    fn parallel_construction_propagates_a_rank_panic() {
+        /// Panics while initialising a site only the last of 4 ranks of
+        /// 16 planes touches (it owns 12..16; its neighbours' depth-1 halos
+        /// reach 12 and 15).
+        struct FaultyInit;
+        impl Scenario for FaultyInit {
+            fn name(&self) -> &'static str {
+                "faulty_init"
+            }
+            fn init(&self, _: Dim3, x: usize, _: usize, _: usize) -> (f64, [f64; 3]) {
+                assert_ne!(x, 13, "injected init fault");
+                (1.0, [0.0; 3])
+            }
+        }
+        let mut sim = Simulation::builder(LatticeKind::D3Q19, Dim3::new(16, 8, 8))
+            .scenario(FaultyInit)
+            .ranks(4)
+            .build()
+            .unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.probe()));
+        let payload = caught.expect_err("the rank's panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(msg.contains("injected init fault"), "{msg}");
     }
 
     #[test]

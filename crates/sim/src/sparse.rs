@@ -224,6 +224,31 @@ impl SparseRankSolver {
     /// fluid without a scenario — the voxel walls make the flow, not the
     /// initial mode).
     pub(crate) fn new(cfg: &SimConfig, rank: usize) -> Result<Self> {
+        let mut s = Self::allocate(cfg, rank)?;
+        let global = cfg.global;
+        let state = |x: usize, y: usize, z: usize| match &cfg.scenario {
+            Some(sc) => sc.init(global, x, y, z),
+            None => (1.0, [0.0; 3]),
+        };
+        match cfg.storage {
+            StorageMode::TwoGrid => {
+                sparse::init_equilibrium(&s.ctx, &s.tiles, &s.gt, &mut s.f, global, state);
+            }
+            // AA frames hold the *streamed* image at even parity, so the
+            // initial slots carry the pull-streamed equilibrium — a two-grid
+            // twin started from the same state stays comparable pair for
+            // pair.
+            StorageMode::InPlaceAa => {
+                sparse::init_equilibrium_aa(&s.ctx, &s.tiles, &mut s.f, global, state);
+            }
+        }
+        Ok(s)
+    }
+
+    /// Rank `rank`'s tile list and buffers with no population written: the
+    /// start of [`Self::new`], and of a restore, whose snapshot supplies the
+    /// owned tiles.
+    fn allocate(cfg: &SimConfig, rank: usize) -> Result<Self> {
         let geom: &Arc<Geometry> = cfg
             .geometry
             .as_ref()
@@ -234,29 +259,11 @@ impl SparseRankSolver {
         let (lo, hi) = parts[rank];
         let tiles = SparseTiles::build(geom, lo, hi - lo, cfg.sparse_ghost_cols())?;
         let gt = GatherTable::new(&ctx.lat);
-        let mut f = SparseField::new(ctx.lat.q(), tiles.tile_count())?;
+        let f = SparseField::new(ctx.lat.q(), tiles.tile_count())?;
         let storage = cfg.storage;
         let tmp = (storage == StorageMode::TwoGrid)
             .then(|| SparseField::new(ctx.lat.q(), tiles.tile_count()))
             .transpose()?;
-        let scenario = cfg.scenario.clone();
-        let global = cfg.global;
-        let state = |x: usize, y: usize, z: usize| match &scenario {
-            Some(s) => s.init(global, x, y, z),
-            None => (1.0, [0.0; 3]),
-        };
-        match storage {
-            StorageMode::TwoGrid => {
-                sparse::init_equilibrium(&ctx, &tiles, &gt, &mut f, global, state);
-            }
-            // AA frames hold the *streamed* image at even parity, so the
-            // initial slots carry the pull-streamed equilibrium — a two-grid
-            // twin started from the same state stays comparable pair for
-            // pair.
-            StorageMode::InPlaceAa => {
-                sparse::init_equilibrium_aa(&ctx, &tiles, &mut f, global, state);
-            }
-        }
         let pool = (cfg.threads_per_rank > 1)
             .then(|| {
                 rayon::ThreadPoolBuilder::new()
@@ -273,12 +280,12 @@ impl SparseRankSolver {
             f,
             tmp,
             storage,
-            global,
+            global: cfg.global,
             rank,
             ranks: cfg.ranks,
             use_simd: cfg.level >= OptLevel::Simd,
             pool,
-            scenario,
+            scenario: cfg.scenario.clone(),
             jitter: cfg.compute_jitter,
             skew: if cfg.ranks > 1 {
                 cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
@@ -515,9 +522,9 @@ impl SparseRankSolver {
     }
 
     /// Inverse of [`Self::owned_snapshot`]: load the owned tiles from a
-    /// dense slab and rewind the step counter. Ghost frames stay stale —
-    /// the exchange at the top of the next step refreshes them before any
-    /// gather reads them.
+    /// dense slab and set the step counter. Ghost frames are left as they
+    /// are (zero on a freshly allocated rank): the exchange ahead of the
+    /// next step that reads them refreshes them first.
     pub(crate) fn restore_owned(&mut self, snap: &DistField, step_no: u64) -> Result<()> {
         let q = self.ctx.lat.q();
         let (nx, _) = self.owned_extent();
@@ -582,6 +589,27 @@ impl AnySolver {
             Ok(AnySolver::Sparse(SparseRankSolver::new(cfg, rank)?))
         } else {
             Ok(AnySolver::Dense(RankSolver::new(cfg, rank)?))
+        }
+    }
+
+    /// The solver [`Self::new`] builds, restored from a checkpointed owned
+    /// snapshot at `step_no`/`cycle` instead of filled with the initial
+    /// state.
+    pub(crate) fn restored(
+        cfg: &SimConfig,
+        rank: usize,
+        snap: &DistField,
+        step_no: u64,
+        cycle: u64,
+    ) -> Result<Self> {
+        if cfg.geometry.is_some() {
+            let mut s = SparseRankSolver::allocate(cfg, rank)?;
+            s.restore_owned(snap, step_no)?;
+            Ok(AnySolver::Sparse(s))
+        } else {
+            let mut s = RankSolver::allocate(cfg, rank)?;
+            s.restore_owned(snap, step_no, cycle)?;
+            Ok(AnySolver::Dense(s))
         }
     }
 
@@ -696,26 +724,19 @@ impl AnySolver {
         }
     }
 
-    pub(crate) fn restore_owned(
-        &mut self,
-        snap: &DistField,
-        step_no: u64,
-        cycle: u64,
-    ) -> Result<()> {
+    /// Every resident population value: the dense field with its halos,
+    /// or every sparse tile frame, owned and ghost.
+    pub(crate) fn raw(&self) -> &[f64] {
         match self {
-            AnySolver::Dense(s) => s.restore_owned(snap, step_no, cycle),
-            AnySolver::Sparse(s) => s.restore_owned(snap, step_no),
+            AnySolver::Dense(s) => s.field().as_slice(),
+            AnySolver::Sparse(s) => s.raw(),
         }
     }
 
     /// Every resident population value is finite (owned, halo and ghost
     /// storage alike).
     pub(crate) fn all_finite(&self) -> bool {
-        let raw = match self {
-            AnySolver::Dense(s) => s.field().as_slice(),
-            AnySolver::Sparse(s) => s.raw(),
-        };
-        raw.iter().all(|v| v.is_finite())
+        self.raw().iter().all(|v| v.is_finite())
     }
 
     /// Deterministic NaN injection for the fault harness.

@@ -74,9 +74,38 @@ fn total_mass(f: &DistField) -> f64 {
     f.owned_mass()
 }
 
+/// A periodic start that varies along z and is not separable in x and y.
+/// Taylor–Green is constant in z, so against it a wrong `c_z` shift in the
+/// AA start leaves the streamed image intact; against this one it does not.
+struct SkewedWaves;
+
+impl Scenario for SkewedWaves {
+    fn name(&self) -> &'static str {
+        "skewed_waves"
+    }
+
+    fn init(&self, g: Dim3, x: usize, y: usize, z: usize) -> (f64, [f64; 3]) {
+        let tau = std::f64::consts::TAU;
+        let (px, py, pz) = (
+            tau * x as f64 / g.nx as f64,
+            tau * y as f64 / g.ny as f64,
+            tau * z as f64 / g.nz as f64,
+        );
+        (
+            1.0 + 0.01 * (px + py + pz).cos(),
+            [
+                0.02 * (py + pz).sin(),
+                0.02 * (px + pz).sin(),
+                0.02 * (px + py).sin(),
+            ],
+        )
+    }
+}
+
 /// Parity: `aa ≡ two_grid` (≤ 1e-11 after 6 steps, mass drift ≤ 1e-9)
 /// across all four lattices × scalar/SIMD/fused kernel classes ×
-/// serial/threaded runs, distributed over 2 ranks.
+/// serial/threaded runs × the Taylor–Green and [`SkewedWaves`] starts,
+/// distributed over 2 ranks.
 #[test]
 fn aa_matches_two_grid_across_lattices_levels_and_drivers() {
     let global = Dim3::new(16, 8, 8);
@@ -91,11 +120,14 @@ fn aa_matches_two_grid_across_lattices_levels_and_drivers() {
             Bgk::new(0.8).unwrap(),
         );
         for level in [OptLevel::LoBr, OptLevel::Simd, OptLevel::Fused] {
-            for threads in [1usize, 3] {
-                let base = Simulation::builder(kind, global)
+            for (threads, skewed) in [(1usize, false), (3, false), (1, true), (3, true)] {
+                let mut base = Simulation::builder(kind, global)
                     .ranks(2)
                     .threads(threads)
                     .level(level);
+                if skewed {
+                    base = base.scenario(SkewedWaves);
+                }
                 let tg_cfg = base.clone().build_config().unwrap();
                 let aa_cfg = base.storage(StorageMode::InPlaceAa).build_config().unwrap();
                 let tg = assemble_global(&distributed_owned(&tg_cfg, steps), global);
@@ -103,14 +135,14 @@ fn aa_matches_two_grid_across_lattices_levels_and_drivers() {
                 let diff = aa_vs_streamed_two_grid(&ctx, &aa, &tg);
                 assert!(
                     diff <= 1e-11,
-                    "{kind:?} {} threads={threads}: aa vs two-grid {diff}",
+                    "{kind:?} {} threads={threads} skewed={skewed}: aa vs two-grid {diff}",
                     level.name()
                 );
                 let expected = (global.nx * global.ny * global.nz) as f64;
                 let mass = total_mass(&aa);
                 assert!(
                     (mass - expected).abs() < 1e-9 * expected,
-                    "{kind:?} {} threads={threads}: mass {mass} vs {expected}",
+                    "{kind:?} {} threads={threads} skewed={skewed}: mass {mass} vs {expected}",
                     level.name()
                 );
             }
@@ -120,7 +152,8 @@ fn aa_matches_two_grid_across_lattices_levels_and_drivers() {
 
 /// Parity at every communication strategy: the AA halo protocol (one
 /// exchange per pair, posted-ahead under the ghost schedules, blocking or
-/// eager otherwise) must produce the identical flow.
+/// eager otherwise) must produce the identical flow, from the
+/// [`SkewedWaves`] start.
 #[test]
 fn aa_matches_two_grid_at_every_comm_strategy() {
     let steps = 8;
@@ -137,6 +170,7 @@ fn aa_matches_two_grid_at_every_comm_strategy() {
             Bgk::new(0.8).unwrap(),
         );
         let tg_cfg = Simulation::builder(kind, global)
+            .scenario(SkewedWaves)
             .ranks(2)
             .level(OptLevel::Fused)
             .build_config()
@@ -149,6 +183,7 @@ fn aa_matches_two_grid_at_every_comm_strategy() {
             CommStrategy::OverlapGhostCollide,
         ] {
             let aa_cfg = Simulation::builder(kind, global)
+                .scenario(SkewedWaves)
                 .ranks(2)
                 .level(OptLevel::Fused)
                 .storage(StorageMode::InPlaceAa)

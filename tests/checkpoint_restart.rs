@@ -1,8 +1,10 @@
 //! Checkpoint/restart acceptance: a resumed trajectory must be
 //! **bitwise identical** to the uninterrupted one — at every lattice, both
-//! storage modes, scalar and fused kernel rungs, solo and distributed, and
-//! when the checkpoint lands mid-AA-pair (odd step count, the parity case
-//! the in-place mode makes interesting).
+//! storage modes, scalar and fused kernel rungs, solo and distributed, when
+//! the checkpoint lands mid-AA-pair (odd step count, the parity case the
+//! in-place mode makes interesting), and when it is taken before the first
+//! step (a resumed rank is never filled with the initial state, so even
+//! then it must derive its halos itself).
 //!
 //! The comparison is strict: the full checkpoint byte stream (every owned
 //! f value of every rank plus the step/cycle counters) of
@@ -66,19 +68,21 @@ fn resume_is_bitwise_identical_across_the_matrix() {
         for storage in [StorageMode::TwoGrid, StorageMode::InPlaceAa] {
             for level in [OptLevel::LoBr, OptLevel::Fused] {
                 for ranks in [1usize, 2] {
-                    // a = 3: odd, so the AA cases resume mid-pair (the
-                    // slot-swapped parity state).
-                    let (uninterrupted, resumed) =
-                        uninterrupted_vs_resumed(kind, storage, level, ranks, 1, 3, 5);
-                    assert_eq!(
-                        uninterrupted,
-                        resumed,
-                        "trajectory diverged after resume: {} {} {} ranks={}",
-                        kind.name(),
-                        storage.name(),
-                        level.name(),
-                        ranks
-                    );
+                    // a = 0: cycle 0, whose halos an uninterrupted run takes
+                    // from the initial fill. a = 3: odd, so the AA cases
+                    // resume mid-pair (the slot-swapped parity state).
+                    for a in [0, 3] {
+                        let (uninterrupted, resumed) =
+                            uninterrupted_vs_resumed(kind, storage, level, ranks, 1, a, 5);
+                        assert_eq!(
+                            uninterrupted,
+                            resumed,
+                            "trajectory diverged after resume: {} {} {} ranks={ranks} a={a}",
+                            kind.name(),
+                            storage.name(),
+                            level.name(),
+                        );
+                    }
                 }
             }
         }
@@ -92,15 +96,17 @@ fn resume_is_bitwise_identical_with_deep_halos() {
     // just-in-time fallback), with a bitwise-equal payload.
     for storage in [StorageMode::TwoGrid, StorageMode::InPlaceAa] {
         // a = 3 is deliberately not a multiple of the depth: the checkpoint
-        // lands after a short cycle.
-        let (uninterrupted, resumed) =
-            uninterrupted_vs_resumed(LatticeKind::D3Q19, storage, OptLevel::Simd, 2, 2, 3, 5);
-        assert_eq!(
-            uninterrupted,
-            resumed,
-            "deep-halo resume diverged ({})",
-            storage.name()
-        );
+        // lands after a short cycle. a = 0 restores into cycle 0.
+        for a in [0, 3] {
+            let (uninterrupted, resumed) =
+                uninterrupted_vs_resumed(LatticeKind::D3Q19, storage, OptLevel::Simd, 2, 2, a, 5);
+            assert_eq!(
+                uninterrupted,
+                resumed,
+                "deep-halo resume diverged ({}, a={a})",
+                storage.name()
+            );
+        }
     }
 }
 
