@@ -73,7 +73,7 @@ use crate::field::DistField;
 use crate::index::Dim3;
 use crate::kernels::op::{self, CollideOp, OpConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{tile_pairs, Avx2, Avx512, Lane, PairConsts, RowPtrs, GROUP};
+use crate::kernels::op::{tile_pairs, Avx512, Lane, PairConsts, Portable, RowPtrs, GROUP};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::{self, Lanes};
 use crate::kernels::{KernelCtx, StreamTables, MAX_Q};
@@ -880,7 +880,7 @@ unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// [`fluid_row`] on [`Avx2`].
+/// [`fluid_row`] on [`Portable<8>`](Portable).
 ///
 /// # Safety
 /// AVX2+FMA must be available, and [`fluid_row`]'s contract must hold.
@@ -901,7 +901,7 @@ unsafe fn fluid_row_avx2<const THIRD: bool, O: CollideOp>(
 ) {
     // SAFETY: AVX2+FMA and the row contract per this function's contract.
     unsafe {
-        let v = Avx2::assume();
+        let v = Portable::<GROUP>::assume();
         fluid_row::<_, THIRD, O>(v, ctx, oc, pc, base_ptr, rows, zrot, nz, mask, y, seam)
     }
 }
@@ -1514,9 +1514,13 @@ mod tests {
     #[test]
     fn pair_expression_matches_two_relax_one_calls() {
         // The pair expression on random (ρ, u, f_i, f_o) against the scalar
-        // per-velocity expression, to 1e-14 relative, on each lane instance.
-        // (A sign flip of `D` or of the odd source part `sa` fails this by
-        // many orders.)
+        // per-velocity expression, to 1e-14 relative, on each peer of
+        // `lane_tests::peers`: inlined into an entry point with the
+        // instance's target features, or `Portable<8>` built for the
+        // baseline. (A sign flip of `D` or of the odd source part `sa` fails
+        // this by many orders.)
+        use crate::kernels::op::lane_tests::{peers, Peer};
+        #[inline(always)]
         fn check<V: Lane, const THIRD: bool, O: CollideOp>(v: V, c: &KernelCtx, op: O, seed: u64) {
             let n = V::N;
             let oc = OpConsts::new(c, &op);
@@ -1568,6 +1572,7 @@ mod tests {
                 }
             }
         }
+        #[inline(always)]
         fn each<V: Lane>(v: V) {
             let g = [3e-4, -2e-4, 1e-4];
             for (n, kind) in LatticeKind::ALL.into_iter().enumerate() {
@@ -1583,12 +1588,23 @@ mod tests {
                 }
             }
         }
-        for lanes in vector_lanes() {
-            // SAFETY: `vector_lanes` lists only instances the CPU runs.
+        #[target_feature(enable = "avx2,fma")]
+        fn each_avx2() {
+            // SAFETY: this function runs only where AVX2+FMA are present.
+            each(unsafe { Portable::<GROUP>::assume() })
+        }
+        #[target_feature(enable = "avx512f,avx2,fma")]
+        fn each_avx512() {
+            // SAFETY: this function runs only where its features are present.
+            each(unsafe { Avx512::assume() })
+        }
+        for peer in peers() {
+            // SAFETY: `peers` lists only peers the CPU runs.
             unsafe {
-                match lanes {
-                    Lanes::Avx512 => each(crate::kernels::op::Avx512::assume()),
-                    _ => each(crate::kernels::op::Avx2::assume()),
+                match peer {
+                    Peer::Entry(Lanes::Avx512) => each_avx512(),
+                    Peer::Entry(_) => each_avx2(),
+                    Peer::Baseline => each(Portable::<GROUP>::assume()),
                 }
             }
         }

@@ -40,7 +40,7 @@ use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::fused;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{Avx2, Avx512, Lane};
+use crate::kernels::op::{Avx512, Lane, Portable, GROUP};
 use crate::kernels::op::{CollideOp, PlainBgk};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::{self, Lanes};
@@ -370,7 +370,7 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
     sfence();
 }
 
-/// [`fused_rows`] on [`Avx2`].
+/// [`fused_rows`] on [`Portable<8>`](Portable).
 ///
 /// # Safety
 /// AVX2+FMA must be available, and [`fused_rows`]' contract must hold.
@@ -390,7 +390,7 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
 ) {
     // SAFETY: AVX2+FMA and the layout contract per this function's contract.
     unsafe {
-        let v = Avx2::assume();
+        let v = Portable::<GROUP>::assume();
         fused_rows::<_, THIRD, O>(v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
     }
 }

@@ -52,16 +52,17 @@
 //!
 //! ## Lane instances
 //!
-//! The body is generic over `Lane`, a vector of `N` doubles with the dozen
-//! operations it uses, and has two instances: `Avx2` (`__m256d`, 4 lanes,
-//! a group is two lines) and `Avx512` (`__m512d`, 8 lanes, a group is one
-//! line). Every lane sees the same operation sequence on either, so the
-//! two write the same bits. Each driver's body is generic in turn, with two
-//! thin `#[target_feature]` entry points, `avx2,fma` and
-//! `avx512f,avx2,fma`, into which the whole body inlines; the driver picks
-//! one per kernel call from [`crate::kernels::simd::lanes`], the widest
-//! instance the CPU runs, detected once. A value of a lane type is the
-//! proof that the CPU runs it, so the body's arithmetic is safe code.
+//! The body is generic over `Lane`, a line of 8 doubles with the dozen
+//! operations it uses, and has two instances: `Portable<8>` (`[f64; 8]`,
+//! plain Rust, two `__m256d` per line under AVX2) and `Avx512` (`__m512d`,
+//! intrinsics). Either way a group of 8 cells is one line, and every lane
+//! sees the same operation sequence, so the two write the same bits. Each
+//! driver's body is generic in turn, with two thin `#[target_feature]`
+//! entry points, `avx2,fma` on `Portable<8>` and `avx512f,avx2,fma` on
+//! `Avx512`, into which the whole body inlines; the driver picks one per
+//! kernel call from [`crate::kernels::simd::lanes`], the widest tier the
+//! CPU runs, detected once. A value of a lane type is the proof that the
+//! CPU runs it, so the body's arithmetic is safe code.
 
 use crate::boundary::{BoundarySpec, SectionMask};
 use crate::field::DistField;
@@ -247,13 +248,13 @@ impl PairConsts {
 }
 
 /// A vector of `N` `f64` lanes that the ±c pair body is written over, once:
-/// [`Avx2`] (`__m256d`, `N = 4`) and [`Avx512`] (`__m512d`, `N = 8`). The
-/// body issues the same operation per lane on either, so the two produce
-/// the same bits. A value of an instance is a token: it says that the CPU
-/// runs the instance's instructions, which makes the methods safe to call.
-/// They are all `#[inline(always)]`: inside a function that enables the
-/// instance's features (the kernels' `#[target_feature]` entry points) each
-/// compiles to its one instruction.
+/// [`Portable`] (`[f64; W]`) and [`Avx512`] (`__m512d`). The body issues the
+/// same operation per lane on either, so the two produce the same bits. A
+/// value of an instance is a token: it says that the CPU runs the
+/// instance's instructions, which makes the methods safe to call. They are
+/// all `#[inline(always)]`: inside a function that enables the instance's
+/// features (the kernels' `#[target_feature]` entry points) each compiles
+/// to one instruction per vector register of the line.
 ///
 /// # Safety
 /// An implementor's value may exist only where the CPU runs every
@@ -261,7 +262,8 @@ impl PairConsts {
 /// [`Lane::assume`], and have no other constructor.
 #[cfg(target_arch = "x86_64")]
 pub(crate) unsafe trait Lane: Copy {
-    /// Lanes per vector: 4 or 8, so that a [`GROUP`] is one or two lines.
+    /// Lanes per vector. [`tile_pairs`] runs instances of [`GROUP`] lanes,
+    /// one line per group.
     const N: usize;
     /// The vector of `N` doubles.
     type V: Copy;
@@ -311,18 +313,25 @@ pub(crate) unsafe trait Lane: Copy {
     fn select(self, m: Self::Mask, solid: Self::V, fluid: Self::V) -> Self::V;
 }
 
-/// The AVX2+FMA instance of [`Lane`]: 4 lanes, `__m256d`.
+/// The plain-Rust instance of [`Lane`]: `W` lanes of `[f64; W]`, every
+/// operation written lane by lane in safe code (`f64::mul_add` for the three
+/// FMA forms). Inside an `avx2,fma` entry point the compiler turns each into
+/// vector instructions, two `__m256d` per 8-lane line; elsewhere it is
+/// correct scalar code (`mul_add` then calls the correctly rounded libm
+/// `fma`), so its bits do not depend on the codegen target. Its one
+/// intrinsic is [`Lane::stream`], `_mm256_stream_pd` per 4 lanes, so its
+/// token proves AVX2+FMA, as the entry points that run it enable.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
-pub(crate) struct Avx2(());
+pub(crate) struct Portable<const W: usize>(());
 
-// SAFETY: `Avx2` is made only by `assume`, whose caller vouches for
-// AVX2+FMA; every method below issues AVX, AVX2 or FMA instructions only.
+// SAFETY: `Portable` is made only by `assume`, whose caller vouches for
+// AVX2+FMA; the one intrinsic below, in `stream`, needs AVX only.
 #[cfg(target_arch = "x86_64")]
-unsafe impl Lane for Avx2 {
-    const N: usize = 4;
-    type V = __m256d;
-    type Mask = __m256d;
+unsafe impl<const W: usize> Lane for Portable<W> {
+    const N: usize = W;
+    type V = [f64; W];
+    type Mask = [bool; W];
 
     #[inline(always)]
     unsafe fn assume() -> Self {
@@ -330,88 +339,82 @@ unsafe impl Lane for Avx2 {
     }
 
     #[inline(always)]
-    fn splat(self, x: f64) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_set1_pd(x) }
+    fn splat(self, x: f64) -> [f64; W] {
+        [x; W]
     }
 
     #[inline(always)]
-    unsafe fn loadu(self, p: *const f64) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA; the caller grants the read.
-        unsafe { _mm256_loadu_pd(p) }
+    unsafe fn loadu(self, p: *const f64) -> [f64; W] {
+        // SAFETY: the caller grants the read of `W` doubles.
+        unsafe { p.cast::<[f64; W]>().read_unaligned() }
     }
 
     #[inline(always)]
-    unsafe fn storeu(self, p: *mut f64, v: __m256d) {
-        // SAFETY: `self` proves AVX2+FMA; the caller grants the write.
-        unsafe { _mm256_storeu_pd(p, v) }
+    unsafe fn storeu(self, p: *mut f64, v: [f64; W]) {
+        // SAFETY: the caller grants the write of `W` doubles.
+        unsafe { p.cast::<[f64; W]>().write_unaligned(v) }
     }
 
     #[inline(always)]
-    unsafe fn stream(self, p: *mut f64, v: __m256d) {
-        // SAFETY: `self` proves AVX2+FMA; the caller grants the write and
-        // the 32-byte alignment.
-        unsafe { _mm256_stream_pd(p, v) }
-    }
-
-    #[inline(always)]
-    fn add(self, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_add_pd(a, b) }
-    }
-
-    #[inline(always)]
-    fn sub(self, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_sub_pd(a, b) }
-    }
-
-    #[inline(always)]
-    fn mul(self, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_mul_pd(a, b) }
-    }
-
-    #[inline(always)]
-    fn div(self, a: __m256d, b: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_div_pd(a, b) }
-    }
-
-    #[inline(always)]
-    fn fmadd(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_fmadd_pd(a, b, c) }
-    }
-
-    #[inline(always)]
-    fn fnmadd(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_fnmadd_pd(a, b, c) }
-    }
-
-    #[inline(always)]
-    fn fmsub(self, a: __m256d, b: __m256d, c: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_fmsub_pd(a, b, c) }
-    }
-
-    #[inline(always)]
-    fn fluid(self, bits: u64) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe {
-            let lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(
-                _mm256_and_si256(_mm256_set1_epi64x(bits as i64), lane_bits),
-                lane_bits,
-            ))
+    unsafe fn stream(self, p: *mut f64, v: [f64; W]) {
+        const { assert!(W.is_multiple_of(4)) };
+        for j in (0..W).step_by(4) {
+            // SAFETY: `self` proves AVX2+FMA; the caller grants the write of
+            // `W` doubles and the `8·W`-byte alignment, so each 4-lane
+            // chunk is 32-byte aligned.
+            unsafe {
+                _mm256_stream_pd(
+                    p.add(j),
+                    v.as_ptr().add(j).cast::<__m256d>().read_unaligned(),
+                )
+            }
         }
     }
 
     #[inline(always)]
-    fn select(self, m: __m256d, solid: __m256d, fluid: __m256d) -> __m256d {
-        // SAFETY: `self` proves AVX2+FMA (trait contract).
-        unsafe { _mm256_blendv_pd(solid, fluid, m) }
+    fn add(self, a: [f64; W], b: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| a[j] + b[j])
+    }
+
+    #[inline(always)]
+    fn sub(self, a: [f64; W], b: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| a[j] - b[j])
+    }
+
+    #[inline(always)]
+    fn mul(self, a: [f64; W], b: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| a[j] * b[j])
+    }
+
+    #[inline(always)]
+    fn div(self, a: [f64; W], b: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| a[j] / b[j])
+    }
+
+    #[inline(always)]
+    fn fmadd(self, a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| a[j].mul_add(b[j], c[j]))
+    }
+
+    // Negating an operand is exact, so the other two forms round once too.
+    #[inline(always)]
+    fn fnmadd(self, a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| (-a[j]).mul_add(b[j], c[j]))
+    }
+
+    #[inline(always)]
+    fn fmsub(self, a: [f64; W], b: [f64; W], c: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| a[j].mul_add(b[j], -c[j]))
+    }
+
+    #[inline(always)]
+    fn fluid(self, bits: u64) -> [bool; W] {
+        std::array::from_fn(|j| bits >> j & 1 != 0)
+    }
+
+    #[inline(always)]
+    fn select(self, m: [bool; W], solid: [f64; W], fluid: [f64; W]) -> [f64; W] {
+        std::array::from_fn(|j| if m[j] { fluid[j] } else { solid[j] })
     }
 }
 
@@ -643,8 +646,7 @@ pub(crate) fn relax_rest<V: Lane, O: CollideOp>(
 }
 
 /// Cells of one iteration of [`tile_pairs`]: one whole 64-byte cache line
-/// of each velocity row, two 4-lane lines under [`Avx2`] and one 8-lane
-/// line under [`Avx512`].
+/// of each velocity row, one 8-lane line on either instance.
 pub(crate) const GROUP: usize = 8;
 
 /// How far ahead of the group being loaded, in doubles, the row-view
@@ -749,32 +751,28 @@ impl Rows for RowPtrs<'_> {
 }
 
 /// The ±c pair body over a row view `rows` (see [`Rows`]), for `groups`
-/// groups of [`GROUP`] cells from `z0` on, on the lane instance `V`. Cell
-/// `z0 + j` is fluid iff bit `j` of `fluid` is set, so one call covers at
-/// most 64 cells. Per line of `V::N` cells: paired moment sums
-/// `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then [`group_moments`],
-/// [`relax_pair`] per pair and [`relax_rest`]. Solid lanes take the
-/// bounce-back swap `(t_i, t_o) = (f_o, f_i)` by select, or keep
-/// `(f_i, f_o)` where `R::BOUNCE` is false; all-solid lines only swap, or
-/// are left alone, so solid cells are exact copies and fluid cells agree
+/// groups of [`GROUP`] cells from `z0` on, on the lane instance `V`, one
+/// line of `V::N = GROUP` cells per group. Cell `z0 + j` is fluid iff bit
+/// `j` of `fluid` is set, so one call covers at most 64 cells. Per line:
+/// paired moment sums `ρ += f_i + f_o`, `ρu += c_i (f_i − f_o)`, then
+/// [`group_moments`], [`relax_pair`] per pair and [`relax_rest`]. Solid
+/// lanes take the bounce-back swap `(t_i, t_o) = (f_o, f_i)` by select, or
+/// keep `(f_i, f_o)` where `R::BOUNCE` is false; all-solid lines only swap,
+/// or are left alone, so solid cells are exact copies and fluid cells agree
 /// with the per-cell scalar rule within re-rounding. Where `R::PREFETCH`,
 /// the moment sums touch each velocity's source row [`AHEAD`] doubles past
-/// the group, once per group. Every lane sees the same operations on
-/// either instance, so [`Avx2`] and [`Avx512`] write the same bits.
+/// the group. Every lane sees the same operations on either instance, so
+/// [`Portable`] and [`Avx512`] write the same bits.
 ///
-/// With `NT` the stores stream past the cache, and under [`Avx2`] a group's
-/// two lines run side by side so that each velocity's two stores fill one
-/// cache line back to back: write-combining buffers then never wait on
-/// half-filled lines (under [`Avx512`] one store is the whole line). With
-/// plain stores the lines run one at a time, which keeps fewer vectors
-/// live. The per-line arithmetic is the same either way. The sparse AA
-/// steps run it on their frames ([`frame_pairs`]), the sparse two-grid step
-/// from its gathered frame straight into `dst` (`NT`, [`FrameRows`]), the
-/// dense fused step on shifted source rows straight into `dst`, the AA
-/// sweep in place (its `dst(i)` is `src(opp(i))`, so each solid lane's
-/// select stores every value back into the slot it came from), and the
-/// split collide of the `Simd` rung in place on slab rows, `dst(i) =
-/// src(i)`, keeping solid lanes.
+/// With `NT` the stores stream past the cache; each velocity's store of a
+/// line fills its whole cache line. The sparse AA steps run the body on
+/// their frames ([`frame_pairs`]), the sparse two-grid step from its
+/// gathered frame straight into `dst` (`NT`, [`FrameRows`]), the dense
+/// fused step on shifted source rows straight into `dst`, the AA sweep in
+/// place (its `dst(i)` is `src(opp(i))`, so each solid lane's select stores
+/// every value back into the slot it came from), and the split collide of
+/// the `Simd` rung in place on slab rows, `dst(i) = src(i)`, keeping solid
+/// lanes.
 ///
 /// # Safety
 /// For every velocity `i < q` and group, the 8 doubles at `rows.src(i) + z`
@@ -801,95 +799,60 @@ pub(crate) unsafe fn tile_pairs<
     groups: usize,
     fluid: u64,
 ) {
-    const { assert!(V::N == GROUP || 2 * V::N == GROUP) };
+    const { assert!(V::N == GROUP) };
     debug_assert!(groups * GROUP <= u64::BITS as usize);
     let full = u64::MAX >> (u64::BITS as usize - V::N);
     for g in 0..groups {
-        let (z, bits) = (z0 + g * GROUP, fluid >> (g * GROUP));
-        let line = |l: usize| (z + l * V::N, (bits >> (l * V::N)) & full);
-        // SAFETY: the caller grants the accesses of every group g < groups;
-        // every line lies in group g.
-        unsafe {
-            if NT && V::N < GROUP {
-                pair_lines::<V, THIRD, true, 2, O, R>(
-                    v,
-                    ctx,
-                    oc,
-                    pc,
-                    rows,
-                    [line(0), line(1)],
-                    true,
-                );
-            } else {
-                for l in 0..GROUP / V::N {
-                    pair_lines::<V, THIRD, NT, 1, O, R>(v, ctx, oc, pc, rows, [line(l)], l == 0);
-                }
-            }
-        }
+        let (z, bits) = (z0 + g * GROUP, (fluid >> (g * GROUP)) & full);
+        // SAFETY: the caller grants the accesses of every group g < groups.
+        unsafe { pair_lines::<V, THIRD, NT, O, R>(v, ctx, oc, pc, rows, z, bits) }
     }
 }
 
-/// [`tile_pairs`] on `L` lines side by side: line `l` is cells
-/// `[z, z + V::N)` of every row with fluid bits `bits` (lane `j` is fluid
-/// iff bit `j` is set), `lines[l] = (z, bits)`. Each velocity's `L` stores
-/// are issued back to back. When `lines[0]` opens its 8-cell group
-/// (`first`) and `R::PREFETCH`, the moment loop touches
-/// `rows.src(i) + z + AHEAD` for every velocity right after loading it: one
-/// touch per stream per group, whether the group runs as one call or two.
+/// [`tile_pairs`] on one line: cells `[z, z + V::N)` of every row with
+/// fluid bits `bits` (lane `j` is fluid iff bit `j` is set). Where
+/// `R::PREFETCH`, the moment loop touches `rows.src(i) + z + AHEAD` for
+/// every velocity right after loading it: one touch per stream per group.
 ///
 /// # Safety
-/// As for [`tile_pairs`], for the `V::N` doubles of each line.
+/// As for [`tile_pairs`], for the `V::N` doubles of the line.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn pair_lines<
-    V: Lane,
-    const THIRD: bool,
-    const NT: bool,
-    const L: usize,
-    O: CollideOp,
-    R: Rows,
->(
+unsafe fn pair_lines<V: Lane, const THIRD: bool, const NT: bool, O: CollideOp, R: Rows>(
     v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
     rows: R,
-    lines: [(usize, u64); L],
-    first: bool,
+    z: usize,
+    bits: u64,
 ) {
     let rest = &pc.rest;
-    let ahead = lines[0].0 + AHEAD;
+    let ahead = z + AHEAD;
     let full = u64::MAX >> (u64::BITS as usize - V::N);
     let touch = |i: usize| {
-        if R::PREFETCH && first {
+        if R::PREFETCH {
             prefetch(rows.src(i).wrapping_add(ahead));
         }
     };
     // SAFETY: the caller grants every access below (see # Safety).
     unsafe {
         macro_rules! ld {
-            ($i:expr) => {{
-                let (row, mut x) = (rows.src($i), [v.splat(0.0); L]);
-                for l in 0..L {
-                    x[l] = v.loadu(row.wrapping_add(lines[l].0));
-                }
-                x
-            }};
+            ($i:expr) => {
+                v.loadu(rows.src($i).wrapping_add(z))
+            };
         }
         macro_rules! st {
             ($i:expr, $x:expr) => {{
-                let (row, x) = (rows.dst($i), $x);
-                for l in 0..L {
-                    let p = row.wrapping_add(lines[l].0);
-                    if NT {
-                        v.stream(p, x[l])
-                    } else {
-                        v.storeu(p, x[l])
-                    }
+                let (p, x) = (rows.dst($i).wrapping_add(z), $x);
+                if NT {
+                    v.stream(p, x)
+                } else {
+                    v.storeu(p, x)
                 }
             }};
         }
-        if lines.iter().all(|&(_, bits)| bits == 0) {
+        if bits == 0 {
             if R::BOUNCE {
                 for p in pc.pairs() {
                     let (fi, fo) = (ld!(p.i), ld!(p.o));
@@ -902,55 +865,40 @@ unsafe fn pair_lines<
         }
         let mut rho = ld!(rest.i);
         touch(rest.i);
-        let mut m = [[v.splat(0.0); 3]; L];
+        let mut m = [v.splat(0.0); 3];
         for p in pc.pairs() {
             let (fi, fo) = (ld!(p.i), ld!(p.o));
             touch(p.i);
             touch(p.o);
-            for l in 0..L {
-                let d = v.sub(fi[l], fo[l]);
-                rho[l] = v.add(rho[l], v.add(fi[l], fo[l]));
-                for a in 0..3 {
-                    m[l][a] = v.fmadd(d, v.splat(p.c[a]), m[l][a]);
-                }
+            let d = v.sub(fi, fo);
+            rho = v.add(rho, v.add(fi, fo));
+            for a in 0..3 {
+                m[a] = v.fmadd(d, v.splat(p.c[a]), m[a]);
             }
         }
-        let mut gm = [group_moments::<V, THIRD, O>(v, ctx, oc, rho[0], m[0]); L];
-        for l in 1..L {
-            gm[l] = group_moments::<V, THIRD, O>(v, ctx, oc, rho[l], m[l]);
-        }
+        let gm = group_moments::<V, THIRD, O>(v, ctx, oc, rho, m);
         // Solid lanes keep the value `R::BOUNCE` names; a full line skips
         // the select.
-        let mut fluid_lanes = [v.fluid(lines[0].1); L];
-        for l in 1..L {
-            fluid_lanes[l] = v.fluid(lines[l].1);
-        }
+        let fluid_lanes = v.fluid(bits);
         macro_rules! keep_solid {
             ($bounce:expr, $t:expr) => {{
-                let (bounce, mut t) = ($bounce, $t);
-                for l in 0..L {
-                    if lines[l].1 != full {
-                        t[l] = v.select(fluid_lanes[l], bounce[l], t[l]);
-                    }
+                let (bounce, t) = ($bounce, $t);
+                if bits != full {
+                    v.select(fluid_lanes, bounce, t)
+                } else {
+                    t
                 }
-                t
             }};
         }
         for p in pc.pairs() {
             let (fi, fo) = (ld!(p.i), ld!(p.o));
-            let (mut ti, mut to) = ([v.splat(0.0); L], [v.splat(0.0); L]);
-            for l in 0..L {
-                (ti[l], to[l]) = relax_pair::<V, THIRD, O>(v, ctx, p, &gm[l], fi[l], fo[l]);
-            }
+            let (ti, to) = relax_pair::<V, THIRD, O>(v, ctx, p, &gm, fi, fo);
             let (si, so) = if R::BOUNCE { (fo, fi) } else { (fi, fo) };
             st!(p.i, keep_solid!(si, ti));
             st!(p.o, keep_solid!(so, to));
         }
         let f0 = ld!(rest.i);
-        let mut t0 = [v.splat(0.0); L];
-        for l in 0..L {
-            t0[l] = relax_rest::<V, O>(v, ctx, rest, &gm[l], f0[l]);
-        }
+        let t0 = relax_rest::<V, O>(v, ctx, rest, &gm, f0);
         st!(rest.i, keep_solid!(f0, t0));
     }
 }
@@ -980,7 +928,7 @@ pub(crate) fn frame_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// [`frame_pairs`] on [`Avx2`].
+/// [`frame_pairs`] on [`Portable<8>`](Portable).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 pub(crate) fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
@@ -993,7 +941,7 @@ pub(crate) fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
 ) {
     // SAFETY: a safe `#[target_feature]` function runs only where its
     // features are present: AVX2+FMA.
-    let v = unsafe { Avx2::assume() };
+    let v = unsafe { Portable::<GROUP>::assume() };
     frame_pairs::<_, THIRD, O>(v, ctx, oc, pc, fluid, buf, out)
 }
 
@@ -1271,7 +1219,26 @@ pub(crate) mod lane_tests {
         0x5A3C_0FF0_F00F_C3A5,
     ];
 
-    /// [`tile_pairs`] on [`Avx2`] over 64 cells from `z = 0`.
+    /// Who runs the body: an instance's `#[target_feature]` entry point, or
+    /// [`Portable<8>`](Portable) built for the x86_64 baseline, with no
+    /// target feature, so that `mul_add` is a libm `fma` call and the rest
+    /// of the arithmetic SSE2.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Peer {
+        Entry(Lanes),
+        Baseline,
+    }
+
+    /// The peers this CPU runs: every vector instance, then the baseline
+    /// build, whose token (for its `stream`) needs AVX2+FMA as well.
+    pub(crate) fn peers() -> Vec<Peer> {
+        let lanes = vector_lanes();
+        let baseline = lanes.contains(&Lanes::Avx2).then_some(Peer::Baseline);
+        lanes.into_iter().map(Peer::Entry).chain(baseline).collect()
+    }
+
+    /// [`tile_pairs`] on [`Portable<8>`](Portable) over 64 cells from
+    /// `z = 0`.
     ///
     /// # Safety
     /// AVX2+FMA must be available, and `rows` must satisfy [`tile_pairs`]'
@@ -1286,7 +1253,7 @@ pub(crate) mod lane_tests {
     ) {
         // SAFETY: per this function's contract.
         unsafe {
-            let v = Avx2::assume();
+            let v = Portable::<GROUP>::assume();
             tile_pairs::<_, THIRD, NT, O, R>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
         }
     }
@@ -1311,12 +1278,15 @@ pub(crate) mod lane_tests {
         }
     }
 
-    /// One body call on `lanes`, with or without streaming stores.
+    /// One body call by `peer`, with or without streaming stores. The
+    /// baseline peer's body inlines here, into a function with no target
+    /// feature.
     ///
     /// # Safety
-    /// The CPU must run `lanes`; `rows` as for [`body_avx2`].
+    /// The CPU must run `peer` (it is one of [`peers`]); `rows` as for
+    /// [`body_avx2`].
     unsafe fn call<const THIRD: bool, O: CollideOp, R: Rows>(
-        lanes: Lanes,
+        peer: Peer,
         nt: bool,
         ctx: &KernelCtx,
         op: O,
@@ -1325,26 +1295,38 @@ pub(crate) mod lane_tests {
     ) {
         let oc = OpConsts::new(ctx, &op);
         let pc = PairConsts::new(&oc, ctx.lat.q());
+        let groups = TILE_CELLS / GROUP;
         // SAFETY: per this function's contract.
         unsafe {
-            match (lanes, nt) {
-                (Lanes::Avx512, true) => {
+            let portable = Portable::<GROUP>::assume();
+            match (peer, nt) {
+                (Peer::Entry(Lanes::Avx512), true) => {
                     body_avx512::<THIRD, true, O, R>(ctx, &oc, &pc, rows, fluid)
                 }
-                (Lanes::Avx512, false) => {
+                (Peer::Entry(Lanes::Avx512), false) => {
                     body_avx512::<THIRD, false, O, R>(ctx, &oc, &pc, rows, fluid)
                 }
-                (_, true) => body_avx2::<THIRD, true, O, R>(ctx, &oc, &pc, rows, fluid),
-                (_, false) => body_avx2::<THIRD, false, O, R>(ctx, &oc, &pc, rows, fluid),
+                (Peer::Entry(_), true) => {
+                    body_avx2::<THIRD, true, O, R>(ctx, &oc, &pc, rows, fluid)
+                }
+                (Peer::Entry(_), false) => {
+                    body_avx2::<THIRD, false, O, R>(ctx, &oc, &pc, rows, fluid)
+                }
+                (Peer::Baseline, true) => tile_pairs::<_, THIRD, true, O, R>(
+                    portable, ctx, &oc, &pc, rows, 0, groups, fluid,
+                ),
+                (Peer::Baseline, false) => tile_pairs::<_, THIRD, false, O, R>(
+                    portable, ctx, &oc, &pc, rows, 0, groups, fluid,
+                ),
             }
         }
     }
 
-    /// The pair body on every instance this CPU runs, over the 64 cells from
-    /// `z = 0` of `rows`, a view into the `data.len()` doubles at `base`:
-    /// for each of [`FLUID_WORDS`], plain and Guo, with plain and streaming
-    /// stores, the doubles at `base` start as `data` and must end bitwise
-    /// equal on every instance, and changed where a lane is fluid.
+    /// The pair body on every peer this CPU runs ([`peers`]), over the 64
+    /// cells from `z = 0` of `rows`, a view into the `data.len()` doubles at
+    /// `base`: for each of [`FLUID_WORDS`], plain and Guo, with plain and
+    /// streaming stores, the doubles at `base` start as `data` and must end
+    /// bitwise equal on every peer, and changed where a lane is fluid.
     ///
     /// # Safety
     /// `base` must address `data.len()` writable doubles that nothing else
@@ -1362,34 +1344,34 @@ pub(crate) mod lane_tests {
         };
         for fluid in FLUID_WORDS {
             for (nt, forced) in [(false, false), (false, true), (true, false), (true, true)] {
-                let mut first: Option<(Lanes, Vec<f64>)> = None;
-                for lanes in vector_lanes() {
+                let mut first: Option<(Peer, Vec<f64>)> = None;
+                for peer in peers() {
                     // SAFETY: `base` holds `data.len()` doubles, `rows`
                     // lies inside them (this function's contract), and
-                    // `vector_lanes` lists only instances the CPU runs.
+                    // `peers` lists only peers the CPU runs.
                     let after = unsafe {
                         std::ptr::copy_nonoverlapping(data.as_ptr(), base, data.len());
                         match (ctx.third_order(), forced) {
-                            (true, true) => call::<true, _, R>(lanes, nt, ctx, g, rows, fluid),
+                            (true, true) => call::<true, _, R>(peer, nt, ctx, g, rows, fluid),
                             (true, false) => {
-                                call::<true, _, R>(lanes, nt, ctx, PlainBgk, rows, fluid)
+                                call::<true, _, R>(peer, nt, ctx, PlainBgk, rows, fluid)
                             }
-                            (false, true) => call::<false, _, R>(lanes, nt, ctx, g, rows, fluid),
+                            (false, true) => call::<false, _, R>(peer, nt, ctx, g, rows, fluid),
                             (false, false) => {
-                                call::<false, _, R>(lanes, nt, ctx, PlainBgk, rows, fluid)
+                                call::<false, _, R>(peer, nt, ctx, PlainBgk, rows, fluid)
                             }
                         }
                         std::slice::from_raw_parts(base, data.len()).to_vec()
                     };
                     let what = format!("{case} fluid {fluid:#x} nt {nt} forced {forced}");
-                    assert!(fluid == 0 || after != data, "{what} {lanes:?}: no change");
+                    assert!(fluid == 0 || after != data, "{what} {peer:?}: no change");
                     match &first {
-                        None => first = Some((lanes, after)),
-                        Some((l0, want)) => {
+                        None => first = Some((peer, after)),
+                        Some((p0, want)) => {
                             for (k, (a, b)) in want.iter().zip(&after).enumerate() {
                                 assert!(
                                     a.to_bits() == b.to_bits(),
-                                    "{what} offset {k}: {l0:?} {a} vs {lanes:?} {b}"
+                                    "{what} offset {k}: {p0:?} {a} vs {peer:?} {b}"
                                 );
                             }
                         }

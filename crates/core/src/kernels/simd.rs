@@ -2,9 +2,9 @@
 //!
 //! The paper hand-coded double-hummer intrinsics (BG/P) and QPX quad-word
 //! operations (BG/Q) for the collide function, on 16-byte-aligned data. The
-//! host analogue is AVX2+FMA over 4-wide `f64` lanes, or AVX-512 over
-//! 8-wide ones, with fused multiply-adds (the same `fpmadd` idea the paper
-//! invokes). This rung owns no vector arithmetic of its own: it runs the
+//! host analogue is a line of 8 `f64` lanes, two AVX2+FMA vectors or one
+//! AVX-512 vector, with fused multiply-adds (the same `fpmadd` idea the
+//! paper invokes). This rung owns no vector arithmetic of its own: it runs the
 //! lane-generic ±c pair body the fused, sparse and AA steps share
 //! ([`crate::kernels::op`]'s `tile_pairs`) in place, on a row view whose
 //! velocity `i` row is slab `i`'s row, both read and written. Per line the
@@ -22,10 +22,11 @@
 //! Against the scalar classes fluid cells agree within re-rounding.
 //!
 //! Feature detection happens once, at runtime ([`lanes`]): with AVX-512F
-//! (and AVX2+FMA) the body runs on 8 lanes, with AVX2+FMA on 4, the two
-//! bitwise equal; without AVX2+FMA the rung falls back to the shared scalar
-//! cell-operator body (so the crate stays portable, and the benchmark
-//! harness reports which instance ran).
+//! (and AVX2+FMA) the body runs on `Avx512` intrinsics, with AVX2+FMA on
+//! `Portable<8>`, plain-Rust lanes compiled to two `__m256d` per line, the
+//! two bitwise equal; without AVX2+FMA the rung falls back to the shared
+//! scalar cell-operator body (so the crate stays portable, and the
+//! benchmark harness reports which instance ran).
 //! Streaming is already a memcpy exercise after LoBr, so this rung reuses
 //! the CF/LoBr stream.
 
@@ -33,7 +34,7 @@ use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::op::{self, CollideOp, OpConsts, PlainBgk};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{tile_pairs, Avx2, Avx512, Lane, PairConsts, Rows, GROUP};
+use crate::kernels::op::{tile_pairs, Avx512, Lane, PairConsts, Portable, Rows, GROUP};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::KernelCtx;
 #[cfg(target_arch = "x86_64")]
@@ -46,9 +47,10 @@ use crate::kernels::MAX_Q;
 pub enum Lanes {
     /// No AVX2+FMA: the scalar bodies.
     Scalar,
-    /// AVX2+FMA, 4 lanes of `f64` (`__m256d`).
+    /// AVX2+FMA: `Portable<8>`, 8 lanes of `f64` in plain Rust, two
+    /// `__m256d` per line.
     Avx2,
-    /// AVX-512F besides AVX2+FMA, 8 lanes of `f64` (`__m512d`).
+    /// AVX-512F besides AVX2+FMA: `Avx512`, 8 lanes of `f64` (`__m512d`).
     Avx512,
 }
 
@@ -394,7 +396,7 @@ unsafe fn pair_rows<V: Lane, const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// [`pair_rows`] on [`Avx2`].
+/// [`pair_rows`] on [`Portable<8>`](Portable).
 ///
 /// # Safety
 /// AVX2+FMA must be available, and [`pair_rows`]' contract must hold.
@@ -414,7 +416,7 @@ unsafe fn pair_rows_avx2<const THIRD: bool, O: CollideOp>(
 ) {
     // SAFETY: AVX2+FMA and the layout contract per this function's contract.
     unsafe {
-        let v = Avx2::assume();
+        let v = Portable::<GROUP>::assume();
         pair_rows::<_, THIRD, O>(v, base_ptr, total, slab_len, ctx, oc, bounds, d, x_lo, x_hi)
     }
 }

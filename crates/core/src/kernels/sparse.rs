@@ -50,7 +50,7 @@ use crate::init::SiteStates;
 use crate::kernels::op::{self, with_op, CollideOp, OpConsts, PairConsts};
 #[cfg(target_arch = "x86_64")]
 use crate::kernels::op::{
-    frame_pairs_avx2, frame_pairs_avx512, prefetch, tile_pairs, Avx2, Avx512, FrameRows, Lane,
+    frame_pairs_avx2, frame_pairs_avx512, prefetch, tile_pairs, Avx512, FrameRows, Lane, Portable,
     GROUP,
 };
 use crate::kernels::par::{x_chunks, SendPtr};
@@ -300,12 +300,6 @@ impl GatherTable {
     fn row(&self, i: usize) -> &[(u8, u8)] {
         &self.entries[i * TILE_CELLS..(i + 1) * TILE_CELLS]
     }
-}
-
-/// Whether the vector sparse tile body is usable on this host (the same
-/// runtime check as the dense vector rungs).
-pub fn sparse_simd_available() -> bool {
-    simd::simd_available()
 }
 
 /// One sparse step `dst ← collide(bounce(pull(src)))` over the owned tiles
@@ -686,7 +680,7 @@ unsafe fn nt_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// [`nt_pairs`] on [`Avx2`].
+/// [`nt_pairs`] on [`Portable<8>`](Portable).
 ///
 /// # Safety
 /// AVX2+FMA must be available, and [`nt_pairs`]' contract must hold.
@@ -701,7 +695,7 @@ unsafe fn nt_pairs_avx2<const THIRD: bool, O: CollideOp>(
     to: &mut [f64],
 ) {
     // SAFETY: AVX2+FMA and the frame contract per this function's contract.
-    unsafe { nt_pairs::<_, THIRD, O>(Avx2::assume(), ctx, oc, pc, fluid, buf, to) }
+    unsafe { nt_pairs::<_, THIRD, O>(Portable::<GROUP>::assume(), ctx, oc, pc, fluid, buf, to) }
 }
 
 /// [`nt_pairs`] on [`Avx512`].
@@ -2312,7 +2306,7 @@ mod tests {
                             );
                         }
                         #[cfg(target_arch = "x86_64")]
-                        if sparse_simd_available() {
+                        if simd::simd_available() {
                             let mut vector = GatherFrame([f64::NAN; MAX_Q * TILE_CELLS]);
                             // SAFETY: AVX2 was detected above.
                             unsafe { gather_lines_avx2(q, &gt, nbrs, f.as_slice(), &mut vector.0) };
@@ -2436,7 +2430,7 @@ mod tests {
         // per-cell walk into an L1 frame, then `frame_pairs_avx2` into a
         // second L1 frame — is the oracle of its vector gather and streamed
         // body, bit for bit.
-        if !sparse_simd_available() {
+        if !simd::simd_available() {
             return;
         }
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
@@ -2622,7 +2616,7 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn pair_body_matches_scalar_body_on_every_line_mask() {
-        if !sparse_simd_available() {
+        if !simd::simd_available() {
             return;
         }
         for kind in LatticeKind::ALL {
@@ -2656,7 +2650,7 @@ mod tests {
         // Every fluid cell keeps its mass and gains exactly G of momentum:
         // |Σ out − Σ f| ≤ 1e-14 ρ and |Σ c·out − Σ c·f − G| ≤ 1e-14, in
         // compensated sums.
-        if !sparse_simd_available() {
+        if !simd::simd_available() {
             return;
         }
         let g = [2e-5, -1e-5, 3e-5];

@@ -166,28 +166,42 @@ fn check_sum(buf: &[u8], pos: &mut usize, payload: &std::ops::Range<usize>) -> R
 /// payload is restored bit-for-bit; version, shape and checksum mismatches
 /// are rejected as [`Error::Corrupt`].
 pub fn decode_field(buf: &[u8], pos: &mut usize) -> Result<DistField> {
-    let frame = read_frame(buf, pos)?;
-    let mut f = DistField::new(frame.q, frame.owned, frame.halo)?;
-    debug_assert_eq!(f.q() * f.slab_len() * 8, frame.payload.len());
-    let payload = &buf[frame.payload.clone()];
-    let mut chunks = payload.chunks_exact(8);
-    for i in 0..frame.q {
-        for v in f.slab_mut(i) {
-            let chunk = chunks.next().expect("payload length checked by frame");
-            *v = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
-        }
-    }
-    check_sum(buf, pos, &frame.payload)?;
-    Ok(f)
+    validate_field(buf, pos)?.decode()
 }
 
 /// Walk one field frame starting at `*pos` and verify its framing and
 /// FNV-1a checksum *without* allocating a [`DistField`]. This is the cheap
 /// integrity probe behind checkpoint validation: callers can scan a whole
-/// container for damage before committing to a resume.
-pub fn validate_field(buf: &[u8], pos: &mut usize) -> Result<()> {
+/// container for damage before committing to a resume, and then decode the
+/// frames they kept without hashing them again.
+pub fn validate_field<'a>(buf: &'a [u8], pos: &mut usize) -> Result<CheckedField<'a>> {
     let frame = read_frame(buf, pos)?;
-    check_sum(buf, pos, &frame.payload)
+    check_sum(buf, pos, &frame.payload)?;
+    Ok(CheckedField { buf, frame })
+}
+
+/// A field frame whose framing and checksum [`validate_field`] verified.
+pub struct CheckedField<'a> {
+    buf: &'a [u8],
+    frame: FieldFrame,
+}
+
+impl CheckedField<'_> {
+    /// The field, restored bit-for-bit from the checked payload.
+    pub fn decode(&self) -> Result<DistField> {
+        let frame = &self.frame;
+        let mut f = DistField::new(frame.q, frame.owned, frame.halo)?;
+        debug_assert_eq!(f.q() * f.slab_len() * 8, frame.payload.len());
+        let payload = &self.buf[frame.payload.clone()];
+        let mut chunks = payload.chunks_exact(8);
+        for i in 0..frame.q {
+            for v in f.slab_mut(i) {
+                let chunk = chunks.next().expect("payload length checked by frame");
+                *v = f64::from_le_bytes(chunk.try_into().expect("chunk of 8"));
+            }
+        }
+        Ok(f)
+    }
 }
 
 #[cfg(test)]

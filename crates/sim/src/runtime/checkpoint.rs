@@ -309,17 +309,17 @@ pub fn validate(bytes: &[u8]) -> Result<CheckpointInfo> {
 }
 
 /// What [`walk`] learns of a container that passed validation.
-struct Walked {
+struct Walked<'a> {
     header: Json,
     info: CheckpointInfo,
     /// Offset of the geometry frame (sparse runs) or first rank snapshot.
     body: usize,
-    /// Offset of each rank's snapshot frame, in rank order.
-    frames: Vec<usize>,
+    /// Each rank's checked snapshot frame, in rank order.
+    frames: Vec<snapshot::CheckedField<'a>>,
 }
 
-/// [`validate`], keeping the parsed header and every frame's offset.
-fn walk(bytes: &[u8]) -> Result<Walked> {
+/// [`validate`], keeping the parsed header and every checked frame.
+fn walk(bytes: &[u8]) -> Result<Walked<'_>> {
     let (header, body) = parse_container(bytes)?;
     let int = |key: &str| -> Result<u64> {
         header
@@ -350,8 +350,7 @@ fn walk(bytes: &[u8]) -> Result<Walked> {
     }
     let mut frames = Vec::new();
     while pos < bytes.len() {
-        frames.push(pos);
-        snapshot::validate_field(bytes, &mut pos)?;
+        frames.push(snapshot::validate_field(bytes, &mut pos)?);
     }
     if frames.len() != ranks {
         return Err(corrupt(format!(
@@ -373,8 +372,9 @@ fn walk(bytes: &[u8]) -> Result<Walked> {
 
 /// Rebuild a [`Simulation`] from checkpoint bytes. The whole container is
 /// [`validate`]d up front, so no engine is ever built from damaged bytes.
-/// Each rank's snapshot is then decoded and restored on that rank's
-/// construction thread, into a rank that skips the initial fill.
+/// Each rank's checked snapshot is then decoded, without hashing it again,
+/// and restored on that rank's construction thread, into a rank that skips
+/// the initial fill.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Simulation> {
     let Walked {
         header,
@@ -465,8 +465,7 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Simulation> {
 
     let mut sim = b.build().map_err(Error::from)?;
     sim.build_engine(|cfg, rank| {
-        let mut pos = frames[rank];
-        let snap = snapshot::decode_field(bytes, &mut pos)?;
+        let snap = frames[rank].decode()?;
         AnySolver::restored(cfg, rank, &snap, step_no, cycle)
     })?;
     Ok(sim)
