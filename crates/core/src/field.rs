@@ -247,7 +247,10 @@ impl DistField {
     /// and the ρs are added into the total in cell order. That is bitwise
     /// the sum of [`crate::moments::Moments::of_cell`]'s `rho` over the
     /// owned cells in [`Dim3::idx`] order. The pass is never split across
-    /// threads, since that would reorder the sum.
+    /// threads, since that would reorder the sum. The fused vector driver
+    /// folds the same order into its pass as it writes a field
+    /// ([`crate::kernels::fused_simd::stream_collide_cells_mass`]), so a
+    /// run's last step can hand over these bits without this second pass.
     pub fn owned_mass(&self) -> f64 {
         const BLOCK: usize = 512; // a 4 KiB stack buffer
         let x = self.owned_x();

@@ -371,8 +371,14 @@ impl Geometry {
     pub fn from_file(path: impl AsRef<std::path::Path>) -> Result<Self> {
         let buf = std::fs::read(path.as_ref())
             .map_err(|e| Error::Io(format!("read {}: {e}", path.as_ref().display())))?;
+        Self::from_bytes(&buf)
+    }
+
+    /// The geometry of a whole `.lbmgeo` file's bytes: one frame and no
+    /// trailing byte (the rule of [`Self::from_file`]).
+    pub fn from_bytes(buf: &[u8]) -> Result<Self> {
         let mut pos = 0usize;
-        let g = Self::decode_frame(&buf, &mut pos)?;
+        let g = Self::decode_frame(buf, &mut pos)?;
         if pos != buf.len() {
             return Err(Error::Corrupt(format!(
                 "geometry file: {} trailing bytes after frame",

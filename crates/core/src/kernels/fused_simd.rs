@@ -23,6 +23,12 @@
 //!   such rows collide 64 cells at a time into a stack frame that goes to
 //!   `dst` as one non-temporal row copy per velocity. Each chunk of the
 //!   sweep ends with one `sfence`.
+//! * **Mass** — [`stream_collide_cells_mass`] runs the body's `MASS`
+//!   instantiation, which also copies each stored line into an L1 frame
+//!   and sums it per cell, so one serial pass returns the owned mass
+//!   bitwise as [`DistField::owned_mass`] reads it afterwards. A solver
+//!   runs it on the last step of a run instead of a second pass over the
+//!   field.
 //!
 //! Like the scalar variant, the kernel is generic over the cell operator
 //! ([`crate::kernels::op::CollideOp`]) and boundary-aware. Wall rows gather
@@ -40,11 +46,12 @@ use crate::boundary::BoundarySpec;
 use crate::field::DistField;
 use crate::kernels::fused;
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{Avx512, Lane, Portable, GROUP};
+use crate::kernels::op::{Avx512, Lane, MassRows, Portable, GROUP};
 use crate::kernels::op::{CollideOp, PlainBgk};
-use crate::kernels::par::{x_chunks, SendPtr};
+use crate::kernels::par::{in_pool, x_chunks, SendPtr};
 use crate::kernels::simd::{self, Lanes};
 use crate::kernels::{KernelCtx, StreamTables};
+use std::ops::Range;
 
 /// One fused LBM step `dst ← collide(pull(src))` over planes
 /// `x ∈ [x_lo, x_hi)`, vectorized when the host supports AVX2+FMA (on
@@ -116,7 +123,7 @@ fn stream_collide_on<O: CollideOp>(
         // `src` is only read and never aliases `dst` (distinct fields). The
         // CPU runs `lanes` (checked above).
         unsafe {
-            stream_collide_cells_raw(
+            stream_collide_cells_raw::<false, O>(
                 lanes,
                 ctx,
                 tables,
@@ -127,19 +134,92 @@ fn stream_collide_on<O: CollideOp>(
                 hi,
                 op,
                 bounds,
-            )
+                0..0,
+            );
         }
     });
 }
 
+/// [`stream_collide_cells`], which also returns the mass of `dst`'s owned
+/// planes as the pass wrote them, bitwise [`DistField::owned_mass`], or
+/// `None` where it did not fold it.
+///
+/// The fold needs one serial vector call that writes every owned plane in
+/// ascending x: no installed pool, a vector lane instance on this CPU, and
+/// `[x_lo, x_hi)` covering `dst.owned_x()`. It runs the body's `MASS`
+/// instantiation, which sums each stored line's densities in index order
+/// and chains them in `Dim3::idx` order, the order of `owned_mass`; so the
+/// result needs no second pass over the field. Elsewhere the pass is the
+/// one [`stream_collide_cells`] runs, and the caller reads the field.
+#[allow(clippy::too_many_arguments)]
+pub fn stream_collide_cells_mass<O: CollideOp>(
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+) -> Option<f64> {
+    stream_collide_mass_on(simd::lanes(), ctx, tables, src, dst, x_lo, x_hi, op, bounds)
+}
+
+/// [`stream_collide_cells_mass`] on the pair-body instance `lanes` (checked
+/// to run on this CPU).
+#[allow(clippy::too_many_arguments)]
+fn stream_collide_mass_on<O: CollideOp>(
+    lanes: Lanes,
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    op: O,
+    bounds: &BoundarySpec,
+) -> Option<f64> {
+    let lanes = simd::supported(lanes);
+    let owned = dst.owned_x();
+    if lanes == Lanes::Scalar || in_pool() || owned.start < x_lo || owned.end > x_hi {
+        stream_collide_on(lanes, ctx, tables, src, dst, x_lo, x_hi, op, bounds);
+        return None;
+    }
+    fused::check_fused_bounds(ctx, src, dst, x_lo, x_hi);
+    let total = dst.as_slice().len();
+    // SAFETY: `&mut dst` is held for the call, which writes planes
+    // [x_lo, x_hi) of it — inside the allocation per the bounds check —
+    // on this thread only; `src` is only read and never aliases `dst`. The
+    // CPU runs `lanes` (checked above).
+    let mass = unsafe {
+        stream_collide_cells_raw::<true, O>(
+            lanes,
+            ctx,
+            tables,
+            src,
+            dst.as_mut_ptr(),
+            total,
+            x_lo,
+            x_hi,
+            op,
+            bounds,
+            owned,
+        )
+    };
+    Some(mass)
+}
+
 /// Raw-destination dispatch of one chunk: the pair body on `lanes`, or the
-/// scalar fused kernel on [`Lanes::Scalar`].
+/// scalar fused kernel on [`Lanes::Scalar`]. With `MASS`, the vector body
+/// also returns the mass of the planes `owned` as it wrote them (see
+/// [`fused_rows`]); otherwise the result is 0.
 ///
 /// # Safety
 /// The CPU must run `lanes`, and the contract of
-/// [`fused::stream_collide_cells_raw`] must hold.
+/// [`fused::stream_collide_cells_raw`] must hold. With `MASS`, `lanes` is a
+/// vector instance.
 #[allow(clippy::too_many_arguments)]
-unsafe fn stream_collide_cells_raw<O: CollideOp>(
+unsafe fn stream_collide_cells_raw<const MASS: bool, O: CollideOp>(
     lanes: Lanes,
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -150,37 +230,56 @@ unsafe fn stream_collide_cells_raw<O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-) {
+    owned: Range<usize>,
+) -> f64 {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: the CPU runs `lanes`, and the entry points have this
     // function's layout contract, which the caller upholds.
     unsafe {
-        let (d, t) = (dst_ptr, total);
+        let (d, t, o) = (dst_ptr, total, owned);
         match (lanes, ctx.third_order()) {
             (Lanes::Avx512, true) => {
-                return fused_avx512::<true, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+                return fused_avx512::<true, MASS, O>(
+                    ctx, tables, src, d, t, x_lo, x_hi, op, bounds, o,
+                )
             }
             (Lanes::Avx512, false) => {
-                return fused_avx512::<false, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+                return fused_avx512::<false, MASS, O>(
+                    ctx, tables, src, d, t, x_lo, x_hi, op, bounds, o,
+                )
             }
             (Lanes::Avx2, true) => {
-                return fused_avx2::<true, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+                return fused_avx2::<true, MASS, O>(
+                    ctx, tables, src, d, t, x_lo, x_hi, op, bounds, o,
+                )
             }
             (Lanes::Avx2, false) => {
-                return fused_avx2::<false, O>(ctx, tables, src, d, t, x_lo, x_hi, op, bounds)
+                return fused_avx2::<false, MASS, O>(
+                    ctx, tables, src, d, t, x_lo, x_hi, op, bounds, o,
+                )
             }
             (Lanes::Scalar, _) => {}
         }
     }
+    debug_assert!(!MASS, "the mass fold runs on a vector instance");
     // SAFETY: the scalar fused body has this function's contract, which the
     // caller upholds.
     unsafe {
         fused::stream_collide_cells_raw(ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
     }
+    0.0
 }
 
 /// The vector fused pass of one chunk on the lane instance `V` (see the
 /// module docs).
+///
+/// With `MASS` it returns the mass of the planes `owned` as it wrote them:
+/// fluid rows run the body on a [`MassRows`] view, whose lines leave each
+/// cell's density (its stored values added in index order), and wall rows
+/// read their stored block back. The densities of the planes in `owned`
+/// go into one chain, x → y → z, the order of [`DistField::owned_mass`];
+/// pad lanes of a short last group are never counted. Without `MASS` the
+/// result is 0.
 ///
 /// # Safety
 /// The layout/exclusivity contract of [`fused::stream_collide_cells_raw`]
@@ -188,7 +287,7 @@ unsafe fn stream_collide_cells_raw<O: CollideOp>(
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
+unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>(
     v: V,
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -199,9 +298,10 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-) {
+    owned: Range<usize>,
+) -> f64 {
     use crate::kernels::fused::ZBF;
-    use crate::kernels::op::{tile_pairs, OpConsts, PairConsts, RowPtrs, GROUP};
+    use crate::kernels::op::{tile_pairs, LineFrame, OpConsts, PairConsts, RowPtrs, GROUP};
     use crate::kernels::simd::{sfence, stream_frame};
     use crate::kernels::MAX_Q;
 
@@ -243,6 +343,11 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
     let mut seam = [[0.0f64; GROUP]; MAX_Q];
     // The source rows of a seam group: in place or in `seam`.
     let mut seam_from: [*const f64; MAX_Q];
+    // `MASS`: the line frame, the densities of a chunk's cells (cell z0 + j
+    // at `rho[j]`) and the chain.
+    let mut line = LineFrame([[0.0; GROUP]; MAX_Q]);
+    let mut rho = [0.0f64; CHUNK];
+    let mut mass = 0.0f64;
 
     // SAFETY: source rows are `row_off[i] + [0, nz)` inside `src_data`; the
     // body reads `sp[i] + z + [0, 8)` only where that window lies inside the
@@ -250,9 +355,13 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
     // — row (x, y) of slab i, within `total` (debug-asserted) and in plane
     // x ∈ [x_lo, x_hi), which the caller grants exclusively — or `frame`.
     // `direct` rows are 64-byte aligned, as the streaming stores of either
-    // lane instance need; `v` proves the instance's features.
+    // lane instance need; `v` proves the instance's features. A `MASS` line
+    // at z also writes `line` and `rho[z − z0 + [0, 8)]`, inside `rho`: a
+    // chunk's groups start at z0 + 8m below z0 + n ≤ z0 + 64. The wall-row
+    // fold reads back the block `store_wall_block` just wrote.
     unsafe {
         for x in x_lo..x_hi {
+            let fold = MASS && owned.contains(&x);
             for y in 0..d.ny {
                 let dbase = d.idx(x, y, 0);
                 let mut row_off = [0usize; MAX_Q];
@@ -286,6 +395,21 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
                         fused::store_wall_block(
                             ctx, kind, &fq, &oc.opp, q, dst_ptr, total, slab_len, dbase, z0, blk,
                         );
+                        if fold {
+                            let at = dst_ptr.add(dbase + z0);
+                            for r in &mut rho[..blk] {
+                                *r = 0.0;
+                            }
+                            for i in 0..q {
+                                let row = std::slice::from_raw_parts(at.add(i * slab_len), blk);
+                                for (r, t) in rho.iter_mut().zip(row) {
+                                    *r += t;
+                                }
+                            }
+                            for r in &rho[..blk] {
+                                mass += r;
+                            }
+                        }
                     }
                     continue;
                 }
@@ -347,7 +471,19 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
                             (&seam_from, 1)
                         };
                         let (rows, bits) = (RowPtrs(from, &out), fluid >> (z - z0));
-                        if direct {
+                        if MASS {
+                            let rows =
+                                MassRows::new(rows, &mut line, rho.as_mut_ptr().wrapping_sub(z0));
+                            if direct {
+                                tile_pairs::<V, THIRD, true, O, _>(
+                                    v, ctx, &oc, &pc, rows, z, groups, bits,
+                                );
+                            } else {
+                                tile_pairs::<V, THIRD, false, O, _>(
+                                    v, ctx, &oc, &pc, rows, z, groups, bits,
+                                );
+                            }
+                        } else if direct {
                             tile_pairs::<V, THIRD, true, O, _>(
                                 v, ctx, &oc, &pc, rows, z, groups, bits,
                             );
@@ -363,11 +499,17 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
                             stream_frame(&row[..n], std::slice::from_raw_parts_mut(to.add(z0), n));
                         }
                     }
+                    if fold {
+                        for r in &rho[..n] {
+                            mass += r;
+                        }
+                    }
                 }
             }
         }
     }
     sfence();
+    mass
 }
 
 /// [`fused_rows`] on [`Portable<8>`](Portable).
@@ -377,7 +519,7 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, O: CollideOp>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
+unsafe fn fused_avx2<const THIRD: bool, const MASS: bool, O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
     src: &DistField,
@@ -387,11 +529,14 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-) {
+    owned: Range<usize>,
+) -> f64 {
     // SAFETY: AVX2+FMA and the layout contract per this function's contract.
     unsafe {
         let v = Portable::<GROUP>::assume();
-        fused_rows::<_, THIRD, O>(v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
+        fused_rows::<_, THIRD, MASS, O>(
+            v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds, owned,
+        )
     }
 }
 
@@ -402,7 +547,7 @@ unsafe fn fused_avx2<const THIRD: bool, O: CollideOp>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn fused_avx512<const THIRD: bool, O: CollideOp>(
+unsafe fn fused_avx512<const THIRD: bool, const MASS: bool, O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
     src: &DistField,
@@ -412,12 +557,15 @@ unsafe fn fused_avx512<const THIRD: bool, O: CollideOp>(
     x_hi: usize,
     op: O,
     bounds: &BoundarySpec,
-) {
+    owned: Range<usize>,
+) -> f64 {
     // SAFETY: AVX-512F, AVX2, FMA and the layout contract per this function's
     // contract.
     unsafe {
         let v = Avx512::assume();
-        fused_rows::<_, THIRD, O>(v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds)
+        fused_rows::<_, THIRD, MASS, O>(
+            v, ctx, tables, src, dst_ptr, total, x_lo, x_hi, op, bounds, owned,
+        )
     }
 }
 
@@ -850,6 +998,112 @@ mod tests {
                                     );
                                 }
                             }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mass_pass_folds_the_owned_mass_bitwise() {
+        // The `MASS` instantiation writes the field the plain pass writes
+        // and returns its owned mass with `owned_mass`'s bits: every
+        // lattice; single cells, short groups, seam-only rows, rows
+        // streamed straight into `dst` (8, 64) and unaligned rows under the
+        // copy-out (13, 67, 70); no mask, mixed lanes and all-solid lines;
+        // bounce-back, moving and diffuse wall rows; plain and Guo; swept
+        // over exactly the owned planes and over ghost planes on both sides;
+        // on every vector instance. Inside a pool, or where the sweep leaves
+        // out an owned plane, it returns `None` after the same pass.
+        use crate::boundary::WallKind;
+        let ny = 6;
+        for kind in LatticeKind::ALL {
+            let order = if kind == LatticeKind::D3Q39 {
+                EqOrder::Third
+            } else {
+                EqOrder::Second
+            };
+            let c = ctx(kind, order);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            let moving = ChannelWalls {
+                low: WallKind::Diffuse { u: [0.0; 3] },
+                high: WallKind::Moving {
+                    u: [0.04, 0.0, 0.01],
+                    rho: 1.0,
+                },
+                layers: k,
+            };
+            for nz in [1, 3, 8, 13, 64, 67, 70] {
+                let dims = Dim3::new(3, ny, nz);
+                let tables = StreamTables::new(ny, nz.max(4));
+                let src = random_field(q, dims, 2 * k, 71 + nz as u64);
+                let boundaries = [
+                    BoundarySpec::periodic(),
+                    BoundarySpec::periodic()
+                        .with_mask(SectionMask::from_fn(ny, nz, |y, z| (y + z) % 3 == 0)),
+                    BoundarySpec::periodic()
+                        .with_walls(ChannelWalls::no_slip(k))
+                        .with_mask(SectionMask::from_fn(ny, nz, |_, z| (8..16).contains(&z))),
+                    BoundarySpec::periodic().with_walls(moving),
+                ];
+                let d = src.alloc_dims();
+                let owned = src.owned_x();
+                for (b, bounds) in boundaries.iter().enumerate() {
+                    for g in [[0.0; 3], [3e-5, -2e-5, 1e-5]] {
+                        for lanes in simd::vector_lanes() {
+                            for (lo, hi) in [(owned.start, owned.end), (k, d.nx - k)] {
+                                let case = format!(
+                                    "{kind:?} nz={nz} bounds {b} g={g:?} {lanes:?} [{lo}, {hi})"
+                                );
+                                let mut want = src.clone();
+                                crate::kernels::op::with_op!(g, |op| stream_collide_on(
+                                    lanes, &c, &tables, &src, &mut want, lo, hi, op, bounds
+                                ));
+                                let mut got = src.clone();
+                                let mass = crate::kernels::op::with_op!(g, |op| {
+                                    stream_collide_mass_on(
+                                        lanes, &c, &tables, &src, &mut got, lo, hi, op, bounds,
+                                    )
+                                });
+                                let mass = mass.unwrap_or_else(|| panic!("{case}: no fold"));
+                                assert_eq!(
+                                    mass.to_bits(),
+                                    want.owned_mass().to_bits(),
+                                    "{case}: folded {mass} vs field {}",
+                                    want.owned_mass()
+                                );
+                                assert!(
+                                    got.as_slice()
+                                        .iter()
+                                        .zip(want.as_slice())
+                                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                    "{case}: the mass pass wrote another field"
+                                );
+                            }
+                            let (lo, hi) = (owned.start, owned.end);
+                            let mut got = src.clone();
+                            let pooled =
+                                crate::kernels::op::with_op!(g, |op| pool(2).install(|| {
+                                    stream_collide_mass_on(
+                                        lanes, &c, &tables, &src, &mut got, lo, hi, op, bounds,
+                                    )
+                                }));
+                            assert_eq!(pooled, None, "{kind:?} nz={nz} in a pool");
+                            let part = crate::kernels::op::with_op!(g, |op| {
+                                stream_collide_mass_on(
+                                    lanes,
+                                    &c,
+                                    &tables,
+                                    &src,
+                                    &mut got,
+                                    lo + 1,
+                                    hi,
+                                    op,
+                                    bounds,
+                                )
+                            });
+                            assert_eq!(part, None, "{kind:?} nz={nz} without an owned plane");
                         }
                     }
                 }

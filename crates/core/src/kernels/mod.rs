@@ -364,6 +364,26 @@ pub fn stream_collide_scenario(
     ));
 }
 
+/// [`stream_collide_scenario`], which also returns `dst`'s owned mass,
+/// bitwise [`DistField::owned_mass`], where one serial vector pass could
+/// fold it while writing (see [`fused_simd::stream_collide_cells_mass`]);
+/// `None` leaves the caller to read it off the field.
+#[allow(clippy::too_many_arguments)]
+pub fn stream_collide_scenario_mass(
+    ctx: &KernelCtx,
+    tables: &StreamTables,
+    src: &DistField,
+    dst: &mut DistField,
+    x_lo: usize,
+    x_hi: usize,
+    g: [f64; 3],
+    bounds: &BoundarySpec,
+) -> Option<f64> {
+    op::with_op!(g, |rule| fused_simd::stream_collide_cells_mass(
+        ctx, tables, src, dst, x_lo, x_hi, rule, bounds
+    ))
+}
+
 /// Whether `level`'s kernel class runs the vectorized AA arithmetic (the
 /// same class split as the two-grid ladder: AVX2+FMA at `Simd` and above,
 /// the scalar bodies below) — the `simd` argument of the [`aa`] sweeps.

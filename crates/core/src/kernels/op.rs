@@ -688,10 +688,22 @@ pub(crate) trait Rows: Copy {
     /// boundary apply has already transformed; an all-solid line then
     /// neither loads nor stores.
     const BOUNCE: bool = true;
+    /// Whether the body also leaves each line's per-cell densities
+    /// (compile-time; [`MassRows`] sets it).
+    const MASS: bool = false;
     /// Start of velocity `i`'s source row (`i < q`).
     fn src(self, i: usize) -> *const f64;
     /// Start of velocity `i`'s destination row (`i < q`).
     fn dst(self, i: usize) -> *mut f64;
+    /// Velocity `i`'s 8-lane row of the line frame (`MASS` views only).
+    fn frame(self, _i: usize) -> *mut f64 {
+        std::ptr::null_mut()
+    }
+    /// Where the densities of the line at `z` go: `rho() + z` (`MASS` views
+    /// only).
+    fn rho(self) -> *mut f64 {
+        std::ptr::null_mut()
+    }
 }
 
 /// The velocity rows of a gathered `q·64` frame and of its output frame,
@@ -750,6 +762,68 @@ impl Rows for RowPtrs<'_> {
     }
 }
 
+/// One line's stored values, one 8-lane row per velocity, on a 64-byte
+/// boundary: the L1 group frame of a [`MassRows`] view.
+#[cfg(target_arch = "x86_64")]
+#[repr(C, align(64))]
+pub(crate) struct LineFrame(pub(crate) [[f64; GROUP]; MAX_Q]);
+
+/// A row view `R` whose lines also leave each cell's density. Every vector
+/// the body stores for velocity `i` is copied into row `i` of a
+/// [`LineFrame`]; after the line the frame is added lane-wise in index order
+/// `0..q`, from zero, and the 8 densities are stored at `rho + z`. Lane by
+/// lane that is `((0 + t_0) + t_1) + … + t_{q−1}` in `f64`, bitwise the
+/// per-cell sum of [`DistField::owned_mass`]. Solid lanes count what they
+/// store (the bounce select), so the density is that of the stored cell.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct MassRows<R> {
+    rows: R,
+    frame: *mut f64,
+    rho: *mut f64,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<R: Rows> MassRows<R> {
+    /// `rows`, with each line copied into `frame` and its densities stored
+    /// at `rho + z`. Taking the pointers is safe; the body's caller vouches
+    /// that `rho + [z, z + 8)` is writable for every line it runs.
+    pub(crate) fn new(rows: R, frame: &mut LineFrame, rho: *mut f64) -> Self {
+        Self {
+            rows,
+            frame: frame.0.as_mut_ptr().cast(),
+            rho,
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<R: Rows> Rows for MassRows<R> {
+    const PREFETCH: bool = R::PREFETCH;
+    const BOUNCE: bool = R::BOUNCE;
+    const MASS: bool = true;
+
+    #[inline(always)]
+    fn src(self, i: usize) -> *const f64 {
+        self.rows.src(i)
+    }
+
+    #[inline(always)]
+    fn dst(self, i: usize) -> *mut f64 {
+        self.rows.dst(i)
+    }
+
+    #[inline(always)]
+    fn frame(self, i: usize) -> *mut f64 {
+        self.frame.wrapping_add(i * GROUP)
+    }
+
+    #[inline(always)]
+    fn rho(self) -> *mut f64 {
+        self.rho
+    }
+}
+
 /// The ±c pair body over a row view `rows` (see [`Rows`]), for `groups`
 /// groups of [`GROUP`] cells from `z0` on, on the lane instance `V`, one
 /// line of `V::N = GROUP` cells per group. Cell `z0 + j` is fluid iff bit
@@ -763,6 +837,9 @@ impl Rows for RowPtrs<'_> {
 /// the moment sums touch each velocity's source row [`AHEAD`] doubles past
 /// the group. Every lane sees the same operations on either instance, so
 /// [`Portable`] and [`Avx512`] write the same bits.
+///
+/// Where `R::MASS` ([`MassRows`]), each line also leaves its cells'
+/// densities, summed from the stored values in index order.
 ///
 /// With `NT` the stores stream past the cache; each velocity's store of a
 /// line fills its whole cache line. The sparse AA steps run the body on
@@ -780,7 +857,8 @@ impl Rows for RowPtrs<'_> {
 /// is used, so a row start may lie outside its allocation as long as the
 /// accessed doubles do not; the prefetched addresses need not be valid at
 /// all); with `NT` every `rows.dst(i) + z` must have the lane's NT
-/// alignment ([`Lane::stream`]).
+/// alignment ([`Lane::stream`]). A `MASS` view's frame must outlive the
+/// call, and the 8 doubles at `rows.rho() + z` must be writable.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 pub(crate) unsafe fn tile_pairs<
@@ -800,6 +878,8 @@ pub(crate) unsafe fn tile_pairs<
     fluid: u64,
 ) {
     const { assert!(V::N == GROUP) };
+    // A solid line of a view that keeps solid lanes stores nothing to copy.
+    const { assert!(!R::MASS || R::BOUNCE) };
     debug_assert!(groups * GROUP <= u64::BITS as usize);
     let full = u64::MAX >> (u64::BITS as usize - V::N);
     for g in 0..groups {
@@ -850,7 +930,22 @@ unsafe fn pair_lines<V: Lane, const THIRD: bool, const NT: bool, O: CollideOp, R
                 } else {
                     v.storeu(p, x)
                 }
+                if R::MASS {
+                    v.storeu(rows.frame($i), x)
+                }
             }};
+        }
+        // The line's densities: its frame added lane-wise in index order.
+        macro_rules! line_mass {
+            () => {
+                if R::MASS {
+                    let mut rho = v.splat(0.0);
+                    for i in 0..ctx.lat.q() {
+                        rho = v.add(rho, v.loadu(rows.frame(i)));
+                    }
+                    v.storeu(rows.rho().wrapping_add(z), rho);
+                }
+            };
         }
         if bits == 0 {
             if R::BOUNCE {
@@ -861,6 +956,7 @@ unsafe fn pair_lines<V: Lane, const THIRD: bool, const NT: bool, O: CollideOp, R
                 }
                 st!(rest.i, ld!(rest.i));
             }
+            line_mass!();
             return;
         }
         let mut rho = ld!(rest.i);
@@ -900,6 +996,7 @@ unsafe fn pair_lines<V: Lane, const THIRD: bool, const NT: bool, O: CollideOp, R
         let f0 = ld!(rest.i);
         let t0 = relax_rest::<V, O>(v, ctx, rest, &gm, f0);
         st!(rest.i, keep_solid!(f0, t0));
+        line_mass!();
     }
 }
 

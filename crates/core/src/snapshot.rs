@@ -23,6 +23,7 @@
 use crate::error::{Error, Result};
 use crate::field::DistField;
 use crate::index::Dim3;
+use std::ops::Deref;
 
 /// Version of the field byte layout (bump on any layout change).
 pub const FIELD_CODEC_VERSION: u32 = 1;
@@ -174,25 +175,39 @@ pub fn decode_field(buf: &[u8], pos: &mut usize) -> Result<DistField> {
 /// integrity probe behind checkpoint validation: callers can scan a whole
 /// container for damage before committing to a resume, and then decode the
 /// frames they kept without hashing them again.
-pub fn validate_field<'a>(buf: &'a [u8], pos: &mut usize) -> Result<CheckedField<'a>> {
-    let frame = read_frame(buf, pos)?;
-    check_sum(buf, pos, &frame.payload)?;
+///
+/// `buf` is any handle to the bytes — a borrow, or a shared owner such as an
+/// `Arc<Vec<u8>>` — and the checked field keeps it, so a frame can outlive
+/// the scope that validated it without being hashed twice.
+pub fn validate_field<B>(buf: B, pos: &mut usize) -> Result<CheckedField<B>>
+where
+    B: Deref,
+    B::Target: AsRef<[u8]>,
+{
+    let bytes = (*buf).as_ref();
+    let frame = read_frame(bytes, pos)?;
+    check_sum(bytes, pos, &frame.payload)?;
     Ok(CheckedField { buf, frame })
 }
 
-/// A field frame whose framing and checksum [`validate_field`] verified.
-pub struct CheckedField<'a> {
-    buf: &'a [u8],
+/// A field frame whose framing and checksum [`validate_field`] verified,
+/// with the handle `B` to its bytes. Only `validate_field` builds one.
+pub struct CheckedField<B> {
+    buf: B,
     frame: FieldFrame,
 }
 
-impl CheckedField<'_> {
+impl<B> CheckedField<B>
+where
+    B: Deref,
+    B::Target: AsRef<[u8]>,
+{
     /// The field, restored bit-for-bit from the checked payload.
     pub fn decode(&self) -> Result<DistField> {
         let frame = &self.frame;
         let mut f = DistField::new(frame.q, frame.owned, frame.halo)?;
         debug_assert_eq!(f.q() * f.slab_len() * 8, frame.payload.len());
-        let payload = &self.buf[frame.payload.clone()];
+        let payload = &(*self.buf).as_ref()[frame.payload.clone()];
         let mut chunks = payload.chunks_exact(8);
         for i in 0..frame.q {
             for v in f.slab_mut(i) {

@@ -169,6 +169,12 @@ pub struct RankSolver {
     /// state), so the first cycle needs no exchange. False on a freshly
     /// allocated or restored rank, whose first cycle derives them.
     halos_from_init: bool,
+    /// The owned mass the last fused pass of a [`Self::run_folding_mass`]
+    /// folded, tagged with the step whose field it is; cleared by every
+    /// run and by anything else that writes the field.
+    run_mass: Option<(u64, f64)>,
+    /// How many passes have folded [`Self::run_mass`] so far.
+    mass_folds: u64,
 }
 
 /// Tag-space offset for the no-ghost mid-step (scatter) exchange, keeping it
@@ -251,6 +257,8 @@ impl RankSolver {
             bounds,
             step_no: 0,
             halos_from_init: false,
+            run_mass: None,
+            mass_folds: 0,
         })
     }
 
@@ -288,6 +296,7 @@ impl RankSolver {
         self.step_no = 0;
         self.pending.clear();
         self.halos_from_init = true;
+        self.run_mass = None;
     }
 
     /// Initialise to a global Taylor–Green mode (halos included — trig
@@ -318,6 +327,7 @@ impl RankSolver {
         self.step_no = 0;
         self.pending.clear();
         self.halos_from_init = true;
+        self.run_mass = None;
     }
 
     /// Time steps completed since initialisation.
@@ -376,20 +386,36 @@ impl RankSolver {
 
     /// Run `steps` time steps.
     pub fn run(&mut self, comm: &mut Comm, steps: usize) {
+        self.run_steps(comm, steps, false);
+    }
+
+    /// [`Self::run`], whose last step also folds the owned mass for
+    /// [`Self::global_mass`] where it is one serial fused vector pass over
+    /// the owned planes in ascending x. That leaves out a rank with a thread
+    /// pool, the GC-C border-first order, and the AA, split and scalar
+    /// paths; there `global_mass` reads the field.
+    pub fn run_folding_mass(&mut self, comm: &mut Comm, steps: usize) {
+        self.run_steps(comm, steps, true);
+    }
+
+    fn run_steps(&mut self, comm: &mut Comm, steps: usize, fold: bool) {
+        self.run_mass = None;
         match self.storage {
-            StorageMode::TwoGrid => self.run_two_grid(comm, steps),
+            StorageMode::TwoGrid => self.run_two_grid(comm, steps, fold),
             StorageMode::InPlaceAa => self.run_aa(comm, steps),
         }
     }
 
-    /// The two-grid deep-halo cycle loop (see module docs).
-    fn run_two_grid(&mut self, comm: &mut Comm, steps: usize) {
+    /// The two-grid deep-halo cycle loop (see module docs); with `fold`, the
+    /// run's last substep may fold the owned mass.
+    fn run_two_grid(&mut self, comm: &mut Comm, steps: usize, fold: bool) {
         let mut done = 0;
         while done < steps {
             let in_cycle = self.depth.min(steps - done);
+            let last_cycle = done + in_cycle == steps;
             self.begin_cycle(comm);
             for j in 0..in_cycle {
-                self.substep(comm, j, in_cycle);
+                self.substep(comm, j, in_cycle, fold && last_cycle && j + 1 == in_cycle);
             }
             self.end_cycle(comm);
             self.cycle += 1;
@@ -624,13 +650,19 @@ impl RankSolver {
         ((own_lo, own_lo + b), ((own_hi - b).max(own_lo + b), own_hi))
     }
 
-    fn substep(&mut self, comm: &mut Comm, j: usize, in_cycle: usize) {
+    /// One two-grid step over sub-step `j`'s region. With `fold` and a
+    /// fused vector pass that one serial call makes (no pool, no GC-C
+    /// overlap), the pass also folds the owned mass into
+    /// [`Self::run_mass`].
+    fn substep(&mut self, comm: &mut Comm, j: usize, in_cycle: usize, fold: bool) {
         let t0 = Instant::now();
         let (lo, hi) = self.region(j);
         let (own_lo, own_hi) = self.owned();
         let overlap_now = self.strategy == CommStrategy::OverlapGhostCollide
             && j + 1 == in_cycle
             && self.sub.ranks > 1;
+        let fold = fold && self.pool.is_none() && !overlap_now;
+        let mut folded = None;
         let force = self
             .scenario
             .as_ref()
@@ -654,7 +686,11 @@ impl RankSolver {
                     self.fused_scenario(border_lo.1, border_hi.0, force);
                     self.fused_scenario(own_hi, hi, force);
                 } else {
-                    self.fused_scenario(lo, hi, force);
+                    if fold {
+                        folded = self.fused_folding_mass(lo, hi, force);
+                    } else {
+                        self.fused_scenario(lo, hi, force);
+                    }
                     if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
                         // The eager emulation pays its mid-step stall; as on
                         // the plain fused path the exchanged borders are
@@ -710,7 +746,11 @@ impl RankSolver {
                 self.fused(border_lo.1, border_hi.0);
                 self.fused(own_hi, hi);
             } else {
-                self.fused(lo, hi);
+                if fold {
+                    folded = self.fused_folding_mass(lo, hi, force);
+                } else {
+                    self.fused(lo, hi);
+                }
                 if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
                     // The eager emulation still pays its mid-step stall; the
                     // exchanged borders are post-collision here (there is no
@@ -757,6 +797,10 @@ impl RankSolver {
             self.tmp.as_mut().expect("two-grid destination buffer"),
         );
         self.step_no += 1;
+        if let Some(mass) = folded {
+            self.run_mass = Some((self.step_no, mass));
+            self.mass_folds += 1;
+        }
 
         let mut dt = t0.elapsed();
         if self.jitter > 0.0 || self.skew > 0.0 {
@@ -835,11 +879,41 @@ impl RankSolver {
         });
     }
 
-    /// Owned-region mass summed across ranks: one streaming pass over the
-    /// owned planes ([`DistField::owned_mass`]) and a one-value allreduce.
-    /// Bitwise `global_invariants(comm).0`, without the per-cell moments.
+    /// One serial boundary-aware fused pass over `x ∈ [lo, hi)` (see
+    /// [`Self::fused_scenario`]) that also returns the owned mass of the
+    /// field it writes, or `None` where the kernel could not fold it.
+    fn fused_folding_mass(&mut self, lo: usize, hi: usize, g: [f64; 3]) -> Option<f64> {
+        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+        kernels::stream_collide_scenario_mass(
+            &self.ctx,
+            &self.tables,
+            &self.f,
+            tmp,
+            lo,
+            hi,
+            g,
+            &self.bounds,
+        )
+    }
+
+    /// Owned-region mass summed across ranks with a one-value allreduce.
+    /// This rank's share is the mass the last pass of a
+    /// [`Self::run_folding_mass`] folded, while it belongs to the current
+    /// step; otherwise one streaming pass over the owned planes
+    /// ([`DistField::owned_mass`]), whose bits the fold has. Bitwise
+    /// `global_invariants(comm).0`, without the per-cell moments.
     pub fn global_mass(&self, comm: &mut Comm) -> f64 {
-        comm.allreduce_sum(&[self.f.owned_mass()])[0]
+        let local = match self.run_mass {
+            Some((step, mass)) if step == self.step_no => mass,
+            _ => self.f.owned_mass(),
+        };
+        comm.allreduce_sum(&[local])[0]
+    }
+
+    /// How many fused passes have folded the owned mass for
+    /// [`Self::global_mass`] (test aid: shows the fold ran).
+    pub(crate) fn mass_folds(&self) -> u64 {
+        self.mass_folds
     }
 
     /// Owned-region mass and momentum, summed across ranks.
@@ -929,6 +1003,7 @@ impl RankSolver {
         self.cycle = cycle;
         self.pending.clear();
         self.halos_from_init = false;
+        self.run_mass = None;
         self.reset_counters();
         Ok(())
     }
@@ -951,6 +1026,7 @@ impl RankSolver {
 
     /// Mutable field access for the fault-injection harness.
     pub(crate) fn field_mut(&mut self) -> &mut DistField {
+        self.run_mass = None;
         &mut self.f
     }
 }

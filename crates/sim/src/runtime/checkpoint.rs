@@ -43,7 +43,9 @@
 //! is RNG-free, so its parameters are its entire state. The link-cost model
 //! shapes timings, never populations, and is not serialized.
 
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use lbm_core::equilibrium::EqOrder;
 use lbm_core::error::{Error, Result};
@@ -308,18 +310,51 @@ pub fn validate(bytes: &[u8]) -> Result<CheckpointInfo> {
     Ok(walk(bytes)?.info)
 }
 
-/// What [`walk`] learns of a container that passed validation.
-struct Walked<'a> {
+/// A checkpoint container that passed [`validate`]: its bytes, its parsed
+/// header and every rank frame it checked. Only [`Self::new`] builds one,
+/// so [`Self::resume`] decodes bytes that were hashed exactly once — the
+/// form in which a supervisor hands the generation it picked to the
+/// attempt that resumes it.
+pub struct ValidCheckpoint(Walked<Arc<Vec<u8>>>);
+
+impl ValidCheckpoint {
+    /// Validate `bytes` as [`validate`] does, keeping them with what the
+    /// walk learned.
+    pub fn new(bytes: Vec<u8>) -> Result<Self> {
+        Ok(Self(walk(Arc::new(bytes))?))
+    }
+
+    /// The container's step and cycle counters and rank count.
+    pub fn info(&self) -> CheckpointInfo {
+        self.0.info
+    }
+
+    /// Rebuild the simulation, as [`Simulation::resume_bytes`] does, from
+    /// the frames checked in [`Self::new`], without hashing them again.
+    pub fn resume(self) -> Result<Simulation> {
+        restore(self.0)
+    }
+}
+
+/// What [`walk`] learns of a container that passed validation, with the
+/// handle `B` to its bytes.
+struct Walked<B> {
+    bytes: B,
     header: Json,
     info: CheckpointInfo,
     /// Offset of the geometry frame (sparse runs) or first rank snapshot.
     body: usize,
     /// Each rank's checked snapshot frame, in rank order.
-    frames: Vec<snapshot::CheckedField<'a>>,
+    frames: Vec<snapshot::CheckedField<B>>,
 }
 
 /// [`validate`], keeping the parsed header and every checked frame.
-fn walk(bytes: &[u8]) -> Result<Walked<'_>> {
+fn walk<B>(buf: B) -> Result<Walked<B>>
+where
+    B: Clone + Deref,
+    B::Target: AsRef<[u8]>,
+{
+    let bytes = (*buf).as_ref();
     let (header, body) = parse_container(bytes)?;
     let int = |key: &str| -> Result<u64> {
         header
@@ -350,7 +385,7 @@ fn walk(bytes: &[u8]) -> Result<Walked<'_>> {
     }
     let mut frames = Vec::new();
     while pos < bytes.len() {
-        frames.push(snapshot::validate_field(bytes, &mut pos)?);
+        frames.push(snapshot::validate_field(buf.clone(), &mut pos)?);
     }
     if frames.len() != ranks {
         return Err(corrupt(format!(
@@ -359,6 +394,7 @@ fn walk(bytes: &[u8]) -> Result<Walked<'_>> {
         )));
     }
     Ok(Walked {
+        bytes: buf,
         header,
         info: CheckpointInfo {
             step_no,
@@ -376,12 +412,23 @@ fn walk(bytes: &[u8]) -> Result<Walked<'_>> {
 /// and restored on that rank's construction thread, into a rank that skips
 /// the initial fill.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Simulation> {
+    restore(walk(bytes)?)
+}
+
+/// The simulation of a walked container (see [`decode`]).
+fn restore<B>(walked: Walked<B>) -> Result<Simulation>
+where
+    B: Deref + Sync,
+    B::Target: AsRef<[u8]>,
+{
     let Walked {
+        bytes,
         header,
         info: CheckpointInfo { step_no, cycle, .. },
         body,
         frames,
-    } = walk(bytes)?;
+    } = walked;
+    let bytes = (*bytes).as_ref();
 
     let int = |v: &Json, key: &str| -> Result<u64> {
         v.get(key)
@@ -505,6 +552,39 @@ mod tests {
         let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
         assert_eq!(resumed.steps_done(), 5);
         assert_eq!(resumed.checkpoint().unwrap(), bytes);
+    }
+
+    #[test]
+    fn a_valid_checkpoint_resumes_as_the_bytes_do() {
+        // What the supervisor hands an attempt: the checked container
+        // resumes to the state `resume_bytes` restores, and continues the
+        // same trajectory; damaged bytes never make one.
+        let mut sim = Simulation::builder(LatticeKind::D3Q19, Dim3::new(8, 11, 8))
+            .scenario(PoiseuilleChannel::new(1e-5))
+            .tau(0.9)
+            .ranks(2)
+            .build()
+            .unwrap();
+        sim.run_local(5).unwrap();
+        let bytes = sim.checkpoint().unwrap();
+        let valid = ValidCheckpoint::new(bytes.clone()).unwrap();
+        assert_eq!(valid.info(), validate(&bytes).unwrap());
+        let mut resumed = valid.resume().unwrap();
+        assert_eq!(resumed.steps_done(), 5);
+        assert_eq!(resumed.checkpoint().unwrap(), bytes);
+        let mut plain = Simulation::resume_bytes(&bytes).unwrap();
+        resumed.run_local(3).unwrap();
+        plain.run_local(3).unwrap();
+        assert_eq!(resumed.checkpoint().unwrap(), plain.checkpoint().unwrap());
+
+        let mut bad = bytes.clone();
+        let last = bad.len() - 20;
+        bad[last] ^= 1;
+        assert!(ValidCheckpoint::new(bad).is_err(), "payload bit flip");
+        assert!(
+            ValidCheckpoint::new(bytes[..bytes.len() - 1].to_vec()).is_err(),
+            "truncated"
+        );
     }
 
     #[test]

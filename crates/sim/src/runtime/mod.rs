@@ -16,8 +16,9 @@
 //! - [`checkpoint`] — the versioned on-disk format behind
 //!   [`Simulation::checkpoint`](crate::Simulation::checkpoint) and
 //!   [`Simulation::resume`](crate::Simulation::resume), plus generation
-//!   rotation ([`RetentionPolicy`]) and whole-container
-//!   [`validate`](checkpoint::validate);
+//!   rotation ([`RetentionPolicy`]), whole-container
+//!   [`validate`](checkpoint::validate) and the validated container a
+//!   supervised retry resumes from ([`checkpoint::ValidCheckpoint`]);
 //! - [`fault`] — [`FaultPlan`], deterministic fault injection for the
 //!   test/bench harness;
 //! - `supervise` (private) — the watchdog/retry/health-guard loop wrapped

@@ -17,7 +17,10 @@
 //!   re-dispatch from the newest checkpoint generation that still
 //!   validates, after an exponential backoff. Damaged generations are
 //!   skipped with a [`JobEvent::Degraded`] note; with none left the job
-//!   restarts from scratch. The budget is `max_retries`.
+//!   restarts from scratch. The budget is `max_retries`. The supervisor
+//!   reads and hashes the chosen file once and hands the attempt that
+//!   [`checkpoint::ValidCheckpoint`], which it resumes without reading or
+//!   hashing the file again.
 //! - **Health guards** — after every chunk the attempt scans for NaN/inf
 //!   and compares global mass against the job's baseline. A trip ends the
 //!   job as [`FailureKind::Diverged`] *without* consuming retries:
@@ -37,7 +40,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::report::RunReport;
-use crate::simulation::Simulation;
 
 use super::checkpoint;
 use super::ensemble::{JobId, JobOutcome};
@@ -119,8 +121,10 @@ pub(crate) fn supervise(ctx: SuperviseCtx) -> JobOutcome {
     let mut by_gen: Vec<(u64, RunReport)> = Vec::new();
     let mut attempt: u32 = 0;
     let mut baseline: Option<f64> = None;
-    // (path, step) to resume from, None = fresh start.
-    let mut resume: Option<(PathBuf, u64)> = None;
+    // The validated generation the next attempt resumes from (its bytes and
+    // checked frames, handed over so they are read and hashed once), None =
+    // fresh start.
+    let mut resume: Option<checkpoint::ValidCheckpoint> = None;
     // Merged report covering everything up to the resume point.
     let mut committed: Option<RunReport> = None;
     let mut next_gen: u64 = 0;
@@ -135,7 +139,7 @@ pub(crate) fn supervise(ctx: SuperviseCtx) -> JobOutcome {
             let abandon = abandon.clone();
             let dir = ctx.checkpoint_dir.clone();
             let faults = ctx.faults.clone();
-            let resume = resume.clone();
+            let resume = resume.take();
             let id = ctx.id;
             let first_gen = next_gen;
             let base = baseline;
@@ -290,7 +294,7 @@ pub(crate) fn supervise(ctx: SuperviseCtx) -> JobOutcome {
         // Pick the newest checkpoint generation that still validates,
         // falling back (with a Degraded note) past damaged ones.
         let mut skipped: Vec<u64> = Vec::new();
-        let mut chosen: Option<(u64, PathBuf, u64, RunReport)> = None;
+        let mut chosen: Option<(u64, checkpoint::ValidCheckpoint, RunReport)> = None;
         if let Some(dir) = &ctx.checkpoint_dir {
             for (generation, path) in checkpoint::list_generations(dir, &spec.name)
                 .into_iter()
@@ -309,10 +313,10 @@ pub(crate) fn supervise(ctx: SuperviseCtx) -> JobOutcome {
                 };
                 match std::fs::read(&path)
                     .ok()
-                    .and_then(|bytes| checkpoint::validate(&bytes).ok().map(|info| info.step_no))
+                    .and_then(|bytes| checkpoint::ValidCheckpoint::new(bytes).ok())
                 {
-                    Some(step_no) => {
-                        chosen = Some((generation, path, step_no, report));
+                    Some(valid) => {
+                        chosen = Some((generation, valid, report));
                         break;
                     }
                     None => skipped.push(generation),
@@ -328,8 +332,9 @@ pub(crate) fn supervise(ctx: SuperviseCtx) -> JobOutcome {
             }
         }
         let resume_steps = match chosen {
-            Some((_, path, step_no, report)) => {
-                resume = Some((path, step_no));
+            Some((_, valid, report)) => {
+                let step_no = valid.info().step_no;
+                resume = Some(valid);
                 committed = Some(report);
                 step_no
             }
@@ -358,7 +363,7 @@ pub(crate) fn supervise(ctx: SuperviseCtx) -> JobOutcome {
 fn run_attempt(
     id: JobId,
     spec: &JobSpec,
-    resume: Option<(PathBuf, u64)>,
+    resume: Option<checkpoint::ValidCheckpoint>,
     first_gen: u64,
     baseline: Option<f64>,
     cancel: &AtomicBool,
@@ -372,7 +377,7 @@ fn run_attempt(
     };
     let errored = |error: String| send(AttemptMsg::Done(AttemptEnd::Errored { error }));
 
-    let (mut sim, mut done) = match &resume {
+    let (mut sim, mut done) = match resume {
         None => match spec.to_builder().and_then(|b| b.build()) {
             Ok(sim) => (sim, 0usize),
             Err(e) => {
@@ -382,22 +387,25 @@ fn run_attempt(
                 return;
             }
         },
-        Some((path, at)) => match Simulation::resume(path) {
-            Ok(sim) => {
-                let step = sim.steps_done();
-                if step != *at {
-                    errored(format!(
-                        "resume checkpoint is at step {step}, expected {at}"
-                    ));
+        Some(valid) => {
+            let at = valid.info().step_no;
+            match valid.resume() {
+                Ok(sim) => {
+                    let step = sim.steps_done();
+                    if step != at {
+                        errored(format!(
+                            "resume checkpoint is at step {step}, expected {at}"
+                        ));
+                        return;
+                    }
+                    (sim, step as usize)
+                }
+                Err(e) => {
+                    errored(format!("resume failed: {e}"));
                     return;
                 }
-                (sim, step as usize)
             }
-            Err(e) => {
-                errored(format!("resume failed: {e}"));
-                return;
-            }
-        },
+        }
     };
 
     // Health-guard baseline: the job's initial global mass. Taken once on

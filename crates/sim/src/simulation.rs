@@ -310,7 +310,7 @@ impl Engine {
             rs.comm.barrier();
             let _ = rs.comm.take_timers();
             let t0 = Instant::now();
-            rs.solver.run(&mut rs.comm, steps);
+            rs.solver.run_folding_mass(&mut rs.comm, steps);
             let wall = t0.elapsed();
             let timers = rs.comm.take_timers();
             let mass = rs.solver.global_mass(&mut rs.comm);
@@ -425,6 +425,16 @@ impl Simulation {
             report.fluid_fraction = geom.fluid_fraction();
         }
         Ok(report)
+    }
+
+    /// How many fused passes, summed over ranks, have folded the owned mass
+    /// that [`Self::run`] reports instead of reading the field again (test
+    /// aid: shows the fold ran).
+    #[doc(hidden)]
+    pub fn mass_folds(&self) -> u64 {
+        self.engine
+            .as_ref()
+            .map_or(0, |e| e.ranks.iter().map(|rs| rs.solver.mass_folds()).sum())
     }
 
     /// Advance the trajectory by one time step (untimed; any rank count).

@@ -620,6 +620,24 @@ impl AnySolver {
         }
     }
 
+    /// [`Self::run`], whose last step may also fold the owned mass for
+    /// [`Self::global_mass`] (dense two-grid fused path only; see
+    /// [`RankSolver::run_folding_mass`]).
+    pub(crate) fn run_folding_mass(&mut self, comm: &mut Comm, steps: usize) {
+        match self {
+            AnySolver::Dense(s) => s.run_folding_mass(comm, steps),
+            AnySolver::Sparse(s) => s.run(comm, steps),
+        }
+    }
+
+    /// Passes that folded the owned mass (0 on the sparse path).
+    pub(crate) fn mass_folds(&self) -> u64 {
+        match self {
+            AnySolver::Dense(s) => s.mass_folds(),
+            AnySolver::Sparse(_) => 0,
+        }
+    }
+
     pub(crate) fn steps_done(&self) -> u64 {
         match self {
             AnySolver::Dense(s) => s.steps_done(),
