@@ -31,19 +31,37 @@
 //! * [`CommStrategy::NonBlockingGhost`] — sends posted at cycle end, waited
 //!   at next cycle start (NB-C & GC).
 //! * [`CommStrategy::OverlapGhostCollide`] — on the last sub-step the border
-//!   planes are collided first, sends posted, and the interior collide
+//!   planes are updated first, sends posted, and the rest of the update
 //!   overlaps the in-flight messages (GC-C, Fig. 7).
 //!
-//! ## Fused schedule (`OptLevel::Fused`)
+//! The schedule is written once; only the update differs, one per kernel
+//! class, chosen per sub-step:
 //!
-//! The fused top rung computes `dst ← collide(pull(src))` in one pass, so
-//! there is no post-stream intermediate to exchange. The Fig. 7 overlap
-//! still applies, re-ordered around the single pass: on the last sub-step
-//! the *border* planes are fused first (their destination values are
-//! complete post-collision state the moment they are written), the halo
-//! sends are posted, and the fused interior + ghost-region sweep overlaps
-//! the messages in flight. All pieces read only `src` and write disjoint
-//! destination planes, so the re-ordering is exact, serial or threaded.
+//! * the split rungs (`Orig` … `Simd`) first pull-stream `[lo, hi)` (all
+//!   rows, solid included, so walls see the arrivals), run the eager
+//!   mid-step exchange when that schedule is active (both sides pack
+//!   pre-boundary state, so ghost planes stay consistent), and transform
+//!   wall rows and masked cells over the same region with
+//!   [`BoundarySpec::apply`] (a no-op on a periodic box). Their update is
+//!   the rung's own collide on a periodic unforced box — the kernels of
+//!   Fig. 8's ladder — and otherwise the fluid-row collide with Guo forcing
+//!   ([`kernels::collide_scenario`]: scalar below `Simd`, the vector pair
+//!   body at `Simd`);
+//! * the `Fused` rung's update is the boundary-aware single pass
+//!   ([`kernels::stream_collide_scenario`]), `tmp ← collide(pull(f))` with
+//!   wall rows and masked cells transformed from their arrivals. There is
+//!   no post-stream intermediate, so its eager exchange follows the pass
+//!   and ships post-collision borders, which the next cycle's exchange
+//!   overwrites either way.
+//!
+//! Under GC-C the last sub-step runs its update border-first: the owned
+//! border planes (final the moment they are written), then the sends, then
+//! the ghost planes and the interior while the messages fly. Every piece
+//! writes its own planes of `tmp` and reads only what the prelude finished,
+//! so the re-ordering is exact, serial or threaded. Because the boundary
+//! spec is rank-local (the decomposition cuts x only), ghost planes evolve
+//! identically to the neighbour's owned planes at any ghost depth, under
+//! every class.
 //!
 //! ## AA-pattern storage (`StorageMode::InPlaceAa`)
 //!
@@ -68,34 +86,6 @@
 //!
 //! The solver holds **one** population field in AA mode (no `tmp`), halving
 //! resident population memory; see [`RankSolver::resident_population_bytes`].
-//!
-//! ## Scenario path (walls / masks / forcing)
-//!
-//! A [`crate::scenario::Scenario`] with boundaries or a body force runs at
-//! any requested [`OptLevel`] with its rung's own kernel class, via the
-//! composable cell operators of `lbm_core::kernels::op`:
-//!
-//! * the scalar rungs (`Orig`…`LoBr`/`NbC`/`GcC`) run the exact split
-//!   pipeline — pull-stream `[lo, hi)` (all rows, solid included, so walls
-//!   see the arrivals), the eager mid-step exchange when that schedule is
-//!   active, [`BoundarySpec::apply`] over the same region, then the shared
-//!   scalar Guo-forced fluid-row collide ([`kernels::collide_scenario`])
-//!   with the Fig. 7 border-first split when the overlap schedule is on;
-//! * the `Simd` rung runs the same split pipeline with the AVX2+FMA
-//!   boundary-aware collide (force broadcast into the vectorized moment
-//!   accumulation, `SectionMask`-aware row dispatch);
-//! * the `Fused` rung runs the boundary-aware *single pass*
-//!   ([`kernels::stream_collide_scenario`]): fluid cells are gathered,
-//!   boundary-transformed-or-collided and stored in one sweep (the scalar
-//!   pass bitwise identical to the split pipeline, the AVX2 pass within
-//!   FMA re-rounding), scheduled exactly like the plain fused rung —
-//!   owned borders fused first, sends posted, ghost + interior fused
-//!   while the messages fly.
-//!
-//! Because the boundary spec is rank-local (the decomposition cuts x only),
-//! ghost planes evolve identically to the neighbour's owned planes at any
-//! ghost depth, under every class. Periodic unforced scenarios (e.g.
-//! Taylor–Green) take the fast paths above unchanged.
 //!
 //! ## Threads (paper §VI-B, Fig. 11)
 //!
@@ -146,8 +136,7 @@ pub struct RankSolver {
     pool: Option<rayon::ThreadPool>,
     /// Performance counters (owned vs ghost updates, compute time).
     pub counters: PerfCounters,
-    jitter: f64,
-    skew: f64,
+    noise: ComputeNoise,
     cycle: u64,
     /// What a cycle (or AA pair) exchange ships: the crossing populations
     /// in two-grid mode, every velocity in AA mode.
@@ -242,12 +231,7 @@ impl RankSolver {
             tables,
             pool,
             counters: PerfCounters::new(),
-            jitter: cfg.compute_jitter,
-            skew: if cfg.ranks > 1 {
-                cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
-            } else {
-                0.0
-            },
+            noise: ComputeNoise::new(cfg, rank),
             cycle: 0,
             plan,
             full,
@@ -439,21 +423,15 @@ impl RankSolver {
             } else {
                 self.aa_odd_step(comm)
             };
-            let noise = self.step_no;
+            let key = self.step_no;
             self.step_no += 1;
             if self.step_no.is_multiple_of(2) {
                 self.cycle += 1; // one completed pair
             }
-            let mut dt = t0.elapsed();
-            if self.jitter > 0.0 || self.skew > 0.0 {
-                let u = jitter_u01(self.sub.rank as u64, noise);
-                let extra = dt.mul_f64(self.jitter * u + self.skew);
-                spin_sleep(extra);
-                dt += extra;
-            }
             let plane = self.f.alloc_dims().plane() as u64;
-            self.counters
-                .record(self.sub.nx as u64 * plane, ghost_planes as u64 * plane, dt);
+            let (owned, ghost) = (self.sub.nx as u64 * plane, ghost_planes as u64 * plane);
+            self.noise
+                .finish_step(&mut self.counters, t0, key, owned, ghost);
         }
     }
 
@@ -464,15 +442,12 @@ impl RankSolver {
     /// messages in flight (Fig. 7, re-ordered around the pair).
     fn aa_even_step(&mut self, comm: &mut Comm, post_ahead: bool) {
         let (own_lo, own_hi) = self.owned();
-        let g = self.aa_force();
+        let g = body_force(self.scenario.as_ref(), self.step_no);
         let multi = self.sub.ranks > 1 && post_ahead;
         match self.strategy {
             CommStrategy::OverlapGhostCollide if multi => {
-                let (border_lo, border_hi) = self.overlap_borders();
-                self.aa_even(border_lo.0, border_lo.1, g);
-                self.aa_even(border_hi.0, border_hi.1, g);
-                self.aa_post_border_sends(comm);
-                self.aa_even(border_lo.1, border_hi.0, g);
+                let update = |s: &mut Self, lo, hi| s.aa_even(lo, hi, g);
+                self.border_first(comm, (own_lo, own_hi), update, Self::aa_post_border_sends);
             }
             CommStrategy::NonBlockingGhost if multi => {
                 self.aa_even(own_lo, own_hi, g);
@@ -494,7 +469,7 @@ impl RankSolver {
     /// fed to the throughput counters).
     fn aa_odd_step(&mut self, comm: &mut Comm) -> usize {
         let (own_lo, own_hi) = self.owned();
-        let g = self.aa_force();
+        let g = body_force(self.scenario.as_ref(), self.step_no);
         if self.sub.ranks == 1 {
             self.aa_odd(own_lo, own_hi, g);
             return 0;
@@ -513,15 +488,6 @@ impl RankSolver {
     fn aa_post_border_sends(&mut self, comm: &mut Comm) {
         let tags = Self::tags(self.step_no / 2);
         self.pending = post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
-    }
-
-    /// The scenario body force for the step about to run (zero without a
-    /// scenario or forcing).
-    fn aa_force(&self) -> [f64; 3] {
-        self.scenario
-            .as_ref()
-            .and_then(|s| s.forcing(self.step_no))
-            .map_or([0.0; 3], |b| b.g)
     }
 
     /// In-place AA even sweep over `x ∈ [lo, hi)` at this rank's rung
@@ -650,146 +616,69 @@ impl RankSolver {
         ((own_lo, own_lo + b), ((own_hi - b).max(own_lo + b), own_hi))
     }
 
-    /// One two-grid step over sub-step `j`'s region. With `fold` and a
+    /// The Fig. 7 border-first order of one update over `[lo, hi)` (which
+    /// contains the owned planes): the left and right owned border planes,
+    /// then `post` the sends they feed, then the ghost planes left of the
+    /// owned region, the interior and the ghost planes right of it while
+    /// the messages fly. Empty pieces are no-ops of `update`.
+    fn border_first(
+        &mut self,
+        comm: &mut Comm,
+        (lo, hi): (usize, usize),
+        update: impl Fn(&mut Self, usize, usize),
+        post: fn(&mut Self, &mut Comm),
+    ) {
+        let (own_lo, own_hi) = self.owned();
+        let (left, right) = self.overlap_borders();
+        update(self, left.0, left.1);
+        update(self, right.0, right.1);
+        post(self, comm);
+        update(self, lo, own_lo);
+        update(self, left.1, right.0);
+        update(self, own_hi, hi);
+    }
+
+    /// One two-grid step over sub-step `j`'s region (see module docs): the
+    /// split prelude on the split rungs, then this class's update,
+    /// border-first on the last sub-step of a GC-C cycle. With `fold` and a
     /// fused vector pass that one serial call makes (no pool, no GC-C
-    /// overlap), the pass also folds the owned mass into
-    /// [`Self::run_mass`].
+    /// overlap), the pass also folds the owned mass into [`Self::run_mass`].
     fn substep(&mut self, comm: &mut Comm, j: usize, in_cycle: usize, fold: bool) {
         let t0 = Instant::now();
         let (lo, hi) = self.region(j);
-        let (own_lo, own_hi) = self.owned();
-        let overlap_now = self.strategy == CommStrategy::OverlapGhostCollide
-            && j + 1 == in_cycle
-            && self.sub.ranks > 1;
-        let fold = fold && self.pool.is_none() && !overlap_now;
-        let mut folded = None;
-        let force = self
-            .scenario
-            .as_ref()
-            .and_then(|s| s.forcing(self.step_no))
-            .map_or([0.0; 3], |b| b.g);
-        let plain = self.bounds.is_periodic() && force == [0.0; 3];
-
-        if !plain {
-            if self.level.kernel_class() == KernelClass::Fused {
-                // Scenario single-pass schedule: the boundary-aware fused
-                // kernel writes complete post-boundary/post-collision
-                // planes (wall rows transformed, masked cells bounced,
-                // fluid cells Guo-collided), so the Fig. 7 overlap applies
-                // exactly as on the plain fused path.
-                if overlap_now {
-                    let (border_lo, border_hi) = self.overlap_borders();
-                    self.fused_scenario(border_lo.0, border_lo.1, force);
-                    self.fused_scenario(border_hi.0, border_hi.1, force);
-                    self.post_border_sends(comm);
-                    self.fused_scenario(lo, own_lo, force);
-                    self.fused_scenario(border_lo.1, border_hi.0, force);
-                    self.fused_scenario(own_hi, hi, force);
-                } else {
-                    if fold {
-                        folded = self.fused_folding_mass(lo, hi, force);
-                    } else {
-                        self.fused_scenario(lo, hi, force);
-                    }
-                    if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                        // The eager emulation pays its mid-step stall; as on
-                        // the plain fused path the exchanged borders are
-                        // final-state, which the next cycle's boundary
-                        // exchange overwrites either way.
-                        self.midstep_exchange(comm, j);
-                    }
-                }
-            } else {
-                // Scenario split pipeline (see module docs). Stream
-                // everything (solid rows included, so walls see the
-                // arrivals)…
-                self.stream(lo, hi);
-                if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                    // …exchange the pre-boundary post-stream borders (both
-                    // sides pack pre-boundary state, so ghost planes stay
-                    // consistent)…
-                    self.midstep_exchange(comm, j);
-                }
-                // …transform wall rows and masked cells over the same region…
-                let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-                self.bounds.apply(&self.ctx, tmp, lo, hi);
-                if overlap_now {
-                    // …then the Fig. 7 overlap: collide the owned borders
-                    // first (their fluid rows are final after this — solid
-                    // rows were finalised by the boundary transform), post
-                    // the sends, and collide the rest while the messages
-                    // fly.
-                    let (border_lo, border_hi) = self.overlap_borders();
-                    self.collide_scenario(border_lo.0, border_lo.1, force);
-                    self.collide_scenario(border_hi.0, border_hi.1, force);
-                    self.post_border_sends(comm);
-                    self.collide_scenario(lo, own_lo, force);
-                    self.collide_scenario(border_lo.1, border_hi.0, force);
-                    self.collide_scenario(own_hi, hi, force);
-                } else {
-                    self.collide_scenario(lo, hi, force);
-                }
-            }
-        } else if self.level.kernel_class() == KernelClass::Fused {
-            // Single-pass schedule: the fused kernel writes complete
-            // post-collision planes, so the Fig. 7 overlap computes the
-            // owned borders first, posts the sends, and fuses the rest
-            // (ghost regions + interior) while the messages fly. Pieces
-            // read only `f` and write disjoint `tmp` planes, so any order
-            // produces the identical field.
-            if overlap_now {
-                let (border_lo, border_hi) = self.overlap_borders();
-                self.fused(border_lo.0, border_lo.1);
-                self.fused(border_hi.0, border_hi.1);
-                self.post_border_sends(comm);
-                self.fused(lo, own_lo);
-                self.fused(border_lo.1, border_hi.0);
-                self.fused(own_hi, hi);
-            } else {
-                if fold {
-                    folded = self.fused_folding_mass(lo, hi, force);
-                } else {
-                    self.fused(lo, hi);
-                }
-                if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
-                    // The eager emulation still pays its mid-step stall; the
-                    // exchanged borders are post-collision here (there is no
-                    // post-stream intermediate), which the next cycle's
-                    // boundary exchange overwrites either way.
-                    self.midstep_exchange(comm, j);
-                }
-            }
+        let multi = self.sub.ranks > 1;
+        let overlap_now =
+            self.strategy == CommStrategy::OverlapGhostCollide && j + 1 == in_cycle && multi;
+        let eager = self.strategy == CommStrategy::NonBlockingEager && multi;
+        let fused = self.level.kernel_class() == KernelClass::Fused;
+        let g = body_force(self.scenario.as_ref(), self.step_no);
+        let update: fn(&mut Self, usize, usize, [f64; 3]) = if fused {
+            Self::fused_scenario
+        } else if self.bounds.is_periodic() && g == [0.0; 3] {
+            |s, lo, hi, _| s.collide(lo, hi)
         } else {
-            self.stream(lo, hi);
+            Self::collide_scenario
+        };
 
-            if self.strategy == CommStrategy::NonBlockingEager && self.sub.ranks > 1 {
+        if !fused {
+            self.stream(lo, hi);
+            if eager {
                 self.midstep_exchange(comm, j);
             }
-
-            if overlap_now {
-                // GC-C (paper Fig. 7): collide the border planes of the
-                // *owned* region first so their new state can be sent
-                // immediately…
-                let (border_lo, border_hi) = self.overlap_borders();
-                self.collide(border_lo.0, border_lo.1);
-                if border_hi.0 < border_hi.1 {
-                    self.collide(border_hi.0, border_hi.1);
-                }
-                self.post_border_sends(comm);
-                // …then collide everything else while the messages fly: the
-                // ghost-region planes plus the interior.
-                if lo < own_lo {
-                    self.collide(lo, own_lo);
-                }
-                if border_lo.1 < border_hi.0 {
-                    self.collide(border_lo.1, border_hi.0);
-                }
-                if own_hi < hi {
-                    self.collide(own_hi, hi);
-                }
-            } else {
-                self.collide(lo, hi);
-            }
+            let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+            self.bounds.apply(&self.ctx, tmp, lo, hi);
+        }
+        let mut folded = None;
+        if overlap_now {
+            let update = |s: &mut Self, lo, hi| update(s, lo, hi, g);
+            self.border_first(comm, (lo, hi), update, Self::post_border_sends);
+        } else if fold && fused && self.pool.is_none() {
+            folded = self.fused_folding_mass(lo, hi, g);
+        } else {
+            update(self, lo, hi, g);
+        }
+        if fused && eager {
+            self.midstep_exchange(comm, j);
         }
 
         std::mem::swap(
@@ -802,17 +691,12 @@ impl RankSolver {
             self.mass_folds += 1;
         }
 
-        let mut dt = t0.elapsed();
-        if self.jitter > 0.0 || self.skew > 0.0 {
-            let u = jitter_u01(self.sub.rank as u64, self.cycle * 64 + j as u64);
-            let extra = dt.mul_f64(self.jitter * u + self.skew);
-            spin_sleep(extra);
-            dt += extra;
-        }
         let plane = self.f.alloc_dims().plane() as u64;
-        let owned_cells = (own_hi - own_lo) as u64 * plane;
-        let ghost_cells = ((hi - lo) as u64 - (own_hi - own_lo) as u64) * plane;
-        self.counters.record(owned_cells, ghost_cells, dt);
+        let owned = self.sub.nx as u64 * plane;
+        let ghost = (hi - lo - self.sub.nx) as u64 * plane;
+        let key = self.cycle * 64 + j as u64;
+        self.noise
+            .finish_step(&mut self.counters, t0, key, owned, ghost);
     }
 
     fn stream(&mut self, lo: usize, hi: usize) {
@@ -847,7 +731,7 @@ impl RankSolver {
     }
 
     /// One boundary-aware fused pass `tmp ← boundary+collide(pull(f))` over
-    /// `x ∈ [lo, hi)` — the scenario form of [`Self::fused`].
+    /// `x ∈ [lo, hi)`.
     fn fused_scenario(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
         if lo >= hi {
             return;
@@ -864,18 +748,6 @@ impl RankSolver {
                 g,
                 &self.bounds,
             )
-        });
-    }
-
-    /// One fused stream+collide pass `tmp ← collide(pull(f))` over
-    /// `x ∈ [lo, hi)`.
-    fn fused(&mut self, lo: usize, hi: usize) {
-        if lo >= hi {
-            return;
-        }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        in_pool(self.pool.as_ref(), || {
-            kernels::stream_collide(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi)
         });
     }
 
@@ -1084,8 +956,63 @@ pub(crate) fn in_pool<R>(pool: Option<&rayon::ThreadPool>, work: impl FnOnce() -
     }
 }
 
+/// The body force of `scenario` at step `step_no` (zero without a scenario
+/// or forcing).
+pub(crate) fn body_force(scenario: Option<&ScenarioHandle>, step_no: u64) -> [f64; 3] {
+    scenario
+        .and_then(|s| s.forcing(step_no))
+        .map_or([0.0; 3], |b| b.g)
+}
+
+/// One rank's emulated compute noise: each step's time is stretched by a
+/// deterministic jitter share and a skew that grows linearly with the rank.
+#[derive(Clone, Copy)]
+pub(crate) struct ComputeNoise {
+    rank: u64,
+    jitter: f64,
+    skew: f64,
+}
+
+impl ComputeNoise {
+    pub(crate) fn new(cfg: &SimConfig, rank: usize) -> Self {
+        let skew = if cfg.ranks > 1 {
+            cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
+        } else {
+            0.0
+        };
+        Self {
+            rank: rank as u64,
+            jitter: cfg.compute_jitter,
+            skew,
+        }
+    }
+
+    /// End the step begun at `t0`: spin for its noise share (jitter keyed
+    /// by `key`) and record `owned` and `ghost` updates over the stretched
+    /// time.
+    pub(crate) fn finish_step(
+        self,
+        counters: &mut PerfCounters,
+        t0: Instant,
+        key: u64,
+        owned: u64,
+        ghost: u64,
+    ) {
+        let mut dt = t0.elapsed();
+        if self.jitter > 0.0 || self.skew > 0.0 {
+            let extra = dt.mul_f64(self.jitter * jitter_u01(self.rank, key) + self.skew);
+            let deadline = Instant::now() + extra;
+            while Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+            dt += extra;
+        }
+        counters.record(owned, ghost, dt);
+    }
+}
+
 /// Deterministic `[0,1)` hash noise for compute jitter.
-pub(crate) fn jitter_u01(rank: u64, step: u64) -> f64 {
+fn jitter_u01(rank: u64, step: u64) -> f64 {
     let mut x = rank
         .wrapping_mul(0x9E3779B97F4A7C15)
         .wrapping_add(step)
@@ -1094,13 +1021,6 @@ pub(crate) fn jitter_u01(rank: u64, step: u64) -> f64 {
     x = x.wrapping_mul(0x94D049BB133111EB);
     x ^= x >> 29;
     (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-pub(crate) fn spin_sleep(d: std::time::Duration) {
-    let deadline = Instant::now() + d;
-    while Instant::now() < deadline {
-        std::hint::spin_loop();
-    }
 }
 
 #[cfg(test)]

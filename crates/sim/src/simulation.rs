@@ -46,7 +46,7 @@ use lbm_core::lattice::{Lattice, LatticeKind};
 use crate::config::{CommStrategy, ConfigError, SimConfig};
 use crate::report::{RankReport, RunReport, REPORT_SCHEMA_VERSION};
 use crate::scenario::{ObservableSpec, Scenario, ScenarioHandle};
-use crate::sparse::AnySolver;
+use crate::sparse::{self, AnySolver};
 
 /// Fluent configuration for a [`Simulation`] (see [`Simulation::builder`]).
 ///
@@ -186,7 +186,8 @@ impl SimulationBuilder {
     /// modes — [`StorageMode::InPlaceAa`] keeps one frame per tile and
     /// exchanges halos only before odd steps — but requires a wall-free
     /// (periodic-boundary) scenario; `ghost_depth` and the communication
-    /// strategy are ignored on this path.
+    /// strategy are ignored on this path, and a run reports the eager
+    /// depth-1 exchange it uses instead.
     #[must_use]
     pub fn geometry(mut self, geom: Geometry) -> Self {
         self.cfg.geometry = Some(Arc::new(geom));
@@ -400,22 +401,24 @@ impl Simulation {
         let results = engine.run_timed(cfg.warmup, steps);
         let mass = results[0].1;
         let per_rank: Vec<RankReport> = results.into_iter().map(|(r, _)| r).collect();
-        let storage_label = if cfg.geometry.is_some() {
-            match cfg.storage {
-                StorageMode::TwoGrid => "sparse_tiles".to_string(),
-                StorageMode::InPlaceAa => "sparse_tiles_aa".to_string(),
-            }
+        // Report what ran: the sparse path has its own storage and schedule.
+        let (storage_label, (strategy, ghost_depth)) = if cfg.geometry.is_some() {
+            let label = match cfg.storage {
+                StorageMode::TwoGrid => "sparse_tiles",
+                StorageMode::InPlaceAa => "sparse_tiles_aa",
+            };
+            (label, sparse::SCHEDULE)
         } else {
-            cfg.storage.name().to_string()
+            (cfg.storage.name(), (cfg.comm_strategy(), cfg.ghost_depth))
         };
         let mut report = RunReport::assemble(
             cfg.lattice.name().to_string(),
             cfg.scenario_name().to_string(),
             cfg.level.name().to_string(),
-            storage_label,
-            cfg.comm_strategy().label().to_string(),
+            storage_label.to_string(),
+            strategy.label().to_string(),
             cfg.threads_per_rank,
-            cfg.ghost_depth,
+            ghost_depth,
             (cfg.global.nx, cfg.global.ny, cfg.global.nz),
             steps,
             mass,

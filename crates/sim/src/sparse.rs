@@ -17,12 +17,14 @@
 //! `SimConfig::sparse_ghost_cols` boundary columns each way (one for reach
 //! ≤ 2, two for D3Q39).
 //!
-//! The distributed schedule is deliberately simple: one blocking
-//! frame-exchange per step (two-grid) or per pair (AA), shipping only the
-//! *allocated boundary tiles* of the first/last owned columns. Both sides
-//! enumerate boundary tiles from the global geometry in the same (ty, tz)
-//! order, so the payloads need no framing metadata. `ghost_depth` and
-//! [`CommStrategy`](crate::config::CommStrategy) are ignored on this path.
+//! The distributed schedule is deliberately simple: one eager
+//! frame-exchange per step (two-grid) or per pair (AA) — sends and receives
+//! posted, then one waitall — shipping only the *allocated boundary tiles*
+//! of the first/last owned columns. Both sides enumerate boundary tiles
+//! from the global geometry in the same (ty, tz) order, so the payloads
+//! need no framing metadata. The configured `ghost_depth` and
+//! [`CommStrategy`] are ignored on this path; a run reports
+//! [`SCHEDULE`], the one that runs.
 //!
 //! `AnySolver` is the engine-facing dispatch: the persistent engine holds
 //! one per rank and every caller (timed runs, probes, checkpointing, fault
@@ -43,10 +45,15 @@ use lbm_core::moments::Moments;
 use lbm_core::perf::PerfCounters;
 use lbm_core::{Error, Result};
 
-use crate::config::SimConfig;
-use crate::distributed::{in_pool, jitter_u01, spin_sleep, RankSolver};
+use crate::config::{CommStrategy, SimConfig};
+use crate::distributed::{body_force, in_pool, ComputeNoise, RankSolver};
 use crate::json::Json;
 use crate::scenario::ScenarioHandle;
+
+/// The communication schedule and ghost depth every sparse run uses,
+/// whatever the configuration asks: [`SparseRankSolver`]'s exchange is the
+/// eager pattern, run every step (every pair under AA) like a depth-1 halo.
+pub(crate) const SCHEDULE: (CommStrategy, usize) = (CommStrategy::NonBlockingEager, 1);
 
 /// Plain-data description of an analytic geometry, the sparse counterpart
 /// of [`ScenarioSpec`](crate::scenario::ScenarioSpec): travels as JSON in
@@ -213,8 +220,7 @@ pub(crate) struct SparseRankSolver {
     use_simd: bool,
     pool: Option<rayon::ThreadPool>,
     scenario: Option<ScenarioHandle>,
-    jitter: f64,
-    skew: f64,
+    noise: ComputeNoise,
     step_no: u64,
 }
 
@@ -286,12 +292,7 @@ impl SparseRankSolver {
             use_simd: cfg.level >= OptLevel::Simd,
             pool,
             scenario: cfg.scenario.clone(),
-            jitter: cfg.compute_jitter,
-            skew: if cfg.ranks > 1 {
-                cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
-            } else {
-                0.0
-            },
+            noise: ComputeNoise::new(cfg, rank),
             step_no: 0,
         })
     }
@@ -308,7 +309,7 @@ impl SparseRankSolver {
             if self.storage == StorageMode::TwoGrid || aa_odd {
                 self.exchange(comm);
             }
-            let g = self.force();
+            let g = body_force(self.scenario.as_ref(), self.step_no);
             let use_simd = self.use_simd;
             let storage = self.storage;
             let Self {
@@ -331,18 +332,13 @@ impl SparseRankSolver {
                 }
                 StorageMode::InPlaceAa => sparse::aa_even_step(ctx, tiles, f, g, use_simd),
             });
-            let noise = self.step_no;
+            let key = self.step_no;
             self.step_no += 1;
-            let mut dt = t0.elapsed();
-            if self.jitter > 0.0 || self.skew > 0.0 {
-                let u = jitter_u01(self.rank as u64, noise);
-                let extra = dt.mul_f64(self.jitter * u + self.skew);
-                spin_sleep(extra);
-                dt += extra;
-            }
             // Ghost tiles are shipped, never computed: all updates are
             // owned fluid-cell updates (solid rim cells only bounce).
-            self.counters.record(self.tiles.owned_fluid_cells, 0, dt);
+            let owned = self.tiles.owned_fluid_cells;
+            self.noise
+                .finish_step(&mut self.counters, t0, key, owned, 0);
         }
     }
 
@@ -390,14 +386,6 @@ impl SparseRankSolver {
                     .copy_from_slice(&data[j * fl..(j + 1) * fl]);
             }
         }
-    }
-
-    /// The scenario body force for the step about to run.
-    fn force(&self) -> [f64; 3] {
-        self.scenario
-            .as_ref()
-            .and_then(|s| s.forcing(self.step_no))
-            .map_or([0.0; 3], |b| b.g)
     }
 
     pub(crate) fn steps_done(&self) -> u64 {
@@ -938,15 +926,24 @@ mod tests {
         let geom = Geometry::pipe(global, 6.0).unwrap();
         let fluid = geom.fluid_count();
         let frac = geom.fluid_fraction();
-        let rep = Simulation::builder(LatticeKind::D3Q19, global)
+        let base = Simulation::builder(LatticeKind::D3Q19, global)
             .scenario(ForcedFlow::new(G))
             .geometry(geom)
-            .ranks(2)
+            .ranks(2);
+        let rep = base.clone().build().unwrap().run(4).unwrap();
+        assert_eq!(rep.storage, "sparse_tiles");
+        // The report names the schedule that ran — the eager exchange every
+        // step — not the configured one, which the sparse path ignores.
+        let asked = base
+            .strategy(CommStrategy::OverlapGhostCollide)
+            .ghost_depth(2)
             .build()
             .unwrap()
             .run(4)
             .unwrap();
-        assert_eq!(rep.storage, "sparse_tiles");
+        for r in [&rep, &asked] {
+            assert_eq!((r.strategy.as_str(), r.ghost_depth), ("NB-C", 1));
+        }
         assert!((rep.fluid_fraction - frac).abs() < 1e-12);
         let updates: u64 = rep.per_rank.iter().map(|r| r.updates).sum();
         assert_eq!(updates, 4 * fluid, "only fluid cells are collided");
