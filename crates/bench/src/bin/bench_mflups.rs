@@ -50,7 +50,6 @@
 
 use std::process::ExitCode;
 
-use lbm_bench::json::Json;
 use lbm_bench::{f, Table};
 use lbm_comm::CostModel;
 use lbm_core::equilibrium::EqOrder;
@@ -60,6 +59,7 @@ use lbm_core::index::Dim3;
 use lbm_core::kernels::{simd, KernelClass, OptLevel};
 use lbm_core::lattice::{Lattice, LatticeKind};
 use lbm_core::Geometry;
+use lbm_sim::json::Json;
 use lbm_sim::scenario::{
     CouetteFlow, ForcedFlow, KnudsenMicrochannel, LidDrivenCavity, PoiseuilleChannel,
     ScenarioHandle,
@@ -408,7 +408,7 @@ fn write_artifact(args: &Args, runs: Vec<Json>, summaries: Vec<(String, Json)>) 
         ("runs", Json::Arr(all_runs)),
         ("summary", Json::Obj(all_summaries)),
     ]);
-    std::fs::write(&args.out, doc.render_pretty()).expect("write JSON artifact");
+    std::fs::write(&args.out, format!("{doc:#}\n")).expect("write JSON artifact");
     println!("wrote {}", args.out);
 }
 

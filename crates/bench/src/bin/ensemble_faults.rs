@@ -27,11 +27,11 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use lbm_bench::json::Json;
 use lbm_bench::Table;
 use lbm_core::field::StorageMode;
 use lbm_core::index::Dim3;
 use lbm_core::lattice::LatticeKind;
+use lbm_sim::json::Json;
 use lbm_sim::runtime::checkpoint::list_generations;
 use lbm_sim::runtime::{
     CorruptMode, EnsembleRunner, FailureKind, FaultPlan, JobEvent, JobOutcome, JobSpec,
@@ -373,7 +373,7 @@ fn main() -> ExitCode {
         ("all_ok", Json::Bool(all_ok)),
         ("results", Json::Arr(rows)),
     ]);
-    std::fs::write(&args.out, doc.render_pretty()).expect("write JSON artifact");
+    std::fs::write(&args.out, format!("{doc:#}\n")).expect("write JSON artifact");
     println!("\nwrote {} and {}", args.out, args.events);
 
     if !all_ok {

@@ -25,10 +25,10 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use lbm_bench::json::Json;
 use lbm_bench::{f, Table};
 use lbm_core::index::Dim3;
 use lbm_core::lattice::LatticeKind;
+use lbm_sim::json::Json;
 use lbm_sim::runtime::{EnsembleRunner, EventRecord, JobEvent, JobOutcome, JobSpec};
 use lbm_sim::scenario::ScenarioSpec;
 use lbm_sim::Simulation;
@@ -196,7 +196,7 @@ fn run_sweep(args: &Args) -> ExitCode {
             Json::Bool(cores > 2 && args.slots.is_none()),
         ),
     ]);
-    std::fs::write(&args.out, doc.render_pretty()).expect("write JSON artifact");
+    std::fs::write(&args.out, format!("{doc:#}\n")).expect("write JSON artifact");
     println!("wrote {} and {}", args.out, args.events);
 
     if !all_match {
@@ -324,7 +324,7 @@ fn run_smoke(args: &Args) -> ExitCode {
         ("resume_bitwise_identical", Json::Bool(bitwise)),
         ("other_jobs_finished", Json::Bool(others_ok)),
     ]);
-    std::fs::write(&args.out, doc.render_pretty()).expect("write JSON artifact");
+    std::fs::write(&args.out, format!("{doc:#}\n")).expect("write JSON artifact");
     println!("wrote {} and {}", args.out, args.events);
     std::fs::remove_dir_all(&ckpt_dir).ok();
 

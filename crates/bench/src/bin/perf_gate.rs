@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use lbm_bench::json::Json;
+use lbm_sim::json::Json;
 
 struct Args {
     baseline: String,

@@ -19,7 +19,6 @@
 //! kernel-level measurements: per-rung stream/collide, equilibrium order
 //! cost, halo pack/unpack, and fabric latency.
 
-pub mod json;
 pub mod paper;
 
 /// Simple fixed-width table printer for harness output.

@@ -201,7 +201,9 @@ pub fn from_macroscopic_streamed<F>(
 /// `u_y = −u0 · sin(κx̂) · cos(κŷ)`, with `x̂ = 2π(x+offset_x)/n`.
 ///
 /// `global_nx`/`global_ny` set the wavelength; `x_offset` maps local to
-/// global x so decomposed ranks initialise consistently.
+/// global x so decomposed ranks initialise consistently. Halo planes are
+/// evaluated at their periodic image `(x − halo + x_offset) mod global_nx`,
+/// so they hold exactly the neighbour's owned values.
 #[allow(clippy::too_many_arguments)]
 pub fn taylor_green(
     ctx: &KernelCtx,
@@ -216,7 +218,7 @@ pub fn taylor_green(
     let kx = 2.0 * std::f64::consts::PI / global_nx as f64;
     let ky = 2.0 * std::f64::consts::PI / global_ny as f64;
     from_macroscopic(ctx, f, |x, y, _z| {
-        let gx = (x as isize - halo as isize + x_offset) as f64;
+        let gx = (x as isize - halo as isize + x_offset).rem_euclid(global_nx as isize) as f64;
         let gy = y as f64;
         let ux = u0 * (kx * gx).cos() * (ky * gy).sin();
         let uy = -u0 * (kx * gx).sin() * (ky * gy).cos();

@@ -283,10 +283,11 @@ impl RankSolver {
         self.run_mass = None;
     }
 
-    /// Initialise to a global Taylor–Green mode (halos included — trig
-    /// periodicity makes the wrap-around halos exact, so the first cycle
-    /// needs no exchange). AA mode initialises the arrivals representation
-    /// (see [`Self::init_scenario`]).
+    /// Initialise to a global Taylor–Green mode (halos included — they are
+    /// evaluated at their wrapped global x, so they equal the neighbour's
+    /// owned planes and the first cycle needs no exchange). AA mode
+    /// initialises the arrivals representation (see
+    /// [`Self::init_scenario`]).
     pub fn init_taylor_green(&mut self, rho0: f64, u0: f64) {
         let g = self.sub.global;
         let x_off = self.sub.x_start as isize;

@@ -1,12 +1,15 @@
-//! Minimal JSON value, renderer and parser.
+//! Minimal JSON value, renderer and parser: the workspace's one JSON module.
 //!
 //! The workspace's `serde`/`serde_json` are offline no-op shims, so anything
-//! that must actually move structured data through text — streamed
-//! [`RunReport`](crate::report::RunReport) progress lines, checkpoint
-//! headers, job specs — goes through this hand-rolled module instead. It is
-//! deliberately small: objects preserve insertion order, numbers distinguish
-//! integers from floats, and floats render with Rust's shortest-roundtrip
-//! `Display`, which parses back to the identical bit pattern.
+//! that must actually move structured data through text goes through this
+//! hand-rolled module instead: streamed [`RunReport`](crate::report::RunReport)
+//! progress lines, checkpoint headers, job specs, the ensemble event bus and
+//! the benchmark artifacts (`BENCH_*.json`) the bench binaries write and
+//! `perf_gate` reads back. It is deliberately small: objects preserve
+//! insertion order, numbers distinguish integers from floats, and floats
+//! render with Rust's shortest-roundtrip `Display`, which parses back to the
+//! identical bit pattern. `{}` renders compact JSON and `{:#}` the same
+//! tree indented two spaces per level.
 
 use std::fmt;
 
@@ -37,6 +40,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
     /// Object member by key (first match), if this is an object.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -120,7 +133,16 @@ impl Json {
 }
 
 impl fmt::Display for Json {
+    /// Compact JSON; with the alternate flag (`{:#}`), one member or item per
+    /// line, indented two spaces per level. Empty containers stay `[]`/`{}`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+impl Json {
+    /// Render at nesting `depth` (only the indented form uses it).
+    fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
@@ -141,29 +163,51 @@ impl fmt::Display for Json {
                 }
             }
             Json::Str(s) => write_escaped(f, s),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
-                }
-                f.write_str("}")
-            }
+            Json::Arr(items) => write_seq(f, depth, "[]", items.iter().map(|v| (None, v))),
+            Json::Obj(members) => write_seq(
+                f,
+                depth,
+                "{}",
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// Render an array (keys `None`) or an object (keys `Some`) between
+/// `brackets`, one item per line under the alternate flag.
+fn write_seq<'a>(
+    f: &mut fmt::Formatter<'_>,
+    depth: usize,
+    brackets: &str,
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+) -> fmt::Result {
+    let pretty = f.alternate();
+    let newline = |f: &mut fmt::Formatter<'_>, depth: usize| {
+        if pretty {
+            write!(f, "\n{:1$}", "", 2 * depth)
+        } else {
+            Ok(())
+        }
+    };
+    f.write_str(&brackets[..1])?;
+    let mut empty = true;
+    for (key, v) in items {
+        if !empty {
+            f.write_str(",")?;
+        }
+        empty = false;
+        newline(f, depth + 1)?;
+        if let Some(k) = key {
+            write_escaped(f, k)?;
+            f.write_str(if pretty { ": " } else { ":" })?;
+        }
+        v.write(f, depth + 1)?;
+    }
+    if !empty {
+        newline(f, depth)?;
+    }
+    f.write_str(&brackets[1..])
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -413,5 +457,159 @@ mod tests {
         assert_eq!(Json::parse(&objects).unwrap().depth(), MAX_DEPTH);
         let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
         assert!(Json::parse(&past).is_err());
+    }
+
+    #[test]
+    fn renders_scalars_and_nesting() {
+        let v = Json::obj(vec![
+            ("name", Json::str("D3Q19")),
+            ("mflups", Json::Num(12.5)),
+            ("steps", Json::Int(8)),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("arr", Json::Arr(vec![Json::Int(1), Json::Int(2)])),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"name":"D3Q19","mflups":12.5,"steps":8,"ok":true,"none":null,"arr":[1,2]}"#
+        );
+    }
+
+    #[test]
+    fn escapes_strings_and_maps_nonfinite_to_null() {
+        let v = Json::Arr(vec![
+            Json::str("a\"b\\c\nd"),
+            Json::Num(f64::NAN),
+            Json::Num(f64::INFINITY),
+            Json::Num(f64::NEG_INFINITY),
+        ]);
+        assert_eq!(v.to_string(), r#"["a\"b\\c\nd",null,null,null]"#);
+        assert_eq!(
+            format!("{v:#}"),
+            "[\n  \"a\\\"b\\\\c\\nd\",\n  null,\n  null,\n  null\n]"
+        );
+    }
+
+    #[test]
+    fn pretty_output_is_indented_and_reparsable_shape() {
+        let v = Json::obj(vec![
+            ("k", Json::Arr(vec![Json::Int(1)])),
+            ("o", Json::obj(vec![("x", Json::Num(0.5))])),
+        ]);
+        // What the artifact writers put in a file: `{:#}` plus a newline.
+        let s = format!("{v:#}\n");
+        assert!(s.contains("\"k\": [\n"));
+        assert!(s.ends_with("}\n"));
+        assert_eq!(
+            s,
+            "{\n  \"k\": [\n    1\n  ],\n  \"o\": {\n    \"x\": 0.5\n  }\n}\n"
+        );
+        // Float roundtrip formatting keeps full precision.
+        let f = Json::Num(0.1 + 0.2);
+        assert_eq!(f.to_string(), format!("{:?}", 0.1f64 + 0.2f64));
+    }
+
+    #[test]
+    fn empty_containers_stay_compact() {
+        assert_eq!(format!("{:#}", Json::Arr(vec![])), "[]");
+        assert_eq!(format!("{:#}", Json::Obj(vec![])), "{}");
+        assert_eq!(Json::Obj(vec![]).to_string(), "{}");
+        let nested = Json::obj(vec![("runs", Json::Arr(vec![]))]);
+        assert_eq!(format!("{nested:#}"), "{\n  \"runs\": []\n}");
+    }
+
+    #[test]
+    fn parse_roundtrips_rendered_artifacts() {
+        let doc = Json::obj(vec![
+            ("schema", Json::str("lbm-bench/kernels-mflups/v5")),
+            ("ok", Json::Bool(true)),
+            ("none", Json::Null),
+            ("n", Json::Int(-42)),
+            ("x", Json::Num(0.7118)),
+            ("tiny", Json::Num(7.697546304067752e-14)),
+            ("huge", Json::Num(6.02e23)),
+            (
+                "summary",
+                Json::obj(vec![(
+                    "D3Q19",
+                    Json::obj(vec![("aa_over_two_grid", Json::Num(0.86))]),
+                )]),
+            ),
+            ("arr", Json::Arr(vec![Json::Int(1), Json::Num(2.5)])),
+        ]);
+        for rendered in [doc.to_string(), format!("{doc:#}\n")] {
+            let back = Json::parse(&rendered).unwrap();
+            assert_eq!(back, doc);
+            assert_eq!(back.to_string(), doc.to_string());
+        }
+    }
+
+    #[test]
+    fn parse_accessors_walk_nested_objects() {
+        let v =
+            Json::parse(r#"{"summary":{"D3Q19":{"aa_over_two_grid":0.86,"name":"aa"}}}"#).unwrap();
+        let entry = v.get("summary").and_then(|s| s.get("D3Q19")).unwrap();
+        assert_eq!(
+            entry.get("aa_over_two_grid").and_then(Json::as_f64),
+            Some(0.86)
+        );
+        assert_eq!(entry.get("name").and_then(Json::as_str), Some("aa"));
+        assert_eq!(v.get("missing").map(|_| ()), None);
+    }
+
+    #[test]
+    fn parse_handles_escapes_and_rejects_garbage() {
+        let v = Json::parse(r#"["a\"b\\c\nd", "\u0041"]"#).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("a\"b\\c\nd"));
+        assert_eq!(items[1].as_str(), Some("A"));
+        assert!(Json::parse("{\"k\": }").is_err());
+        assert!(Json::parse("[1, 2").is_err());
+        assert!(Json::parse("true false").is_err());
+    }
+
+    #[test]
+    fn parse_distinguishes_ints_from_floats() {
+        assert!(matches!(Json::parse("7").unwrap(), Json::Int(7)));
+        assert!(matches!(Json::parse("-7").unwrap(), Json::Int(-7)));
+        assert!(matches!(Json::parse("7.0").unwrap(), Json::Num(_)));
+        assert!(matches!(Json::parse("1e3").unwrap(), Json::Num(_)));
+        // i64-overflowing integers degrade to floats instead of failing.
+        assert!(matches!(
+            Json::parse("99999999999999999999").unwrap(),
+            Json::Num(_)
+        ));
+    }
+
+    #[test]
+    fn committed_kernel_artifact_reads_and_re_renders_losslessly() {
+        let doc = Json::parse(include_str!("../../../BENCH_kernels.json")).unwrap();
+        let summary = match doc.get("summary") {
+            Some(Json::Obj(entries)) => entries,
+            other => panic!("no summary object: {other:?}"),
+        };
+        // One finite value, at least, for each metric `perf_gate` compares.
+        for metric in [
+            "aa_over_two_grid",
+            "fused_over_simd",
+            "sparse_over_dense_per_fluid_cell",
+        ] {
+            let finite = summary
+                .iter()
+                .filter_map(|(_, e)| e.get(metric).and_then(Json::as_f64))
+                .filter(|v| v.is_finite())
+                .count();
+            assert!(finite > 0, "{metric}: no finite value");
+        }
+        // The artifact was written with `{:?}` floats (exponent form for tiny
+        // values); the indented re-render writes them out in full and must
+        // read back to the same tree.
+        let again = Json::parse(&format!("{doc:#}\n")).unwrap();
+        assert_eq!(again, doc);
+        assert_eq!(
+            again.to_string(),
+            doc.to_string(),
+            "bitwise, signed zeros too"
+        );
     }
 }

@@ -409,7 +409,10 @@ impl Simulation {
             };
             (label, sparse::SCHEDULE)
         } else {
-            (cfg.storage.name(), (cfg.comm_strategy(), cfg.ghost_depth))
+            // AA exchanges a fixed 2·k halo once per even/odd pair, whatever
+            // the configured depth.
+            let depth = cfg.halo_width() / Lattice::new(cfg.lattice).reach();
+            (cfg.storage.name(), (cfg.comm_strategy(), depth))
         };
         let mut report = RunReport::assemble(
             cfg.lattice.name().to_string(),
@@ -790,6 +793,7 @@ mod tests {
                 .ranks(2)
                 .level(OptLevel::Simd)
                 .storage(storage)
+                .ghost_depth(3)
                 .build()
                 .unwrap()
                 .run(4)
@@ -799,6 +803,10 @@ mod tests {
         let aa = mk(StorageMode::InPlaceAa);
         assert_eq!(tg.storage, "two_grid");
         assert_eq!(aa.storage, "aa");
+        // The depth that ran: AA's halo is two planes of reach at any
+        // configured depth.
+        assert_eq!(tg.ghost_depth, 3);
+        assert_eq!(aa.ghost_depth, 2);
         let tg_bytes = tg.resident_population_bytes();
         let aa_bytes = aa.resident_population_bytes();
         assert!(tg_bytes > 0 && aa_bytes > 0);

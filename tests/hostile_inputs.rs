@@ -3,14 +3,18 @@
 //! no checksum, parse into a value — never panic. Covered: a `.lbmgeo`
 //! voxel file (`Geometry::from_bytes`, the frame codec plus the
 //! trailing-byte rule of `Geometry::from_file`) and a job manifest
-//! (`Json::parse`, then `JobSpec::from_json`).
+//! (`Json::parse`, then `JobSpec::from_json`). Generated garbage goes
+//! through `Json::parse` too, and generated value trees must survive a
+//! render and re-parse, compact and indented.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lbm::core::geometry::Geometry;
 use lbm::prelude::*;
-use lbm::sim::json::Json;
+use lbm::sim::json::{Json, MAX_DEPTH};
 use lbm::sim::GeometrySpec;
+use proptest::prelude::*;
+use proptest::TestRng;
 
 /// `input` with bit `bit` flipped.
 fn flipped(input: &[u8], bit: usize) -> Vec<u8> {
@@ -93,4 +97,121 @@ fn every_truncation_and_bit_flip_of_a_job_manifest_parses_or_errs() {
         rejected > parsed && parsed > 0,
         "{rejected} rejected, {parsed} parsed"
     );
+}
+
+/// Text for the parser, one of three families: random bytes, a random
+/// string over JSON's own alphabet, or brackets nested up to twice
+/// [`MAX_DEPTH`] (closed, or cut off at a random point).
+struct Garbage;
+
+impl Strategy for Garbage {
+    type Value = Vec<u8>;
+    fn sample(&self, rng: &mut TestRng) -> Vec<u8> {
+        match rng.below(3) {
+            0 => (0..rng.below(64)).map(|_| rng.next_u64() as u8).collect(),
+            1 => {
+                const TOKENS: [&str; 40] = [
+                    "{", "}", "[", "]", "\"", ",", ":", "0", "1", "7", "9", ".", "e", "E", "+",
+                    "-", "t", "f", "n", "u", "l", "true", "null", "\\\"", "\\\\", "\\/", "\\n",
+                    "\\u00e9", "\\ud800", "\\u12", "\\q", "\\", " ", "\t", "\n", "\r", "\"k\":",
+                    "1e999", "-0", "é",
+                ];
+                (0..rng.below(48))
+                    .map(|_| TOKENS[rng.below(TOKENS.len() as u64) as usize])
+                    .collect::<String>()
+                    .into_bytes()
+            }
+            _ => {
+                let depth = rng.below(2 * MAX_DEPTH as u64 + 1) as usize;
+                let opens: Vec<bool> = (0..depth).map(|_| rng.below(2) == 0).collect();
+                let mut text: String = opens
+                    .iter()
+                    .map(|&arr| if arr { "[" } else { "{\"k\":" })
+                    .collect();
+                text.push_str(if rng.below(2) == 0 { "1.5" } else { "[]" });
+                text.extend(opens.iter().rev().map(|&arr| if arr { ']' } else { '}' }));
+                let cut = if rng.below(4) == 0 {
+                    rng.below(text.len() as u64 + 1) as usize
+                } else {
+                    text.len()
+                };
+                text.into_bytes()[..cut].to_vec()
+            }
+        }
+    }
+}
+
+/// A random JSON value tree: ints, finite floats (random bit patterns
+/// included, so tiny and huge magnitudes), strings with escapes and
+/// non-ASCII, and containers nested a few levels deep.
+struct Tree;
+
+fn string(rng: &mut TestRng) -> String {
+    (0..rng.below(8))
+        .map(|_| match rng.below(4) {
+            0 => ['"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '/'][rng.below(8) as usize],
+            1 => char::from_u32(rng.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+            _ => (b' ' + rng.below(95) as u8) as char,
+        })
+        .collect()
+}
+
+fn tree(rng: &mut TestRng, depth: usize) -> Json {
+    let kinds = if depth == 0 { 6 } else { 8 };
+    match rng.below(kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 0),
+        2 => Json::Int(rng.next_u64() as i64),
+        3 => {
+            let x = f64::from_bits(rng.next_u64());
+            Json::Num(if x.is_finite() {
+                x
+            } else {
+                rng.next_f64() - 0.5
+            })
+        }
+        4 => Json::Num((rng.next_f64() - 0.5) * 1e3),
+        5 => Json::Str(string(rng)),
+        6 => Json::Arr((0..rng.below(5)).map(|_| tree(rng, depth - 1)).collect()),
+        _ => Json::Obj(
+            (0..rng.below(5))
+                .map(|_| (string(rng), tree(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+impl Strategy for Tree {
+    type Value = Json;
+    fn sample(&self, rng: &mut TestRng) -> Json {
+        tree(rng, 4)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    #[test]
+    fn generated_garbage_parses_or_errs(bytes in Garbage) {
+        let text = String::from_utf8_lossy(&bytes);
+        let got = no_panic("generated input", &bytes, |_| Json::parse(&text));
+        // Past the depth bound, an error (the leaf `[]` is a level too).
+        let opens = text
+            .bytes()
+            .take_while(|b| b"[{\"k:".contains(b))
+            .filter(|b| matches!(b, b'[' | b'{'))
+            .count();
+        if opens > MAX_DEPTH {
+            prop_assert!(got.is_err(), "{opens} levels accepted");
+        }
+    }
+
+    #[test]
+    fn generated_trees_re_parse_equal_compact_and_indented(doc in Tree) {
+        for text in [doc.to_string(), format!("{doc:#}\n")] {
+            let back = Json::parse(&text);
+            prop_assert_eq!(back.as_ref(), Ok(&doc), "{}", text);
+            prop_assert_eq!(back.unwrap().to_string(), doc.to_string());
+        }
+    }
 }

@@ -73,27 +73,6 @@ fn ladder_rungs_conserve_mass_and_momentum() {
     }
 }
 
-/// The max diff the legacy Taylor–Green start leaves between a deep-halo
-/// run and the depth-1 one, measured: 0 everywhere else. Its initialiser
-/// (`init::taylor_green`) evaluates the halo planes at unwrapped global x,
-/// so they start a few ulps off the neighbour's owned planes; from depth 2
-/// on the locally computed ghost planes carry that into the owned state on
-/// the vector rungs, unless the eager mid-step exchange overwrites them.
-/// The scenario form of the flow wraps x and is bitwise at every depth.
-fn legacy_tg_halo_offset(
-    level: OptLevel,
-    legacy_tg: bool,
-    depth: usize,
-    strategy: CommStrategy,
-) -> f64 {
-    let vector = matches!(level, OptLevel::Simd | OptLevel::Fused);
-    if legacy_tg && vector && depth >= 2 && strategy != CommStrategy::NonBlockingEager {
-        1.6653345369377348e-16
-    } else {
-        0.0
-    }
-}
-
 const STRATEGIES: [CommStrategy; 4] = [
     CommStrategy::Blocking,
     CommStrategy::NonBlockingEager,
@@ -104,10 +83,9 @@ const STRATEGIES: [CommStrategy; 4] = [
 #[test]
 fn deep_halo_and_strategy_grid_equivalence() {
     // Two-grid: for each (level, scenario) the depth × strategy grid must
-    // agree with that cell's own depth-1 blocking run, bitwise but for the
-    // measured offset of `legacy_tg_halo_offset`. The walled and forced
-    // scenarios run the boundary-aware updates, the fused rung its single
-    // pass, under every schedule.
+    // agree bitwise with that cell's own depth-1 blocking run. The walled
+    // and forced scenarios run the boundary-aware updates, the fused rung
+    // its single pass, under every schedule.
     let scenarios: [(&str, Option<ScenarioHandle>, Dim3); 3] = [
         ("taylor_green", None, Dim3::new(16, 8, 8)),
         (
@@ -139,7 +117,7 @@ fn deep_halo_and_strategy_grid_equivalence() {
                     let d = max_diff(&reference, &got);
                     assert_eq!(
                         d,
-                        legacy_tg_halo_offset(level, scenario.is_none(), depth, strategy),
+                        0.0,
                         "{} {name} depth {depth} strategy {}: diff {d}",
                         level.name(),
                         strategy.label()
