@@ -87,21 +87,31 @@ impl EqConsts {
     }
 }
 
+/// Bind `$poly` to the Hermite polynomial of [`feq_i`], written once for
+/// [`feq_i`] and [`feq_poly_i`]. A macro, not a call: `feq_i` keeps the
+/// body it always had, so where the compiler inlines it (the initialisers'
+/// per-row loops vectorise over it) does not move.
+macro_rules! feq_poly {
+    ($lat:ident, $order:ident, $i:ident, $u:ident => $poly:ident) => {
+        let cs2 = $lat.cs2();
+        let c = $lat.velocities()[$i];
+        let cf = [c[0] as f64, c[1] as f64, c[2] as f64];
+        let xi = cf[0] * $u[0] + cf[1] * $u[1] + cf[2] * $u[2];
+        let u2 = $u[0] * $u[0] + $u[1] * $u[1] + $u[2] * $u[2];
+        let mut $poly = 1.0 + xi / cs2 + (xi * xi) / (2.0 * cs2 * cs2) - u2 / (2.0 * cs2);
+        if $order == EqOrder::Third {
+            $poly += xi / (6.0 * cs2 * cs2) * ((xi * xi) / cs2 - 3.0 * u2);
+        }
+    };
+}
+
 /// Equilibrium distribution for one velocity index.
 ///
 /// Straightforward (division-containing) form used by the `Orig` kernel and
 /// as the oracle in tests; the optimized kernels inline the reciprocal form
 /// via [`EqConsts`].
 pub fn feq_i(lat: &Lattice, order: EqOrder, i: usize, rho: f64, u: [f64; 3]) -> f64 {
-    let cs2 = lat.cs2();
-    let c = lat.velocities()[i];
-    let cf = [c[0] as f64, c[1] as f64, c[2] as f64];
-    let xi = cf[0] * u[0] + cf[1] * u[1] + cf[2] * u[2];
-    let u2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-    let mut poly = 1.0 + xi / cs2 + (xi * xi) / (2.0 * cs2 * cs2) - u2 / (2.0 * cs2);
-    if order == EqOrder::Third {
-        poly += xi / (6.0 * cs2 * cs2) * ((xi * xi) / cs2 - 3.0 * u2);
-    }
+    feq_poly!(lat, order, i, u => poly);
     lat.weights()[i] * rho * poly
 }
 
@@ -126,6 +136,15 @@ pub fn feq_i_consts(k: &EqConsts, third_order: bool, i: usize, rho: f64, u: [f64
         poly += xi * (xi * xi - 3.0 * k.cs2 * u2) * k.inv_6cs6;
     }
     k.w[i] * rho * poly
+}
+
+/// The polynomial of [`feq_i`]: `feq_i = (w_i ρ) · poly_i(u)`, evaluated in
+/// the same operations. A loop that emits the equilibrium of many densities
+/// at one velocity (the diffuse wall rows) hoists it and stays bitwise
+/// [`feq_i`].
+pub fn feq_poly_i(lat: &Lattice, order: EqOrder, i: usize, u: [f64; 3]) -> f64 {
+    feq_poly!(lat, order, i, u => poly);
+    poly
 }
 
 #[cfg(test)]

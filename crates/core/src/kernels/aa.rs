@@ -54,9 +54,15 @@
 //! so bounce-back wall rows are simply *skipped*, and so are masked solid
 //! cells in the scalar body; the vector body's bounce select stores each of
 //! their values back into its own slot.
-//! Moving walls add the per-velocity momentum correction in place; diffuse
-//! walls re-emit the gathered mass as wall equilibrium, identical
-//! arithmetic to [`crate::boundary::BoundarySpec::apply`].
+//! Moving and diffuse wall rows run on the same row view as fluid rows,
+//! with a wall rule per line instead of the pair body: a moving wall adds
+//! the per-velocity momentum correction to each slot in place; a diffuse
+//! wall sums the arriving mass in velocity-index order and re-emits it as
+//! wall equilibrium. Both rules evaluate, lane by lane, the expressions of
+//! [`crate::boundary::BoundarySpec::apply`] with the per-velocity constants
+//! hoisted once per sweep ([`WallLine`]), so every wall row is bitwise the
+//! two-grid transform on either lane instance and on [`Lanes::Scalar`]
+//! alike.
 //!
 //! ## Traffic
 //!
@@ -65,22 +71,21 @@
 //! the resident population memory — see
 //! [`crate::perf::model_bytes_per_cell`].
 
-#[cfg(target_arch = "x86_64")]
-use crate::boundary::SectionMask;
-use crate::boundary::{BoundarySpec, WallKind};
-use crate::equilibrium::{feq_i, EqOrder};
+use crate::boundary::{BoundarySpec, SectionMask, WallKind};
+use crate::equilibrium::{feq_poly_i, EqOrder};
 use crate::field::DistField;
 use crate::index::Dim3;
 use crate::kernels::op::{self, CollideOp, OpConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{tile_pairs, Avx512, Lane, PairConsts, Portable, RowPtrs, GROUP};
+use crate::kernels::op::{
+    tile_pairs, Avx512, Lane, PairConsts, Portable, RowPtrs, Rows, AHEAD, GROUP,
+};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::{self, Lanes};
 use crate::kernels::{KernelCtx, StreamTables, MAX_Q};
 
-/// z-block of the scalar body and of the wall-row gather tile (Q×ZBA
-/// doubles on the stack, ≈20 KiB at D3Q39 — the same working-set budget as
-/// the fused kernel's tile). Vector fluid rows run 64-cell chunks instead.
+/// z-block of the scalar body (its per-cell moment and wall-mass lines on
+/// the stack). Vector rows run 64-cell chunks instead.
 pub(crate) const ZBA: usize = 64;
 
 /// How the odd sweep maps a writer plane `x` to its `±c_x`-shifted
@@ -131,6 +136,94 @@ enum Parity<'a> {
         tables: &'a StreamTables,
         xw: XShift,
     },
+}
+
+/// What the rows of one moving or diffuse wall store, as per-velocity
+/// constants hoisted once per sweep. The vector lines ([`wall_lines`]) and
+/// the scalar blocks ([`store_wall`]) evaluate the same expressions from
+/// them, which are [`BoundarySpec::apply`]'s, so both are bitwise the
+/// two-grid transform.
+enum WallLine {
+    /// `t_i = a_opp(i) + corr_i`, `corr_i = 2 w_i ρ_w (c_i·u_w)/c_s²`.
+    Moving { corr: [f64; MAX_Q] },
+    /// `t_i = (w_i · m) · poly_i`: `m` the arriving mass, summed in
+    /// velocity-index order from zero, and `poly_i` the second-order
+    /// Hermite polynomial at the wall velocity ([`feq_poly_i`]), so `t_i` is
+    /// `feq_i(Second, m, u_w)`. The weights `w_i` are the sweep's
+    /// [`OpConsts::cw`].
+    Diffuse { poly: [f64; MAX_Q] },
+}
+
+impl WallLine {
+    /// The constants of `kind`, or `None` for bounce-back (its rows are
+    /// skipped).
+    fn new(ctx: &KernelCtx, kind: WallKind) -> Option<Self> {
+        fn per_velocity(q: usize, f: impl Fn(usize) -> f64) -> [f64; MAX_Q] {
+            std::array::from_fn(|i| if i < q { f(i) } else { 0.0 })
+        }
+        let lat = &ctx.lat;
+        let q = lat.q();
+        match kind {
+            WallKind::BounceBack => None,
+            WallKind::Moving { u, rho } => {
+                let cs2 = lat.cs2();
+                let corr = per_velocity(q, |i| {
+                    let c = lat.velocities()[i];
+                    let cu = c[0] as f64 * u[0] + c[1] as f64 * u[1] + c[2] as f64 * u[2];
+                    // BoundarySpec::apply's per-cell expression; constant per
+                    // velocity, so hoisting it keeps every bit.
+                    2.0 * lat.weights()[i] * rho * cu / cs2
+                });
+                Some(Self::Moving { corr })
+            }
+            WallKind::Diffuse { u } => Some(Self::Diffuse {
+                poly: per_velocity(q, |i| feq_poly_i(lat, EqOrder::Second, i, u)),
+            }),
+        }
+    }
+}
+
+/// A sweep's wall rows: `layers` rows at each y end, and the line of the
+/// low and of the high wall (`None` for bounce-back).
+struct WallLines {
+    layers: usize,
+    low: Option<WallLine>,
+    high: Option<WallLine>,
+}
+
+/// What a sweep does with one `(x, y)` row.
+#[derive(Clone, Copy)]
+enum RowRule<'a> {
+    /// Collide its fluid cells (masked cells are AA no-ops).
+    Fluid,
+    /// Nothing: a bounce-back row is the identity in both parities.
+    Skip,
+    /// The wall transform.
+    Wall(&'a WallLine),
+}
+
+impl WallLines {
+    /// The wall constants of `bounds`, built once per sweep.
+    fn new(ctx: &KernelCtx, bounds: &BoundarySpec) -> Self {
+        let walls = bounds.walls();
+        Self {
+            layers: walls.map_or(0, |w| w.layers),
+            low: walls.and_then(|w| WallLine::new(ctx, w.low)),
+            high: walls.and_then(|w| WallLine::new(ctx, w.high)),
+        }
+    }
+
+    /// The rule of allocated row `y` of `ny`.
+    fn rule(&self, ny: usize, y: usize) -> RowRule<'_> {
+        let side = if y < self.layers {
+            &self.low
+        } else if y >= ny - self.layers {
+            &self.high
+        } else {
+            return RowRule::Fluid;
+        };
+        side.as_ref().map_or(RowRule::Skip, RowRule::Wall)
+    }
 }
 
 /// Prefetch the next y-row (`row + nz`) of every row of the view. The even
@@ -203,9 +296,9 @@ pub fn even_cells<O: CollideOp>(
 ///
 /// The double-shifted gather rows are software-prefetched (the scatter rows
 /// *are* the gather rows of the opposite velocities, so that covers the
-/// destinations too): the scalar body and wall rows one y-row ahead, the
-/// vector rows from the shared pair body's moment loop, each row
-/// `op::AHEAD` doubles ahead once per 8 cells.
+/// destinations too): the scalar blocks one y-row ahead, the vector rows
+/// from their load loops (the shared pair body's moment loop, the wall
+/// lines' loads), each row `op::AHEAD` doubles ahead once per 8 cells.
 pub fn odd_cells<O: CollideOp>(
     ctx: &KernelCtx,
     tables: &StreamTables,
@@ -262,9 +355,10 @@ pub fn odd_cells_periodic<O: CollideOp>(
 /// its own slots on the even step and, by the writer↦slot bijection (which
 /// holds on the torus exactly as on the open interval), the slots
 /// `(x + c_j, j)` on the odd step — so the slots of different chunks are
-/// disjoint even though the odd step's written *planes* overlap. Fluid rows
-/// run the pair body on `lanes` (checked to run on this CPU), or the scalar
-/// body on [`Lanes::Scalar`].
+/// disjoint even though the odd step's written *planes* overlap. Fluid and
+/// wall rows run the vector lines on `lanes` (checked to run on this CPU),
+/// or the scalar blocks on [`Lanes::Scalar`]; the wall constants are built
+/// here, once per sweep.
 #[allow(clippy::too_many_arguments)]
 fn sweep<O: CollideOp>(
     ctx: &KernelCtx,
@@ -282,6 +376,7 @@ fn sweep<O: CollideOp>(
     let slab_len = f.slab_stride();
     let base = SendPtr(f.as_mut_ptr());
     let oc = OpConsts::new(ctx, &op);
+    let walls = WallLines::new(ctx, bounds);
     x_chunks(x_lo, x_hi, |lo, hi| {
         // SAFETY: `&mut f` is held for the whole sweep; the entry point's
         // bounds check (even range, odd margin or wrap range) keeps every
@@ -294,7 +389,8 @@ fn sweep<O: CollideOp>(
                 slab_len,
                 ctx,
                 &oc,
-                bounds,
+                bounds.mask(),
+                &walls,
                 d,
                 lo,
                 hi,
@@ -319,10 +415,12 @@ fn check_odd_bounds(ctx: &KernelCtx, f: &DistField, x_lo: usize, x_hi: usize) {
 
 /// Raw-pointer sweep of either parity: the body one chunk of [`sweep`]
 /// runs. Per `(x, y)` row it builds the row view (see [`Parity`]); then
-/// bounce-back rows are skipped (the identity in both parities), moving and
-/// diffuse wall rows go through [`store_wall`], and fluid rows through the
-/// pair body's [`fluid_row`] on `lanes`, or on [`Lanes::Scalar`] their
-/// fluid z-runs through [`odd_block_scalar`].
+/// bounce-back rows are skipped (the identity in both parities). On a
+/// vector instance every other row runs [`vector_row`]: fluid rows the pair
+/// body per line ([`fluid_row`]), moving and diffuse wall rows their wall
+/// rule ([`wall_row`]). On [`Lanes::Scalar`] wall rows run in z-blocks
+/// through [`store_wall`], fluid rows their fluid z-runs through
+/// [`odd_block_scalar`].
 ///
 /// # Safety
 /// `base_ptr` must point to `total = q·slab_len` initialised doubles laid
@@ -343,7 +441,8 @@ unsafe fn sweep_raw<O: CollideOp>(
     slab_len: usize,
     ctx: &KernelCtx,
     oc: &OpConsts,
-    bounds: &BoundarySpec,
+    mask: Option<&SectionMask>,
+    walls: &WallLines,
     d: Dim3,
     x_lo: usize,
     x_hi: usize,
@@ -352,7 +451,6 @@ unsafe fn sweep_raw<O: CollideOp>(
 ) {
     let q = ctx.lat.q();
     let nz = d.nz;
-    let mask = bounds.mask();
     let pc = op::pair_body(lanes, oc, q);
     #[cfg(not(target_arch = "x86_64"))]
     let _ = &pc;
@@ -366,14 +464,13 @@ unsafe fn sweep_raw<O: CollideOp>(
         }
     }
     let mut rows = [0usize; MAX_Q];
-    let mut fq = [[0.0f64; ZBA]; MAX_Q]; // wall rows only (O(boundary))
     #[cfg(target_arch = "x86_64")]
     let mut seam = [[0.0f64; 2 * GROUP]; MAX_Q]; // vector seam groups only
 
     for x in x_lo..x_hi {
         for y in 0..d.ny {
-            let wall = bounds.wall_row_kind(d.ny, y);
-            if matches!(wall, Some(WallKind::BounceBack)) {
+            let rule = walls.rule(d.ny, y);
+            if let RowRule::Skip = rule {
                 continue; // AA bounce-back is the identity
             }
             // The row holding `a_i` also receives `t_opp(i)`. On the odd
@@ -393,26 +490,33 @@ unsafe fn sweep_raw<O: CollideOp>(
                 };
                 debug_assert!(*row + nz <= total);
             }
-            // Vector fluid rows: the pair body prefetches from its own
-            // moment loop and selects masked cells into exact AA no-ops.
+            // Vector rows: the pair body and the wall lines prefetch from
+            // their own load loops, and the pair body selects masked cells
+            // into exact AA no-ops.
             #[cfg(target_arch = "x86_64")]
-            if let (None, Some((lanes, pc))) = (wall, &pc) {
+            if let Some((lanes, pc)) = &pc {
                 // SAFETY: every row of the view is inside the allocation per
                 // this function's contract, the CPU runs `lanes` (the pair
                 // table's instance), and the row touches exactly the slots
                 // its writer cells own.
                 unsafe {
-                    match (lanes, ctx.third_order()) {
-                        (Lanes::Avx512, true) => fluid_row_avx512::<true, O>(
+                    match (rule, lanes, ctx.third_order()) {
+                        (RowRule::Wall(line), Lanes::Avx512, _) => {
+                            wall_row_avx512(q, oc, line, base_ptr, &rows, &zrot, nz, &mut seam)
+                        }
+                        (RowRule::Wall(line), _, _) => {
+                            wall_row_avx2(q, oc, line, base_ptr, &rows, &zrot, nz, &mut seam)
+                        }
+                        (_, Lanes::Avx512, true) => fluid_row_avx512::<true, O>(
                             ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
                         ),
-                        (Lanes::Avx512, false) => fluid_row_avx512::<false, O>(
+                        (_, Lanes::Avx512, false) => fluid_row_avx512::<false, O>(
                             ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
                         ),
-                        (_, true) => fluid_row_avx2::<true, O>(
+                        (_, _, true) => fluid_row_avx2::<true, O>(
                             ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
                         ),
-                        (_, false) => fluid_row_avx2::<false, O>(
+                        (_, _, false) => fluid_row_avx2::<false, O>(
                             ctx, oc, pc, base_ptr, &rows, &zrot, nz, mask, y, &mut seam,
                         ),
                     }
@@ -422,7 +526,11 @@ unsafe fn sweep_raw<O: CollideOp>(
             prefetch_rows_ahead(base_ptr, total, &rows[..q], nz);
             // Wall rows transform every cell; fluid rows visit the fluid
             // z-runs (masked solid cells are exact AA no-ops).
-            let runs = if wall.is_some() { None } else { mask };
+            let runs = if matches!(rule, RowRule::Fluid) {
+                mask
+            } else {
+                None
+            };
             let mut zs = 0usize;
             while let Some((run_lo, run_hi)) = op::next_fluid_run(runs, y, nz, &mut zs) {
                 let mut z0 = run_lo;
@@ -441,14 +549,14 @@ unsafe fn sweep_raw<O: CollideOp>(
                     // `[z0, z0 + blk)` does not wrap in z, and the pair
                     // swap touches exactly the slots this writer owns.
                     unsafe {
-                        match wall {
-                            Some(kind) => store_wall(
-                                ctx, kind, oc, base_ptr, &rows, &starts, nz, blk, &mut fq,
-                            ),
-                            None if ctx.third_order() => odd_block_scalar::<true, O>(
+                        match rule {
+                            RowRule::Wall(line) => {
+                                store_wall(q, oc, line, base_ptr, &rows, &starts, nz, blk)
+                            }
+                            _ if ctx.third_order() => odd_block_scalar::<true, O>(
                                 ctx, oc, base_ptr, &rows, &starts, nz, blk,
                             ),
-                            None => odd_block_scalar::<false, O>(
+                            _ => odd_block_scalar::<false, O>(
                                 ctx, oc, base_ptr, &rows, &starts, nz, blk,
                             ),
                         }
@@ -502,75 +610,70 @@ fn rotated_pieces(start: usize, blk: usize, nz: usize) -> [(usize, usize, usize)
 }
 
 /// AA wall transform for one z-block of a moving or diffuse wall row, over
-/// the row view of either parity (bounce-back rows never reach here — they
-/// are exact no-ops). Gathers the arrivals `a_i` from `rows[i]` at rotation
-/// `starts[i]` into `fq`, forms `t_i = a_opp(i) + corr_i` (moving) or
-/// `t_i = feq_i(Σ a)` (diffuse), and stores `t_i` into the row holding
-/// `a_opp(i)` — the swapped local slot on the even view, `A[x+c_i][i]` on
-/// the odd view. Identical per-cell arithmetic to
-/// [`crate::boundary::BoundarySpec::apply`].
+/// the row view of either parity, in place (bounce-back rows never reach
+/// here — they are exact no-ops): the [`Lanes::Scalar`] form of
+/// [`wall_lines`], with the same expressions. Velocity `i`'s arrivals
+/// `a_i` are the `blk` slots of row `rows[i]` from rotation `starts[i]`,
+/// and `t_i` goes to the slots that held `a_opp(i)` — the swapped local slot
+/// on the even view, `A[x+c_i][i]` on the odd view. A moving wall adds
+/// `corr_i` to each slot of row `opp(i)`; a diffuse wall sums the arrivals
+/// of every row per cell in one pass, then stores `(w_i · m) · poly_i`.
+/// Bitwise [`crate::boundary::BoundarySpec::apply`].
 ///
 /// # Safety
 /// As for [`odd_block_scalar`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn store_wall(
-    ctx: &KernelCtx,
-    kind: WallKind,
+    q: usize,
     oc: &OpConsts,
+    line: &WallLine,
     base_ptr: *mut f64,
     rows: &[usize; MAX_Q],
     starts: &[usize; MAX_Q],
     nz: usize,
     blk: usize,
-    fq: &mut [[f64; ZBA]; MAX_Q],
 ) {
-    let q = ctx.lat.q();
-    for (i, line) in fq.iter_mut().enumerate().take(q) {
-        for (r, l, n) in rotated_pieces(starts[i], blk, nz) {
-            // SAFETY: `rows[i] + nz` is inside the allocation, so the piece
-            // `[r, r + n)` lies inside row `i`; `[l, l + n)` lies inside the
-            // line since `blk ≤ ZBA`.
-            unsafe {
-                let src = base_ptr.add(rows[i] + r) as *const f64;
-                std::ptr::copy_nonoverlapping(src, line.as_mut_ptr().add(l), n);
-            }
-        }
-    }
-    // Arriving mass in velocity-index order (matches the two-grid boundary
-    // apply), re-emitted as wall equilibrium.
-    let mut mass = [0.0f64; ZBA];
-    if matches!(kind, WallKind::Diffuse { .. }) {
-        for line in fq.iter().take(q) {
-            for j in 0..blk {
-                mass[j] += line[j];
-            }
-        }
-    }
-    let cs2 = ctx.lat.cs2();
-    let mut t = [0.0f64; ZBA];
-    for (i, c) in ctx.lat.velocities().iter().enumerate().take(q) {
-        let o = oc.opp[i];
-        match kind {
-            WallKind::BounceBack => unreachable!("bounce-back rows are skipped"),
-            WallKind::Moving { u, rho } => {
-                let cu = c[0] as f64 * u[0] + c[1] as f64 * u[1] + c[2] as f64 * u[2];
-                let corr = 2.0 * ctx.lat.weights()[i] * rho * cu / cs2;
-                for j in 0..blk {
-                    t[j] = fq[o][j] + corr;
-                }
-            }
-            WallKind::Diffuse { u } => {
-                for j in 0..blk {
-                    t[j] = feq_i(&ctx.lat, EqOrder::Second, i, mass[j], u);
+    // The slots of velocity `i`'s arrivals, as the one or two pieces of row
+    // `rows[i]` they span, each with the block cell `l` its first slot holds.
+    let pieces = |i: usize| {
+        rotated_pieces(starts[i], blk, nz).map(|(r, l, n)| {
+            // SAFETY: `rows[i] + nz` is inside the allocation per the
+            // contract, so the piece `[r, r + n)` lies inside row `i`. The
+            // two pieces of a row are disjoint (`blk ≤ nz`), and each loop
+            // below holds the pieces of one row at a time.
+            (
+                unsafe { std::slice::from_raw_parts_mut(base_ptr.add(rows[i] + r), n) },
+                l,
+            )
+        })
+    };
+    match line {
+        WallLine::Moving { corr } => {
+            for i in 0..q {
+                for (slots, _) in pieces(oc.opp[i]) {
+                    slots.iter_mut().for_each(|a| *a += corr[i]);
                 }
             }
         }
-        for (r, l, n) in rotated_pieces(starts[o], blk, nz) {
-            // SAFETY: as for the gather, on row `o`; every arrival was read
-            // above, before the first store.
-            unsafe {
-                std::ptr::copy_nonoverlapping(t.as_ptr().add(l), base_ptr.add(rows[o] + r), n)
-            };
+        WallLine::Diffuse { poly } => {
+            // Arriving mass in velocity-index order (matches the two-grid
+            // boundary apply), re-emitted as wall equilibrium once every
+            // arrival of the block has been read.
+            let mut mass = [0.0f64; ZBA];
+            for i in 0..q {
+                for (slots, l) in pieces(i) {
+                    for (m, a) in mass[l..].iter_mut().zip(slots) {
+                        *m += *a;
+                    }
+                }
+            }
+            for i in 0..q {
+                for (slots, l) in pieces(oc.opp[i]) {
+                    for (t, m) in slots.iter_mut().zip(&mass[l..]) {
+                        *t = oc.cw[i][3] * m * poly[i];
+                    }
+                }
+            }
         }
     }
 }
@@ -710,20 +813,21 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
     }
 }
 
-/// The vector fluid row of either parity, on the lane instance `V`: the
-/// row view as [`RowPtrs`] whose `dst(i)` is `src(opp(i))`, the slot that
-/// held `a_opp(i)`, for the ±c pair body the fused and sparse steps share
-/// ([`tile_pairs`]), one 64-cell chunk and one fluid word per call.
-/// Velocity `i` reads cell `z`'s arrival at `(z + zrot[i]) mod nz` of row
-/// `rows[i]`; each `t_i` goes to the slot that held `a_opp(i)`, row
-/// `opp(i)` first, as the scalar body stores. A masked cell clears its
-/// fluid bit and takes the body's bounce select `(t_i, t_o) = (f_o, f_i)`,
-/// which stores every value back into the slot it came from: the AA no-op.
+/// The vector row of either parity: the row view as [`RowPtrs`] whose
+/// `dst(i)` is `src(opp(i))`, the slot that held `a_opp(i)`, handed to the
+/// per-line rule `lines(view, z, groups, fluid)` — the ±c pair body the
+/// fused and sparse steps share on fluid rows ([`fluid_row`]), the wall
+/// rule on wall rows ([`wall_row`]) — one 64-cell chunk and one fluid word
+/// (all ones without `mask`) per call at most. Velocity `i` reads cell
+/// `z`'s arrival at `(z + zrot[i]) mod nz` of row `rows[i]`; each `t_i` goes
+/// to the slot that held `a_opp(i)`. A masked cell clears its fluid bit and
+/// takes the pair body's bounce select `(t_i, t_o) = (f_o, f_i)`, which
+/// stores every value back into the slot it came from: the AA no-op.
 ///
 /// Velocity `i` of the group at `z` loads in place when its window
 /// `t + [0, 8)`, `t = (z + zrot[i]) mod nz`, lies inside the row, as every
 /// full group does on the even view; runs of groups where that holds for
-/// every velocity go to the body in one call. Otherwise (a seam group, or
+/// every velocity go to the rule in one call. Otherwise (a seam group, or
 /// any velocity of a short last group) the window goes through a stack row
 /// of `seam`, which is both `src(i)` and `dst(opp(i))` for the group:
 /// * in a full group of a row of at least 16 cells, the ring of the row's
@@ -737,15 +841,15 @@ unsafe fn odd_block_scalar<const THIRD: bool, O: CollideOp>(
 /// # Safety
 /// Every `rows[i] + nz` must be ≤ the allocation length and every
 /// `zrot[i] < nz`; the caller owns the slots of the row's writer cells
-/// exclusively.
+/// exclusively. `lines` must read and write, per call, at most the 8
+/// doubles at `src(i) + z'` and `dst(i) + z'` of each velocity `i < q` and
+/// each group `z'` it is given (the accesses [`tile_pairs`] makes).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
-    v: V,
-    ctx: &KernelCtx,
+unsafe fn vector_row(
+    q: usize,
     oc: &OpConsts,
-    pc: &PairConsts,
     base_ptr: *mut f64,
     rows: &[usize; MAX_Q],
     zrot: &[usize; MAX_Q],
@@ -753,10 +857,10 @@ unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
     mask: Option<&SectionMask>,
     y: usize,
     seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+    mut lines: impl FnMut(RowPtrs<'_>, usize, usize, u64),
 ) {
-    /// Cells per call of the pair body: one `u64` fluid word.
+    /// Cells per call of the line rule: one `u64` fluid word.
     const CHUNK: usize = u64::BITS as usize;
-    let q = ctx.lat.q();
     // Each rotation's representative in (−nz/2, nz/2], the in-place offset
     // of velocity i's window (`−cz_i` on the odd view of a row longer than
     // 6 cells); any representative reads the same slots while in the row.
@@ -836,20 +940,7 @@ unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
                 }
                 (RowPtrs(&from, &to), 1)
             };
-            // SAFETY: every window of the view is inside its row or a stack
-            // row (see above); `v` proves the instance's features.
-            unsafe {
-                tile_pairs::<V, THIRD, false, O, _>(
-                    v,
-                    ctx,
-                    oc,
-                    pc,
-                    view,
-                    z,
-                    groups,
-                    fluid >> (z - z0),
-                )
-            };
+            lines(view, z, groups, fluid >> (z - z0));
             if !in_place {
                 for i in (0..q).filter(|&i| buffered(i)) {
                     let (row, t0) = (base_ptr.wrapping_add(rows[i]), start(i));
@@ -876,6 +967,118 @@ unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
                 }
             }
             z += groups * GROUP;
+        }
+    }
+}
+
+/// A fluid row on the lane instance `V`: [`vector_row`] with the ±c pair
+/// body per line ([`tile_pairs`]).
+///
+/// # Safety
+/// As for [`vector_row`], less its condition on `lines`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn fluid_row<V: Lane, const THIRD: bool, O: CollideOp>(
+    v: V,
+    ctx: &KernelCtx,
+    oc: &OpConsts,
+    pc: &PairConsts,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
+    nz: usize,
+    mask: Option<&SectionMask>,
+    y: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+) {
+    let q = ctx.lat.q();
+    let pairs = |view: RowPtrs<'_>, z, groups, fluid| {
+        // SAFETY: `vector_row` passes views whose windows lie inside their
+        // rows or stack rows; `v` proves the instance's features.
+        unsafe { tile_pairs::<V, THIRD, false, O, _>(v, ctx, oc, pc, view, z, groups, fluid) }
+    };
+    // SAFETY: this function's contract; the pair body makes the accesses
+    // `vector_row` allows.
+    unsafe { vector_row(q, oc, base_ptr, rows, zrot, nz, mask, y, seam, pairs) }
+}
+
+/// A moving or diffuse wall row on the lane instance `V`: [`vector_row`]
+/// with the wall rule per line ([`wall_lines`]). Wall rows have no masked
+/// cells.
+///
+/// # Safety
+/// As for [`vector_row`], less its condition on `lines`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn wall_row<V: Lane>(
+    v: V,
+    q: usize,
+    oc: &OpConsts,
+    line: &WallLine,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
+    nz: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+) {
+    let walls = |view: RowPtrs<'_>, z, groups, _| {
+        // SAFETY: as for the pair body in `fluid_row`.
+        unsafe { wall_lines(v, q, oc, line, view, z, groups) }
+    };
+    // SAFETY: this function's contract; the wall lines make the accesses
+    // `vector_row` allows.
+    unsafe { vector_row(q, oc, base_ptr, rows, zrot, nz, None, 0, seam, walls) }
+}
+
+/// The wall rule on `groups` lines of a row view from cell `z0`, on the
+/// lane instance `V`. A moving wall stores `a_opp(i) + corr_i` into
+/// `dst(i)`, the slot that held `a_opp(i)`, so each slot is read once and
+/// written once. A diffuse wall sums `m = ((0 + a_0) + a_1) + … + a_{q−1}`
+/// lane-wise in velocity-index order, then stores `(w_i · m) · poly_i` into
+/// every `dst(i)`. Lane by lane these are [`store_wall`]'s expressions, so
+/// both write the bits of [`BoundarySpec::apply`]. The loads touch each
+/// source row [`AHEAD`] doubles ahead, as the pair body's do.
+///
+/// # Safety
+/// As for [`tile_pairs`] on `rows`, without `NT`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn wall_lines<V: Lane>(
+    v: V,
+    q: usize,
+    oc: &OpConsts,
+    line: &WallLine,
+    rows: RowPtrs<'_>,
+    z0: usize,
+    groups: usize,
+) {
+    let load = |i: usize, z: usize| {
+        let p = rows.src(i).wrapping_add(z);
+        op::prefetch(p.wrapping_add(AHEAD));
+        // SAFETY: the caller grants the 8 doubles of every line's `src(i)`.
+        unsafe { v.loadu(p) }
+    };
+    // SAFETY: the caller grants the 8 doubles of every line's `dst(i)`.
+    let store = |i: usize, z: usize, t| unsafe { v.storeu(rows.dst(i).wrapping_add(z), t) };
+    for z in (z0..z0 + groups * GROUP).step_by(GROUP) {
+        match line {
+            WallLine::Moving { corr } => {
+                for i in 0..q {
+                    store(i, z, v.add(load(oc.opp[i], z), v.splat(corr[i])));
+                }
+            }
+            WallLine::Diffuse { poly } => {
+                let w = |i: usize| v.splat(oc.cw[i][3]);
+                let mut m = v.splat(0.0);
+                for i in 0..q {
+                    m = v.add(m, load(i, z));
+                }
+                for i in 0..q {
+                    store(i, z, v.mul(v.mul(w(i), m), v.splat(poly[i])));
+                }
+            }
         }
     }
 }
@@ -932,6 +1135,54 @@ unsafe fn fluid_row_avx512<const THIRD: bool, O: CollideOp>(
     }
 }
 
+/// [`wall_row`] on [`Portable<8>`](Portable).
+///
+/// # Safety
+/// AVX2+FMA must be available, and [`wall_row`]'s contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn wall_row_avx2(
+    q: usize,
+    oc: &OpConsts,
+    line: &WallLine,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
+    nz: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+) {
+    // SAFETY: AVX2+FMA and the row contract per this function's contract.
+    unsafe {
+        let v = Portable::<GROUP>::assume();
+        wall_row(v, q, oc, line, base_ptr, rows, zrot, nz, seam)
+    }
+}
+
+/// [`wall_row`] on [`Avx512`].
+///
+/// # Safety
+/// AVX-512F, AVX2 and FMA must be available, and [`wall_row`]'s contract must hold.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn wall_row_avx512(
+    q: usize,
+    oc: &OpConsts,
+    line: &WallLine,
+    base_ptr: *mut f64,
+    rows: &[usize; MAX_Q],
+    zrot: &[usize; MAX_Q],
+    nz: usize,
+    seam: &mut [[f64; 2 * GROUP]; MAX_Q],
+) {
+    // SAFETY: AVX-512F, AVX2, FMA and the row contract per this function's contract.
+    unsafe {
+        let v = Avx512::assume();
+        wall_row(v, q, oc, line, base_ptr, rows, zrot, nz, seam)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -975,6 +1226,21 @@ mod tests {
             out.slab_mut(i).copy_from_slice(f.slab(o));
         }
         out
+    }
+
+    /// `k` layers of a diffuse wall with a nonzero velocity below and a
+    /// moving wall above.
+    fn test_walls(k: usize) -> ChannelWalls {
+        ChannelWalls {
+            low: WallKind::Diffuse {
+                u: [0.02, 0.0, 0.01],
+            },
+            high: WallKind::Moving {
+                u: [0.03, 0.0, 0.01],
+                rho: 1.0,
+            },
+            layers: k,
+        }
     }
 
     #[test]
@@ -1256,45 +1522,114 @@ mod tests {
 
     #[test]
     fn moving_and_diffuse_walls_match_the_two_grid_transform() {
-        use crate::boundary::WallKind;
-        // even(A) at a moving/diffuse wall row must equal the swapped
-        // BoundarySpec::apply of A, bitwise — at nz = 70 across a z-block
-        // seam.
+        // Every wall cell of a sweep stores, bitwise, BoundarySpec::apply of
+        // its arrivals into the slots its view names: on the even view the
+        // swapped apply of A; on the odd view (torus) the apply of the
+        // gathered arrivals a_i = A[x − c_i][opp(i)], t_i landing in
+        // A[x + c_i][i]. On the scalar blocks and the vector lines of every
+        // instance this CPU runs, serial and on 4 threads; a moving wall and
+        // a diffuse wall with a nonzero velocity (so poly_i ≠ 1), each on
+        // either side, and a diffuse wall at rest; rows of only short and
+        // seam groups (nz 5, 9) and of whole groups across a z-block seam
+        // (70).
+        let lanes: Vec<Lanes> = std::iter::once(Lanes::Scalar)
+            .chain(vector_lanes())
+            .collect();
         for (kind, nz) in [LatticeKind::D3Q19, LatticeKind::D3Q39]
             .into_iter()
-            .flat_map(|kind| [(kind, 9), (kind, 70)])
+            .flat_map(|kind| [(kind, 5), (kind, 9), (kind, 70)])
         {
             let c = ctx(kind);
-            let k = c.lat.reach();
-            let dims = Dim3::new(3, 8, nz);
-            let bounds = BoundarySpec::periodic().with_walls(ChannelWalls {
-                low: WallKind::Diffuse { u: [0.0; 3] },
-                high: WallKind::Moving {
-                    u: [0.03, 0.0, 0.01],
-                    rho: 1.0,
-                },
-                layers: k,
-            });
-            let a0 = random_field(c.lat.q(), dims, 0, 41);
+            let (q, k) = (c.lat.q(), c.lat.reach());
+            let dims = Dim3::new(4, 2 * k + 2, nz);
+            let d = dims; // halo-free: allocated dims are the box
+            let tables = StreamTables::new(dims.ny, nz);
+            let vel = c.lat.velocities();
+            let wrap = |a: usize, s: i32, n: usize| {
+                (a as isize + s as isize).rem_euclid(n as isize) as usize
+            };
+            // Cell (x, y, z) shifted by `sign · c_i`.
+            let at = |i: usize, sign: i32, x: usize, y: usize, z: usize| {
+                let cv = vel[i];
+                d.idx(
+                    wrap(x, sign * cv[0], d.nx),
+                    wrap(y, sign * cv[1], d.ny),
+                    wrap(z, sign * cv[2], d.nz),
+                )
+            };
+            let wall_cells = || {
+                (0..d.nx).flat_map(move |x| {
+                    (0..k)
+                        .chain(d.ny - k..d.ny)
+                        .flat_map(move |y| (0..d.nz).map(move |z| (x, y, z)))
+                })
+            };
+            let w = test_walls(k);
+            let at_rest = WallKind::Diffuse { u: [0.0; 3] };
+            for (low, high) in [(w.low, w.high), (w.high, w.low), (at_rest, w.high)] {
+                let bounds = BoundarySpec::periodic().with_walls(ChannelWalls {
+                    low,
+                    high,
+                    layers: k,
+                });
+                let a0 = random_field(q, dims, 0, 41 + nz as u64);
 
-            let mut two_grid = a0.clone();
-            bounds.apply(&c, &mut two_grid, 0, dims.nx);
+                let mut even_want = a0.clone();
+                bounds.apply(&c, &mut even_want, 0, dims.nx);
+                // The odd view's arrivals, gathered per writer cell, then
+                // transformed.
+                let mut odd_want = a0.clone();
+                for i in 0..q {
+                    for (x, y, z) in (0..d.nx).flat_map(|x| {
+                        (0..d.ny).flat_map(move |y| (0..d.nz).map(move |z| (x, y, z)))
+                    }) {
+                        odd_want.slab_mut(i)[d.idx(x, y, z)] =
+                            a0.slab(c.lat.opposite(i))[at(i, -1, x, y, z)];
+                    }
+                }
+                bounds.apply(&c, &mut odd_want, 0, dims.nx);
 
-            let mut aa = a0.clone();
-            even_cells(&c, &mut aa, 0, dims.nx, PlainBgk, &bounds, false);
-
-            let d = aa.alloc_dims();
-            for i in 0..c.lat.q() {
-                let o = c.lat.opposite(i);
-                for x in 0..dims.nx {
-                    for y in (0..k).chain(dims.ny - k..dims.ny) {
-                        for z in 0..dims.nz {
-                            let lin = d.idx(x, y, z);
-                            assert_eq!(
-                                aa.slab(i)[lin],
-                                two_grid.slab(o)[lin],
-                                "{kind:?} nz={nz} i={i} ({x},{y},{z})"
-                            );
+                for (&l, threads) in lanes.iter().flat_map(|l| [(l, 1), (l, 4)]) {
+                    for odd in [false, true] {
+                        let parity = if odd {
+                            let xw = XShift::Wrap { lo: 0, hi: dims.nx };
+                            Parity::Odd {
+                                tables: &tables,
+                                xw,
+                            }
+                        } else {
+                            Parity::Even
+                        };
+                        let mut f = a0.clone();
+                        let step = |f: &mut DistField| {
+                            sweep(&c, f, 0, dims.nx, parity, PlainBgk, &bounds, l)
+                        };
+                        if threads == 1 {
+                            step(&mut f);
+                        } else {
+                            rayon::ThreadPoolBuilder::new()
+                                .num_threads(threads)
+                                .build()
+                                .unwrap()
+                                .install(|| step(&mut f));
+                        }
+                        for (x, y, z) in wall_cells() {
+                            for i in 0..q {
+                                let o = c.lat.opposite(i);
+                                let (got, want) = if odd {
+                                    let got = f.slab(i)[at(i, 1, x, y, z)];
+                                    (got, odd_want.slab(i)[d.idx(x, y, z)])
+                                } else {
+                                    let lin = d.idx(x, y, z);
+                                    (f.slab(i)[lin], even_want.slab(o)[lin])
+                                };
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{kind:?} nz={nz} low={low:?} {l:?} threads={threads} \
+                                     odd={odd} i={i} ({x},{y},{z}): {got} vs {want}"
+                                );
+                            }
                         }
                     }
                 }
@@ -1699,22 +2034,28 @@ mod tests {
     fn lane_instances_agree_on_aa_sweeps() {
         // Every vector instance this CPU runs writes the same bits, on even
         // and odd (torus and margin) sweeps: rows of only seam and short
-        // groups (nz 4..13), whole groups (64) and both (67, 70), with and
-        // without masked cells, plain and Guo, serial and on 4 threads.
+        // groups (nz 4..13), whole groups (64) and both (67, 70), periodic,
+        // with masked cells and between a diffuse and a moving wall, plain
+        // and Guo, serial and on 4 threads.
         use crate::boundary::SectionMask;
         let lanes = vector_lanes();
         for kind in LatticeKind::ALL {
             let c = ctx(kind);
             let k = c.lat.reach();
             for nz in (4..=13).chain([64, 67, 70]) {
-                let dims = Dim3::new(3, 4, nz);
-                let tables = StreamTables::new(dims.ny, nz);
-                for masked in [false, true] {
-                    let mut bounds = BoundarySpec::periodic();
-                    if masked {
-                        let mask = SectionMask::from_fn(dims.ny, nz, |y, z| (y + 2 * z) % 5 == 0);
-                        bounds = bounds.with_mask(mask);
-                    }
+                for case in ["periodic", "masked", "walled"] {
+                    let ny = if case == "walled" { 2 * k + 2 } else { 4 };
+                    let dims = Dim3::new(3, ny, nz);
+                    let tables = StreamTables::new(ny, nz);
+                    let bounds = match case {
+                        "periodic" => BoundarySpec::periodic(),
+                        "masked" => BoundarySpec::periodic().with_mask(SectionMask::from_fn(
+                            ny,
+                            nz,
+                            |y, z| (y + 2 * z) % 5 == 0,
+                        )),
+                        _ => BoundarySpec::periodic().with_walls(test_walls(k)),
+                    };
                     for (g, threads) in [([0.0; 3], 1), ([2e-5, -1e-5, 3e-5], 4)] {
                         let a0 = random_field(c.lat.q(), dims, k, 31 + nz as u64);
                         let mut first: Option<DistField> = None;
@@ -1723,7 +2064,7 @@ mod tests {
                             with_op!(g, |op| aa_sweeps_on(
                                 &c, &tables, &mut f, dims.nx, op, &bounds, l, threads
                             ));
-                            let case = format!("{kind:?} nz={nz} masked={masked} g={g:?} {l:?}");
+                            let case = format!("{kind:?} nz={nz} {case} g={g:?} {l:?}");
                             assert!(f.max_abs_diff_owned(&a0) > 0.0, "{case}: no change");
                             match &first {
                                 None => first = Some(f),
@@ -1998,16 +2339,17 @@ mod tests {
         // odd step), a sweep must leave every other slot with its NaN bits
         // and every owned slot finite: no pad lane is stored and no write
         // lands past a row end. Rows of nz 7 and 13 are all seam and short
-        // groups, 64 all whole groups, 70 both; with and without masked
-        // cells, serial and split across a pool, on every vector instance
-        // this CPU runs.
+        // groups, 64 all whole groups, 70 both; periodic, with masked cells
+        // and between a diffuse and a moving wall (the wall lines), serial
+        // and split across a pool, on every vector instance this CPU runs.
         use crate::boundary::SectionMask;
         let poison = f64::from_bits(0x7ff8_dead_beef_0001);
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let c = ctx(kind);
             let (q, k) = (c.lat.q(), c.lat.reach());
             for nz in [7, 13, 64, 70] {
-                let dims = Dim3::new(6, 5, nz);
+                // k wall layers per side and 3 fluid rows.
+                let dims = Dim3::new(6, 2 * k + 3, nz);
                 let tables = StreamTables::new(dims.ny, nz);
                 let values = random_field(q, dims, k, 67 + nz as u64);
                 let (d, stride) = (values.alloc_dims(), values.slab_stride());
@@ -2029,12 +2371,15 @@ mod tests {
                             }
                         }
                     }
-                    for masked in [false, true] {
-                        let mut bounds = BoundarySpec::periodic();
-                        if masked {
-                            let mask = SectionMask::from_fn(dims.ny, nz, |y, z| (y + z) % 3 == 0);
-                            bounds = bounds.with_mask(mask);
-                        }
+                    for case in ["periodic", "masked", "walled"] {
+                        let bounds =
+                            match case {
+                                "periodic" => BoundarySpec::periodic(),
+                                "masked" => BoundarySpec::periodic().with_mask(
+                                    SectionMask::from_fn(dims.ny, nz, |y, z| (y + z) % 3 == 0),
+                                ),
+                                _ => BoundarySpec::periodic().with_walls(test_walls(k)),
+                            };
                         for (lanes, threads) in
                             vector_lanes().into_iter().flat_map(|l| [(l, 1), (l, 4)])
                         {
@@ -2073,7 +2418,7 @@ mod tests {
                                     } else {
                                         v.to_bits() == poison.to_bits()
                                     },
-                                    "{kind:?} nz={nz} odd={odd} masked={masked} {lanes:?} \
+                                    "{kind:?} nz={nz} odd={odd} {case} {lanes:?} \
                                      threads={threads} offset {p} (owned: {own}): {v}"
                                 );
                             }
