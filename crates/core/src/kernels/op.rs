@@ -711,7 +711,8 @@ pub(crate) trait Rows: Copy {
 /// tile body is bound by its instruction count, and a table lookup per
 /// access costs it several percent. Not prefetched: the gathered frame is
 /// L1-resident. The output frame is an L1 frame of the sparse AA steps, or
-/// the two-grid step's `dst` frame, streamed to with `NT`.
+/// the two-grid step's `dst` frame, streamed to with `NT` where the step's
+/// fields do not fit in half the last-level cache.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 pub(crate) struct FrameRows(*const f64, *mut f64);
@@ -844,12 +845,13 @@ impl<R: Rows> Rows for MassRows<R> {
 /// With `NT` the stores stream past the cache; each velocity's store of a
 /// line fills its whole cache line. The sparse AA steps run the body on
 /// their frames ([`frame_pairs`]), the sparse two-grid step from its
-/// gathered frame straight into `dst` (`NT`, [`FrameRows`]), the dense
-/// fused step on shifted source rows straight into `dst`, the AA sweep in
-/// place (its `dst(i)` is `src(opp(i))`, so each solid lane's select stores
-/// every value back into the slot it came from), and the split collide of
-/// the `Simd` rung in place on slab rows, `dst(i) = src(i)`, keeping solid
-/// lanes.
+/// gathered frame straight into `dst` ([`FrameRows`]; `NT` where its fields
+/// do not fit in half the last-level cache, [`frame_pairs`] where they do),
+/// the dense fused step on shifted source rows straight into `dst`, the AA
+/// sweep in place (its `dst(i)` is `src(opp(i))`, so each solid lane's
+/// select stores every value back into the slot it came from), and the
+/// split collide of the `Simd` rung in place on slab rows,
+/// `dst(i) = src(i)`, keeping solid lanes.
 ///
 /// # Safety
 /// For every velocity `i < q` and group, the 8 doubles at `rows.src(i) + z`

@@ -85,6 +85,31 @@ pub fn lanes() -> Lanes {
     }
 }
 
+/// The host's last-level cache in bytes, read once: the largest `size`
+/// under `/sys/devices/system/cpu/cpu0/cache/*/`. `None` where sysfs does
+/// not say.
+pub fn llc_bytes() -> Option<u64> {
+    static LLC: std::sync::OnceLock<Option<u64>> = std::sync::OnceLock::new();
+    *LLC.get_or_init(|| {
+        let dir = std::fs::read_dir("/sys/devices/system/cpu/cpu0/cache").ok()?;
+        dir.flatten()
+            .filter_map(|e| parse_cache_size(&std::fs::read_to_string(e.path().join("size")).ok()?))
+            .max()
+    })
+}
+
+/// Parse a sysfs cache size such as `48K`, `307200K` or `260M`.
+fn parse_cache_size(s: &str) -> Option<u64> {
+    let s = s.trim();
+    let (digits, mult) = match s.as_bytes().last()? {
+        b'K' => (&s[..s.len() - 1], 1 << 10),
+        b'M' => (&s[..s.len() - 1], 1 << 20),
+        b'G' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
+    };
+    digits.parse::<u64>().ok()?.checked_mul(mult)
+}
+
 /// True when the vectorized path is available on this CPU.
 pub fn simd_available() -> bool {
     lanes() != Lanes::Scalar
@@ -823,5 +848,18 @@ mod tests {
         assert_eq!(simd_available(), simd_available());
         assert_eq!(lanes(), lanes());
         assert_eq!(simd_available(), lanes() >= Lanes::Avx2);
+    }
+
+    #[test]
+    fn cache_sizes_parse_as_sysfs_writes_them() {
+        assert_eq!(parse_cache_size("307200K\n"), Some(307_200 << 10));
+        assert_eq!(parse_cache_size("48K"), Some(48 << 10));
+        assert_eq!(parse_cache_size("260M"), Some(260 << 20));
+        assert_eq!(parse_cache_size("2G"), Some(2 << 30));
+        assert_eq!(parse_cache_size("512"), Some(512));
+        for garbage in ["", "\n", "K", "12Q", "4.5M", "-48K", "M48", "17179869184G"] {
+            assert_eq!(parse_cache_size(garbage), None, "{garbage:?}");
+        }
+        assert_eq!(llc_bytes(), llc_bytes());
     }
 }

@@ -28,9 +28,12 @@
 //! That reassociates the arithmetic, so — like the dense `Simd` rung — it
 //! agrees with the scalar body within re-rounding (fluid cells; the
 //! bounce-back of solid cells is a copy and stays bitwise). The two-grid
-//! step runs it with streaming stores into `dst`, the AA steps into an L1
-//! frame (`op::frame_pairs`); the per-line arithmetic is the same, so
-//! both produce the same bits.
+//! step runs it straight into `dst`: with streaming stores where its two
+//! fields do not fit in half the last-level cache, with plain stores
+//! (`op::frame_pairs`, the body the AA steps run into an L1 frame) where
+//! they do, so that a cache-resident `dst` is still cached when the next
+//! step reads it as `src` ([`streams`]). The per-line arithmetic is the
+//! same, so both stores write the same bits.
 //!
 //! The in-place AA steps work on one frame per tile. The even step collides
 //! each tile in place; the odd step gathers on the same z-line windows with
@@ -305,9 +308,12 @@ impl GatherTable {
 /// One sparse step `dst ← collide(bounce(pull(src)))` over the owned tiles
 /// of `tiles`. `g` selects plain BGK (`[0; 3]`) or Guo forcing; `use_simd`
 /// opts into the vector pair body (within re-rounding of the scalar one,
-/// see module docs) when the host supports it. Inside a pool the owned tiles
-/// are split into disjoint contiguous chunks — bitwise equal, because every
-/// tile reads only `src` and writes only its own `dst` frame.
+/// see module docs) when the host supports it. The vector body streams
+/// `dst` past the cache only where the two fields do not fit in half the
+/// last-level cache ([`streams`]); either store writes the same bits. Inside
+/// a pool the owned tiles are split into disjoint contiguous chunks —
+/// bitwise equal, because every tile reads only `src` and writes only its
+/// own `dst` frame.
 pub fn step(
     ctx: &KernelCtx,
     tiles: &SparseTiles,
@@ -318,9 +324,30 @@ pub fn step(
     use_simd: bool,
 ) {
     let lanes = simd::lanes_for(use_simd);
-    with_op!(g, |op| step_with(ctx, tiles, gt, src, dst, op, lanes));
+    let stream = streams(
+        src.resident_bytes() + dst.resident_bytes(),
+        simd::llc_bytes(),
+    );
+    with_op!(g, |op| step_with(
+        ctx, tiles, gt, src, dst, op, lanes, stream
+    ));
 }
 
+/// Whether the two-grid step's vector body stores `dst` past the cache: when
+/// its two fields, `bytes` together, exceed half the last-level cache `llc`,
+/// or `llc` is unknown. Below that the next step's `src` is this step's
+/// `dst`, and plain stores leave it in the cache, where streaming stores
+/// would evict it to DRAM; above it the fields cycle through DRAM anyway and
+/// streaming saves the read-for-ownership of every `dst` line. Half, not
+/// all, of the cache: on a 300 MiB L3, plain stores won up to 246 MiB of
+/// fields, tied at 296 MiB and lost at 394 MiB.
+pub(crate) fn streams(bytes: u64, llc: Option<u64>) -> bool {
+    llc.is_none_or(|llc| bytes > llc / 2)
+}
+
+/// [`step`] on the lane instance `lanes`, storing `dst` with streaming
+/// stores where `stream` and plain ones otherwise (the vector body; the
+/// scalar one always stores plainly).
 #[allow(clippy::too_many_arguments)]
 fn step_with<O: CollideOp>(
     ctx: &KernelCtx,
@@ -330,6 +357,7 @@ fn step_with<O: CollideOp>(
     dst: &mut SparseField,
     op: O,
     lanes: Lanes,
+    stream: bool,
 ) {
     let q = ctx.lat.q();
     assert_eq!(src.q(), q, "src q mismatch");
@@ -339,10 +367,12 @@ fn step_with<O: CollideOp>(
     assert_eq!(gt.q, q, "gather table lattice mismatch");
     let oc = OpConsts::new(ctx, &op);
     let pc = pair_table(lanes, &oc, q);
+    // Only the vector body streams.
+    let stream = stream && pc.is_some();
     if ctx.third_order() {
-        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref());
+        step_impl::<true, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref(), stream);
     } else {
-        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref());
+        step_impl::<false, O>(ctx, tiles, gt, src, dst, &oc, pc.as_ref(), stream);
     }
 }
 
@@ -355,6 +385,7 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     dst: &mut SparseField,
     oc: &OpConsts,
     pc: Option<&(Lanes, PairConsts)>,
+    stream: bool,
 ) {
     let frame = dst.frame_len();
     let total = dst.as_slice().len();
@@ -371,18 +402,19 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
     // The owned tiles run in packed (z-local) order: the next tile mostly
     // reads source lines the current one already brought in. A tile is
     // gathered into the L1-resident `buf` and collided from there straight
-    // into its `dst` frame.
-    let run = move |list: &[usize]| {
+    // into its `dst` frame. Each task runs one contiguous range of them.
+    let run = move |lo: usize, hi: usize| {
         let mut buf = GatherFrame([0.0; MAX_Q * TILE_CELLS]);
-        for (idx, &t) in list.iter().enumerate() {
-            if let Some(&t_next) = list.get(idx + 1) {
-                prefetch_tile_sources(src_data, &gt.pull, tiles, t_next, frame);
+        for t in lo..hi {
+            if t + 1 < hi {
+                prefetch_tile_sources(src_data, &gt.pull, tiles, t + 1, frame);
             }
             let (nbrs, fluid) = (&tiles.neighbors[t], tiles.tiles[t].fluid);
             pull_collide::<THIRD, O>(
                 ctx,
                 oc,
                 pc,
+                stream,
                 gt,
                 nbrs,
                 src_data,
@@ -391,12 +423,12 @@ fn step_impl<const THIRD: bool, O: CollideOp>(
                 dst_frame(t),
             );
         }
-        // The vector body's streaming stores are weakly ordered.
-        sfence();
+        // Streaming stores are weakly ordered; plain ones need no fence.
+        if stream {
+            sfence();
+        }
     };
-
-    let owned: Vec<usize> = (0..tiles.owned_tiles).collect();
-    drive_tiles(&owned, run);
+    x_chunks(0, tiles.owned_tiles, run);
 }
 
 /// The vector tile body's instance and ±c pair table, or `None` where the
@@ -609,16 +641,19 @@ unsafe fn gather_lines_avx2(
 
 /// Pull-stream tile `nbrs` into the L1 frame `buf` and collide it straight
 /// into its `dst` frame `to` — the two-grid step's whole per-tile work.
-/// With a pair table: the AVX2 gather, then the pair body on its instance
-/// with streaming stores, so that every velocity fills one whole cache line
-/// of `to` per group ([`nt_pairs`]). Otherwise the portable gather and the
-/// scalar body, with plain stores.
+/// With a pair table: the AVX2 gather, then the pair body on its instance,
+/// with streaming stores where `stream`, so that every velocity fills one
+/// whole cache line of `to` per group ([`nt_pairs`]), and with plain stores
+/// otherwise ([`frame_pairs`](op::frame_pairs), the AA steps' body). Either
+/// way the stored bits are the same. Without one, the portable gather and
+/// the scalar body, with plain stores.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn pull_collide<const THIRD: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: Option<&(Lanes, PairConsts)>,
+    stream: bool,
     gt: &GatherTable,
     nbrs: &[i32; TILE_NEIGHBORS],
     src: &[f64],
@@ -642,21 +677,26 @@ fn pull_collide<const THIRD: bool, O: CollideOp>(
         // (asserted).
         unsafe {
             gather_lines_avx2(q, gt, nbrs, src, buf);
-            match lanes {
-                Lanes::Avx512 => nt_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
-                _ => nt_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
+            match (lanes, stream) {
+                (Lanes::Avx512, true) => nt_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
+                (_, true) => nt_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
+                (Lanes::Avx512, false) => {
+                    frame_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, to)
+                }
+                (_, false) => frame_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
             }
         }
         return;
     }
-    let _ = pc;
+    let _ = (pc, stream);
     gather_lines(q, gt, &gt.pull, nbrs, src, buf);
     tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, buf, to);
 }
 
-/// The two-grid step's vector tile body on the lane instance `V`: the pair
-/// body from the gathered frame `buf` straight into the `dst` frame `to`
-/// with streaming stores ([`FrameRows`], `NT`).
+/// The two-grid step's streaming vector tile body on the lane instance `V`:
+/// the pair body from the gathered frame `buf` straight into the `dst` frame
+/// `to` with streaming stores ([`FrameRows`], `NT`). Its plain-store twin is
+/// [`frame_pairs`](op::frame_pairs).
 ///
 /// # Safety
 /// `buf` and `to` must hold `q·64` doubles, and `to` must start at the
@@ -2336,7 +2376,8 @@ mod tests {
         assert_eq!(shifts, [true; TILE_B], "window shifts exercised");
     }
 
-    /// One step into `out`, serial or on [`test_pool`].
+    /// One step into `out` on `lanes`, streaming `dst` where `stream`,
+    /// serial or on [`test_pool`].
     #[allow(clippy::too_many_arguments)]
     fn step_on(
         par: bool,
@@ -2346,12 +2387,14 @@ mod tests {
         f: &SparseField,
         out: &mut SparseField,
         g: [f64; 3],
-        simd: bool,
+        lanes: Lanes,
+        stream: bool,
     ) {
+        let mut run = || with_op!(g, |op| step_with(ctx, tiles, gt, f, out, op, lanes, stream));
         if par {
-            test_pool().install(|| step(ctx, tiles, gt, f, out, g, simd));
+            test_pool().install(run);
         } else {
-            step(ctx, tiles, gt, f, out, g, simd);
+            run();
         }
     }
 
@@ -2385,7 +2428,7 @@ mod tests {
                             let mut aa = f.clone();
                             let mut run = || {
                                 with_op!(g, |op| {
-                                    step_with(&ctx, &tiles, &gt, &f, &mut two_grid, op, l);
+                                    step_with(&ctx, &tiles, &gt, &f, &mut two_grid, op, l, true);
                                     aa_even_with(&ctx, &tiles, &mut aa, op, l);
                                     aa_odd_with(&ctx, &tiles, &gt, &mut aa, op, l);
                                 })
@@ -2429,7 +2472,8 @@ mod tests {
         // The composition the step ran before streaming into `dst` — the
         // per-cell walk into an L1 frame, then `frame_pairs_avx2` into a
         // second L1 frame — is the oracle of its vector gather and streamed
-        // body, bit for bit.
+        // body, bit for bit. (The plain-store body is the streamed one's
+        // twin: `streaming_and_plain_stores_are_bitwise_equal`.)
         if !simd::simd_available() {
             return;
         }
@@ -2442,7 +2486,7 @@ mod tests {
                 for g in FORCES {
                     for par in [false, true] {
                         out.as_mut_slice().fill(f64::NAN);
-                        step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, true);
+                        step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, simd::lanes(), true);
                         for t in 0..tiles.owned_tiles {
                             gather_tile(q, &gt, &tiles.neighbors[t], f.as_slice(), &mut buf);
                             let fluid = tiles.tiles[t].fluid;
@@ -2463,10 +2507,83 @@ mod tests {
     }
 
     #[test]
+    fn step_streams_only_past_half_the_llc() {
+        const MIB: u64 = 1 << 20;
+        // Unknown cache: stream, whatever the size.
+        assert!(streams(0, None));
+        assert!(streams(99 * MIB, None));
+        // A 300 MiB L3: up to 150 MiB of fields store plainly.
+        let llc = Some(300 * MIB);
+        assert!(!streams(0, llc));
+        assert!(!streams(99 * MIB, llc));
+        assert!(!streams(150 * MIB, llc));
+        assert!(streams(150 * MIB + 1, llc));
+        assert!(streams(394 * MIB, llc));
+        // An odd size halves down.
+        assert!(!streams(2, Some(5)));
+        assert!(streams(3, Some(5)));
+    }
+
+    #[test]
+    fn streaming_and_plain_stores_are_bitwise_equal() {
+        // The vector body's two stores into `dst` write the same bits. Every
+        // test field is far below half the last-level cache, so `step` runs
+        // the plain one everywhere else in the suite. Every vector instance
+        // this CPU runs, plain and Guo, serial and pooled, on a pipe
+        // (partial tiles) and an all-fluid box (full tiles only).
+        let [pipe, ..] = geometries();
+        let full = Dim3 {
+            nx: 8,
+            ny: 8,
+            nz: 12,
+        };
+        let full = Geometry::from_fn(full, |_, _, _| true).unwrap();
+        for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
+            let ctx = ctx_for(kind);
+            let q = ctx.lat.q();
+            for (geom, partial) in [(&pipe, true), (&full, false)] {
+                let (tiles, gt, f, _) = sparse_setup(&ctx, geom);
+                let masks = tiles.tiles[..tiles.owned_tiles].iter().map(|t| t.fluid);
+                assert_eq!(
+                    masks.clone().any(|m| m != 0 && m != u64::MAX),
+                    partial,
+                    "{kind:?} {:?}: partial tiles",
+                    geom.dims()
+                );
+                for l in simd::vector_lanes() {
+                    for g in FORCES {
+                        for par in [false, true] {
+                            let [streamed, plain] = [true, false].map(|stream| {
+                                let mut out = SparseField::new(q, tiles.tile_count()).unwrap();
+                                out.as_mut_slice().fill(f64::NAN);
+                                step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, l, stream);
+                                out
+                            });
+                            let name =
+                                format!("{kind:?} {:?} {l:?} g={g:?} par {par}", geom.dims());
+                            for (k, (a, b)) in
+                                streamed.as_slice().iter().zip(plain.as_slice()).enumerate()
+                            {
+                                assert!(!b.is_nan(), "{name} slot {k} unwritten");
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "{name} slot {k}: streamed {a} vs plain {b}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn two_grid_step_writes_every_owned_frame_and_no_ghost_frame() {
         // A NaN-poisoned `dst` on a ghosted build: the scalar body and every
-        // vector instance this CPU runs, serial and pooled, overwrite every
-        // owned slot and leave every ghost tile's frame bitwise as it was.
+        // vector instance this CPU runs, with either store, serial and
+        // pooled, overwrite every owned slot and leave every ghost tile's
+        // frame bitwise as it was.
         let poison = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
         for kind in [LatticeKind::D3Q19, LatticeKind::D3Q39] {
             let ctx = ctx_for(kind);
@@ -2485,21 +2602,14 @@ mod tests {
                     .into_iter()
                     .flat_map(|l| [(l, false), (l, true)])
                 {
-                    for g in FORCES {
+                    for (g, stream) in FORCES.into_iter().flat_map(|g| [(g, true), (g, false)]) {
                         let mut out = SparseField::new(q, tiles.tile_count()).unwrap();
                         out.as_mut_slice().fill(poison);
-                        let mut step = || {
-                            with_op!(g, |op| step_with(
-                                &ctx, &tiles, &gt, &f, &mut out, op, lanes
-                            ))
-                        };
-                        if par {
-                            test_pool().install(step);
-                        } else {
-                            step();
-                        }
-                        let name =
-                            format!("{kind:?} {:?} {lanes:?} par {par} g={g:?}", geom.dims());
+                        step_on(par, &ctx, &tiles, &gt, &f, &mut out, g, lanes, stream);
+                        let name = format!(
+                            "{kind:?} {:?} {lanes:?} stream {stream} par {par} g={g:?}",
+                            geom.dims()
+                        );
                         for t in 0..tiles.tile_count() {
                             for (k, v) in out.frame(t).iter().enumerate() {
                                 if t < tiles.owned_tiles {
