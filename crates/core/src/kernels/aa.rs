@@ -2314,9 +2314,9 @@ mod tests {
                     // SAFETY: the caller checked AVX2+FMA.
                     unsafe {
                         if c.third_order() {
-                            frame_pairs_avx2::<true, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                            frame_pairs_avx2::<true, false, O>(c, &oc, &pc, fluid, &buf, &mut out);
                         } else {
-                            frame_pairs_avx2::<false, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                            frame_pairs_avx2::<false, false, O>(c, &oc, &pc, fluid, &buf, &mut out);
                         }
                     }
                     for j in (0..n).filter(|&j| fluid >> j & 1 == 1) {

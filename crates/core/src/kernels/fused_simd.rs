@@ -16,13 +16,14 @@
 //!   row `op::AHEAD` doubles (4 lines) past each 8-cell group: Q streams are
 //!   more than the hardware prefetcher follows. Past a row's end the touch
 //!   lands on the next y-row, which is read next.
-//! * **Stores** — 8 cells at a time, so every velocity row of a group is one
-//!   whole 64-byte line of `dst`, written with one 8-lane or two
-//!   back-to-back 4-lane streaming stores and no read-for-ownership: `2·Q·8` bytes/cell is what reaches
-//!   DRAM. When `nz` is not a multiple of 8 the rows are not line-aligned;
-//!   such rows collide 64 cells at a time into a stack frame that goes to
-//!   `dst` as one non-temporal row copy per velocity. Each chunk of the
-//!   sweep ends with one `sfence`.
+//! * **Stores** — 8 cells at a time, straight into `dst`. When `nz` is a
+//!   multiple of 8 every row starts on a cache line, so every velocity row
+//!   of a group is one whole 64-byte line of `dst`, written with one 8-lane
+//!   streaming store and no read-for-ownership: `2·Q·8` bytes/cell is what
+//!   reaches DRAM. Other rows store plainly; their short last group
+//!   (`nz mod 8` cells) is collided into an 8-lane stack buffer whose valid
+//!   lanes are copied to `dst`. Each chunk of the sweep ends with one
+//!   `sfence`.
 //! * **Mass** — [`stream_collide_cells_mass`] runs the body's `MASS`
 //!   instantiation, which also copies each stored line into an L1 frame
 //!   and sums it per cell, so one serial pass returns the owned mass
@@ -302,7 +303,7 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
 ) -> f64 {
     use crate::kernels::fused::ZBF;
     use crate::kernels::op::{tile_pairs, LineFrame, OpConsts, PairConsts, RowPtrs, GROUP};
-    use crate::kernels::simd::{sfence, stream_frame};
+    use crate::kernels::simd::sfence;
     use crate::kernels::MAX_Q;
 
     /// Cells per call of the pair body: one `u64` fluid word.
@@ -323,8 +324,7 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
     let pc = PairConsts::new(&oc, q);
 
     // Rows start on a cache line when `nz` is a whole number of groups: the
-    // body then streams straight into `dst`. Otherwise it collides into
-    // `frame`, which is streamed out row by row.
+    // body then streams into `dst`. Otherwise it stores plainly.
     let direct = nz.is_multiple_of(GROUP)
         && slab_len.is_multiple_of(GROUP)
         && (dst_ptr as usize).is_multiple_of(64);
@@ -336,11 +336,11 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
         .map(|t| (t as isize - k as isize).rem_euclid(nz as isize) as usize)
         .collect();
 
-    // Wall-row gather tile, the collided chunk of an unaligned row, and the
-    // seam groups' wrapped arrivals; all stay cache-hot.
+    // Wall-row gather tile, the seam groups' wrapped arrivals and the short
+    // last group's stores; all stay cache-hot.
     let mut fq = [[0.0f64; ZBF]; MAX_Q];
-    let mut frame = [[0.0f64; CHUNK]; MAX_Q];
     let mut seam = [[0.0f64; GROUP]; MAX_Q];
+    let mut tail = [[0.0f64; GROUP]; MAX_Q];
     // The source rows of a seam group: in place or in `seam`.
     let mut seam_from: [*const f64; MAX_Q];
     // `MASS`: the line frame, the densities of a chunk's cells (cell z0 + j
@@ -351,9 +351,11 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
 
     // SAFETY: source rows are `row_off[i] + [0, nz)` inside `src_data`; the
     // body reads `sp[i] + z + [0, 8)` only where that window lies inside the
-    // row, and everything else from `seam`. It writes `dp[i] + [0, nz)`
-    // — row (x, y) of slab i, within `total` (debug-asserted) and in plane
-    // x ∈ [x_lo, x_hi), which the caller grants exclusively — or `frame`.
+    // row, and everything else from `seam`. It writes `dp[i] + z + [0, 8)`
+    // for z + 8 ≤ nz — inside row (x, y) of slab i, within `total`
+    // (debug-asserted) and in plane x ∈ [x_lo, x_hi), which the caller
+    // grants exclusively — and the short last group into `tail`, whose
+    // `nz mod 8` valid lanes are then copied to the end of the row.
     // `direct` rows are 64-byte aligned, as the streaming stores of either
     // lane instance need; `v` proves the instance's features. A `MASS` line
     // at z also writes `line` and `rho[z − z0 + [0, 8)]`, inside `rho`: a
@@ -430,11 +432,6 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
                             .fold(u64::MAX, |bits, j| bits & !(1 << j))
                     });
                     let mut out = dp;
-                    if !direct {
-                        for i in 0..q {
-                            out[i] = frame[i].as_mut_ptr().wrapping_sub(z0);
-                        }
-                    }
                     let mut z = z0;
                     while z < z0 + n {
                         let (from, groups) = if interior(z) {
@@ -451,6 +448,14 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
                             // in place.
                             let lanes = (nz - z).min(GROUP);
                             seam_from = sp;
+                            if lanes < GROUP {
+                                // The short last group stores into `tail`;
+                                // its valid lanes go to `dst` after the
+                                // chunk's groups.
+                                for i in 0..q {
+                                    out[i] = tail[i].as_mut_ptr().wrapping_sub(z);
+                                }
+                            }
                             for i in 0..q {
                                 let cz = vel[i][2] as isize;
                                 let s = z as isize - cz;
@@ -494,9 +499,14 @@ unsafe fn fused_rows<V: Lane, const THIRD: bool, const MASS: bool, O: CollideOp>
                         }
                         z += groups * GROUP;
                     }
-                    if !direct {
-                        for (row, &to) in frame.iter().zip(&dp).take(q) {
-                            stream_frame(&row[..n], std::slice::from_raw_parts_mut(to.add(z0), n));
+                    let short = n % GROUP;
+                    if short > 0 {
+                        for i in 0..q {
+                            std::ptr::copy_nonoverlapping(
+                                tail[i].as_ptr(),
+                                dp[i].add(nz - short),
+                                short,
+                            );
                         }
                     }
                     if fold {
@@ -708,9 +718,9 @@ mod tests {
         // groups with pad lanes, rows made only of seam groups, rows of
         // whole 8-cell groups streamed straight into `dst` (nz 8, 48, 64,
         // 96, 128), several 64-cell chunks and unaligned rows (odd nz)
-        // under the streamed copy-out. Fluid cells agree with scalar fused
-        // within re-rounding; wall rows and masked cells are
-        // copies/transforms of the same arrivals, so they are bitwise. And
+        // stored plainly. Fluid cells agree with scalar fused within
+        // re-rounding; wall rows and masked cells are copies/transforms of
+        // the same arrivals, so they are bitwise. And
         // the whole output is bitwise the scalar-pulled rows run through
         // the pair body's frame-row instantiation.
         if !simd::simd_available() {
@@ -853,9 +863,9 @@ mod tests {
                     // hold q·64 doubles, as the frame body asserts.
                     unsafe {
                         if c.third_order() {
-                            frame_pairs_avx2::<true, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                            frame_pairs_avx2::<true, false, O>(c, &oc, &pc, fluid, &buf, &mut out);
                         } else {
-                            frame_pairs_avx2::<false, O>(c, &oc, &pc, fluid, &buf, &mut out);
+                            frame_pairs_avx2::<false, false, O>(c, &oc, &pc, fluid, &buf, &mut out);
                         }
                     }
                     for i in 0..q {
@@ -878,13 +888,15 @@ mod tests {
 
     #[test]
     fn fused_simd_streamed_stores_stay_inside_the_swept_planes() {
-        // The vector pass writes `dst` through raw streaming stores: with
-        // all of `dst` NaN-poisoned, one step on [x_lo, x_hi) must leave
-        // every value outside those planes (halo planes and slab pads
-        // included) with its NaN bits and every value inside finite — on
-        // line-aligned rows (nz = 96) and unaligned ones (nz = 13), with and
-        // without masked cells, serial and split across a pool, on every
-        // vector instance this CPU runs.
+        // The vector pass writes `dst` through raw stores: with all of
+        // `dst` NaN-poisoned, one step on [x_lo, x_hi) must leave every
+        // value outside those planes (halo planes and slab pads included)
+        // with its NaN bits and every value inside finite — on line-aligned
+        // rows (nz = 96, streamed) and unaligned ones stored plainly with a
+        // short last group (nz = 13; nz = 44, whose rows alternate between
+        // starting on a line and 32 bytes into one, with a 4-cell tail),
+        // with and without masked cells, serial and split across a pool, on
+        // every vector instance this CPU runs.
         let poison = f64::from_bits(0x7ff8_dead_beef_0001);
         for (kind, order) in [
             (LatticeKind::D3Q19, EqOrder::Second),
@@ -892,7 +904,7 @@ mod tests {
         ] {
             let c = ctx(kind, order);
             let (q, k) = (c.lat.q(), c.lat.reach());
-            for nz in [13, 96] {
+            for nz in [13, 44, 96] {
                 let dims = Dim3::new(6, 5, nz);
                 let src = random_field(q, dims, k, 61);
                 let tables = StreamTables::new(dims.ny, nz);
@@ -944,9 +956,9 @@ mod tests {
     fn lane_instances_agree_on_the_fused_step() {
         // Every vector instance this CPU runs writes the same bits: single
         // cells, short last groups, seam-only rows, rows streamed straight
-        // into `dst` (nz 64, 96) and unaligned rows under the streamed
-        // copy-out (67), with masked cells and wall rows, plain and Guo,
-        // serial and on 4 threads.
+        // into `dst` (nz 64, 96) and unaligned rows stored plainly (44, 67),
+        // with masked cells and wall rows, plain and Guo, serial and on 4
+        // threads.
         let ny = 5;
         for kind in LatticeKind::ALL {
             let order = if kind == LatticeKind::D3Q39 {
@@ -956,7 +968,7 @@ mod tests {
             };
             let c = ctx(kind, order);
             let k = c.lat.reach();
-            for nz in [1, 3, 8, 13, 64, 67, 96] {
+            for nz in [1, 3, 8, 13, 44, 64, 67, 96] {
                 let dims = Dim3::new(3, ny, nz);
                 let tables = StreamTables::new(ny, nz.max(4));
                 let src = random_field(c.lat.q(), dims, k, 53 + nz as u64);
@@ -1010,8 +1022,8 @@ mod tests {
         // The `MASS` instantiation writes the field the plain pass writes
         // and returns its owned mass with `owned_mass`'s bits: every
         // lattice; single cells, short groups, seam-only rows, rows
-        // streamed straight into `dst` (8, 64) and unaligned rows under the
-        // copy-out (13, 67, 70); no mask, mixed lanes and all-solid lines;
+        // streamed straight into `dst` (8, 64) and unaligned rows stored
+        // plainly (13, 44, 67, 70); no mask, mixed lanes and all-solid lines;
         // bounce-back, moving and diffuse wall rows; plain and Guo; swept
         // over exactly the owned planes and over ghost planes on both sides;
         // on every vector instance. Inside a pool, or where the sweep leaves
@@ -1034,7 +1046,7 @@ mod tests {
                 },
                 layers: k,
             };
-            for nz in [1, 3, 8, 13, 64, 67, 70] {
+            for nz in [1, 3, 8, 13, 44, 64, 67, 70] {
                 let dims = Dim3::new(3, ny, nz);
                 let tables = StreamTables::new(ny, nz.max(4));
                 let src = random_field(q, dims, 2 * k, 71 + nz as u64);

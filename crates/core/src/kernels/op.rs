@@ -718,15 +718,6 @@ pub(crate) trait Rows: Copy {
 pub(crate) struct FrameRows(*const f64, *mut f64);
 
 #[cfg(target_arch = "x86_64")]
-impl FrameRows {
-    /// The rows of the gathered frame `buf` and of the output frame `out`.
-    /// Taking the pointers is safe; the body's caller vouches for them.
-    pub(crate) fn new(buf: &[f64], out: &mut [f64]) -> Self {
-        Self(buf.as_ptr(), out.as_mut_ptr())
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 impl Rows for FrameRows {
     const PREFETCH: bool = false;
 
@@ -843,14 +834,14 @@ impl<R: Rows> Rows for MassRows<R> {
 /// densities, summed from the stored values in index order.
 ///
 /// With `NT` the stores stream past the cache; each velocity's store of a
-/// line fills its whole cache line. The sparse AA steps run the body on
-/// their frames ([`frame_pairs`]), the sparse two-grid step from its
-/// gathered frame straight into `dst` ([`FrameRows`]; `NT` where its fields
-/// do not fit in half the last-level cache, [`frame_pairs`] where they do),
-/// the dense fused step on shifted source rows straight into `dst`, the AA
-/// sweep in place (its `dst(i)` is `src(opp(i))`, so each solid lane's
-/// select stores every value back into the slot it came from), and the
-/// split collide of the `Simd` rung in place on slab rows,
+/// line fills its whole cache line. The sparse steps run the body on
+/// frames ([`frame_pairs`]): the AA steps on their L1 frames, the two-grid
+/// step from its gathered frame straight into `dst` (`NT` where its fields
+/// do not fit in half the last-level cache). The dense fused step runs it
+/// on shifted source rows straight into `dst` (`NT` where its rows start on
+/// a cache line), the AA sweep in place (its `dst(i)` is `src(opp(i))`, so
+/// each solid lane's select stores every value back into the slot it came
+/// from), and the split collide of the `Simd` rung in place on slab rows,
 /// `dst(i) = src(i)`, keeping solid lanes.
 ///
 /// # Safety
@@ -1003,12 +994,17 @@ unsafe fn pair_lines<V: Lane, const THIRD: bool, const NT: bool, O: CollideOp, R
 }
 
 /// The pair body on one gathered `q·64` frame, from `buf[i·64 + c]` to
-/// `out[i·64 + c]` with plain stores ([`FrameRows`]), on the lane instance
-/// `V`. Cell `c` is fluid iff bit `c` of `fluid` is set. The sparse AA
-/// steps' body; the tests' oracle of every row view.
+/// `out[i·64 + c]` ([`FrameRows`]), on the lane instance `V`, with
+/// streaming stores where `NT` and plain ones otherwise. Cell `c` is fluid
+/// iff bit `c` of `fluid` is set. The sparse steps' body; the tests' oracle
+/// of every row view.
+///
+/// # Panics
+/// If either frame holds fewer than `q·64` doubles, or, with `NT`, if `out`
+/// does not start on a 64-byte boundary.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-pub(crate) fn frame_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
+pub(crate) fn frame_pairs<V: Lane, const THIRD: bool, const NT: bool, O: CollideOp>(
     v: V,
     ctx: &KernelCtx,
     oc: &OpConsts,
@@ -1019,18 +1015,21 @@ pub(crate) fn frame_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
 ) {
     let q = ctx.lat.q();
     assert!(buf.len() >= q * TILE_CELLS && out.len() >= q * TILE_CELLS);
+    assert!(
+        !NT || (out.as_ptr() as usize).is_multiple_of(64),
+        "streamed frame not 64-byte aligned"
+    );
     let rows = FrameRows(buf.as_ptr(), out.as_mut_ptr());
     // SAFETY: row i spans [i·64, i·64 + 64) of both frames, which the
-    // assert above keeps in bounds; plain stores need no alignment.
-    unsafe {
-        tile_pairs::<V, THIRD, false, O, _>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
-    }
+    // asserts above keep in bounds; with `NT` every line of `out` starts
+    // 64-byte aligned, the NT alignment of either lane (asserted).
+    unsafe { tile_pairs::<V, THIRD, NT, O, _>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid) }
 }
 
 /// [`frame_pairs`] on [`Portable<8>`](Portable).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub(crate) fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
+pub(crate) fn frame_pairs_avx2<const THIRD: bool, const NT: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
@@ -1041,13 +1040,13 @@ pub(crate) fn frame_pairs_avx2<const THIRD: bool, O: CollideOp>(
     // SAFETY: a safe `#[target_feature]` function runs only where its
     // features are present: AVX2+FMA.
     let v = unsafe { Portable::<GROUP>::assume() };
-    frame_pairs::<_, THIRD, O>(v, ctx, oc, pc, fluid, buf, out)
+    frame_pairs::<_, THIRD, NT, O>(v, ctx, oc, pc, fluid, buf, out)
 }
 
 /// [`frame_pairs`] on [`Avx512`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx2,fma")]
-pub(crate) fn frame_pairs_avx512<const THIRD: bool, O: CollideOp>(
+pub(crate) fn frame_pairs_avx512<const THIRD: bool, const NT: bool, O: CollideOp>(
     ctx: &KernelCtx,
     oc: &OpConsts,
     pc: &PairConsts,
@@ -1058,7 +1057,7 @@ pub(crate) fn frame_pairs_avx512<const THIRD: bool, O: CollideOp>(
     // SAFETY: a safe `#[target_feature]` function runs only where its
     // features are present: AVX-512F, AVX2 and FMA.
     let v = unsafe { Avx512::assume() };
-    frame_pairs::<_, THIRD, O>(v, ctx, oc, pc, fluid, buf, out)
+    frame_pairs::<_, THIRD, NT, O>(v, ctx, oc, pc, fluid, buf, out)
 }
 
 /// The vector instance of a kernel call that runs the pair body, with its

@@ -153,50 +153,6 @@ pub(crate) fn vector_lanes() -> Vec<Lanes> {
         .collect()
 }
 
-/// Copy a finished row of populations to its destination with
-/// non-temporal stores: a two-grid step writes every destination value once
-/// and does not read it again this step, so streaming it past the cache
-/// saves the read-for-ownership of every line. A scalar head brings the
-/// destination to a 16-byte boundary — dense rows of odd `nz` start 8 bytes
-/// off one — then a `MOVNTPD` body, then a scalar tail. Values are copied
-/// bit for bit either way. Pair every sequence of calls with an [`sfence`].
-/// Always inlined, so a caller's fixed row length reaches the loop.
-#[inline(always)]
-pub(crate) fn stream_frame(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_loadu_pd, _mm_stream_pd};
-        let n = dst.len();
-        let head = usize::from(n > 0 && !(dst.as_ptr() as usize).is_multiple_of(16));
-        let tail = head + (n - head) / 2 * 2;
-        if head == 1 {
-            dst[0] = src[0];
-        }
-        let (s, d) = (src.as_ptr(), dst.as_mut_ptr());
-        let run = |lo: usize, hi: usize| {
-            for k in (lo..hi).step_by(2) {
-                // SAFETY: both calls below pass hi ≤ tail ≤ n and an even
-                // hi − lo, so k + 2 ≤ n for both slices; `d + lo` is 16-byte
-                // aligned (lo is where the head ends) and k steps by 2.
-                unsafe { _mm_stream_pd(d.add(k), _mm_loadu_pd(s.add(k))) };
-            }
-        };
-        if head == 0 && tail == n {
-            // Aligned even copies: the caller's own bounds let a
-            // fixed-length row unroll fully.
-            run(0, n);
-        } else {
-            run(head, tail);
-        }
-        if tail < n {
-            dst[tail] = src[tail];
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    dst.copy_from_slice(src);
-}
-
 /// Drain the write-combining buffers after a non-temporal store sequence.
 /// Called once per raw-body call (i.e. per chunk of the sweep), *before*
 /// the chunk completes: NT stores are weakly ordered, and the disjoint-chunk

@@ -52,10 +52,7 @@ use crate::index::Dim3;
 use crate::init::SiteStates;
 use crate::kernels::op::{self, with_op, CollideOp, OpConsts, PairConsts};
 #[cfg(target_arch = "x86_64")]
-use crate::kernels::op::{
-    frame_pairs_avx2, frame_pairs_avx512, prefetch, tile_pairs, Avx512, FrameRows, Lane, Portable,
-    GROUP,
-};
+use crate::kernels::op::{frame_pairs_avx2, frame_pairs_avx512, prefetch};
 use crate::kernels::par::{x_chunks, SendPtr};
 use crate::kernels::simd::{self, sfence, Lanes};
 use crate::kernels::{KernelCtx, MAX_Q};
@@ -641,12 +638,12 @@ unsafe fn gather_lines_avx2(
 
 /// Pull-stream tile `nbrs` into the L1 frame `buf` and collide it straight
 /// into its `dst` frame `to` — the two-grid step's whole per-tile work.
-/// With a pair table: the AVX2 gather, then the pair body on its instance,
-/// with streaming stores where `stream`, so that every velocity fills one
-/// whole cache line of `to` per group ([`nt_pairs`]), and with plain stores
-/// otherwise ([`frame_pairs`](op::frame_pairs), the AA steps' body). Either
-/// way the stored bits are the same. Without one, the portable gather and
-/// the scalar body, with plain stores.
+/// With a pair table: the AVX2 gather, then the pair body on its instance
+/// ([`frame_pairs`](op::frame_pairs), the AA steps' body), with streaming
+/// stores where `stream`, so that every velocity fills one whole cache line
+/// of `to` per group, and with plain stores otherwise. Either way the
+/// stored bits are the same. Without one, the portable gather and the
+/// scalar body, with plain stores.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn pull_collide<const THIRD: bool, O: CollideOp>(
@@ -664,26 +661,19 @@ fn pull_collide<const THIRD: bool, O: CollideOp>(
     let q = ctx.lat.q();
     #[cfg(target_arch = "x86_64")]
     if let Some((lanes, pc)) = pc {
-        let frame = q * TILE_CELLS;
-        assert!(buf.len() >= frame && to.len() >= frame);
-        assert!(
-            (to.as_ptr() as usize).is_multiple_of(64),
-            "dst frame not 64-byte aligned"
-        );
         // SAFETY: a pair table is built only for an instance the CPU runs
-        // (`pair_table`), which includes AVX2. Row i of either frame spans
-        // [i·64, i·64 + 64), in bounds by the assert, and every line of
-        // `to` starts 64-byte aligned, the NT alignment of either lane
-        // (asserted).
+        // (`pair_table`), which includes AVX2.
         unsafe {
             gather_lines_avx2(q, gt, nbrs, src, buf);
             match (lanes, stream) {
-                (Lanes::Avx512, true) => nt_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
-                (_, true) => nt_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
-                (Lanes::Avx512, false) => {
-                    frame_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, to)
+                (Lanes::Avx512, true) => {
+                    frame_pairs_avx512::<THIRD, true, O>(ctx, oc, pc, fluid, buf, to)
                 }
-                (_, false) => frame_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, to),
+                (_, true) => frame_pairs_avx2::<THIRD, true, O>(ctx, oc, pc, fluid, buf, to),
+                (Lanes::Avx512, false) => {
+                    frame_pairs_avx512::<THIRD, false, O>(ctx, oc, pc, fluid, buf, to)
+                }
+                (_, false) => frame_pairs_avx2::<THIRD, false, O>(ctx, oc, pc, fluid, buf, to),
             }
         }
         return;
@@ -691,69 +681,6 @@ fn pull_collide<const THIRD: bool, O: CollideOp>(
     let _ = (pc, stream);
     gather_lines(q, gt, &gt.pull, nbrs, src, buf);
     tile_cells_scalar::<THIRD, O>(ctx, oc, fluid, buf, to);
-}
-
-/// The two-grid step's streaming vector tile body on the lane instance `V`:
-/// the pair body from the gathered frame `buf` straight into the `dst` frame
-/// `to` with streaming stores ([`FrameRows`], `NT`). Its plain-store twin is
-/// [`frame_pairs`](op::frame_pairs).
-///
-/// # Safety
-/// `buf` and `to` must hold `q·64` doubles, and `to` must start at the
-/// lane's NT alignment.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-unsafe fn nt_pairs<V: Lane, const THIRD: bool, O: CollideOp>(
-    v: V,
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    pc: &PairConsts,
-    fluid: u64,
-    buf: &[f64],
-    to: &mut [f64],
-) {
-    let rows = FrameRows::new(buf, to);
-    // SAFETY: row i of either frame spans [i·64, i·64 + 64) and every line
-    // of `to` keeps its start's alignment, per this function's contract.
-    unsafe {
-        tile_pairs::<V, THIRD, true, O, _>(v, ctx, oc, pc, rows, 0, TILE_CELLS / GROUP, fluid)
-    }
-}
-
-/// [`nt_pairs`] on [`Portable<8>`](Portable).
-///
-/// # Safety
-/// AVX2+FMA must be available, and [`nt_pairs`]' contract must hold.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn nt_pairs_avx2<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    pc: &PairConsts,
-    fluid: u64,
-    buf: &[f64],
-    to: &mut [f64],
-) {
-    // SAFETY: AVX2+FMA and the frame contract per this function's contract.
-    unsafe { nt_pairs::<_, THIRD, O>(Portable::<GROUP>::assume(), ctx, oc, pc, fluid, buf, to) }
-}
-
-/// [`nt_pairs`] on [`Avx512`].
-///
-/// # Safety
-/// AVX-512F, AVX2 and FMA must be available, and [`nt_pairs`]' contract must hold.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx2,fma")]
-unsafe fn nt_pairs_avx512<const THIRD: bool, O: CollideOp>(
-    ctx: &KernelCtx,
-    oc: &OpConsts,
-    pc: &PairConsts,
-    fluid: u64,
-    buf: &[f64],
-    to: &mut [f64],
-) {
-    // SAFETY: AVX-512F, AVX2, FMA and the frame contract per this function's contract.
-    unsafe { nt_pairs::<_, THIRD, O>(Avx512::assume(), ctx, oc, pc, fluid, buf, to) }
 }
 
 /// The streamed (pull) image of packed tile `t`: `buf[i·64 + c]` receives
@@ -790,8 +717,10 @@ fn tile_body<const THIRD: bool, O: CollideOp>(
         // (`pair_table`).
         unsafe {
             match lanes {
-                Lanes::Avx512 => frame_pairs_avx512::<THIRD, O>(ctx, oc, pc, fluid, buf, out),
-                _ => frame_pairs_avx2::<THIRD, O>(ctx, oc, pc, fluid, buf, out),
+                Lanes::Avx512 => {
+                    frame_pairs_avx512::<THIRD, false, O>(ctx, oc, pc, fluid, buf, out)
+                }
+                _ => frame_pairs_avx2::<THIRD, false, O>(ctx, oc, pc, fluid, buf, out),
             }
         }
         return;
@@ -2714,10 +2643,10 @@ mod tests {
         unsafe {
             if ctx.third_order() {
                 tile_cells_scalar::<true, O>(ctx, &oc, fluid, buf, &mut scalar);
-                frame_pairs_avx2::<true, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
+                frame_pairs_avx2::<true, false, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
             } else {
                 tile_cells_scalar::<false, O>(ctx, &oc, fluid, buf, &mut scalar);
-                frame_pairs_avx2::<false, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
+                frame_pairs_avx2::<false, false, O>(ctx, &oc, &pc, fluid, buf, &mut pair);
             }
         }
         (scalar, pair)
