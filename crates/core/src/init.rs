@@ -226,28 +226,6 @@ pub fn taylor_green(
     });
 }
 
-/// [`taylor_green`] in the AA arrivals representation (see
-/// [`from_macroscopic_streamed`]): the streamed image of the two-grid
-/// Taylor–Green start, for [`crate::field::StorageMode::InPlaceAa`] runs.
-pub fn taylor_green_streamed(
-    ctx: &KernelCtx,
-    f: &mut DistField,
-    rho0: f64,
-    u0: f64,
-    global: Dim3,
-    x_start: isize,
-) {
-    let kx = 2.0 * std::f64::consts::PI / global.nx as f64;
-    let ky = 2.0 * std::f64::consts::PI / global.ny as f64;
-    from_macroscopic_streamed(ctx, f, global, x_start, |gx, gy, _gz| {
-        let gx = gx as f64;
-        let gy = gy as f64;
-        let ux = u0 * (kx * gx).cos() * (ky * gy).sin();
-        let uy = -u0 * (kx * gx).sin() * (ky * gy).cos();
-        (rho0, [ux, uy, 0.0])
-    });
-}
-
 /// A shear wave `u_x(y) = u0 sin(2πy/ny)` whose decay rate measures ν.
 pub fn shear_wave(ctx: &KernelCtx, f: &mut DistField, rho0: f64, u0: f64, global_ny: usize) {
     let k = 2.0 * std::f64::consts::PI / global_ny as f64;
@@ -338,9 +316,14 @@ mod tests {
         // AA arrivals init must equal the pull-stream of the two-grid init:
         // f_i(x) = F0[wrap(x − c_i)][i], site for site, bitwise. The state
         // varies along z and is not separable in x and y, so a wrong sign
-        // or axis in any of the three shifts shows; Taylor–Green (constant
-        // in z) rides along for its own wrappers.
-        let gather_holds = |c: &KernelCtx, plain: &DistField, streamed: &DistField, what| {
+        // or axis in any of the three shifts shows.
+        let g = Dim3::new(6, 7, 5);
+        for kind in LatticeKind::ALL {
+            let c = KernelCtx::new(kind, EqOrder::Third, Bgk::new(0.8).unwrap());
+            let mut plain = DistField::new(c.lat.q(), g, 0).unwrap();
+            from_macroscopic(&c, &mut plain, site_state);
+            let mut streamed = DistField::new(c.lat.q(), g, 0).unwrap();
+            from_macroscopic_streamed(&c, &mut streamed, g, 0, site_state);
             let d = plain.alloc_dims();
             for (i, cv) in c.lat.velocities().iter().enumerate() {
                 for x in 0..d.nx {
@@ -352,28 +335,13 @@ mod tests {
                             assert_eq!(
                                 streamed.slab(i)[d.idx(x, y, z)].to_bits(),
                                 plain.slab(i)[d.idx(ux, uy, uz)].to_bits(),
-                                "{what} {} i={i} ({x},{y},{z})",
+                                "{} i={i} ({x},{y},{z})",
                                 c.lat.name()
                             );
                         }
                     }
                 }
             }
-        };
-        let g = Dim3::new(6, 7, 5);
-        for kind in LatticeKind::ALL {
-            let c = KernelCtx::new(kind, EqOrder::Third, Bgk::new(0.8).unwrap());
-            let mut plain = DistField::new(c.lat.q(), g, 0).unwrap();
-            from_macroscopic(&c, &mut plain, site_state);
-            let mut streamed = DistField::new(c.lat.q(), g, 0).unwrap();
-            from_macroscopic_streamed(&c, &mut streamed, g, 0, site_state);
-            gather_holds(&c, &plain, &streamed, "site_state");
-
-            let mut plain = DistField::new(c.lat.q(), g, 0).unwrap();
-            taylor_green(&c, &mut plain, 1.0, 0.03, g.nx, g.ny, 0, 0);
-            let mut streamed = DistField::new(c.lat.q(), g, 0).unwrap();
-            taylor_green_streamed(&c, &mut streamed, 1.0, 0.03, g, 0);
-            gather_holds(&c, &plain, &streamed, "taylor_green");
         }
     }
 

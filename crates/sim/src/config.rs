@@ -101,7 +101,8 @@ pub struct SimConfig {
     /// is plugged in.
     pub init_u0: f64,
     /// Pluggable scenario (initial state, boundaries, forcing,
-    /// observables). `None` = the legacy periodic Taylor–Green flow.
+    /// observables). `None` = a periodic Taylor–Green vortex of amplitude
+    /// `init_u0` (rest fluid on the sparse path).
     pub scenario: Option<ScenarioHandle>,
     /// Voxel geometry selecting the sparse tiled-storage path: only
     /// fluid-bearing 4×4×4 tiles are allocated and computed, walls come

@@ -110,7 +110,7 @@ use lbm_core::{Error, Result};
 
 use crate::config::{CommStrategy, SimConfig};
 use crate::halo::{HaloPlan, Side};
-use crate::scenario::ScenarioHandle;
+use crate::scenario::{ScenarioHandle, TaylorGreen};
 
 /// One rank's solver state.
 pub struct RankSolver {
@@ -148,7 +148,7 @@ pub struct RankSolver {
     /// next ones packed into.
     bufs: [Vec<f64>; 2],
     pending: Vec<RecvRequest>,
-    /// The pluggable scenario (None = legacy periodic Taylor–Green).
+    /// The pluggable scenario (None = periodic Taylor–Green, unforced).
     scenario: Option<ScenarioHandle>,
     /// The scenario's resolved boundary configuration.
     bounds: BoundarySpec,
@@ -172,13 +172,15 @@ const MIDSTEP_TAG_BASE: u64 = 1 << 40;
 
 impl RankSolver {
     /// Build the solver for `rank` under `cfg` (assumed validated),
-    /// initialised from the scenario's initial state.
+    /// initialised from the scenario's initial state — a
+    /// [`TaylorGreen`] of amplitude `cfg.init_u0` when none is plugged in.
     pub fn new(cfg: &SimConfig, rank: usize) -> Result<Self> {
         let mut solver = Self::allocate(cfg, rank)?;
-        match solver.scenario.clone() {
-            Some(s) => solver.init_scenario(&s),
-            None => solver.init_taylor_green(1.0, cfg.init_u0),
-        }
+        let s = solver
+            .scenario
+            .clone()
+            .unwrap_or_else(|| ScenarioHandle::new(TaylorGreen::new(cfg.init_u0)));
+        solver.init_scenario(&s);
         Ok(solver)
     }
 
@@ -274,38 +276,6 @@ impl RankSolver {
                     sub.x_start as isize,
                     |gx, gy, gz| s.init(g, gx, gy, gz),
                 );
-            }
-        }
-        self.cycle = 0;
-        self.step_no = 0;
-        self.pending.clear();
-        self.halos_from_init = true;
-        self.run_mass = None;
-    }
-
-    /// Initialise to a global Taylor–Green mode (halos included — they are
-    /// evaluated at their wrapped global x, so they equal the neighbour's
-    /// owned planes and the first cycle needs no exchange). AA mode
-    /// initialises the arrivals representation (see
-    /// [`Self::init_scenario`]).
-    pub fn init_taylor_green(&mut self, rho0: f64, u0: f64) {
-        let g = self.sub.global;
-        let x_off = self.sub.x_start as isize;
-        match self.storage {
-            StorageMode::TwoGrid => {
-                lbm_core::init::taylor_green(
-                    &self.ctx,
-                    &mut self.f,
-                    rho0,
-                    u0,
-                    g.nx,
-                    g.ny,
-                    x_off,
-                    self.h,
-                );
-            }
-            StorageMode::InPlaceAa => {
-                lbm_core::init::taylor_green_streamed(&self.ctx, &mut self.f, rho0, u0, g, x_off);
             }
         }
         self.cycle = 0;
@@ -1421,6 +1391,51 @@ mod tests {
             assert!((before.0 - after.0).abs() < 1e-9 * before.0, "mass");
             for a in 0..3 {
                 assert!((before.1[a] - after.1[a]).abs() < 1e-9, "momentum {a}");
+            }
+        }
+    }
+
+    /// A config without a scenario starts and steps bitwise as the
+    /// [`TaylorGreen`] scenario of the same amplitude: every allocated
+    /// value (halos included) at step 0 and the owned planes after 5 steps,
+    /// on both storage modes, one and two ranks, deep halos and D3Q39.
+    #[test]
+    fn no_scenario_run_is_the_taylor_green_scenario() {
+        let bits = |f: &DistField| -> Vec<u64> {
+            (0..f.q())
+                .flat_map(|i| f.slab(i).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let cases = [
+            (LatticeKind::D3Q19, 1, 1, OptLevel::LoBr),
+            (LatticeKind::D3Q19, 2, 2, OptLevel::Fused),
+            (LatticeKind::D3Q39, 2, 1, OptLevel::Simd),
+        ];
+        for storage in [StorageMode::TwoGrid, StorageMode::InPlaceAa] {
+            for (kind, ranks, depth, level) in cases {
+                let base = Simulation::builder(kind, Dim3::new(16, 8, 8))
+                    .ranks(ranks)
+                    .ghost_depth(depth)
+                    .level(level)
+                    .storage(storage);
+                let run = |cfg: SimConfig| {
+                    Universe::run(cfg.ranks, CostModel::free(), |comm| {
+                        let mut s = RankSolver::new(&cfg, comm.rank()).unwrap();
+                        let start = bits(s.field());
+                        s.run(comm, 5);
+                        (start, bits(&s.owned_snapshot()))
+                    })
+                };
+                let plain = run(base.clone().init_amplitude(0.03).build_config().unwrap());
+                let tg = run(base
+                    .scenario(TaylorGreen::new(0.03))
+                    .build_config()
+                    .unwrap());
+                let what = format!("{kind:?} {storage:?} ranks={ranks} depth={depth} {level:?}");
+                for (rank, (a, b)) in plain.iter().zip(&tg).enumerate() {
+                    assert!(a.0 == b.0, "{what} rank {rank}: start differs");
+                    assert!(a.1 == b.1, "{what} rank {rank}: step 5 differs");
+                }
             }
         }
     }

@@ -25,9 +25,6 @@
 //!   incremental step/probe use, with the population storage mode
 //!   (`two-grid` double buffer vs AA-pattern in-place streaming) selected
 //!   via [`SimulationBuilder::storage`].
-//! * [`physics`] — a single-rank convenience wrapper with walls, masks and
-//!   Guo forcing (now a thin layer over the same core boundary/forcing
-//!   machinery the distributed solver uses).
 //! * [`sparse`] — the sparse tiled-geometry rank solver: packed fluid-tile
 //!   lists with indirect addressing, fluid-balanced tile-column
 //!   decomposition and boundary-tile-frame halo exchange, selected by
@@ -49,7 +46,6 @@ pub mod hybrid;
 pub mod json;
 pub mod observables;
 pub mod output;
-pub mod physics;
 pub mod report;
 pub mod runtime;
 pub mod scenario;

@@ -27,12 +27,6 @@ pub fn macro_fields(ctx: &KernelCtx, f: &DistField) -> (ScalarField, VectorField
     (rho, u)
 }
 
-/// Mean `u_x(y)` profile over the owned x planes and all z, for
-/// `y ∈ y_range` — the channel-flow validation observable.
-pub fn ux_profile(ctx: &KernelCtx, f: &DistField, y_range: std::ops::Range<usize>) -> Vec<f64> {
-    u_profile(ctx, f, y_range, 0, None)
-}
-
 /// Mean `u_axis(y)` profile over the owned x planes for `y ∈ y_range`,
 /// averaged over all z (`z_slice = None`) or taken at one z slice — the
 /// latter is the cavity centre-line observable.
@@ -188,7 +182,7 @@ mod tests {
         lbm_core::init::from_macroscopic(&c, &mut f, |_x, y, _z| {
             (1.0, [y as f64 * 0.01, 0.0, 0.0])
         });
-        let p = ux_profile(&c, &f, 0..4);
+        let p = u_profile(&c, &f, 0..4, 0, None);
         for (y, v) in p.iter().enumerate() {
             assert!((v - y as f64 * 0.01).abs() < 1e-12, "y={y}");
         }

@@ -69,8 +69,9 @@ impl SimulationBuilder {
     }
 
     /// Plug in the scenario (initial state, boundaries, forcing,
-    /// observables). Without one the run is the legacy periodic
-    /// Taylor–Green flow.
+    /// observables). Without one a dense run is an unforced periodic
+    /// [`TaylorGreen`](crate::TaylorGreen) vortex of amplitude
+    /// [`Self::init_amplitude`].
     #[must_use]
     pub fn scenario(mut self, s: impl Scenario + 'static) -> Self {
         self.cfg.scenario = Some(ScenarioHandle::new(s));
@@ -171,7 +172,7 @@ impl SimulationBuilder {
         self
     }
 
-    /// Amplitude of the legacy Taylor–Green initial mode used when no
+    /// Amplitude of the Taylor–Green vortex a dense run starts from when no
     /// scenario is plugged in.
     #[must_use]
     pub fn init_amplitude(mut self, u0: f64) -> Self {

@@ -32,13 +32,11 @@ fn profiles_recover_an_analytic_parabola() {
     let mut f = DistField::new(c.lat.q(), dims, 1).unwrap();
     lbm_core::init::from_macroscopic(&c, &mut f, |_x, y, _z| (1.0, [parab(y), 0.0, 0.0]));
 
-    let ux = observables::ux_profile(&c, &f, 0..9);
+    let ux = observables::u_profile(&c, &f, 0..9, 0, None);
     for (y, u) in ux.iter().enumerate() {
         assert!((u - parab(y)).abs() < 1e-13, "y={y}: {u}");
     }
-    // The generalised observable agrees with the legacy one on axis 0…
-    assert_eq!(observables::u_profile(&c, &f, 0..9, 0, None), ux);
-    // …reads zero off-axis…
+    // The observable reads zero off-axis…
     for v in observables::u_profile(&c, &f, 0..9, 2, None) {
         assert!(v.abs() < 1e-13);
     }

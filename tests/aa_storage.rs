@@ -383,8 +383,8 @@ fn aa_simd_knudsen_q39_profile_matches_scalar_two_grid() {
     let aa = assemble_global(&distributed_owned(&aa_cfg, steps), global);
 
     let fluid = 3..global.ny - 3;
-    let p_aa = lbm::sim::observables::ux_profile(&ctx, &aa, fluid.clone());
-    let p_tg = lbm::sim::observables::ux_profile(&ctx, &streamed_image(&ctx, &tg), fluid);
+    let p_aa = lbm::sim::observables::u_profile(&ctx, &aa, fluid.clone(), 0, None);
+    let p_tg = lbm::sim::observables::u_profile(&ctx, &streamed_image(&ctx, &tg), fluid, 0, None);
     let peak = p_tg.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let wall = 0.5 * (p_tg[0] + p_tg[p_tg.len() - 1]);
     assert!(
