@@ -617,54 +617,70 @@ mod tests {
 
         let global = Dim3::new(16, 16, 16);
         let geom = Geometry::pipe(global, 5.0).unwrap();
-        let build = || {
-            Simulation::builder(LatticeKind::D3Q19, global)
-                .scenario(ForcedFlow::new(4e-6).with_pulse(0.5, 40))
-                .geometry(geom.clone())
-                .ranks(2)
-                .build()
-                .unwrap()
-        };
-        // Before the first step: the resumed ranks get no initial fill, so
-        // their ghost frames come from the first exchange alone.
-        let mut sim = build();
-        let bytes = sim.checkpoint().unwrap();
-        let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
-        sim.run_local(5).unwrap();
-        resumed.run_local(5).unwrap();
-        assert_eq!(resumed.checkpoint().unwrap(), sim.checkpoint().unwrap());
+        for storage in StorageMode::ALL {
+            let build = || {
+                Simulation::builder(LatticeKind::D3Q19, global)
+                    .scenario(ForcedFlow::new(4e-6).with_pulse(0.5, 40))
+                    .geometry(geom.clone())
+                    .storage(storage)
+                    .ranks(2)
+                    .build()
+                    .unwrap()
+            };
+            // 0 steps: the resumed ranks get no initial fill, so their ghost
+            // frames come from the first exchange alone. 3 steps: an odd
+            // first leg, which leaves AA storage mid-pair (slot-swapped).
+            for a in [0, 3] {
+                let mut sim = build();
+                sim.run_local(a).unwrap();
+                let bytes = sim.checkpoint().unwrap();
+                let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
+                assert_eq!(resumed.steps_done(), a as u64);
+                sim.run_local(5).unwrap();
+                resumed.run_local(5).unwrap();
+                assert_eq!(
+                    resumed.checkpoint().unwrap(),
+                    sim.checkpoint().unwrap(),
+                    "{storage:?} a = {a}"
+                );
+            }
 
-        let mut sim = build();
-        sim.run_local(5).unwrap();
-        let bytes = sim.checkpoint().unwrap();
-        let info = validate(&bytes).unwrap();
-        assert_eq!((info.step_no, info.ranks), (5, 2));
+            let mut sim = build();
+            sim.run_local(5).unwrap();
+            let bytes = sim.checkpoint().unwrap();
+            let info = validate(&bytes).unwrap();
+            assert_eq!((info.step_no, info.ranks), (5, 2));
 
-        // Resume rebuilds the geometry from the container alone and the
-        // resumed trajectory is bitwise the uninterrupted one.
-        let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
-        assert_eq!(resumed.steps_done(), 5);
-        assert!(resumed.config().geometry.is_some());
-        sim.run_local(5).unwrap();
-        resumed.run_local(5).unwrap();
-        assert_eq!(resumed.checkpoint().unwrap(), sim.checkpoint().unwrap());
+            // Resume rebuilds the geometry from the container alone and the
+            // resumed trajectory is bitwise the uninterrupted one.
+            let mut resumed = Simulation::resume_bytes(&bytes).unwrap();
+            assert_eq!(resumed.steps_done(), 5);
+            assert!(resumed.config().geometry.is_some());
+            sim.run_local(5).unwrap();
+            resumed.run_local(5).unwrap();
+            assert_eq!(
+                resumed.checkpoint().unwrap(),
+                sim.checkpoint().unwrap(),
+                "{storage:?}"
+            );
 
-        // Flipping a bit inside the geometry frame is Corrupt, not a
-        // silently different pipe.
-        let frame_at = 20 + {
-            let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-            len + 8
-        };
-        assert_eq!(
-            &bytes[frame_at..frame_at + 8],
-            lbm_core::geometry::GEOMETRY_FRAME_MAGIC
-        );
-        let mut bad = bytes.clone();
-        bad[frame_at + 40] ^= 1;
-        assert!(matches!(
-            Simulation::resume_bytes(&bad),
-            Err(Error::Corrupt(_))
-        ));
+            // Flipping a bit inside the geometry frame is Corrupt, not a
+            // silently different pipe.
+            let frame_at = 20 + {
+                let len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+                len + 8
+            };
+            assert_eq!(
+                &bytes[frame_at..frame_at + 8],
+                lbm_core::geometry::GEOMETRY_FRAME_MAGIC
+            );
+            let mut bad = bytes.clone();
+            bad[frame_at + 40] ^= 1;
+            assert!(matches!(
+                Simulation::resume_bytes(&bad),
+                Err(Error::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

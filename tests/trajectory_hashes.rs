@@ -210,3 +210,13 @@ fn pipe_q19_sparse_aa_simd_2_ranks_2_threads() {
         0x323a_819c_10cd_a24b,
     );
 }
+
+#[test]
+fn pipe_q19_sparse_two_grid_simd_2_ranks_2_threads() {
+    // Two ranks: every step exchanges the boundary-tile frames first.
+    check(
+        pipe_q19().level(OptLevel::Simd).ranks(2).threads(2),
+        true,
+        0x6ef1_ed06_ed61_88d7,
+    );
+}
