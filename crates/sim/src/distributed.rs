@@ -87,12 +87,28 @@
 //! The solver holds **one** population field in AA mode (no `tmp`), halving
 //! resident population memory; see [`RankSolver::resident_population_bytes`].
 //!
+//! ## Layouts: a dense slab or fluid tiles
+//!
+//! Everything above describes the dense layout: a slab of every owned cell
+//! plus halo planes. A configuration with a voxel geometry gets the tile
+//! layout of [`crate::sparse`] instead: the rank's fluid tiles, with ghost
+//! tile columns in place of halo planes. The step loops (the two-grid cycle
+//! and the AA pair), the exchange routine, the thread pool, the compute
+//! noise and the counters are written once for both; only the sweeps, the
+//! pack/unpack, the snapshots and the observables match on the layout.
+//!
+//! A tile rank runs [`sparse::SCHEDULE`] (eager, depth 1) whatever the
+//! configuration asks: an exchange before every two-grid step and before
+//! every odd AA step, the first one included. Its ghost tiles are not
+//! escape-zeroed at initialisation as the owner's tiles are, so unlike a
+//! slab's halos they do not hold the neighbour's values until exchanged.
+//!
 //! ## Threads (paper §VI-B, Fig. 11)
 //!
-//! A rank with `threads_per_rank > 1` at `Dh` or above owns a rayon pool and
-//! makes every kernel call through `in_pool`. The kernels chunk across the
-//! installed pool themselves, so a threaded rank runs the same kernel as a
-//! serial rank and its result is bitwise the same.
+//! A rank with `threads_per_rank > 1` owns a rayon pool (a slab rank from
+//! the `Dh` rung up) and makes every kernel call through `in_pool`. The
+//! kernels chunk across the installed pool themselves, so a threaded rank
+//! runs the same kernel as a serial rank and its result is bitwise the same.
 
 use std::time::Instant;
 
@@ -100,9 +116,10 @@ use lbm_comm::comm::RecvRequest;
 use lbm_comm::Comm;
 use lbm_core::boundary::BoundarySpec;
 use lbm_core::domain::{Decomp1d, Subdomain};
-use lbm_core::equilibrium::EqOrder;
 use lbm_core::field::{DistField, StorageMode};
-use lbm_core::kernels::{self, KernelClass, KernelCtx, OptLevel, StreamTables, MAX_Q};
+use lbm_core::geometry::TILE_B;
+use lbm_core::kernels::{self, sparse as tile_kernels, KernelClass, KernelCtx, OptLevel};
+use lbm_core::kernels::{StreamTables, MAX_Q};
 use lbm_core::moments::Moments;
 use lbm_core::perf::PerfCounters;
 use lbm_core::prelude::Bgk;
@@ -111,41 +128,37 @@ use lbm_core::{Error, Result};
 use crate::config::{CommStrategy, SimConfig};
 use crate::halo::{HaloPlan, Side};
 use crate::scenario::{ScenarioHandle, TaylorGreen};
+use crate::sparse::{self, Tiles};
 
 /// One rank's solver state.
 pub struct RankSolver {
     /// Kernel context (lattice, equilibrium constants, ω).
     pub ctx: KernelCtx,
-    /// This rank's subdomain.
+    /// This rank's subdomain (whole tile columns on the tile layout).
     pub sub: Subdomain,
     level: OptLevel,
+    /// The schedule this rank runs ([`sparse::SCHEDULE`] on tiles).
     strategy: CommStrategy,
     /// Population storage mode (two-grid double buffer vs in-place AA).
     storage: StorageMode,
     /// Lattice reach k.
     k: usize,
-    /// Halo width: H = d·k (two-grid) or 2·k (AA).
+    /// Halo width: H = d·k (two-grid) or 2·k (AA); on tiles, the planes of
+    /// the ghost columns.
     h: usize,
-    /// Ghost depth d (two-grid exchange cadence; AA ignores it).
+    /// Ghost depth d: the two-grid exchange cadence; `h / k` on a slab, so
+    /// 2 under AA (one exchange per pair, whatever the configured depth).
     depth: usize,
-    f: DistField,
-    /// The second (destination) buffer — `None` in AA mode, which is the
-    /// storage mode's whole point.
-    tmp: Option<DistField>,
-    tables: StreamTables,
+    /// The populations, in this rank's layout.
+    cells: Cells,
     pool: Option<rayon::ThreadPool>,
     /// Performance counters (owned vs ghost updates, compute time).
     pub counters: PerfCounters,
     noise: ComputeNoise,
     cycle: u64,
-    /// What a cycle (or AA pair) exchange ships: the crossing populations
-    /// in two-grid mode, every velocity in AA mode.
-    plan: HaloPlan,
-    /// The full-width plan of the eager mid-step emulation.
-    full: HaloPlan,
     /// Message buffers, one per side: a packed vector is moved into its
-    /// send and the vectors received in its place (equally long) are the
-    /// next ones packed into.
+    /// send and the vectors received in its place are the next ones packed
+    /// into.
     bufs: [Vec<f64>; 2],
     pending: Vec<RecvRequest>,
     /// The pluggable scenario (None = periodic Taylor–Green, unforced).
@@ -156,7 +169,8 @@ pub struct RankSolver {
     step_no: u64,
     /// The halos hold the initial fill (the periodic wrap of the initial
     /// state), so the first cycle needs no exchange. False on a freshly
-    /// allocated or restored rank, whose first cycle derives them.
+    /// allocated or restored rank, whose first cycle derives them, and on
+    /// tiles (see the module docs).
     halos_from_init: bool,
     /// The owned mass the last fused pass of a [`Self::run_folding_mass`]
     /// folded, tagged with the step whose field it is; cleared by every
@@ -166,55 +180,145 @@ pub struct RankSolver {
     mass_folds: u64,
 }
 
+/// A rank's populations, by layout. What reads or writes them matches on
+/// this; the schedule around it is the rank solver's, written once.
+enum Cells {
+    /// A dense x-slab with halo planes.
+    Slab(Box<Slab>),
+    /// The fluid tiles of a voxel geometry, with ghost tile columns.
+    Tiles(Box<Tiles>),
+}
+
+/// The dense layout: every owned cell plus `h` halo planes per side.
+struct Slab {
+    f: DistField,
+    /// The second (destination) buffer — `None` in AA mode, which is the
+    /// storage mode's whole point.
+    tmp: Option<DistField>,
+    tables: StreamTables,
+    /// What a cycle (or AA pair) exchange ships: the crossing populations
+    /// in two-grid mode, every velocity in AA mode.
+    plan: HaloPlan,
+    /// The full-width plan of the eager mid-step emulation.
+    full: HaloPlan,
+}
+
+impl Slab {
+    /// What a two-grid sweep reads and writes: `(tables, f, tmp)`.
+    fn grids(&mut self) -> (&StreamTables, &DistField, &mut DistField) {
+        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+        (&self.tables, &self.f, tmp)
+    }
+
+    /// The owned planes' span inside a slab of `f`: x-major storage makes
+    /// them one contiguous run.
+    fn owned_range(&self) -> std::ops::Range<usize> {
+        let (d, x) = (self.f.alloc_dims(), self.f.owned_x());
+        d.idx(x.start, 0, 0)..d.idx(x.end, 0, 0)
+    }
+}
+
+impl Cells {
+    /// The slab, which only the slab schedule reaches: the deep-halo
+    /// regions, the split rungs, the border-first order and the mid-step
+    /// exchange.
+    fn slab(&self) -> &Slab {
+        match self {
+            Cells::Slab(s) => s,
+            Cells::Tiles(_) => unreachable!("a tile rank has no slab"),
+        }
+    }
+
+    fn slab_mut(&mut self) -> &mut Slab {
+        match self {
+            Cells::Slab(s) => s,
+            Cells::Tiles(_) => unreachable!("a tile rank has no slab"),
+        }
+    }
+
+    /// Pack the current border on `side` for the neighbour there.
+    fn pack(&self, side: Side, buf: &mut Vec<f64>) {
+        match self {
+            Cells::Slab(s) => s.plan.pack(&s.f, side, buf),
+            Cells::Tiles(t) => t.pack(side, buf),
+        }
+    }
+
+    /// Unpack the neighbour's [`Self::pack`] into the halo on `side`.
+    fn unpack(&mut self, side: Side, msg: &[f64]) {
+        match self {
+            Cells::Slab(s) => s.plan.unpack(&mut s.f, side, msg),
+            Cells::Tiles(t) => t.unpack(side, msg),
+        }
+    }
+}
+
 /// Tag-space offset for the no-ghost mid-step (scatter) exchange, keeping it
 /// disjoint from the cycle-boundary halo exchange tags.
 const MIDSTEP_TAG_BASE: u64 = 1 << 40;
 
 impl RankSolver {
     /// Build the solver for `rank` under `cfg` (assumed validated),
-    /// initialised from the scenario's initial state — a
-    /// [`TaylorGreen`] of amplitude `cfg.init_u0` when none is plugged in.
+    /// initialised from the scenario's initial state. Without a scenario a
+    /// box starts as a [`TaylorGreen`] of amplitude `cfg.init_u0`, and a
+    /// voxel geometry as fluid at rest: its walls make the flow.
     pub fn new(cfg: &SimConfig, rank: usize) -> Result<Self> {
         let mut solver = Self::allocate(cfg, rank)?;
-        let s = solver
-            .scenario
-            .clone()
-            .unwrap_or_else(|| ScenarioHandle::new(TaylorGreen::new(cfg.init_u0)));
-        solver.init_scenario(&s);
+        solver.init(cfg.init_u0);
         Ok(solver)
     }
 
     /// The solver for `rank` with every buffer allocated and no population
     /// written: the start of [`Self::new`], and of a restore, whose
-    /// snapshot supplies the owned planes.
+    /// snapshot supplies the owned cells. A configuration with a geometry
+    /// gets the tile layout.
     pub(crate) fn allocate(cfg: &SimConfig, rank: usize) -> Result<Self> {
-        cfg.validate()?;
-        let order: EqOrder = cfg.eq_order();
-        let ctx = KernelCtx::new(cfg.lattice, order, Bgk::new(cfg.tau)?);
+        if cfg.geometry.is_none() {
+            cfg.validate()?;
+        }
+        let ctx = KernelCtx::new(cfg.lattice, cfg.eq_order(), Bgk::new(cfg.tau)?);
         let k = ctx.lat.reach();
-        let h = cfg.halo_width();
-        let dec = Decomp1d::new(cfg.global, cfg.ranks)?;
-        let sub = dec.subdomain(rank);
-        let owned = sub.owned();
-        let f = DistField::new(ctx.lat.q(), owned, h)?;
-        let tmp = match cfg.storage {
-            StorageMode::TwoGrid => Some(DistField::new(ctx.lat.q(), owned, h)?),
-            StorageMode::InPlaceAa => None,
+        let (cells, sub, h, (strategy, depth)) = match &cfg.geometry {
+            Some(geom) => {
+                let (tiles, sub) = Tiles::allocate(cfg, geom, &ctx, rank)?;
+                let h = tiles.tiles.ghost_cols * TILE_B;
+                (Cells::Tiles(Box::new(tiles)), sub, h, sparse::SCHEDULE)
+            }
+            None => {
+                let h = cfg.halo_width();
+                let sub = Decomp1d::new(cfg.global, cfg.ranks)?.subdomain(rank);
+                let owned = sub.owned();
+                let tmp = match cfg.storage {
+                    StorageMode::TwoGrid => Some(DistField::new(ctx.lat.q(), owned, h)?),
+                    StorageMode::InPlaceAa => None,
+                };
+                let full = HaloPlan::full(ctx.lat.q(), h);
+                let plan = match cfg.storage {
+                    StorageMode::TwoGrid => HaloPlan::crossing(&ctx.lat, h),
+                    StorageMode::InPlaceAa => full.clone(),
+                };
+                let slab = Slab {
+                    f: DistField::new(ctx.lat.q(), owned, h)?,
+                    tmp,
+                    tables: StreamTables::new(owned.ny, owned.nz),
+                    plan,
+                    full,
+                };
+                (Cells::Slab(Box::new(slab)), sub, h, (cfg.comm_strategy(), h / k))
+            }
         };
-        let tables = StreamTables::new(owned.ny, owned.nz);
-        // Threads start at the `Dh` rung: the historical `Orig`/`Gc`
-        // kernels run as written, on one thread.
-        let pool = (cfg.threads_per_rank > 1 && cfg.level >= OptLevel::Dh).then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(cfg.threads_per_rank)
-                .build()
-                .expect("rayon pool")
-        });
-        let full = HaloPlan::full(ctx.lat.q(), h);
-        let plan = match cfg.storage {
-            StorageMode::TwoGrid => HaloPlan::crossing(&ctx.lat, h),
-            StorageMode::InPlaceAa => full.clone(),
-        };
+        // A slab threads from the `Dh` rung up: the historical `Orig`/`Gc`
+        // kernels run as written, on one thread. Tiles thread at any rung.
+        let threaded =
+            cfg.threads_per_rank > 1 && (cfg.geometry.is_some() || cfg.level >= OptLevel::Dh);
+        let pool = threaded
+            .then(|| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(cfg.threads_per_rank)
+                    .build()
+                    .map_err(|e| Error::BadParameter(format!("rayon pool: {e}")))
+            })
+            .transpose()?;
         let scenario = cfg.scenario.clone();
         let bounds = scenario
             .as_ref()
@@ -223,20 +327,16 @@ impl RankSolver {
             ctx,
             sub,
             level: cfg.level,
-            strategy: cfg.comm_strategy(),
+            strategy,
             storage: cfg.storage,
             k,
             h,
-            depth: cfg.ghost_depth,
-            f,
-            tmp,
-            tables,
+            depth,
+            cells,
             pool,
             counters: PerfCounters::new(),
             noise: ComputeNoise::new(cfg, rank),
             cycle: 0,
-            plan,
-            full,
             bufs: [Vec::new(), Vec::new()],
             pending: Vec::new(),
             scenario,
@@ -248,41 +348,46 @@ impl RankSolver {
         })
     }
 
-    /// Initialise every allocated cell (halos included) to the equilibrium
-    /// of the scenario's macroscopic state at its *global* coordinate. The
-    /// periodic wrap makes the halos exactly the neighbour's owned values,
-    /// so the first cycle needs no exchange — for any scenario, since x is
-    /// always the periodic decomposed direction.
+    /// Initialise every allocated cell (halos and ghost tiles included) to
+    /// the equilibrium of the scenario's macroscopic state at its *global*
+    /// coordinate. On a slab the periodic wrap makes the halos exactly the
+    /// neighbour's owned values, so the first cycle needs no exchange — for
+    /// any scenario, since x is always the periodic decomposed direction.
     ///
     /// In AA mode the field stores *arrivals* (the pull-stream of the
     /// two-grid state), so each population is initialised to the
     /// equilibrium of its upwind site — which makes the AA trajectory the
     /// exact streamed image of the two-grid trajectory.
-    fn init_scenario(&mut self, s: &ScenarioHandle) {
-        let g = self.sub.global;
-        let sub = self.sub;
-        let h = self.h;
-        match self.storage {
-            StorageMode::TwoGrid => {
-                lbm_core::init::from_macroscopic(&self.ctx, &mut self.f, |x, y, z| {
-                    s.init(g, sub.global_x(x, h), y, z)
-                });
+    fn init(&mut self, u0: f64) {
+        let (g, sub, h) = (self.sub.global, self.sub, self.h);
+        let scenario = self.scenario.clone();
+        match &mut self.cells {
+            Cells::Slab(s) => {
+                let sc = scenario.unwrap_or_else(|| ScenarioHandle::new(TaylorGreen::new(u0)));
+                match self.storage {
+                    StorageMode::TwoGrid => {
+                        lbm_core::init::from_macroscopic(&self.ctx, &mut s.f, |x, y, z| {
+                            sc.init(g, sub.global_x(x, h), y, z)
+                        });
+                    }
+                    StorageMode::InPlaceAa => {
+                        lbm_core::init::from_macroscopic_streamed(
+                            &self.ctx,
+                            &mut s.f,
+                            g,
+                            sub.x_start as isize,
+                            |gx, gy, gz| sc.init(g, gx, gy, gz),
+                        );
+                    }
+                }
+                self.halos_from_init = true;
             }
-            StorageMode::InPlaceAa => {
-                lbm_core::init::from_macroscopic_streamed(
-                    &self.ctx,
-                    &mut self.f,
-                    g,
-                    sub.x_start as isize,
-                    |gx, gy, gz| s.init(g, gx, gy, gz),
-                );
-            }
+            Cells::Tiles(t) => t.init(&self.ctx, self.storage, g, |x, y, z| {
+                scenario
+                    .as_ref()
+                    .map_or((1.0, [0.0; 3]), |sc| sc.init(g, x, y, z))
+            }),
         }
-        self.cycle = 0;
-        self.step_no = 0;
-        self.pending.clear();
-        self.halos_from_init = true;
-        self.run_mass = None;
     }
 
     /// Time steps completed since initialisation.
@@ -293,6 +398,13 @@ impl RankSolver {
     /// The configured storage mode.
     pub fn storage(&self) -> StorageMode {
         self.storage
+    }
+
+    /// The exchange schedule and ghost depth this rank runs: the configured
+    /// ones on a two-grid slab, depth 2 under AA, [`sparse::SCHEDULE`] on
+    /// tiles.
+    pub(crate) fn schedule(&self) -> (CommStrategy, usize) {
+        (self.strategy, self.depth)
     }
 
     /// Whether the current field stores slot-swapped populations: true
@@ -308,17 +420,26 @@ impl RankSolver {
     /// in two-grid mode, the single array in AA mode) — the footprint the
     /// AA refactor halves.
     pub fn resident_population_bytes(&self) -> u64 {
-        self.f.resident_bytes() + self.tmp.as_ref().map_or(0, DistField::resident_bytes)
+        match &self.cells {
+            Cells::Slab(s) => {
+                s.f.resident_bytes() + s.tmp.as_ref().map_or(0, DistField::resident_bytes)
+            }
+            Cells::Tiles(t) => t.resident_bytes(),
+        }
+    }
+
+    /// Cells this rank updates per step — a slab: every owned cell; tiles:
+    /// the owned *fluid* cells (the MFlup/s denominators match the work).
+    pub(crate) fn owned_cells(&self) -> u64 {
+        match &self.cells {
+            Cells::Slab(_) => self.sub.owned().len() as u64,
+            Cells::Tiles(t) => t.tiles.owned_fluid_cells,
+        }
     }
 
     /// The scenario's resolved boundary configuration.
     pub fn bounds(&self) -> &BoundarySpec {
         &self.bounds
-    }
-
-    /// Allocated x extent.
-    fn alloc_nx(&self) -> usize {
-        self.f.alloc_dims().nx
     }
 
     /// Owned region in allocation coordinates.
@@ -329,7 +450,7 @@ impl RankSolver {
     /// Compute region for sub-step `j`.
     fn region(&self, j: usize) -> (usize, usize) {
         let lo = (j + 1) * self.k;
-        let hi = self.alloc_nx() - (j + 1) * self.k;
+        let hi = self.cells.slab().f.alloc_dims().nx - (j + 1) * self.k;
         (lo, hi)
     }
 
@@ -347,8 +468,8 @@ impl RankSolver {
     /// [`Self::run`], whose last step also folds the owned mass for
     /// [`Self::global_mass`] where it is one serial fused vector pass over
     /// the owned planes in ascending x. That leaves out a rank with a thread
-    /// pool, the GC-C border-first order, and the AA, split and scalar
-    /// paths; there `global_mass` reads the field.
+    /// pool, the GC-C border-first order, the AA, split and scalar paths and
+    /// tiles; there `global_mass` reads the field.
     pub fn run_folding_mass(&mut self, comm: &mut Comm, steps: usize) {
         self.run_steps(comm, steps, true);
     }
@@ -399,11 +520,21 @@ impl RankSolver {
             if self.step_no.is_multiple_of(2) {
                 self.cycle += 1; // one completed pair
             }
-            let plane = self.f.alloc_dims().plane() as u64;
-            let (owned, ghost) = (self.sub.nx as u64 * plane, ghost_planes as u64 * plane);
-            self.noise
-                .finish_step(&mut self.counters, t0, key, owned, ghost);
+            self.finish_step(t0, key, ghost_planes);
         }
+    }
+
+    /// End the step begun at `t0`: its noise share (keyed by `key`) and its
+    /// updates, `ghost_planes` of them duplicate halo compute on a slab.
+    /// Tiles ship their ghost tiles and never count them.
+    fn finish_step(&mut self, t0: Instant, key: u64, ghost_planes: usize) {
+        let ghost = match self.cells {
+            Cells::Slab(_) => (ghost_planes * self.sub.global.ny * self.sub.global.nz) as u64,
+            Cells::Tiles(_) => 0,
+        };
+        let owned = self.owned_cells();
+        self.noise
+            .finish_step(&mut self.counters, t0, key, owned, ghost);
     }
 
     /// AA even step: in-place local collide over the owned planes. Under
@@ -436,62 +567,67 @@ impl RankSolver {
     /// cadence. A single rank owns the whole periodic axis, so it wraps the
     /// sweep's x-shift instead: no halo fill, no ghost writer planes, and
     /// bitwise-identical owned state (see [`lbm_core::kernels::aa::XShift`]).
-    /// Returns the ghost writer planes computed (the duplicate-work count
-    /// fed to the throughput counters).
+    /// Tiles sweep their owned fluid tiles and, decomposed, their ghost
+    /// writer tiles. Returns the ghost writer planes computed (the
+    /// duplicate-work count fed to the throughput counters).
     fn aa_odd_step(&mut self, comm: &mut Comm) -> usize {
-        let (own_lo, own_hi) = self.owned();
         let g = body_force(self.scenario.as_ref(), self.step_no);
-        if self.sub.ranks == 1 {
-            self.aa_odd(own_lo, own_hi, g);
-            return 0;
+        let multi = self.sub.ranks > 1;
+        if multi {
+            // Under the ghost schedules the exchange was normally posted
+            // during the even step; when the previous `run` call ended on
+            // that even step nothing was posted (no stranded requests) and
+            // it happens just in time here.
+            self.exchange(comm, Self::tags(self.step_no / 2));
         }
-        // Under the ghost schedules the exchange was normally posted during
-        // the even step; when the previous `run` call ended on that even
-        // step nothing was posted (no stranded requests) and it happens
-        // just in time here.
-        self.exchange(comm, Self::tags(self.step_no / 2));
-        self.aa_odd(own_lo - self.k, own_hi + self.k, g);
-        2 * self.k
+        let (own_lo, own_hi) = self.owned();
+        let k = if multi { self.k } else { 0 };
+        let simd = self.level >= OptLevel::Simd;
+        in_pool(self.pool.as_ref(), || match &mut self.cells {
+            Cells::Slab(s) => {
+                let sweep = if multi {
+                    kernels::aa_odd_scenario
+                } else {
+                    kernels::aa_odd_scenario_periodic
+                };
+                let (lo, hi) = (own_lo - k, own_hi + k);
+                sweep(
+                    self.level,
+                    &self.ctx,
+                    &s.tables,
+                    &mut s.f,
+                    lo,
+                    hi,
+                    g,
+                    &self.bounds,
+                )
+            }
+            Cells::Tiles(t) => {
+                tile_kernels::aa_odd_step(&self.ctx, &t.tiles, &t.gt, &mut t.f, g, simd)
+            }
+        });
+        2 * k
     }
 
     /// Pack the post-even borders of the single AA field, post the
     /// nonblocking sends for this pair's odd step, and post the receives.
     fn aa_post_border_sends(&mut self, comm: &mut Comm) {
-        let tags = Self::tags(self.step_no / 2);
-        self.pending = post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
+        self.pending = self.post(comm, Self::tags(self.step_no / 2));
     }
 
     /// In-place AA even sweep over `x ∈ [lo, hi)` at this rank's rung
-    /// (threaded like every kernel call, see [`in_pool`]).
+    /// (threaded like every kernel call, see [`in_pool`]). Tiles sweep every
+    /// owned tile: their schedule never splits the sweep.
     fn aa_even(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
         if lo >= hi {
             return;
         }
-        in_pool(self.pool.as_ref(), || {
-            kernels::aa_even_scenario(self.level, &self.ctx, &mut self.f, lo, hi, g, &self.bounds)
-        });
-    }
-
-    /// In-place AA odd sweep over writer planes `x ∈ [lo, hi)`. A single
-    /// rank wraps the x-shift inside the range, so no ghost plane is read or
-    /// written; decomposed ranks shift into the halo margin.
-    fn aa_odd(&mut self, lo: usize, hi: usize, g: [f64; 3]) {
-        let sweep = if self.sub.ranks == 1 {
-            kernels::aa_odd_scenario_periodic
-        } else {
-            kernels::aa_odd_scenario
-        };
-        in_pool(self.pool.as_ref(), || {
-            sweep(
-                self.level,
-                &self.ctx,
-                &self.tables,
-                &mut self.f,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            )
+        let simd = self.level >= OptLevel::Simd;
+        in_pool(self.pool.as_ref(), || match &mut self.cells {
+            Cells::Slab(s) => {
+                kernels::aa_even_scenario(self.level, &self.ctx, &mut s.f, lo, hi, g, &self.bounds)
+            }
+            Cells::Tiles(t) => tile_kernels::aa_even_step(&self.ctx, &t.tiles, &mut t.f, g, simd),
         });
     }
 
@@ -500,7 +636,10 @@ impl RankSolver {
             return; // halos valid from initialisation
         }
         if self.sub.ranks == 1 {
-            self.plan.fill_self(&mut self.f);
+            // A single tile rank's neighbour table wraps instead.
+            if let Cells::Slab(s) = &mut self.cells {
+                s.plan.fill_self(&mut s.f);
+            }
             return;
         }
         // Under the ghost schedules the sends were posted at the end of the
@@ -513,17 +652,25 @@ impl RankSolver {
         self.exchange(comm, Self::tags(self.cycle));
     }
 
+    /// Post one exchange of the current field's borders (see
+    /// [`post_exchange`]).
+    fn post(&mut self, comm: &mut Comm, tags: (u64, u64)) -> Vec<RecvRequest> {
+        let cells = &self.cells;
+        post_exchange(&mut self.bufs, &self.sub, comm, tags, |side, buf| {
+            cells.pack(side, buf)
+        })
+    }
+
     /// Complete the halo exchange tagged `tags` into `f`: post it now from
     /// the current borders of `f` unless a ghost schedule already did, wait,
     /// unpack. [`CommStrategy::Blocking`] completes the receives one link at
     /// a time (the naive sum-of-delays pattern), every other schedule with
     /// one waitall — for [`CommStrategy::NonBlockingEager`] immediately
     /// after posting: zero overlap. The received vectors become the next
-    /// send buffers.
+    /// send buffers. Both layouts exchange here.
     fn exchange(&mut self, comm: &mut Comm, tags: (u64, u64)) {
         if self.pending.is_empty() {
-            self.pending =
-                post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
+            self.pending = self.post(comm, tags);
         }
         let reqs = std::mem::take(&mut self.pending);
         debug_assert_eq!(reqs.len(), 2, "an exchange posts one receive per side");
@@ -534,7 +681,8 @@ impl RankSolver {
         } else {
             comm.waitall(reqs).expect("waitall")
         };
-        unpack_exchange(&self.plan, &mut self.bufs, &mut self.f, msgs);
+        let cells = &mut self.cells;
+        unpack_exchange(&mut self.bufs, msgs, |side, msg| cells.unpack(side, msg));
     }
 
     fn end_cycle(&mut self, comm: &mut Comm) {
@@ -546,9 +694,7 @@ impl RankSolver {
             CommStrategy::NonBlockingGhost => {
                 // Post sends and receives for the next cycle now; the gap to
                 // the next cycle's waitall is the (limited) overlap window.
-                let tags = Self::tags(self.cycle + 1);
-                self.pending =
-                    post_exchange(&self.plan, &mut self.bufs, &self.f, &self.sub, comm, tags);
+                self.pending = self.post(comm, Self::tags(self.cycle + 1));
             }
             CommStrategy::OverlapGhostCollide => {
                 // Sends already posted inside the last sub-step; receives too.
@@ -561,8 +707,11 @@ impl RankSolver {
     /// the nonblocking sends for the next cycle, and post the receives.
     fn post_border_sends(&mut self, comm: &mut Comm) {
         let tags = Self::tags(self.cycle + 1);
-        let tmp = self.tmp.as_ref().expect("two-grid destination buffer");
-        self.pending = post_exchange(&self.plan, &mut self.bufs, tmp, &self.sub, comm, tags);
+        let s = self.cells.slab();
+        let tmp = s.tmp.as_ref().expect("two-grid destination buffer");
+        self.pending = post_exchange(&mut self.bufs, &self.sub, comm, tags, |side, buf| {
+            s.plan.pack(tmp, side, buf)
+        });
     }
 
     /// The no-ghost-cells mid-step exchange (paper's bare NB-C): in push
@@ -573,10 +722,15 @@ impl RankSolver {
     fn midstep_exchange(&mut self, comm: &mut Comm, j: usize) {
         let step_tag = MIDSTEP_TAG_BASE + self.cycle * 64 + j as u64;
         let tags = (step_tag, step_tag + 32);
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        let reqs = post_exchange(&self.full, &mut self.bufs, tmp, &self.sub, comm, tags);
+        let s = self.cells.slab_mut();
+        let tmp = s.tmp.as_mut().expect("two-grid destination buffer");
+        let reqs = post_exchange(&mut self.bufs, &self.sub, comm, tags, |side, buf| {
+            s.full.pack(tmp, side, buf)
+        });
         let msgs = comm.waitall(reqs).expect("waitall");
-        unpack_exchange(&self.full, &mut self.bufs, tmp, msgs);
+        unpack_exchange(&mut self.bufs, msgs, |side, msg| {
+            s.full.unpack(tmp, side, msg)
+        });
     }
 
     /// The owned-region border split used by the Fig. 7 overlap:
@@ -614,15 +768,26 @@ impl RankSolver {
     /// border-first on the last sub-step of a GC-C cycle. With `fold` and a
     /// fused vector pass that one serial call makes (no pool, no GC-C
     /// overlap), the pass also folds the owned mass into [`Self::run_mass`].
+    /// Tiles run one fused gather/bounce/collide sweep over the owned tiles.
     fn substep(&mut self, comm: &mut Comm, j: usize, in_cycle: usize, fold: bool) {
         let t0 = Instant::now();
+        let g = body_force(self.scenario.as_ref(), self.step_no);
+        if let Cells::Tiles(t) = &mut self.cells {
+            let simd = self.level >= OptLevel::Simd;
+            in_pool(self.pool.as_ref(), || {
+                let tmp = t.tmp.as_mut().expect("two-grid destination buffer");
+                tile_kernels::step(&self.ctx, &t.tiles, &t.gt, &t.f, tmp, g, simd);
+                std::mem::swap(&mut t.f, tmp);
+            });
+            self.step_no += 1;
+            return self.finish_step(t0, self.step_no - 1, 0);
+        }
         let (lo, hi) = self.region(j);
         let multi = self.sub.ranks > 1;
         let overlap_now =
             self.strategy == CommStrategy::OverlapGhostCollide && j + 1 == in_cycle && multi;
         let eager = self.strategy == CommStrategy::NonBlockingEager && multi;
         let fused = self.level.kernel_class() == KernelClass::Fused;
-        let g = body_force(self.scenario.as_ref(), self.step_no);
         let update: fn(&mut Self, usize, usize, [f64; 3]) = if fused {
             Self::fused_scenario
         } else if self.bounds.is_periodic() && g == [0.0; 3] {
@@ -636,7 +801,7 @@ impl RankSolver {
             if eager {
                 self.midstep_exchange(comm, j);
             }
-            let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+            let (_, _, tmp) = self.cells.slab_mut().grids();
             self.bounds.apply(&self.ctx, tmp, lo, hi);
         }
         let mut folded = None;
@@ -652,28 +817,23 @@ impl RankSolver {
             self.midstep_exchange(comm, j);
         }
 
+        let s = self.cells.slab_mut();
         std::mem::swap(
-            &mut self.f,
-            self.tmp.as_mut().expect("two-grid destination buffer"),
+            &mut s.f,
+            s.tmp.as_mut().expect("two-grid destination buffer"),
         );
         self.step_no += 1;
         if let Some(mass) = folded {
             self.run_mass = Some((self.step_no, mass));
             self.mass_folds += 1;
         }
-
-        let plane = self.f.alloc_dims().plane() as u64;
-        let owned = self.sub.nx as u64 * plane;
-        let ghost = (hi - lo - self.sub.nx) as u64 * plane;
-        let key = self.cycle * 64 + j as u64;
-        self.noise
-            .finish_step(&mut self.counters, t0, key, owned, ghost);
+        self.finish_step(t0, self.cycle * 64 + j as u64, hi - lo - self.sub.nx);
     }
 
     fn stream(&mut self, lo: usize, hi: usize) {
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+        let (tables, f, tmp) = self.cells.slab_mut().grids();
         in_pool(self.pool.as_ref(), || {
-            kernels::stream(self.level, &self.ctx, &self.tables, &self.f, tmp, lo, hi)
+            kernels::stream(self.level, &self.ctx, tables, f, tmp, lo, hi)
         });
     }
 
@@ -681,7 +841,7 @@ impl RankSolver {
         if lo >= hi {
             return;
         }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+        let (_, _, tmp) = self.cells.slab_mut().grids();
         in_pool(self.pool.as_ref(), || {
             kernels::collide(self.level, &self.ctx, tmp, lo, hi)
         });
@@ -695,7 +855,7 @@ impl RankSolver {
         if lo >= hi {
             return;
         }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+        let (_, _, tmp) = self.cells.slab_mut().grids();
         in_pool(self.pool.as_ref(), || {
             kernels::collide_scenario(self.level, &self.ctx, tmp, lo, hi, g, &self.bounds)
         });
@@ -707,18 +867,9 @@ impl RankSolver {
         if lo >= hi {
             return;
         }
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
+        let (tables, f, tmp) = self.cells.slab_mut().grids();
         in_pool(self.pool.as_ref(), || {
-            kernels::stream_collide_scenario(
-                &self.ctx,
-                &self.tables,
-                &self.f,
-                tmp,
-                lo,
-                hi,
-                g,
-                &self.bounds,
-            )
+            kernels::stream_collide_scenario(&self.ctx, tables, f, tmp, lo, hi, g, &self.bounds)
         });
     }
 
@@ -726,29 +877,22 @@ impl RankSolver {
     /// [`Self::fused_scenario`]) that also returns the owned mass of the
     /// field it writes, or `None` where the kernel could not fold it.
     fn fused_folding_mass(&mut self, lo: usize, hi: usize, g: [f64; 3]) -> Option<f64> {
-        let tmp = self.tmp.as_mut().expect("two-grid destination buffer");
-        kernels::stream_collide_scenario_mass(
-            &self.ctx,
-            &self.tables,
-            &self.f,
-            tmp,
-            lo,
-            hi,
-            g,
-            &self.bounds,
-        )
+        let (tables, f, tmp) = self.cells.slab_mut().grids();
+        kernels::stream_collide_scenario_mass(&self.ctx, tables, f, tmp, lo, hi, g, &self.bounds)
     }
 
     /// Owned-region mass summed across ranks with a one-value allreduce.
     /// This rank's share is the mass the last pass of a
     /// [`Self::run_folding_mass`] folded, while it belongs to the current
     /// step; otherwise one streaming pass over the owned planes
-    /// ([`DistField::owned_mass`]), whose bits the fold has. Bitwise
-    /// `global_invariants(comm).0`, without the per-cell moments.
+    /// ([`DistField::owned_mass`]), whose bits the fold has, or the tiles'
+    /// sum. Bitwise `global_invariants(comm).0`, without the per-cell
+    /// moments.
     pub fn global_mass(&self, comm: &mut Comm) -> f64 {
-        let local = match self.run_mass {
-            Some((step, mass)) if step == self.step_no => mass,
-            _ => self.f.owned_mass(),
+        let local = match (self.run_mass, &self.cells) {
+            (Some((step, mass)), _) if step == self.step_no => mass,
+            (_, Cells::Slab(s)) => s.f.owned_mass(),
+            (_, Cells::Tiles(t)) => t.invariants(&self.ctx).0,
         };
         comm.allreduce_sum(&[local])[0]
     }
@@ -766,30 +910,34 @@ impl RankSolver {
         (v[0], [v[1], v[2], v[3]])
     }
 
-    /// Owned-region mass and momentum on this rank. Mid-pair AA states
+    /// Owned-region mass and momentum on this rank (every owned cell, solid
+    /// ones included: they hold bounced populations). Mid-pair AA states
     /// store slot-swapped populations (see [`Self::parity_swapped`]); the
     /// momentum sign is corrected here so the reading is always the
     /// physical one.
     pub fn local_invariants(&self) -> (f64, [f64; 3]) {
-        let d = self.f.alloc_dims();
-        let q = self.ctx.lat.q();
-        let (lo, hi) = self.owned();
-        let mut cell = [0.0f64; MAX_Q];
-        let mut mass = 0.0;
-        let mut mom = [0.0f64; 3];
-        for x in lo..hi {
-            for y in 0..d.ny {
-                for z in 0..d.nz {
-                    let lin = d.idx(x, y, z);
-                    self.f.gather_cell(lin, &mut cell[..q]);
-                    let m = Moments::of_cell(&self.ctx.lat, &cell[..q]);
-                    mass += m.rho;
-                    for a in 0..3 {
-                        mom[a] += m.rho * m.u[a];
+        let (mass, mut mom) = match &self.cells {
+            Cells::Slab(s) => {
+                let d = s.f.alloc_dims();
+                let q = self.ctx.lat.q();
+                let mut cell = [0.0f64; MAX_Q];
+                let (mut mass, mut mom) = (0.0, [0.0f64; 3]);
+                for x in s.f.owned_x() {
+                    for y in 0..d.ny {
+                        for z in 0..d.nz {
+                            s.f.gather_cell(d.idx(x, y, z), &mut cell[..q]);
+                            let m = Moments::of_cell(&self.ctx.lat, &cell[..q]);
+                            mass += m.rho;
+                            for a in 0..3 {
+                                mom[a] += m.rho * m.u[a];
+                            }
+                        }
                     }
                 }
+                (mass, mom)
             }
-        }
+            Cells::Tiles(t) => t.invariants(&self.ctx),
+        };
         if self.parity_swapped() {
             // Slot-swapped storage: Σ c_i f_{opp(i)} = −Σ c_i f_i.
             for a in &mut mom {
@@ -799,28 +947,54 @@ impl RankSolver {
         (mass, mom)
     }
 
-    /// Copy of the owned planes (halo-free), for cross-run comparisons.
-    pub fn owned_snapshot(&self) -> DistField {
-        let mut out =
-            DistField::new(self.ctx.lat.q(), self.sub.owned(), 0).expect("snapshot alloc");
-        let own = self.owned_range();
-        for i in 0..self.ctx.lat.q() {
-            out.slab_mut(i)
-                .copy_from_slice(&self.f.slab(i)[own.clone()]);
+    /// Peak |u| over the owned fluid cells (wall rows, masked and solid
+    /// cells hold boundary state, not flow).
+    pub(crate) fn max_speed(&self) -> f64 {
+        match &self.cells {
+            Cells::Slab(s) => crate::observables::max_speed_fluid(&self.ctx, &s.f, &self.bounds),
+            Cells::Tiles(t) => t.max_speed(&self.ctx),
         }
-        out
     }
 
-    /// The owned planes' span inside a slab of `f`: x-major storage makes
-    /// them one contiguous run.
-    fn owned_range(&self) -> std::ops::Range<usize> {
-        let d = self.f.alloc_dims();
-        let (lo, hi) = self.owned();
-        d.idx(lo, 0, 0)..d.idx(hi, 0, 0)
+    /// The y-profile of `u_axis` over the fluid rows with this rank's
+    /// averaging weight (its owned x extent), or `None` on tiles, which have
+    /// no row structure to profile.
+    pub(crate) fn profile(&self, axis: usize, z_slice: Option<usize>) -> Option<(usize, Vec<f64>)> {
+        let Cells::Slab(s) = &self.cells else {
+            return None;
+        };
+        let mut p =
+            crate::observables::u_profile_fluid(&self.ctx, &s.f, &self.bounds, axis, z_slice);
+        if self.parity_swapped() {
+            // Mid-pair AA storage is slot-swapped: directed observables flip
+            // sign (speeds are unaffected).
+            for v in &mut p {
+                *v = -*v;
+            }
+        }
+        Some((self.sub.nx, p))
+    }
+
+    /// Copy of the owned cells as a halo-free field of the owned box, for
+    /// cross-run comparisons and checkpoints. Cells of unallocated tiles
+    /// read 0.
+    pub fn owned_snapshot(&self) -> DistField {
+        match &self.cells {
+            Cells::Slab(s) => {
+                let q = self.ctx.lat.q();
+                let mut out = DistField::new(q, self.sub.owned(), 0).expect("snapshot alloc");
+                for i in 0..q {
+                    out.slab_mut(i)
+                        .copy_from_slice(&s.f.slab(i)[s.owned_range()]);
+                }
+                out
+            }
+            Cells::Tiles(t) => t.snapshot(self.sub.owned()),
+        }
     }
 
     /// Restore this rank from a checkpointed owned snapshot: overwrite the
-    /// owned planes with `snap` (halo-free, bitwise) and fast-forward the
+    /// owned cells with `snap` (halo-free, bitwise) and fast-forward the
     /// step/cycle counters. Pending receives are cleared — the first cycle
     /// (or odd AA step) after a restore derives the halos just in time (a
     /// self-fill on one rank, an exchange on several), which the deep-halo
@@ -838,9 +1012,14 @@ impl RankSolver {
                 owned,
             )));
         }
-        let own = self.owned_range();
-        for i in 0..self.ctx.lat.q() {
-            self.f.slab_mut(i)[own.clone()].copy_from_slice(snap.slab(i));
+        match &mut self.cells {
+            Cells::Slab(s) => {
+                let own = s.owned_range();
+                for i in 0..snap.q() {
+                    s.f.slab_mut(i)[own.clone()].copy_from_slice(snap.slab(i));
+                }
+            }
+            Cells::Tiles(t) => t.restore(snap),
         }
         self.step_no = step_no;
         self.cycle = cycle;
@@ -852,9 +1031,13 @@ impl RankSolver {
     }
 
     /// Completed exchange cycles (checkpointed alongside
-    /// [`Self::steps_done`] so a restore resumes the tag sequence).
+    /// [`Self::steps_done`] so a restore resumes the tag sequence). Tiles
+    /// report their step count, the cadence of their two-grid exchange.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        match self.cells {
+            Cells::Slab(_) => self.cycle,
+            Cells::Tiles(_) => self.step_no,
+        }
     }
 
     /// Reset the performance counters (after warmup).
@@ -862,36 +1045,66 @@ impl RankSolver {
         self.counters = PerfCounters::new();
     }
 
-    /// The current field (owned + halos) — test/diagnostic access.
+    /// The current field (owned + halos) — test/diagnostic access. Panics
+    /// on tiles, which have no dense field.
     pub fn field(&self) -> &DistField {
-        &self.f
+        &self.cells.slab().f
     }
 
-    /// Mutable field access for the fault-injection harness.
-    pub(crate) fn field_mut(&mut self) -> &mut DistField {
+    /// The tile layout (test access). Panics on a slab.
+    #[cfg(test)]
+    pub(crate) fn tiles(&self) -> &Tiles {
+        match &self.cells {
+            Cells::Tiles(t) => t,
+            Cells::Slab(_) => unreachable!("a slab rank has no tiles"),
+        }
+    }
+
+    /// Every resident population value: the slab with its halos, or every
+    /// tile frame, owned and ghost.
+    pub(crate) fn raw(&self) -> &[f64] {
+        match &self.cells {
+            Cells::Slab(s) => s.f.as_slice(),
+            Cells::Tiles(t) => t.f.as_slice(),
+        }
+    }
+
+    /// Every resident population value is finite (owned, halo and ghost
+    /// storage alike).
+    pub(crate) fn all_finite(&self) -> bool {
+        self.raw().iter().all(|v| v.is_finite())
+    }
+
+    /// Deterministic NaN injection for the fault harness: the middle of the
+    /// storage, which lands in an owned cell.
+    pub(crate) fn inject_nan(&mut self) {
         self.run_mass = None;
-        &mut self.f
+        let raw = match &mut self.cells {
+            Cells::Slab(s) => s.f.as_mut_slice(),
+            Cells::Tiles(t) => t.f.as_mut_slice(),
+        };
+        let mid = raw.len() / 2;
+        raw[mid] = f64::NAN;
     }
 }
 
-/// Post one halo exchange: pack both borders of `src` by `plan`, hand each
-/// packed vector to its nonblocking send by move, and post the two receives
-/// `[from left, from right]`. `tags` are `(to_left, to_right)`: my left halo
-/// comes from my left neighbour's `to_right` send.
+/// Post one halo exchange: pack both borders with `pack(side, buf)`, hand
+/// each packed vector to its nonblocking send by move, and post the two
+/// receives `[from left, from right]`. `tags` are `(to_left, to_right)`: my
+/// left halo comes from my left neighbour's `to_right` send.
 fn post_exchange(
-    plan: &HaloPlan,
     bufs: &mut [Vec<f64>; 2],
-    src: &DistField,
     sub: &Subdomain,
     comm: &mut Comm,
     (to_left, to_right): (u64, u64),
+    pack: impl Fn(Side, &mut Vec<f64>),
 ) -> Vec<RecvRequest> {
     let (left, right) = (sub.left(), sub.right());
     for ((side, dst, tag), buf) in [(Side::Left, left, to_left), (Side::Right, right, to_right)]
         .into_iter()
         .zip(bufs)
     {
-        plan.pack(src, side, buf);
+        pack(side, buf);
         let _ = comm.isend(dst, tag, std::mem::take(buf)).expect("isend");
     }
     vec![
@@ -901,16 +1114,14 @@ fn post_exchange(
 }
 
 /// Unpack the messages `[from left, from right]` of a completed exchange
-/// into the halos of `dst`; the vectors become the next send buffers (the
-/// two directions of a plan are equally long).
+/// with `unpack(side, msg)`; the vectors become the next send buffers.
 fn unpack_exchange(
-    plan: &HaloPlan,
     bufs: &mut [Vec<f64>; 2],
-    dst: &mut DistField,
     msgs: Vec<Vec<f64>>,
+    mut unpack: impl FnMut(Side, &[f64]),
 ) {
     for ((side, msg), buf) in [Side::Left, Side::Right].into_iter().zip(msgs).zip(bufs) {
-        plan.unpack(dst, side, &msg);
+        unpack(side, &msg);
         *buf = msg;
     }
 }
@@ -920,7 +1131,7 @@ fn unpack_exchange(
 /// plain call outside one (bit-identical either way), so this is the only
 /// place a rank's threading is decided; the rank decides whether to build a
 /// pool at all.
-pub(crate) fn in_pool<R>(pool: Option<&rayon::ThreadPool>, work: impl FnOnce() -> R) -> R {
+fn in_pool<R>(pool: Option<&rayon::ThreadPool>, work: impl FnOnce() -> R) -> R {
     match pool {
         Some(p) => p.install(work),
         None => work(),
@@ -929,7 +1140,7 @@ pub(crate) fn in_pool<R>(pool: Option<&rayon::ThreadPool>, work: impl FnOnce() -
 
 /// The body force of `scenario` at step `step_no` (zero without a scenario
 /// or forcing).
-pub(crate) fn body_force(scenario: Option<&ScenarioHandle>, step_no: u64) -> [f64; 3] {
+fn body_force(scenario: Option<&ScenarioHandle>, step_no: u64) -> [f64; 3] {
     scenario
         .and_then(|s| s.forcing(step_no))
         .map_or([0.0; 3], |b| b.g)
@@ -938,14 +1149,14 @@ pub(crate) fn body_force(scenario: Option<&ScenarioHandle>, step_no: u64) -> [f6
 /// One rank's emulated compute noise: each step's time is stretched by a
 /// deterministic jitter share and a skew that grows linearly with the rank.
 #[derive(Clone, Copy)]
-pub(crate) struct ComputeNoise {
+struct ComputeNoise {
     rank: u64,
     jitter: f64,
     skew: f64,
 }
 
 impl ComputeNoise {
-    pub(crate) fn new(cfg: &SimConfig, rank: usize) -> Self {
+    fn new(cfg: &SimConfig, rank: usize) -> Self {
         let skew = if cfg.ranks > 1 {
             cfg.compute_skew * rank as f64 / (cfg.ranks - 1) as f64
         } else {
@@ -961,7 +1172,7 @@ impl ComputeNoise {
     /// End the step begun at `t0`: spin for its noise share (jitter keyed
     /// by `key`) and record `owned` and `ghost` updates over the stretched
     /// time.
-    pub(crate) fn finish_step(
+    fn finish_step(
         self,
         counters: &mut PerfCounters,
         t0: Instant,
@@ -1247,8 +1458,8 @@ mod tests {
     /// NaN every `(velocity, plane)` halo slot of the current field that
     /// the solver's exchange plan does not ship.
     fn poison_outside_plan(s: &mut RankSolver) {
-        let (h, plan) = (s.h, s.plan.clone());
-        let f = s.field_mut();
+        let (h, plan) = (s.h, s.cells.slab().plan.clone());
+        let f = &mut s.cells.slab_mut().f;
         let d = f.alloc_dims();
         for (side, x0) in [(Side::Left, 0), (Side::Right, d.nx - h)] {
             for i in 0..f.q() {
@@ -1364,7 +1575,7 @@ mod tests {
                     s.run(comm, n);
                     let what = format!("{cfg:?} after {} steps", s.steps_done());
                     let (local, _) = s.local_invariants();
-                    assert_eq!(s.f.owned_mass().to_bits(), local.to_bits(), "{what}");
+                    assert_eq!(s.field().owned_mass().to_bits(), local.to_bits(), "{what}");
                     let (global, _) = s.global_invariants(comm);
                     assert_eq!(s.global_mass(comm).to_bits(), global.to_bits(), "{what}");
                 }
@@ -1436,6 +1647,36 @@ mod tests {
                     assert!(a.0 == b.0, "{what} rank {rank}: start differs");
                     assert!(a.1 == b.1, "{what} rank {rank}: step 5 differs");
                 }
+            }
+        }
+    }
+
+    /// A configuration with a geometry builds the tile layout: the solver
+    /// steps bitwise as the engine of a `Simulation` of the same
+    /// configuration, on both storage modes.
+    #[test]
+    fn new_builds_the_tiles_of_a_geometry() {
+        use crate::scenario::ForcedFlow;
+        use lbm_core::geometry::Geometry;
+        let bits = |f: &DistField| -> Vec<u64> {
+            (0..f.q())
+                .flat_map(|i| f.slab(i).iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        let global = Dim3::new(16, 16, 16);
+        for storage in [StorageMode::TwoGrid, StorageMode::InPlaceAa] {
+            let b = Simulation::builder(LatticeKind::D3Q19, global)
+                .scenario(ForcedFlow::new(4e-6))
+                .geometry(Geometry::pipe(global, 5.0).unwrap())
+                .storage(storage)
+                .ranks(2);
+            let direct = distributed_owned(&b.clone().build_config().unwrap(), 5);
+            let mut sim = b.build().unwrap();
+            sim.run_local(5).unwrap();
+            let engine = sim.engine_mut().unwrap();
+            for (rank, (snap, rs)) in direct.iter().zip(&engine.ranks).enumerate() {
+                let want = rs.solver.owned_snapshot();
+                assert!(bits(snap) == bits(&want), "{storage:?} rank {rank}");
             }
         }
     }

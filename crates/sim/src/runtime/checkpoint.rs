@@ -56,10 +56,10 @@ use lbm_core::lattice::LatticeKind;
 use lbm_core::snapshot;
 
 use crate::config::CommStrategy;
+use crate::distributed::RankSolver;
 use crate::json::Json;
 use crate::scenario::ScenarioSpec;
 use crate::simulation::Simulation;
-use crate::sparse::AnySolver;
 
 /// File magic leading every checkpoint.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"LBMCKPT\0";
@@ -513,7 +513,9 @@ where
     let mut sim = b.build().map_err(Error::from)?;
     sim.build_engine(|cfg, rank| {
         let snap = frames[rank].decode()?;
-        AnySolver::restored(cfg, rank, &snap, step_no, cycle)
+        let mut solver = RankSolver::allocate(cfg, rank)?;
+        solver.restore_owned(&snap, step_no, cycle)?;
+        Ok(solver)
     })?;
     Ok(sim)
 }

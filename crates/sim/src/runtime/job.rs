@@ -392,6 +392,17 @@ mod tests {
                 target_fluid: 0.3,
                 seed: 11,
             },
+            // Seeds of 2^63 and up travel as negative JSON integers.
+            GeometrySpec::Porous {
+                blob_r: 3.0,
+                target_fluid: 0.3,
+                seed: 1 << 63,
+            },
+            GeometrySpec::Porous {
+                blob_r: 3.0,
+                target_fluid: 0.3,
+                seed: u64::MAX,
+            },
             GeometrySpec::File {
                 path: "assets/vessel_24x20x20.lbmgeo".into(),
             },

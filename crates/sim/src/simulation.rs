@@ -44,9 +44,9 @@ use lbm_core::kernels::OptLevel;
 use lbm_core::lattice::{Lattice, LatticeKind};
 
 use crate::config::{CommStrategy, ConfigError, SimConfig};
+use crate::distributed::RankSolver;
 use crate::report::{RankReport, RunReport, REPORT_SCHEMA_VERSION};
 use crate::scenario::{ObservableSpec, Scenario, ScenarioHandle};
-use crate::sparse::{self, AnySolver};
 
 /// Fluent configuration for a [`Simulation`] (see [`Simulation::builder`]).
 ///
@@ -239,7 +239,7 @@ pub(crate) struct Engine {
 
 /// One rank of the persistent engine.
 pub(crate) struct RankState {
-    pub(crate) solver: AnySolver,
+    pub(crate) solver: RankSolver,
     pub(crate) comm: Comm,
 }
 
@@ -277,7 +277,7 @@ impl Engine {
     /// bit for bit; a failure returns the first error in rank order.
     fn build<F>(cfg: &SimConfig, solver: F) -> Result<Self>
     where
-        F: Fn(&SimConfig, usize) -> Result<AnySolver> + Sync,
+        F: Fn(&SimConfig, usize) -> Result<RankSolver> + Sync,
     {
         let comms = Universe::endpoints(cfg.ranks, cfg.cost.clone());
         let ranks = once_per_rank(comms, |comm| {
@@ -320,10 +320,10 @@ impl Engine {
                 schema: REPORT_SCHEMA_VERSION,
                 rank: rs.comm.rank(),
                 owned_cells: rs.solver.owned_cells(),
-                updates: rs.solver.counters().updates,
-                ghost_updates: rs.solver.counters().ghost_updates,
+                updates: rs.solver.counters.updates,
+                ghost_updates: rs.solver.counters.ghost_updates,
                 resident_bytes: rs.solver.resident_population_bytes(),
-                compute_secs: rs.solver.counters().elapsed.as_secs_f64(),
+                compute_secs: rs.solver.counters.elapsed.as_secs_f64(),
                 wait_secs: timers.wait.as_secs_f64(),
                 barrier_secs: timers.barrier.as_secs_f64(),
                 collective_secs: timers.collective.as_secs_f64(),
@@ -400,20 +400,15 @@ impl Simulation {
         let cfg = self.cfg.clone();
         let engine = self.engine_mut()?;
         let results = engine.run_timed(cfg.warmup, steps);
+        // Report what ran: the schedule the ranks run, and the tile layout
+        // under its own storage labels.
+        let (strategy, ghost_depth) = engine.ranks[0].solver.schedule();
         let mass = results[0].1;
         let per_rank: Vec<RankReport> = results.into_iter().map(|(r, _)| r).collect();
-        // Report what ran: the sparse path has its own storage and schedule.
-        let (storage_label, (strategy, ghost_depth)) = if cfg.geometry.is_some() {
-            let label = match cfg.storage {
-                StorageMode::TwoGrid => "sparse_tiles",
-                StorageMode::InPlaceAa => "sparse_tiles_aa",
-            };
-            (label, sparse::SCHEDULE)
-        } else {
-            // AA exchanges a fixed 2·k halo once per even/odd pair, whatever
-            // the configured depth.
-            let depth = cfg.halo_width() / Lattice::new(cfg.lattice).reach();
-            (cfg.storage.name(), (cfg.comm_strategy(), depth))
+        let storage_label = match (&cfg.geometry, cfg.storage) {
+            (None, storage) => storage.name(),
+            (Some(_), StorageMode::TwoGrid) => "sparse_tiles",
+            (Some(_), StorageMode::InPlaceAa) => "sparse_tiles_aa",
         };
         let mut report = RunReport::assemble(
             cfg.lattice.name().to_string(),
@@ -596,7 +591,7 @@ impl Simulation {
     /// The engine, built from the scenario's initial state on first use.
     pub(crate) fn engine_mut(&mut self) -> Result<&mut Engine> {
         if self.engine.is_none() {
-            self.engine = Some(Engine::build(&self.cfg, AnySolver::new)?);
+            self.engine = Some(Engine::build(&self.cfg, RankSolver::new)?);
         }
         Ok(self.engine.as_mut().expect("just created"))
     }
@@ -605,7 +600,7 @@ impl Simulation {
     /// state — the resume path, whose ranks come from their snapshots.
     pub(crate) fn build_engine<F>(&mut self, solver: F) -> Result<()>
     where
-        F: Fn(&SimConfig, usize) -> Result<AnySolver> + Sync,
+        F: Fn(&SimConfig, usize) -> Result<RankSolver> + Sync,
     {
         self.engine = Some(Engine::build(&self.cfg, solver)?);
         Ok(())
@@ -857,7 +852,7 @@ mod tests {
 
     /// Every rank's resident values (field with halos, or every sparse
     /// tile frame) as bits.
-    fn rank_bits(solver: &AnySolver) -> Vec<u64> {
+    fn rank_bits(solver: &RankSolver) -> Vec<u64> {
         solver.raw().iter().map(|v| v.to_bits()).collect()
     }
 
@@ -884,7 +879,7 @@ mod tests {
                         let parallel = sim.engine_mut().unwrap();
                         assert_eq!(parallel.ranks.len(), ranks);
                         for (rank, rs) in parallel.ranks.iter().enumerate() {
-                            let serial = AnySolver::new(&cfg, rank).unwrap();
+                            let serial = RankSolver::new(&cfg, rank).unwrap();
                             assert_eq!(rs.comm.rank(), rank);
                             assert!(
                                 rank_bits(&rs.solver) == rank_bits(&serial),
@@ -913,7 +908,7 @@ mod tests {
             .unwrap();
         let cfg = sim.config().clone();
         let serial = (0..cfg.ranks)
-            .map(|rank| AnySolver::new(&cfg, rank))
+            .map(|rank| RankSolver::new(&cfg, rank))
             .collect::<Result<Vec<_>>>();
         let want = match serial {
             Err(e) => e,

@@ -1,4 +1,4 @@
-//! The sparse tiled-geometry rank solver and the dense/sparse dispatch.
+//! The sparse tiled-geometry layout of a rank.
 //!
 //! When a [`SimConfig`] carries a voxel
 //! [`Geometry`](lbm_core::geometry::Geometry), each rank owns a contiguous
@@ -26,33 +26,27 @@
 //! [`CommStrategy`] are ignored on this path; a run reports
 //! [`SCHEDULE`], the one that runs.
 //!
-//! `AnySolver` is the engine-facing dispatch: the persistent engine holds
-//! one per rank and every caller (timed runs, probes, checkpointing, fault
-//! injection) goes through its delegating methods, so the dense solver code
-//! is untouched by the sparse subsystem.
+//! [`Tiles`] is only the layout: the tile list, its frames and what reads or
+//! writes them (pack, unpack, snapshot, invariants). The one
+//! [`RankSolver`](crate::distributed::RankSolver) steps it, with the same
+//! step loops, exchange routine, thread pool and counters as a dense slab.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use lbm_comm::Comm;
-use lbm_core::collision::Bgk;
+use lbm_core::domain::Subdomain;
 use lbm_core::field::{DistField, StorageMode};
-use lbm_core::geometry::{self, tile_cell, Geometry, SparseTiles, TILE_B, TILE_CELLS};
+use lbm_core::geometry::{self, Geometry, SparseTiles, TILE_B, TILE_CELLS};
 use lbm_core::index::Dim3;
 use lbm_core::kernels::sparse::{self, GatherTable, SparseField};
-use lbm_core::kernels::{KernelCtx, OptLevel, MAX_Q};
+use lbm_core::kernels::{KernelCtx, MAX_Q};
 use lbm_core::moments::Moments;
-use lbm_core::perf::PerfCounters;
 use lbm_core::{Error, Result};
 
 use crate::config::{CommStrategy, SimConfig};
-use crate::distributed::{body_force, in_pool, ComputeNoise, RankSolver};
+use crate::halo::Side;
 use crate::json::Json;
-use crate::scenario::ScenarioHandle;
 
 /// The communication schedule and ghost depth every sparse run uses,
-/// whatever the configuration asks: [`SparseRankSolver`]'s exchange is the
-/// eager pattern, run every step (every pair under AA) like a depth-1 halo.
+/// whatever the configuration asks: the tile exchange is the eager
+/// pattern, run every step (every pair under AA) like a depth-1 halo.
 pub(crate) const SCHEDULE: (CommStrategy, usize) = (CommStrategy::NonBlockingEager, 1);
 
 /// Plain-data description of an analytic geometry, the sparse counterpart
@@ -184,9 +178,11 @@ impl GeometrySpec {
             "porous" => Ok(GeometrySpec::Porous {
                 blob_r: num("blob_r")?,
                 target_fluid: num("target_fluid")?,
+                // `to_json` writes the seed's bits as an i64.
                 seed: v
                     .get("seed")
-                    .and_then(Json::as_u64)
+                    .and_then(Json::as_i64)
+                    .map(|i| i as u64)
                     .ok_or("geometry spec missing `seed`")?,
             }),
             "file" => Ok(GeometrySpec::File {
@@ -201,227 +197,110 @@ impl GeometrySpec {
     }
 }
 
-/// One rank of a sparse tiled-geometry run.
-pub(crate) struct SparseRankSolver {
-    /// Lattice + equilibrium + collision context.
-    pub(crate) ctx: KernelCtx,
-    /// Per-rank counters in the paper's update metric (fluid cells only).
-    pub(crate) counters: PerfCounters,
-    tiles: SparseTiles,
-    gt: GatherTable,
-    f: SparseField,
+/// The tile layout of one rank: its allocated tiles (owned columns first,
+/// then the ghost columns) and their packed population frames.
+pub(crate) struct Tiles {
+    pub(crate) tiles: SparseTiles,
+    pub(crate) gt: GatherTable,
+    pub(crate) f: SparseField,
     /// Two-grid destination buffer; `None` under AA storage — that absence
     /// *is* the resident-bytes halving.
-    tmp: Option<SparseField>,
-    storage: StorageMode,
-    global: Dim3,
-    rank: usize,
-    ranks: usize,
-    use_simd: bool,
-    pool: Option<rayon::ThreadPool>,
-    scenario: Option<ScenarioHandle>,
-    noise: ComputeNoise,
-    step_no: u64,
+    pub(crate) tmp: Option<SparseField>,
 }
 
-impl SparseRankSolver {
-    /// Build rank `rank`'s tile list from the configured geometry and set
-    /// every allocated cell to the scenario's initial equilibrium (rest
-    /// fluid without a scenario — the voxel walls make the flow, not the
-    /// initial mode).
-    pub(crate) fn new(cfg: &SimConfig, rank: usize) -> Result<Self> {
-        let mut s = Self::allocate(cfg, rank)?;
-        let global = cfg.global;
-        let state = |x: usize, y: usize, z: usize| match &cfg.scenario {
-            Some(sc) => sc.init(global, x, y, z),
-            None => (1.0, [0.0; 3]),
-        };
-        match cfg.storage {
-            StorageMode::TwoGrid => {
-                sparse::init_equilibrium(&s.ctx, &s.tiles, &s.gt, &mut s.f, global, state);
-            }
-            // AA frames hold the *streamed* image at even parity, so the
-            // initial slots carry the pull-streamed equilibrium — a two-grid
-            // twin started from the same state stays comparable pair for
-            // pair.
-            StorageMode::InPlaceAa => {
-                sparse::init_equilibrium_aa(&s.ctx, &s.tiles, &mut s.f, global, state);
-            }
-        }
-        Ok(s)
-    }
-
-    /// Rank `rank`'s tile list and buffers with no population written: the
-    /// start of [`Self::new`], and of a restore, whose snapshot supplies the
-    /// owned tiles.
-    fn allocate(cfg: &SimConfig, rank: usize) -> Result<Self> {
-        let geom: &Arc<Geometry> = cfg
-            .geometry
-            .as_ref()
-            .ok_or_else(|| Error::BadParameter("sparse solver needs a geometry".into()))?;
-        let ctx = KernelCtx::new(cfg.lattice, cfg.eq_order(), Bgk::new(cfg.tau)?);
+impl Tiles {
+    /// Rank `rank`'s tiles of `geom` with no population written, and the
+    /// x-slab its tile columns own.
+    pub(crate) fn allocate(
+        cfg: &SimConfig,
+        geom: &Geometry,
+        ctx: &KernelCtx,
+        rank: usize,
+    ) -> Result<(Self, Subdomain)> {
         let counts = geometry::column_fluid_counts(geom);
-        let parts = geometry::partition_columns(&counts, cfg.ranks)?;
-        let (lo, hi) = parts[rank];
+        let (lo, hi) = geometry::partition_columns(&counts, cfg.ranks)?[rank];
         let tiles = SparseTiles::build(geom, lo, hi - lo, cfg.sparse_ghost_cols())?;
         let gt = GatherTable::new(&ctx.lat);
         let f = SparseField::new(ctx.lat.q(), tiles.tile_count())?;
-        let storage = cfg.storage;
-        let tmp = (storage == StorageMode::TwoGrid)
+        let tmp = (cfg.storage == StorageMode::TwoGrid)
             .then(|| SparseField::new(ctx.lat.q(), tiles.tile_count()))
             .transpose()?;
-        let pool = (cfg.threads_per_rank > 1)
-            .then(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(cfg.threads_per_rank)
-                    .build()
-                    .map_err(|e| Error::BadParameter(format!("rayon pool: {e}")))
-            })
-            .transpose()?;
-        Ok(Self {
-            ctx,
-            counters: PerfCounters::default(),
-            tiles,
-            gt,
-            f,
-            tmp,
-            storage,
+        let sub = Subdomain {
             global: cfg.global,
             rank,
             ranks: cfg.ranks,
-            use_simd: cfg.level >= OptLevel::Simd,
-            pool,
-            scenario: cfg.scenario.clone(),
-            noise: ComputeNoise::new(cfg, rank),
-            step_no: 0,
-        })
-    }
-
-    /// Advance `steps` steps. Two-grid: exchange boundary-tile frames, one
-    /// fused gather/bounce/collide sweep over the owned tiles, swap buffers.
-    /// AA: even steps are purely local collide-and-swap (no exchange, no
-    /// second buffer); odd steps exchange first, then gather/collide/scatter
-    /// in place through the neighbour table.
-    pub(crate) fn run(&mut self, comm: &mut Comm, steps: usize) {
-        for _ in 0..steps {
-            let t0 = Instant::now();
-            let aa_odd = self.storage == StorageMode::InPlaceAa && self.step_no % 2 == 1;
-            if self.storage == StorageMode::TwoGrid || aa_odd {
-                self.exchange(comm);
-            }
-            let g = body_force(self.scenario.as_ref(), self.step_no);
-            let use_simd = self.use_simd;
-            let storage = self.storage;
-            let Self {
-                ctx,
-                tiles,
-                gt,
-                f,
-                tmp,
-                pool,
-                ..
-            } = &mut *self;
-            in_pool(pool.as_ref(), || match storage {
-                StorageMode::TwoGrid => {
-                    let tmp = tmp.as_mut().expect("two-grid keeps a destination buffer");
-                    sparse::step(ctx, tiles, gt, f, tmp, g, use_simd);
-                    std::mem::swap(f, tmp);
-                }
-                StorageMode::InPlaceAa if aa_odd => {
-                    sparse::aa_odd_step(ctx, tiles, gt, f, g, use_simd)
-                }
-                StorageMode::InPlaceAa => sparse::aa_even_step(ctx, tiles, f, g, use_simd),
-            });
-            let key = self.step_no;
-            self.step_no += 1;
-            // Ghost tiles are shipped, never computed: all updates are
-            // owned fluid-cell updates (solid rim cells only bounce).
-            let owned = self.tiles.owned_fluid_cells;
-            self.noise
-                .finish_step(&mut self.counters, t0, key, owned, 0);
-        }
-    }
-
-    /// Blocking exchange of the allocated boundary-tile frames. Runs every
-    /// step under two-grid storage and before every odd step under AA (the
-    /// even half-step is purely local, so ghost frames are only read by the
-    /// odd gather/scatter). Ghost frames are never escape-zeroed locally —
-    /// their owner's copy is authoritative. Serial runs have a periodic
-    /// neighbour table instead of ghosts and skip this entirely.
-    fn exchange(&mut self, comm: &mut Comm) {
-        if self.ranks == 1 {
-            return;
-        }
-        let fl = self.f.frame_len();
-        let left = (self.rank + self.ranks - 1) % self.ranks;
-        let right = (self.rank + 1) % self.ranks;
-        // Tag by direction of travel so the two payloads of a 2-rank ring
-        // (left == right) cannot cross.
-        let to_left = self.step_no * 2;
-        let to_right = self.step_no * 2 + 1;
-        let pack = |idx: &[usize], f: &SparseField| {
-            let mut buf = Vec::with_capacity(idx.len() * fl);
-            for &t in idx {
-                buf.extend_from_slice(f.frame(t));
-            }
-            buf
+            x_start: lo * TILE_B,
+            nx: (hi - lo) * TILE_B,
         };
-        let _ = comm
-            .isend(left, to_left, pack(&self.tiles.send_left, &self.f))
-            .expect("isend");
-        let _ = comm
-            .isend(right, to_right, pack(&self.tiles.send_right, &self.f))
-            .expect("isend");
-        let rl = comm.irecv(left, to_right).expect("irecv");
-        let rr = comm.irecv(right, to_left).expect("irecv");
-        let msgs = comm.waitall(vec![rl, rr]).expect("waitall");
-        for (idx, data) in [
-            (&self.tiles.recv_left, &msgs[0]),
-            (&self.tiles.recv_right, &msgs[1]),
-        ] {
-            debug_assert_eq!(data.len(), idx.len() * fl, "boundary frame mismatch");
-            for (j, &t) in idx.iter().enumerate() {
-                self.f
-                    .frame_mut(t)
-                    .copy_from_slice(&data[j * fl..(j + 1) * fl]);
+        Ok((Self { tiles, gt, f, tmp }, sub))
+    }
+
+    /// Set every allocated cell to the equilibrium of `state` at its global
+    /// site. AA frames hold the *streamed* image at even parity, so there
+    /// the slots carry the pull-streamed equilibrium — a two-grid twin
+    /// started from the same state stays comparable pair for pair.
+    pub(crate) fn init(
+        &mut self,
+        ctx: &KernelCtx,
+        storage: StorageMode,
+        global: Dim3,
+        state: impl Fn(usize, usize, usize) -> (f64, [f64; 3]),
+    ) {
+        match storage {
+            StorageMode::TwoGrid => {
+                sparse::init_equilibrium(ctx, &self.tiles, &self.gt, &mut self.f, global, state)
+            }
+            StorageMode::InPlaceAa => {
+                sparse::init_equilibrium_aa(ctx, &self.tiles, &mut self.f, global, state)
             }
         }
     }
 
-    pub(crate) fn steps_done(&self) -> u64 {
-        self.step_no
+    /// Pack the frames of the owned boundary tiles that the neighbour on
+    /// `side` keeps as ghosts into `buf`.
+    pub(crate) fn pack(&self, side: Side, buf: &mut Vec<f64>) {
+        let idx = match side {
+            Side::Left => &self.tiles.send_left,
+            Side::Right => &self.tiles.send_right,
+        };
+        buf.clear();
+        for &t in idx {
+            buf.extend_from_slice(self.f.frame(t));
+        }
     }
 
-    pub(crate) fn reset_counters(&mut self) {
-        self.counters = PerfCounters::default();
-    }
-
-    /// Owned fluid cells — the denominator of the paper's MFlup/s metric
-    /// on this path (solid and ghost cells do no collide work).
-    pub(crate) fn owned_cells(&self) -> u64 {
-        self.tiles.owned_fluid_cells
+    /// Unpack the neighbour's [`Self::pack`] into the ghost tiles on `side`.
+    /// Ghost frames are never escape-zeroed locally — their owner's copy is
+    /// authoritative.
+    pub(crate) fn unpack(&mut self, side: Side, msg: &[f64]) {
+        let idx = match side {
+            Side::Left => &self.tiles.recv_left,
+            Side::Right => &self.tiles.recv_right,
+        };
+        let fl = self.f.frame_len();
+        debug_assert_eq!(msg.len(), idx.len() * fl, "boundary frame mismatch");
+        for (&t, frame) in idx.iter().zip(msg.chunks_exact(fl)) {
+            self.f.frame_mut(t).copy_from_slice(frame);
+        }
     }
 
     /// Bytes held in the packed population buffers — two under two-grid,
     /// one under AA.
-    pub(crate) fn resident_population_bytes(&self) -> u64 {
+    pub(crate) fn resident_bytes(&self) -> u64 {
         self.f.resident_bytes() + self.tmp.as_ref().map_or(0, SparseField::resident_bytes)
     }
 
-    /// Stored mass and momentum over the owned tiles (every allocated cell:
-    /// rim bounce-back cells carry in-flight population between steps, so
-    /// they are part of the conserved totals exactly as dense wall cells
-    /// are). Mid-pair AA storage is slot-swapped — slot `i` holds the
-    /// opposite velocity's population — so the raw directed sum flips sign
-    /// and is negated back, mirroring the dense `parity_swapped` handling.
-    pub(crate) fn local_invariants(&self) -> (f64, [f64; 3]) {
-        let q = self.ctx.lat.q();
-        let cc = self.ctx.lat.velocities();
+    /// Stored mass and raw slot momentum over the owned tiles (every
+    /// allocated cell: rim bounce-back cells carry in-flight population
+    /// between steps, so they are part of the conserved totals exactly as
+    /// dense wall cells are).
+    pub(crate) fn invariants(&self, ctx: &KernelCtx) -> (f64, [f64; 3]) {
+        let cc = ctx.lat.velocities();
         let mut mass = 0.0;
         let mut mom = [0.0f64; 3];
         for t in 0..self.tiles.owned_tiles {
             let frame = self.f.frame(t);
-            for (i, c) in cc.iter().enumerate().take(q) {
+            for (i, c) in cc.iter().enumerate().take(ctx.lat.q()) {
                 let s: f64 = frame[i * TILE_CELLS..(i + 1) * TILE_CELLS].iter().sum();
                 mass += s;
                 for a in 0..3 {
@@ -429,43 +308,20 @@ impl SparseRankSolver {
                 }
             }
         }
-        if self.parity_swapped() {
-            for m in &mut mom {
-                *m = -*m;
-            }
-        }
         (mass, mom)
-    }
-
-    /// True when AA storage sits mid-pair (after the even half-step), where
-    /// every slot holds the opposite velocity's population.
-    pub(crate) fn parity_swapped(&self) -> bool {
-        self.storage == StorageMode::InPlaceAa && self.step_no % 2 == 1
-    }
-
-    pub(crate) fn global_invariants(&self, comm: &mut Comm) -> (f64, [f64; 3]) {
-        let (mass, mom) = self.local_invariants();
-        let v = comm.allreduce_sum(&[mass, mom[0], mom[1], mom[2]]);
-        (v[0], [v[1], v[2], v[3]])
     }
 
     /// Peak |u| over the owned fluid cells (solid cells hold bounce state,
     /// not flow).
-    pub(crate) fn max_speed(&self) -> f64 {
-        let q = self.ctx.lat.q();
+    pub(crate) fn max_speed(&self, ctx: &KernelCtx) -> f64 {
+        let q = ctx.lat.q();
         let mut cell = [0.0f64; MAX_Q];
         let mut peak: f64 = 0.0;
         for t in 0..self.tiles.owned_tiles {
             let fluid = self.tiles.tiles[t].fluid;
-            if fluid == 0 {
-                continue;
-            }
-            for c in 0..TILE_CELLS {
-                if fluid >> c & 1 == 0 {
-                    continue;
-                }
+            for c in (0..TILE_CELLS).filter(|c| fluid >> c & 1 == 1) {
                 self.f.gather_cell(t, c, &mut cell[..q]);
-                let m = Moments::of_cell(&self.ctx.lat, &cell[..q]);
+                let m = Moments::of_cell(&ctx.lat, &cell[..q]);
                 let s = (m.u[0] * m.u[0] + m.u[1] * m.u[1] + m.u[2] * m.u[2]).sqrt();
                 peak = peak.max(s);
             }
@@ -473,289 +329,47 @@ impl SparseRankSolver {
         peak
     }
 
-    /// Owned x-extent in cells and the owned tile-column count.
-    fn owned_extent(&self) -> (usize, usize) {
-        let cols = self.tiles.tdims.nx - 2 * self.tiles.ghost_cols;
-        (cols * TILE_B, cols)
-    }
-
-    /// Scatter the owned tiles into a dense halo-free [`DistField`] slab —
-    /// the same shape the dense solver snapshots, so the checkpoint
-    /// container's field codec is storage-agnostic. Cells in unallocated
-    /// tiles read 0 (they hold no state by construction).
-    pub(crate) fn owned_snapshot(&self) -> DistField {
-        let q = self.ctx.lat.q();
-        let (nx, _) = self.owned_extent();
-        let d = Dim3::new(nx, self.global.ny, self.global.nz);
-        let mut out = DistField::new(q, d, 0).expect("owned snapshot shape");
-        let g = self.tiles.ghost_cols;
-        for t in 0..self.tiles.owned_tiles {
-            let ti = self.tiles.tiles[t];
-            let frame = self.f.frame(t);
-            for i in 0..q {
-                let slab = out.slab_mut(i);
-                for lx in 0..TILE_B {
-                    let x = (ti.tx - g) * TILE_B + lx;
-                    for ly in 0..TILE_B {
-                        let y = ti.ty * TILE_B + ly;
-                        for lz in 0..TILE_B {
-                            let z = ti.tz * TILE_B + lz;
-                            slab[d.idx(x, y, z)] = frame[i * TILE_CELLS + tile_cell(lx, ly, lz)];
-                        }
-                    }
-                }
+    /// Scatter the owned tiles into a dense halo-free [`DistField`] of `d`
+    /// (the rank's owned box) — the same shape the dense layout snapshots,
+    /// so the checkpoint container's field codec is layout-agnostic. Cells
+    /// in unallocated tiles read 0 (they hold no state by construction).
+    pub(crate) fn snapshot(&self, d: Dim3) -> DistField {
+        let mut out = DistField::new(self.f.q(), d, 0).expect("owned snapshot shape");
+        for (t, c, cell) in owned_cells(&self.tiles, d) {
+            for i in 0..self.f.q() {
+                out.slab_mut(i)[cell] = self.f.frame(t)[i * TILE_CELLS + c];
             }
         }
         out
     }
 
-    /// Inverse of [`Self::owned_snapshot`]: load the owned tiles from a
-    /// dense slab and set the step counter. Ghost frames are left as they
-    /// are (zero on a freshly allocated rank): the exchange ahead of the
-    /// next step that reads them refreshes them first.
-    pub(crate) fn restore_owned(&mut self, snap: &DistField, step_no: u64) -> Result<()> {
-        let q = self.ctx.lat.q();
-        let (nx, _) = self.owned_extent();
-        let d = Dim3::new(nx, self.global.ny, self.global.nz);
-        if snap.alloc_dims() != d || snap.halo() != 0 {
-            return Err(Error::Mismatch(format!(
-                "snapshot shape {:?} (halo {}) does not match owned tiles {:?}",
-                snap.alloc_dims(),
-                snap.halo(),
-                d
-            )));
-        }
-        let g = self.tiles.ghost_cols;
-        for t in 0..self.tiles.owned_tiles {
-            let ti = self.tiles.tiles[t];
+    /// Inverse of [`Self::snapshot`]. Ghost frames are left as they are
+    /// (zero on a freshly allocated rank): the exchange ahead of the next
+    /// step that reads them refreshes them first.
+    pub(crate) fn restore(&mut self, snap: &DistField) {
+        let q = self.f.q();
+        for (t, c, cell) in owned_cells(&self.tiles, snap.alloc_dims()) {
             let frame = self.f.frame_mut(t);
             for i in 0..q {
-                let slab = snap.slab(i);
-                for lx in 0..TILE_B {
-                    let x = (ti.tx - g) * TILE_B + lx;
-                    for ly in 0..TILE_B {
-                        let y = ti.ty * TILE_B + ly;
-                        for lz in 0..TILE_B {
-                            let z = ti.tz * TILE_B + lz;
-                            frame[i * TILE_CELLS + tile_cell(lx, ly, lz)] = slab[d.idx(x, y, z)];
-                        }
-                    }
-                }
+                frame[i * TILE_CELLS + c] = snap.slab(i)[cell];
             }
         }
-        self.step_no = step_no;
-        Ok(())
-    }
-
-    /// Raw population storage (both buffers' front) for finiteness scans.
-    pub(crate) fn raw(&self) -> &[f64] {
-        self.f.as_slice()
-    }
-
-    /// Poison one stored value in the middle of the packed storage — lands
-    /// in an allocated tile by construction.
-    pub(crate) fn inject_nan(&mut self) {
-        let mid = self.f.as_slice().len() / 2;
-        self.f.as_mut_slice()[mid] = f64::NAN;
     }
 }
 
-/// The engine-facing solver dispatch: dense box paths (every `OptLevel` ×
-/// `StorageMode` × `CommStrategy`) or the sparse tiled-geometry path.
-pub(crate) enum AnySolver {
-    /// Dense [`RankSolver`] (two-grid or AA storage).
-    Dense(RankSolver),
-    /// Sparse fluid-tile list with indirect addressing.
-    Sparse(SparseRankSolver),
-}
-
-impl AnySolver {
-    /// Construct the right solver for the configuration: a geometry selects
-    /// the sparse path.
-    pub(crate) fn new(cfg: &SimConfig, rank: usize) -> Result<Self> {
-        if cfg.geometry.is_some() {
-            Ok(AnySolver::Sparse(SparseRankSolver::new(cfg, rank)?))
-        } else {
-            Ok(AnySolver::Dense(RankSolver::new(cfg, rank)?))
-        }
-    }
-
-    /// The solver [`Self::new`] builds, restored from a checkpointed owned
-    /// snapshot at `step_no`/`cycle` instead of filled with the initial
-    /// state.
-    pub(crate) fn restored(
-        cfg: &SimConfig,
-        rank: usize,
-        snap: &DistField,
-        step_no: u64,
-        cycle: u64,
-    ) -> Result<Self> {
-        if cfg.geometry.is_some() {
-            let mut s = SparseRankSolver::allocate(cfg, rank)?;
-            s.restore_owned(snap, step_no)?;
-            Ok(AnySolver::Sparse(s))
-        } else {
-            let mut s = RankSolver::allocate(cfg, rank)?;
-            s.restore_owned(snap, step_no, cycle)?;
-            Ok(AnySolver::Dense(s))
-        }
-    }
-
-    pub(crate) fn run(&mut self, comm: &mut Comm, steps: usize) {
-        match self {
-            AnySolver::Dense(s) => s.run(comm, steps),
-            AnySolver::Sparse(s) => s.run(comm, steps),
-        }
-    }
-
-    /// [`Self::run`], whose last step may also fold the owned mass for
-    /// [`Self::global_mass`] (dense two-grid fused path only; see
-    /// [`RankSolver::run_folding_mass`]).
-    pub(crate) fn run_folding_mass(&mut self, comm: &mut Comm, steps: usize) {
-        match self {
-            AnySolver::Dense(s) => s.run_folding_mass(comm, steps),
-            AnySolver::Sparse(s) => s.run(comm, steps),
-        }
-    }
-
-    /// Passes that folded the owned mass (0 on the sparse path).
-    pub(crate) fn mass_folds(&self) -> u64 {
-        match self {
-            AnySolver::Dense(s) => s.mass_folds(),
-            AnySolver::Sparse(_) => 0,
-        }
-    }
-
-    pub(crate) fn steps_done(&self) -> u64 {
-        match self {
-            AnySolver::Dense(s) => s.steps_done(),
-            AnySolver::Sparse(s) => s.steps_done(),
-        }
-    }
-
-    /// Exchange-cycle counter: the sparse path exchanges every step, so its
-    /// cycle count *is* its step count.
-    pub(crate) fn cycle(&self) -> u64 {
-        match self {
-            AnySolver::Dense(s) => s.cycle(),
-            AnySolver::Sparse(s) => s.steps_done(),
-        }
-    }
-
-    pub(crate) fn reset_counters(&mut self) {
-        match self {
-            AnySolver::Dense(s) => s.reset_counters(),
-            AnySolver::Sparse(s) => s.reset_counters(),
-        }
-    }
-
-    pub(crate) fn counters(&self) -> &PerfCounters {
-        match self {
-            AnySolver::Dense(s) => &s.counters,
-            AnySolver::Sparse(s) => &s.counters,
-        }
-    }
-
-    /// Cells this rank updates per step — dense: every owned cell; sparse:
-    /// owned *fluid* cells (the MFlup/s denominators match the work done).
-    pub(crate) fn owned_cells(&self) -> u64 {
-        match self {
-            AnySolver::Dense(s) => s.sub.owned().len() as u64,
-            AnySolver::Sparse(s) => s.owned_cells(),
-        }
-    }
-
-    pub(crate) fn resident_population_bytes(&self) -> u64 {
-        match self {
-            AnySolver::Dense(s) => s.resident_population_bytes(),
-            AnySolver::Sparse(s) => s.resident_population_bytes(),
-        }
-    }
-
-    pub(crate) fn local_invariants(&self) -> (f64, [f64; 3]) {
-        match self {
-            AnySolver::Dense(s) => s.local_invariants(),
-            AnySolver::Sparse(s) => s.local_invariants(),
-        }
-    }
-
-    /// Owned-region mass summed across ranks (the run report's reading).
-    pub(crate) fn global_mass(&self, comm: &mut Comm) -> f64 {
-        match self {
-            AnySolver::Dense(s) => s.global_mass(comm),
-            AnySolver::Sparse(s) => s.global_invariants(comm).0,
-        }
-    }
-
-    /// Peak |u| over owned fluid cells.
-    pub(crate) fn max_speed(&self) -> f64 {
-        match self {
-            AnySolver::Dense(s) => {
-                crate::observables::max_speed_fluid(&s.ctx, s.field(), s.bounds())
-            }
-            AnySolver::Sparse(s) => s.max_speed(),
-        }
-    }
-
-    /// The scenario's y-profile observable with this rank's averaging
-    /// weight, or `None` when the path has no row structure to profile
-    /// (sparse runs observe mass/speed only).
-    pub(crate) fn profile(&self, axis: usize, z_slice: Option<usize>) -> Option<(usize, Vec<f64>)> {
-        match self {
-            AnySolver::Dense(s) => {
-                let mut p = crate::observables::u_profile_fluid(
-                    &s.ctx,
-                    s.field(),
-                    s.bounds(),
-                    axis,
-                    z_slice,
-                );
-                if s.parity_swapped() {
-                    // Mid-pair AA storage is slot-swapped: directed
-                    // observables flip sign (speeds are unaffected).
-                    for v in &mut p {
-                        *v = -*v;
-                    }
-                }
-                Some((s.sub.owned().nx, p))
-            }
-            AnySolver::Sparse(_) => None,
-        }
-    }
-
-    pub(crate) fn owned_snapshot(&self) -> DistField {
-        match self {
-            AnySolver::Dense(s) => s.owned_snapshot(),
-            AnySolver::Sparse(s) => s.owned_snapshot(),
-        }
-    }
-
-    /// Every resident population value: the dense field with its halos,
-    /// or every sparse tile frame, owned and ghost.
-    pub(crate) fn raw(&self) -> &[f64] {
-        match self {
-            AnySolver::Dense(s) => s.field().as_slice(),
-            AnySolver::Sparse(s) => s.raw(),
-        }
-    }
-
-    /// Every resident population value is finite (owned, halo and ghost
-    /// storage alike).
-    pub(crate) fn all_finite(&self) -> bool {
-        self.raw().iter().all(|v| v.is_finite())
-    }
-
-    /// Deterministic NaN injection for the fault harness.
-    pub(crate) fn inject_nan(&mut self) {
-        match self {
-            AnySolver::Dense(s) => {
-                let field = s.field_mut();
-                let mid = field.as_slice().len() / 2;
-                field.as_mut_slice()[mid] = f64::NAN;
-            }
-            AnySolver::Sparse(s) => s.inject_nan(),
-        }
-    }
+/// Every cell of the owned tiles as `(tile, cell in the tile, index in a
+/// dense halo-free slab of d)`, `d` being the rank's owned box.
+fn owned_cells(tiles: &SparseTiles, d: Dim3) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let g = tiles.ghost_cols;
+    (0..tiles.owned_tiles).flat_map(move |t| {
+        let ti = tiles.tiles[t];
+        (0..TILE_CELLS).map(move |c| {
+            // `c` is `tile_cell(lx, ly, lz)`: x-major inside the tile.
+            let (lx, ly, lz) = (c / (TILE_B * TILE_B), c / TILE_B % TILE_B, c % TILE_B);
+            let x = (ti.tx - g) * TILE_B + lx;
+            (t, c, d.idx(x, ti.ty * TILE_B + ly, ti.tz * TILE_B + lz))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -765,6 +379,7 @@ mod tests {
     use crate::simulation::Simulation;
     use lbm_core::boundary::{BoundarySpec, SectionMask};
     use lbm_core::collision::BodyForce;
+    use lbm_core::kernels::OptLevel;
     use lbm_core::lattice::LatticeKind;
 
     const G: f64 = 4e-6;
@@ -993,14 +608,8 @@ mod tests {
         aa.run_local(STEPS).unwrap();
         tg.run_local(STEPS).unwrap();
         let q = lbm_core::lattice::Lattice::new(kind).q();
-        let tg_engine = tg.engine_mut().unwrap();
-        let AnySolver::Sparse(ts) = &tg_engine.ranks[0].solver else {
-            panic!("sparse path expected")
-        };
-        let aa_engine = aa.engine_mut().unwrap();
-        let AnySolver::Sparse(sa) = &aa_engine.ranks[0].solver else {
-            panic!("sparse path expected")
-        };
+        let ts = tg.engine_mut().unwrap().ranks[0].solver.tiles();
+        let sa = aa.engine_mut().unwrap().ranks[0].solver.tiles();
         assert_eq!(ts.tiles.tile_count(), sa.tiles.tile_count());
         let mut want = vec![0.0f64; q * TILE_CELLS];
         let mut checked = 0u64;
