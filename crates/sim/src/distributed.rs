@@ -273,6 +273,8 @@ impl RankSolver {
     /// snapshot supplies the owned cells. A configuration with a geometry
     /// gets the tile layout.
     pub(crate) fn allocate(cfg: &SimConfig, rank: usize) -> Result<Self> {
+        // A tile configuration's checks scan the whole geometry: leave them
+        // to the builder, which runs them once for all ranks.
         if cfg.geometry.is_none() {
             cfg.validate()?;
         }
@@ -288,6 +290,7 @@ impl RankSolver {
                 let h = cfg.halo_width();
                 let sub = Decomp1d::new(cfg.global, cfg.ranks)?.subdomain(rank);
                 let owned = sub.owned();
+                let f = DistField::new(ctx.lat.q(), owned, h)?;
                 let tmp = match cfg.storage {
                     StorageMode::TwoGrid => Some(DistField::new(ctx.lat.q(), owned, h)?),
                     StorageMode::InPlaceAa => None,
@@ -298,13 +301,18 @@ impl RankSolver {
                     StorageMode::InPlaceAa => full.clone(),
                 };
                 let slab = Slab {
-                    f: DistField::new(ctx.lat.q(), owned, h)?,
+                    f,
                     tmp,
                     tables: StreamTables::new(owned.ny, owned.nz),
                     plan,
                     full,
                 };
-                (Cells::Slab(Box::new(slab)), sub, h, (cfg.comm_strategy(), h / k))
+                (
+                    Cells::Slab(Box::new(slab)),
+                    sub,
+                    h,
+                    (cfg.comm_strategy(), h / k),
+                )
             }
         };
         // A slab threads from the `Dh` rung up: the historical `Orig`/`Gc`
